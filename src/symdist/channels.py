@@ -10,6 +10,12 @@ subspace coordinates), a constant-output preparation, the cloner followed by
 independent single-user depolarizing noise, and a measure-and-prepare
 channel.  validate_sdi checks the property they are all meant to share:
 invariance under permutations of the M output slots.
+
+Channels whose output lies in the symmetric subspace by construction (see
+SDIChannelSpec.symmetric_by_construction) also have their output computed
+straight from the spec as an s_M x s_M matrix in occupation coordinates:
+cloner_coords uses Werner's form P_M (X tensor 1) P_M = P_M (X tensor
+P_{M-N}) P_M (PRA 58, 1827 (1998)), prep_coords sums pure product states.
 """
 
 from __future__ import annotations
@@ -28,7 +34,13 @@ from .linalg import (
     tensor_power,
     validate_state,
 )
-from .symspace import sym_basis, sym_dim
+from .symspace import (
+    check_occupation_route,
+    power_coords,
+    split_table,
+    sym_basis,
+    sym_dim,
+)
 
 # Output-support deviation below this counts as "inside the symmetric subspace".
 SUPPORT_TOL = 1e-8
@@ -96,6 +108,13 @@ def identity_channel(d: int) -> QuantumChannel:
     return QuantumChannel(DenseOperator(choi, (d, d)), d, d, (d,), kind="identity")
 
 
+def _check_cloner_args(d: int, N: int, M: int) -> None:
+    if d < 1:
+        raise ValueError(f"local dimension must be >= 1, got {d}")
+    if not 1 <= N <= M:
+        raise ValueError(f"need 1 <= N <= M, got N={N}, M={M}")
+
+
 def universal_cloner(d: int, N: int, M: int,
                      cap: int = DEFAULT_DIM_CAP) -> QuantumChannel:
     """Optimal universal N -> M cloner for d-dimensional systems.
@@ -105,10 +124,7 @@ def universal_cloner(d: int, N: int, M: int,
     X -> (s_N/s_M) P_M (V_N X V_N† tensor 1^{M-N}) P_M with P_M the
     symmetrizer, realized through d^{M-N} Kraus operators.
     """
-    if d < 1:
-        raise ValueError(f"local dimension must be >= 1, got {d}")
-    if not 1 <= N <= M:
-        raise ValueError(f"need 1 <= N <= M, got N={N}, M={M}")
+    _check_cloner_args(d, N, M)
     s_in = sym_dim(d, N)
     _check_cap(d ** M, cap, f"{M}-user cloner output")
     _check_cap(d ** M * s_in, cap, f"{M}-user cloner Choi matrix")
@@ -129,6 +145,29 @@ def universal_cloner(d: int, N: int, M: int,
         kind="universal_cloner",
         in_isometry=sym_basis(d, N, cap=cap).isometry,
     )
+
+
+def cloner_coords(d: int, N: int, M: int, x: np.ndarray) -> np.ndarray:
+    """universal_cloner(d, N, M) applied to x (s_N x s_N, occupation
+    coordinates), as an s_M x s_M matrix in occupation coordinates.
+
+    (s_N/s_M) sum_b B_b x B_b† over b in Sym^{M-N}, where B_b|n> =
+    c(n+b; n)|n+b> is P_M restricted to |n>|b>.
+    """
+    _check_cloner_args(d, N, M)
+    t = split_table(d, M, N)
+    s_m = sym_dim(d, M)
+    terms = t.whole_coef[:, None, :] * t.whole_coef[None, :, :] * x[:, :, None]
+    out = np.zeros((s_m, s_m), dtype=complex)
+    np.add.at(out, (t.whole[:, None, :], t.whole[None, :, :]), terms)
+    return (sym_dim(d, N) / s_m) * out
+
+
+def prep_coords(kets: np.ndarray, weights, M: int) -> np.ndarray:
+    """sum_j weights[j] (phi_j phi_j†)^{tensor M} for the rows phi_j of
+    `kets`, as an s_M x s_M matrix in occupation coordinates."""
+    v = power_coords(kets, M)
+    return (v.T * np.asarray(weights)) @ v.conj()
 
 
 def fixed_prep_channel(sigma: DenseOperator, M: int,
@@ -187,11 +226,9 @@ def noisy_cloner(d: int, N: int, M: int, p: float,
     )
 
 
-def measure_prepare(povm: list[DenseOperator], preps: list[DenseOperator], M: int,
-                    cap: int = DEFAULT_DIM_CAP) -> QuantumChannel:
-    """Measure the input with a POVM, hand all M users copies keyed to the outcome."""
-    if M < 1:
-        raise ValueError(f"need M >= 1, got {M}")
+def _validated_measurement(povm: list[DenseOperator],
+                           preps: list[DenseOperator]) -> int:
+    """Check a POVM and its prepared states; returns the input dimension."""
     if len(povm) != len(preps):
         raise ValueError(
             f"got {len(povm)} POVM elements but {len(preps)} prepared states"
@@ -214,6 +251,16 @@ def measure_prepare(povm: list[DenseOperator], preps: list[DenseOperator], M: in
         validate_state(s, name=f"prepared state {idx}")
         if s.shape != (d, d):
             raise ValueError(f"prepared state {idx} has shape {s.shape}")
+    return dim_in
+
+
+def measure_prepare(povm: list[DenseOperator], preps: list[DenseOperator], M: int,
+                    cap: int = DEFAULT_DIM_CAP) -> QuantumChannel:
+    """Measure the input with a POVM, hand all M users copies keyed to the outcome."""
+    if M < 1:
+        raise ValueError(f"need M >= 1, got {M}")
+    dim_in = _validated_measurement(povm, preps)
+    d = preps[0].shape[0]
     _check_cap(d ** M * dim_in, cap, "measure-prepare Choi matrix")
     choi = np.zeros((d ** M * dim_in, d ** M * dim_in), dtype=complex)
     for e, s in zip(povm, preps):
@@ -233,31 +280,48 @@ def embed_pure_input(ch: QuantumChannel, phi: DenseOperator) -> DenseOperator:
     Channels carrying in_isometry take phi^{tensor N} re-expressed in symmetric
     coordinates; all others take phi directly (dim must match dim_in).
     """
+    if ch.in_isometry is None:
+        x = _plain_ket(phi, ch.dim_in)
+    else:
+        x = _sym_power_ket(phi, ch.in_isometry.row_dims[0],
+                           len(ch.in_isometry.row_dims))
+    return DenseOperator(np.outer(x, x.conj()), (ch.dim_in,))
+
+
+def _unit_entries(phi: DenseOperator) -> np.ndarray:
     if phi.shape[1] != 1:
         raise ValueError("expected a ket")
     nrm = float(np.linalg.norm(phi.entries))
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"input ket has norm {nrm}, expected 1")
-    if ch.in_isometry is None:
-        if phi.shape[0] != ch.dim_in:
-            raise ValueError(
-                f"ket dimension {phi.shape[0]} does not match channel input {ch.dim_in}"
-            )
-        x = phi.entries[:, 0]
-    else:
-        n_copies = len(ch.in_isometry.row_dims)
-        d = ch.in_isometry.row_dims[0]
-        if phi.shape[0] != d:
-            raise ValueError(
-                f"ket dimension {phi.shape[0]} does not match single-copy dimension {d}"
-            )
-        u = phi.entries[:, 0]
-        full = u
-        for _ in range(n_copies - 1):
-            full = np.kron(full, u)
-        x = ch.in_isometry.entries.conj().T @ full
-        x = x / np.linalg.norm(x)  # phi^{tensor N} is already symmetric; scrub roundoff
-    return DenseOperator(np.outer(x, x.conj()), (ch.dim_in,))
+    return phi.entries[:, 0]
+
+
+def _plain_ket(phi: DenseOperator, dim_in: int) -> np.ndarray:
+    u = _unit_entries(phi)
+    if u.size != dim_in:
+        raise ValueError(
+            f"ket dimension {u.size} does not match channel input {dim_in}"
+        )
+    return u
+
+
+def _sym_power_ket(phi: DenseOperator, d: int, n_copies: int) -> np.ndarray:
+    """phi^{tensor n_copies} in occupation coordinates."""
+    u = _unit_entries(phi)
+    if u.size != d:
+        raise ValueError(
+            f"ket dimension {u.size} does not match single-copy dimension {d}"
+        )
+    x = power_coords(u, n_copies)
+    return x / np.linalg.norm(x)  # a unit vector already; scrub roundoff
+
+
+def _rank_one(m: np.ndarray, d: int) -> bool:
+    if m.shape != (d, d) or not np.all(np.isfinite(m)):
+        return False  # build() reports what is wrong with it
+    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    return d == 1 or w[-2] <= SUPPORT_TOL
 
 
 @dataclass(frozen=True)
@@ -362,6 +426,8 @@ class SDIChannelSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}; expected one of {self.KINDS}")
+        if self.d < 1 or self.M < 1:
+            raise ValueError(f"need d >= 1 and M >= 1, got d={self.d}, M={self.M}")
         if self.kind in ("universal_cloner", "noisy_cloner") and self.N is None:
             raise ValueError(f"{self.kind} requires N")
         if self.kind == "noisy_cloner" and self.p is None:
@@ -403,15 +469,71 @@ class SDIChannelSpec:
             ),
         )
 
+    @property
+    def symmetric_by_construction(self) -> bool:
+        """Whether the output lies in the symmetric subspace of the M users
+        for every input: cloners without noise, and preparations whose every
+        state is pure (rank one within SUPPORT_TOL).
+
+        At M = 1 every output has symmetric support; validate_sdi on the
+        built channel reports that case.
+        """
+        if self.kind == "universal_cloner":
+            return True
+        if self.kind == "noisy_cloner":
+            return self.p == 0.0
+        return all(_rank_one(np.asarray(m), self.d) for m in self.prep)
+
+    def _preps(self) -> list[DenseOperator]:
+        return [DenseOperator(np.asarray(m), (self.d,)) for m in self.prep]
+
+    def _povm(self) -> list[DenseOperator]:
+        return [DenseOperator(e, (e.shape[0],)) for e in
+                (np.asarray(m) for m in self.povm)]
+
     def build(self, cap: int = DEFAULT_DIM_CAP) -> QuantumChannel:
         if self.kind == "universal_cloner":
             return universal_cloner(self.d, self.N, self.M, cap=cap)
         if self.kind == "noisy_cloner":
             return noisy_cloner(self.d, self.N, self.M, self.p, cap=cap)
         if self.kind == "fixed_prep":
-            sigma = DenseOperator(self.prep[0], (self.d,))
-            return fixed_prep_channel(sigma, self.M, cap=cap)
-        povm = [DenseOperator(e, (e.shape[0],)) for e in
-                (np.asarray(m) for m in self.povm)]
-        preps = [DenseOperator(np.asarray(m), (self.d,)) for m in self.prep]
-        return measure_prepare(povm, preps, self.M, cap=cap)
+            return fixed_prep_channel(self._preps()[0], self.M, cap=cap)
+        return measure_prepare(self._povm(), self._preps(), self.M, cap=cap)
+
+    def symmetric_output(self, state: DenseOperator,
+                         cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+        """The output as an s_M x s_M matrix in occupation coordinates, for
+        a spec that is symmetric_by_construction; no Choi matrix is built.
+
+        `state` is the input: a ket of dimension d for the cloners; a ket or
+        a density matrix on the input space for the preparation kinds.
+        Parameters are validated as build() validates them.
+        """
+        if not self.symmetric_by_construction:
+            raise ValueError(f"this {self.kind} leaves the symmetric subspace; "
+                             "use build()")
+        cloner = self.kind in ("universal_cloner", "noisy_cloner")
+        if cloner:
+            _check_cloner_args(self.d, self.N, self.M)
+        check_occupation_route(self.d, self.M, (), n_in=self.N, cap=cap)
+        if cloner:
+            x = _sym_power_ket(state, self.d, self.N)
+            return cloner_coords(self.d, self.N, self.M, np.outer(x, x.conj()))
+        preps = self._preps()
+        if self.kind == "fixed_prep":
+            validate_state(preps[0], name="prepared state")
+            weights = [1.0]
+        else:
+            povm = self._povm()
+            dim_in = _validated_measurement(povm, preps)
+            if state.shape[1] == 1:
+                x = _plain_ket(state, dim_in)
+                rho_in = np.outer(x, x.conj())
+            elif state.shape == (dim_in, dim_in):
+                rho_in = state.entries
+            else:
+                raise ValueError(f"input has shape {state.shape}, "
+                                 f"channel expects {(dim_in, dim_in)}")
+            weights = [float(np.real(np.vdot(e.entries, rho_in))) for e in povm]
+        kets = [np.linalg.eigh(s.entries)[1][:, -1] for s in preps]
+        return prep_coords(np.array(kets), weights, self.M)

@@ -15,7 +15,6 @@ from pathlib import Path
 from .linalg import DEFAULT_DIM_CAP, ResourceLimitError
 from .metrics import general_bound, lemma1_bound, perr_lower_bound
 from .scenario import (
-    SchemaError,
     all_satisfied,
     emit,
     moment_check_record,
@@ -141,22 +140,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    records = []
-    if args.mode == "moments":
-        for n in args.M:
-            records.append(moment_check_record(args.d, n, args.samples, args.seed))
-    else:
-        data = {
-            "schema": 1,
-            "channel": {"kind": "fixed_prep", "d": args.d, "M": args.M[0],
-                        "prep": _basis_prep(args.d)},
-            "input": {"type": "pure",
-                      "coeffs": [[1.0, 0.0]] + [[0.0, 0.0]] * (args.d - 1)},
-            "k": args.k,
-            "checks": ["lemma1", "mc_crosscheck"],
-            "mc": {"samples": args.samples, "seed": args.seed},
-        }
-        records.extend(run_scenario(scenario_from_dict(data), cap=args.cap))
+    records = [moment_check_record(args.d, n, args.samples, args.seed)
+               for n in args.M]
     _write(emit(records, fmt=args.format, timings=args.timings), args.out)
     return 0 if all_satisfied(records) else 2
 
@@ -208,17 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p_run, default_format=None)
     p_run.set_defaults(func=_cmd_run)
 
-    p_mc = sub.add_parser("mc", help="Monte Carlo crosschecks")
-    p_mc.add_argument("--mode", choices=("moments", "reduction"),
-                      default="moments")
+    p_mc = sub.add_parser("mc", help="Monte Carlo Haar-moment checks")
+    p_mc.add_argument("--mode", choices=("moments",), default="moments")
     p_mc.add_argument("--d", type=int, default=2)
     p_mc.add_argument("--M", type=int, nargs="+", default=[1, 2, 3, 4],
-                      help="moment orders (moments) or user count (reduction)")
-    p_mc.add_argument("--k", type=int, nargs="+", default=[1])
+                      help="moment orders")
     p_mc.add_argument("--samples", type=int, default=100000)
     p_mc.add_argument("--seed", type=int, default=1)
     p_mc.add_argument("--timings", action="store_true")
-    p_mc.add_argument("--cap", type=int, default=DEFAULT_DIM_CAP)
     _add_io_flags(p_mc)
     p_mc.set_defaults(func=_cmd_mc)
 
@@ -235,10 +217,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, ResourceLimitError, OverflowError, OSError) as exc:
+        # SchemaError and json.JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

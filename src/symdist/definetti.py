@@ -7,6 +7,11 @@ that density approximates rho's k-user marginal.  The exact mixture has a
 closed form as a rescaled partial trace against the (M+k)-fold symmetrizer;
 Monte Carlo over Haar samples recovers the same object statistically.
 
+The kernels (marginal_coords, reduce_coords, mc_reduce_coords) take the state
+as an s_M x s_M matrix in occupation coordinates and never form anything of
+side d^M; the public functions on DenseOperators compress their input into
+those coordinates, call the kernel, and embed the k-user result.
+
 States that are permutation invariant without symmetric support go through
 a pair purification first: |Phi> = (sqrt(rho) tensor 1)|Omega> regrouped so
 each user's system sits next to its ancilla, which is symmetric in the
@@ -29,9 +34,20 @@ from .linalg import (
     permute_factors,
     projector,
 )
-from .symspace import HaarSampler, haar_sample, sym_basis, sym_dim
+from .symspace import (
+    HaarSampler,
+    embed_coords,
+    haar_sample,
+    power_coords,
+    split_table,
+    sym_basis,
+    sym_dim,
+)
 
 PERM_INVARIANCE_TOL = 1e-8
+# Monte Carlo draws are weighted and accumulated in chunks that hold about
+# this many entries of the k-user projectors and occupation coordinates.
+MC_CHUNK_ENTRIES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -83,24 +99,93 @@ def _unit_ket(psi: DenseOperator, d: int) -> np.ndarray:
 
 
 def _kron_power(u: np.ndarray, n: int) -> np.ndarray:
-    out = np.array([1.0 + 0.0j])
+    """u^{tensor n} for one vector or a stack of them (shape (..., d))."""
+    out = np.ones(u.shape[:-1] + (1,), dtype=complex)
     for _ in range(n):
-        out = np.kron(out, u)
+        out = (out[..., :, None] * u[..., None, :]).reshape(u.shape[:-1] + (-1,))
     return out
 
 
-def _sym_support_residual(rho: DenseOperator, d: int, m: int) -> float:
+def _symmetric_coords(rho: DenseOperator, d: int, m: int, hint: str) -> np.ndarray:
+    """V† rho V, after checking that rho lies in the symmetric subspace."""
     v = sym_basis(d, m).isometry.entries
     coords = v.conj().T @ rho.entries @ v
-    proj = v @ coords @ v.conj().T
-    return float(np.max(np.abs(rho.entries - proj)))
+    resid = float(np.max(np.abs(rho.entries - v @ coords @ v.conj().T)))
+    if resid > SUPPORT_TOL:
+        raise ValueError(
+            f"rho_out leaves the symmetric subspace (residual {resid:.3e}); {hint}"
+        )
+    return coords
+
+
+def marginal_coords(rho: np.ndarray, d: int, m: int, k: int) -> np.ndarray:
+    """Tr_{M-k} of an s_M x s_M occupation-coordinate state, as s_k x s_k.
+
+    rho_k[a, a'] = sum_b c(a+b; a) c(a'+b; a') rho[a+b, a'+b].
+    """
+    t = split_table(d, m, k)
+    gathered = rho[t.whole[:, None, :], t.whole[None, :, :]]
+    weights = t.whole_coef[:, None, :] * t.whole_coef[None, :, :]
+    return (weights * gathered).sum(axis=-1)
+
+
+def reduce_coords(rho: np.ndarray, d: int, m: int, k: int) -> np.ndarray:
+    """(s_M/s_{M+k}) Tr_M[(rho tensor 1^k) P_{M+k}] for an s_M x s_M
+    occupation-coordinate state, as s_k x s_k.
+
+    tilde[a, a'] = (s_M/s_{M+k}) sum_m c(m;a) c(m;a') rho[m-a', m-a].
+    """
+    t = split_table(d, m + k, k)
+    gathered = rho[t.rest[:, None, :], t.rest[:, :, None]]
+    weights = t.rest_coef[:, :, None] * t.rest_coef[:, None, :]
+    return (sym_dim(d, m) / sym_dim(d, m + k)) * (weights * gathered).sum(axis=0)
+
+
+def mc_reduce_coords(rho: np.ndarray, d: int, m: int, k: int, samples: int,
+                     seed: int) -> ApproxReduction:
+    """Monte Carlo estimate of the k-user mixture of an s_M x s_M
+    occupation-coordinate state, with componentwise stderr.
+
+    Draw j is the Haar ket of HaarSampler(d, seed) at counter j, weighted by
+    s_M <psi^M|rho|psi^M> with <n|psi^M> = sqrt(mult(n)) prod_i psi_i^{n_i}.
+    Standard errors combine the real and imaginary spreads in quadrature.
+    """
+    if samples < 1:
+        raise ValueError(f"need at least 1 sample, got {samples}")
+    sampler = HaarSampler(d, seed)
+    side = d ** k
+    chunk = max(1, MC_CHUNK_ENTRIES // (side * side + d * len(rho)))
+    acc = np.zeros((4, side, side))  # sums of re, im, re^2, im^2
+    for lo in range(0, samples, chunk):
+        u = np.array([haar_sample(sampler).entries[:, 0]
+                      for _ in range(min(chunk, samples - lo))])
+        c = power_coords(u, m)
+        w = sym_dim(d, m) * np.einsum("bs,bs->b", c.conj(), c @ rho.T).real
+        u_k = _kron_power(u, k)
+        x = w[:, None, None] * u_k[:, :, None] * u_k[:, None, :].conj()
+        acc += np.stack([x.real.sum(0), x.imag.sum(0),
+                         (x.real ** 2).sum(0), (x.imag ** 2).sum(0)])
+    mean_re, mean_im = acc[0] / samples, acc[1] / samples
+    var_re = np.maximum(acc[2] / samples - mean_re ** 2, 0.0)
+    var_im = np.maximum(acc[3] / samples - mean_im ** 2, 0.0)
+    return ApproxReduction(
+        k,
+        DenseOperator(mean_re + 1j * mean_im, (d,) * k),
+        "monte_carlo",
+        sample_count=samples,
+        seed=seed,
+        stderr=np.sqrt((var_re + var_im) / samples),
+    )
 
 
 def definetti_weight(rho_out: DenseOperator, psi: DenseOperator) -> float:
     """Density s_M <psi^M| rho |psi^M> of psi under the induced distribution."""
     d, m = _uniform_square(rho_out, "rho_out")
-    u = _kron_power(_unit_ket(psi, d), m)
-    w = sym_dim(d, m) * float(np.real(np.vdot(u, rho_out.entries @ u)))
+    c = power_coords(_unit_ket(psi, d), m)
+    v = sym_basis(d, m).isometry.entries
+    # psi^M lies in the symmetric subspace, so only V† rho V enters
+    coords = v.conj().T @ rho_out.entries @ v
+    w = sym_dim(d, m) * float(np.real(np.vdot(c, coords @ c)))
     if w < -1e-9:
         raise ValueError(f"negative weight {w:.3e}; rho_out is not PSD")
     return max(w, 0.0)
@@ -115,28 +200,20 @@ def approx_reduced_symmetric(rho_out: DenseOperator, k: int,
                              cap: int = DEFAULT_DIM_CAP) -> ApproxReduction:
     """Exact k-user mixture for a state supported in the symmetric subspace.
 
-    Computed as (s_M / s_{M+k}) Tr_{first M}[(rho tensor 1^k) P_{M+k}] via the
-    symmetric isometry, so nothing of size d^{M+k} square is ever stored.
+    (s_M / s_{M+k}) Tr_{first M}[(rho tensor 1^k) P_{M+k}], computed by
+    reduce_coords on V_M† rho V_M and embedded at side d^k.  The side cap
+    on the (M+k)-factor space the reduction is defined on stays, so dense
+    callers meet the same limits as the dense formula.
     """
     d, m = _uniform_square(rho_out, "rho_out")
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= M={m}, got k={k}")
-    resid = _sym_support_residual(rho_out, d, m)
-    if resid > SUPPORT_TOL:
-        raise ValueError(
-            f"rho_out leaves the symmetric subspace (residual {resid:.3e}); "
-            "use approx_reduced_general"
-        )
+    coords = _symmetric_coords(rho_out, d, m, "use approx_reduced_general")
     if k == 0:
         return _scalar_reduction("symmetric_exact")
     _check_cap(d ** (m + k), cap, f"symmetric reduction on {m + k} factors")
-    s_big = sym_dim(d, m + k)
-    v = sym_basis(d, m + k, cap=cap).isometry.entries.reshape(d ** m, d ** k, s_big)
-    w = np.einsum("aA,Abs->abs", rho_out.entries, v)
-    r = np.einsum("abs,aBs->bB", w, v.conj())
-    mat = (sym_dim(d, m) / s_big) * r
-    return ApproxReduction(k, DenseOperator(mat, (d,) * k).hermitize(),
-                           "symmetric_exact")
+    tilde = embed_coords(reduce_coords(coords, d, m, k), d, k, cap=cap)
+    return ApproxReduction(k, tilde.hermitize(), "symmetric_exact")
 
 
 def induced_povm_element(ch: QuantumChannel, psi: DenseOperator) -> DenseOperator:
@@ -233,49 +310,13 @@ def mc_approx_reduced(rho_out: DenseOperator, k: int, samples: int,
     """Monte Carlo estimate of the k-user mixture, with componentwise stderr.
 
     Draws Haar kets, weights psi^{tensor k} projectors by the induced density
-    and averages.  Standard errors combine the real and imaginary spreads in
-    quadrature.  Same (seed, samples) reproduces the estimate bit-for-bit.
+    and averages (mc_reduce_coords on V_M† rho V_M).  Same (seed, samples)
+    reproduces the estimate bit-for-bit.
     """
     d, m = _uniform_square(rho_out, "rho_out")
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= M={m}, got k={k}")
-    if samples < 1:
-        raise ValueError(f"need at least 1 sample, got {samples}")
-    resid = _sym_support_residual(rho_out, d, m)
-    if resid > SUPPORT_TOL:
-        raise ValueError(
-            f"rho_out leaves the symmetric subspace (residual {resid:.3e}); "
-            "the sampled mixture only reproduces symmetric-support marginals"
-        )
-    s_m = sym_dim(d, m)
-    side = d ** k
-    acc_re = np.zeros((side, side))
-    acc_im = np.zeros((side, side))
-    acc_re2 = np.zeros((side, side))
-    acc_im2 = np.zeros((side, side))
-    sampler = HaarSampler(d, seed)
-    rho_mat = rho_out.entries
-    for _ in range(samples):
-        u = haar_sample(sampler).entries[:, 0]
-        u_k = _kron_power(u, k)
-        u_m = u_k if k == m else np.kron(u_k, _kron_power(u, m - k))
-        w = s_m * float(np.real(np.vdot(u_m, rho_mat @ u_m)))
-        x = w * np.outer(u_k, u_k.conj())
-        acc_re += x.real
-        acc_im += x.imag
-        acc_re2 += x.real ** 2
-        acc_im2 += x.imag ** 2
-    mean_re = acc_re / samples
-    mean_im = acc_im / samples
-    var_re = np.maximum(acc_re2 / samples - mean_re ** 2, 0.0)
-    var_im = np.maximum(acc_im2 / samples - mean_im ** 2, 0.0)
-    stderr = np.sqrt((var_re + var_im) / samples)
-    mean = mean_re + 1j * mean_im
-    return ApproxReduction(
-        k,
-        DenseOperator(mean, (d,) * k),
-        "monte_carlo",
-        sample_count=samples,
-        seed=seed,
-        stderr=stderr,
-    )
+    coords = _symmetric_coords(
+        rho_out, d, m,
+        "the sampled mixture only reproduces symmetric-support marginals")
+    return mc_reduce_coords(coords, d, m, k, samples, seed)

@@ -23,13 +23,23 @@ TRACE_TOL = 1e-9
 
 
 class ResourceLimitError(RuntimeError):
-    """A requested object would exceed the dimension cap."""
+    """A requested object would exceed the dimension cap or its byte budget."""
 
 
 def _check_cap(dim: int, cap: int, what: str) -> None:
     if dim > cap:
         raise ResourceLimitError(
             f"{what} would have dimension {dim}, exceeding the cap {cap}"
+        )
+
+
+def _check_bytes(nbytes: int, cap: int, what: str) -> None:
+    """Byte budget that goes with a side cap: one complex matrix of side cap."""
+    budget = 16 * cap * cap
+    if nbytes > budget:
+        raise ResourceLimitError(
+            f"{what} would need {nbytes} bytes, exceeding the budget of "
+            f"{budget} bytes (a complex matrix of side {cap})"
         )
 
 
@@ -276,10 +286,6 @@ def herm_eigvals(x: DenseOperator, tol: float = HERMITICITY_TOL) -> np.ndarray:
         raise ValueError(f"matrix is not Hermitian within {tol} (residual {asym:.3e})")
     w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
     return w[::-1]
-
-
-def max_abs(x: DenseOperator) -> float:
-    return float(np.max(np.abs(x.entries))) if x.entries.size else 0.0
 
 
 def validate_state(x: DenseOperator, name: str = "state",

@@ -22,20 +22,35 @@ from .channels import SDIChannelSpec, apply, embed_pure_input, validate_sdi
 from .definetti import (
     approx_reduced_general,
     approx_reduced_symmetric,
+    marginal_coords,
     mc_approx_reduced,
+    mc_reduce_coords,
+    reduce_coords,
 )
-from .linalg import DEFAULT_DIM_CAP, DenseOperator, ket, partial_trace
+from .linalg import (
+    DEFAULT_DIM_CAP,
+    DenseOperator,
+    ket,
+    partial_trace,
+    validate_state,
+)
 from .metrics import (
     BOUND_SLACK,
     general_bound,
     helstrom_perr,
     lemma1_bound,
     perr_lower_bound,
-    single_user_fidelities,
     trace_distance,
     universal_clone_gap,
 )
-from .symspace import HaarSampler, haar_sample, sym_dim, symmetrizer
+from .symspace import (
+    HaarSampler,
+    check_occupation_route,
+    embed_coords,
+    haar_sample,
+    sym_dim,
+    symmetrizer,
+)
 
 SCHEMA_VERSION = 1
 CHECKS = ("lemma1", "theorem2", "perr", "fidelity_gap", "mc_crosscheck")
@@ -238,66 +253,120 @@ def load_scenarios(text: str) -> list[ScenarioConfig]:
 # -- running -----------------------------------------------------------------
 
 
-def _input_density(cfg: ScenarioConfig, ch) -> tuple[DenseOperator, int | None]:
+def _input_state(cfg: ScenarioConfig) -> tuple[DenseOperator, int | None]:
+    """The input as a ket (a density matrix for diag inputs), and its seed."""
     info = cfg.input_state
     if info["type"] == "pure":
-        return embed_pure_input(ch, ket(info["vec"])), None
+        return ket(info["vec"]), None
     if info["type"] == "random_pure":
-        phi = haar_sample(HaarSampler(cfg.channel.d, info["seed"]))
-        return embed_pure_input(ch, phi), info["seed"]
+        return haar_sample(HaarSampler(cfg.channel.d, info["seed"])), info["seed"]
     return DenseOperator(np.diag(info["probs"]), (cfg.channel.d,)), None
 
 
-def _input_ket(cfg: ScenarioConfig) -> DenseOperator:
-    info = cfg.input_state
-    if info["type"] == "pure":
-        return ket(info["vec"])
-    return haar_sample(HaarSampler(cfg.channel.d, info["seed"]))
+class _OccupationOutput:
+    """Channel output kept as an s_M x s_M matrix in occupation coordinates.
+
+    Built from the spec: permutation invariance and symmetric support hold by
+    construction, so no Choi matrix and no validate_sdi; only the k-user
+    results are embedded at side d^k.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, phi: DenseOperator, cap: int):
+        spec = cfg.channel
+        check_occupation_route(spec.d, spec.M, cfg.k_list, cap=cap)
+        self.d, self.m, self.cap = spec.d, spec.M, cap
+        self.coords = spec.symmetric_output(phi, cap=cap)
+        validate_state(DenseOperator(self.coords, (len(self.coords),)),
+                       name="channel output")
+
+    def marginal(self, k: int) -> DenseOperator:
+        x = marginal_coords(self.coords, self.d, self.m, k)
+        return embed_coords(x, self.d, k, cap=self.cap).hermitize()
+
+    def reduction(self, k: int) -> DenseOperator:
+        x = reduce_coords(self.coords, self.d, self.m, k)
+        return embed_coords(x, self.d, k, cap=self.cap).hermitize()
+
+    def mc(self, samples: int, seed: int):
+        return mc_reduce_coords(self.coords, self.d, self.m, 1, samples, seed)
+
+
+class _DenseOutput:
+    """Channel output as a dense operator on the M users, from the Choi matrix."""
+
+    def __init__(self, cfg: ScenarioConfig, phi: DenseOperator, cap: int):
+        ch = cfg.channel.build(cap=cap)
+        report = validate_sdi(ch)
+        if not report.passed:
+            raise ValueError(
+                f"channel failed permutation invariance "
+                f"(residual {report.max_permutation_residual:.3e})"
+            )
+        if "lemma1" in cfg.checks and not report.symmetric_support:
+            raise SchemaError(
+                "scenario.checks: lemma1 requires a symmetric-support channel "
+                f"(support residual {report.support_residual:.3e}); use theorem2"
+            )
+        rho_in = embed_pure_input(ch, phi) if phi.shape[1] == 1 else phi
+        self.rho, self.cap = apply(ch, rho_in), cap
+
+    def marginal(self, k: int) -> DenseOperator:
+        return partial_trace(self.rho, range(k))
+
+    def reduction(self, k: int) -> DenseOperator:
+        return approx_reduced_symmetric(self.rho, k, cap=self.cap).tilde_rho_k
+
+    def general_reduction(self, k: int) -> DenseOperator:
+        return approx_reduced_general(self.rho, k, cap=self.cap).tilde_rho_k
+
+    def mc(self, samples: int, seed: int):
+        return mc_approx_reduced(self.rho, 1, samples, seed)
+
+
+def _fidelity(phi: DenseOperator, rho: DenseOperator) -> float:
+    u = phi.entries[:, 0]
+    return float(np.real(np.vdot(u, rho.entries @ u)))
 
 
 def run_scenario(cfg: ScenarioConfig,
                  cap: int = DEFAULT_DIM_CAP) -> list[ResultRecord]:
-    """Execute a scenario; one record per k, in k_list order."""
+    """Execute a scenario; one record per k, in k_list order.
+
+    A spec whose output is symmetric by construction runs in occupation
+    coordinates, unless theorem2 asks for the purified route; everything
+    else runs on dense operators built from the Choi matrix.
+    """
     start = time.perf_counter()
     spec = cfg.channel
-    ch = spec.build(cap=cap)
-    report = validate_sdi(ch)
-    if not report.passed:
-        raise ValueError(
-            f"channel failed permutation invariance "
-            f"(residual {report.max_permutation_residual:.3e})"
-        )
-    if "lemma1" in cfg.checks and not report.symmetric_support:
-        raise SchemaError(
-            "scenario.checks: lemma1 requires a symmetric-support channel "
-            f"(support residual {report.support_residual:.3e}); use theorem2"
-        )
-    rho_in, input_seed = _input_density(cfg, ch)
-    rho_out = apply(ch, rho_in)
+    phi, input_seed = _input_state(cfg)
+    if spec.symmetric_by_construction and "theorem2" not in cfg.checks:
+        out = _OccupationOutput(cfg, phi, cap)
+    else:
+        out = _DenseOutput(cfg, phi, cap)
     seed = cfg.mc["seed"] if cfg.mc else input_seed
     records = []
     for k in cfg.k_list:
-        rho_k = partial_trace(rho_out, range(k))
+        rho_k = out.marginal(k)
         row = ResultRecord(d=spec.d, N=spec.N, M=spec.M, k=k, p=spec.p, seed=seed)
         tilde_1 = None
         if "lemma1" in cfg.checks:
-            red = approx_reduced_symmetric(rho_out, k, cap=cap)
-            dist = trace_distance(rho_k, red.tilde_rho_k)
+            tilde = out.reduction(k)
+            dist = trace_distance(rho_k, tilde)
             row.actual_distance = dist
             row.bound_exact = lemma1_bound(spec.d, spec.M, k)
             row.bound_asymptotic = lemma1_bound(spec.d, spec.M, k, asymptotic=True)
             row.satisfied_lemma1 = dist <= row.bound_exact + BOUND_SLACK
             if k == 1:
-                tilde_1 = red.tilde_rho_k
+                tilde_1 = tilde
         elif "theorem2" in cfg.checks:
-            red = approx_reduced_general(rho_out, k, cap=cap)
-            dist = trace_distance(rho_k, red.tilde_rho_k)
+            tilde = out.general_reduction(k)
+            dist = trace_distance(rho_k, tilde)
             row.actual_distance = dist
             row.bound_exact = general_bound(spec.d, spec.M, k)
             row.bound_asymptotic = general_bound(spec.d, spec.M, k, asymptotic=True)
             row.satisfied_theorem2 = dist <= row.bound_exact + BOUND_SLACK
             if k == 1:
-                tilde_1 = red.tilde_rho_k
+                tilde_1 = tilde
         if k != 1:
             records.append(row)
             continue
@@ -306,29 +375,25 @@ def run_scenario(cfg: ScenarioConfig,
             row.p_err_bound = perr_lower_bound(spec.d, spec.M)
             row.satisfied_perr = row.p_err >= row.p_err_bound - BOUND_SLACK
         if "fidelity_gap" in cfg.checks:
-            f_clon, f_tilde = single_user_fidelities(
-                ch, _input_ket(cfg), report=report, cap=cap)
-            row.F_clon = f_clon
-            row.F_tilde = f_tilde
+            # lemma1 rides along (the parser insists), so tilde_1 is the
+            # exact imitation's single-user state
+            row.F_clon = _fidelity(phi, rho_k)
+            row.F_tilde = _fidelity(phi, tilde_1)
             row.gap_formula = universal_clone_gap(spec.N, spec.M, spec.d)
-            diff = f_clon - f_tilde
+            diff = row.F_clon - row.F_tilde
             row.satisfied_fidelity_gap = (
                 diff >= -BOUND_SLACK
                 and diff <= row.actual_distance + BOUND_SLACK
                 and row.actual_distance <= row.bound_exact + BOUND_SLACK
             )
         if "mc_crosscheck" in cfg.checks:
-            est = mc_approx_reduced(rho_out, 1, cfg.mc["samples"], cfg.mc["seed"])
+            est = out.mc(cfg.mc["samples"], cfg.mc["seed"])
             # The sampler estimates the symmetric-route reduction, so that is
             # the only reference its stderr applies to; under theorem2 (or no
             # bound check at all) tilde_1 is not that state.
-            if "lemma1" in cfg.checks:
-                ref = tilde_1
-            else:
-                ref = approx_reduced_symmetric(rho_out, 1, cap=cap).tilde_rho_k
-            row.satisfied_mc = _max_sigma(
-                est.tilde_rho_k.entries, ref.entries, est.stderr
-            ) <= MC_SIGMA_THRESHOLD
+            ref = tilde_1 if "lemma1" in cfg.checks else out.reduction(1)
+            sigma = _max_sigma(est.tilde_rho_k.entries, ref.entries, est.stderr)
+            row.satisfied_mc = sigma <= MC_SIGMA_THRESHOLD + BOUND_SLACK
         records.append(row)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     for row in records:
@@ -348,12 +413,13 @@ def moment_check_record(d: int, n: int, samples: int, seed: int,
                         threshold: float = MC_SIGMA_THRESHOLD) -> ResultRecord:
     """Haar-moment identity as a record: the sampled n-copy mixture of the
     maximally mixed symmetric state must reproduce the symmetrizer / s_n."""
+    if n < 1:
+        raise ValueError(f"moment order must be >= 1, got {n}")
     start = time.perf_counter()
-    pi = symmetrizer(d, n)
-    rho = (1.0 / sym_dim(d, n)) * pi
-    est = mc_approx_reduced(rho, n, samples, seed)
+    s_n = sym_dim(d, n)
+    est = mc_reduce_coords(np.eye(s_n) / s_n, d, n, n, samples, seed)
     sigma = _max_sigma(est.tilde_rho_k.entries,
-                       pi.entries / sym_dim(d, n), est.stderr)
+                       symmetrizer(d, n).entries / s_n, est.stderr)
     return ResultRecord(
         d=d, N=None, M=n, k=n, p=None, seed=seed,
         actual_distance=sigma,

@@ -153,14 +153,10 @@ class TestMc:
         cells = dict(zip(RECORD_COLUMNS, lines[1].split(",")))
         assert cells["satisfied_mc"] == "true"
 
-    def test_reduction_mode(self, capsys):
-        rc = main(["mc", "--mode", "reduction", "--d", "2", "--M", "2",
-                   "--k", "1", "--samples", "1500", "--seed", "6"])
-        assert rc == 0
-        lines = capsys.readouterr().out.splitlines()
-        cells = dict(zip(RECORD_COLUMNS, lines[1].split(",")))
-        assert cells["satisfied_mc"] == "true"
-        assert cells["satisfied_lemma1"] == "true"
+    @pytest.mark.parametrize("flags", [["--samples", "0"], ["--M", "0"]])
+    def test_bad_moment_arguments_exit_one(self, flags, capsys):
+        assert main(["mc", *flags]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestSuiteCommand:
