@@ -9,18 +9,17 @@ Monte Carlo over Haar samples recovers the same object statistically.
 
 The kernels (marginal_coords, reduce_coords, mc_reduce_coords) take the state
 as an s_M x s_M matrix in occupation coordinates and never form anything of
-side d^M; the public functions on DenseOperators compress their input into
-those coordinates, call the kernel, and embed the k-user result.
+side d^M; an OccupationState holds such a matrix and embeds k-user results.
 
 States that are permutation invariant without symmetric support go through
 a pair purification first: |Phi> = (sqrt(rho) tensor 1)|Omega> regrouped so
 each user's system sits next to its ancilla, which is symmetric in the
-paired d^2-dimensional factors whenever rho is permutation invariant.
+paired d^2-dimensional factors whenever rho is permutation invariant; the
+same kernels then run at local dimension d^2.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +47,7 @@ PERM_INVARIANCE_TOL = 1e-8
 # Monte Carlo draws are weighted and accumulated in chunks that hold about
 # this many entries of the k-user projectors and occupation coordinates.
 MC_CHUNK_ENTRIES = 2 ** 20
+MC_SUPPORT_HINT = "the sampled mixture only reproduces symmetric-support marginals"
 
 
 @dataclass(frozen=True)
@@ -104,18 +104,6 @@ def _kron_power(u: np.ndarray, n: int) -> np.ndarray:
     for _ in range(n):
         out = (out[..., :, None] * u[..., None, :]).reshape(u.shape[:-1] + (-1,))
     return out
-
-
-def _symmetric_coords(rho: DenseOperator, d: int, m: int, hint: str) -> np.ndarray:
-    """V† rho V, after checking that rho lies in the symmetric subspace."""
-    v = sym_basis(d, m).isometry.entries
-    coords = v.conj().T @ rho.entries @ v
-    resid = float(np.max(np.abs(rho.entries - v @ coords @ v.conj().T)))
-    if resid > SUPPORT_TOL:
-        raise ValueError(
-            f"rho_out leaves the symmetric subspace (residual {resid:.3e}); {hint}"
-        )
-    return coords
 
 
 def marginal_coords(rho: np.ndarray, d: int, m: int, k: int) -> np.ndarray:
@@ -178,6 +166,62 @@ def mc_reduce_coords(rho: np.ndarray, d: int, m: int, k: int, samples: int,
     )
 
 
+def _check_dense_cap(d: int, m: int, k: int, paired: bool, cap: int) -> None:
+    name, unit = ("purified", "pair factors") if paired else ("symmetric", "factors")
+    _check_cap((d * d if paired else d) ** (m + k), cap,
+               f"{name} reduction on {m + k} {unit}")
+
+
+@dataclass(frozen=True)
+class OccupationState:
+    """M users as an s x s matrix in occupation coordinates of Sym^M(C^d),
+    or of Sym^M(C^{d^2}) when `paired`: each factor is then a (user, ancilla)
+    pair, and k-user results have the ancilla halves traced out.  A state
+    compressed from a dense operator keeps the side cap of the dense
+    (M+k)-factor reduction formula, so dense callers meet the same limits.
+    """
+
+    coords: np.ndarray
+    d: int
+    m: int
+    paired: bool = False
+    from_dense: bool = False
+
+    def marginal(self, k: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
+        return self._users(marginal_coords(self.coords, self._local, self.m, k),
+                           k, cap)
+
+    def reduction(self, k: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
+        if self.from_dense:
+            _check_dense_cap(self.d, self.m, k, self.paired, cap)
+        return self._users(reduce_coords(self.coords, self._local, self.m, k),
+                           k, cap)
+
+    @property
+    def _local(self) -> int:
+        return self.d * self.d if self.paired else self.d
+
+    def _users(self, x: np.ndarray, k: int, cap: int) -> DenseOperator:
+        op = embed_coords(x, self._local, k, cap=cap)
+        if not self.paired:
+            return op.hermitize()
+        pairs = DenseOperator(op.entries, (self.d,) * (2 * k)).hermitize()
+        return partial_trace(pairs, range(0, 2 * k, 2))
+
+
+def symmetric_state(rho: DenseOperator, hint: str) -> OccupationState:
+    """V† rho V, after checking that rho lies in the symmetric subspace."""
+    d, m = _uniform_square(rho, "rho_out")
+    v = sym_basis(d, m).isometry.entries
+    coords = v.conj().T @ rho.entries @ v
+    resid = float(np.max(np.abs(rho.entries - v @ coords @ v.conj().T)))
+    if resid > SUPPORT_TOL:
+        raise ValueError(
+            f"rho_out leaves the symmetric subspace (residual {resid:.3e}); {hint}"
+        )
+    return OccupationState(coords, d, m, from_dense=True)
+
+
 def definetti_weight(rho_out: DenseOperator, psi: DenseOperator) -> float:
     """Density s_M <psi^M| rho |psi^M> of psi under the induced distribution."""
     d, m = _uniform_square(rho_out, "rho_out")
@@ -201,19 +245,15 @@ def approx_reduced_symmetric(rho_out: DenseOperator, k: int,
     """Exact k-user mixture for a state supported in the symmetric subspace.
 
     (s_M / s_{M+k}) Tr_{first M}[(rho tensor 1^k) P_{M+k}], computed by
-    reduce_coords on V_M† rho V_M and embedded at side d^k.  The side cap
-    on the (M+k)-factor space the reduction is defined on stays, so dense
-    callers meet the same limits as the dense formula.
+    reduce_coords on V_M† rho V_M, embedded at side d^k.
     """
     d, m = _uniform_square(rho_out, "rho_out")
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= M={m}, got k={k}")
-    coords = _symmetric_coords(rho_out, d, m, "use approx_reduced_general")
+    state = symmetric_state(rho_out, "use approx_reduced_general")
     if k == 0:
         return _scalar_reduction("symmetric_exact")
-    _check_cap(d ** (m + k), cap, f"symmetric reduction on {m + k} factors")
-    tilde = embed_coords(reduce_coords(coords, d, m, k), d, k, cap=cap)
-    return ApproxReduction(k, tilde.hermitize(), "symmetric_exact")
+    return ApproxReduction(k, state.reduction(k, cap), "symmetric_exact")
 
 
 def induced_povm_element(ch: QuantumChannel, psi: DenseOperator) -> DenseOperator:
@@ -278,30 +318,39 @@ def purification_marginal(pur: Purification) -> DenseOperator:
     return partial_trace(full, [2 * j for j in range(pur.M)])
 
 
+def purified_state(rho: DenseOperator,
+                   cap: int = DEFAULT_DIM_CAP) -> OccupationState:
+    """The pair purification of rho in occupation coordinates of
+    Sym^M(C^{d^2}).  The support check bounds its weight outside that
+    subspace, not an entry: sqrt(rho) lifts roundoff eigenvalues to ~1e-8."""
+    pur = purify_perm_invariant(rho)
+    v = sym_basis(pur.d ** 2, pur.M, cap=cap).isometry.entries
+    phi = pur.phi.entries[:, 0]
+    c = v.conj().T @ phi
+    resid = float(np.linalg.norm(phi - v @ c) ** 2)
+    if resid > SUPPORT_TOL:
+        raise ValueError(
+            f"pair purification has weight {resid:.3e} outside the symmetric "
+            "subspace of the pairs"
+        )
+    return OccupationState(np.outer(c, c.conj()), pur.d, pur.M, paired=True,
+                           from_dense=True)
+
+
 def approx_reduced_general(rho_out: DenseOperator, k: int,
                            cap: int = DEFAULT_DIM_CAP) -> ApproxReduction:
     """Exact k-user mixture for any permutation-invariant state.
 
-    Runs the symmetric-subspace reduction on the pair purification (local
-    dimension d^2), then discards the ancilla half of each of the k pairs.
-    The rank-1 structure of the purified state keeps the contraction at the
-    size of the symmetric isometry.
+    reduce_coords at local dimension d^2 on purified_state(rho), embedded
+    at side d^{2k} with the ancilla half of each pair traced out.
     """
     d, m = _uniform_square(rho_out, "rho_out")
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= M={m}, got k={k}")
     if k == 0:
         return _scalar_reduction("general_exact")
-    dd = d * d
-    _check_cap(dd ** (m + k), cap, f"purified reduction on {m + k} pair factors")
-    pur = purify_perm_invariant(rho_out)
-    phi = pur.phi.entries[:, 0]
-    s_big = sym_dim(dd, m + k)
-    v = sym_basis(dd, m + k, cap=cap).isometry.entries.reshape(dd ** m, dd ** k, s_big)
-    g = np.einsum("A,Abs->bs", phi.conj(), v)
-    r = (sym_dim(dd, m) / s_big) * (g @ g.conj().T)
-    tau_k = DenseOperator(r, (d,) * (2 * k)).hermitize()
-    tilde = partial_trace(tau_k, [2 * j for j in range(k)])
+    _check_dense_cap(d, m, k, True, cap)
+    tilde = purified_state(rho_out, cap).reduction(k, cap)
     return ApproxReduction(k, tilde, "general_exact")
 
 
@@ -316,7 +365,5 @@ def mc_approx_reduced(rho_out: DenseOperator, k: int, samples: int,
     d, m = _uniform_square(rho_out, "rho_out")
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= M={m}, got k={k}")
-    coords = _symmetric_coords(
-        rho_out, d, m,
-        "the sampled mixture only reproduces symmetric-support marginals")
-    return mc_reduce_coords(coords, d, m, k, samples, seed)
+    state = symmetric_state(rho_out, MC_SUPPORT_HINT)
+    return mc_reduce_coords(state.coords, d, m, k, samples, seed)

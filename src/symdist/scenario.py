@@ -20,20 +20,13 @@ import numpy as np
 
 from .channels import SDIChannelSpec, apply, embed_pure_input, validate_sdi
 from .definetti import (
-    approx_reduced_general,
-    approx_reduced_symmetric,
-    marginal_coords,
-    mc_approx_reduced,
+    MC_SUPPORT_HINT,
+    OccupationState,
     mc_reduce_coords,
-    reduce_coords,
+    purified_state,
+    symmetric_state,
 )
-from .linalg import (
-    DEFAULT_DIM_CAP,
-    DenseOperator,
-    ket,
-    partial_trace,
-    validate_state,
-)
+from .linalg import DEFAULT_DIM_CAP, DenseOperator, ket, validate_state
 from .metrics import (
     BOUND_SLACK,
     general_bound,
@@ -46,7 +39,6 @@ from .metrics import (
 from .symspace import (
     HaarSampler,
     check_occupation_route,
-    embed_coords,
     haar_sample,
     sym_dim,
     symmetrizer,
@@ -263,64 +255,35 @@ def _input_state(cfg: ScenarioConfig) -> tuple[DenseOperator, int | None]:
     return DenseOperator(np.diag(info["probs"]), (cfg.channel.d,)), None
 
 
-class _OccupationOutput:
-    """Channel output kept as an s_M x s_M matrix in occupation coordinates.
-
-    Built from the spec: permutation invariance and symmetric support hold by
-    construction, so no Choi matrix and no validate_sdi; only the k-user
-    results are embedded at side d^k.
-    """
-
-    def __init__(self, cfg: ScenarioConfig, phi: DenseOperator, cap: int):
-        spec = cfg.channel
+def _output(cfg: ScenarioConfig, phi: DenseOperator,
+            cap: int) -> tuple[OccupationState, DenseOperator | None]:
+    """The output in occupation coordinates, plus the dense output of the
+    Choi route.  Specs symmetric by construction skip the Choi matrix unless
+    theorem2 asks for the pair purification (coordinates at d^2)."""
+    spec = cfg.channel
+    if spec.symmetric_by_construction and "theorem2" not in cfg.checks:
         check_occupation_route(spec.d, spec.M, cfg.k_list, cap=cap)
-        self.d, self.m, self.cap = spec.d, spec.M, cap
-        self.coords = spec.symmetric_output(phi, cap=cap)
-        validate_state(DenseOperator(self.coords, (len(self.coords),)),
+        coords = spec.symmetric_output(phi, cap=cap)
+        validate_state(DenseOperator(coords, (len(coords),)),
                        name="channel output")
-
-    def marginal(self, k: int) -> DenseOperator:
-        x = marginal_coords(self.coords, self.d, self.m, k)
-        return embed_coords(x, self.d, k, cap=self.cap).hermitize()
-
-    def reduction(self, k: int) -> DenseOperator:
-        x = reduce_coords(self.coords, self.d, self.m, k)
-        return embed_coords(x, self.d, k, cap=self.cap).hermitize()
-
-    def mc(self, samples: int, seed: int):
-        return mc_reduce_coords(self.coords, self.d, self.m, 1, samples, seed)
-
-
-class _DenseOutput:
-    """Channel output as a dense operator on the M users, from the Choi matrix."""
-
-    def __init__(self, cfg: ScenarioConfig, phi: DenseOperator, cap: int):
-        ch = cfg.channel.build(cap=cap)
-        report = validate_sdi(ch)
-        if not report.passed:
-            raise ValueError(
-                f"channel failed permutation invariance "
-                f"(residual {report.max_permutation_residual:.3e})"
-            )
-        if "lemma1" in cfg.checks and not report.symmetric_support:
-            raise SchemaError(
-                "scenario.checks: lemma1 requires a symmetric-support channel "
-                f"(support residual {report.support_residual:.3e}); use theorem2"
-            )
-        rho_in = embed_pure_input(ch, phi) if phi.shape[1] == 1 else phi
-        self.rho, self.cap = apply(ch, rho_in), cap
-
-    def marginal(self, k: int) -> DenseOperator:
-        return partial_trace(self.rho, range(k))
-
-    def reduction(self, k: int) -> DenseOperator:
-        return approx_reduced_symmetric(self.rho, k, cap=self.cap).tilde_rho_k
-
-    def general_reduction(self, k: int) -> DenseOperator:
-        return approx_reduced_general(self.rho, k, cap=self.cap).tilde_rho_k
-
-    def mc(self, samples: int, seed: int):
-        return mc_approx_reduced(self.rho, 1, samples, seed)
+        return OccupationState(coords, spec.d, spec.M), None
+    ch = spec.build(cap=cap)
+    report = validate_sdi(ch)
+    if not report.passed:
+        raise ValueError(
+            f"channel failed permutation invariance "
+            f"(residual {report.max_permutation_residual:.3e})"
+        )
+    if "lemma1" in cfg.checks and not report.symmetric_support:
+        raise SchemaError(
+            "scenario.checks: lemma1 requires a symmetric-support channel "
+            f"(support residual {report.support_residual:.3e}); use theorem2"
+        )
+    rho_in = embed_pure_input(ch, phi) if phi.shape[1] == 1 else phi
+    rho = apply(ch, rho_in)
+    if "theorem2" in cfg.checks:
+        return purified_state(rho, cap), rho
+    return symmetric_state(rho, MC_SUPPORT_HINT), rho
 
 
 def _fidelity(phi: DenseOperator, rho: DenseOperator) -> float:
@@ -330,55 +293,41 @@ def _fidelity(phi: DenseOperator, rho: DenseOperator) -> float:
 
 def run_scenario(cfg: ScenarioConfig,
                  cap: int = DEFAULT_DIM_CAP) -> list[ResultRecord]:
-    """Execute a scenario; one record per k, in k_list order.
-
-    A spec whose output is symmetric by construction runs in occupation
-    coordinates, unless theorem2 asks for the purified route; everything
-    else runs on dense operators built from the Choi matrix.
-    """
+    """Execute a scenario; one record per k, in k_list order."""
     start = time.perf_counter()
     spec = cfg.channel
     phi, input_seed = _input_state(cfg)
-    if spec.symmetric_by_construction and "theorem2" not in cfg.checks:
-        out = _OccupationOutput(cfg, phi, cap)
-    else:
-        out = _DenseOutput(cfg, phi, cap)
+    out, dense = _output(cfg, phi, cap)
+    bound = flag = None
+    if "lemma1" in cfg.checks:
+        bound, flag = lemma1_bound, "satisfied_lemma1"
+    elif "theorem2" in cfg.checks:
+        bound, flag = general_bound, "satisfied_theorem2"
     seed = cfg.mc["seed"] if cfg.mc else input_seed
     records = []
     for k in cfg.k_list:
-        rho_k = out.marginal(k)
+        rho_k = out.marginal(k, cap)
         row = ResultRecord(d=spec.d, N=spec.N, M=spec.M, k=k, p=spec.p, seed=seed)
-        tilde_1 = None
-        if "lemma1" in cfg.checks:
-            tilde = out.reduction(k)
-            dist = trace_distance(rho_k, tilde)
-            row.actual_distance = dist
-            row.bound_exact = lemma1_bound(spec.d, spec.M, k)
-            row.bound_asymptotic = lemma1_bound(spec.d, spec.M, k, asymptotic=True)
-            row.satisfied_lemma1 = dist <= row.bound_exact + BOUND_SLACK
-            if k == 1:
-                tilde_1 = tilde
-        elif "theorem2" in cfg.checks:
-            tilde = out.general_reduction(k)
-            dist = trace_distance(rho_k, tilde)
-            row.actual_distance = dist
-            row.bound_exact = general_bound(spec.d, spec.M, k)
-            row.bound_asymptotic = general_bound(spec.d, spec.M, k, asymptotic=True)
-            row.satisfied_theorem2 = dist <= row.bound_exact + BOUND_SLACK
-            if k == 1:
-                tilde_1 = tilde
+        tilde = None
+        if bound is not None:
+            tilde = out.reduction(k, cap)
+            row.actual_distance = trace_distance(rho_k, tilde)
+            row.bound_exact = bound(spec.d, spec.M, k)
+            row.bound_asymptotic = bound(spec.d, spec.M, k, asymptotic=True)
+            setattr(row, flag,
+                    row.actual_distance <= row.bound_exact + BOUND_SLACK)
         if k != 1:
             records.append(row)
             continue
         if "perr" in cfg.checks:
-            row.p_err = helstrom_perr(rho_k, tilde_1)
+            row.p_err = helstrom_perr(rho_k, tilde)
             row.p_err_bound = perr_lower_bound(spec.d, spec.M)
             row.satisfied_perr = row.p_err >= row.p_err_bound - BOUND_SLACK
         if "fidelity_gap" in cfg.checks:
-            # lemma1 rides along (the parser insists), so tilde_1 is the
+            # lemma1 rides along (the parser insists), so tilde is the
             # exact imitation's single-user state
             row.F_clon = _fidelity(phi, rho_k)
-            row.F_tilde = _fidelity(phi, tilde_1)
+            row.F_tilde = _fidelity(phi, tilde)
             row.gap_formula = universal_clone_gap(spec.N, spec.M, spec.d)
             diff = row.F_clon - row.F_tilde
             row.satisfied_fidelity_gap = (
@@ -387,12 +336,14 @@ def run_scenario(cfg: ScenarioConfig,
                 and row.actual_distance <= row.bound_exact + BOUND_SLACK
             )
         if "mc_crosscheck" in cfg.checks:
-            est = out.mc(cfg.mc["samples"], cfg.mc["seed"])
             # The sampler estimates the symmetric-route reduction, so that is
-            # the only reference its stderr applies to; under theorem2 (or no
-            # bound check at all) tilde_1 is not that state.
-            ref = tilde_1 if "lemma1" in cfg.checks else out.reduction(1)
-            sigma = _max_sigma(est.tilde_rho_k.entries, ref.entries, est.stderr)
+            # the only reference its stderr applies to; under theorem2 the
+            # exact columns hold the purified route's state instead.
+            sym = symmetric_state(dense, MC_SUPPORT_HINT) if out.paired else out
+            est = mc_reduce_coords(sym.coords, spec.d, spec.M, 1,
+                                   cfg.mc["samples"], cfg.mc["seed"])
+            sigma = _max_sigma(est.tilde_rho_k.entries,
+                               sym.reduction(1, cap).entries, est.stderr)
             row.satisfied_mc = sigma <= MC_SIGMA_THRESHOLD + BOUND_SLACK
         records.append(row)
     elapsed_ms = (time.perf_counter() - start) * 1e3
@@ -409,8 +360,7 @@ def _max_sigma(estimate: np.ndarray, reference: np.ndarray,
     return float(np.max(sig))
 
 
-def moment_check_record(d: int, n: int, samples: int, seed: int,
-                        threshold: float = MC_SIGMA_THRESHOLD) -> ResultRecord:
+def moment_check_record(d: int, n: int, samples: int, seed: int) -> ResultRecord:
     """Haar-moment identity as a record: the sampled n-copy mixture of the
     maximally mixed symmetric state must reproduce the symmetrizer / s_n."""
     if n < 1:
@@ -423,8 +373,8 @@ def moment_check_record(d: int, n: int, samples: int, seed: int,
     return ResultRecord(
         d=d, N=None, M=n, k=n, p=None, seed=seed,
         actual_distance=sigma,
-        bound_exact=threshold,
-        satisfied_mc=sigma <= threshold + BOUND_SLACK,
+        bound_exact=MC_SIGMA_THRESHOLD,
+        satisfied_mc=sigma <= MC_SIGMA_THRESHOLD + BOUND_SLACK,
         wall_time_ms=(time.perf_counter() - start) * 1e3,
     )
 

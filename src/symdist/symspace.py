@@ -215,26 +215,25 @@ def check_occupation_route(d: int, m: int, ks, n_in: int | None = None,
 class HaarSampler:
     """Reproducible source of Haar-random kets in C^d.
 
-    Each draw is generated from SeedSequence((seed, stream, counter)), so a
-    given (seed, stream, counter) triple yields the same ket bit-for-bit no
-    matter what was drawn before, and distinct streams are independent.
+    Each draw is generated from SeedSequence((seed, 0, counter)), so a given
+    (seed, counter) pair yields the same ket bit-for-bit no matter what was
+    drawn before.
     """
 
     d: int
     seed: int
     counter: int = 0
-    stream: int = 0
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"local dimension must be >= 1, got {self.d}")
-        if min(self.seed, self.counter, self.stream) < 0:
-            raise ValueError("seed, counter and stream must be non-negative")
+        if min(self.seed, self.counter) < 0:
+            raise ValueError("seed and counter must be non-negative")
 
 
 def haar_sample(sampler: HaarSampler) -> DenseOperator:
     """Next Haar-random ket; advances sampler.counter by one."""
-    rng = np.random.default_rng((sampler.seed, sampler.stream, sampler.counter))
+    rng = np.random.default_rng((sampler.seed, 0, sampler.counter))
     z = rng.standard_normal(sampler.d) + 1j * rng.standard_normal(sampler.d)
     sampler.counter += 1
     return ket(z / np.linalg.norm(z))

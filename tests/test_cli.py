@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import symdist
 from symdist.cli import BOUNDS_COLUMNS, main
 from symdist.scenario import RECORD_COLUMNS, ResultRecord
 
@@ -132,6 +135,12 @@ class TestRun:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_mc_on_noisy_theorem2_exits_one(self, capsys):
+        rc = main(["run", "--kind", "noisy_cloner", "--M", "3", "--p", "0.1",
+                   "--checks", "theorem2", "--samples", "200"])
+        assert rc == 1
+        assert "symmetric subspace" in capsys.readouterr().err
+
     def test_violation_exits_two(self, monkeypatch, capsys):
         failing = ResultRecord(d=2, N=1, M=2, k=1, p=None, seed=None,
                                actual_distance=9.0, bound_exact=0.5,
@@ -177,9 +186,12 @@ class TestSuiteCommand:
 
 class TestModuleEntry:
     def test_python_dash_m(self):
+        # the child imports the same symdist as the tests, installed or not
+        src = str(Path(symdist.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "symdist", "bounds", "--M", "4"],
             capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == ",".join(BOUNDS_COLUMNS)

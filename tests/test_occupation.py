@@ -1,7 +1,9 @@
 """The occupation-number route against the dense route it replaces.
 
 The dense oracle is `apply` on the Choi matrix, `partial_trace`, and an
-explicit (s_M/s_{M+k}) Tr_M[(rho tensor 1^k) symmetrizer(d, M+k)].
+explicit (s_M/s_{M+k}) Tr_M[(rho tensor 1^k) symmetrizer(d, M+k)]; for the
+pair-purified route, the same formula on |Phi><Phi| at local dimension d^2
+with the ancillas traced out afterwards.
 """
 
 import tracemalloc
@@ -11,14 +13,24 @@ import pytest
 
 from symdist.channels import SDIChannelSpec, apply, embed_pure_input, validate_sdi
 from symdist.definetti import (
+    approx_reduced_general,
     definetti_weight,
     marginal_coords,
     mc_approx_reduced,
     mc_reduce_coords,
+    purify_perm_invariant,
     reduce_coords,
 )
-from symdist.linalg import ResourceLimitError, ket, partial_trace
-from symdist.scenario import run_scenario, scenario_from_dict
+from symdist.linalg import (
+    DEFAULT_DIM_CAP,
+    DenseOperator,
+    ResourceLimitError,
+    ket,
+    partial_trace,
+    projector,
+)
+from symdist.metrics import trace_distance
+from symdist.scenario import _input_state, _output, run_scenario, scenario_from_dict
 from symdist.symspace import (
     HaarSampler,
     check_occupation_route,
@@ -64,6 +76,9 @@ DENSE_ONLY = [
 ]
 
 
+PURIFIED = DENSE_ONLY + [SDIChannelSpec("noisy_cloner", d=3, M=2, N=1, p=0.1)]
+
+
 def _label(spec):
     return f"{spec.kind}-d{spec.d}-N{spec.N}-M{spec.M}"
 
@@ -87,6 +102,22 @@ def _dense_reduction(rho, d, m, k):
     return sym_dim(d, m) / sym_dim(d, m + k) * traced
 
 
+def _choi_output(spec):
+    ch = spec.build()
+    return apply(ch, embed_pure_input(ch, _input_ket(spec.d)))
+
+
+def _dense_purified_reduction(rho, d, m, k):
+    """The dense formula on the pair purification at d^2, ancillas traced out."""
+    pur = purify_perm_invariant(rho)
+    pairs = _dense_reduction(projector(pur.phi), d * d, m, k)
+    return partial_trace(DenseOperator(pairs, (d,) * (2 * k)), range(0, 2 * k, 2))
+
+
+def _purified_ks(spec):
+    return [k for k in range(1, spec.M + 1) if (spec.d ** 2) ** (spec.M + k) <= 2 ** 11]
+
+
 @pytest.mark.parametrize("spec", COVERED, ids=_label)
 def test_output_and_marginals_match_dense(spec):
     rho, coords = _dense_output(spec)
@@ -107,6 +138,33 @@ def test_reduction_matches_dense(spec):
         got = embed_coords(reduce_coords(coords, spec.d, spec.M, k), spec.d, k)
         want = _dense_reduction(rho, spec.d, spec.M, k)
         assert np.max(np.abs(got.entries - want)) <= TOL
+
+
+@pytest.mark.parametrize("spec", PURIFIED, ids=_label)
+def test_purified_route_matches_dense(spec):
+    """approx_reduced_general, and the theorem2 marginal, reduction and
+    distance of run_scenario, against the dense formula on the pairs."""
+    ks = _purified_ks(spec)
+    phi = _input_ket(spec.d).entries[:, 0]
+    cfg = scenario_from_dict({
+        "schema": 1,
+        "channel": spec.to_json(),
+        "input": {"type": "pure", "coeffs": [[z.real, z.imag] for z in phi]},
+        "k": ks,
+        "checks": ["theorem2"],
+    })
+    rho = _choi_output(spec)
+    state, _ = _output(cfg, _input_state(cfg)[0], DEFAULT_DIM_CAP)
+    assert state.paired
+    for k, row in zip(ks, run_scenario(cfg)):
+        marginal = partial_trace(rho, range(k))
+        tilde = _dense_purified_reduction(rho, spec.d, spec.M, k)
+        general = approx_reduced_general(rho, k).tilde_rho_k
+        assert np.max(np.abs(general.entries - tilde.entries)) <= TOL
+        assert np.max(np.abs(state.marginal(k).entries - marginal.entries)) <= TOL
+        assert np.max(np.abs(state.reduction(k).entries - tilde.entries)) <= TOL
+        assert abs(row.actual_distance - trace_distance(marginal, tilde)) <= TOL
+        assert row.satisfied_theorem2
 
 
 @pytest.mark.parametrize("spec", COVERED, ids=_label)
@@ -197,6 +255,21 @@ def test_guard_counts_gathers_in_bytes():
         check_occupation_route(2, 1000, [30])
     with pytest.raises(ResourceLimitError):
         check_occupation_route(2, 10 ** 30, [1])
+
+
+def test_theorem2_keeps_the_dense_side_cap():
+    # the purified route no longer builds (d^2)^(M+k) arrays, but keeps
+    # refusing what the dense formula could not hold
+    cfg = scenario_from_dict({
+        "schema": 1,
+        "channel": {"kind": "noisy_cloner", "d": 2, "N": 1, "M": 3, "p": 0.1},
+        "input": {"type": "random_pure", "seed": 0},
+        "k": [1, 2],
+        "checks": ["theorem2"],
+    })
+    assert len(run_scenario(cfg, cap=4 ** 5)) == 2
+    with pytest.raises(ResourceLimitError, match="purified reduction on 5 pair factors"):
+        run_scenario(cfg, cap=4 ** 4)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

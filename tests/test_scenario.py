@@ -250,6 +250,17 @@ class TestRunScenario:
         assert rec.satisfied_theorem2
         assert rec.satisfied_mc
 
+    def test_mc_crosscheck_needs_symmetric_support_under_theorem2(self):
+        # the sampler and its reference come from the symmetric coordinates
+        # of the output, which a noisy cloner does not have
+        cfg = scenario_from_dict(cloner_scenario(
+            channel={"kind": "noisy_cloner", "d": 2, "N": 1, "M": 3, "p": 0.1},
+            checks=["theorem2", "mc_crosscheck"],
+            mc={"samples": 200, "seed": 11},
+        ))
+        with pytest.raises(ValueError, match="symmetric-support"):
+            run_scenario(cfg)
+
     def test_diag_input_on_prep(self):
         rec, = run_scenario(scenario_from_dict(prep_scenario(
             input={"type": "diag", "probs": [0.25, 0.75]},

@@ -129,11 +129,6 @@ class TestHaarSampler:
         assert np.array_equal(replay.entries, draws[2])
         assert s.counter == 3
 
-    def test_streams_differ(self):
-        a = haar_sample(HaarSampler(2, 1, stream=0))
-        b = haar_sample(HaarSampler(2, 1, stream=1))
-        assert not np.allclose(a.entries, b.entries)
-
     def test_unit_norm(self):
         s = HaarSampler(4, 3)
         for _ in range(50):
