@@ -30,12 +30,13 @@ from .linalg import (
     DenseOperator,
     _check_cap,
     herm_eigvals,
-    permutation_index_map,
+    swap_residual,
     tensor_power,
     validate_state,
 )
 from .symspace import (
     check_occupation_route,
+    index_map,
     power_coords,
     split_table,
     sym_basis,
@@ -128,13 +129,13 @@ def universal_cloner(d: int, N: int, M: int,
     s_in = sym_dim(d, N)
     _check_cap(d ** M, cap, f"{M}-user cloner output")
     _check_cap(d ** M * s_in, cap, f"{M}-user cloner Choi matrix")
-    v_n = sym_basis(d, N, cap=cap).isometry.entries
-    v_m = sym_basis(d, M, cap=cap).isometry.entries
+    v_n = sym_basis(d, N, cap=cap).isometry
+    v_m = index_map(d, M, cap)
     scale = math.sqrt(sym_dim(d, N) / sym_dim(d, M))
     # columns indexed (i, m): i over sym coords of the input, m over the
     # d^{M-N} extra slots; projecting through V_M keeps everything rank-bounded
-    embed = np.kron(v_n, np.eye(d ** (M - N)))
-    t = scale * (v_m @ (v_m.conj().T @ embed))
+    embed = np.kron(v_n.entries, np.eye(d ** (M - N)))
+    t = scale * v_m.expand(v_m.compress(embed))
     k_cols = t.reshape(d ** M * s_in, d ** (M - N))
     choi = k_cols @ k_cols.conj().T
     return QuantumChannel(
@@ -143,7 +144,7 @@ def universal_cloner(d: int, N: int, M: int,
         dim_out=d ** M,
         out_factors=(d,) * M,
         kind="universal_cloner",
-        in_isometry=sym_basis(d, N, cap=cap).isometry,
+        in_isometry=v_n,
     )
 
 
@@ -190,15 +191,19 @@ def fixed_prep_channel(sigma: DenseOperator, M: int,
 
 
 def _depolarize_choi_factor(mat: np.ndarray, dims: tuple[int, ...],
-                            t: int, p: float) -> np.ndarray:
-    """Apply X -> (1-p) X + p (1/d) tensor Tr_t[X] to factor t of a Choi matrix."""
+                            t: int, p: float) -> None:
+    """Apply X -> (1-p) X + p (1/d) tensor Tr_t[X] to factor t of a
+    C-contiguous Choi matrix, in place: after the scaling, the d diagonal
+    slices of factor t each gain p/d Tr_t[X]."""
     d = dims[t]
     pre = math.prod(dims[:t])
     post = math.prod(dims[t + 1:])
     x = mat.reshape(pre, d, post, pre, d, post)
     traced = np.einsum("aibAiB->abAB", x)
-    repl = np.einsum("abAB,ij->aibAjB", traced, np.eye(d) / d)
-    return ((1.0 - p) * x + p * repl).reshape(mat.shape)
+    traced *= p / d
+    x *= 1.0 - p
+    for i in range(d):
+        x[:, i, :, :, i, :] += traced
 
 
 def noisy_cloner(d: int, N: int, M: int, p: float,
@@ -215,7 +220,7 @@ def noisy_cloner(d: int, N: int, M: int, p: float,
     dims = base.out_factors + (base.dim_in,)
     mat = base.choi.entries.copy()
     for t in range(M):
-        mat = _depolarize_choi_factor(mat, dims, t, p)
+        _depolarize_choi_factor(mat, dims, t, p)
     return QuantumChannel(
         DenseOperator(mat, dims),
         dim_in=base.dim_in,
@@ -343,15 +348,6 @@ class SDIReport:
         return self.permutation_invariant
 
 
-def _conjugate_choi_rows(choi: np.ndarray, perm, d: int, dim_in: int) -> np.ndarray:
-    """(U_perm tensor 1_in) choi (U_perm tensor 1_in)† via index relabeling."""
-    dest = permutation_index_map(perm, d)
-    rows = (dest[:, None] * dim_in + np.arange(dim_in)[None, :]).ravel()
-    out = np.empty_like(choi)
-    out[np.ix_(rows, rows)] = choi
-    return out
-
-
 def validate_sdi(ch: QuantumChannel, tol: float = 1e-9) -> SDIReport:
     """Check invariance under permutations of the output users.
 
@@ -368,21 +364,14 @@ def validate_sdi(ch: QuantumChannel, tol: float = 1e-9) -> SDIReport:
         )
     d = ch.out_factors[0]
     m_users = len(ch.out_factors)
-    c = ch.choi.entries
     resid = 0.0
     for t in range(m_users - 1):
-        perm = list(range(m_users))
-        perm[t], perm[t + 1] = perm[t + 1], perm[t]
-        swapped = _conjugate_choi_rows(c, perm, d, ch.dim_in)
-        resid = max(resid, float(np.max(np.abs(swapped - c))))
-    v = sym_basis(d, m_users).isometry.entries
-    c5 = c.reshape(ch.dim_out, ch.dim_in, ch.dim_out, ch.dim_in)
-    left = np.tensordot(v.conj().T, c5, axes=([1], [0]))
-    both = np.tensordot(left, v, axes=([2], [0]))  # (s, in, in', s')
-    back = np.tensordot(v, both, axes=([1], [0]))  # (out, in, in', s')
-    proj = np.tensordot(back, v.conj().T, axes=([3], [0]))  # (out, in, in', out')
-    proj = proj.transpose(0, 1, 3, 2)
-    support_residual = float(np.max(np.abs(c5 - proj)))
+        resid = max(resid, swap_residual(ch.choi, t))
+    v = index_map(d, m_users)
+    c4 = ch.choi.entries.reshape(ch.dim_out, ch.dim_in, ch.dim_out, ch.dim_in)
+    # P = V V† on both output indices
+    proj = v.expand(v.expand(v.compress(v.compress(c4, 0), 2), 0), 2)
+    support_residual = float(np.max(np.abs(c4 - proj)))
     return SDIReport(
         max_permutation_residual=resid,
         permutation_invariant=resid <= tol,
@@ -407,6 +396,19 @@ def _matrix_from_json(rows, where: str) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"{where}: expected a matrix")
     return arr
+
+
+def _json_number(data: dict, key: str, kind: type, optional: bool = False):
+    """data[key] as an int (kind int) or a real number (kind float).  JSON
+    true/false, strings and, for int, non-integers are refused by name."""
+    value = data.get(key)
+    if value is None and optional:
+        return None
+    allowed = int if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key}: expected {what}, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -457,10 +459,10 @@ class SDIChannelSpec:
         povm = data.get("povm")
         return cls(
             kind=kind,
-            d=int(data["d"]),
-            M=int(data["M"]),
-            N=None if data.get("N") is None else int(data["N"]),
-            p=None if data.get("p") is None else float(data["p"]),
+            d=_json_number(data, "d", int),
+            M=_json_number(data, "M", int),
+            N=_json_number(data, "N", int, optional=True),
+            p=_json_number(data, "p", float, optional=True),
             prep=None if prep is None else tuple(
                 _matrix_from_json(m, f"prep[{i}]") for i, m in enumerate(prep)
             ),

@@ -9,13 +9,14 @@ Monte Carlo over Haar samples recovers the same object statistically.
 
 The kernels (marginal_coords, reduce_coords, mc_reduce_coords) take the state
 as an s_M x s_M matrix in occupation coordinates and never form anything of
-side d^M; an OccupationState holds such a matrix and embeds k-user results.
+side d^M; marginal_coords and reduce_coords also take a pure state as its
+s_M-vector.  An OccupationState holds either and embeds k-user results.
 
 States that are permutation invariant without symmetric support go through
 a pair purification first: |Phi> = (sqrt(rho) tensor 1)|Omega> regrouped so
 each user's system sits next to its ancilla, which is symmetric in the
 paired d^2-dimensional factors whenever rho is permutation invariant; the
-same kernels then run at local dimension d^2.
+same kernels then run at local dimension d^2, on the purification as a ket.
 """
 
 from __future__ import annotations
@@ -30,16 +31,16 @@ from .linalg import (
     DenseOperator,
     _check_cap,
     partial_trace,
-    permute_factors,
     projector,
+    swap_residual,
 )
 from .symspace import (
     HaarSampler,
     embed_coords,
     haar_sample,
+    index_map,
     power_coords,
     split_table,
-    sym_basis,
     sym_dim,
 )
 
@@ -109,9 +110,14 @@ def _kron_power(u: np.ndarray, n: int) -> np.ndarray:
 def marginal_coords(rho: np.ndarray, d: int, m: int, k: int) -> np.ndarray:
     """Tr_{M-k} of an s_M x s_M occupation-coordinate state, as s_k x s_k.
 
-    rho_k[a, a'] = sum_b c(a+b; a) c(a'+b; a') rho[a+b, a'+b].
+    rho_k[a, a'] = sum_b c(a+b; a) c(a'+b; a') rho[a+b, a'+b].  A 1-D `rho`
+    is a ket x standing for |x><x|; then rho_k = W W† with
+    W[a, b] = c(a+b; a) x[a+b].
     """
     t = split_table(d, m, k)
+    if rho.ndim == 1:
+        w = t.whole_coef * rho[t.whole]
+        return w @ w.conj().T
     gathered = rho[t.whole[:, None, :], t.whole[None, :, :]]
     weights = t.whole_coef[:, None, :] * t.whole_coef[None, :, :]
     return (weights * gathered).sum(axis=-1)
@@ -121,12 +127,18 @@ def reduce_coords(rho: np.ndarray, d: int, m: int, k: int) -> np.ndarray:
     """(s_M/s_{M+k}) Tr_M[(rho tensor 1^k) P_{M+k}] for an s_M x s_M
     occupation-coordinate state, as s_k x s_k.
 
-    tilde[a, a'] = (s_M/s_{M+k}) sum_m c(m;a) c(m;a') rho[m-a', m-a].
+    tilde[a, a'] = (s_M/s_{M+k}) sum_m c(m;a) c(m;a') rho[m-a', m-a].  A 1-D
+    `rho` is a ket x standing for |x><x|; then tilde = (s_M/s_{M+k}) B†B
+    with B[m, a] = c(m;a) x[m-a].
     """
     t = split_table(d, m + k, k)
+    ratio = sym_dim(d, m) / sym_dim(d, m + k)
+    if rho.ndim == 1:
+        b = t.rest_coef * rho[t.rest]
+        return ratio * (b.conj().T @ b)
     gathered = rho[t.rest[:, None, :], t.rest[:, :, None]]
     weights = t.rest_coef[:, :, None] * t.rest_coef[:, None, :]
-    return (sym_dim(d, m) / sym_dim(d, m + k)) * (weights * gathered).sum(axis=0)
+    return ratio * (weights * gathered).sum(axis=0)
 
 
 def mc_reduce_coords(rho: np.ndarray, d: int, m: int, k: int, samples: int,
@@ -174,11 +186,14 @@ def _check_dense_cap(d: int, m: int, k: int, paired: bool, cap: int) -> None:
 
 @dataclass(frozen=True)
 class OccupationState:
-    """M users as an s x s matrix in occupation coordinates of Sym^M(C^d),
-    or of Sym^M(C^{d^2}) when `paired`: each factor is then a (user, ancilla)
-    pair, and k-user results have the ancilla halves traced out.  A state
-    compressed from a dense operator keeps the side cap of the dense
-    (M+k)-factor reduction formula, so dense callers meet the same limits.
+    """M users in occupation coordinates of Sym^M(C^d): an s x s matrix.
+
+    When `paired`, each factor is a (user, ancilla) pair and `coords` is
+    the pure pair purification as an s-vector in Sym^M(C^{d^2}); the
+    kernels take it as a ket, and k-user results have the ancilla halves
+    traced out.  A state compressed from a dense operator keeps the side
+    cap of the dense (M+k)-factor reduction formula, so dense callers meet
+    the same limits.
     """
 
     coords: np.ndarray
@@ -212,9 +227,9 @@ class OccupationState:
 def symmetric_state(rho: DenseOperator, hint: str) -> OccupationState:
     """V† rho V, after checking that rho lies in the symmetric subspace."""
     d, m = _uniform_square(rho, "rho_out")
-    v = sym_basis(d, m).isometry.entries
-    coords = v.conj().T @ rho.entries @ v
-    resid = float(np.max(np.abs(rho.entries - v @ coords @ v.conj().T)))
+    v = index_map(d, m)
+    coords = v.compress(v.compress(rho.entries, 0), 1)
+    resid = float(np.max(np.abs(rho.entries - v.expand(v.expand(coords, 0), 1))))
     if resid > SUPPORT_TOL:
         raise ValueError(
             f"rho_out leaves the symmetric subspace (residual {resid:.3e}); {hint}"
@@ -226,9 +241,9 @@ def definetti_weight(rho_out: DenseOperator, psi: DenseOperator) -> float:
     """Density s_M <psi^M| rho |psi^M> of psi under the induced distribution."""
     d, m = _uniform_square(rho_out, "rho_out")
     c = power_coords(_unit_ket(psi, d), m)
-    v = sym_basis(d, m).isometry.entries
+    v = index_map(d, m)
     # psi^M lies in the symmetric subspace, so only V† rho V enters
-    coords = v.conj().T @ rho_out.entries @ v
+    coords = v.compress(v.compress(rho_out.entries, 0), 1)
     w = sym_dim(d, m) * float(np.real(np.vdot(c, coords @ c)))
     if w < -1e-9:
         raise ValueError(f"negative weight {w:.3e}; rho_out is not PSD")
@@ -283,10 +298,7 @@ def purify_perm_invariant(rho: DenseOperator,
     """
     d, m = _uniform_square(rho, "rho")
     for t in range(m - 1):
-        perm = list(range(m))
-        perm[t], perm[t + 1] = perm[t + 1], perm[t]
-        swapped = permute_factors(rho, perm, d)
-        resid = float(np.max(np.abs(swapped.entries - rho.entries)))
+        resid = swap_residual(rho, t)
         if resid > tol:
             raise ValueError(
                 f"rho is not permutation invariant within {tol} "
@@ -324,17 +336,16 @@ def purified_state(rho: DenseOperator,
     Sym^M(C^{d^2}).  The support check bounds its weight outside that
     subspace, not an entry: sqrt(rho) lifts roundoff eigenvalues to ~1e-8."""
     pur = purify_perm_invariant(rho)
-    v = sym_basis(pur.d ** 2, pur.M, cap=cap).isometry.entries
+    v = index_map(pur.d ** 2, pur.M, cap)
     phi = pur.phi.entries[:, 0]
-    c = v.conj().T @ phi
-    resid = float(np.linalg.norm(phi - v @ c) ** 2)
+    c = v.compress(phi)
+    resid = float(np.linalg.norm(phi - v.expand(c)) ** 2)
     if resid > SUPPORT_TOL:
         raise ValueError(
             f"pair purification has weight {resid:.3e} outside the symmetric "
             "subspace of the pairs"
         )
-    return OccupationState(np.outer(c, c.conj()), pur.d, pur.M, paired=True,
-                           from_dense=True)
+    return OccupationState(c, pur.d, pur.M, paired=True, from_dense=True)
 
 
 def approx_reduced_general(rho_out: DenseOperator, k: int,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,8 +45,8 @@ def _check_bytes(nbytes: int, cap: int, what: str) -> None:
 
 
 def _as_dims(dims) -> tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
-    if any(d < 1 for d in out):
+    out = tuple(map(int, dims))
+    if out and min(out) < 1:
         raise ValueError(f"factor dimensions must be positive, got {out}")
     return out
 
@@ -235,15 +236,20 @@ def permutation_index_map(perm, d: int) -> np.ndarray:
     """dest[x] = flat index of the basis vector that U_perm sends |x> to.
 
     perm maps source slot j to target slot perm[j]: digit j of x becomes
-    digit perm[j] of dest[x].
+    digit perm[j] of dest[x].  Cached per (perm, d) and read-only.
     """
-    p = _validated_perm(perm)
+    return _permutation_index_map(_validated_perm(perm), d)
+
+
+@lru_cache(maxsize=128)
+def _permutation_index_map(p: tuple[int, ...], d: int) -> np.ndarray:
     n = len(p)
     idx = np.arange(d ** n)
     dest = np.zeros_like(idx)
     for j in range(n):
         digit = (idx // d ** (n - 1 - j)) % d
         dest += digit * d ** (n - 1 - p[j])
+    dest.setflags(write=False)
     return dest
 
 
@@ -270,6 +276,22 @@ def permute_factors(x: DenseOperator, perm, d: int) -> DenseOperator:
     out = np.empty_like(x.entries)
     out[np.ix_(dest, dest)] = x.entries
     return DenseOperator(out, x.row_dims, x.col_dims)
+
+
+def swap_residual(x: DenseOperator, t: int) -> float:
+    """max |U X U† - X| for the swap U of factors t and t+1.
+
+    The swap only relabels the axes of X as a tensor, so the difference is
+    taken against a transposed view; nothing is permuted in memory.
+    """
+    if not x.is_square:
+        raise ValueError("factor swap requires a square operator")
+    dims = x.row_dims
+    if not 0 <= t < len(dims) - 1 or dims[t] != dims[t + 1]:
+        raise ValueError(f"cannot swap factors {t} and {t + 1} of {dims}")
+    pre, d, post = math.prod(dims[:t]), dims[t], math.prod(dims[t + 2:])
+    y = x.entries.reshape(pre, d, d, post, pre, d, d, post)
+    return float(np.max(np.abs(y.transpose(0, 2, 1, 3, 4, 6, 5, 7) - y)))
 
 
 def herm_eigvals(x: DenseOperator, tol: float = HERMITICITY_TOL) -> np.ndarray:

@@ -121,6 +121,11 @@ def _require(cond: bool, path: str, msg: str) -> None:
         raise SchemaError(f"{path}: {msg}")
 
 
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_input_state(data, path: str, d: int) -> dict:
     _require(isinstance(data, dict), path, "expected an object")
     kind = data.get("type")
@@ -148,14 +153,15 @@ def _parse_input_state(data, path: str, d: int) -> dict:
                  "probabilities must sum to 1 within 1e-9")
         return {"type": "diag", "probs": arr}
     seed = data.get("seed")
-    _require(isinstance(seed, int) and seed >= 0, f"{path}.seed",
+    _require(_is_int(seed) and seed >= 0, f"{path}.seed",
              "expected a non-negative integer seed")
     return {"type": "random_pure", "seed": seed}
 
 
 def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
     _require(isinstance(data, dict), where, "expected an object")
-    _require(data.get("schema") == SCHEMA_VERSION, f"{where}.schema",
+    schema = data.get("schema")
+    _require(_is_int(schema) and schema == SCHEMA_VERSION, f"{where}.schema",
              f"expected {SCHEMA_VERSION}")
     try:
         spec = SDIChannelSpec.from_json(data.get("channel"))
@@ -170,7 +176,7 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
              "expected a non-empty list of integers")
     k_list = []
     for i, k in enumerate(k_raw):
-        _require(isinstance(k, int) and 1 <= k <= spec.M, f"{where}.k[{i}]",
+        _require(_is_int(k) and 1 <= k <= spec.M, f"{where}.k[{i}]",
                  f"expected an integer in 1..{spec.M}")
         k_list.append(k)
     _require(len(set(k_list)) == len(k_list), f"{where}.k", "duplicate entries")
@@ -199,9 +205,9 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
                  "mc_crosscheck requires an mc object")
         samples = mc.get("samples")
         seed = mc.get("seed")
-        _require(isinstance(samples, int) and samples >= 2, f"{where}.mc.samples",
+        _require(_is_int(samples) and samples >= 2, f"{where}.mc.samples",
                  "expected an integer >= 2")
-        _require(isinstance(seed, int) and seed >= 0, f"{where}.mc.seed",
+        _require(_is_int(seed) and seed >= 0, f"{where}.mc.seed",
                  "expected a non-negative integer")
         mc = {"samples": samples, "seed": seed}
     else:

@@ -2,8 +2,12 @@
 
 The symmetric subspace of (C^d)^{tensor n} is spanned by occupation-number
 vectors; the isometry into it gives projectors and partial traces that never
-touch the n! permutations explicitly.  States inside the subspace can also be
-kept as sym_dim(d, n)-sided matrices in these coordinates: split_table holds
+touch the n! permutations explicitly.  The isometry has one nonzero per row,
+so index_map keeps it as the column of each flat index plus a weight and
+applies it by gathers and grouped sums; sym_basis expands the same map into
+the dense matrix, for callers and tests that want one.  States inside the
+subspace can also be kept as sym_dim(d, n)-sided matrices in these
+coordinates: split_table holds
 the coefficients that split |m>_n into k-factor and (n-k)-factor parts, and
 power_coords gives the coordinates of a product vector u^{tensor n} (see
 Harrow, "The church of the symmetric subspace", arXiv:1308.6595).
@@ -69,32 +73,91 @@ def _occupation_table(d: int, n: int):
     return occs, arr, {occ: c for c, occ in enumerate(occs)}
 
 
+@dataclass(frozen=True)
+class IndexMap:
+    """V = sym_basis(d, n).isometry without its zeros.
+
+    Row x of V holds one nonzero, `weight[x]` = 1/sqrt(mult), in column
+    `col[x]`, the position of x's occupation in the basis order.  So V z is
+    a gather, V† x a grouped sum over the rows of each column (`order` lists
+    the flat indices sorted by column, `starts` where each column's run
+    begins), and neither needs the d^n x s_n matrix.  V is real, so
+    V† = V^T.  `scale[c]` is the weight of column c.  Arrays are made
+    read-only.
+    """
+
+    col: np.ndarray
+    weight: np.ndarray
+    scale: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+
+    def __post_init__(self):
+        for a in vars(self).values():
+            a.setflags(write=False)
+
+    def compress(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
+        """V† applied along `axis` of x (length d^n there, s_n after)."""
+        sums = np.add.reduceat(np.take(x, self.order, axis=axis), self.starts,
+                               axis=axis)
+        return sums * _along(self.scale, axis, sums.ndim)
+
+    def expand(self, z: np.ndarray, axis: int = 0) -> np.ndarray:
+        """V applied along `axis` of z (length s_n there, d^n after)."""
+        out = np.take(z, self.col, axis=axis)
+        return out * _along(self.weight, axis, out.ndim)
+
+
+def _along(v: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    shape = [1] * ndim
+    shape[axis] = -1
+    return v.reshape(shape)
+
+
+@lru_cache(maxsize=128)
+def _index_map(d: int, n: int) -> IndexMap:
+    # digit j of flat index x is the state of factor j (factor 0 most
+    # significant); the column is the rank of x's occupation in descending
+    # lexicographic order: occupations that agree on entries < i and hold
+    # more at entry i come first, C(rest - n_i + d-i-2, d-i-1) of them
+    # (compositions of rest - n_i - 1 or less into d - i - 1 parts)
+    digits = np.arange(d ** n)[:, None] // d ** np.arange(n - 1, -1, -1) % d
+    col = np.zeros(d ** n, dtype=np.int64)
+    rest = np.full(d ** n, n)
+    for i in range(d - 1):
+        n_i = (digits == i).sum(axis=1)
+        ahead = np.array([math.comb(u + d - i - 2, d - i - 1)
+                          for u in range(n + 1)], dtype=np.int64)
+        col += ahead[rest - n_i]
+        rest -= n_i
+    # column sizes are the multinomial multiplicities n!/(prod n_i!)
+    mult = np.bincount(col, minlength=sym_dim(d, n))
+    scale = 1.0 / np.sqrt(mult)
+    order = np.argsort(col, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(mult)[:-1]))
+    return IndexMap(col, scale[col], scale, order, starts)
+
+
+def index_map(d: int, n: int, cap: int = DEFAULT_DIM_CAP) -> IndexMap:
+    """The isometry of sym_basis(d, n) as an index map, under the same cap."""
+    sym_dim(d, n)  # validates d, n
+    _check_cap(d ** n, cap, f"symmetric basis on {n} factors of dimension {d}")
+    return _index_map(d, n)
+
+
 @lru_cache(maxsize=128)
 def _sym_basis_arrays(d: int, n: int):
-    occs, _, col_of = _occupation_table(d, n)
-    full = d ** n
-    mat = np.zeros((full, len(occs)))
-    # digit j of flat index x is the state of factor j (factor 0 most significant)
-    cols = np.zeros(full, dtype=int)
-    for x in range(full):
-        counts = [0] * d
-        rem = x
-        for _ in range(n):
-            rem, i = divmod(rem, d)
-            counts[i] += 1
-        cols[x] = col_of[tuple(counts)]
-    mat[np.arange(full), cols] = 1.0
-    # column sums are the multinomial multiplicities n!/(prod n_i!)
-    mat /= np.sqrt(mat.sum(axis=0, keepdims=True))
+    occs, _, _ = _occupation_table(d, n)
+    v = _index_map(d, n)
+    mat = np.zeros((d ** n, len(occs)))
+    mat[np.arange(d ** n), v.col] = v.weight
     return occs, mat
 
 
 def sym_basis(d: int, n: int, cap: int = DEFAULT_DIM_CAP) -> SymBasis:
-    s = sym_dim(d, n)  # validates d, n
-    _check_cap(d ** n, cap, f"symmetric basis on {n} factors of dimension {d}")
+    index_map(d, n, cap)  # validates d, n and the cap
     occs, mat = _sym_basis_arrays(d, n)
-    assert len(occs) == s
-    return SymBasis(d, n, occs, DenseOperator(mat, (d,) * n, (s,)))
+    return SymBasis(d, n, occs, DenseOperator(mat, (d,) * n, (len(occs),)))
 
 
 def symmetrizer(d: int, n: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
@@ -106,8 +169,8 @@ def symmetrizer(d: int, n: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
 def embed_coords(x: np.ndarray, d: int, n: int,
                  cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
     """V x V†: an operator given in occupation coordinates, on (C^d)^{tensor n}."""
-    v = sym_basis(d, n, cap=cap).isometry.entries
-    return DenseOperator(v @ x @ v.conj().T, (d,) * n)
+    v = index_map(d, n, cap)
+    return DenseOperator(v.expand(v.expand(x, 0), 1), (d,) * n)
 
 
 def _multinomial(occ) -> int:

@@ -130,6 +130,21 @@ class TestRun:
         assert rc == 1
         assert "checks" in capsys.readouterr().err
 
+    def test_boolean_k_exits_one(self, tmp_path, capsys):
+        src = tmp_path / "bool.json"
+        src.write_text(json.dumps({
+            "schema": 1,
+            "channel": {"kind": "universal_cloner", "d": 2, "N": 1, "M": 2},
+            "input": {"type": "pure", "coeffs": [[1.0, 0.0], [0.0, 0.0]]},
+            "k": [True],
+            "checks": ["lemma1"],
+        }))
+        rc = main(["run", str(src)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "scenario.k[0]" in captured.err
+        assert captured.out == ""
+
     def test_unreadable_file_exits_one(self, tmp_path, capsys):
         rc = main(["run", str(tmp_path / "missing.json")])
         assert rc == 1

@@ -13,6 +13,7 @@ from symdist.linalg import (
     permutation_operator,
     permute_factors,
     projector,
+    swap_residual,
     tensor_power,
     tensor_product,
     validate_state,
@@ -191,6 +192,27 @@ class TestPermutations:
             permutation_operator([0, 0, 1], 2)
         with pytest.raises(ValueError):
             permutation_index_map([0, 2], 2)
+
+    def test_index_map_cached_read_only(self):
+        dest = permutation_index_map([1, 0, 2], 2)
+        assert dest is permutation_index_map((1, 0, 2), 2)
+        assert not dest.flags.writeable
+        assert dest.tolist() == [0, 1, 4, 5, 2, 3, 6, 7]
+
+    def test_swap_residual_matches_conjugation(self):
+        rng = np.random.default_rng(9)
+        x = _rand_op(rng, (2, 2, 2))
+        tail = _rand_op(rng, (2, 2, 2, 3))  # a trailing factor of another size
+        for t in range(2):
+            perm = [0, 1, 2]
+            perm[t], perm[t + 1] = perm[t + 1], perm[t]
+            want = np.max(np.abs(permute_factors(x, perm, 2).entries - x.entries))
+            assert swap_residual(x, t) == want
+            u = np.kron(permutation_operator(perm, 2).entries, np.eye(3))
+            want = np.max(np.abs(u @ tail.entries @ u.T - tail.entries))
+            assert abs(swap_residual(tail, t) - want) <= 1e-12
+        with pytest.raises(ValueError, match="cannot swap"):
+            swap_residual(tail, 2)
 
     def test_permute_factors_matches_conjugation(self):
         rng = np.random.default_rng(8)

@@ -18,6 +18,7 @@ from symdist.definetti import (
     marginal_coords,
     mc_approx_reduced,
     mc_reduce_coords,
+    purified_state,
     purify_perm_invariant,
     reduce_coords,
 )
@@ -167,6 +168,28 @@ def test_purified_route_matches_dense(spec):
         assert row.satisfied_theorem2
 
 
+@pytest.mark.parametrize("d,m,k", [(9, 2, 1), (9, 2, 2), (4, 6, 1),
+                                   (4, 4, 1), (4, 4, 2), (4, 4, 3)])
+def test_ket_kernels_match_matrix_kernels(d, m, k):
+    """A 1-D state is a ket c; the kernels on it equal those on |c><c|,
+    also where the dense oracle cannot reach, e.g. (d^2 = 9, M = 2, k = 2)."""
+    rng = np.random.default_rng(11)
+    s = sym_dim(d, m)
+    c = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+    c /= np.linalg.norm(c)
+    rho = np.outer(c, c.conj())
+    assert np.max(np.abs(marginal_coords(c, d, m, k)
+                         - marginal_coords(rho, d, m, k))) <= TOL
+    assert np.max(np.abs(reduce_coords(c, d, m, k)
+                         - reduce_coords(rho, d, m, k))) <= TOL
+
+
+def test_purified_state_holds_a_ket():
+    rho = _choi_output(PURIFIED[-1])
+    state = purified_state(rho)
+    assert state.paired and state.coords.shape == (sym_dim(9, 2),)
+
+
 @pytest.mark.parametrize("spec", COVERED, ids=_label)
 def test_monte_carlo_weight_matches_dense(spec):
     rho, coords = _dense_output(spec)
@@ -197,6 +220,18 @@ def test_monte_carlo_estimates_match_dense(spec):
 @pytest.mark.parametrize("spec", COVERED + DENSE_ONLY, ids=_label)
 def test_route_decision_matches_validate_sdi(spec):
     assert spec.symmetric_by_construction == validate_sdi(spec.build()).symmetric_support
+
+
+@pytest.mark.parametrize("spec", COVERED[:4] + PURIFIED, ids=_label)
+def test_support_residual_matches_dense_projection(spec):
+    """validate_sdi projects both output indices of the Choi matrix."""
+    ch = spec.build()
+    p = symmetrizer(spec.d, spec.M).entries
+    c = ch.choi.entries.reshape(ch.dim_out, ch.dim_in, ch.dim_out, ch.dim_in)
+    proj = np.tensordot(np.tensordot(p, c, axes=(1, 0)), p, axes=(2, 0))
+    proj = proj.transpose(0, 1, 3, 2)
+    want = float(np.max(np.abs(c - proj)))
+    assert abs(validate_sdi(ch).support_residual - want) <= TOL
 
 
 @pytest.mark.parametrize("spec", DENSE_ONLY, ids=_label)

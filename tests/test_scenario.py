@@ -138,6 +138,27 @@ class TestParsing:
             scenario_from_dict(prep_scenario(
                 checks=["lemma1", "fidelity_gap"], k=[1]))
 
+    @pytest.mark.parametrize("over,field", [
+        ({"k": [True]}, r"scenario\.k\[0\]"),
+        ({"input": {"type": "random_pure", "seed": True}}, r"input\.seed"),
+        ({"checks": ["lemma1", "mc_crosscheck"],
+          "mc": {"samples": 100, "seed": True}}, r"mc\.seed"),
+        ({"schema": True}, r"scenario\.schema"),
+        ({"channel": {"kind": "universal_cloner", "d": 2.7, "N": 1, "M": 2}},
+         r"channel: d: expected an integer, got 2\.7"),
+        ({"channel": {"kind": "universal_cloner", "d": 2, "N": 1, "M": "3"}},
+         r"channel: M: expected an integer, got '3'"),
+        ({"channel": {"kind": "universal_cloner", "d": 2, "N": True, "M": 2}},
+         r"channel: N: expected an integer, got True"),
+        ({"channel": {"kind": "noisy_cloner", "d": 2, "N": 1, "M": 2,
+                      "p": True}, "checks": ["theorem2"]},
+         r"channel: p: expected a number, got True"),
+    ], ids=["k", "input-seed", "mc-seed", "schema", "d-float", "M-string",
+            "N-bool", "p-bool"])
+    def test_integer_fields_refuse_bools_and_non_integers(self, over, field):
+        with pytest.raises(SchemaError, match=field):
+            scenario_from_dict(cloner_scenario(**over))
+
     def test_mc_validation(self):
         with pytest.raises(SchemaError, match="mc"):
             scenario_from_dict(cloner_scenario(

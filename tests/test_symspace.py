@@ -7,7 +7,9 @@ import pytest
 from symdist.linalg import ResourceLimitError, permutation_operator, permute_factors
 from symdist.symspace import (
     HaarSampler,
+    embed_coords,
     haar_sample,
+    index_map,
     sym_basis,
     sym_dim,
     symmetrizer,
@@ -63,6 +65,31 @@ class TestSymBasis:
         v = sym_basis(d, n).isometry.entries
         assert np.max(np.abs(v.conj().T @ v - np.eye(sym_dim(d, n)))) <= 1e-12
 
+    @pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (2, 6), (4, 2),
+                                     (1, 3), (2, 0), (3, 4), (4, 3)])
+    def test_index_map_products(self, d, n):
+        """The index map against a loop that counts each flat index's
+        occupation, and V†x, Vx and VxV† against the dense isometry."""
+        b = sym_basis(d, n)
+        v = b.isometry.entries
+        vmap = index_map(d, n)
+        for x in range(d ** n):
+            digits = [x // d ** (n - 1 - j) % d for j in range(n)]
+            occ = tuple(digits.count(i) for i in range(d))
+            assert vmap.col[x] == b.occupations.index(occ)
+            assert vmap.weight[x] == 1 / math.sqrt(math.factorial(n) / math.prod(
+                math.factorial(m) for m in occ))
+        rng = np.random.default_rng(3)
+        s = sym_dim(d, n)
+        x = rng.standard_normal((d ** n, 2)) + 1j * rng.standard_normal((d ** n, 2))
+        z = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+        assert np.max(np.abs(vmap.compress(x) - v.conj().T @ x)) <= 1e-12
+        assert np.max(np.abs(vmap.expand(z) - v @ z)) <= 1e-12
+        assert np.max(np.abs(embed_coords(z, d, n).entries
+                             - v @ z @ v.conj().T)) <= 1e-12
+        assert np.max(np.abs(vmap.compress(x.T, axis=1) - x.T @ v)) <= 1e-12
+        assert not vmap.col.flags.writeable
+
     def test_n_zero(self):
         b = sym_basis(3, 0)
         assert b.isometry.entries.shape == (1, 1)
@@ -71,6 +98,10 @@ class TestSymBasis:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             sym_basis(2, 20)
+
+    def test_index_map_cap(self):
+        with pytest.raises(ResourceLimitError, match="symmetric basis on 20"):
+            index_map(2, 20)
 
 
 class TestSymmetrizer:
