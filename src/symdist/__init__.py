@@ -5,7 +5,7 @@ Library layout:
 - linalg: dense operators with tensor-factor bookkeeping
 - symspace: symmetric-subspace bases, projectors, Haar sampling
 - channels: the many-user channel zoo in Choi form
-- definetti: exact and Monte Carlo classical approximations to marginals
+- definetti: occupation-coordinate states and their classical approximations
 - metrics: trace distance, error probabilities, closed-form bounds
 - scenario / cli: config-driven runs with CSV/JSON emission
 """
@@ -25,15 +25,12 @@ from .channels import (
     validate_sdi,
 )
 from .definetti import (
-    ApproxReduction,
-    Purification,
-    approx_reduced_general,
-    approx_reduced_symmetric,
-    definetti_weight,
+    OccupationState,
     induced_povm_element,
-    mc_approx_reduced,
-    purification_marginal,
+    mc_reduce_coords,
+    purified_state,
     purify_perm_invariant,
+    symmetric_state,
 )
 from .linalg import (
     DEFAULT_DIM_CAP,
@@ -52,12 +49,10 @@ from .linalg import (
     validate_state,
 )
 from .metrics import (
-    BoundReport,
     general_bound,
     helstrom_perr,
     lemma1_bound,
     perr_lower_bound,
-    single_user_fidelities,
     trace_distance,
     universal_clone_gap,
 )

@@ -388,27 +388,45 @@ def _matrix_to_json(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _matrix_from_json(rows, where: str) -> np.ndarray:
+def _json_real(value, where: str) -> float:
+    """The rule for every number of a scenario: an int or a float, not a
+    JSON true/false, and finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where}: expected a number, got {value!r}")
     try:
-        arr = np.array([[complex(re, im) for re, im in row] for row in rows])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: expected nested [re, im] pairs ({exc})") from exc
-    if arr.ndim != 2:
-        raise ValueError(f"{where}: expected a matrix")
-    return arr
+        x = float(value)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{where}: expected a finite number")
+    return x
+
+
+def _json_complex(pair, where: str) -> complex:
+    """An [re, im] pair, both under the rule of _json_real."""
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ValueError(f"{where}: expected an [re, im] pair")
+    return complex(_json_real(pair[0], where), _json_real(pair[1], where))
+
+
+def _matrix_from_json(rows, where: str) -> np.ndarray:
+    if not (isinstance(rows, list) and rows and all(
+            isinstance(row, list) and row and len(row) == len(rows[0])
+            for row in rows)):
+        raise ValueError(f"{where}: expected a matrix of [re, im] pairs")
+    return np.array([[_json_complex(z, where) for z in row] for row in rows])
 
 
 def _json_number(data: dict, key: str, kind: type, optional: bool = False):
-    """data[key] as an int (kind int) or a real number (kind float).  JSON
-    true/false, strings and, for int, non-integers are refused by name."""
+    """data[key] as an int (kind int) or a real under _json_real (kind float)."""
     value = data.get(key)
     if value is None and optional:
         return None
-    allowed = int if kind is int else (int, float)
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(f"{key}: expected {what}, got {value!r}")
-    return kind(value)
+    if kind is float:
+        return _json_real(value, key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key}: expected an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,9 @@ from pathlib import Path
 from .linalg import DEFAULT_DIM_CAP, ResourceLimitError
 from .metrics import general_bound, lemma1_bound, perr_lower_bound
 from .scenario import (
+    SchemaError,
+    _basis_input,
+    _basis_prep,
     all_satisfied,
     emit,
     moment_check_record,
@@ -80,12 +83,6 @@ def _default_checks(kind: str) -> list[str]:
     return ["theorem2"]
 
 
-def _basis_prep(d: int) -> list:
-    mat = [[[0.0, 0.0] for _ in range(d)] for _ in range(d)]
-    mat[0][0] = [1.0, 0.0]
-    return [mat]
-
-
 def _scenario_from_flags(args) -> dict:
     channel: dict = {"kind": args.kind, "d": args.d, "M": args.M}
     if args.kind in ("universal_cloner", "noisy_cloner"):
@@ -97,9 +94,7 @@ def _scenario_from_flags(args) -> dict:
     if args.seed is not None:
         input_state: dict = {"type": "random_pure", "seed": args.seed}
     else:
-        coeffs = [[0.0, 0.0]] * args.d
-        coeffs[0] = [1.0, 0.0]
-        input_state = {"type": "pure", "coeffs": coeffs}
+        input_state = _basis_input(args.d)
     checks = args.checks.split(",") if args.checks else _default_checks(args.kind)
     data: dict = {
         "schema": 1,
@@ -121,6 +116,9 @@ def _cmd_run(args) -> int:
         base = _scenario_from_flags(args)
         loaded = json.loads(Path(args.scenario).read_text())
         raw = loaded if isinstance(loaded, list) else [loaded]
+        for i, entry in enumerate(raw):
+            if not isinstance(entry, dict):
+                raise SchemaError(f"scenario[{i}]: expected an object")
         datas = [{**base, **entry} for entry in raw]
     else:
         datas = [_scenario_from_flags(args)]

@@ -11,12 +11,12 @@ The kernels (marginal_coords, reduce_coords, mc_reduce_coords) take the state
 as an s_M x s_M matrix in occupation coordinates and never form anything of
 side d^M; marginal_coords and reduce_coords also take a pure state as its
 s_M-vector.  An OccupationState holds either and embeds k-user results.
-
-States that are permutation invariant without symmetric support go through
-a pair purification first: |Phi> = (sqrt(rho) tensor 1)|Omega> regrouped so
-each user's system sits next to its ancilla, which is symmetric in the
-paired d^2-dimensional factors whenever rho is permutation invariant; the
-same kernels then run at local dimension d^2, on the purification as a ket.
+A dense state enters by one of two routes, picked by the caller:
+symmetric_state(rho) for rho supported in the symmetric subspace (the
+lemma), and purified_state(rho) for any permutation-invariant rho (the
+theorem).  The latter pairs each user with an ancilla in |Phi> =
+(sqrt(rho) tensor 1)|Omega>, which is symmetric in the d^2-dimensional
+pairs; the same kernels then run at d^2 on |Phi> as a ket.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import SUPPORT_TOL, QuantumChannel, adjoint_apply
+from .channels import SUPPORT_TOL, QuantumChannel, _plain_ket, adjoint_apply
 from .linalg import (
     DEFAULT_DIM_CAP,
     DenseOperator,
+    _check_bytes,
     _check_cap,
     partial_trace,
-    projector,
     swap_residual,
 )
 from .symspace import (
@@ -48,34 +48,6 @@ PERM_INVARIANCE_TOL = 1e-8
 # Monte Carlo draws are weighted and accumulated in chunks that hold about
 # this many entries of the k-user projectors and occupation coordinates.
 MC_CHUNK_ENTRIES = 2 ** 20
-MC_SUPPORT_HINT = "the sampled mixture only reproduces symmetric-support marginals"
-
-
-@dataclass(frozen=True)
-class ApproxReduction:
-    """A k-user classical approximation together with how it was obtained."""
-
-    k: int
-    tilde_rho_k: DenseOperator
-    method: str  # symmetric_exact | general_exact | monte_carlo
-    sample_count: int | None = None
-    seed: int | None = None
-    stderr: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class Purification:
-    """Pair purification of a permutation-invariant state.
-
-    phi is a ket on M factors of dimension d^2; pair j holds the original
-    factor j and its ancilla, in that order, at the listed slot positions of
-    the flattened 2M-factor picture.
-    """
-
-    phi: DenseOperator
-    d: int
-    M: int
-    pair_slots: tuple[tuple[int, int], ...]
 
 
 def _uniform_square(rho: DenseOperator, name: str) -> tuple[int, int]:
@@ -89,14 +61,9 @@ def _uniform_square(rho: DenseOperator, name: str) -> tuple[int, int]:
     return dims[0], len(dims)
 
 
-def _unit_ket(psi: DenseOperator, d: int) -> np.ndarray:
-    if psi.shape != (d, 1):
-        raise ValueError(f"expected a ket of dimension {d}, got shape {psi.shape}")
-    u = psi.entries[:, 0]
-    nrm = float(np.linalg.norm(u))
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"ket has norm {nrm}, expected 1")
-    return u
+def _check_k(k: int, m: int) -> None:
+    if not 1 <= k <= m:
+        raise ValueError(f"need 1 <= k <= M={m}, got k={k}")
 
 
 def _kron_power(u: np.ndarray, n: int) -> np.ndarray:
@@ -141,20 +108,40 @@ def reduce_coords(rho: np.ndarray, d: int, m: int, k: int) -> np.ndarray:
     return ratio * (weights * gathered).sum(axis=0)
 
 
+def check_mc_route(d: int, m: int, k: int) -> int:
+    """Raise ResourceLimitError, before anything is allocated, unless
+    mc_reduce_coords at (d, M, k) fits DEFAULT_DIM_CAP; else return its
+    draws per chunk.  Side d^k is checked against the cap; the bytes of the
+    state, the accumulators, one chunk (two complex d^k x d^k temporaries
+    and two s_M-vectors per draw) and a d^k x d^k reference, against the
+    byte budget that goes with it.
+    """
+    _check_k(k, m)
+    side = d ** k
+    _check_cap(side, DEFAULT_DIM_CAP, f"{k}-user Monte Carlo estimate")
+    s_m = sym_dim(d, m)
+    square = side * side
+    chunk = max(1, MC_CHUNK_ENTRIES // (square + d * s_m))
+    nbytes = 16 * (s_m * s_m + 3 * square) + 32 * chunk * (square + s_m)
+    _check_bytes(nbytes, DEFAULT_DIM_CAP, f"Monte Carlo estimate of {k} users")
+    return chunk
+
+
 def mc_reduce_coords(rho: np.ndarray, d: int, m: int, k: int, samples: int,
-                     seed: int) -> ApproxReduction:
-    """Monte Carlo estimate of the k-user mixture of an s_M x s_M
-    occupation-coordinate state, with componentwise stderr.
+                     seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo (estimate, stderr) of the k-user mixture of an s_M x s_M
+    occupation-coordinate state: two d^k x d^k arrays, componentwise.
 
     Draw j is the Haar ket of HaarSampler(d, seed) at counter j, weighted by
     s_M <psi^M|rho|psi^M> with <n|psi^M> = sqrt(mult(n)) prod_i psi_i^{n_i}.
     Standard errors combine the real and imaginary spreads in quadrature.
+    Same (seed, samples) reproduces both arrays bit for bit.
     """
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
+    chunk = check_mc_route(d, m, k)
     sampler = HaarSampler(d, seed)
     side = d ** k
-    chunk = max(1, MC_CHUNK_ENTRIES // (side * side + d * len(rho)))
     acc = np.zeros((4, side, side))  # sums of re, im, re^2, im^2
     for lo in range(0, samples, chunk):
         u = np.array([haar_sample(sampler).entries[:, 0]
@@ -168,20 +155,7 @@ def mc_reduce_coords(rho: np.ndarray, d: int, m: int, k: int, samples: int,
     mean_re, mean_im = acc[0] / samples, acc[1] / samples
     var_re = np.maximum(acc[2] / samples - mean_re ** 2, 0.0)
     var_im = np.maximum(acc[3] / samples - mean_im ** 2, 0.0)
-    return ApproxReduction(
-        k,
-        DenseOperator(mean_re + 1j * mean_im, (d,) * k),
-        "monte_carlo",
-        sample_count=samples,
-        seed=seed,
-        stderr=np.sqrt((var_re + var_im) / samples),
-    )
-
-
-def _check_dense_cap(d: int, m: int, k: int, paired: bool, cap: int) -> None:
-    name, unit = ("purified", "pair factors") if paired else ("symmetric", "factors")
-    _check_cap((d * d if paired else d) ** (m + k), cap,
-               f"{name} reduction on {m + k} {unit}")
+    return mean_re + 1j * mean_im, np.sqrt((var_re + var_im) / samples)
 
 
 @dataclass(frozen=True)
@@ -203,12 +177,19 @@ class OccupationState:
     from_dense: bool = False
 
     def marginal(self, k: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
+        """The k-user marginal Tr_{M-k} rho, on (C^d)^{tensor k}."""
+        _check_k(k, self.m)
         return self._users(marginal_coords(self.coords, self._local, self.m, k),
                            k, cap)
 
     def reduction(self, k: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
+        """The exact k-user classical mixture, on (C^d)^{tensor k}."""
+        _check_k(k, self.m)
         if self.from_dense:
-            _check_dense_cap(self.d, self.m, k, self.paired, cap)
+            name, unit = (("purified", "pair factors") if self.paired
+                          else ("symmetric", "factors"))
+            _check_cap(self._local ** (self.m + k), cap,
+                       f"{name} reduction on {self.m + k} {unit}")
         return self._users(reduce_coords(self.coords, self._local, self.m, k),
                            k, cap)
 
@@ -224,7 +205,7 @@ class OccupationState:
         return partial_trace(pairs, range(0, 2 * k, 2))
 
 
-def symmetric_state(rho: DenseOperator, hint: str) -> OccupationState:
+def symmetric_state(rho: DenseOperator) -> OccupationState:
     """V† rho V, after checking that rho lies in the symmetric subspace."""
     d, m = _uniform_square(rho, "rho_out")
     v = index_map(d, m)
@@ -232,43 +213,10 @@ def symmetric_state(rho: DenseOperator, hint: str) -> OccupationState:
     resid = float(np.max(np.abs(rho.entries - v.expand(v.expand(coords, 0), 1))))
     if resid > SUPPORT_TOL:
         raise ValueError(
-            f"rho_out leaves the symmetric subspace (residual {resid:.3e}); {hint}"
+            f"rho_out leaves the symmetric subspace (residual {resid:.3e}); "
+            "the sampled mixture only reproduces symmetric-support marginals"
         )
     return OccupationState(coords, d, m, from_dense=True)
-
-
-def definetti_weight(rho_out: DenseOperator, psi: DenseOperator) -> float:
-    """Density s_M <psi^M| rho |psi^M> of psi under the induced distribution."""
-    d, m = _uniform_square(rho_out, "rho_out")
-    c = power_coords(_unit_ket(psi, d), m)
-    v = index_map(d, m)
-    # psi^M lies in the symmetric subspace, so only V† rho V enters
-    coords = v.compress(v.compress(rho_out.entries, 0), 1)
-    w = sym_dim(d, m) * float(np.real(np.vdot(c, coords @ c)))
-    if w < -1e-9:
-        raise ValueError(f"negative weight {w:.3e}; rho_out is not PSD")
-    return max(w, 0.0)
-
-
-def _scalar_reduction(method: str, **extra) -> ApproxReduction:
-    one = DenseOperator(np.array([[1.0]]), ())
-    return ApproxReduction(0, one, method, **extra)
-
-
-def approx_reduced_symmetric(rho_out: DenseOperator, k: int,
-                             cap: int = DEFAULT_DIM_CAP) -> ApproxReduction:
-    """Exact k-user mixture for a state supported in the symmetric subspace.
-
-    (s_M / s_{M+k}) Tr_{first M}[(rho tensor 1^k) P_{M+k}], computed by
-    reduce_coords on V_M† rho V_M, embedded at side d^k.
-    """
-    d, m = _uniform_square(rho_out, "rho_out")
-    if not 0 <= k <= m:
-        raise ValueError(f"need 0 <= k <= M={m}, got k={k}")
-    state = symmetric_state(rho_out, "use approx_reduced_general")
-    if k == 0:
-        return _scalar_reduction("symmetric_exact")
-    return ApproxReduction(k, state.reduction(k, cap), "symmetric_exact")
 
 
 def induced_povm_element(ch: QuantumChannel, psi: DenseOperator) -> DenseOperator:
@@ -282,19 +230,20 @@ def induced_povm_element(ch: QuantumChannel, psi: DenseOperator) -> DenseOperato
         raise ValueError(f"output factors {ch.out_factors} are not identical")
     d = ch.out_factors[0]
     m = len(ch.out_factors)
-    u = _kron_power(_unit_ket(psi, d), m)
+    u = _kron_power(_plain_ket(psi, d), m)
     obs = sym_dim(d, m) * np.outer(u, u.conj())
     return adjoint_apply(ch, DenseOperator(obs, ch.out_factors)).hermitize()
 
 
 def purify_perm_invariant(rho: DenseOperator,
-                          tol: float = PERM_INVARIANCE_TOL) -> Purification:
+                          tol: float = PERM_INVARIANCE_TOL) -> DenseOperator:
     """Purify with one ancilla per factor, keeping permutation symmetry.
 
-    |Phi> = (sqrt(rho) tensor 1)|Omega| regrouped into M pairs (system_j,
-    ancilla_j); permuting the pairs jointly leaves |Phi> invariant whenever
-    rho is permutation invariant, so |Phi> lies in the symmetric subspace of
-    the d^2-dimensional pair factors.
+    |Phi> = (sqrt(rho) tensor 1)|Omega>, returned as a ket on M factors of
+    dimension d^2: factor j is the pair (system j, ancilla j), with the
+    system as the more significant digit.  Permuting the pairs jointly
+    leaves |Phi> invariant whenever rho is permutation invariant, so |Phi>
+    lies in the symmetric subspace of the pair factors.
     """
     d, m = _uniform_square(rho, "rho")
     for t in range(m - 1):
@@ -315,19 +264,7 @@ def purify_perm_invariant(rho: DenseOperator,
     nrm = float(np.linalg.norm(phi))
     if abs(nrm - 1.0) > 1e-6:
         raise ValueError(f"purification norm {nrm} deviates from 1; trace(rho) != 1?")
-    phi = phi / nrm
-    return Purification(
-        phi=DenseOperator(phi, (d * d,) * m, ()),
-        d=d,
-        M=m,
-        pair_slots=tuple((2 * j, 2 * j + 1) for j in range(m)),
-    )
-
-
-def purification_marginal(pur: Purification) -> DenseOperator:
-    """Trace the ancilla halves back out; equals the purified state up to roundoff."""
-    full = projector(DenseOperator(pur.phi.entries, (pur.d,) * (2 * pur.M), ()))
-    return partial_trace(full, [2 * j for j in range(pur.M)])
+    return DenseOperator(phi / nrm, (d * d,) * m, ())
 
 
 def purified_state(rho: DenseOperator,
@@ -335,9 +272,9 @@ def purified_state(rho: DenseOperator,
     """The pair purification of rho in occupation coordinates of
     Sym^M(C^{d^2}).  The support check bounds its weight outside that
     subspace, not an entry: sqrt(rho) lifts roundoff eigenvalues to ~1e-8."""
-    pur = purify_perm_invariant(rho)
-    v = index_map(pur.d ** 2, pur.M, cap)
-    phi = pur.phi.entries[:, 0]
+    d, m = _uniform_square(rho, "rho")
+    phi = purify_perm_invariant(rho).entries[:, 0]
+    v = index_map(d * d, m, cap)
     c = v.compress(phi)
     resid = float(np.linalg.norm(phi - v.expand(c)) ** 2)
     if resid > SUPPORT_TOL:
@@ -345,36 +282,4 @@ def purified_state(rho: DenseOperator,
             f"pair purification has weight {resid:.3e} outside the symmetric "
             "subspace of the pairs"
         )
-    return OccupationState(c, pur.d, pur.M, paired=True, from_dense=True)
-
-
-def approx_reduced_general(rho_out: DenseOperator, k: int,
-                           cap: int = DEFAULT_DIM_CAP) -> ApproxReduction:
-    """Exact k-user mixture for any permutation-invariant state.
-
-    reduce_coords at local dimension d^2 on purified_state(rho), embedded
-    at side d^{2k} with the ancilla half of each pair traced out.
-    """
-    d, m = _uniform_square(rho_out, "rho_out")
-    if not 0 <= k <= m:
-        raise ValueError(f"need 0 <= k <= M={m}, got k={k}")
-    if k == 0:
-        return _scalar_reduction("general_exact")
-    _check_dense_cap(d, m, k, True, cap)
-    tilde = purified_state(rho_out, cap).reduction(k, cap)
-    return ApproxReduction(k, tilde, "general_exact")
-
-
-def mc_approx_reduced(rho_out: DenseOperator, k: int, samples: int,
-                      seed: int) -> ApproxReduction:
-    """Monte Carlo estimate of the k-user mixture, with componentwise stderr.
-
-    Draws Haar kets, weights psi^{tensor k} projectors by the induced density
-    and averages (mc_reduce_coords on V_M† rho V_M).  Same (seed, samples)
-    reproduces the estimate bit-for-bit.
-    """
-    d, m = _uniform_square(rho_out, "rho_out")
-    if not 0 <= k <= m:
-        raise ValueError(f"need 0 <= k <= M={m}, got k={k}")
-    state = symmetric_state(rho_out, MC_SUPPORT_HINT)
-    return mc_reduce_coords(state.coords, d, m, k, samples, seed)
+    return OccupationState(c, d, m, paired=True, from_dense=True)

@@ -87,11 +87,6 @@ class DenseOperator:
         return self.entries.shape
 
     @property
-    def dim(self) -> int:
-        """Row dimension (equal to the column dimension for square operators)."""
-        return self.entries.shape[0]
-
-    @property
     def is_square(self) -> bool:
         return self.shape[0] == self.shape[1] and self.row_dims == self.col_dims
 
@@ -314,9 +309,11 @@ def validate_state(x: DenseOperator, name: str = "state",
                    herm_tol: float = HERMITICITY_TOL,
                    psd_tol: float = PSD_TOL,
                    trace_tol: float = TRACE_TOL) -> None:
-    """Raise ValueError unless x is Hermitian, PSD and unit trace within tolerance."""
+    """Raise ValueError unless x is finite, Hermitian, PSD and of unit trace."""
     if not x.is_square:
         raise ValueError(f"{name} must be a square operator")
+    if not np.all(np.isfinite(x.entries)):
+        raise ValueError(f"{name} has non-finite entries")
     w = herm_eigvals(x, tol=herm_tol)  # also enforces Hermiticity
     if w.size and w[-1] < -psd_tol:
         raise ValueError(f"{name} has negative eigenvalue {w[-1]:.3e}")

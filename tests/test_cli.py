@@ -145,6 +145,15 @@ class TestRun:
         assert "scenario.k[0]" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("entries", [[1], "x", [{"k": [1]}, 3]],
+                             ids=["int", "string", "int-after-object"])
+    def test_non_object_entry_exits_one(self, entries, tmp_path, capsys):
+        src = tmp_path / "entries.json"
+        src.write_text(json.dumps(entries))
+        assert main(["run", str(src)]) == 1
+        where = 1 if entries == [{"k": [1]}, 3] else 0
+        assert f"scenario[{where}]: expected an object" in capsys.readouterr().err
+
     def test_unreadable_file_exits_one(self, tmp_path, capsys):
         rc = main(["run", str(tmp_path / "missing.json")])
         assert rc == 1
@@ -181,6 +190,11 @@ class TestMc:
     def test_bad_moment_arguments_exit_one(self, flags, capsys):
         assert main(["mc", *flags]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_oversized_moment_exits_one(self, capsys):
+        # refused by the byte guard before the sampler allocates anything
+        assert main(["mc", "--M", "30"]) == 1
+        assert "30-user Monte Carlo estimate" in capsys.readouterr().err
 
 
 class TestSuiteCommand:

@@ -11,13 +11,11 @@ from symdist.channels import (
     universal_cloner,
 )
 from symdist.definetti import (
-    approx_reduced_general,
-    approx_reduced_symmetric,
-    definetti_weight,
     induced_povm_element,
-    mc_approx_reduced,
-    purification_marginal,
+    mc_reduce_coords,
+    purified_state,
     purify_perm_invariant,
+    symmetric_state,
 )
 from symdist.linalg import (
     DenseOperator,
@@ -32,7 +30,13 @@ from symdist.linalg import (
     tensor_power,
 )
 from symdist.metrics import general_bound, lemma1_bound, trace_distance
-from symdist.symspace import HaarSampler, haar_sample, sym_dim, symmetrizer
+from symdist.symspace import (
+    HaarSampler,
+    haar_sample,
+    power_coords,
+    sym_dim,
+    symmetrizer,
+)
 
 
 def dense_reduction(rho, k):
@@ -52,104 +56,109 @@ def ket00():
                                    (2, 2), ()))
 
 
+def weight(state, psi):
+    """Density s_M <c|coords|c> of psi, with c = power_coords(psi, M)."""
+    c = power_coords(psi.entries[:, 0], state.m)
+    return sym_dim(state.d, state.m) * float(np.real(np.vdot(c, state.coords @ c)))
+
+
+def mc(rho, k, samples, seed):
+    """(estimate, stderr) of the sampler on a symmetric-support rho."""
+    state = symmetric_state(rho)
+    return mc_reduce_coords(state.coords, state.d, state.m, k, samples, seed)
+
+
+def pair_marginal(phi, d, m):
+    """Trace the ancilla halves back out of a pair purification."""
+    full = projector(DenseOperator(phi.entries, (d,) * (2 * m), ()))
+    return partial_trace(full, range(0, 2 * m, 2))
+
+
 class TestWeight:
     def test_aligned_product_state(self):
-        w = definetti_weight(ket00(), basis_ket(2, 0))
+        w = weight(symmetric_state(ket00()), basis_ket(2, 0))
         assert abs(w - sym_dim(2, 2)) <= 1e-12
 
     def test_orthogonal_direction(self):
-        assert definetti_weight(ket00(), basis_ket(2, 1)) == 0.0
+        assert weight(symmetric_state(ket00()), basis_ket(2, 1)) == 0.0
 
     def test_flat_on_maximally_mixed_symmetric(self):
-        rho = (1 / sym_dim(2, 3)) * symmetrizer(2, 3)
+        state = symmetric_state((1 / sym_dim(2, 3)) * symmetrizer(2, 3))
         rng = np.random.default_rng(11)
         for _ in range(5):
             v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             psi = ket(v / np.linalg.norm(v))
-            assert abs(definetti_weight(rho, psi) - 1.0) <= 1e-12
+            assert abs(weight(state, psi) - 1.0) <= 1e-12
 
     def test_haar_mean_is_one(self):
+        state = symmetric_state(ket00())
         sampler = HaarSampler(2, 19)
         n = 4000
         ws = np.empty(n)
         for i in range(n):
-            ws[i] = definetti_weight(ket00(), haar_sample(sampler))
+            ws[i] = weight(state, haar_sample(sampler))
         se = ws.std(ddof=1) / np.sqrt(n)
         assert abs(ws.mean() - 1.0) <= 5 * se
 
-    def test_negative_weight_rejected(self):
-        rho = DenseOperator(np.diag([-0.5, 0.5, 0.5, 0.5]), (2, 2))
-        with pytest.raises(ValueError, match="negative"):
-            definetti_weight(rho, basis_ket(2, 0))
-
     def test_input_checks(self):
         with pytest.raises(ValueError, match="share one dimension"):
-            definetti_weight(identity((2, 3)), basis_ket(2, 0))
-        with pytest.raises(ValueError, match="norm"):
-            definetti_weight(ket00(), DenseOperator([[1.0], [1.0]], (2,), ()))
+            symmetric_state(identity((2, 3)))
 
 
 class TestSymmetricReduction:
     def test_two_copies_single_user(self):
-        red = approx_reduced_symmetric(ket00(), 1)
-        assert red.method == "symmetric_exact"
-        assert np.max(np.abs(red.tilde_rho_k.entries
-                             - np.diag([0.75, 0.25]))) <= 1e-12
-
-    def test_k_zero_scalar(self):
-        red = approx_reduced_symmetric(ket00(), 0)
-        assert red.tilde_rho_k.shape == (1, 1)
-        assert red.tilde_rho_k.entries[0, 0] == 1.0
+        red = symmetric_state(ket00()).reduction(1)
+        assert np.max(np.abs(red.entries - np.diag([0.75, 0.25]))) <= 1e-12
 
     @pytest.mark.parametrize("d,m,k", [(2, 2, 1), (2, 2, 2), (2, 3, 2),
                                        (3, 2, 1), (2, 4, 3)])
     def test_matches_dense_formula(self, d, m, k):
         ch = universal_cloner(d, 1, m)
         rho = apply(ch, embed_pure_input(ch, basis_ket(d, 0)))
-        got = approx_reduced_symmetric(rho, k).tilde_rho_k
+        got = symmetric_state(rho).reduction(k)
         want = dense_reduction(rho, k)
         assert np.max(np.abs(got.entries - want.entries)) <= 1e-12
 
     def test_is_a_state(self):
         ch = universal_cloner(2, 1, 5)
         rho = apply(ch, embed_pure_input(ch, ket([0.6, 0.8])))
-        red = approx_reduced_symmetric(rho, 2)
-        t = red.tilde_rho_k
+        t = symmetric_state(rho).reduction(2)
         assert abs(t.trace() - 1.0) <= 1e-10
         assert np.linalg.eigvalsh(t.entries)[0] >= -1e-10
 
     def test_maximally_mixed_fixed_point(self):
         rho = (1 / sym_dim(2, 3)) * symmetrizer(2, 3)
-        red = approx_reduced_symmetric(rho, 2)
+        red = symmetric_state(rho).reduction(2)
         want = symmetrizer(2, 2).entries / sym_dim(2, 2)
-        assert np.max(np.abs(red.tilde_rho_k.entries - want)) <= 1e-12
+        assert np.max(np.abs(red.entries - want)) <= 1e-12
 
     def test_bound_holds_on_pure_powers(self):
         u = np.array([0.8, 0.6j])
         for m in range(2, 6):
             rho = tensor_power(projector(ket(u)), m)
             for k in (1, 2):
-                red = approx_reduced_symmetric(rho, k)
-                dist = trace_distance(partial_trace(rho, range(k)),
-                                      red.tilde_rho_k)
+                red = symmetric_state(rho).reduction(k)
+                dist = trace_distance(partial_trace(rho, range(k)), red)
                 assert dist <= lemma1_bound(2, m, k) + 1e-9
 
     def test_rejects_non_symmetric_support(self):
         ch = noisy_cloner(2, 1, 2, 0.2)
         rho = apply(ch, embed_pure_input(ch, basis_ket(2, 0)))
-        with pytest.raises(ValueError, match="approx_reduced_general"):
-            approx_reduced_symmetric(rho, 1)
+        with pytest.raises(ValueError, match="leaves the symmetric subspace"):
+            symmetric_state(rho)
 
     def test_k_range(self):
-        with pytest.raises(ValueError):
-            approx_reduced_symmetric(ket00(), 3)
-        with pytest.raises(ValueError):
-            approx_reduced_symmetric(ket00(), -1)
+        state = symmetric_state(ket00())
+        for k in (3, 0, -1):
+            with pytest.raises(ValueError, match="1 <= k <= M=2"):
+                state.reduction(k)
+            with pytest.raises(ValueError, match="1 <= k <= M=2"):
+                state.marginal(k)
 
     def test_cap(self):
         rho = tensor_power(projector(basis_ket(2, 0)), 8)
         with pytest.raises(ResourceLimitError):
-            approx_reduced_symmetric(rho, 7)
+            symmetric_state(rho).reduction(7)
 
 
 class TestInducedPovm:
@@ -183,10 +192,9 @@ class TestInducedPovm:
 class TestPurification:
     def test_maximally_mixed_two_qubits(self):
         rho = DenseOperator(np.eye(4) / 4, (2, 2))
-        pur = purify_perm_invariant(rho)
-        assert pur.d == 2 and pur.M == 2
-        assert pur.pair_slots == ((0, 1), (2, 3))
-        v = pur.phi.entries[:, 0]
+        phi = purify_perm_invariant(rho)
+        assert phi.row_dims == (4, 4) and phi.col_dims == ()
+        v = phi.entries[:, 0]
         want = np.zeros(16)
         want[[0, 3, 12, 15]] = 0.5  # |ii> on each pair
         assert np.max(np.abs(v - want)) <= 1e-12
@@ -207,14 +215,12 @@ class TestPurification:
         rng = np.random.default_rng(31)
         for m in (2, 3):
             rho = self._twirled(rng, 2, m)
-            pur = purify_perm_invariant(rho)
-            back = purification_marginal(pur)
+            back = pair_marginal(purify_perm_invariant(rho), 2, m)
             assert np.max(np.abs(back.entries - rho.entries)) <= 1e-9
 
     def test_pair_swap_invariance(self):
         rho = self._twirled(np.random.default_rng(37), 2, 3)
-        pur = purify_perm_invariant(rho)
-        v = pur.phi.entries
+        v = purify_perm_invariant(rho).entries
         for t in range(2):
             perm = list(range(3))
             perm[t], perm[t + 1] = perm[t + 1], perm[t]
@@ -242,14 +248,13 @@ class TestGeneralReduction:
         # at M = k = 1 the purified mixture is (1 + |w><w|)/(D+1) on the
         # pair, whose ancilla trace is (2*1 + |u><u|)/(D+1) with D = d^2
         rho = projector(ket([0.6, 0.8]))
-        got = approx_reduced_general(rho, 1).tilde_rho_k.entries
+        got = purified_state(rho).reduction(1).entries
         want = (2 * np.eye(2) + rho.entries) / 5
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_pure_power_within_bound(self):
         rho = tensor_power(projector(ket([0.6, 0.8])), 3)
-        red = approx_reduced_general(rho, 1)
-        t = red.tilde_rho_k
+        t = purified_state(rho).reduction(1)
         assert abs(t.trace() - 1.0) <= 1e-9
         dist = trace_distance(partial_trace(rho, [0]), t)
         assert dist <= general_bound(2, 3, 1) + 1e-9
@@ -259,74 +264,70 @@ class TestGeneralReduction:
             ch = noisy_cloner(2, 1, m, 0.1)
             rho = apply(ch, embed_pure_input(ch, basis_ket(2, 0)))
             for k in (1, 2):
-                red = approx_reduced_general(rho, k)
-                assert red.method == "general_exact"
-                t = red.tilde_rho_k
+                t = purified_state(rho).reduction(k)
                 assert abs(t.trace() - 1.0) <= 1e-9
                 dist = trace_distance(partial_trace(rho, range(k)), t)
                 assert dist <= general_bound(2, m, k) + 1e-9
 
     def test_k_zero(self):
-        red = approx_reduced_general(ket00(), 0)
-        assert red.method == "general_exact"
-        assert red.tilde_rho_k.entries[0, 0] == 1.0
+        with pytest.raises(ValueError, match="1 <= k <= M=2"):
+            purified_state(ket00()).reduction(0)
 
     def test_cap(self):
         rho = DenseOperator(np.eye(2 ** 5) / 2 ** 5, (2,) * 5)
         with pytest.raises(ResourceLimitError):
-            approx_reduced_general(rho, 2, cap=2 ** 12)
+            purified_state(rho, cap=2 ** 12).reduction(2, cap=2 ** 12)
 
 
 class TestMonteCarlo:
     def test_matches_exact_within_error(self):
-        est = mc_approx_reduced(ket00(), 1, 20000, seed=43)
-        assert est.method == "monte_carlo"
-        assert est.sample_count == 20000 and est.seed == 43
-        dev = np.abs(est.tilde_rho_k.entries - np.diag([0.75, 0.25]))
-        assert np.all(dev <= 5 * est.stderr + 1e-12)
+        est, stderr = mc(ket00(), 1, 20000, seed=43)
+        dev = np.abs(est - np.diag([0.75, 0.25]))
+        assert np.all(dev <= 5 * stderr + 1e-12)
 
     def test_trace_near_one(self):
-        est = mc_approx_reduced(ket00(), 1, 20000, seed=47)
-        slack = 5 * float(np.sum(est.stderr))
-        assert abs(est.tilde_rho_k.trace().real - 1.0) <= slack
+        est, stderr = mc(ket00(), 1, 20000, seed=47)
+        slack = 5 * float(np.sum(stderr))
+        assert abs(np.trace(est).real - 1.0) <= slack
 
     def test_deterministic(self):
-        a = mc_approx_reduced(ket00(), 1, 500, seed=9)
-        b = mc_approx_reduced(ket00(), 1, 500, seed=9)
-        assert np.array_equal(a.tilde_rho_k.entries, b.tilde_rho_k.entries)
-        assert np.array_equal(a.stderr, b.stderr)
-        c = mc_approx_reduced(ket00(), 1, 500, seed=10)
-        assert not np.array_equal(a.tilde_rho_k.entries, c.tilde_rho_k.entries)
+        a, a_err = mc(ket00(), 1, 500, seed=9)
+        b, b_err = mc(ket00(), 1, 500, seed=9)
+        assert np.array_equal(a, b)
+        assert np.array_equal(a_err, b_err)
+        c, _ = mc(ket00(), 1, 500, seed=10)
+        assert not np.array_equal(a, c)
 
     def test_error_shrinks_with_samples(self):
-        small = mc_approx_reduced(ket00(), 1, 400, seed=3)
-        big = mc_approx_reduced(ket00(), 1, 40000, seed=3)
-        assert float(np.mean(big.stderr)) < float(np.mean(small.stderr))
+        _, small = mc(ket00(), 1, 400, seed=3)
+        _, big = mc(ket00(), 1, 40000, seed=3)
+        assert float(np.mean(big)) < float(np.mean(small))
 
     def test_argument_checks(self):
         with pytest.raises(ValueError, match="at least 1 sample"):
-            mc_approx_reduced(ket00(), 1, 0, seed=1)
+            mc(ket00(), 1, 0, seed=1)
         with pytest.raises(ValueError):
-            mc_approx_reduced(ket00(), 5, 100, seed=1)
+            mc(ket00(), 5, 100, seed=1)
         ch = noisy_cloner(2, 1, 2, 0.3)
         rho = apply(ch, embed_pure_input(ch, basis_ket(2, 0)))
         with pytest.raises(ValueError, match="symmetric"):
-            mc_approx_reduced(rho, 1, 100, seed=1)
+            mc(rho, 1, 100, seed=1)
 
 
 class TestRouteConsistency:
     def test_marginal_of_reduction_matches_smaller_k(self):
         ch = universal_cloner(2, 1, 4)
         rho = apply(ch, embed_pure_input(ch, basis_ket(2, 0)))
-        two = approx_reduced_symmetric(rho, 2).tilde_rho_k
-        one = approx_reduced_symmetric(rho, 1).tilde_rho_k
+        state = symmetric_state(rho)
+        two = state.reduction(2)
+        one = state.reduction(1)
         assert np.max(np.abs(partial_trace(two, [0]).entries
                              - one.entries)) <= 1e-9
 
     def test_reduction_is_permutation_invariant(self):
         ch = universal_cloner(2, 1, 4)
         rho = apply(ch, embed_pure_input(ch, ket([0.6, 0.8])))
-        three = approx_reduced_symmetric(rho, 3).tilde_rho_k
+        three = symmetric_state(rho).reduction(3)
         swapped = permute_factors(three, [1, 0, 2], 2)
         assert np.max(np.abs(swapped.entries - three.entries)) <= 1e-12
 
@@ -334,8 +335,8 @@ class TestRouteConsistency:
         # on symmetric support both routes apply; the purified one answers
         # with a flatter mixture, and each stays inside its own bound
         rho = projector(basis_ket(2, 0))
-        sym = approx_reduced_symmetric(rho, 1).tilde_rho_k
-        gen = approx_reduced_general(rho, 1).tilde_rho_k
+        sym = symmetric_state(rho).reduction(1)
+        gen = purified_state(rho).reduction(1)
         assert np.max(np.abs(sym.entries - np.diag([2 / 3, 1 / 3]))) <= 1e-12
         assert np.max(np.abs(gen.entries - np.diag([3 / 5, 2 / 5]))) <= 1e-12
         assert trace_distance(rho, sym) <= lemma1_bound(2, 1, 1) + 1e-9

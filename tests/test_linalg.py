@@ -269,3 +269,9 @@ class TestValidateState:
         m = np.array([[0.5, 1.0], [0.0, 0.5]])
         with pytest.raises(ValueError):
             validate_state(DenseOperator(m, (2,)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite(self, bad):
+        # NaN would slip past every comparison in the later checks
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_state(DenseOperator(np.diag([bad, 0.5]), (2,)))

@@ -3,24 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from symdist.channels import (
-    QuantumChannel,
-    fixed_prep_channel,
-    noisy_cloner,
-    universal_cloner,
-)
+from symdist.channels import apply, embed_pure_input, fixed_prep_channel, noisy_cloner
+from symdist.definetti import purified_state, symmetric_state
 from symdist.linalg import DenseOperator, basis_ket, ket, partial_trace, projector
 from symdist.metrics import (
-    BOUND_SLACK,
-    BoundReport,
     general_bound,
     helstrom_perr,
     lemma1_bound,
     perr_lower_bound,
-    single_user_fidelities,
     trace_distance,
     universal_clone_gap,
 )
+from symdist.scenario import run_scenario, scenario_from_dict
 from symdist.symspace import sym_dim
 
 from conftest import random_state
@@ -129,63 +123,64 @@ class TestClosedFormBounds:
             universal_clone_gap(1, 2, 0)
 
 
-class TestBoundReport:
-    def test_slack_boundary(self):
-        ok = BoundReport.compare(1.0 + 0.5 * BOUND_SLACK, 1.0, None, (2, 3))
-        assert ok.satisfied
-        assert ok.params == (2, 3)
-        bad = BoundReport.compare(1.0 + 3 * BOUND_SLACK, 1.0, 1.5, (2, 3))
-        assert not bad.satisfied
-        assert bad.asymptotic_bound == 1.5
+def _channel_fidelities(ch, phi, state):
+    """(F_clon, F_tilde) of one user, the second through `state`'s route."""
+    rho_out = apply(ch, embed_pure_input(ch, phi))
+    u = phi.entries[:, 0]
+    rho_1 = partial_trace(rho_out, [0]).entries
+    tilde = state(rho_out).reduction(1).entries
+    return (float(np.real(np.vdot(u, rho_1 @ u))),
+            float(np.real(np.vdot(u, tilde @ u))))
+
+
+def _cloner_fidelities(d, n, m, phi):
+    """(F_clon, F_tilde) from the k = 1 row of a fidelity_gap scenario."""
+    row, = run_scenario(scenario_from_dict({
+        "schema": 1,
+        "channel": {"kind": "universal_cloner", "d": d, "N": n, "M": m},
+        "input": {"type": "pure",
+                  "coeffs": [[z.real, z.imag] for z in phi.entries[:, 0]]},
+        "k": [1],
+        "checks": ["lemma1", "fidelity_gap"],
+    }))
+    return row.F_clon, row.F_tilde
 
 
 class TestSingleUserFidelities:
     def test_one_to_two_qubit(self):
-        ch = universal_cloner(2, 1, 2)
-        f_clon, f_tilde = single_user_fidelities(ch, basis_ket(2, 0))
+        f_clon, f_tilde = _cloner_fidelities(2, 1, 2, basis_ket(2, 0))
         assert abs(f_clon - 5 / 6) <= 1e-12
         assert abs(f_tilde - 2 / 3) <= 1e-12
 
     @pytest.mark.parametrize("n,m,d", [(1, 2, 2), (1, 3, 2), (2, 3, 2),
                                        (1, 2, 3)])
     def test_matches_closed_form(self, n, m, d):
-        ch = universal_cloner(d, n, m)
-        f_clon, f_tilde = single_user_fidelities(ch, basis_ket(d, 0))
+        f_clon, f_tilde = _cloner_fidelities(d, n, m, basis_ket(d, 0))
         want = n / m + (m - n) * (n + 1) / (m * (n + d))
         assert abs(f_clon - want) <= 1e-9
         gap = universal_clone_gap(n, m, d)
         assert abs((f_clon - f_tilde) - gap) <= 1e-9
 
     def test_trivial_cloner(self):
-        ch = universal_cloner(2, 1, 1)
-        f_clon, f_tilde = single_user_fidelities(ch, basis_ket(2, 0))
+        f_clon, f_tilde = _cloner_fidelities(2, 1, 1, basis_ket(2, 0))
         assert abs(f_clon - 1.0) <= 1e-12
         assert abs(f_tilde - 2 / 3) <= 1e-12
 
     def test_prep_channel(self):
         ch = fixed_prep_channel(projector(basis_ket(2, 0)), 2)
-        f_clon, f_tilde = single_user_fidelities(ch, basis_ket(2, 0))
+        f_clon, f_tilde = _channel_fidelities(ch, basis_ket(2, 0),
+                                              symmetric_state)
         assert abs(f_clon - 1.0) <= 1e-12
         assert abs(f_tilde - 0.75) <= 1e-12
 
     def test_general_route_kicks_in(self):
         ch = noisy_cloner(2, 1, 3, 0.1)
-        f_clon, f_tilde = single_user_fidelities(ch, basis_ket(2, 0))
+        f_clon, f_tilde = _channel_fidelities(ch, basis_ket(2, 0),
+                                              purified_state)
         assert 0.0 <= f_tilde <= 1.0
         assert 0.0 <= f_clon <= 1.0
 
-    def test_rejects_asymmetric_channel(self):
-        choi = np.kron(
-            np.kron(projector(basis_ket(2, 0)).entries,
-                    projector(basis_ket(2, 1)).entries),
-            np.eye(2),
-        )
-        ch = QuantumChannel(DenseOperator(choi, (2, 2, 2)), 2, 4, (2, 2))
-        with pytest.raises(ValueError, match="not permutation invariant"):
-            single_user_fidelities(ch, basis_ket(2, 0))
-
     def test_input_independence(self):
-        ch = universal_cloner(2, 1, 3)
-        f_a, _ = single_user_fidelities(ch, basis_ket(2, 0))
-        f_b, _ = single_user_fidelities(ch, ket([0.6, 0.8j]))
+        f_a, _ = _cloner_fidelities(2, 1, 3, basis_ket(2, 0))
+        f_b, _ = _cloner_fidelities(2, 1, 3, ket([0.6, 0.8j]))
         assert abs(f_a - f_b) <= 1e-10

@@ -13,14 +13,13 @@ import pytest
 
 from symdist.channels import SDIChannelSpec, apply, embed_pure_input, validate_sdi
 from symdist.definetti import (
-    approx_reduced_general,
-    definetti_weight,
+    check_mc_route,
     marginal_coords,
-    mc_approx_reduced,
     mc_reduce_coords,
     purified_state,
     purify_perm_invariant,
     reduce_coords,
+    symmetric_state,
 )
 from symdist.linalg import (
     DEFAULT_DIM_CAP,
@@ -31,7 +30,13 @@ from symdist.linalg import (
     projector,
 )
 from symdist.metrics import trace_distance
-from symdist.scenario import _input_state, _output, run_scenario, scenario_from_dict
+from symdist.scenario import (
+    _input_state,
+    _output,
+    moment_check_record,
+    run_scenario,
+    scenario_from_dict,
+)
 from symdist.symspace import (
     HaarSampler,
     check_occupation_route,
@@ -110,8 +115,7 @@ def _choi_output(spec):
 
 def _dense_purified_reduction(rho, d, m, k):
     """The dense formula on the pair purification at d^2, ancillas traced out."""
-    pur = purify_perm_invariant(rho)
-    pairs = _dense_reduction(projector(pur.phi), d * d, m, k)
+    pairs = _dense_reduction(projector(purify_perm_invariant(rho)), d * d, m, k)
     return partial_trace(DenseOperator(pairs, (d,) * (2 * k)), range(0, 2 * k, 2))
 
 
@@ -143,8 +147,9 @@ def test_reduction_matches_dense(spec):
 
 @pytest.mark.parametrize("spec", PURIFIED, ids=_label)
 def test_purified_route_matches_dense(spec):
-    """approx_reduced_general, and the theorem2 marginal, reduction and
-    distance of run_scenario, against the dense formula on the pairs."""
+    """purified_state on the dense output, and the theorem2 marginal,
+    reduction and distance of run_scenario, against the dense formula on
+    the pairs."""
     ks = _purified_ks(spec)
     phi = _input_ket(spec.d).entries[:, 0]
     cfg = scenario_from_dict({
@@ -160,7 +165,7 @@ def test_purified_route_matches_dense(spec):
     for k, row in zip(ks, run_scenario(cfg)):
         marginal = partial_trace(rho, range(k))
         tilde = _dense_purified_reduction(rho, spec.d, spec.M, k)
-        general = approx_reduced_general(rho, k).tilde_rho_k
+        general = purified_state(rho).reduction(k)
         assert np.max(np.abs(general.entries - tilde.entries)) <= TOL
         assert np.max(np.abs(state.marginal(k).entries - marginal.entries)) <= TOL
         assert np.max(np.abs(state.reduction(k).entries - tilde.entries)) <= TOL
@@ -193,6 +198,7 @@ def test_purified_state_holds_a_ket():
 @pytest.mark.parametrize("spec", COVERED, ids=_label)
 def test_monte_carlo_weight_matches_dense(spec):
     rho, coords = _dense_output(spec)
+    compressed = symmetric_state(rho).coords
     s_m = sym_dim(spec.d, spec.M)
     sampler = HaarSampler(spec.d, 17)
     for _ in range(4):
@@ -204,17 +210,17 @@ def test_monte_carlo_weight_matches_dense(spec):
         want = s_m * np.vdot(full, rho.entries @ full).real
         c = power_coords(u, spec.M)
         assert abs(s_m * np.vdot(c, coords @ c).real - want) <= TOL
-        assert abs(definetti_weight(rho, psi) - want) <= TOL
+        assert abs(s_m * np.vdot(c, compressed @ c).real - want) <= TOL
 
 
 @pytest.mark.parametrize("spec", COVERED[:4], ids=_label)
 def test_monte_carlo_estimates_match_dense(spec):
     rho, coords = _dense_output(spec)
-    dense = mc_approx_reduced(rho, 1, 300, seed=4)
-    occ = mc_reduce_coords(coords, spec.d, spec.M, 1, 300, seed=4)
-    assert np.max(np.abs(occ.tilde_rho_k.entries
-                         - dense.tilde_rho_k.entries)) <= TOL
-    assert np.max(np.abs(occ.stderr - dense.stderr)) <= TOL
+    dense, dense_err = mc_reduce_coords(symmetric_state(rho).coords, spec.d,
+                                        spec.M, 1, 300, seed=4)
+    occ, occ_err = mc_reduce_coords(coords, spec.d, spec.M, 1, 300, seed=4)
+    assert np.max(np.abs(occ - dense)) <= TOL
+    assert np.max(np.abs(occ_err - dense_err)) <= TOL
 
 
 @pytest.mark.parametrize("spec", COVERED + DENSE_ONLY, ids=_label)
@@ -290,6 +296,34 @@ def test_guard_counts_gathers_in_bytes():
         check_occupation_route(2, 1000, [30])
     with pytest.raises(ResourceLimitError):
         check_occupation_route(2, 10 ** 30, [1])
+
+
+def test_mc_guard_counts_bytes():
+    # what the suite samples fits, up to the fourth moment
+    assert check_mc_route(2, 2, 1) > 1
+    for n in (1, 2, 3, 4):
+        check_mc_route(2, n, n)
+    # 12 qubits: 4096^2 entries, one draw per chunk, 80 * 2^24 bytes in all
+    assert check_mc_route(2, 12, 12) == 1
+    # 13 qubits fit the side cap, but 80 * 2^26 bytes exceed the budget of
+    # one complex matrix at that cap (16 * 2^28)
+    with pytest.raises(ResourceLimitError, match="bytes"):
+        check_mc_route(2, 13, 13)
+    with pytest.raises(ResourceLimitError, match="15-user Monte Carlo estimate"):
+        check_mc_route(2, 15, 15)
+    with pytest.raises(ValueError, match="1 <= k <= M=3"):
+        check_mc_route(2, 3, 4)
+
+
+def test_moment_check_raises_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="30-user Monte Carlo"):
+            moment_check_record(2, 30, samples=10, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_theorem2_keeps_the_dense_side_cap():

@@ -1,8 +1,9 @@
 import json
 import math
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symdist.scenario import (
     MC_SIGMA_THRESHOLD,
@@ -158,6 +159,50 @@ class TestParsing:
     def test_integer_fields_refuse_bools_and_non_integers(self, over, field):
         with pytest.raises(SchemaError, match=field):
             scenario_from_dict(cloner_scenario(**over))
+
+    @pytest.mark.parametrize("over,field", [
+        ({"input": {"type": "diag", "probs": [None, 1.0]}},
+         r"input\.probs\[0\]: expected a number, got None"),
+        ({"input": {"type": "diag", "probs": [[0.5], 0.5]}},
+         r"input\.probs\[0\]: expected a number, got \[0\.5\]"),
+        ({"input": {"type": "diag", "probs": ["0.5", 0.5]}},
+         r"input\.probs\[0\]: expected a number, got '0\.5'"),
+        ({"input": {"type": "diag", "probs": [True, False]}},
+         r"input\.probs\[0\]: expected a number, got True"),
+        ({"input": {"type": "diag", "probs": [0.0, 10 ** 400]}},
+         r"input\.probs\[1\]: expected a finite number"),
+        ({"input": {"type": "pure", "coeffs": [[True, 0], [0, 0]]}},
+         r"input\.coeffs\[0\]: expected a number, got True"),
+        ({"input": {"type": "pure", "coeffs": [[1.0, 0.0], [10 ** 400, 0]]}},
+         r"input\.coeffs\[1\]: expected a finite number"),
+        ({"input": {"type": "pure", "coeffs": [[1.0], [0.0, 0.0]]}},
+         r"input\.coeffs\[0\]: expected an \[re, im\] pair"),
+        ({"channel": {"kind": "fixed_prep", "d": 2, "M": 2,
+                      "prep": [[[[1.0, False], [0, 0]], [[0, 0], [0, 0]]]]}},
+         r"channel: prep\[0\]: expected a number, got False"),
+        ({"channel": {"kind": "fixed_prep", "d": 2, "M": 2,
+                      "prep": [[[[10 ** 400, 0], [0, 0]], [[0, 0], [0, 0]]]]}},
+         r"channel: prep\[0\]: expected a finite number"),
+        ({"channel": {"kind": "fixed_prep", "d": 2, "M": 2,
+                      "prep": [[[[float("nan"), 0], [0, 0]], [[0, 0], [0, 0]]]]}},
+         r"channel: prep\[0\]: expected a finite number"),
+        ({"channel": {"kind": "measure_prepare", "d": 2, "M": 2,
+                      "prep": prep_zero() * 2,
+                      "povm": [[[[1, 0], [0, 0]], [[0, 0], [True, 0]]]] * 2}},
+         r"channel: povm\[0\]: expected a number, got True"),
+        ({"channel": {"kind": "noisy_cloner", "d": 2, "N": 1, "M": 2,
+                      "p": 10 ** 400}, "checks": ["theorem2"]},
+         r"channel: p: expected a finite number"),
+        ({"channel": {"kind": "noisy_cloner", "d": 2, "N": 1, "M": 2,
+                      "p": float("nan")}, "checks": ["theorem2"]},
+         r"channel: p: expected a finite number"),
+    ], ids=["probs-null", "probs-list", "probs-string", "probs-bool",
+            "probs-huge", "coeffs-bool", "coeffs-huge", "coeffs-short",
+            "prep-bool", "prep-huge", "prep-nan", "povm-bool", "p-huge",
+            "p-nan"])
+    def test_numbers_must_be_finite_reals(self, over, field):
+        with pytest.raises(SchemaError, match=field):
+            scenario_from_dict(prep_scenario(k=[1], **over))
 
     def test_mc_validation(self):
         with pytest.raises(SchemaError, match="mc"):
@@ -406,3 +451,64 @@ class TestDefaultSuite:
         assert chain_seeds == [5000, 5001, 5002, 5003, 5004]
         mc = [s for s in suite if "mc" in s]
         assert mc[-1]["mc"]["seed"] == 5
+
+
+# -- schema fuzzing ----------------------------------------------------------
+
+FUZZ_BASES = [
+    cloner_scenario(label="fuzz", output={"format": "json", "path": None}),
+    prep_scenario(input={"type": "diag", "probs": [0.25, 0.75]}),
+    prep_scenario(checks=["lemma1", "mc_crosscheck"], k=[1],
+                  mc={"samples": 10, "seed": 3}),
+    {"schema": 1,
+     "channel": {"kind": "measure_prepare", "d": 2, "M": 2,
+                 "prep": prep_zero() * 2,
+                 "povm": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                          [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]},
+     "input": {"type": "random_pure", "seed": 5},
+     "k": [1, 2],
+     "checks": ["theorem2"]},
+    cloner_scenario(channel={"kind": "noisy_cloner", "d": 2, "N": 1, "M": 3,
+                             "p": 0.1}, checks=["theorem2"]),
+]
+
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.sampled_from([10 ** 400, -(10 ** 400), 2 ** 1024 - 1]),
+              st.floats(), st.text(max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=6), inner,
+                                            max_size=4)),
+    max_leaves=8)
+
+
+def _paths(value, prefix=()):
+    """Every position inside a JSON value, as a tuple of keys and indices."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, sub in items:
+        yield from _paths(sub, prefix + (key,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    out = dict(value) if isinstance(value, dict) else list(value)
+    out[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return out
+
+
+# a failing example makes hypothesis import libcst to suggest a patch, and
+# that import warns; the mark keeps the failure a failure, not a crash
+@pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, max_examples=400, database=None, deadline=None)
+@given(data=st.data())
+def test_fuzzed_field_parses_or_raises_schema_error(data):
+    base = data.draw(st.sampled_from(FUZZ_BASES))
+    path = data.draw(st.sampled_from(list(_paths(base))))
+    try:
+        scenario_from_dict(_replaced(base, path, data.draw(JSON_VALUES)))
+    except SchemaError:
+        pass
