@@ -4,7 +4,7 @@ Library layout:
 
 - linalg: dense operators with tensor-factor bookkeeping
 - symspace: symmetric-subspace bases, projectors, Haar sampling
-- channels: the many-user channel zoo in Choi form
+- channels: the many-user channel specs, their outputs, the Choi-form oracle
 - definetti: occupation-coordinate states and their classical approximations
 - metrics: trace distance, error probabilities, closed-form bounds
 - scenario / cli: config-driven runs with CSV/JSON emission

@@ -1,21 +1,20 @@
-"""Channels that hand the same quantum payload to M users, in Choi form.
+"""Channels that hand the same quantum payload to M users.
 
-The Choi matrix lives on (output tensor input), output factors first, built
-from Kraus operators as sum_m vec(K_m) vec(K_m)†.  apply/adjoint_apply are
-einsum contractions against that matrix, so channel composition never
-materializes anything larger than the Choi itself.
+SDIChannelSpec names one of four kinds, each invariant under permutations
+of the M output slots by construction: the optimal universal N -> M cloner
+(input given in symmetric-subspace coordinates), a constant-output
+preparation, the cloner followed by independent single-user depolarizing
+noise, and a measure-and-prepare channel.  A run builds the output straight
+from the spec: symmetric_output as an s_M x s_M matrix in occupation
+coordinates when it lies in the symmetric subspace for every input
+(cloner_coords uses Werner's form P_M (X tensor 1) P_M = P_M (X tensor
+P_{M-N}) P_M, PRA 58, 1827 (1998); prep_coords sums pure product states),
+dense_output on (C^d)^{tensor M} for every kind.
 
-The zoo: the optimal universal N -> M cloner (input given in symmetric-
-subspace coordinates), a constant-output preparation, the cloner followed by
-independent single-user depolarizing noise, and a measure-and-prepare
-channel.  validate_sdi checks the property they are all meant to share:
-invariance under permutations of the M output slots.
-
-Channels whose output lies in the symmetric subspace by construction (see
-SDIChannelSpec.symmetric_by_construction) also have their output computed
-straight from the spec as an s_M x s_M matrix in occupation coordinates:
-cloner_coords uses Werner's form P_M (X tensor 1) P_M = P_M (X tensor
-P_{M-N}) P_M (PRA 58, 1827 (1998)), prep_coords sums pure product states.
+The Choi form is the test oracle for both: QuantumChannel holds the Choi
+matrix on (output tensor input), output factors first, summed from Kraus
+operators as vec(K_m) vec(K_m)†; apply/adjoint_apply contract against it,
+and validate_sdi checks a built channel's invariance and output support.
 """
 
 from __future__ import annotations
@@ -190,11 +189,16 @@ def fixed_prep_channel(sigma: DenseOperator, M: int,
     )
 
 
-def _depolarize_choi_factor(mat: np.ndarray, dims: tuple[int, ...],
-                            t: int, p: float) -> None:
+def _check_depolarizing_weight(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"depolarizing weight must be in [0, 1], got {p}")
+
+
+def _depolarize_factor(mat: np.ndarray, dims: tuple[int, ...],
+                       t: int, p: float) -> None:
     """Apply X -> (1-p) X + p (1/d) tensor Tr_t[X] to factor t of a
-    C-contiguous Choi matrix, in place: after the scaling, the d diagonal
-    slices of factor t each gain p/d Tr_t[X]."""
+    C-contiguous state or Choi matrix on `dims`, in place: after the
+    scaling, the d diagonal slices of factor t each gain p/d Tr_t[X]."""
     d = dims[t]
     pre = math.prod(dims[:t])
     post = math.prod(dims[t + 1:])
@@ -214,13 +218,12 @@ def noisy_cloner(d: int, N: int, M: int, p: float,
     permutation invariant, which is exactly the regime the general (pair-
     purified) approximation machinery exists for.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing weight must be in [0, 1], got {p}")
+    _check_depolarizing_weight(p)
     base = universal_cloner(d, N, M, cap=cap)
     dims = base.out_factors + (base.dim_in,)
     mat = base.choi.entries.copy()
     for t in range(M):
-        _depolarize_choi_factor(mat, dims, t, p)
+        _depolarize_factor(mat, dims, t, p)
     return QuantumChannel(
         DenseOperator(mat, dims),
         dim_in=base.dim_in,
@@ -324,7 +327,7 @@ def _sym_power_ket(phi: DenseOperator, d: int, n_copies: int) -> np.ndarray:
 
 def _rank_one(m: np.ndarray, d: int) -> bool:
     if m.shape != (d, d) or not np.all(np.isfinite(m)):
-        return False  # build() reports what is wrong with it
+        return False  # the output builders report what is wrong with it
     w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
     return d == 1 or w[-2] <= SUPPORT_TOL
 
@@ -333,8 +336,8 @@ def _rank_one(m: np.ndarray, d: int) -> bool:
 class SDIReport:
     """Outcome of validate_sdi.
 
-    passed reflects permutation invariance only; symmetric_support is
-    informational and decides which reduction route applies downstream.
+    passed reflects permutation invariance only; symmetric_support reports
+    whether the output support lies in the symmetric subspace.
     """
 
     max_permutation_residual: float
@@ -353,9 +356,8 @@ def validate_sdi(ch: QuantumChannel, tol: float = 1e-9) -> SDIReport:
 
     Adjacent transpositions generate the symmetric group, so the residual is
     maximized over conjugations by (t, t+1) swaps at the Choi level.  Also
-    reports how far the output support sticks out of the symmetric subspace,
-    which decides between the exact symmetric reduction and the purified
-    general route.
+    reports how far the output support sticks out of the symmetric subspace
+    for any input: the oracle for symmetric_by_construction.
     """
     if len(set(ch.out_factors)) > 1:
         raise ValueError(
@@ -495,8 +497,8 @@ class SDIChannelSpec:
         for every input: cloners without noise, and preparations whose every
         state is pure (rank one within SUPPORT_TOL).
 
-        At M = 1 every output has symmetric support; validate_sdi on the
-        built channel reports that case.
+        At M = 1 every output has symmetric support; a run finds that case
+        from the support residual of the output.
         """
         if self.kind == "universal_cloner":
             return True
@@ -520,40 +522,73 @@ class SDIChannelSpec:
             return fixed_prep_channel(self._preps()[0], self.M, cap=cap)
         return measure_prepare(self._povm(), self._preps(), self.M, cap=cap)
 
+    def _weighted_preps(self, state: DenseOperator):
+        """The prepared states, each with its weight Tr[E_i rho_in] for the
+        input `state`, and the input dimension; fixed_prep measures the
+        one-outcome POVM {1}."""
+        preps = self._preps()
+        povm = (self._povm() if self.kind == "measure_prepare"
+                else [DenseOperator(np.eye(self.d), (self.d,))])
+        dim_in = _validated_measurement(povm, preps)
+        if state.shape[1] == 1:
+            x = _plain_ket(state, dim_in)
+            rho_in = np.outer(x, x.conj())
+        elif state.shape == (dim_in, dim_in):
+            rho_in = state.entries
+        else:
+            raise ValueError(f"input has shape {state.shape}, "
+                             f"channel expects {(dim_in, dim_in)}")
+        weights = [float(np.real(np.vdot(e.entries, rho_in))) for e in povm]
+        return preps, weights, dim_in
+
+    def _cloner_output(self, state: DenseOperator, cap: int) -> np.ndarray:
+        """The noiseless cloner output for N copies of the ket `state`, as
+        an s_M x s_M matrix in occupation coordinates."""
+        _check_cloner_args(self.d, self.N, self.M)
+        check_occupation_route(self.d, self.M, (), n_in=self.N, cap=cap)
+        x = _sym_power_ket(state, self.d, self.N)
+        return cloner_coords(self.d, self.N, self.M, np.outer(x, x.conj()))
+
     def symmetric_output(self, state: DenseOperator,
                          cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
         """The output as an s_M x s_M matrix in occupation coordinates, for
-        a spec that is symmetric_by_construction; no Choi matrix is built.
-
-        `state` is the input: a ket of dimension d for the cloners; a ket or
-        a density matrix on the input space for the preparation kinds.
-        Parameters are validated as build() validates them.
-        """
+        a spec that is symmetric_by_construction.  `state` is the input: a
+        ket of dimension d for the cloners; a ket or a density matrix on the
+        input space for the preparation kinds."""
         if not self.symmetric_by_construction:
             raise ValueError(f"this {self.kind} leaves the symmetric subspace; "
-                             "use build()")
-        cloner = self.kind in ("universal_cloner", "noisy_cloner")
-        if cloner:
-            _check_cloner_args(self.d, self.N, self.M)
-        check_occupation_route(self.d, self.M, (), n_in=self.N, cap=cap)
-        if cloner:
-            x = _sym_power_ket(state, self.d, self.N)
-            return cloner_coords(self.d, self.N, self.M, np.outer(x, x.conj()))
-        preps = self._preps()
-        if self.kind == "fixed_prep":
-            validate_state(preps[0], name="prepared state")
-            weights = [1.0]
-        else:
-            povm = self._povm()
-            dim_in = _validated_measurement(povm, preps)
-            if state.shape[1] == 1:
-                x = _plain_ket(state, dim_in)
-                rho_in = np.outer(x, x.conj())
-            elif state.shape == (dim_in, dim_in):
-                rho_in = state.entries
-            else:
-                raise ValueError(f"input has shape {state.shape}, "
-                                 f"channel expects {(dim_in, dim_in)}")
-            weights = [float(np.real(np.vdot(e.entries, rho_in))) for e in povm]
+                             "use dense_output()")
+        if self.kind in ("universal_cloner", "noisy_cloner"):
+            return self._cloner_output(state, cap)
+        check_occupation_route(self.d, self.M, (), cap=cap)
+        preps, weights, _ = self._weighted_preps(state)
         kets = [np.linalg.eigh(s.entries)[1][:, -1] for s in preps]
         return prep_coords(np.array(kets), weights, self.M)
+
+    def dense_output(self, state: DenseOperator,
+                     cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
+        """The output on (C^d)^{tensor M}, for every kind and the input of
+        symmetric_output: the cloner output embedded, with each user
+        depolarized in place, or the sum of w_i sigma_i^{tensor M}.
+
+        Refused before anything large is allocated where build() refuses:
+        at d^M * dim_in above `cap`.  With dim_in >= 2 the d^M x d^M output
+        and its two transient copies then fit the byte budget of the cap.
+        """
+        dims = (self.d,) * self.M
+        what = f"{self.M}-user {self.kind} output times its input"
+        if self.kind in ("fixed_prep", "measure_prepare"):
+            preps, weights, dim_in = self._weighted_preps(state)
+            _check_cap(self.d ** self.M * dim_in, cap, what)
+            return DenseOperator(sum(w * tensor_power(s, self.M, cap).entries
+                                     for s, w in zip(preps, weights)), dims)
+        _check_cloner_args(self.d, self.N, self.M)
+        _check_cap(self.d ** self.M * sym_dim(self.d, self.N), cap, what)
+        coords = self._cloner_output(state, cap)
+        v = index_map(self.d, self.M, cap)
+        rho = v.expand(v.expand(coords, 0), 1)
+        if self.kind == "noisy_cloner":
+            _check_depolarizing_weight(self.p)
+            for t in range(self.M):
+                _depolarize_factor(rho, dims, t, self.p)
+        return DenseOperator(rho, dims)

@@ -15,11 +15,11 @@ from pathlib import Path
 from .linalg import DEFAULT_DIM_CAP, ResourceLimitError
 from .metrics import general_bound, lemma1_bound, perr_lower_bound
 from .scenario import (
-    SchemaError,
     _basis_input,
     _basis_prep,
     all_satisfied,
     emit,
+    load_scenarios,
     moment_check_record,
     run_scenario,
     run_suite,
@@ -112,25 +112,12 @@ def _scenario_from_flags(args) -> dict:
 
 
 def _cmd_run(args) -> int:
-    if args.scenario is not None:
-        base = _scenario_from_flags(args)
-        loaded = json.loads(Path(args.scenario).read_text())
-        raw = loaded if isinstance(loaded, list) else [loaded]
-        for i, entry in enumerate(raw):
-            if not isinstance(entry, dict):
-                raise SchemaError(f"scenario[{i}]: expected an object")
-        datas = [{**base, **entry} for entry in raw]
-    else:
-        datas = [_scenario_from_flags(args)]
-    records = []
-    out_spec = None
-    for i, data in enumerate(datas):
-        where = f"scenario[{i}]" if len(datas) > 1 else "scenario"
-        cfg = scenario_from_dict(data, where=where)
-        if out_spec is None:
-            out_spec = cfg.output
-        records.extend(run_scenario(cfg, cap=args.cap))
+    base = _scenario_from_flags(args)
+    cfgs = ([scenario_from_dict(base)] if args.scenario is None else
+            load_scenarios(Path(args.scenario).read_text(), defaults=base))
+    records = [rec for cfg in cfgs for rec in run_scenario(cfg, cap=args.cap)]
     # flags win; otherwise fall back to the first scenario's output block
+    out_spec = next((c.output for c in cfgs if c.output is not None), None)
     fmt = args.format or (out_spec or {}).get("format") or "csv"
     out = args.out if args.out is not None else (out_spec or {}).get("path")
     _write(emit(records, fmt=fmt, timings=args.timings), out)
@@ -216,7 +203,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, ResourceLimitError, OverflowError, OSError) as exc:
-        # SchemaError and json.JSONDecodeError are ValueErrors
+        # SchemaError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

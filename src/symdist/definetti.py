@@ -205,6 +205,16 @@ class OccupationState:
         return partial_trace(pairs, range(0, 2 * k, 2))
 
 
+class SupportError(ValueError):
+    """rho leaves the symmetric subspace: `residual` = max |rho - P rho P|."""
+
+    def __init__(self, residual: float):
+        self.residual = residual
+        super().__init__(
+            f"rho_out leaves the symmetric subspace (residual {residual:.3e}); "
+            "the sampled mixture only reproduces symmetric-support marginals")
+
+
 def symmetric_state(rho: DenseOperator) -> OccupationState:
     """V† rho V, after checking that rho lies in the symmetric subspace."""
     d, m = _uniform_square(rho, "rho_out")
@@ -212,10 +222,7 @@ def symmetric_state(rho: DenseOperator) -> OccupationState:
     coords = v.compress(v.compress(rho.entries, 0), 1)
     resid = float(np.max(np.abs(rho.entries - v.expand(v.expand(coords, 0), 1))))
     if resid > SUPPORT_TOL:
-        raise ValueError(
-            f"rho_out leaves the symmetric subspace (residual {resid:.3e}); "
-            "the sampled mixture only reproduces symmetric-support marginals"
-        )
+        raise SupportError(resid)
     return OccupationState(coords, d, m, from_dense=True)
 
 

@@ -18,16 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import (
-    SDIChannelSpec,
-    _json_complex,
-    _json_real,
-    apply,
-    embed_pure_input,
-    validate_sdi,
-)
+from .channels import SDIChannelSpec, _json_complex, _json_real
 from .definetti import (
     OccupationState,
+    SupportError,
     check_mc_route,
     mc_reduce_coords,
     purified_state,
@@ -252,16 +246,20 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
     )
 
 
-def load_scenarios(text: str) -> list[ScenarioConfig]:
-    """Parse a scenario file: one scenario object or a list of them."""
+def load_scenarios(text: str, defaults: dict | None = None) -> list[ScenarioConfig]:
+    """Parse a scenario file: one scenario object or a list of them.  The
+    fields of each object override those of `defaults`."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"scenario file is not valid JSON: {exc}") from exc
-    if isinstance(data, list):
-        return [scenario_from_dict(d, where=f"scenario[{i}]")
-                for i, d in enumerate(data)]
-    return [scenario_from_dict(data)]
+    listed = isinstance(data, list)
+    entries = data if listed else [data]
+    for i, entry in enumerate(entries):
+        _require(isinstance(entry, dict), f"scenario[{i}]", "expected an object")
+    return [scenario_from_dict({**(defaults or {}), **entry},
+                               f"scenario[{i}]" if listed else "scenario")
+            for i, entry in enumerate(entries)]
 
 
 # -- running -----------------------------------------------------------------
@@ -279,8 +277,8 @@ def _input_state(cfg: ScenarioConfig) -> tuple[DenseOperator, int | None]:
 
 def _output(cfg: ScenarioConfig, phi: DenseOperator,
             cap: int) -> tuple[OccupationState, DenseOperator | None]:
-    """The output in occupation coordinates, plus the dense output of the
-    Choi route.  Specs symmetric by construction skip the Choi matrix unless
+    """The output in occupation coordinates, plus its dense form on
+    (C^d)^{tensor M}, which specs symmetric by construction skip unless
     theorem2 asks for the pair purification (coordinates at d^2)."""
     spec = cfg.channel
     if spec.symmetric_by_construction and "theorem2" not in cfg.checks:
@@ -289,23 +287,18 @@ def _output(cfg: ScenarioConfig, phi: DenseOperator,
         validate_state(DenseOperator(coords, (len(coords),)),
                        name="channel output")
         return OccupationState(coords, spec.d, spec.M), None
-    ch = spec.build(cap=cap)
-    report = validate_sdi(ch)
-    if not report.passed:
-        raise ValueError(
-            f"channel failed permutation invariance "
-            f"(residual {report.max_permutation_residual:.3e})"
-        )
-    if "lemma1" in cfg.checks and not report.symmetric_support:
-        raise SchemaError(
-            "scenario.checks: lemma1 requires a symmetric-support channel "
-            f"(support residual {report.support_residual:.3e}); use theorem2"
-        )
-    rho_in = embed_pure_input(ch, phi) if phi.shape[1] == 1 else phi
-    rho = apply(ch, rho_in)
+    rho = spec.dense_output(phi, cap)
     if "theorem2" in cfg.checks:
         return purified_state(rho, cap), rho
-    return symmetric_state(rho), rho
+    try:
+        return symmetric_state(rho), rho
+    except SupportError as exc:
+        if "lemma1" not in cfg.checks:
+            raise
+        raise SchemaError(
+            "scenario.checks: lemma1 requires a symmetric-support channel "
+            f"(support residual {exc.residual:.3e}); use theorem2"
+        ) from exc
 
 
 def _fidelity(phi: DenseOperator, rho: DenseOperator) -> float:

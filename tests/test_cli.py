@@ -154,6 +154,53 @@ class TestRun:
         where = 1 if entries == [{"k": [1]}, 3] else 0
         assert f"scenario[{where}]: expected an object" in capsys.readouterr().err
 
+    def test_invalid_json_exits_one(self, tmp_path, capsys):
+        src = tmp_path / "broken.json"
+        src.write_text("{nope")
+        assert main(["run", str(src)]) == 1
+        assert "error: scenario file is not valid JSON: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", ["1.5", "-0.1"])
+    def test_depolarizing_weight_out_of_range_exits_one(self, p, capsys):
+        rc = main(["run", "--kind", "noisy_cloner", "--M", "3", "--p", p,
+                   "--checks", "theorem2"])
+        assert rc == 1
+        assert "depolarizing weight must be in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("input_state,message", [
+        ({"type": "pure", "coeffs": [[1.0, 0.0], [0.0, 0.0]]},
+         "ket dimension 2 does not match channel input 3"),
+        ({"type": "diag", "probs": [0.5, 0.5]},
+         "input has shape (2, 2), channel expects (3, 3)"),
+    ], ids=["ket", "matrix"])
+    def test_input_of_the_wrong_shape_exits_one(self, input_state, message,
+                                                tmp_path, capsys):
+        def diag(*xs):
+            return [[[x if i == j else 0.0, 0.0] for j in range(len(xs))]
+                    for i, x in enumerate(xs)]
+
+        src = tmp_path / "shape.json"
+        src.write_text(json.dumps({
+            "channel": {"kind": "measure_prepare", "d": 2, "M": 2,
+                        "prep": [diag(1.0, 0.0), diag(0.5, 0.5)],
+                        "povm": [diag(1.0, 0.5, 0.0), diag(0.0, 0.5, 1.0)]},
+            "input": input_state, "checks": ["theorem2"]}))
+        assert main(["run", str(src)]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("channel", [
+        {"kind": "noisy_cloner", "d": 2, "N": 1, "M": 3, "p": 0.1},
+        {"kind": "fixed_prep", "d": 2, "M": 3,
+         "prep": [[[[0.9, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.1, 0.0]]]]},
+    ], ids=["noisy-cloner", "mixed-prep"])
+    def test_lemma1_without_symmetric_support_exits_one(self, channel, tmp_path,
+                                                         capsys):
+        src = tmp_path / "lemma1.json"
+        src.write_text(json.dumps({"channel": channel, "checks": ["lemma1"]}))
+        assert main(["run", str(src)]) == 1
+        assert ("scenario.checks: lemma1 requires a symmetric-support channel "
+                "(support residual ") in capsys.readouterr().err
+
     def test_unreadable_file_exits_one(self, tmp_path, capsys):
         rc = main(["run", str(tmp_path / "missing.json")])
         assert rc == 1

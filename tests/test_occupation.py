@@ -10,7 +10,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from symdist import channels, scenario
 from symdist.channels import SDIChannelSpec, apply, embed_pure_input, validate_sdi
 from symdist.definetti import (
     check_mc_route,
@@ -28,6 +31,8 @@ from symdist.linalg import (
     ket,
     partial_trace,
     projector,
+    swap_residual,
+    validate_state,
 )
 from symdist.metrics import trace_distance
 from symdist.scenario import (
@@ -119,6 +124,18 @@ def _dense_purified_reduction(rho, d, m, k):
     return partial_trace(DenseOperator(pairs, (d,) * (2 * k)), range(0, 2 * k, 2))
 
 
+def _scenario(spec, checks, coeffs=None, ks=(1,)):
+    """A scenario on `spec` with the input _input_ket(d), or the ket `coeffs`."""
+    phi = _input_ket(spec.d).entries[:, 0] if coeffs is None else coeffs
+    return scenario_from_dict({
+        "schema": 1,
+        "channel": spec.to_json(),
+        "input": {"type": "pure", "coeffs": [[z.real, z.imag] for z in phi]},
+        "k": list(ks),
+        "checks": checks,
+    })
+
+
 def _purified_ks(spec):
     return [k for k in range(1, spec.M + 1) if (spec.d ** 2) ** (spec.M + k) <= 2 ** 11]
 
@@ -151,14 +168,7 @@ def test_purified_route_matches_dense(spec):
     reduction and distance of run_scenario, against the dense formula on
     the pairs."""
     ks = _purified_ks(spec)
-    phi = _input_ket(spec.d).entries[:, 0]
-    cfg = scenario_from_dict({
-        "schema": 1,
-        "channel": spec.to_json(),
-        "input": {"type": "pure", "coeffs": [[z.real, z.imag] for z in phi]},
-        "k": ks,
-        "checks": ["theorem2"],
-    })
+    cfg = _scenario(spec, ["theorem2"], ks=ks)
     rho = _choi_output(spec)
     state, _ = _output(cfg, _input_state(cfg)[0], DEFAULT_DIM_CAP)
     assert state.paired
@@ -242,8 +252,126 @@ def test_support_residual_matches_dense_projection(spec):
 
 @pytest.mark.parametrize("spec", DENSE_ONLY, ids=_label)
 def test_symmetric_output_refuses_dense_only_specs(spec):
-    with pytest.raises(ValueError, match="build"):
+    with pytest.raises(ValueError, match="dense_output"):
         spec.symmetric_output(_input_ket(spec.d))
+
+
+# -- the dense output, built from the spec -------------------------------------
+
+
+@pytest.mark.parametrize("spec", COVERED + PURIFIED, ids=_label)
+def test_dense_output_matches_choi_oracle(spec):
+    got = spec.dense_output(_input_ket(spec.d))
+    assert got.row_dims == (spec.d,) * spec.M
+    assert np.max(np.abs(got.entries - _choi_output(spec).entries)) <= TOL
+
+
+def test_dense_output_of_a_density_matrix_matches_choi_oracle():
+    spec = SDIChannelSpec("measure_prepare", d=2, M=3, prep=(PHI2, MIXED2),
+                          povm=POVM2)
+    rho_in = DenseOperator(np.diag([0.3, 0.7]), (2,))
+    want = apply(spec.build(), rho_in)
+    assert np.max(np.abs(spec.dense_output(rho_in).entries - want.entries)) <= TOL
+
+
+@pytest.mark.parametrize("p", [1.5, -0.1])
+def test_dense_output_refuses_a_depolarizing_weight_as_before(p):
+    spec = SDIChannelSpec("noisy_cloner", d=2, M=3, N=1, p=p)
+    for make in (spec.build, lambda: spec.dense_output(_input_ket(2))):
+        with pytest.raises(ValueError, match=r"depolarizing weight must be in \[0, 1\]"):
+            make()
+
+
+POVM3 = (np.diag([1.0, 0.5, 0.0]), np.diag([0.0, 0.5, 1.0]))
+
+
+@pytest.mark.parametrize("spec,state", [
+    (SDIChannelSpec("noisy_cloner", d=2, M=2, N=1, p=0.1), _input_ket(3)),
+    (SDIChannelSpec("fixed_prep", d=2, M=2, prep=(MIXED2,)), _input_ket(3)),
+    (SDIChannelSpec("measure_prepare", d=2, M=2, prep=(PHI2, MIXED2), povm=POVM3),
+     _input_ket(2)),
+    (SDIChannelSpec("measure_prepare", d=2, M=2, prep=(PHI2, MIXED2), povm=POVM3),
+     DenseOperator(np.diag([0.5, 0.5]), (2,))),
+], ids=["cloner-ket", "prep-ket", "measure-ket", "measure-matrix"])
+def test_dense_output_refuses_a_wrong_input_as_the_oracle_does(spec, state):
+    ch = spec.build()
+    with pytest.raises(ValueError) as oracle:
+        apply(ch, embed_pure_input(ch, state) if state.shape[1] == 1 else state)
+    with pytest.raises(ValueError) as built:
+        spec.dense_output(state)
+    assert str(built.value) == str(oracle.value)
+
+
+BASIS2 = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+# outputs that go through the dense route and still have symmetric support
+LEMMA1_DENSE = [
+    (SDIChannelSpec("fixed_prep", d=2, M=1, prep=(MIXED2,)), None),
+    (SDIChannelSpec("measure_prepare", d=2, M=3, prep=(PHI2, MIXED2), povm=BASIS2),
+     np.array([1.0, 0.0])),
+]
+
+
+def test_run_path_builds_no_choi_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Choi oracle was called on the run path")
+
+    names = ("apply", "validate_sdi", "embed_pure_input")
+    assert not any(hasattr(scenario, name) for name in names)
+    monkeypatch.setattr(SDIChannelSpec, "build", refuse)
+    for name in names:
+        monkeypatch.setattr(channels, name, refuse)
+    runs = [(spec, ["theorem2"], None) for spec in COVERED[:1] + PURIFIED]
+    runs += [(spec, ["lemma1"], None) for spec in COVERED]
+    runs += [(spec, ["lemma1"], coeffs) for spec, coeffs in LEMMA1_DENSE]
+    for spec, checks, coeffs in runs:
+        row, = run_scenario(_scenario(spec, checks, coeffs))
+        assert row.satisfied_theorem2 or row.satisfied_lemma1
+
+
+def _density(rng, d):
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = a @ a.conj().T + 1e-3 * np.eye(d)
+    return rho / np.trace(rho).real
+
+
+def _two_outcome_povm(rng, d, weights):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    e = (q * np.asarray(weights)) @ q.conj().T
+    return (e, np.eye(d) - e)
+
+
+@st.composite
+def _mixed_specs(draw):
+    d = draw(st.sampled_from([2, 3]))
+    m_users = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["noisy_cloner", "fixed_prep", "measure_prepare"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "noisy_cloner":
+        spec = SDIChannelSpec(kind, d=d, M=m_users, N=draw(st.integers(1, m_users)),
+                              p=draw(st.floats(0.0, 1.0)))
+    elif kind == "fixed_prep":
+        spec = SDIChannelSpec(kind, d=d, M=m_users, prep=(_density(rng, d),))
+    else:
+        weights = draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d))
+        spec = SDIChannelSpec(kind, d=d, M=m_users,
+                              prep=(_density(rng, d), _density(rng, d)),
+                              povm=_two_outcome_povm(rng, d, weights))
+    phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return spec, ket(phi / np.linalg.norm(phi))
+
+
+# a failing example makes hypothesis import libcst to suggest a patch, and
+# that import warns; the mark keeps the failure a failure, not a crash
+@pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, max_examples=150, database=None, deadline=None)
+@given(case=_mixed_specs())
+def test_dense_output_is_a_permutation_invariant_state(case):
+    spec, phi = case
+    rho = spec.dense_output(phi)
+    validate_state(rho, name="dense output")
+    for t in range(spec.M - 1):
+        assert swap_residual(rho, t) <= 1e-12
 
 
 def test_power_coords_matches_isometry():
@@ -339,6 +467,31 @@ def test_theorem2_keeps_the_dense_side_cap():
     assert len(run_scenario(cfg, cap=4 ** 5)) == 2
     with pytest.raises(ResourceLimitError, match="purified reduction on 5 pair factors"):
         run_scenario(cfg, cap=4 ** 4)
+
+
+@pytest.mark.parametrize("checks", [["theorem2"], ["lemma1"]])
+@pytest.mark.parametrize("channel", [
+    {"kind": "noisy_cloner", "d": 2, "N": 1, "M": 14, "p": 0.1},
+    {"kind": "noisy_cloner", "d": 3, "N": 1, "M": 8, "p": 0.1},
+    {"kind": "fixed_prep", "d": 2, "M": 14, "prep": [[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]]},
+], ids=["qubit-cloner", "qutrit-cloner", "mixed-prep"])
+def test_dense_output_too_large_raises_before_allocating(channel, checks):
+    # the side cap that build() puts on the Choi matrix, d^M * dim_in
+    cfg = scenario_from_dict({
+        "schema": 1,
+        "channel": channel,
+        "input": {"type": "random_pure", "seed": 0},
+        "k": [1],
+        "checks": checks,
+    })
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="output times its input"):
+            run_scenario(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -1,10 +1,14 @@
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symdist.channels import SUPPORT_TOL
+from symdist.linalg import ket
 from symdist.scenario import (
     MC_SIGMA_THRESHOLD,
     RECORD_COLUMNS,
@@ -21,6 +25,9 @@ from symdist.scenario import (
     run_scenario,
     scenario_from_dict,
 )
+from symdist.symspace import symmetrizer
+
+MIXED_PREP = [[[0.9, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.1, 0.0]]]
 
 
 def qubit_zero():
@@ -285,6 +292,46 @@ class TestRunScenario:
         }
         with pytest.raises(SchemaError, match="theorem2"):
             run_scenario(scenario_from_dict(data))
+
+    @pytest.mark.parametrize("channel", [
+        {"kind": "noisy_cloner", "d": 2, "N": 1, "M": 3, "p": 0.1},
+        {"kind": "fixed_prep", "d": 2, "M": 3, "prep": [MIXED_PREP]},
+    ], ids=["noisy-cloner", "mixed-prep"])
+    def test_lemma1_refusal_names_the_output_support_residual(self, channel):
+        cfg = scenario_from_dict(cloner_scenario(channel=channel, k=[1],
+                                                 checks=["lemma1"]))
+        with pytest.raises(SchemaError) as err:
+            run_scenario(cfg)
+        found = re.fullmatch(
+            r"scenario\.checks: lemma1 requires a symmetric-support channel "
+            r"\(support residual (\S+)\); use theorem2", str(err.value))
+        assert found
+        rho = cfg.channel.dense_output(ket([1.0, 0.0])).entries
+        proj = symmetrizer(2, 3).entries
+        want = np.max(np.abs(rho - proj @ rho @ proj))
+        assert want > SUPPORT_TOL
+        assert found.group(1) == f"{want:.3e}"
+
+    def test_lemma1_runs_a_mixed_prep_at_one_user(self):
+        rec, = run_scenario(scenario_from_dict(prep_scenario(
+            channel={"kind": "fixed_prep", "d": 2, "M": 1, "prep": [MIXED_PREP]},
+            k=[1], checks=["lemma1"])))
+        assert rec.satisfied_lemma1
+
+    def test_lemma1_follows_the_output_support_not_the_channel(self):
+        # the mixed preparation is handed out only on outcome 1, which the
+        # input |0> never gives; on input |1> the output leaves the subspace
+        channel = {"kind": "measure_prepare", "d": 2, "M": 3,
+                   "prep": [prep_zero()[0], MIXED_PREP],
+                   "povm": [prep_zero()[0], [[[0.0, 0.0], [0.0, 0.0]],
+                                             [[0.0, 0.0], [1.0, 0.0]]]]}
+        rec, = run_scenario(scenario_from_dict(cloner_scenario(
+            channel=channel, checks=["lemma1"])))
+        assert rec.satisfied_lemma1
+        one = {"type": "pure", "coeffs": [[0.0, 0.0], [1.0, 0.0]]}
+        with pytest.raises(SchemaError, match="support residual"):
+            run_scenario(scenario_from_dict(cloner_scenario(
+                channel=channel, input=one, checks=["lemma1"])))
 
     def test_mc_crosscheck(self):
         rec, = run_scenario(scenario_from_dict(prep_scenario(
