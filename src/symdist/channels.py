@@ -34,6 +34,7 @@ from .linalg import (
     validate_state,
 )
 from .symspace import (
+    check_dense_route,
     check_occupation_route,
     index_map,
     power_coords,
@@ -443,21 +444,23 @@ class SDIChannelSpec:
     prep: tuple | None = None   # matrices: (sigma,) for fixed_prep, outcome states for measure_prepare
     povm: tuple | None = None
 
-    KINDS = ("universal_cloner", "fixed_prep", "noisy_cloner", "measure_prepare")
+    # the optional fields that each kind reads; None counts as absent
+    FIELDS = {"universal_cloner": ("N",), "fixed_prep": ("prep",),
+              "noisy_cloner": ("N", "p"), "measure_prepare": ("prep", "povm")}
+    KINDS = tuple(FIELDS)
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}; expected one of {self.KINDS}")
         if self.d < 1 or self.M < 1:
             raise ValueError(f"need d >= 1 and M >= 1, got d={self.d}, M={self.M}")
-        if self.kind in ("universal_cloner", "noisy_cloner") and self.N is None:
-            raise ValueError(f"{self.kind} requires N")
-        if self.kind == "noisy_cloner" and self.p is None:
-            raise ValueError("noisy_cloner requires p")
-        if self.kind == "fixed_prep" and (self.prep is None or len(self.prep) != 1):
+        for name in ("N", "p", "prep", "povm"):
+            given = getattr(self, name) is not None
+            if given != (name in self.FIELDS[self.kind]):
+                raise ValueError(f"{self.kind} "
+                                 f"{'does not take' if given else 'requires'} {name}")
+        if self.kind == "fixed_prep" and len(self.prep) != 1:
             raise ValueError("fixed_prep requires exactly one prep matrix")
-        if self.kind == "measure_prepare" and (self.prep is None or self.povm is None):
-            raise ValueError("measure_prepare requires prep and povm lists")
 
     def to_json(self) -> dict:
         return {
@@ -524,8 +527,7 @@ class SDIChannelSpec:
 
     def _weighted_preps(self, state: DenseOperator):
         """The prepared states, each with its weight Tr[E_i rho_in] for the
-        input `state`, and the input dimension; fixed_prep measures the
-        one-outcome POVM {1}."""
+        input `state`; fixed_prep measures the one-outcome POVM {1}."""
         preps = self._preps()
         povm = (self._povm() if self.kind == "measure_prepare"
                 else [DenseOperator(np.eye(self.d), (self.d,))])
@@ -539,7 +541,7 @@ class SDIChannelSpec:
             raise ValueError(f"input has shape {state.shape}, "
                              f"channel expects {(dim_in, dim_in)}")
         weights = [float(np.real(np.vdot(e.entries, rho_in))) for e in povm]
-        return preps, weights, dim_in
+        return preps, weights
 
     def _cloner_output(self, state: DenseOperator, cap: int) -> np.ndarray:
         """The noiseless cloner output for N copies of the ket `state`, as
@@ -561,7 +563,7 @@ class SDIChannelSpec:
         if self.kind in ("universal_cloner", "noisy_cloner"):
             return self._cloner_output(state, cap)
         check_occupation_route(self.d, self.M, (), cap=cap)
-        preps, weights, _ = self._weighted_preps(state)
+        preps, weights = self._weighted_preps(state)
         kets = [np.linalg.eigh(s.entries)[1][:, -1] for s in preps]
         return prep_coords(np.array(kets), weights, self.M)
 
@@ -570,20 +572,14 @@ class SDIChannelSpec:
         """The output on (C^d)^{tensor M}, for every kind and the input of
         symmetric_output: the cloner output embedded, with each user
         depolarized in place, or the sum of w_i sigma_i^{tensor M}.
-
-        Refused before anything large is allocated where build() refuses:
-        at d^M * dim_in above `cap`.  With dim_in >= 2 the d^M x d^M output
-        and its two transient copies then fit the byte budget of the cap.
-        """
+        Refused, before anything is allocated, where check_dense_route
+        refuses to compress it."""
+        check_dense_route(self.d, self.M, cap=cap)
         dims = (self.d,) * self.M
-        what = f"{self.M}-user {self.kind} output times its input"
         if self.kind in ("fixed_prep", "measure_prepare"):
-            preps, weights, dim_in = self._weighted_preps(state)
-            _check_cap(self.d ** self.M * dim_in, cap, what)
+            preps, weights = self._weighted_preps(state)
             return DenseOperator(sum(w * tensor_power(s, self.M, cap).entries
                                      for s, w in zip(preps, weights)), dims)
-        _check_cloner_args(self.d, self.N, self.M)
-        _check_cap(self.d ** self.M * sym_dim(self.d, self.N), cap, what)
         coords = self._cloner_output(state, cap)
         v = index_map(self.d, self.M, cap)
         rho = v.expand(v.expand(coords, 0), 1)

@@ -12,6 +12,7 @@ import json
 import sys
 from pathlib import Path
 
+from .channels import SDIChannelSpec
 from .linalg import DEFAULT_DIM_CAP, ResourceLimitError
 from .metrics import general_bound, lemma1_bound, perr_lower_bound
 from .scenario import (
@@ -26,6 +27,8 @@ from .scenario import (
     scenario_from_dict,
 )
 
+CAP_HELP = ("largest matrix side, and a byte budget of 16*cap^2 for the arrays "
+            "of a run (4 GiB at the default %(default)s)")
 BOUNDS_COLUMNS = ("d", "M", "k", "bound_exact", "bound_asymptotic",
                   "general_exact", "general_asymptotic", "p_err_bound")
 
@@ -85,12 +88,9 @@ def _default_checks(kind: str) -> list[str]:
 
 def _scenario_from_flags(args) -> dict:
     channel: dict = {"kind": args.kind, "d": args.d, "M": args.M}
-    if args.kind in ("universal_cloner", "noisy_cloner"):
-        channel["N"] = args.N
-    if args.kind == "noisy_cloner":
-        channel["p"] = args.p
-    if args.kind == "fixed_prep":
-        channel["prep"] = _basis_prep(args.d)
+    for f in SDIChannelSpec.FIELDS[args.kind]:
+        if f != "povm":  # no flag sets a POVM
+            channel[f] = _basis_prep(args.d) if f == "prep" else getattr(args, f)
     if args.seed is not None:
         input_state: dict = {"type": "random_pure", "seed": args.seed}
     else:
@@ -161,8 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario", nargs="?", default=None,
                        help="JSON scenario file; its fields override the flags")
     p_run.add_argument("--kind", default="universal_cloner",
-                       choices=("universal_cloner", "fixed_prep",
-                                "noisy_cloner", "measure_prepare"))
+                       choices=SDIChannelSpec.KINDS)
     p_run.add_argument("--d", type=int, default=2)
     p_run.add_argument("--N", type=int, default=1)
     p_run.add_argument("--M", type=int, default=2)
@@ -174,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated; defaults depend on the kind")
     p_run.add_argument("--timings", action="store_true",
                        help="fill wall_time_ms (breaks byte-identical reruns)")
-    p_run.add_argument("--cap", type=int, default=DEFAULT_DIM_CAP)
+    p_run.add_argument("--cap", type=int, default=DEFAULT_DIM_CAP, help=CAP_HELP)
     _add_io_flags(p_run, default_format=None)
     p_run.set_defaults(func=_cmd_run)
 
@@ -191,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_suite = sub.add_parser("suite", help="run the bundled scenario suite")
     p_suite.add_argument("--seed", type=int, default=1)
-    p_suite.add_argument("--cap", type=int, default=DEFAULT_DIM_CAP)
+    p_suite.add_argument("--cap", type=int, default=DEFAULT_DIM_CAP, help=CAP_HELP)
     _add_io_flags(p_suite)
     p_suite.set_defaults(func=_cmd_suite)
 

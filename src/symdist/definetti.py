@@ -36,6 +36,8 @@ from .linalg import (
 )
 from .symspace import (
     HaarSampler,
+    _index_map,
+    check_dense_route,
     embed_coords,
     haar_sample,
     index_map,
@@ -165,40 +167,27 @@ class OccupationState:
     When `paired`, each factor is a (user, ancilla) pair and `coords` is
     the pure pair purification as an s-vector in Sym^M(C^{d^2}); the
     kernels take it as a ket, and k-user results have the ancilla halves
-    traced out.  A state compressed from a dense operator keeps the side
-    cap of the dense (M+k)-factor reduction formula, so dense callers meet
-    the same limits.
+    traced out.
     """
 
     coords: np.ndarray
     d: int
     m: int
     paired: bool = False
-    from_dense: bool = False
 
     def marginal(self, k: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
         """The k-user marginal Tr_{M-k} rho, on (C^d)^{tensor k}."""
-        _check_k(k, self.m)
-        return self._users(marginal_coords(self.coords, self._local, self.m, k),
-                           k, cap)
+        return self._users(marginal_coords, k, cap)
 
     def reduction(self, k: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
         """The exact k-user classical mixture, on (C^d)^{tensor k}."""
+        return self._users(reduce_coords, k, cap)
+
+    def _users(self, kernel, k: int, cap: int) -> DenseOperator:
         _check_k(k, self.m)
-        if self.from_dense:
-            name, unit = (("purified", "pair factors") if self.paired
-                          else ("symmetric", "factors"))
-            _check_cap(self._local ** (self.m + k), cap,
-                       f"{name} reduction on {self.m + k} {unit}")
-        return self._users(reduce_coords(self.coords, self._local, self.m, k),
-                           k, cap)
-
-    @property
-    def _local(self) -> int:
-        return self.d * self.d if self.paired else self.d
-
-    def _users(self, x: np.ndarray, k: int, cap: int) -> DenseOperator:
-        op = embed_coords(x, self._local, k, cap=cap)
+        q = self.d * self.d if self.paired else self.d
+        index_map(q, k, cap)  # the side of the result, before the kernel gathers
+        op = embed_coords(kernel(self.coords, q, self.m, k), q, k, cap=cap)
         if not self.paired:
             return op.hermitize()
         pairs = DenseOperator(op.entries, (self.d,) * (2 * k)).hermitize()
@@ -215,15 +204,17 @@ class SupportError(ValueError):
             "the sampled mixture only reproduces symmetric-support marginals")
 
 
-def symmetric_state(rho: DenseOperator) -> OccupationState:
+def symmetric_state(rho: DenseOperator,
+                    cap: int = DEFAULT_DIM_CAP) -> OccupationState:
     """V† rho V, after checking that rho lies in the symmetric subspace."""
     d, m = _uniform_square(rho, "rho_out")
-    v = index_map(d, m)
+    check_dense_route(d, m, cap=cap)
+    v = index_map(d, m, cap)
     coords = v.compress(v.compress(rho.entries, 0), 1)
     resid = float(np.max(np.abs(rho.entries - v.expand(v.expand(coords, 0), 1))))
     if resid > SUPPORT_TOL:
         raise SupportError(resid)
-    return OccupationState(coords, d, m, from_dense=True)
+    return OccupationState(coords, d, m)
 
 
 def induced_povm_element(ch: QuantumChannel, psi: DenseOperator) -> DenseOperator:
@@ -231,7 +222,9 @@ def induced_povm_element(ch: QuantumChannel, psi: DenseOperator) -> DenseOperato
 
     Integrated over Haar measure these resolve the identity on the input,
     so they define the measurement whose outcomes drive a measure-and-prepare
-    imitation of the channel.
+    imitation of the channel.  Only tests call it, as the Choi-matrix
+    oracle for that measurement: positive elements whose Haar average is
+    the identity.
     """
     if len(set(ch.out_factors)) > 1:
         raise ValueError(f"output factors {ch.out_factors} are not identical")
@@ -280,8 +273,9 @@ def purified_state(rho: DenseOperator,
     Sym^M(C^{d^2}).  The support check bounds its weight outside that
     subspace, not an entry: sqrt(rho) lifts roundoff eigenvalues to ~1e-8."""
     d, m = _uniform_square(rho, "rho")
+    check_dense_route(d, m, paired=True, cap=cap)
     phi = purify_perm_invariant(rho).entries[:, 0]
-    v = index_map(d * d, m, cap)
+    v = _index_map(d * d, m)
     c = v.compress(phi)
     resid = float(np.linalg.norm(phi - v.expand(c)) ** 2)
     if resid > SUPPORT_TOL:
@@ -289,4 +283,4 @@ def purified_state(rho: DenseOperator,
             f"pair purification has weight {resid:.3e} outside the symmetric "
             "subspace of the pairs"
         )
-    return OccupationState(c, d, m, paired=True, from_dense=True)
+    return OccupationState(c, d, m, paired=True)

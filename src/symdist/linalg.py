@@ -249,7 +249,10 @@ def _permutation_index_map(p: tuple[int, ...], d: int) -> np.ndarray:
 
 
 def permutation_operator(perm, d: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
-    """Unitary permuting tensor factors: |i_0..i_{n-1}> -> slot perm[j] carries i_j."""
+    """Unitary permuting tensor factors: |i_0..i_{n-1}> -> slot perm[j] carries i_j.
+
+    Only tests call it, as the dense oracle that permute_factors and the
+    symmetrizer are checked against."""
     p = _validated_perm(perm)
     n = len(p)
     _check_cap(d ** n, cap, "permutation operator")
@@ -260,7 +263,10 @@ def permutation_operator(perm, d: int, cap: int = DEFAULT_DIM_CAP) -> DenseOpera
 
 
 def permute_factors(x: DenseOperator, perm, d: int) -> DenseOperator:
-    """U_perm X U_perm† without materializing U_perm (index relabeling)."""
+    """U_perm X U_perm† without materializing U_perm (index relabeling).
+
+    Only tests call it, as the oracle for invariance under a whole
+    permutation; runs check adjacent swaps with swap_residual."""
     if not x.is_square:
         raise ValueError("factor permutation requires a square operator")
     dest = permutation_index_map(perm, d)

@@ -39,6 +39,7 @@ from .metrics import (
 )
 from .symspace import (
     HaarSampler,
+    check_dense_route,
     check_occupation_route,
     haar_sample,
     sym_dim,
@@ -287,11 +288,12 @@ def _output(cfg: ScenarioConfig, phi: DenseOperator,
         validate_state(DenseOperator(coords, (len(coords),)),
                        name="channel output")
         return OccupationState(coords, spec.d, spec.M), None
+    check_dense_route(spec.d, spec.M, cfg.k_list, "theorem2" in cfg.checks, cap)
     rho = spec.dense_output(phi, cap)
     if "theorem2" in cfg.checks:
         return purified_state(rho, cap), rho
     try:
-        return symmetric_state(rho), rho
+        return symmetric_state(rho, cap), rho
     except SupportError as exc:
         if "lemma1" not in cfg.checks:
             raise
@@ -354,7 +356,7 @@ def run_scenario(cfg: ScenarioConfig,
             # The sampler estimates the symmetric-route reduction, so that is
             # the only reference its stderr applies to; under theorem2 the
             # exact columns hold the purified route's state instead.
-            sym = symmetric_state(dense) if out.paired else out
+            sym = symmetric_state(dense, cap) if out.paired else out
             est, stderr = mc_reduce_coords(sym.coords, spec.d, spec.M, 1,
                                            cfg.mc["samples"], cfg.mc["seed"])
             sigma = _max_sigma(est, sym.reduction(1, cap).entries, stderr)
@@ -433,6 +435,7 @@ def records_to_json(records: Sequence[ResultRecord], timings: bool = False) -> s
 
 
 def records_from_json(text: str) -> list[ResultRecord]:
+    """Only tests call it, to check that records_to_json round-trips."""
     data = json.loads(text)
     if not isinstance(data, list):
         raise ValueError("expected a JSON array of records")

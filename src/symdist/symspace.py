@@ -5,12 +5,12 @@ vectors; the isometry into it gives projectors and partial traces that never
 touch the n! permutations explicitly.  The isometry has one nonzero per row,
 so index_map keeps it as the column of each flat index plus a weight and
 applies it by gathers and grouped sums; sym_basis expands the same map into
-the dense matrix, for callers and tests that want one.  States inside the
+the dense matrix for the Choi-matrix oracle and tests.  States inside the
 subspace can also be kept as sym_dim(d, n)-sided matrices in these
-coordinates: split_table holds
-the coefficients that split |m>_n into k-factor and (n-k)-factor parts, and
-power_coords gives the coordinates of a product vector u^{tensor n} (see
-Harrow, "The church of the symmetric subspace", arXiv:1308.6595).
+coordinates: split_table holds the coefficients that split |m>_n into
+k-factor and (n-k)-factor parts, and power_coords gives the coordinates of
+a product vector u^{tensor n} (see Harrow, "The church of the symmetric
+subspace", arXiv:1308.6595).
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DEFAULT_DIM_CAP, DenseOperator, _check_bytes, _check_cap, ket
+from .linalg import (DEFAULT_DIM_CAP, DenseOperator, ResourceLimitError,
+                     _check_bytes, _check_cap, ket)
 
 _INT64_MAX = 2 ** 63 - 1
 
@@ -116,16 +117,17 @@ def _along(v: np.ndarray, axis: int, ndim: int) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _index_map(d: int, n: int) -> IndexMap:
-    # digit j of flat index x is the state of factor j (factor 0 most
-    # significant); the column is the rank of x's occupation in descending
-    # lexicographic order: occupations that agree on entries < i and hold
-    # more at entry i come first, C(rest - n_i + d-i-2, d-i-1) of them
-    # (compositions of rest - n_i - 1 or less into d - i - 1 parts)
-    digits = np.arange(d ** n)[:, None] // d ** np.arange(n - 1, -1, -1) % d
+    # the digits of flat index x are the states of the factors; n_i counts
+    # those equal to i, one digit at a time.  The column is the rank of x's
+    # occupation in descending lexicographic order: occupations that agree
+    # on entries < i and hold more at entry i come first,
+    # C(rest - n_i + d-i-2, d-i-1) of them (compositions of rest - n_i - 1
+    # or less into d - i - 1 parts)
+    x = np.arange(d ** n)
     col = np.zeros(d ** n, dtype=np.int64)
     rest = np.full(d ** n, n)
     for i in range(d - 1):
-        n_i = (digits == i).sum(axis=1)
+        n_i = sum(x // d ** j % d == i for j in range(n))
         ahead = np.array([math.comb(u + d - i - 2, d - i - 1)
                           for u in range(n + 1)], dtype=np.int64)
         col += ahead[rest - n_i]
@@ -145,25 +147,20 @@ def index_map(d: int, n: int, cap: int = DEFAULT_DIM_CAP) -> IndexMap:
     return _index_map(d, n)
 
 
-@lru_cache(maxsize=128)
-def _sym_basis_arrays(d: int, n: int):
+def sym_basis(d: int, n: int, cap: int = DEFAULT_DIM_CAP) -> SymBasis:
+    """The isometry as a dense d^n x s_n matrix: only the Choi-matrix oracle
+    (channels.universal_cloner) and tests use it; runs use index_map."""
+    v = index_map(d, n, cap)  # validates d, n and the cap
     occs, _, _ = _occupation_table(d, n)
-    v = _index_map(d, n)
     mat = np.zeros((d ** n, len(occs)))
     mat[np.arange(d ** n), v.col] = v.weight
-    return occs, mat
-
-
-def sym_basis(d: int, n: int, cap: int = DEFAULT_DIM_CAP) -> SymBasis:
-    index_map(d, n, cap)  # validates d, n and the cap
-    occs, mat = _sym_basis_arrays(d, n)
     return SymBasis(d, n, occs, DenseOperator(mat, (d,) * n, (len(occs),)))
 
 
 def symmetrizer(d: int, n: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
     """Orthogonal projector onto the symmetric subspace of (C^d)^{tensor n}."""
-    v = sym_basis(d, n, cap=cap).isometry
-    return DenseOperator(v.entries @ v.entries.conj().T, (d,) * n)
+    index_map(d, n, cap)  # the cap, before the s_n x s_n identity is built
+    return embed_coords(np.eye(sym_dim(d, n)), d, n, cap)
 
 
 def embed_coords(x: np.ndarray, d: int, n: int,
@@ -272,6 +269,36 @@ def check_occupation_route(d: int, m: int, ks, n_in: int | None = None,
         _check_cap(d ** k, cap, f"{k}-user marginal")
     _check_bytes(state + 32 * max(gathers, default=0), cap,
                  f"occupation-coordinate route for {m} users")
+
+
+def _eigh_bytes(side: int) -> int:
+    return 48 * side * side + 128 * side  # zheevd's copy and workspaces
+
+
+def check_dense_route(d: int, m: int, ks=(), paired: bool = False,
+                      cap: int = DEFAULT_DIM_CAP) -> int:
+    """Raise ResourceLimitError, before anything is allocated, when the dense
+    route at (d, M, ks) would not fit the byte budget of the cap; else return
+    its estimated peak bytes: the d^M x d^M complex output rho (r bytes)
+    built and compressed in 3.5 r, or pair-purified in 7 r plus eigh's
+    workspace (not numpy arrays); then, beside rho, each k's gathers (s_k
+    s_{M+k} entries of the state, s_k times as many unpaired), its result
+    embedded as four complex matrices of side q^k (q = d, or d^2 paired),
+    and the cached index maps (64 bytes an entry to build, 24 kept) and
+    split tables; and 1 MiB for what does not grow with rho.
+    """
+    if d > 1 and m > cap.bit_length():  # d^M > cap, too large to compute
+        raise ResourceLimitError(f"{m}-user dense output would have side "
+                                 f"{d}^{m}, exceeding the cap {cap}")
+    rho, q = 16 * d ** (2 * m), d * d if paired else d
+    gathers = [_sym(q, k) * _sym(q, m + k) * (1 if paired else _sym(q, k))
+               for k in ks]
+    loop = rho + 24 * q ** m + 112 * sum(gathers) + max(
+        (64 * q ** k * (q ** k + 1) for k in ks), default=0)
+    nbytes = (2 ** 20 + 64 * d ** m + paired * _eigh_bytes(d ** m)
+              + max(7 * rho if paired else 7 * rho // 2, loop))
+    _check_bytes(nbytes, cap, f"dense route for {m} users")
+    return nbytes
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -315,6 +317,32 @@ class TestSDIChannelSpec:
             SDIChannelSpec(kind="noisy_cloner", d=2, M=2, N=1)
         with pytest.raises(ValueError, match="prep"):
             SDIChannelSpec(kind="fixed_prep", d=2, M=2)
+
+    @pytest.mark.parametrize("fields,name", [
+        ({"kind": "universal_cloner", "N": 1, "p": 0.3}, "p"),
+        ({"kind": "fixed_prep", "N": 5, "prep": (np.eye(2) / 2,)}, "N"),
+        ({"kind": "noisy_cloner", "N": 1, "p": 0.1, "povm": (np.eye(2),)}, "povm"),
+        ({"kind": "universal_cloner", "N": 1, "prep": (np.eye(2) / 2,)}, "prep"),
+        ({"kind": "fixed_prep", "prep": (np.eye(2) / 2,), "povm": (np.eye(2),)},
+         "povm"),
+        ({"kind": "measure_prepare", "p": 0.1, "prep": (np.eye(2) / 2,),
+          "povm": (np.eye(2),)}, "p"),
+    ], ids=["cloner-p", "prep-N", "noisy-povm", "cloner-prep", "prep-povm",
+            "measure-p"])
+    def test_refuses_fields_the_kind_does_not_read(self, fields, name):
+        with pytest.raises(ValueError, match=f"{fields['kind']} does not take {name}$"):
+            SDIChannelSpec(d=2, M=3, **fields)
+
+    @pytest.mark.parametrize("spec", [
+        SDIChannelSpec(kind="universal_cloner", d=2, M=3, N=1),
+        SDIChannelSpec(kind="fixed_prep", d=2, M=2, prep=(np.eye(2) / 2,)),
+    ], ids=["cloner", "prep"])
+    def test_absent_fields_round_trip_as_none(self, spec):
+        data = spec.to_json()
+        assert data["p"] is None and data["povm"] is None
+        again = SDIChannelSpec.from_json(json.loads(json.dumps(data)))
+        assert (again.kind, again.N, again.p, again.povm) == (
+            spec.kind, spec.N, spec.p, spec.povm)
 
     def test_from_json_bad_matrix(self):
         data = {"kind": "fixed_prep", "d": 2, "M": 2, "prep": [[[1.0, 0.0]]]}

@@ -201,6 +201,20 @@ class TestRun:
         assert ("scenario.checks: lemma1 requires a symmetric-support channel "
                 "(support residual ") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("channel,field", [
+        ({"kind": "universal_cloner", "d": 2, "N": 1, "M": 3, "p": 0.3}, "p"),
+        ({"kind": "fixed_prep", "d": 2, "M": 2, "N": 5,
+          "prep": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}, "N"),
+    ], ids=["cloner-p", "prep-N"])
+    def test_field_the_kind_does_not_read_exits_one(self, channel, field,
+                                                    tmp_path, capsys):
+        # once ran, and printed the field in its row, without using it
+        src = tmp_path / "extra.json"
+        src.write_text(json.dumps({"channel": channel, "checks": ["lemma1"]}))
+        assert main(["run", str(src)]) == 1
+        assert (f"scenario.channel: {channel['kind']} does not take {field}"
+                in capsys.readouterr().err)
+
     def test_unreadable_file_exits_one(self, tmp_path, capsys):
         rc = main(["run", str(tmp_path / "missing.json")])
         assert rc == 1

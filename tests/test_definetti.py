@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,10 +156,14 @@ class TestSymmetricReduction:
             with pytest.raises(ValueError, match="1 <= k <= M=2"):
                 state.marginal(k)
 
-    def test_cap(self):
+    def test_byte_budget(self):
+        # 8 qubits: 3.5 r of 1 MiB, and 1 MiB more, exceed the budget of
+        # cap 2^9 (4 MiB) and fit that of 2^10; refused before compressing
         rho = tensor_power(projector(basis_ket(2, 0)), 8)
-        with pytest.raises(ResourceLimitError):
-            symmetric_state(rho).reduction(7)
+        with pytest.raises(ResourceLimitError, match="dense route for 8 users"):
+            symmetric_state(rho, cap=2 ** 9)
+        state = symmetric_state(rho, cap=2 ** 10)
+        assert abs(state.reduction(7, cap=2 ** 10).trace() - 1.0) <= 1e-9
 
 
 class TestInducedPovm:
@@ -273,10 +278,27 @@ class TestGeneralReduction:
         with pytest.raises(ValueError, match="1 <= k <= M=2"):
             purified_state(ket00()).reduction(0)
 
-    def test_cap(self):
-        rho = DenseOperator(np.eye(2 ** 5) / 2 ** 5, (2,) * 5)
-        with pytest.raises(ResourceLimitError):
-            purified_state(rho, cap=2 ** 12).reduction(2, cap=2 ** 12)
+    def test_refuses_a_large_k_before_gathering(self):
+        # the result's side 4^6 is over the cap; the gathers for it would
+        # take about 2 MB
+        state = purified_state(DenseOperator(np.eye(2 ** 6) / 2 ** 6, (2,) * 6))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="dimension 4096"):
+                state.reduction(6, cap=2 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 18
+
+    def test_byte_budget(self):
+        # 8 qubits: the purification's 7 r of 1 MiB and eigh's 3 r exceed
+        # the budget of cap 2^9 (4 MiB) and fit that of 2^10
+        rho = DenseOperator(np.eye(2 ** 8) / 2 ** 8, (2,) * 8)
+        with pytest.raises(ResourceLimitError, match="dense route for 8 users"):
+            purified_state(rho, cap=2 ** 9)
+        state = purified_state(rho, cap=2 ** 10)
+        assert abs(state.reduction(2, cap=2 ** 10).trace() - 1.0) <= 1e-9
 
 
 class TestMonteCarlo:
