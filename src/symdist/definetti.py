@@ -10,18 +10,21 @@ Monte Carlo over Haar samples recovers the same object statistically.
 The kernels (marginal_coords, reduce_coords, mc_reduce_coords) take the state
 as an s_M x s_M matrix in occupation coordinates and never form anything of
 side d^M; marginal_coords and reduce_coords also take a pure state as its
-s_M-vector.  An OccupationState holds either and embeds k-user results.
+s_M-vector.  An OccupationState holds either, and turns each kernel's
+s_k x s_k output into a k-user result on (C^d)^{tensor k} with one gather.
 A dense state enters by one of two routes, picked by the caller:
 symmetric_state(rho) for rho supported in the symmetric subspace (the
 lemma), and purified_state(rho) for any permutation-invariant rho (the
 theorem).  The latter pairs each user with an ancilla in |Phi> =
 (sqrt(rho) tensor 1)|Omega>, which is symmetric in the d^2-dimensional
-pairs; the same kernels then run at d^2 on |Phi> as a ket.
+pairs; the same kernels then run at d^2 on |Phi> as a ket, and the gather
+traces the ancillas out, so nothing of side d^2k is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,19 +34,18 @@ from .linalg import (
     DenseOperator,
     _check_bytes,
     _check_cap,
-    partial_trace,
     swap_residual,
 )
 from .symspace import (
     HaarSampler,
     _index_map,
     check_dense_route,
-    embed_coords,
     haar_sample,
     index_map,
     power_coords,
     split_table,
     sym_dim,
+    users_bytes,
 )
 
 PERM_INVARIANCE_TOL = 1e-8
@@ -166,8 +168,10 @@ class OccupationState:
 
     When `paired`, each factor is a (user, ancilla) pair and `coords` is
     the pure pair purification as an s-vector in Sym^M(C^{d^2}); the
-    kernels take it as a ket, and k-user results have the ancilla halves
-    traced out.
+    kernels take it as a ket.  k-user results come from the kernel's
+    s_k x s_k output by one gather through _trace_table, which traces the
+    ancilla halves out on the way (unpaired, there are none to trace), and
+    are hermitized at side d^k.
     """
 
     coords: np.ndarray
@@ -185,13 +189,44 @@ class OccupationState:
 
     def _users(self, kernel, k: int, cap: int) -> DenseOperator:
         _check_k(k, self.m)
+        # the result's side and bytes, before the kernel gathers
+        _check_cap(self.d ** k, cap, f"{k}-user result")
+        _check_bytes(users_bytes(self.d, k, self.paired), cap,
+                     f"{k}-user result")
+        pos, weight = _trace_table(self.d, k, self.paired)
         q = self.d * self.d if self.paired else self.d
-        index_map(q, k, cap)  # the side of the result, before the kernel gathers
-        op = embed_coords(kernel(self.coords, q, self.m, k), q, k, cap=cap)
-        if not self.paired:
-            return op.hermitize()
-        pairs = DenseOperator(op.entries, (self.d,) * (2 * k)).hermitize()
-        return partial_trace(pairs, range(0, 2 * k, 2))
+        x = kernel(self.coords, q, self.m, k).ravel()[pos]
+        x *= weight
+        x = x.sum(axis=-1)
+        x += x.conj().T
+        x *= 0.5
+        return DenseOperator(x, (self.d,) * k)
+
+
+@lru_cache(maxsize=32)
+def _trace_table(d: int, k: int, paired: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Tr_anc V X V† as one gather from an s_k x s_k coordinate matrix X.
+
+    V is the isometry of Sym^k(C^q), q = d^2 paired, else d.  Entry
+    [i, i', a] of `pos` is the flat index in X of the columns that V gives
+    rows (i, a) and (i', a), for system strings i, i' and ancilla string a
+    (the pair digits interleave, system first); `weight` holds the product
+    of their weights, so the result is (weight * X.flat[pos]).sum(-1).
+    Unpaired, the ancilla axis has length 1 and the result is V X V†.
+    """
+    q = d * d if paired else d
+    flat = np.arange(q ** k)
+    if paired:
+        flat = flat.reshape((d,) * (2 * k)).transpose(
+            [*range(0, 2 * k, 2), *range(1, 2 * k, 2)])
+    flat = flat.reshape(d ** k, -1)
+    v = _index_map(q, k)
+    col, w = v.col[flat], v.weight[flat]
+    pos = col[:, None, :] * sym_dim(q, k) + col[None, :, :]
+    weight = w[:, None, :] * w[None, :, :]
+    pos.setflags(write=False)
+    weight.setflags(write=False)
+    return pos, weight
 
 
 class SupportError(ValueError):

@@ -200,7 +200,10 @@ def _validated_keep(keep, n: int) -> tuple[int, ...]:
 def partial_trace(x: DenseOperator, keep) -> DenseOperator:
     """Trace out every factor not listed in `keep` (kept factors stay in order).
 
-    An empty `keep` returns the 1x1 operator holding Tr[x].
+    An empty `keep` returns the 1x1 operator holding Tr[x].  No run path
+    calls it: tests use it as the dense oracle for the marginals, and for
+    OccupationState's k-user step, which traces the pair ancillas out of
+    occupation coordinates with one gather.
     """
     if not x.is_square:
         raise ValueError("partial trace requires matching row/column factors")
@@ -303,12 +306,18 @@ def herm_eigvals(x: DenseOperator, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """
     if x.shape[0] != x.shape[1]:
         raise ValueError("eigenvalues require a square matrix")
+    check_hermitian(x, tol)
+    m = x.entries
+    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    return w[::-1]
+
+
+def check_hermitian(x: DenseOperator, tol: float = HERMITICITY_TOL) -> None:
+    """Raise ValueError if x's max-abs deviation from Hermiticity exceeds `tol`."""
     m = x.entries
     asym = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
     if asym > tol:
         raise ValueError(f"matrix is not Hermitian within {tol} (residual {asym:.3e})")
-    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    return w[::-1]
 
 
 def validate_state(x: DenseOperator, name: str = "state",

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import apply  # noqa: F401 (the benchmark's tracer test rebinds it)
-from .linalg import DenseOperator, herm_eigvals
+from .linalg import DenseOperator, check_hermitian, herm_eigvals
 from .symspace import sym_dim
 
 BOUND_SLACK = 1e-9
@@ -17,18 +17,20 @@ BOUND_SLACK = 1e-9
 
 def trace_distance(rho: DenseOperator, sigma: DenseOperator,
                    tol: float = 1e-9) -> float:
-    """Trace norm of rho - sigma (so states are at most 2 apart)."""
+    """Trace norm of rho - sigma (so states are at most 2 apart).  Each must
+    be Hermitian within `tol`; only their difference is diagonalized."""
     if rho.shape != sigma.shape:
         raise ValueError(f"shape mismatch: {rho.shape} vs {sigma.shape}")
-    herm_eigvals(rho, tol=tol)
-    herm_eigvals(sigma, tol=tol)
+    check_hermitian(rho, tol)
+    check_hermitian(sigma, tol)
     w = herm_eigvals(rho - sigma, tol=tol)
     return float(np.sum(np.abs(w)))
 
 
-def helstrom_perr(rho: DenseOperator, sigma: DenseOperator) -> float:
-    """Minimal error probability discriminating rho vs sigma at equal priors."""
-    return 0.5 - 0.25 * trace_distance(rho, sigma)
+def helstrom_perr(distance: float) -> float:
+    """Minimal error probability discriminating two states at equal priors,
+    from their trace distance (the trace norm of their difference)."""
+    return 0.5 - 0.25 * distance
 
 
 def lemma1_bound(d: int, M: int, k: int, asymptotic: bool = False) -> float:

@@ -337,7 +337,7 @@ def run_scenario(cfg: ScenarioConfig,
             records.append(row)
             continue
         if "perr" in cfg.checks:
-            row.p_err = helstrom_perr(rho_k, tilde)
+            row.p_err = helstrom_perr(row.actual_distance)
             row.p_err_bound = perr_lower_bound(spec.d, spec.M)
             row.satisfied_perr = row.p_err >= row.p_err_bound - BOUND_SLACK
         if "fidelity_gap" in cfg.checks:

@@ -248,16 +248,29 @@ def _sym(d: int, n: int) -> int:
     return math.comb(d + n - 1, n)
 
 
-def check_occupation_route(d: int, m: int, ks, n_in: int | None = None,
-                           cap: int = DEFAULT_DIM_CAP) -> None:
-    """Raise ResourceLimitError, before anything is allocated, when the
-    occupation-coordinate route at (d, M, ks) would not fit the cap.
+def users_bytes(d: int, k: int, paired: bool = False) -> int:
+    """Peak bytes of a run's k-user stage beside the kernel gathers: the
+    kernel's s_k x s_k output (q = d^2 paired, else d); the cached gather
+    table (16 bytes an entry) and the complex gathered values, d^3k entries
+    each paired and d^2k unpaired; and six complex d^k x d^k matrices for
+    the two results and their trace distance."""
+    q = d * d if paired else d
+    return (16 * _sym(q, k) ** 2 + 32 * d ** (3 * k if paired else 2 * k)
+            + 96 * d ** (2 * k))
 
-    The state is s_M x s_M, so s_M is checked against the side cap.  Each k
-    gathers s_k^2 s_{M-k} entries for the marginal and s_k^2 s_{M+k} for
-    the reduction, and embeds the results at side d^k; an N -> M cloner
-    scatters s_N^2 s_{M-N} terms into the state.  Bytes are checked against
-    the budget of one complex matrix at the side cap.
+
+def check_occupation_route(d: int, m: int, ks, n_in: int | None = None,
+                           cap: int = DEFAULT_DIM_CAP) -> int:
+    """Raise ResourceLimitError, before anything is allocated, when the
+    occupation-coordinate route at (d, M, ks) would not fit the cap; else
+    return its estimated peak bytes.
+
+    The state is s_M x s_M, so s_M is checked against the side cap, and
+    each k-user result's side d^k too.  Each k gathers s_k^2 s_{M-k} entries
+    for the marginal and s_k^2 s_{M+k} for the reduction, and the result
+    takes users_bytes; an N -> M cloner scatters s_N^2 s_{M-N} terms into
+    the state.  Bytes are checked against the budget of one complex matrix
+    at the side cap.
     """
     s_m = _sym(d, m)
     _check_cap(s_m, cap, f"occupation-coordinate state of {m} users")
@@ -267,8 +280,10 @@ def check_occupation_route(d: int, m: int, ks, n_in: int | None = None,
         gathers.append(_sym(d, n_in) ** 2 * _sym(d, m - n_in))
     for k in ks:
         _check_cap(d ** k, cap, f"{k}-user marginal")
-    _check_bytes(state + 32 * max(gathers, default=0), cap,
-                 f"occupation-coordinate route for {m} users")
+    users = max((users_bytes(d, k) for k in ks), default=0)
+    nbytes = state + 32 * max(gathers, default=0) + users
+    _check_bytes(nbytes, cap, f"occupation-coordinate route for {m} users")
+    return nbytes
 
 
 def _eigh_bytes(side: int) -> int:
@@ -282,10 +297,10 @@ def check_dense_route(d: int, m: int, ks=(), paired: bool = False,
     its estimated peak bytes: the d^M x d^M complex output rho (r bytes)
     built and compressed in 3.5 r, or pair-purified in 7 r plus eigh's
     workspace (not numpy arrays); then, beside rho, each k's gathers (s_k
-    s_{M+k} entries of the state, s_k times as many unpaired), its result
-    embedded as four complex matrices of side q^k (q = d, or d^2 paired),
-    and the cached index maps (64 bytes an entry to build, 24 kept) and
-    split tables; and 1 MiB for what does not grow with rho.
+    s_{M+k} entries of the state at q = d, or d^2 paired, s_k times as many
+    unpaired), the users_bytes of its result, and the cached index maps (64
+    bytes an entry to build, 24 kept) and split tables; and 1 MiB for what
+    does not grow with rho.
     """
     if d > 1 and m > cap.bit_length():  # d^M > cap, too large to compute
         raise ResourceLimitError(f"{m}-user dense output would have side "
@@ -294,7 +309,7 @@ def check_dense_route(d: int, m: int, ks=(), paired: bool = False,
     gathers = [_sym(q, k) * _sym(q, m + k) * (1 if paired else _sym(q, k))
                for k in ks]
     loop = rho + 24 * q ** m + 112 * sum(gathers) + max(
-        (64 * q ** k * (q ** k + 1) for k in ks), default=0)
+        (users_bytes(d, k, paired) for k in ks), default=0)
     nbytes = (2 ** 20 + 64 * d ** m + paired * _eigh_bytes(d ** m)
               + max(7 * rho if paired else 7 * rho // 2, loop))
     _check_bytes(nbytes, cap, f"dense route for {m} users")

@@ -279,12 +279,13 @@ class TestGeneralReduction:
             purified_state(ket00()).reduction(0)
 
     def test_refuses_a_large_k_before_gathering(self):
-        # the result's side 4^6 is over the cap; the gathers for it would
-        # take about 2 MB
+        # the result's side 2^6 fits the cap, but its gather (2^18 entries
+        # of table and gathered values, 8 MiB) exceeds the cap's 64 KiB
         state = purified_state(DenseOperator(np.eye(2 ** 6) / 2 ** 6, (2,) * 6))
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceLimitError, match="dimension 4096"):
+            with pytest.raises(ResourceLimitError,
+                               match=r"6-user result would need \d+ bytes"):
                 state.reduction(6, cap=2 ** 6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

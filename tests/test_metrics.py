@@ -43,6 +43,25 @@ class TestTraceDistance:
         with pytest.raises(ValueError):
             trace_distance(bad, DenseOperator(np.eye(2) / 2, (2,)))
 
+    @pytest.mark.parametrize("which", ["rho", "sigma", "both"])
+    def test_each_argument_checked_for_hermiticity(self, which):
+        # with both the same non-Hermitian matrix, the difference is 0
+        bad = DenseOperator(np.array([[0.5, 1e-8], [0.0, 0.5]]), (2,))
+        good = DenseOperator(np.eye(2) / 2, (2,))
+        rho = bad if which in ("rho", "both") else good
+        sigma = bad if which in ("sigma", "both") else good
+        with pytest.raises(ValueError, match="not Hermitian within 1e-09"):
+            trace_distance(rho, sigma)
+        assert trace_distance(rho, sigma, tol=1e-7) <= 2e-8
+
+    def test_equals_the_eigenvalues_of_the_difference(self):
+        rng = np.random.default_rng(19)
+        for dim in (2, 5, 16):
+            a, b = random_state(rng, dim), random_state(rng, dim)
+            diff = a.entries - b.entries
+            w = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))[::-1]
+            assert trace_distance(a, b) == float(np.sum(np.abs(w)))
+
     def test_data_processing(self):
         rng = np.random.default_rng(13)
         for _ in range(5):
@@ -55,23 +74,27 @@ class TestTraceDistance:
 
 class TestHelstrom:
     def test_complement_identity(self):
+        # the Helstrom measurement guesses a on the positive part of a - b
         rng = np.random.default_rng(17)
         for _ in range(5):
             a = random_state(rng, 3)
             b = random_state(rng, 3)
-            p = helstrom_perr(a, b)
-            assert abs(p + trace_distance(a, b) / 4 - 0.5) <= 1e-12
+            vals, vecs = np.linalg.eigh(a.entries - b.entries)
+            pos = vecs[:, vals > 0]
+            guess_a = pos @ pos.conj().T
+            p_err = 0.5 * (1 - np.trace(guess_a @ (a.entries - b.entries)).real)
+            assert abs(helstrom_perr(trace_distance(a, b)) - p_err) <= 1e-12
 
     def test_endpoints(self):
         same = projector(basis_ket(2, 0))
         other = projector(basis_ket(2, 1))
-        assert abs(helstrom_perr(same, same) - 0.5) <= 1e-12
-        assert abs(helstrom_perr(same, other)) <= 1e-12
+        assert abs(helstrom_perr(trace_distance(same, same)) - 0.5) <= 1e-12
+        assert abs(helstrom_perr(trace_distance(same, other))) <= 1e-12
 
     def test_known_value(self):
         a = DenseOperator(np.diag([1.0, 0.0]), (2,))
         b = DenseOperator(np.diag([0.75, 0.25]), (2,))
-        assert abs(helstrom_perr(a, b) - 0.375) <= 1e-12
+        assert abs(helstrom_perr(trace_distance(a, b)) - 0.375) <= 1e-12
 
 
 class TestClosedFormBounds:

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdist import channels, scenario
+from symdist import channels, definetti, linalg, scenario, symspace
 from symdist.channels import SDIChannelSpec, apply, embed_pure_input, validate_sdi
 from symdist.definetti import (
+    OccupationState,
     check_mc_route,
     marginal_coords,
     mc_reduce_coords,
@@ -58,6 +59,8 @@ from symdist.symspace import (
     sym_dim,
     symmetrizer,
 )
+
+from conftest import random_state
 
 TOL = 1e-12
 
@@ -202,6 +205,61 @@ def test_ket_kernels_match_matrix_kernels(d, m, k):
                          - marginal_coords(rho, d, m, k))) <= TOL
     assert np.max(np.abs(reduce_coords(c, d, m, k)
                          - reduce_coords(rho, d, m, k))) <= TOL
+
+
+@st.composite
+def _occupation_states(draw):
+    """A random s_M x s_M state at d, or a random ket of Sym^M(C^{d^2})
+    standing for a pair purification."""
+    d = draw(st.sampled_from([2, 3]))
+    m_users = draw(st.integers(1, 8 if d == 2 else 4))
+    paired = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if not paired:
+        return OccupationState(random_state(rng, sym_dim(d, m_users)).entries,
+                               d, m_users)
+    c = rng.standard_normal(sym_dim(d * d, m_users)) * (1 + 0j)
+    c += 1j * rng.standard_normal(c.size)
+    return OccupationState(c / np.linalg.norm(c), d, m_users, paired=True)
+
+
+@settings(derandomize=True, max_examples=60, database=None, deadline=None)
+@given(state=_occupation_states())
+def test_users_step_matches_embedding_and_partial_trace(state):
+    """marginal and reduction against the kernel's output embedded at side
+    q^k (q = d^2 paired) with the ancillas traced out, where that side is at
+    most 2^10; every result, up to a gather of 2^20 entries (all but k > 6
+    paired qubits, 64 MiB and more), is a state."""
+    d, q = state.d, state.d ** 2 if state.paired else state.d
+    for k in range(1, state.m + 1):
+        if d ** (3 * k if state.paired else 2 * k) > 2 ** 20:
+            break
+        for kernel, users in ((marginal_coords, state.marginal),
+                              (reduce_coords, state.reduction)):
+            got = users(k).entries
+            assert np.array_equal(got, got.conj().T)
+            assert np.linalg.eigvalsh(got)[0] >= -TOL
+            assert abs(np.trace(got) - 1.0) <= TOL
+            if q ** k > 2 ** 10:
+                continue
+            want = embed_coords(kernel(state.coords, q, state.m, k), q, k)
+            if state.paired:
+                want = partial_trace(DenseOperator(want.entries, (d,) * (2 * k)),
+                                     range(0, 2 * k, 2))
+            assert np.max(np.abs(got - want.entries)) <= TOL
+
+
+def test_run_path_embeds_no_k_user_result(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a k-user result was embedded on the run path")
+
+    assert not any(hasattr(definetti, name) for name in ("embed_coords", "partial_trace"))
+    monkeypatch.setattr(symspace, "embed_coords", refuse)
+    monkeypatch.setattr(linalg, "partial_trace", refuse)
+    for spec in COVERED[:3] + PURIFIED:
+        checks = ["lemma1"] if spec in COVERED else ["theorem2"]
+        rows = run_scenario(_scenario(spec, checks, ks=range(1, spec.M + 1)))
+        assert all(row.satisfied_theorem2 or row.satisfied_lemma1 for row in rows)
 
 
 def test_purified_state_holds_a_ket():
@@ -365,10 +423,6 @@ def _mixed_specs(draw):
     return spec, ket(phi / np.linalg.norm(phi))
 
 
-# a failing example makes hypothesis import libcst to suggest a patch, and
-# that import warns; the mark keeps the failure a failure, not a crash
-@pytest.mark.filterwarnings(
-    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(derandomize=True, max_examples=150, database=None, deadline=None)
 @given(case=_mixed_specs())
 def test_dense_output_is_a_permutation_invariant_state(case):
@@ -407,6 +461,30 @@ def test_too_large_raises_before_allocating(d, m_users):
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="occupation-coordinate state"):
+            run_scenario(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("m_users", [9, 10])
+def test_occupation_route_estimate_bounds_the_traced_peak(m_users):
+    # k = M: the k-user stage at side 2^M, not the state, is the peak
+    cfg = _cloner(2, m_users, [1, m_users])
+    estimate = check_occupation_route(2, m_users, [1, m_users], n_in=1)
+    assert _traced_peak(lambda: run_scenario(cfg)) <= estimate
+
+
+def test_large_k_refused_before_allocating():
+    # the 13-user result side 2^13 fits the cap, but its gather and the two
+    # 2^13 x 2^13 matrices exceed the budget; k = 12 fits
+    check_occupation_route(2, 13, [1, 12])
+    cfg = _cloner(2, 13, [1, 13])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError,
+                           match="occupation-coordinate route for 13 users"):
             run_scenario(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -495,11 +573,12 @@ MIXED_PREP = [[[[0.5, 0], [0.1, 0]], [[0.1, 0], [0.5, 0]]]]
     *[(_noisy(2, m), [1], ["theorem2"]) for m in (6, 7, 8, 9)],
     *[(_noisy(3, m), [1], ["theorem2"]) for m in (3, 4, 5)],
     (_noisy(2, 6), [1, 2, 3, 4, 5], ["theorem2"]),
+    (_noisy(2, 8), [1, 2, 3, 4, 5, 6], ["theorem2"]),
     ({"kind": "fixed_prep", "d": 2, "M": 10, "prep": MIXED_PREP}, [1], ["lemma1"]),
     ({"kind": "universal_cloner", "d": 2, "N": 1, "M": 8}, [1],
      ["theorem2", "mc_crosscheck"]),
 ], ids=["2-6", "2-7", "2-8", "2-9", "3-3", "3-4", "3-5", "2-6-k1to5",
-        "mixed-prep-lemma1", "cloner-mc"])
+        "2-8-k1to6", "mixed-prep-lemma1", "cloner-mc"])
 def test_dense_route_estimate_bounds_the_traced_peak(channel, ks, checks):
     # tracemalloc does not see LAPACK's workspace, so the bound it checks is
     # the estimate less that analytic term; the mixed preparation runs the
@@ -525,11 +604,16 @@ def test_dense_route_refuses_before_allocating(d, m_users):
 
 
 def test_dense_route_counts_each_k_and_huge_m():
-    # the pair route embeds each k-user result at side d^2k: k = 6 qubits
-    # takes 1 GiB, k = 7 more than the budget
-    check_dense_route(2, 8, [1, 6], paired=True)
+    # the pair route gathers 32 bytes for each of the d^3k entries of a
+    # k-user result: every k fits at M = 8 qubits; at M = 9, k = 8 takes
+    # 512 MiB and k = 9 more than the budget, and at M = 5 qutrits k = 5
+    check_dense_route(2, 8, [1, 8], paired=True)
+    check_dense_route(2, 9, [1, 8], paired=True)
     with pytest.raises(ResourceLimitError, match="bytes"):
-        check_dense_route(2, 8, [7], paired=True)
+        check_dense_route(2, 9, [9], paired=True)
+    check_dense_route(3, 5, [4], paired=True)
+    with pytest.raises(ResourceLimitError, match="bytes"):
+        check_dense_route(3, 5, [5], paired=True)
     with pytest.raises(ResourceLimitError, match="side 2\\^1000000000"):
         check_dense_route(2, 10 ** 9)
 

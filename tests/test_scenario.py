@@ -546,10 +546,6 @@ def _replaced(value, path, new):
     return out
 
 
-# a failing example makes hypothesis import libcst to suggest a patch, and
-# that import warns; the mark keeps the failure a failure, not a crash
-@pytest.mark.filterwarnings(
-    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(derandomize=True, max_examples=400, database=None, deadline=None)
 @given(data=st.data())
 def test_fuzzed_field_parses_or_raises_schema_error(data):
