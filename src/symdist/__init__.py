@@ -3,7 +3,7 @@
 Library layout:
 
 - linalg: dense operators with tensor-factor bookkeeping
-- symspace: symmetric-subspace bases, projectors, Haar sampling
+- symspace: symmetric-subspace bases, projectors, Haar-random kets
 - channels: the many-user channel specs, their outputs, the Choi-form oracle
 - definetti: occupation-coordinate states and their classical approximations
 - metrics: trace distance, error probabilities, closed-form bounds
@@ -65,6 +65,6 @@ from .scenario import (
     run_suite,
     scenario_from_dict,
 )
-from .symspace import HaarSampler, SymBasis, haar_sample, sym_basis, sym_dim, symmetrizer
+from .symspace import SymBasis, haar_kets, sym_basis, sym_dim, symmetrizer
 
 __version__ = "0.1.0"

@@ -37,10 +37,9 @@ from .linalg import (
     swap_residual,
 )
 from .symspace import (
-    HaarSampler,
     _index_map,
     check_dense_route,
-    haar_sample,
+    haar_kets,
     index_map,
     power_coords,
     split_table,
@@ -50,7 +49,7 @@ from .symspace import (
 
 PERM_INVARIANCE_TOL = 1e-8
 # Monte Carlo draws are weighted and accumulated in chunks that hold about
-# this many entries of the k-user projectors and occupation coordinates.
+# this many entries of the k-user kets and occupation coordinates.
 MC_CHUNK_ENTRIES = 2 ** 20
 
 
@@ -116,17 +115,18 @@ def check_mc_route(d: int, m: int, k: int) -> int:
     """Raise ResourceLimitError, before anything is allocated, unless
     mc_reduce_coords at (d, M, k) fits DEFAULT_DIM_CAP; else return its
     draws per chunk.  Side d^k is checked against the cap; the bytes of the
-    state, the accumulators, one chunk (two complex d^k x d^k temporaries
-    and two s_M-vectors per draw) and a d^k x d^k reference, against the
-    byte budget that goes with it.
+    state, five d^k x d^k arrays (the two sums, a chunk's two products and
+    a reference) and one chunk (64 bytes, four complex copies, for each
+    entry of a draw's k-user ket and of its d x s_M table of logarithms in
+    power_coords), against the byte budget that goes with it.
     """
     _check_k(k, m)
     side = d ** k
     _check_cap(side, DEFAULT_DIM_CAP, f"{k}-user Monte Carlo estimate")
     s_m = sym_dim(d, m)
-    square = side * side
-    chunk = max(1, MC_CHUNK_ENTRIES // (square + d * s_m))
-    nbytes = 16 * (s_m * s_m + 3 * square) + 32 * chunk * (square + s_m)
+    per_draw = side + d * s_m
+    chunk = max(1, MC_CHUNK_ENTRIES // per_draw)
+    nbytes = 16 * (s_m * s_m + 5 * side * side) + 64 * chunk * per_draw
     _check_bytes(nbytes, DEFAULT_DIM_CAP, f"Monte Carlo estimate of {k} users")
     return chunk
 
@@ -136,30 +136,34 @@ def mc_reduce_coords(rho: np.ndarray, d: int, m: int, k: int, samples: int,
     """Monte Carlo (estimate, stderr) of the k-user mixture of an s_M x s_M
     occupation-coordinate state: two d^k x d^k arrays, componentwise.
 
-    Draw j is the Haar ket of HaarSampler(d, seed) at counter j, weighted by
+    The draws are the first `samples` rows of haar_kets from one generator,
+    default_rng((seed, 1)), taken chunk by chunk in order, so draw j does
+    not depend on the chunk size.  Each is weighted by
     s_M <psi^M|rho|psi^M> with <n|psi^M> = sqrt(mult(n)) prod_i psi_i^{n_i}.
     Standard errors combine the real and imaginary spreads in quadrature.
     Same (seed, samples) reproduces both arrays bit for bit.
     """
-    if samples < 1:
-        raise ValueError(f"need at least 1 sample, got {samples}")
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples for a standard error, "
+                         f"got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     chunk = check_mc_route(d, m, k)
-    sampler = HaarSampler(d, seed)
-    side = d ** k
-    acc = np.zeros((4, side, side))  # sums of re, im, re^2, im^2
+    rng = np.random.default_rng((seed, 1))
+    acc = np.zeros((d ** k, d ** k), dtype=complex)  # sum of the draws x
+    acc_sq = np.zeros((d ** k, d ** k))  # sum of |x|^2
     for lo in range(0, samples, chunk):
-        u = np.array([haar_sample(sampler).entries[:, 0]
-                      for _ in range(min(chunk, samples - lo))])
+        u = haar_kets(rng, min(chunk, samples - lo), d)
         c = power_coords(u, m)
         w = sym_dim(d, m) * np.einsum("bs,bs->b", c.conj(), c @ rho.T).real
+        # x = w u_k u_k^dagger, summed over the chunk as matrix products
         u_k = _kron_power(u, k)
-        x = w[:, None, None] * u_k[:, :, None] * u_k[:, None, :].conj()
-        acc += np.stack([x.real.sum(0), x.imag.sum(0),
-                         (x.real ** 2).sum(0), (x.imag ** 2).sum(0)])
-    mean_re, mean_im = acc[0] / samples, acc[1] / samples
-    var_re = np.maximum(acc[2] / samples - mean_re ** 2, 0.0)
-    var_im = np.maximum(acc[3] / samples - mean_im ** 2, 0.0)
-    return mean_re + 1j * mean_im, np.sqrt((var_re + var_im) / samples)
+        acc += (w[:, None] * u_k).T @ u_k.conj()
+        p = np.abs(u_k) ** 2
+        acc_sq += (w[:, None] ** 2 * p).T @ p
+    mean = acc / samples
+    var = np.maximum(acc_sq / samples - np.abs(mean) ** 2, 0.0)
+    return mean, np.sqrt(var / samples)
 
 
 @dataclass(frozen=True)

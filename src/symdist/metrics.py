@@ -6,11 +6,12 @@ reported for orientation only and are never valid as hard bounds at finite M.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .channels import apply  # noqa: F401 (the benchmark's tracer test rebinds it)
 from .linalg import DenseOperator, check_hermitian, herm_eigvals
-from .symspace import sym_dim
 
 BOUND_SLACK = 1e-9
 
@@ -37,12 +38,17 @@ def lemma1_bound(d: int, M: int, k: int, asymptotic: bool = False) -> float:
     """Distance bound 4(1 - sqrt(s_{M-k}/s_M)) for symmetric-support states.
 
     asymptotic=True returns 2(d-1)k/M instead, the large-M simplification.
+    The dimensions stay exact Python integers, past the 64-bit range of
+    sym_dim, and their ratio is correctly rounded.
     """
     if not 0 <= k <= M:
         raise ValueError(f"need 0 <= k <= M={M}, got k={k}")
+    if d < 1:
+        raise ValueError(f"local dimension must be >= 1, got {d}")
     if asymptotic:
         return 2.0 * (d - 1) * k / M
-    return 4.0 * (1.0 - (sym_dim(d, M - k) / sym_dim(d, M)) ** 0.5)
+    ratio = math.comb(d + M - k - 1, M - k) / math.comb(d + M - 1, M)
+    return 4.0 * (1.0 - ratio ** 0.5)
 
 
 def general_bound(d: int, M: int, k: int, asymptotic: bool = False) -> float:

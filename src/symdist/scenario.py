@@ -38,10 +38,8 @@ from .metrics import (
     universal_clone_gap,
 )
 from .symspace import (
-    HaarSampler,
     check_dense_route,
     check_occupation_route,
-    haar_sample,
     sym_dim,
     symmetrizer,
 )
@@ -272,7 +270,10 @@ def _input_state(cfg: ScenarioConfig) -> tuple[DenseOperator, int | None]:
     if info["type"] == "pure":
         return ket(info["vec"]), None
     if info["type"] == "random_pure":
-        return haar_sample(HaarSampler(cfg.channel.d, info["seed"])), info["seed"]
+        # a Haar ket from its own stream; Monte Carlo draws from (seed, 1)
+        rng, d = np.random.default_rng((info["seed"], 0, 0)), cfg.channel.d
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        return ket(z / np.linalg.norm(z)), info["seed"]
     return DenseOperator(np.diag(info["probs"]), (cfg.channel.d,)), None
 
 

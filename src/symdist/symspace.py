@@ -10,7 +10,9 @@ subspace can also be kept as sym_dim(d, n)-sided matrices in these
 coordinates: split_table holds the coefficients that split |m>_n into
 k-factor and (n-k)-factor parts, and power_coords gives the coordinates of
 a product vector u^{tensor n} (see Harrow, "The church of the symmetric
-subspace", arXiv:1308.6595).
+subspace", arXiv:1308.6595).  haar_kets draws the Haar-random kets that
+Monte Carlo weights by those coordinates, as rows taken in order from one
+numpy Generator.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import (DEFAULT_DIM_CAP, DenseOperator, ResourceLimitError,
-                     _check_bytes, _check_cap, ket)
+                     _check_bytes, _check_cap)
 
 _INT64_MAX = 2 ** 63 - 1
 
@@ -316,29 +318,13 @@ def check_dense_route(d: int, m: int, ks=(), paired: bool = False,
     return nbytes
 
 
-@dataclass
-class HaarSampler:
-    """Reproducible source of Haar-random kets in C^d.
+def haar_kets(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n Haar-random unit kets in C^d, as the rows of an (n, d) array.
 
-    Each draw is generated from SeedSequence((seed, 0, counter)), so a given
-    (seed, counter) pair yields the same ket bit-for-bit no matter what was
-    drawn before.
+    Row j takes the next 2d normals of `rng`: d real parts, then d imaginary
+    parts.  numpy fills arrays in order, so n rows drawn at once equal the
+    same n drawn in any split into consecutive calls.
     """
-
-    d: int
-    seed: int
-    counter: int = 0
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"local dimension must be >= 1, got {self.d}")
-        if min(self.seed, self.counter) < 0:
-            raise ValueError("seed and counter must be non-negative")
-
-
-def haar_sample(sampler: HaarSampler) -> DenseOperator:
-    """Next Haar-random ket; advances sampler.counter by one."""
-    rng = np.random.default_rng((sampler.seed, 0, sampler.counter))
-    z = rng.standard_normal(sampler.d) + 1j * rng.standard_normal(sampler.d)
-    sampler.counter += 1
-    return ket(z / np.linalg.norm(z))
+    x = rng.standard_normal((n, 2, d))
+    z = x[:, 0] + 1j * x[:, 1]
+    return z / np.linalg.norm(z, axis=1, keepdims=True)

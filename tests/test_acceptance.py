@@ -34,7 +34,7 @@ from symdist.metrics import (
     universal_clone_gap,
 )
 from symdist.scenario import run_scenario, scenario_from_dict
-from symdist.symspace import HaarSampler, haar_sample, sym_dim, symmetrizer
+from symdist.symspace import haar_kets, sym_dim, symmetrizer
 
 SLACK = 1e-9
 
@@ -200,21 +200,15 @@ def test_criterion_5_resolution_of_identity(capsys):
     failures = []
     samples = 100_000
     for n in (1, 2, 3, 4):
-        sampler = HaarSampler(2, seed=100 + n)
-        side = 2 ** n
+        u = haar_kets(np.random.default_rng(100 + n), samples, 2)
+        full = u
+        for _ in range(n - 1):
+            full = (full[:, :, None] * u[:, None, :]).reshape(samples, -1)
+        # mean of x = s_n full full^dagger and of |x|^2, over the draws
         s_n = sym_dim(2, n)
-        acc = np.zeros((side, side), dtype=complex)
-        acc_sq = np.zeros((side, side))
-        for _ in range(samples):
-            u = haar_sample(sampler).entries[:, 0]
-            full = u
-            for _ in range(n - 1):
-                full = np.kron(full, u)
-            x = s_n * np.outer(full, full.conj())
-            acc += x
-            acc_sq += x.real ** 2 + x.imag ** 2
-        mean = acc / samples
-        var = np.maximum(acc_sq / samples - np.abs(mean) ** 2, 0.0)
+        mean = s_n * full.T @ full.conj() / samples
+        p = s_n * np.abs(full) ** 2
+        var = np.maximum(p.T @ p / samples - np.abs(mean) ** 2, 0.0)
         se = np.sqrt(var / samples)
         dev = np.abs(mean - symmetrizer(2, n).entries)
         worst = float(np.max(dev - 5 * se))

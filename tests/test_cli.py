@@ -247,7 +247,8 @@ class TestMc:
         cells = dict(zip(RECORD_COLUMNS, lines[1].split(",")))
         assert cells["satisfied_mc"] == "true"
 
-    @pytest.mark.parametrize("flags", [["--samples", "0"], ["--M", "0"]])
+    @pytest.mark.parametrize("flags", [["--samples", "0"], ["--M", "0"],
+                                       ["--samples", "1"], ["--seed", "-1"]])
     def test_bad_moment_arguments_exit_one(self, flags, capsys):
         assert main(["mc", *flags]) == 1
         assert "error:" in capsys.readouterr().err

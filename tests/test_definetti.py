@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from symdist import definetti
 from symdist.channels import (
     apply,
     embed_pure_input,
@@ -32,8 +33,7 @@ from symdist.linalg import (
 )
 from symdist.metrics import general_bound, lemma1_bound, trace_distance
 from symdist.symspace import (
-    HaarSampler,
-    haar_sample,
+    haar_kets,
     power_coords,
     sym_dim,
     symmetrizer,
@@ -57,10 +57,12 @@ def ket00():
                                    (2, 2), ()))
 
 
-def weight(state, psi):
-    """Density s_M <c|coords|c> of psi, with c = power_coords(psi, M)."""
-    c = power_coords(psi.entries[:, 0], state.m)
-    return sym_dim(state.d, state.m) * float(np.real(np.vdot(c, state.coords @ c)))
+def weight(state, u):
+    """Density s_M <c|coords|c> of each ket in u (shape (..., d)), with
+    c = power_coords(u, M)."""
+    c = power_coords(u, state.m)
+    overlap = np.einsum("...s,...s->...", c.conj(), c @ state.coords.T)
+    return sym_dim(state.d, state.m) * overlap.real
 
 
 def mc(rho, k, samples, seed):
@@ -77,27 +79,21 @@ def pair_marginal(phi, d, m):
 
 class TestWeight:
     def test_aligned_product_state(self):
-        w = weight(symmetric_state(ket00()), basis_ket(2, 0))
+        w = weight(symmetric_state(ket00()), np.array([1, 0]))
         assert abs(w - sym_dim(2, 2)) <= 1e-12
 
     def test_orthogonal_direction(self):
-        assert weight(symmetric_state(ket00()), basis_ket(2, 1)) == 0.0
+        assert weight(symmetric_state(ket00()), np.array([0, 1])) == 0.0
 
     def test_flat_on_maximally_mixed_symmetric(self):
         state = symmetric_state((1 / sym_dim(2, 3)) * symmetrizer(2, 3))
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            psi = ket(v / np.linalg.norm(v))
-            assert abs(weight(state, psi) - 1.0) <= 1e-12
+        u = haar_kets(np.random.default_rng(11), 5, 2)
+        assert np.max(np.abs(weight(state, u) - 1.0)) <= 1e-12
 
     def test_haar_mean_is_one(self):
         state = symmetric_state(ket00())
-        sampler = HaarSampler(2, 19)
         n = 4000
-        ws = np.empty(n)
-        for i in range(n):
-            ws[i] = weight(state, haar_sample(sampler))
+        ws = weight(state, haar_kets(np.random.default_rng(19), n, 2))
         se = ws.std(ddof=1) / np.sqrt(n)
         assert abs(ws.mean() - 1.0) <= 5 * se
 
@@ -174,23 +170,18 @@ class TestInducedPovm:
 
     def test_elements_are_positive(self):
         ch = universal_cloner(2, 1, 3)
-        sampler = HaarSampler(2, 23)
-        for _ in range(10):
-            e = induced_povm_element(ch, haar_sample(sampler))
+        for u in haar_kets(np.random.default_rng(23), 10, 2):
+            e = induced_povm_element(ch, ket(u))
             assert np.linalg.eigvalsh(e.entries)[0] >= -1e-9
 
     def test_haar_average_resolves_identity(self):
         ch = universal_cloner(2, 1, 2)
-        sampler = HaarSampler(2, 29)
         n = 4000
-        acc = np.zeros((2, 2), dtype=complex)
-        acc2 = np.zeros((2, 2))
-        for _ in range(n):
-            e = induced_povm_element(ch, haar_sample(sampler)).entries
-            acc += e
-            acc2 += np.abs(e) ** 2
-        mean = acc / n
-        se = np.sqrt(np.maximum(acc2 / n - np.abs(mean) ** 2, 0) / n)
+        e = np.array([induced_povm_element(ch, ket(u)).entries
+                      for u in haar_kets(np.random.default_rng(29), n, 2)])
+        mean = e.mean(axis=0)
+        se = np.sqrt(np.maximum((np.abs(e) ** 2).mean(axis=0)
+                                - np.abs(mean) ** 2, 0) / n)
         assert np.all(np.abs(mean - np.eye(2)) <= 5 * se + 1e-12)
 
 
@@ -326,9 +317,34 @@ class TestMonteCarlo:
         _, big = mc(ket00(), 1, 40000, seed=3)
         assert float(np.mean(big)) < float(np.mean(small))
 
+    def test_matches_the_draws_of_its_stream(self):
+        # draw j is row j of haar_kets from default_rng((seed, 1)), weighted
+        # by s_M <psi^M|rho|psi^M>; this oracle sums the outer products
+        n = 500
+        u = haar_kets(np.random.default_rng((9, 1)), n, 2)
+        pairs = (u[:, :, None] * u[:, None, :]).reshape(n, 4)
+        w = sym_dim(2, 2) * np.einsum("bi,ij,bj->b", pairs.conj(),
+                                      ket00().entries, pairs).real
+        x = w[:, None, None] * u[:, :, None] * u[:, None, :].conj()
+        mean = x.mean(axis=0)
+        se = np.sqrt(((np.abs(x) ** 2).mean(axis=0) - np.abs(mean) ** 2) / n)
+        est, stderr = mc(ket00(), 1, n, seed=9)
+        assert np.max(np.abs(est - mean)) <= 1e-12
+        assert np.max(np.abs(stderr - se)) <= 1e-12
+
+    def test_draws_do_not_depend_on_the_chunk(self, monkeypatch):
+        est, stderr = mc(ket00(), 2, 3000, seed=5)
+        # 6 draws a chunk, where the default takes all 3000 in one
+        monkeypatch.setattr(definetti, "MC_CHUNK_ENTRIES", 64)
+        assert definetti.check_mc_route(2, 2, 2) == 6
+        small, small_err = mc(ket00(), 2, 3000, seed=5)
+        assert np.max(np.abs(small - est)) <= 1e-12
+        assert np.max(np.abs(small_err - stderr)) <= 1e-12
+
     def test_argument_checks(self):
-        with pytest.raises(ValueError, match="at least 1 sample"):
-            mc(ket00(), 1, 0, seed=1)
+        for samples in (0, 1):
+            with pytest.raises(ValueError, match="at least 2 samples"):
+                mc(ket00(), 1, samples, seed=1)
         with pytest.raises(ValueError):
             mc(ket00(), 5, 100, seed=1)
         ch = noisy_cloner(2, 1, 2, 0.3)

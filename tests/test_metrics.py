@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symdist.channels import apply, embed_pure_input, fixed_prep_channel, noisy_cloner
 from symdist.definetti import purified_state, symmetric_state
@@ -144,6 +146,28 @@ class TestClosedFormBounds:
             universal_clone_gap(2, 1, 2)
         with pytest.raises(ValueError):
             universal_clone_gap(1, 2, 0)
+
+
+@st.composite
+def _bound_args(draw):
+    d = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 4095))
+    return d, m, draw(st.integers(1, m))
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(args=_bound_args())
+def test_bounds_are_monotone(args):
+    # exact integer dimensions, a correctly rounded ratio and sqrt keep
+    # each step monotone in floating point, so no slack is needed
+    d, m, k = args
+    for bound in (lemma1_bound, general_bound):
+        for asymptotic in (False, True):
+            here = bound(d, m, k, asymptotic=asymptotic)
+            assert bound(d, m + 1, k, asymptotic=asymptotic) <= here
+            if k < m:
+                assert bound(d, m, k + 1, asymptotic=asymptotic) >= here
+    assert perr_lower_bound(d, m + 1) >= perr_lower_bound(d, m)
 
 
 def _channel_fidelities(ch, phi, state):

@@ -46,13 +46,12 @@ from symdist.scenario import (
     scenario_from_dict,
 )
 from symdist.symspace import (
-    HaarSampler,
     _eigh_bytes,
     _index_map,
     check_dense_route,
     check_occupation_route,
     embed_coords,
-    haar_sample,
+    haar_kets,
     power_coords,
     split_table,
     sym_basis,
@@ -273,17 +272,15 @@ def test_monte_carlo_weight_matches_dense(spec):
     rho, coords = _dense_output(spec)
     compressed = symmetric_state(rho).coords
     s_m = sym_dim(spec.d, spec.M)
-    sampler = HaarSampler(spec.d, 17)
-    for _ in range(4):
-        psi = haar_sample(sampler)
-        u = psi.entries[:, 0]
-        full = u
-        for _ in range(spec.M - 1):
-            full = np.kron(full, u)
-        want = s_m * np.vdot(full, rho.entries @ full).real
-        c = power_coords(u, spec.M)
-        assert abs(s_m * np.vdot(c, coords @ c).real - want) <= TOL
-        assert abs(s_m * np.vdot(c, compressed @ c).real - want) <= TOL
+    u = haar_kets(np.random.default_rng(17), 4, spec.d)
+    full = u
+    for _ in range(spec.M - 1):
+        full = (full[:, :, None] * u[:, None, :]).reshape(len(u), -1)
+    want = s_m * np.einsum("bi,bi->b", full.conj(), full @ rho.entries.T).real
+    c = power_coords(u, spec.M)
+    for state in (coords, compressed):
+        got = s_m * np.einsum("bs,bs->b", c.conj(), c @ state.T).real
+        assert np.max(np.abs(got - want)) <= TOL
 
 
 @pytest.mark.parametrize("spec", COVERED[:4], ids=_label)
@@ -514,16 +511,38 @@ def test_mc_guard_counts_bytes():
     assert check_mc_route(2, 2, 1) > 1
     for n in (1, 2, 3, 4):
         check_mc_route(2, n, n)
-    # 12 qubits: 4096^2 entries, one draw per chunk, 80 * 2^24 bytes in all
-    assert check_mc_route(2, 12, 12) == 1
-    # 13 qubits fit the side cap, but 80 * 2^26 bytes exceed the budget of
-    # one complex matrix at that cap (16 * 2^28)
+    # 12 qubits: five complex 4096^2 arrays, 80 * 2^24 bytes, and chunks of
+    # 254 draws of 4096 + 26 entries each
+    assert check_mc_route(2, 12, 12) == 2 ** 20 // (4096 + 26)
+    # 13 qubits fit the side cap, but the five arrays' 80 * 2^26 bytes
+    # exceed the budget of one complex matrix at that cap (16 * 2^28)
     with pytest.raises(ResourceLimitError, match="bytes"):
         check_mc_route(2, 13, 13)
     with pytest.raises(ResourceLimitError, match="15-user Monte Carlo estimate"):
         check_mc_route(2, 15, 15)
     with pytest.raises(ValueError, match="1 <= k <= M=3"):
         check_mc_route(2, 3, 4)
+
+
+@pytest.mark.parametrize("d,m,k", [(2, 8, 8), (3, 20, 2)])
+def test_mc_guard_bounds_the_traced_peak(d, m, k, monkeypatch):
+    counted = []
+
+    def spy(nbytes, cap, what):
+        counted.append(nbytes)
+        return linalg._check_bytes(nbytes, cap, what)
+
+    monkeypatch.setattr(definetti, "_check_bytes", spy)
+    chunk = check_mc_route(d, m, k)
+    tracemalloc.start()
+    try:
+        s_m = sym_dim(d, m)
+        # two full chunks and one draw, from a state built under the trace
+        mc_reduce_coords(np.eye(s_m) / s_m, d, m, k, 2 * chunk + 1, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= counted[-1]
 
 
 def test_moment_check_raises_before_allocating():

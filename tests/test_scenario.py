@@ -11,6 +11,7 @@ from symdist.channels import SUPPORT_TOL
 from symdist.linalg import ket
 from symdist.scenario import (
     MC_SIGMA_THRESHOLD,
+    _input_state,
     RECORD_COLUMNS,
     ResultRecord,
     SchemaError,
@@ -265,6 +266,21 @@ class TestRunScenario:
             input={"type": "random_pure", "seed": 77})))
         assert rec.seed == 77
         assert rec.satisfied_lemma1 and rec.satisfied_fidelity_gap
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_random_input_ket_is_pinned(self, d):
+        # the fidelity-chain rows and the benchmark's reference rows rest on
+        # this ket: stream (seed, 0, 0), d real normals then d imaginary,
+        # divided by the 1-D np.linalg.norm (a batched norm moves last bits)
+        for seed in (0, 1, 7, 77, 5004, 2 ** 40):
+            cfg = scenario_from_dict(cloner_scenario(
+                channel={"kind": "universal_cloner", "d": d, "N": 1, "M": 2},
+                input={"type": "random_pure", "seed": seed}))
+            rng = np.random.default_rng((seed, 0, 0))
+            z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            phi, got_seed = _input_state(cfg)
+            assert got_seed == seed
+            assert np.array_equal(phi.entries[:, 0], z / np.linalg.norm(z))
 
     def test_noisy_theorem2(self):
         data = {

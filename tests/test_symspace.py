@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from symdist.definetti import mc_reduce_coords
 from symdist.linalg import ResourceLimitError, permutation_operator, permute_factors
 from symdist.symspace import (
-    HaarSampler,
     embed_coords,
-    haar_sample,
+    haar_kets,
     index_map,
     sym_basis,
     sym_dim,
@@ -149,41 +149,42 @@ class TestSymmetrizer:
 
 class TestHaarSampler:
     def test_determinism_same_seed(self):
-        a = haar_sample(HaarSampler(2, 42))
-        b = haar_sample(HaarSampler(2, 42))
-        assert np.array_equal(a.entries, b.entries)
+        a = haar_kets(np.random.default_rng(42), 3, 2)
+        b = haar_kets(np.random.default_rng(42), 3, 2)
+        assert a.shape == (3, 2)
+        assert np.array_equal(a, b)
 
-    def test_counter_replay(self):
-        s = HaarSampler(3, 7)
-        draws = [haar_sample(s).entries for _ in range(3)]
-        replay = haar_sample(HaarSampler(3, 7, counter=2))
-        assert np.array_equal(replay.entries, draws[2])
-        assert s.counter == 3
+    def test_rows_do_not_depend_on_the_split(self):
+        whole = haar_kets(np.random.default_rng(7), 10, 3)
+        rng = np.random.default_rng(7)
+        parts = [haar_kets(rng, n, 3) for n in (1, 4, 5)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_row_layout(self):
+        # row j is 2d normals of the stream: d real parts, then d imaginary
+        x = np.random.default_rng(5).standard_normal((4, 2, 3))
+        z = x[:, 0] + 1j * x[:, 1]
+        u = haar_kets(np.random.default_rng(5), 4, 3)
+        norm = np.linalg.norm(z, axis=1, keepdims=True)
+        assert np.max(np.abs(u * norm - z)) <= 1e-12
 
     def test_unit_norm(self):
-        s = HaarSampler(4, 3)
-        for _ in range(50):
-            assert np.isclose(np.linalg.norm(haar_sample(s).entries), 1.0)
+        u = haar_kets(np.random.default_rng(3), 50, 4)
+        assert np.allclose(np.linalg.norm(u, axis=1), 1.0)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError):
-            HaarSampler(2, -1)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            mc_reduce_coords(np.eye(2) / 2, 2, 1, 1, 100, seed=-1)
 
     def _moment_mean(self, d, n, samples, seed):
-        s = HaarSampler(d, seed)
-        side = d ** n
-        acc = np.zeros((side, side), dtype=complex)
-        acc2 = np.zeros((side, side))
-        for _ in range(samples):
-            u = haar_sample(s).entries[:, 0]
-            full = u
-            for _ in range(n - 1):
-                full = np.kron(full, u)
-            x = np.outer(full, full.conj())
-            acc += x
-            acc2 += x.real ** 2 + x.imag ** 2
-        mean = acc / samples
-        var = np.maximum(acc2 / samples - np.abs(mean) ** 2, 0.0)
+        u = haar_kets(np.random.default_rng(seed), samples, d)
+        full = u
+        for _ in range(n - 1):
+            full = (full[:, :, None] * u[:, None, :]).reshape(samples, -1)
+        # mean of x = full full^dagger and of |x|^2, over the draws
+        mean = full.T @ full.conj() / samples
+        p = np.abs(full) ** 2
+        var = np.maximum(p.T @ p / samples - np.abs(mean) ** 2, 0.0)
         se = np.sqrt(var / samples)
         return mean, se
 
