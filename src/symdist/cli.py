@@ -200,6 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "cap", 1) < 1:  # run and suite
+            raise ValueError(f"--cap must be at least 1, got {args.cap}")
         return args.func(args)
     except (ValueError, ResourceLimitError, OverflowError, OSError) as exc:
         # SchemaError is a ValueError

@@ -57,8 +57,9 @@ class DenseOperator:
 
     `row_dims`/`col_dims` are tuples whose products equal the matrix shape.
     An empty tuple denotes a one-dimensional (scalar) space, so kets are
-    stored as (dim, 1) matrices with col_dims=().  Entries are write-locked;
-    all arithmetic returns new instances.
+    stored as (dim, 1) matrices with col_dims=().  Entries are write-locked,
+    a read-only view where they come complex and C-ordered (so callers hand
+    over arrays they no longer write to); all arithmetic returns new instances.
     """
 
     entries: np.ndarray
@@ -66,15 +67,13 @@ class DenseOperator:
     col_dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=complex, order="C")
+        m = np.asarray(self.entries, dtype=complex, order="C").view()
         if m.ndim != 2:
             raise ValueError(f"entries must be a matrix, got ndim={m.ndim}")
         rd = _as_dims(self.row_dims)
         cd = rd if self.col_dims is None else _as_dims(self.col_dims)
         if math.prod(rd) != m.shape[0] or math.prod(cd) != m.shape[1]:
-            raise ValueError(
-                f"shape {m.shape} does not match factor dims {rd} x {cd}"
-            )
+            raise ValueError(f"shape {m.shape} does not match factor dims {rd} x {cd}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "row_dims", rd)
@@ -241,12 +240,8 @@ def permutation_index_map(perm, d: int) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _permutation_index_map(p: tuple[int, ...], d: int) -> np.ndarray:
-    n = len(p)
-    idx = np.arange(d ** n)
-    dest = np.zeros_like(idx)
-    for j in range(n):
-        digit = (idx // d ** (n - 1 - j)) % d
-        dest += digit * d ** (n - 1 - p[j])
+    # transposing the grid of flat indices moves axis (digit) j to p[j]
+    dest = np.arange(d ** len(p)).reshape((d,) * len(p)).transpose(p).ravel()
     dest.setflags(write=False)
     return dest
 

@@ -252,6 +252,8 @@ def load_scenarios(text: str, defaults: dict | None = None) -> list[ScenarioConf
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"scenario file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("scenario file is nested too deeply to parse") from exc
     listed = isinstance(data, list)
     entries = data if listed else [data]
     for i, entry in enumerate(entries):

@@ -1,32 +1,30 @@
 """Totally symmetric subspace machinery and Haar sampling.
 
 The symmetric subspace of (C^d)^{tensor n} is spanned by occupation-number
-vectors; the isometry into it gives projectors and partial traces that never
-touch the n! permutations explicitly.  The isometry has one nonzero per row,
-so index_map keeps it as the column of each flat index plus a weight and
-applies it by gathers and grouped sums; sym_basis expands the same map into
-the dense matrix for the Choi-matrix oracle and tests.  States inside the
-subspace can also be kept as sym_dim(d, n)-sided matrices in these
-coordinates: split_table holds the coefficients that split |m>_n into
-k-factor and (n-k)-factor parts, and power_coords gives the coordinates of
-a product vector u^{tensor n} (see Harrow, "The church of the symmetric
-subspace", arXiv:1308.6595).  haar_kets draws the Haar-random kets that
-Monte Carlo weights by those coordinates, as rows taken in order from one
-numpy Generator.
+vectors m; _occupation_table lists them in basis order and _rank maps them
+back to it, both by array arithmetic.  The isometry has one nonzero per
+row, so index_map keeps it as the column (_rank of the digit counts) of
+each flat index plus a weight and applies it by gathers and grouped sums;
+sym_basis expands it into the dense matrix for the Choi oracle and tests.
+States inside the subspace can also be kept as sym_dim(d, n)-sided
+matrices in these coordinates: split_table holds the coefficients, exact
+ratios of integer binomials, that split |m>_n into k- and (n-k)-factor
+parts, and power_coords the coordinates of a product vector u^{tensor n}
+(Harrow, "The church of the symmetric subspace", arXiv:1308.6595).
+haar_kets draws the Haar-random kets that Monte Carlo weights by those
+coordinates, as rows taken in order from one numpy Generator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
 from .linalg import (DEFAULT_DIM_CAP, DenseOperator, ResourceLimitError,
                      _check_bytes, _check_cap)
-
-_INT64_MAX = 2 ** 63 - 1
 
 
 def sym_dim(d: int, n: int) -> int:
@@ -36,21 +34,11 @@ def sym_dim(d: int, n: int) -> int:
     if n < 0:
         raise ValueError(f"copy count must be >= 0, got {n}")
     v = math.comb(d + n - 1, n)
-    if v > _INT64_MAX:
+    if v >= 2 ** 63:
         raise OverflowError(
             f"sym_dim({d}, {n}) = {v} exceeds the 64-bit integer range"
         )
     return v
-
-
-def _occupations(d: int, n: int):
-    """All (n_1..n_d) with sum n, lexicographically descending."""
-    if d == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in _occupations(d - 1, n - first):
-            yield (first,) + rest
 
 
 @dataclass(frozen=True)
@@ -69,11 +57,35 @@ class SymBasis:
 
 
 @lru_cache(maxsize=128)
-def _occupation_table(d: int, n: int):
-    """Occupations in basis order: the tuples, an (s, d) array, and {tuple: index}."""
-    occs = tuple(_occupations(d, n))
-    arr = np.array(occs, dtype=np.int64).reshape(len(occs), d)
-    return occs, arr, {occ: c for c, occ in enumerate(occs)}
+def _occupation_table(d: int, n: int) -> np.ndarray:
+    """Occupations of total n as rows, in basis order (descending lexicographic):
+    built entry by entry, each prefix that leaves t followed by t, t-1, ..., 0."""
+    cols, left = ([np.arange(n, -1, -1)], np.arange(n + 1)) if d > 1 else ([], np.array([n]))
+    for _ in range(d - 2):
+        counts = left + 1
+        ends = np.add.accumulate(counts)
+        runs = (ends - 1).repeat(counts) - np.arange(ends[-1])
+        cols = [c.repeat(counts) for c in cols] + [runs]
+        left = left.repeat(counts) - runs
+    occ = np.array(cols + [left]).T
+    occ.setflags(write=False)
+    return occ
+
+
+def _rank(occ, d: int, n: int, out: np.ndarray) -> np.ndarray:
+    """Add to `out` the basis-order column of occupations of total n, given as
+    their entry arrays (entry d-1 unread).  Those agreeing on entries < i, with
+    more at entry i, come first: C(t + r - 1, r) of them for t left after entry
+    i and r = d-1-i entries after it, which row r of `ahead` holds."""
+    ahead = np.zeros((d, n + 1), dtype=np.int64)
+    ahead[0] = 1
+    for r in range(1, d):
+        np.add.accumulate(ahead[r - 1, 1:], out=ahead[r, 1:])
+    left = n
+    for row, entry in zip(ahead[:0:-1], occ):  # rows r = d-1, ..., 1
+        left = left - entry
+        out += row[left]
+    return out
 
 
 @dataclass(frozen=True)
@@ -119,26 +131,16 @@ def _along(v: np.ndarray, axis: int, ndim: int) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _index_map(d: int, n: int) -> IndexMap:
-    # the digits of flat index x are the states of the factors; n_i counts
-    # those equal to i, one digit at a time.  The column is the rank of x's
-    # occupation in descending lexicographic order: occupations that agree
-    # on entries < i and hold more at entry i come first,
-    # C(rest - n_i + d-i-2, d-i-1) of them (compositions of rest - n_i - 1
-    # or less into d - i - 1 parts)
-    x = np.arange(d ** n)
-    col = np.zeros(d ** n, dtype=np.int64)
-    rest = np.full(d ** n, n)
-    for i in range(d - 1):
-        n_i = sum(x // d ** j % d == i for j in range(n))
-        ahead = np.array([math.comb(u + d - i - 2, d - i - 1)
-                          for u in range(n + 1)], dtype=np.int64)
-        col += ahead[rest - n_i]
-        rest -= n_i
+    # entry i of the occupation of flat index x counts its digits equal to i:
+    # the outer sum of n indicators of i (0 if n = 0), one entry at a time
+    entries = (reduce(np.add.outer, [e] * n or [0 * e[:1]]).ravel()
+               for e in np.eye(d, dtype=np.int64))
+    col = _rank(entries, d, n, np.zeros(d ** n, dtype=np.int64))
     # column sizes are the multinomial multiplicities n!/(prod n_i!)
     mult = np.bincount(col, minlength=sym_dim(d, n))
     scale = 1.0 / np.sqrt(mult)
-    order = np.argsort(col, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(mult)[:-1]))
+    order = col.argsort(kind="stable")
+    starts = np.add.accumulate(mult) - mult
     return IndexMap(col, scale[col], scale, order, starts)
 
 
@@ -153,7 +155,7 @@ def sym_basis(d: int, n: int, cap: int = DEFAULT_DIM_CAP) -> SymBasis:
     """The isometry as a dense d^n x s_n matrix: only the Choi-matrix oracle
     (channels.universal_cloner) and tests use it; runs use index_map."""
     v = index_map(d, n, cap)  # validates d, n and the cap
-    occs, _, _ = _occupation_table(d, n)
+    occs = tuple(map(tuple, _occupation_table(d, n).tolist()))
     mat = np.zeros((d ** n, len(occs)))
     mat[np.arange(d ** n), v.col] = v.weight
     return SymBasis(d, n, occs, DenseOperator(mat, (d,) * n, (len(occs),)))
@@ -182,8 +184,8 @@ def _multinomial(occ) -> int:
 
 @lru_cache(maxsize=128)
 def _half_log_multiplicities(d: int, n: int) -> np.ndarray:
-    occs, _, _ = _occupation_table(d, n)
-    return np.array([0.5 * math.log(_multinomial(occ)) for occ in occs])
+    return np.array([0.5 * math.log(_multinomial(occ))
+                     for occ in _occupation_table(d, n).tolist()])
 
 
 def power_coords(u: np.ndarray, n: int) -> np.ndarray:
@@ -195,7 +197,7 @@ def power_coords(u: np.ndarray, n: int) -> np.ndarray:
     powers overflow or underflow at large n.
     """
     u = np.asarray(u, dtype=complex)
-    _, occ, _ = _occupation_table(u.shape[-1], n)
+    occ = _occupation_table(u.shape[-1], n)
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = occ * np.log(np.abs(u))[..., None, :]
     logs = np.where(occ > 0, logs, 0.0)  # 0^0 = 1, even where u_i = 0
@@ -211,38 +213,37 @@ class SplitTable:
     The same triples (m = a + b) come in two layouts: `whole[a, b]` is the
     index of a + b in Sym^n, with coefficient `whole_coef[a, b]`; `rest[m, a]`
     is the index of m - a in Sym^{n-k}, with coefficient `rest_coef[m, a]`,
-    both zero where a does not fit inside m.
+    both zero where a does not fit inside m.  Only reductions read the second
+    layout, so it is scattered from the first when first read.
     """
 
     whole: np.ndarray
     whole_coef: np.ndarray
-    rest: np.ndarray
-    rest_coef: np.ndarray
+    rest = cached_property(lambda self: self._scatter(np.arange(self.whole.shape[1])))
+    rest_coef = cached_property(lambda self: self._scatter(self.whole_coef))
+
+    def _scatter(self, x: np.ndarray) -> np.ndarray:
+        # whole[-1, -1] is the index of the last occupation, (0, ..., 0, n)
+        out = np.zeros((self.whole[-1, -1] + 1, len(self.whole)), x.dtype)
+        out[self.whole, np.arange(len(self.whole))[:, None]] = x
+        return out
 
 
 @lru_cache(maxsize=64)
 def split_table(d: int, n: int, k: int) -> SplitTable:
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n={n}, got k={k}")
-    occ_k, _, _ = _occupation_table(d, k)
-    occ_rest, _, _ = _occupation_table(d, n - k)
-    _, _, index_n = _occupation_table(d, n)
-    total = math.comb(n, k)
-    whole = np.empty((len(occ_k), len(occ_rest)), dtype=np.int64)
-    coef = np.empty(whole.shape)
-    for i, a in enumerate(occ_k):
-        for j, b in enumerate(occ_rest):
-            m = tuple(x + y for x, y in zip(a, b))
-            whole[i, j] = index_n[m]
-            # exact integer ratio, correctly rounded by true division
-            hits = math.prod(math.comb(x, y) for x, y in zip(m, a))
-            coef[i, j] = math.sqrt(hits / total)
-    rows = np.arange(len(occ_k))[:, None]
-    rest = np.zeros((len(index_n), len(occ_k)), dtype=np.int64)
-    rest_coef = np.zeros(rest.shape)
-    rest[whole, rows] = np.arange(len(occ_rest))[None, :]
-    rest_coef[whole, rows] = coef
-    return SplitTable(whole, coef, rest, rest_coef)
+    a = _occupation_table(d, k)
+    m = a[:, None, :] + _occupation_table(d, n - k)  # m = a + b, for b in Sym^{n-k}
+    whole = _rank(m.transpose(2, 0, 1), d, n, np.zeros(m.shape[:2], np.int64))
+    # C(x, y) as Python integers, column y the partial sums of column y-1,
+    # so each c(m;a)^2 is an exact ratio, correctly rounded by true division
+    binom = np.zeros((n + 1, k + 1), dtype=object)
+    binom[:, 0] = 1
+    for y in range(1, k + 1):
+        np.add.accumulate(binom[:-1, y - 1], out=binom[1:, y])
+    hits = np.multiply.reduce(binom[m, a[:, None, :]], axis=-1)
+    return SplitTable(whole, np.sqrt((hits / math.comb(n, k)).astype(float)))
 
 
 def _sym(d: int, n: int) -> int:

@@ -160,6 +160,27 @@ class TestRun:
         assert main(["run", str(src)]) == 1
         assert "error: scenario file is not valid JSON: " in capsys.readouterr().err
 
+    def test_deeply_nested_file_exits_one(self, tmp_path, capsys):
+        # json.loads raises RecursionError here, not JSONDecodeError
+        src = tmp_path / "nested.json"
+        src.write_text("[" * 200000 + "]" * 200000)
+        assert main(["run", str(src)]) == 1
+        assert ("error: scenario file is nested too deeply to parse"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", [["run"], ["suite"]])
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_exits_one(self, command, cap, capsys):
+        assert main([*command, "--cap", cap]) == 1
+        assert (f"error: --cap must be at least 1, got {cap}"
+                in capsys.readouterr().err)
+
+    def test_cap_bounds_the_run(self, capsys):
+        # the output of 3 qubit users has side s_3 = 4 in occupation coordinates
+        assert main(["run", "--M", "3", "--cap", "3"]) == 1
+        assert "exceeding the cap 3" in capsys.readouterr().err
+        assert main(["run", "--M", "3", "--cap", "64"]) == 0
+
     @pytest.mark.parametrize("p", ["1.5", "-0.1"])
     def test_depolarizing_weight_out_of_range_exits_one(self, p, capsys):
         rc = main(["run", "--kind", "noisy_cloner", "--M", "3", "--p", p,

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symdist.linalg import (
     DenseOperator,
@@ -40,6 +44,17 @@ class TestDenseOperator:
         op = identity((2,))
         with pytest.raises(ValueError):
             op.entries[0, 0] = 5.0
+
+    def test_complex_entries_are_wrapped_not_copied(self):
+        m = np.eye(2, dtype=complex)
+        op = DenseOperator(m, (2,))
+        assert np.shares_memory(op.entries, m)
+        assert not op.entries.flags.writeable
+        assert m.flags.writeable  # the caller's array is left as it was
+        for other in (np.eye(2), np.asfortranarray(m[:, ::-1])):
+            copied = DenseOperator(other, (2,)).entries
+            assert not np.shares_memory(copied, other)
+            assert copied.flags.c_contiguous and copied.dtype == complex
 
     def test_factor_dims_requires_square(self):
         v = ket([1.0, 0.0])
@@ -156,6 +171,52 @@ class TestPartialTrace:
             partial_trace(ket([1, 0]), [0])
 
 
+@st.composite
+def _traced_factors(draw):
+    """An operator on 2-4 factors of dimension 1-3, and two disjoint sets of
+    factors to trace out."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)))
+    slots = draw(st.permutations(range(len(dims))))
+    cut = draw(st.integers(0, len(dims)))
+    cut_b = draw(st.integers(cut, len(dims)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return _rand_op(rng, dims), set(slots[:cut]), set(slots[cut:cut_b])
+
+
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(case=_traced_factors())
+def test_partial_trace_composes(case):
+    """Tracing out A and then B equals tracing out both at once."""
+    x, a, b = case
+    n = len(x.row_dims)
+    keep_a = [t for t in range(n) if t not in a]
+    # after the first trace, factor t sits at position keep_a.index(t)
+    then_b = [i for i, t in enumerate(keep_a) if t not in b]
+    two_step = partial_trace(partial_trace(x, keep_a), then_b)
+    one_step = partial_trace(x, [t for t in range(n) if t not in a | b])
+    assert two_step.row_dims == one_step.row_dims
+    assert np.max(np.abs(two_step.entries - one_step.entries)) <= 1e-12
+
+
+@st.composite
+def _permuted_factors(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5 if d == 2 else 4))
+    perm = draw(st.permutations(range(n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return _rand_op(rng, (d,) * n), perm, d
+
+
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(case=_permuted_factors())
+def test_permute_factors_matches_permutation_operator(case):
+    x, perm, d = case
+    u = permutation_operator(perm, d).entries
+    got = permute_factors(x, perm, d)
+    assert got.row_dims == x.row_dims
+    assert np.max(np.abs(got.entries - u @ x.entries @ u.conj().T)) <= 1e-12
+
+
 class TestPermutations:
     def test_identity_perm(self):
         assert np.allclose(permutation_operator([0, 1], 2).entries, np.eye(4))
@@ -192,6 +253,15 @@ class TestPermutations:
             permutation_operator([0, 0, 1], 2)
         with pytest.raises(ValueError):
             permutation_index_map([0, 2], 2)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_index_map_matches_the_digit_loop(self, d):
+        # digit j of x, counted from the most significant, becomes digit p[j]
+        for n in range(5):
+            for p in itertools.permutations(range(n)):
+                want = [sum((x // d ** (n - 1 - j)) % d * d ** (n - 1 - p[j])
+                            for j in range(n)) for x in range(d ** n)]
+                assert permutation_index_map(p, d).tolist() == want
 
     def test_index_map_cached_read_only(self):
         dest = permutation_index_map([1, 0, 2], 2)

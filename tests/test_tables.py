@@ -1,0 +1,141 @@
+"""The combinatorial tables of symspace against the per-entry loops they
+replace: the recursive occupation generator, and the split-table loop that
+looked each m = a + b up in a {tuple: index} dict and took each coefficient
+as math.sqrt of an exact integer ratio."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symdist.symspace import (
+    _index_map,
+    _occupation_table,
+    _rank,
+    check_occupation_route,
+    split_table,
+    sym_dim,
+)
+
+SPLIT_FIELDS = ("whole", "whole_coef", "rest", "rest_coef")
+# sizes past the float64 and int64 ranges of binom(n, k) and sym_dim
+BIG_SPLITS = [(2, 1027, 3), (3, 67, 3), (2, 1036, 12), (4, 20, 5)]
+
+
+def _occupations(d, n):
+    """All (n_1..n_d) with sum n, lexicographically descending."""
+    if d == 1:
+        yield (n,)
+        return
+    for first in range(n, -1, -1):
+        for rest in _occupations(d - 1, n - first):
+            yield (first,) + rest
+
+
+def _split_oracle(d, n, k):
+    occ_k = list(_occupations(d, k))
+    occ_rest = list(_occupations(d, n - k))
+    index_n = {occ: c for c, occ in enumerate(_occupations(d, n))}
+    total = math.comb(n, k)
+    whole = np.empty((len(occ_k), len(occ_rest)), dtype=np.int64)
+    coef = np.empty(whole.shape)
+    for i, a in enumerate(occ_k):
+        for j, b in enumerate(occ_rest):
+            m = tuple(x + y for x, y in zip(a, b))
+            whole[i, j] = index_n[m]
+            hits = math.prod(math.comb(x, y) for x, y in zip(m, a))
+            coef[i, j] = math.sqrt(hits / total)
+    rows = np.arange(len(occ_k))[:, None]
+    rest = np.zeros((len(index_n), len(occ_k)), dtype=np.int64)
+    rest_coef = np.zeros(rest.shape)
+    rest[whole, rows] = np.arange(len(occ_rest))[None, :]
+    rest_coef[whole, rows] = coef
+    return whole, coef, rest, rest_coef
+
+
+def _assert_split_matches(d, n, k):
+    got = split_table(d, n, k)
+    for field, want in zip(SPLIT_FIELDS, _split_oracle(d, n, k)):
+        have = getattr(got, field)
+        assert have.dtype == want.dtype, (d, n, k, field)
+        assert np.array_equal(have, want), (d, n, k, field)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_occupation_order_matches_the_generator(d):
+    for n in range(13):
+        occ = _occupation_table(d, n)
+        assert occ.shape == (sym_dim(d, n), d)
+        assert occ.tolist() == [list(m) for m in _occupations(d, n)]
+        assert not occ.flags.writeable
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d in range(1, 6) for n in range(13)]
+                         + [(2, 2000), (3, 67), (4, 20), (9, 4)])
+def test_rank_round_trip(d, n):
+    occ = _occupation_table(d, n)
+    col = _rank(occ.T, d, n, np.zeros(len(occ), dtype=np.int64))
+    assert np.array_equal(col, np.arange(len(occ)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_split_tables_match_the_loop(d):
+    for n in range(13):
+        for k in range(n + 1):
+            _assert_split_matches(d, n, k)
+
+
+@pytest.mark.parametrize("d,n,k", BIG_SPLITS)
+def test_split_tables_match_the_loop_with_big_integers(d, n, k):
+    if (d, n, k) == (2, 1036, 12):
+        assert math.comb(n, k) > 2 ** 63  # beyond int64, let alone float64
+    _assert_split_matches(d, n, k)
+
+
+@st.composite
+def _splits(draw):
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(0, {1: 200, 2: 200, 3: 24, 4: 12}[d]))
+    return d, n, draw(st.integers(0, n))
+
+
+@settings(derandomize=True, max_examples=60, database=None, deadline=None)
+@given(case=_splits())
+def test_split_table_matches_the_loop_anywhere(case):
+    _assert_split_matches(*case)
+
+
+def test_cold_build_stays_under_the_route_estimate():
+    # the tables of a lemma1 run at d = 3, M = 64, k = 1..3, from empty
+    # caches: marginals read the first layout, reductions both
+    ks = (1, 2, 3)
+    split_table.cache_clear()
+    _occupation_table.cache_clear()
+    tracemalloc.start()
+    try:
+        for k in ks:
+            split_table(3, 64, k)
+            t = split_table(3, 64 + k, k)
+            assert t.rest.shape == t.rest_coef.shape == (sym_dim(3, 64 + k),
+                                                         sym_dim(3, k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= check_occupation_route(3, 64, ks)
+
+
+@pytest.mark.parametrize("d,n", [(2, 16), (4, 8), (9, 5)])
+def test_index_map_builds_in_64_bytes_an_entry(d, n):
+    # check_dense_route's figure; a d^n x d array of counts alone would
+    # take 8d bytes an entry, 72 at d = 9
+    _index_map.cache_clear()
+    tracemalloc.start()
+    try:
+        _index_map(d, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * d ** n
