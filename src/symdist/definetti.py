@@ -8,17 +8,16 @@ closed form as a rescaled partial trace against the (M+k)-fold symmetrizer;
 Monte Carlo over Haar samples recovers the same object statistically.
 
 The kernels (marginal_coords, reduce_coords, mc_reduce_coords) take the state
-as an s_M x s_M matrix in occupation coordinates and never form anything of
-side d^M; marginal_coords and reduce_coords also take a pure state as its
-s_M-vector.  An OccupationState holds either, and turns each kernel's
-s_k x s_k output into a k-user result on (C^d)^{tensor k} with one gather.
-A dense state enters by one of two routes, picked by the caller:
+as an s_M x s_M matrix in occupation coordinates, and the first two also a
+pure state as its s_M-vector; none forms anything of side d^M.  An
+OccupationState holds either.  A dense state enters by one of two routes:
 symmetric_state(rho) for rho supported in the symmetric subspace (the
 lemma), and purified_state(rho) for any permutation-invariant rho (the
-theorem).  The latter pairs each user with an ancilla in |Phi> =
-(sqrt(rho) tensor 1)|Omega>, which is symmetric in the d^2-dimensional
-pairs; the same kernels then run at d^2 on |Phi> as a ket, and the gather
-traces the ancillas out, so nothing of side d^2k is formed.
+theorem).  On the first, the k-user marginal and mixture lie in Sym^k and V
+is an isometry, so their distance is taken between the kernels' s_k x s_k
+outputs.  The second pairs each user with an ancilla in |Phi> = (sqrt(rho)
+tensor 1)|Omega>, symmetric in the d^2-dimensional pairs; the kernels run
+at d^2 on |Phi> as a ket, and one gather traces the ancillas out at d^k.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from .linalg import (
 from .symspace import (
     _index_map,
     check_dense_route,
+    embed_coords,
     haar_kets,
     index_map,
     power_coords,
@@ -89,8 +89,8 @@ def marginal_coords(rho: np.ndarray, d: int, m: int, k: int) -> np.ndarray:
         w = t.whole_coef * rho[t.whole]
         return w @ w.conj().T
     gathered = rho[t.whole[:, None, :], t.whole[None, :, :]]
-    weights = t.whole_coef[:, None, :] * t.whole_coef[None, :, :]
-    return (weights * gathered).sum(axis=-1)
+    gathered *= t.whole_coef[:, None, :] * t.whole_coef[None, :, :]
+    return gathered.sum(axis=-1)
 
 
 def reduce_coords(rho: np.ndarray, d: int, m: int, k: int) -> np.ndarray:
@@ -107,8 +107,8 @@ def reduce_coords(rho: np.ndarray, d: int, m: int, k: int) -> np.ndarray:
         b = t.rest_coef * rho[t.rest]
         return ratio * (b.conj().T @ b)
     gathered = rho[t.rest[:, None, :], t.rest[:, :, None]]
-    weights = t.rest_coef[:, :, None] * t.rest_coef[:, None, :]
-    return ratio * (weights * gathered).sum(axis=0)
+    gathered *= t.rest_coef[:, :, None] * t.rest_coef[:, None, :]
+    return ratio * gathered.sum(axis=0)
 
 
 def check_mc_route(d: int, m: int, k: int) -> int:
@@ -172,10 +172,8 @@ class OccupationState:
 
     When `paired`, each factor is a (user, ancilla) pair and `coords` is
     the pure pair purification as an s-vector in Sym^M(C^{d^2}); the
-    kernels take it as a ket.  k-user results come from the kernel's
-    s_k x s_k output by one gather through _trace_table, which traces the
-    ancilla halves out on the way (unpaired, there are none to trace), and
-    are hermitized at side d^k.
+    kernels take it as a ket, and a gather through _trace_table traces the
+    ancillas out of their s_k x s_k outputs at side d^k.
     """
 
     coords: np.ndarray
@@ -185,51 +183,59 @@ class OccupationState:
 
     def marginal(self, k: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
         """The k-user marginal Tr_{M-k} rho, on (C^d)^{tensor k}."""
-        return self._users(marginal_coords, k, cap)
+        return self._result(marginal_coords, k, cap, dense=True)
 
     def reduction(self, k: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
         """The exact k-user classical mixture, on (C^d)^{tensor k}."""
-        return self._users(reduce_coords, k, cap)
+        return self._result(reduce_coords, k, cap, dense=True)
 
-    def _users(self, kernel, k: int, cap: int) -> DenseOperator:
+    def users(self, k: int, cap: int = DEFAULT_DIM_CAP) -> tuple[DenseOperator, ...]:
+        """The k-user marginal and mixture, hermitized, in the frame their
+        distance is taken in: (C^d)^{tensor k} paired, else occupation
+        coordinates of Sym^k(C^d), where V keeps the trace norm (k = 1: C^d)."""
+        return (self._result(marginal_coords, k, cap, dense=False),
+                self._result(reduce_coords, k, cap, dense=False))
+
+    def _result(self, kernel, k: int, cap: int, dense: bool) -> DenseOperator:
         _check_k(k, self.m)
-        # the result's side and bytes, before the kernel gathers
-        _check_cap(self.d ** k, cap, f"{k}-user result")
-        _check_bytes(users_bytes(self.d, k, self.paired), cap,
-                     f"{k}-user result")
-        pos, weight = _trace_table(self.d, k, self.paired)
-        q = self.d * self.d if self.paired else self.d
-        x = kernel(self.coords, q, self.m, k).ravel()[pos]
+        d = self.d
+        if self.paired or dense:
+            # side and bytes before the gathers (unpaired: V X V† and 2 copies)
+            _check_cap(d ** k, cap, f"{k}-user result")
+            _check_bytes(users_bytes(d, k) if self.paired else 48 * d ** (2 * k),
+                         cap, f"{k}-user result")
+        if not self.paired:
+            x = kernel(self.coords, d, self.m, k)
+            return (embed_coords(x, d, k, cap) if dense
+                    else DenseOperator(x, (len(x),))).hermitize()
+        pos, weight = _trace_table(d, k)
+        x = kernel(self.coords, d * d, self.m, k).ravel()[pos]
         x *= weight
         x = x.sum(axis=-1)
         x += x.conj().T
         x *= 0.5
-        return DenseOperator(x, (self.d,) * k)
+        return DenseOperator(x, (d,) * k)
 
 
 @lru_cache(maxsize=32)
-def _trace_table(d: int, k: int, paired: bool) -> tuple[np.ndarray, np.ndarray]:
+def _trace_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Tr_anc V X V† as one gather from an s_k x s_k coordinate matrix X.
 
-    V is the isometry of Sym^k(C^q), q = d^2 paired, else d.  Entry
-    [i, i', a] of `pos` is the flat index in X of the columns that V gives
-    rows (i, a) and (i', a), for system strings i, i' and ancilla string a
-    (the pair digits interleave, system first); `weight` holds the product
-    of their weights, so the result is (weight * X.flat[pos]).sum(-1).
-    Unpaired, the ancilla axis has length 1 and the result is V X V†.
+    V is the isometry of Sym^k(C^{d^2}).  Entry [i, i', a] of `pos` is the
+    flat index in X of the columns that V gives rows (i, a) and (i', a),
+    for system strings i, i' and ancilla string a (the pair digits
+    interleave, system first); `weight` holds the product of their
+    weights, so the result is (weight * X.flat[pos]).sum(-1).
     """
-    q = d * d if paired else d
-    flat = np.arange(q ** k)
-    if paired:
-        flat = flat.reshape((d,) * (2 * k)).transpose(
-            [*range(0, 2 * k, 2), *range(1, 2 * k, 2)])
-    flat = flat.reshape(d ** k, -1)
+    q = d * d
+    flat = np.arange(q ** k).reshape((d,) * (2 * k)).transpose(
+        [*range(0, 2 * k, 2), *range(1, 2 * k, 2)]).reshape(d ** k, -1)
     v = _index_map(q, k)
     col, w = v.col[flat], v.weight[flat]
     pos = col[:, None, :] * sym_dim(q, k) + col[None, :, :]
     weight = w[:, None, :] * w[None, :, :]
-    pos.setflags(write=False)
-    weight.setflags(write=False)
+    for a in (pos, weight):
+        a.setflags(write=False)
     return pos, weight
 
 

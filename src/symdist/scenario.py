@@ -280,30 +280,34 @@ def _input_state(cfg: ScenarioConfig) -> tuple[DenseOperator, int | None]:
 
 
 def _output(cfg: ScenarioConfig, phi: DenseOperator,
-            cap: int) -> tuple[OccupationState, DenseOperator | None]:
-    """The output in occupation coordinates, plus its dense form on
-    (C^d)^{tensor M}, which specs symmetric by construction skip unless
-    theorem2 asks for the pair purification (coordinates at d^2)."""
+            cap: int) -> tuple[OccupationState, OccupationState | None]:
+    """The output in occupation coordinates (of its pair purification, at
+    d^2, under theorem2), and the symmetric state that mc_crosscheck samples,
+    or None.  Specs symmetric by construction skip the dense form on
+    (C^d)^{tensor M} unless theorem2 runs."""
     spec = cfg.channel
+    mc = "mc_crosscheck" in cfg.checks
     if spec.symmetric_by_construction and "theorem2" not in cfg.checks:
         check_occupation_route(spec.d, spec.M, cfg.k_list, cap=cap)
         coords = spec.symmetric_output(phi, cap=cap)
         validate_state(DenseOperator(coords, (len(coords),)),
                        name="channel output")
-        return OccupationState(coords, spec.d, spec.M), None
+        out = OccupationState(coords, spec.d, spec.M)
+        return out, out if mc else None
     check_dense_route(spec.d, spec.M, cfg.k_list, "theorem2" in cfg.checks, cap)
     rho = spec.dense_output(phi, cap)
-    if "theorem2" in cfg.checks:
-        return purified_state(rho, cap), rho
+    out = purified_state(rho, cap) if "theorem2" in cfg.checks else None
+    if out is not None and not mc:
+        return out, None
     try:
-        return symmetric_state(rho, cap), rho
+        sym = symmetric_state(rho, cap)
     except SupportError as exc:
-        if "lemma1" not in cfg.checks:
-            raise
-        raise SchemaError(
-            "scenario.checks: lemma1 requires a symmetric-support channel "
-            f"(support residual {exc.residual:.3e}); use theorem2"
-        ) from exc
+        resid = f"(support residual {exc.residual:.3e})"
+        raise SchemaError("scenario.checks: " + (
+            f"lemma1 requires a symmetric-support channel {resid}; use theorem2"
+            if "lemma1" in cfg.checks else "mc_crosscheck samples the symmetric "
+            f"subspace, so it requires a symmetric-support channel {resid}")) from exc
+    return sym if out is None else out, sym if mc else None
 
 
 def _fidelity(phi: DenseOperator, rho: DenseOperator) -> float:
@@ -317,7 +321,7 @@ def run_scenario(cfg: ScenarioConfig,
     start = time.perf_counter()
     spec = cfg.channel
     phi, input_seed = _input_state(cfg)
-    out, dense = _output(cfg, phi, cap)
+    out, sym = _output(cfg, phi, cap)
     bound = flag = None
     if "lemma1" in cfg.checks:
         bound, flag = lemma1_bound, "satisfied_lemma1"
@@ -326,26 +330,24 @@ def run_scenario(cfg: ScenarioConfig,
     seed = cfg.mc["seed"] if cfg.mc else input_seed
     records = []
     for k in cfg.k_list:
-        rho_k = out.marginal(k, cap)
         row = ResultRecord(d=spec.d, N=spec.N, M=spec.M, k=k, p=spec.p, seed=seed)
-        tilde = None
+        records.append(row)
         if bound is not None:
-            tilde = out.reduction(k, cap)
+            rho_k, tilde = out.users(k, cap)
             row.actual_distance = trace_distance(rho_k, tilde)
             row.bound_exact = bound(spec.d, spec.M, k)
             row.bound_asymptotic = bound(spec.d, spec.M, k, asymptotic=True)
             setattr(row, flag,
                     row.actual_distance <= row.bound_exact + BOUND_SLACK)
         if k != 1:
-            records.append(row)
             continue
         if "perr" in cfg.checks:
             row.p_err = helstrom_perr(row.actual_distance)
             row.p_err_bound = perr_lower_bound(spec.d, spec.M)
             row.satisfied_perr = row.p_err >= row.p_err_bound - BOUND_SLACK
         if "fidelity_gap" in cfg.checks:
-            # lemma1 rides along (the parser insists), so tilde is the
-            # exact imitation's single-user state
+            # lemma1 rides along (the parser insists), so rho_k and tilde are
+            # the single-user states on C^d, the frame of one user
             row.F_clon = _fidelity(phi, rho_k)
             row.F_tilde = _fidelity(phi, tilde)
             row.gap_formula = universal_clone_gap(spec.N, spec.M, spec.d)
@@ -355,16 +357,15 @@ def run_scenario(cfg: ScenarioConfig,
                 and diff <= row.actual_distance + BOUND_SLACK
                 and row.actual_distance <= row.bound_exact + BOUND_SLACK
             )
-        if "mc_crosscheck" in cfg.checks:
-            # The sampler estimates the symmetric-route reduction, so that is
-            # the only reference its stderr applies to; under theorem2 the
-            # exact columns hold the purified route's state instead.
-            sym = symmetric_state(dense, cap) if out.paired else out
+        if sym is not None:
+            # The sampler estimates the symmetric-route reduction, the only
+            # reference its stderr applies to: tilde under lemma1, while under
+            # theorem2 the exact columns hold the purified route's state.
+            ref = tilde if "lemma1" in cfg.checks else sym.reduction(1, cap)
             est, stderr = mc_reduce_coords(sym.coords, spec.d, spec.M, 1,
                                            cfg.mc["samples"], cfg.mc["seed"])
-            sigma = _max_sigma(est, sym.reduction(1, cap).entries, stderr)
+            sigma = _max_sigma(est, ref.entries, stderr)
             row.satisfied_mc = sigma <= MC_SIGMA_THRESHOLD + BOUND_SLACK
-        records.append(row)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     for row in records:
         row.wall_time_ms = elapsed_ms

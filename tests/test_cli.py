@@ -247,6 +247,15 @@ class TestRun:
         assert rc == 1
         assert "symmetric subspace" in capsys.readouterr().err
 
+    def test_mc_next_to_theorem2_names_the_checks(self, capsys):
+        # the symmetric state the sampler needs is refused like lemma1's
+        rc = main(["run", "--kind", "noisy_cloner", "--M", "3",
+                   "--checks", "theorem2,mc_crosscheck", "--samples", "100"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario.checks: mc_crosscheck ")
+        assert "(support residual 2.375e-02)" in err
+
     def test_violation_exits_two(self, monkeypatch, capsys):
         failing = ResultRecord(d=2, N=1, M=2, k=1, p=None, seed=None,
                                actual_distance=9.0, bound_exact=0.5,

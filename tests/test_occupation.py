@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdist import channels, definetti, linalg, scenario, symspace
+from symdist import channels, definetti, linalg, scenario
 from symdist.channels import SDIChannelSpec, apply, embed_pure_input, validate_sdi
 from symdist.definetti import (
     OccupationState,
@@ -249,16 +249,73 @@ def test_users_step_matches_embedding_and_partial_trace(state):
 
 
 def test_run_path_embeds_no_k_user_result(monkeypatch):
+    """No run builds a k-user result by embedding or partial trace, and a
+    lemma1 run gathers none at side d^k: its results stay s_k x s_k."""
     def refuse(*args, **kwargs):
         raise AssertionError("a k-user result was embedded on the run path")
 
-    assert not any(hasattr(definetti, name) for name in ("embed_coords", "partial_trace"))
-    monkeypatch.setattr(symspace, "embed_coords", refuse)
+    monkeypatch.setattr(definetti, "embed_coords", refuse)
     monkeypatch.setattr(linalg, "partial_trace", refuse)
     for spec in COVERED[:3] + PURIFIED:
         checks = ["lemma1"] if spec in COVERED else ["theorem2"]
-        rows = run_scenario(_scenario(spec, checks, ks=range(1, spec.M + 1)))
+        with monkeypatch.context() as patch:
+            if spec in COVERED:
+                patch.setattr(definetti, "_trace_table", refuse)
+            rows = run_scenario(_scenario(spec, checks, ks=range(1, spec.M + 1)))
         assert all(row.satisfied_theorem2 or row.satisfied_lemma1 for row in rows)
+
+
+@pytest.mark.parametrize("d,m_users", [(2, 8), (2, 5), (3, 4), (4, 3)])
+def test_frame_distance_matches_the_embedded_route(d, m_users):
+    """Unpaired, the distance between the hermitized s_k x s_k kernel
+    outputs equals the one between their embeddings at side d^k, since the
+    isometry V preserves the trace norm."""
+    rng = np.random.default_rng(17 * d + m_users)
+    for _ in range(3):
+        state = OccupationState(random_state(rng, sym_dim(d, m_users)).entries,
+                                d, m_users)
+        for k in range(1, m_users + 1):
+            rho_k, tilde = state.users(k)
+            assert rho_k.shape == (sym_dim(d, k),) * 2
+            want = trace_distance(
+                embed_coords(marginal_coords(state.coords, d, m_users, k), d, k),
+                embed_coords(reduce_coords(state.coords, d, m_users, k), d, k))
+            assert abs(trace_distance(rho_k, tilde) - want) <= TOL
+
+
+def test_kernels_run_only_for_the_checks_that_read_them(monkeypatch):
+    calls = []
+
+    def counted(kernel):
+        def run(rho, d, m, k):
+            calls.append((kernel.__name__, k))
+            return kernel(rho, d, m, k)
+        return run
+
+    for kernel in (marginal_coords, reduce_coords):
+        monkeypatch.setattr(definetti, kernel.__name__, counted(kernel))
+
+    def cloner(checks, ks):
+        return scenario_from_dict({
+            "schema": 1,
+            "channel": {"kind": "universal_cloner", "d": 2, "N": 1, "M": 4},
+            "input": {"type": "random_pure", "seed": 0},
+            "k": ks, "checks": checks, "mc": {"samples": 200, "seed": 3},
+        })
+
+    # a bare mc_crosscheck reads only the reduction at k = 1
+    rows = run_scenario(cloner(["mc_crosscheck"], [1, 2]))
+    assert calls == [("reduce_coords", 1)]
+    assert rows[0].satisfied_mc and rows[1].actual_distance is None
+    # under lemma1 each kernel runs once per k, and the sampler's reference
+    # is the reduction the distance took
+    calls.clear()
+    rows = run_scenario(cloner(["lemma1", "perr", "fidelity_gap",
+                                "mc_crosscheck"], [1, 2, 3]))
+    assert all(row.satisfied_lemma1 for row in rows) and rows[0].satisfied_mc
+    assert sorted(calls) == [(kernel, k) for kernel in ("marginal_coords",
+                                                        "reduce_coords")
+                             for k in (1, 2, 3)]
 
 
 def test_purified_state_holds_a_ket():
@@ -467,26 +524,42 @@ def test_too_large_raises_before_allocating(d, m_users):
 
 @pytest.mark.parametrize("m_users", [9, 10])
 def test_occupation_route_estimate_bounds_the_traced_peak(m_users):
-    # k = M: the k-user stage at side 2^M, not the state, is the peak
+    # k = M: the largest k-user stage, which stays s_k x s_k
     cfg = _cloner(2, m_users, [1, m_users])
     estimate = check_occupation_route(2, m_users, [1, m_users], n_in=1)
     assert _traced_peak(lambda: run_scenario(cfg)) <= estimate
 
 
+def test_estimate_bounds_the_traced_peak_of_every_k():
+    # every k of 64 qubits: the reduction's gather at k = M is the peak, and
+    # up to 64 split tables stay cached
+    ks = range(1, 65)
+    cfg = _cloner(2, 64, ks)
+    estimate = check_occupation_route(2, 64, ks, n_in=1)
+    assert _traced_peak(lambda: run_scenario(cfg)) <= estimate
+
+
 def test_large_k_refused_before_allocating():
-    # the 13-user result side 2^13 fits the cap, but its gather and the two
-    # 2^13 x 2^13 matrices exceed the budget; k = 12 fits
-    check_occupation_route(2, 13, [1, 12])
-    cfg = _cloner(2, 13, [1, 13])
-    tracemalloc.start()
-    try:
-        with pytest.raises(ResourceLimitError,
-                           match="occupation-coordinate route for 13 users"):
-            run_scenario(cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 ** 20
+    # k-user results stay s_k x s_k, so k = M = 13 qubits runs; the limit is
+    # the reduction's gather of s_k^2 s_{M+k} entries, which at M = 1024
+    # qubits first passes the byte budget at k = 313
+    rows = run_scenario(_cloner(2, 13, [1, 13]))
+    assert all(row.satisfied_lemma1 for row in rows)
+    check_occupation_route(2, 1024, [1, 312])
+    with pytest.raises(ResourceLimitError,
+                       match="occupation-coordinate route for 1024 users"):
+        check_occupation_route(2, 1024, [1, 313])
+    for k in (313, 512):
+        cfg = _cloner(2, 1024, [1, k])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError,
+                               match="occupation-coordinate route for 1024 users"):
+                run_scenario(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 def test_guard_counts_gathers_in_bytes():
@@ -500,8 +573,10 @@ def test_guard_counts_gathers_in_bytes():
     check_occupation_route(3, 100, [1])
     with pytest.raises(ResourceLimitError, match="bytes"):
         check_occupation_route(3, 100, [1], n_in=50)
-    with pytest.raises(ResourceLimitError, match="30-user marginal"):
-        check_occupation_route(2, 1000, [30])
+    # a 30-user result is 31 x 31; its reduction gathers 31^2 s_1030 entries
+    check_occupation_route(2, 1000, [30])
+    with pytest.raises(ResourceLimitError, match="bytes"):
+        check_occupation_route(2, 1000, [500])
     with pytest.raises(ResourceLimitError):
         check_occupation_route(2, 10 ** 30, [1])
 
@@ -696,6 +771,22 @@ def test_theorem2_pins_past_the_old_side_cap(d, m_users, want):
     row, = run_scenario(cfg)
     assert row.satisfied_theorem2
     assert abs(row.actual_distance - want) <= TOL
+
+
+def test_one_to_64_cloner_pins_up_to_k_equal_m():
+    """lemma1 distance of the optimal 1 -> 64 qubit cloner, out to k = M.
+
+    Pinned to the values of the first run that reached k > 12.  M times
+    them is 2/3, 16/17, 32/33 and 64/65 to within 1e-14 (observed, not
+    proved), while M times the bound grows about linearly in k.
+    """
+    want = {1: 0.010416666666666796, 16: 0.014705882352941232,
+            32: 0.015151515151515242, 64: 0.015384615384615464}
+    rows = run_scenario(_cloner(2, 64, list(want)))
+    assert [row.k for row in rows] == list(want)
+    for row in rows:
+        assert row.satisfied_lemma1
+        assert abs(row.actual_distance - want[row.k]) <= TOL
 
 
 @pytest.mark.parametrize("d,m_users", [(2, 1024), (3, 64)])
