@@ -9,7 +9,10 @@ Monte Carlo over Haar samples recovers the same object statistically.
 
 The kernels (marginal_coords, reduce_coords, mc_reduce_coords) take the state
 as an s_M x s_M matrix in occupation coordinates, and the first two also a
-pure state as its s_M-vector; none forms anything of side d^M.  An
+pure state as its s_M-vector; each returns s_k x s_k matrices in the
+occupation coordinates of Sym^k, and none forms anything of side d^M or
+d^k.  The sampler weights each draw's power_coords, so its estimate is
+compared there too: the Haar moment P_k/s_k is 1/s_k times the identity.  An
 OccupationState holds either.  A dense state enters by one of two routes:
 symmetric_state(rho) for rho supported in the symmetric subspace (the
 lemma), and purified_state(rho) for any permutation-invariant rho (the
@@ -33,7 +36,10 @@ from .linalg import (
     DenseOperator,
     _check_bytes,
     _check_cap,
+    ket,
+    projector,
     swap_residual,
+    tensor_power,
 )
 from .symspace import (
     _index_map,
@@ -49,7 +55,7 @@ from .symspace import (
 
 PERM_INVARIANCE_TOL = 1e-8
 # Monte Carlo draws are weighted and accumulated in chunks that hold about
-# this many entries of the k-user kets and occupation coordinates.
+# this many entries of their k- and M-user occupation coordinates.
 MC_CHUNK_ENTRIES = 2 ** 20
 
 
@@ -67,14 +73,6 @@ def _uniform_square(rho: DenseOperator, name: str) -> tuple[int, int]:
 def _check_k(k: int, m: int) -> None:
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= M={m}, got k={k}")
-
-
-def _kron_power(u: np.ndarray, n: int) -> np.ndarray:
-    """u^{tensor n} for one vector or a stack of them (shape (..., d))."""
-    out = np.ones(u.shape[:-1] + (1,), dtype=complex)
-    for _ in range(n):
-        out = (out[..., :, None] * u[..., None, :]).reshape(u.shape[:-1] + (-1,))
-    return out
 
 
 def marginal_coords(rho: np.ndarray, d: int, m: int, k: int) -> np.ndarray:
@@ -114,19 +112,18 @@ def reduce_coords(rho: np.ndarray, d: int, m: int, k: int) -> np.ndarray:
 def check_mc_route(d: int, m: int, k: int) -> int:
     """Raise ResourceLimitError, before anything is allocated, unless
     mc_reduce_coords at (d, M, k) fits DEFAULT_DIM_CAP; else return its
-    draws per chunk.  Side d^k is checked against the cap; the bytes of the
-    state, five d^k x d^k arrays (the two sums, a chunk's two products and
+    draws per chunk.  Side s_k is checked against the cap; the bytes of the
+    state, five s_k x s_k arrays (the two sums, a chunk's two products and
     a reference) and one chunk (64 bytes, four complex copies, for each
-    entry of a draw's k-user ket and of its d x s_M table of logarithms in
-    power_coords), against the byte budget that goes with it.
+    entry of a draw's k-user coordinates and of its d x s_M table of
+    logarithms in power_coords), against the byte budget that goes with it.
     """
     _check_k(k, m)
-    side = d ** k
-    _check_cap(side, DEFAULT_DIM_CAP, f"{k}-user Monte Carlo estimate")
-    s_m = sym_dim(d, m)
-    per_draw = side + d * s_m
+    s_k, s_m = sym_dim(d, k), sym_dim(d, m)
+    _check_cap(s_k, DEFAULT_DIM_CAP, f"{k}-user Monte Carlo estimate")
+    per_draw = s_k + d * s_m
     chunk = max(1, MC_CHUNK_ENTRIES // per_draw)
-    nbytes = 16 * (s_m * s_m + 5 * side * side) + 64 * chunk * per_draw
+    nbytes = 16 * (s_m * s_m + 5 * s_k * s_k) + 64 * chunk * per_draw
     _check_bytes(nbytes, DEFAULT_DIM_CAP, f"Monte Carlo estimate of {k} users")
     return chunk
 
@@ -134,14 +131,17 @@ def check_mc_route(d: int, m: int, k: int) -> int:
 def mc_reduce_coords(rho: np.ndarray, d: int, m: int, k: int, samples: int,
                      seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo (estimate, stderr) of the k-user mixture of an s_M x s_M
-    occupation-coordinate state: two d^k x d^k arrays, componentwise.
+    occupation-coordinate state: two s_k x s_k arrays, componentwise, in the
+    occupation coordinates of Sym^k(C^d) that OccupationState.users(k)
+    returns (C^d at k = 1).
 
     The draws are the first `samples` rows of haar_kets from one generator,
     default_rng((seed, 1)), taken chunk by chunk in order, so draw j does
     not depend on the chunk size.  Each is weighted by
-    s_M <psi^M|rho|psi^M> with <n|psi^M> = sqrt(mult(n)) prod_i psi_i^{n_i}.
-    Standard errors combine the real and imaginary spreads in quadrature.
-    Same (seed, samples) reproduces both arrays bit for bit.
+    w = s_M <psi^M|rho|psi^M> with <n|psi^M> = sqrt(mult(n)) prod_i psi_i^{n_i}
+    and contributes w c c†, where c = power_coords(psi, k).  Standard errors
+    combine the real and imaginary spreads in quadrature.  Same (seed,
+    samples) reproduces both arrays bit for bit.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, "
@@ -150,16 +150,17 @@ def mc_reduce_coords(rho: np.ndarray, d: int, m: int, k: int, samples: int,
         raise ValueError(f"seed must be non-negative, got {seed}")
     chunk = check_mc_route(d, m, k)
     rng = np.random.default_rng((seed, 1))
-    acc = np.zeros((d ** k, d ** k), dtype=complex)  # sum of the draws x
-    acc_sq = np.zeros((d ** k, d ** k))  # sum of |x|^2
+    s_k = sym_dim(d, k)
+    acc = np.zeros((s_k, s_k), dtype=complex)  # sum of the draws x
+    acc_sq = np.zeros((s_k, s_k))  # sum of |x|^2
     for lo in range(0, samples, chunk):
         u = haar_kets(rng, min(chunk, samples - lo), d)
         c = power_coords(u, m)
         w = sym_dim(d, m) * np.einsum("bs,bs->b", c.conj(), c @ rho.T).real
-        # x = w u_k u_k^dagger, summed over the chunk as matrix products
-        u_k = _kron_power(u, k)
-        acc += (w[:, None] * u_k).T @ u_k.conj()
-        p = np.abs(u_k) ** 2
+        # x = w c_k c_k^dagger, summed over the chunk as matrix products
+        c_k = c if k == m else power_coords(u, k)
+        acc += (w[:, None] * c_k).T @ c_k.conj()
+        p = np.abs(c_k) ** 2
         acc_sq += (w[:, None] ** 2 * p).T @ p
     mean = acc / samples
     var = np.maximum(acc_sq / samples - np.abs(mean) ** 2, 0.0)
@@ -194,7 +195,12 @@ class OccupationState:
         distance is taken in: (C^d)^{tensor k} paired, else occupation
         coordinates of Sym^k(C^d), where V keeps the trace norm (k = 1: C^d)."""
         return (self._result(marginal_coords, k, cap, dense=False),
-                self._result(reduce_coords, k, cap, dense=False))
+                self.mixture(k, cap))
+
+    def mixture(self, k: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
+        """The mixture of users(k) alone, in its frame: what the sampler's
+        estimate is compared against."""
+        return self._result(reduce_coords, k, cap, dense=False)
 
     def _result(self, kernel, k: int, cap: int, dense: bool) -> DenseOperator:
         _check_k(k, self.m)
@@ -275,13 +281,11 @@ def induced_povm_element(ch: QuantumChannel, psi: DenseOperator) -> DenseOperato
         raise ValueError(f"output factors {ch.out_factors} are not identical")
     d = ch.out_factors[0]
     m = len(ch.out_factors)
-    u = _kron_power(_plain_ket(psi, d), m)
-    obs = sym_dim(d, m) * np.outer(u, u.conj())
-    return adjoint_apply(ch, DenseOperator(obs, ch.out_factors)).hermitize()
+    power = projector(tensor_power(ket(_plain_ket(psi, d)), m))
+    return adjoint_apply(ch, sym_dim(d, m) * power).hermitize()
 
 
-def purify_perm_invariant(rho: DenseOperator,
-                          tol: float = PERM_INVARIANCE_TOL) -> DenseOperator:
+def purify_perm_invariant(rho: DenseOperator) -> DenseOperator:
     """Purify with one ancilla per factor, keeping permutation symmetry.
 
     |Phi> = (sqrt(rho) tensor 1)|Omega>, returned as a ket on M factors of
@@ -293,9 +297,9 @@ def purify_perm_invariant(rho: DenseOperator,
     d, m = _uniform_square(rho, "rho")
     for t in range(m - 1):
         resid = swap_residual(rho, t)
-        if resid > tol:
+        if resid > PERM_INVARIANCE_TOL:
             raise ValueError(
-                f"rho is not permutation invariant within {tol} "
+                f"rho is not permutation invariant within {PERM_INVARIANCE_TOL} "
                 f"(swap {t},{t + 1} residual {resid:.3e})"
             )
     mat = 0.5 * (rho.entries + rho.entries.conj().T)

@@ -315,18 +315,15 @@ def check_hermitian(x: DenseOperator, tol: float = HERMITICITY_TOL) -> None:
         raise ValueError(f"matrix is not Hermitian within {tol} (residual {asym:.3e})")
 
 
-def validate_state(x: DenseOperator, name: str = "state",
-                   herm_tol: float = HERMITICITY_TOL,
-                   psd_tol: float = PSD_TOL,
-                   trace_tol: float = TRACE_TOL) -> None:
+def validate_state(x: DenseOperator, name: str = "state") -> None:
     """Raise ValueError unless x is finite, Hermitian, PSD and of unit trace."""
     if not x.is_square:
         raise ValueError(f"{name} must be a square operator")
     if not np.all(np.isfinite(x.entries)):
         raise ValueError(f"{name} has non-finite entries")
-    w = herm_eigvals(x, tol=herm_tol)  # also enforces Hermiticity
-    if w.size and w[-1] < -psd_tol:
+    w = herm_eigvals(x)  # also enforces Hermiticity
+    if w.size and w[-1] < -PSD_TOL:
         raise ValueError(f"{name} has negative eigenvalue {w[-1]:.3e}")
     tr = x.trace()
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"{name} has trace {tr}, expected 1")

@@ -37,12 +37,7 @@ from .metrics import (
     trace_distance,
     universal_clone_gap,
 )
-from .symspace import (
-    check_dense_route,
-    check_occupation_route,
-    sym_dim,
-    symmetrizer,
-)
+from .symspace import check_dense_route, check_occupation_route, sym_dim
 
 SCHEMA_VERSION = 1
 CHECKS = ("lemma1", "theorem2", "perr", "fidelity_gap", "mc_crosscheck")
@@ -361,7 +356,7 @@ def run_scenario(cfg: ScenarioConfig,
             # The sampler estimates the symmetric-route reduction, the only
             # reference its stderr applies to: tilde under lemma1, while under
             # theorem2 the exact columns hold the purified route's state.
-            ref = tilde if "lemma1" in cfg.checks else sym.reduction(1, cap)
+            ref = tilde if "lemma1" in cfg.checks else sym.mixture(1, cap)
             est, stderr = mc_reduce_coords(sym.coords, spec.d, spec.M, 1,
                                            cfg.mc["samples"], cfg.mc["seed"])
             sigma = _max_sigma(est, ref.entries, stderr)
@@ -382,14 +377,16 @@ def _max_sigma(estimate: np.ndarray, reference: np.ndarray,
 
 def moment_check_record(d: int, n: int, samples: int, seed: int) -> ResultRecord:
     """Haar-moment identity as a record: the sampled n-copy mixture of the
-    maximally mixed symmetric state must reproduce the symmetrizer / s_n."""
+    maximally mixed symmetric state must reproduce the symmetrizer / s_n,
+    which in occupation coordinates is the identity / s_n."""
     if n < 1:
         raise ValueError(f"moment order must be >= 1, got {n}")
     start = time.perf_counter()
     check_mc_route(d, n, n)  # before the state below is allocated
     s_n = sym_dim(d, n)
-    est, stderr = mc_reduce_coords(np.eye(s_n) / s_n, d, n, n, samples, seed)
-    sigma = _max_sigma(est, symmetrizer(d, n).entries / s_n, stderr)
+    moment = np.eye(s_n) / s_n
+    est, stderr = mc_reduce_coords(moment, d, n, n, samples, seed)
+    sigma = _max_sigma(est, moment, stderr)
     return ResultRecord(
         d=d, N=None, M=n, k=n, p=None, seed=seed,
         actual_distance=sigma,

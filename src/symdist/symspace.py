@@ -162,7 +162,8 @@ def sym_basis(d: int, n: int, cap: int = DEFAULT_DIM_CAP) -> SymBasis:
 
 
 def symmetrizer(d: int, n: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
-    """Orthogonal projector onto the symmetric subspace of (C^d)^{tensor n}."""
+    """Orthogonal projector onto the symmetric subspace of (C^d)^{tensor n}:
+    a dense oracle for tests; runs keep it as the identity on Sym^n."""
     index_map(d, n, cap)  # the cap, before the s_n x s_n identity is built
     return embed_coords(np.eye(sym_dim(d, n)), d, n, cap)
 

@@ -283,10 +283,21 @@ class TestMc:
         assert main(["mc", *flags]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_high_orders_run(self, capsys):
+        # side s_n = n + 1 at d = 2: orders 13 and 30 build nothing of 2^n
+        assert main(["mc", "--M", "13", "30", "--samples", "1000"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
     def test_oversized_moment_exits_one(self, capsys):
-        # refused by the byte guard before the sampler allocates anything
-        assert main(["mc", "--M", "30"]) == 1
-        assert "30-user Monte Carlo estimate" in capsys.readouterr().err
+        # refused by the guard before the sampler allocates anything: at
+        # d = 3, s_180 = 16471 exceeds the side cap 2^14; at d = 2,
+        # s_6636 = 6637 fits it, but six such arrays exceed the bytes
+        for flags, message in ((["--d", "3", "--M", "180"],
+                                "180-user Monte Carlo estimate"),
+                               (["--M", "6636"],
+                                "Monte Carlo estimate of 6636 users")):
+            assert main(["mc", *flags]) == 1
+            assert message in capsys.readouterr().err
 
 
 class TestSuiteCommand:

@@ -33,6 +33,7 @@ from symdist.linalg import (
 )
 from symdist.metrics import general_bound, lemma1_bound, trace_distance
 from symdist.symspace import (
+    embed_coords,
     haar_kets,
     power_coords,
     sym_dim,
@@ -319,24 +320,32 @@ class TestMonteCarlo:
 
     def test_matches_the_draws_of_its_stream(self):
         # draw j is row j of haar_kets from default_rng((seed, 1)), weighted
-        # by s_M <psi^M|rho|psi^M>; this oracle sums the outer products
-        n = 500
+        # by s_M <psi^M|rho|psi^M>; this oracle sums the outer products of
+        # psi^{tensor k} at side d^k, where the sampler's s_k x s_k estimate
+        # and stderr embed
+        n, ch = 500, universal_cloner(2, 1, 3)
+        rho = apply(ch, embed_pure_input(ch, ket([0.6, 0.8j])))
         u = haar_kets(np.random.default_rng((9, 1)), n, 2)
-        pairs = (u[:, :, None] * u[:, None, :]).reshape(n, 4)
-        w = sym_dim(2, 2) * np.einsum("bi,ij,bj->b", pairs.conj(),
-                                      ket00().entries, pairs).real
-        x = w[:, None, None] * u[:, :, None] * u[:, None, :].conj()
-        mean = x.mean(axis=0)
-        se = np.sqrt(((np.abs(x) ** 2).mean(axis=0) - np.abs(mean) ** 2) / n)
-        est, stderr = mc(ket00(), 1, n, seed=9)
-        assert np.max(np.abs(est - mean)) <= 1e-12
-        assert np.max(np.abs(stderr - se)) <= 1e-12
+        powers = [np.ones((n, 1))]
+        for _ in range(3):
+            powers.append((powers[-1][:, :, None] * u[:, None, :]).reshape(n, -1))
+        w = sym_dim(2, 3) * np.einsum("bi,ij,bj->b", powers[3].conj(),
+                                      rho.entries, powers[3]).real
+        for k in (1, 2, 3):
+            x = w[:, None, None] * powers[k][:, :, None] * powers[k][:, None, :].conj()
+            mean = x.mean(axis=0)
+            se = np.sqrt(((np.abs(x) ** 2).mean(axis=0) - np.abs(mean) ** 2) / n)
+            est, stderr = mc(rho, k, n, seed=9)
+            assert est.shape == stderr.shape == (sym_dim(2, k),) * 2
+            assert np.max(np.abs(embed_coords(est, 2, k).entries - mean)) <= 1e-12
+            assert np.max(np.abs(embed_coords(stderr, 2, k).entries - se)) <= 1e-12
 
     def test_draws_do_not_depend_on_the_chunk(self, monkeypatch):
         est, stderr = mc(ket00(), 2, 3000, seed=5)
-        # 6 draws a chunk, where the default takes all 3000 in one
+        # 7 draws of 3 + 2 * 3 entries a chunk, where the default takes all
+        # 3000 in one
         monkeypatch.setattr(definetti, "MC_CHUNK_ENTRIES", 64)
-        assert definetti.check_mc_route(2, 2, 2) == 6
+        assert definetti.check_mc_route(2, 2, 2) == 7
         small, small_err = mc(ket00(), 2, 3000, seed=5)
         assert np.max(np.abs(small - est)) <= 1e-12
         assert np.max(np.abs(small_err - stderr)) <= 1e-12

@@ -248,6 +248,33 @@ def test_users_step_matches_embedding_and_partial_trace(state):
             assert np.max(np.abs(got - want.entries)) <= TOL
 
 
+@st.composite
+def _reductions(draw):
+    """A random unit-trace PSD s_M x s_M state, or a random unit ket of
+    Sym^M(C^d) as an s_M-vector, with d, M and 1 <= k <= M."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    m_users = draw(st.integers(1, {2: 8, 3: 5, 4: 3}[d]))
+    k = draw(st.integers(1, m_users))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    s = sym_dim(d, m_users)
+    if draw(st.booleans()):
+        return random_state(rng, s).entries, d, m_users, k
+    c = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+    return c / np.linalg.norm(c), d, m_users, k
+
+
+@settings(derandomize=True, max_examples=60, database=None, deadline=None)
+@given(case=_reductions())
+def test_reduction_is_a_state(case):
+    """reduce_coords maps states, as matrices and as kets, to states."""
+    rho, d, m_users, k = case
+    tilde = reduce_coords(rho, d, m_users, k)
+    assert tilde.shape == (sym_dim(d, k),) * 2
+    assert np.max(np.abs(tilde - tilde.conj().T)) <= TOL
+    assert np.linalg.eigvalsh(tilde)[0] >= -TOL
+    assert abs(np.trace(tilde) - 1.0) <= TOL
+
+
 def test_run_path_embeds_no_k_user_result(monkeypatch):
     """No run builds a k-user result by embedding or partial trace, and a
     lemma1 run gathers none at side d^k: its results stay s_k x s_k."""
@@ -263,6 +290,32 @@ def test_run_path_embeds_no_k_user_result(monkeypatch):
                 patch.setattr(definetti, "_trace_table", refuse)
             rows = run_scenario(_scenario(spec, checks, ks=range(1, spec.M + 1)))
         assert all(row.satisfied_theorem2 or row.satisfied_lemma1 for row in rows)
+
+
+def test_monte_carlo_stays_in_occupation_coordinates(monkeypatch):
+    """mc_crosscheck, under lemma1 and theorem2, and the moment check take
+    their references in occupation coordinates: no symmetrizer, embedding
+    or dense k-user result."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Monte Carlo path left occupation coordinates")
+
+    for name in ("symmetrizer", "embed_coords"):
+        monkeypatch.setattr(scenario, name, refuse, raising=False)
+    monkeypatch.setattr(definetti, "embed_coords", refuse)
+    monkeypatch.setattr(OccupationState, "marginal", refuse)
+    monkeypatch.setattr(OccupationState, "reduction", refuse)
+    spec = SDIChannelSpec("universal_cloner", d=2, M=3, N=1)
+    for check in ("lemma1", "theorem2"):
+        cfg = scenario_from_dict({
+            "schema": 1,
+            "channel": spec.to_json(),
+            "input": {"type": "random_pure", "seed": 3},
+            "k": [1],
+            "checks": [check, "mc_crosscheck"],
+            "mc": {"samples": 2000, "seed": 3},
+        })
+        assert run_scenario(cfg)[0].satisfied_mc
+    assert moment_check_record(2, 3, samples=2000, seed=3).satisfied_mc
 
 
 @pytest.mark.parametrize("d,m_users", [(2, 8), (2, 5), (3, 4), (4, 3)])
@@ -586,15 +639,23 @@ def test_mc_guard_counts_bytes():
     assert check_mc_route(2, 2, 1) > 1
     for n in (1, 2, 3, 4):
         check_mc_route(2, n, n)
-    # 12 qubits: five complex 4096^2 arrays, 80 * 2^24 bytes, and chunks of
-    # 254 draws of 4096 + 26 entries each
-    assert check_mc_route(2, 12, 12) == 2 ** 20 // (4096 + 26)
-    # 13 qubits fit the side cap, but the five arrays' 80 * 2^26 bytes
+    # 12 qubits: six complex 13^2 arrays, and chunks of 26886 draws of
+    # 13 + 26 entries each
+    assert check_mc_route(2, 12, 12) == 2 ** 20 // (13 + 26) == 26886
+    # 6635 qubits fit; at 6636, s_n = 6637 fits the side cap, but the six
+    # arrays' 96 * 6637^2 bytes and a chunk of 52 draws of 19911 entries
     # exceed the budget of one complex matrix at that cap (16 * 2^28)
+    assert check_mc_route(2, 6635, 6635) == 2 ** 20 // 19908 == 52
     with pytest.raises(ResourceLimitError, match="bytes"):
-        check_mc_route(2, 13, 13)
-    with pytest.raises(ResourceLimitError, match="15-user Monte Carlo estimate"):
-        check_mc_route(2, 15, 15)
+        check_mc_route(2, 6636, 6636)
+    with pytest.raises(ResourceLimitError, match="bytes"):
+        check_mc_route(3, 114, 114)
+    # one user of 20000 qubits: side 2, but the state alone is 16 * 20001^2
+    with pytest.raises(ResourceLimitError, match="bytes"):
+        check_mc_route(2, 20000, 1)
+    # s_180 = 16471 qutrit coordinates exceed the side cap 2^14
+    with pytest.raises(ResourceLimitError, match="180-user Monte Carlo estimate"):
+        check_mc_route(3, 180, 180)
     with pytest.raises(ValueError, match="1 <= k <= M=3"):
         check_mc_route(2, 3, 4)
 
@@ -621,10 +682,14 @@ def test_mc_guard_bounds_the_traced_peak(d, m, k, monkeypatch):
 
 
 def test_moment_check_raises_before_allocating():
+    # refused by the side cap (s_180 = 16471 at d = 3) and by the bytes
+    # (s_6636 = 6637 at d = 2), each before the s_n x s_n state exists
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError, match="30-user Monte Carlo"):
-            moment_check_record(2, 30, samples=10, seed=0)
+        with pytest.raises(ResourceLimitError, match="180-user Monte Carlo"):
+            moment_check_record(3, 180, samples=10, seed=0)
+        with pytest.raises(ResourceLimitError, match="of 6636 users"):
+            moment_check_record(2, 6636, samples=10, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -24,6 +24,7 @@ from symdist.scenario import (
     records_to_csv,
     records_to_json,
     run_scenario,
+    run_suite,
     scenario_from_dict,
 )
 from symdist.symspace import symmetrizer
@@ -406,6 +407,16 @@ class TestMomentRecord:
         assert rec.actual_distance >= 0.0
         assert rec.satisfied_mc
         assert rec.wall_time_ms > 0
+
+    def test_suite_moment_rows_are_pinned(self):
+        # the deviations, in standard errors, that run_suite(42) reports
+        # for the moments 1-4, pinned where the sampler compares them
+        rows = run_suite(42)[-4:]
+        assert [(r.M, r.k) for r in rows] == [(1, 1), (2, 2), (3, 3), (4, 4)]
+        pinned = [0.779127385041, 1.6683161934, 1.68519709095, 1.6468997997]
+        for row, sigma in zip(rows, pinned):
+            assert row.actual_distance == pytest.approx(sigma, rel=1e-9)
+            assert row.satisfied_mc
 
 
 class TestEmission:
