@@ -3,7 +3,7 @@
 Library layout:
 
 - linalg: dense operators with tensor-factor bookkeeping
-- symspace: symmetric-subspace bases, projectors, Haar-random kets
+- symspace: occupation coordinates of the symmetric subspace, Haar-random kets
 - channels: the many-user channel specs, their outputs, the Choi-form oracle
 - definetti: occupation-coordinate states and their classical approximations
 - metrics: trace distance, error probabilities, closed-form bounds
@@ -14,11 +14,9 @@ from .channels import (
     QuantumChannel,
     SDIChannelSpec,
     SDIReport,
-    adjoint_apply,
     apply,
     embed_pure_input,
     fixed_prep_channel,
-    identity_channel,
     measure_prepare,
     noisy_cloner,
     universal_cloner,
@@ -26,7 +24,6 @@ from .channels import (
 )
 from .definetti import (
     OccupationState,
-    induced_povm_element,
     mc_reduce_coords,
     purified_state,
     purify_perm_invariant,
@@ -42,7 +39,6 @@ from .linalg import (
     ket,
     partial_trace,
     permutation_operator,
-    permute_factors,
     projector,
     tensor_power,
     tensor_product,
@@ -65,6 +61,6 @@ from .scenario import (
     run_suite,
     scenario_from_dict,
 )
-from .symspace import SymBasis, haar_kets, sym_basis, sym_dim, symmetrizer
+from .symspace import haar_kets, sym_dim, symmetrizer
 
 __version__ = "0.1.0"

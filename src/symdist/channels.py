@@ -12,9 +12,10 @@ P_{M-N}) P_M, PRA 58, 1827 (1998); prep_coords sums pure product states),
 dense_output on (C^d)^{tensor M} for every kind.
 
 The Choi form is the test oracle for both: QuantumChannel holds the Choi
-matrix on (output tensor input), output factors first, summed from Kraus
-operators as vec(K_m) vec(K_m)†; apply/adjoint_apply contract against it,
-and validate_sdi checks a built channel's invariance and output support.
+matrix on (output tensor input), output factors first, which the four
+builders (and SDIChannelSpec.build) make for each kind; apply contracts it
+with an input, and validate_sdi checks a built channel's invariance and
+output support.  No run path calls any of them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .symspace import (
     index_map,
     power_coords,
     split_table,
-    sym_basis,
     sym_dim,
 )
 
@@ -49,7 +49,8 @@ SUPPORT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class QuantumChannel:
-    """CPTP map described by its Choi matrix on (out tensor in).
+    """CPTP map described by its Choi matrix on (out tensor in): the test
+    oracle that the outputs built from a spec are checked against.
 
     choi factor dims are out_factors + (dim_in,).  For channels whose input
     is handed over in symmetric-subspace coordinates, in_isometry is the
@@ -79,34 +80,14 @@ class QuantumChannel:
 
 
 def apply(ch: QuantumChannel, rho: DenseOperator) -> DenseOperator:
-    """Channel output for input state rho (in the channel's input coordinates)."""
+    """Channel output for input state rho (in the channel's input
+    coordinates): the test oracle for SDIChannelSpec's outputs."""
     if rho.shape != (ch.dim_in, ch.dim_in):
         raise ValueError(
             f"input has shape {rho.shape}, channel expects {(ch.dim_in, ch.dim_in)}"
         )
     out = np.einsum("aibj,ij->ab", ch.choi_tensor(), rho.entries)
     return DenseOperator(out, ch.out_factors)
-
-
-def adjoint_apply(ch: QuantumChannel, obs: DenseOperator) -> DenseOperator:
-    """Heisenberg picture: the observable on the input dual to obs on the output."""
-    if obs.shape != (ch.dim_out, ch.dim_out):
-        raise ValueError(
-            f"observable has shape {obs.shape}, channel output is {ch.dim_out}"
-        )
-    m = np.einsum("ab,biaj->ij", obs.entries, ch.choi_tensor())
-    return DenseOperator(m.T, (ch.dim_in,))
-
-
-def _choi_from_kraus_stack(k_stack: np.ndarray) -> np.ndarray:
-    """Choi matrix sum_m vec(K_m) vec(K_m)† from a stack shaped (m, out, in)."""
-    v = k_stack.reshape(k_stack.shape[0], -1)
-    return v.T @ v.conj()
-
-
-def identity_channel(d: int) -> QuantumChannel:
-    choi = _choi_from_kraus_stack(np.eye(d)[None, :, :])
-    return QuantumChannel(DenseOperator(choi, (d, d)), d, d, (d,), kind="identity")
 
 
 def _check_cloner_args(d: int, N: int, M: int) -> None:
@@ -123,13 +104,15 @@ def universal_cloner(d: int, N: int, M: int,
     Input is a state on the symmetric subspace of N copies, in occupation
     coordinates (dim sym_dim(d, N)); output is on M full factors.  The map is
     X -> (s_N/s_M) P_M (V_N X V_N† tensor 1^{M-N}) P_M with P_M the
-    symmetrizer, realized through d^{M-N} Kraus operators.
+    symmetrizer, realized through d^{M-N} Kraus operators.  Only tests
+    call it, as the Choi oracle for cloner_coords and dense_output.
     """
     _check_cloner_args(d, N, M)
     s_in = sym_dim(d, N)
     _check_cap(d ** M, cap, f"{M}-user cloner output")
     _check_cap(d ** M * s_in, cap, f"{M}-user cloner Choi matrix")
-    v_n = sym_basis(d, N, cap=cap).isometry
+    v_n = DenseOperator(index_map(d, N, cap).expand(np.eye(s_in)),
+                        (d,) * N, (s_in,))
     v_m = index_map(d, M, cap)
     scale = math.sqrt(sym_dim(d, N) / sym_dim(d, M))
     # columns indexed (i, m): i over sym coords of the input, m over the
@@ -173,7 +156,8 @@ def prep_coords(kets: np.ndarray, weights, M: int) -> np.ndarray:
 
 def fixed_prep_channel(sigma: DenseOperator, M: int,
                        cap: int = DEFAULT_DIM_CAP) -> QuantumChannel:
-    """Discard the input, hand every one of the M users a copy of sigma."""
+    """Discard the input, hand every one of the M users a copy of sigma.
+    Only tests call it, as the Choi oracle for the fixed_prep outputs."""
     if M < 1:
         raise ValueError(f"need M >= 1, got {M}")
     validate_state(sigma, name="prepared state")
@@ -217,7 +201,8 @@ def noisy_cloner(d: int, N: int, M: int, p: float,
 
     For p > 0 the output leaks out of the symmetric subspace while staying
     permutation invariant, which is exactly the regime the general (pair-
-    purified) approximation machinery exists for.
+    purified) approximation machinery exists for.  Only tests call it, as
+    the Choi oracle for the noisy_cloner outputs.
     """
     _check_depolarizing_weight(p)
     base = universal_cloner(d, N, M, cap=cap)
@@ -265,7 +250,9 @@ def _validated_measurement(povm: list[DenseOperator],
 
 def measure_prepare(povm: list[DenseOperator], preps: list[DenseOperator], M: int,
                     cap: int = DEFAULT_DIM_CAP) -> QuantumChannel:
-    """Measure the input with a POVM, hand all M users copies keyed to the outcome."""
+    """Measure the input with a POVM, hand all M users copies keyed to the
+    outcome.  Only tests call it, as the Choi oracle for the
+    measure_prepare outputs."""
     if M < 1:
         raise ValueError(f"need M >= 1, got {M}")
     dim_in = _validated_measurement(povm, preps)
@@ -287,7 +274,8 @@ def embed_pure_input(ch: QuantumChannel, phi: DenseOperator) -> DenseOperator:
     """Density matrix, in the channel's input coordinates, for N copies of phi.
 
     Channels carrying in_isometry take phi^{tensor N} re-expressed in symmetric
-    coordinates; all others take phi directly (dim must match dim_in).
+    coordinates; all others take phi directly (dim must match dim_in).  Only
+    tests call it, to feed pure inputs to the Choi oracle.
     """
     if ch.in_isometry is None:
         x = _plain_ket(phi, ch.dim_in)
@@ -326,9 +314,13 @@ def _sym_power_ket(phi: DenseOperator, d: int, n_copies: int) -> np.ndarray:
     return x / np.linalg.norm(x)  # a unit vector already; scrub roundoff
 
 
+def _check_prep(m: np.ndarray, d: int) -> None:
+    if m.shape != (d, d):
+        raise ValueError(f"expected a {d} x {d} matrix, got shape {m.shape}")
+    validate_state(DenseOperator(m, (d,)), name="prepared state")
+
+
 def _rank_one(m: np.ndarray, d: int) -> bool:
-    if m.shape != (d, d) or not np.all(np.isfinite(m)):
-        return False  # the output builders report what is wrong with it
     w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
     return d == 1 or w[-2] <= SUPPORT_TOL
 
@@ -345,20 +337,21 @@ class SDIReport:
     permutation_invariant: bool
     support_residual: float
     symmetric_support: bool
-    tol: float
 
     @property
     def passed(self) -> bool:
         return self.permutation_invariant
 
 
-def validate_sdi(ch: QuantumChannel, tol: float = 1e-9) -> SDIReport:
-    """Check invariance under permutations of the output users.
+def validate_sdi(ch: QuantumChannel) -> SDIReport:
+    """Check invariance under permutations of the output users, within 1e-9.
 
     Adjacent transpositions generate the symmetric group, so the residual is
     maximized over conjugations by (t, t+1) swaps at the Choi level.  Also
     reports how far the output support sticks out of the symmetric subspace
-    for any input: the oracle for symmetric_by_construction.
+    for any input.  Only tests call it, as the oracle for
+    symmetric_by_construction and for the permutation invariance of the
+    built channels.
     """
     if len(set(ch.out_factors)) > 1:
         raise ValueError(
@@ -377,10 +370,9 @@ def validate_sdi(ch: QuantumChannel, tol: float = 1e-9) -> SDIReport:
     support_residual = float(np.max(np.abs(c4 - proj)))
     return SDIReport(
         max_permutation_residual=resid,
-        permutation_invariant=resid <= tol,
+        permutation_invariant=resid <= 1e-9,
         support_residual=support_residual,
         symmetric_support=support_residual <= SUPPORT_TOL,
-        tol=tol,
     )
 
 
@@ -434,7 +426,9 @@ def _json_number(data: dict, key: str, kind: type, optional: bool = False):
 
 @dataclass(frozen=True)
 class SDIChannelSpec:
-    """Declarative description of one of the channel kinds, JSON round-trippable."""
+    """Declarative description of one of the channel kinds, JSON
+    round-trippable.  Construction checks every field, and an error in a
+    field's value names the field."""
 
     kind: str
     d: int
@@ -461,8 +455,26 @@ class SDIChannelSpec:
                                  f"{'does not take' if given else 'requires'} {name}")
         if self.kind == "fixed_prep" and len(self.prep) != 1:
             raise ValueError("fixed_prep requires exactly one prep matrix")
+        field = None
+        try:
+            if self.N is not None:
+                field = "N"
+                _check_cloner_args(self.d, self.N, self.M)
+            if self.p is not None:
+                field = "p"
+                _check_depolarizing_weight(self.p)
+            for i, m in enumerate(self.prep or ()):
+                field = f"prep[{i}]"
+                _check_prep(np.asarray(m), self.d)
+            if self.povm is not None:
+                field = "povm"
+                _validated_measurement(self._povm(), self._preps())
+        except ValueError as exc:
+            raise ValueError(f"{field}: {exc}") from exc
 
     def to_json(self) -> dict:
+        """The JSON object that from_json reads.  No run path calls it:
+        tests use it as the oracle for round trips through from_json."""
         return {
             "kind": self.kind,
             "d": self.d,
@@ -517,6 +529,8 @@ class SDIChannelSpec:
                 (np.asarray(m) for m in self.povm)]
 
     def build(self, cap: int = DEFAULT_DIM_CAP) -> QuantumChannel:
+        """The channel in Choi form.  Only tests call it, as the oracle for
+        symmetric_output and dense_output."""
         if self.kind == "universal_cloner":
             return universal_cloner(self.d, self.N, self.M, cap=cap)
         if self.kind == "noisy_cloner":
@@ -531,7 +545,7 @@ class SDIChannelSpec:
         preps = self._preps()
         povm = (self._povm() if self.kind == "measure_prepare"
                 else [DenseOperator(np.eye(self.d), (self.d,))])
-        dim_in = _validated_measurement(povm, preps)
+        dim_in = povm[0].shape[0]
         if state.shape[1] == 1:
             x = _plain_ket(state, dim_in)
             rho_in = np.outer(x, x.conj())
@@ -546,7 +560,6 @@ class SDIChannelSpec:
     def _cloner_output(self, state: DenseOperator, cap: int) -> np.ndarray:
         """The noiseless cloner output for N copies of the ket `state`, as
         an s_M x s_M matrix in occupation coordinates."""
-        _check_cloner_args(self.d, self.N, self.M)
         check_occupation_route(self.d, self.M, (), n_in=self.N, cap=cap)
         x = _sym_power_ket(state, self.d, self.N)
         return cloner_coords(self.d, self.N, self.M, np.outer(x, x.conj()))
@@ -584,7 +597,6 @@ class SDIChannelSpec:
         v = index_map(self.d, self.M, cap)
         rho = v.expand(v.expand(coords, 0), 1)
         if self.kind == "noisy_cloner":
-            _check_depolarizing_weight(self.p)
             for t in range(self.M):
                 _depolarize_factor(rho, dims, t, self.p)
         return DenseOperator(rho, dims)

@@ -30,16 +30,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import SUPPORT_TOL, QuantumChannel, _plain_ket, adjoint_apply
+from .channels import SUPPORT_TOL
 from .linalg import (
     DEFAULT_DIM_CAP,
     DenseOperator,
     _check_bytes,
     _check_cap,
-    ket,
-    projector,
     swap_residual,
-    tensor_power,
 )
 from .symspace import (
     _index_map,
@@ -183,11 +180,16 @@ class OccupationState:
     paired: bool = False
 
     def marginal(self, k: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
-        """The k-user marginal Tr_{M-k} rho, on (C^d)^{tensor k}."""
+        """The k-user marginal Tr_{M-k} rho, on (C^d)^{tensor k}.  Runs take
+        users(k); tests use this dense form as the oracle that is compared
+        with partial_trace of the dense state."""
         return self._result(marginal_coords, k, cap, dense=True)
 
     def reduction(self, k: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
-        """The exact k-user classical mixture, on (C^d)^{tensor k}."""
+        """The exact k-user classical mixture, on (C^d)^{tensor k}.  Runs
+        take users(k); tests use this dense form as the oracle that checks
+        the mixture's properties (partial traces, invariance, bounds) on
+        (C^d)^{tensor k}."""
         return self._result(reduce_coords, k, cap, dense=True)
 
     def users(self, k: int, cap: int = DEFAULT_DIM_CAP) -> tuple[DenseOperator, ...]:
@@ -266,23 +268,6 @@ def symmetric_state(rho: DenseOperator,
     if resid > SUPPORT_TOL:
         raise SupportError(resid)
     return OccupationState(coords, d, m)
-
-
-def induced_povm_element(ch: QuantumChannel, psi: DenseOperator) -> DenseOperator:
-    """Input-side POVM density at psi: the adjoint image of s_M |psi^M><psi^M|.
-
-    Integrated over Haar measure these resolve the identity on the input,
-    so they define the measurement whose outcomes drive a measure-and-prepare
-    imitation of the channel.  Only tests call it, as the Choi-matrix
-    oracle for that measurement: positive elements whose Haar average is
-    the identity.
-    """
-    if len(set(ch.out_factors)) > 1:
-        raise ValueError(f"output factors {ch.out_factors} are not identical")
-    d = ch.out_factors[0]
-    m = len(ch.out_factors)
-    power = projector(tensor_power(ket(_plain_ket(psi, d)), m))
-    return adjoint_apply(ch, sym_dim(d, m) * power).hermitize()
 
 
 def purify_perm_invariant(rho: DenseOperator) -> DenseOperator:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -140,6 +139,8 @@ class DenseOperator:
 
 
 def identity(dims) -> DenseOperator:
+    """The identity on `dims`.  Only tests call it, to build the inputs of
+    the dense oracles."""
     dims = _as_dims(dims)
     return DenseOperator(np.eye(math.prod(dims)), dims)
 
@@ -152,6 +153,8 @@ def ket(coeffs, dims=None) -> DenseOperator:
 
 
 def basis_ket(d: int, i: int) -> DenseOperator:
+    """|i> in C^d.  Only tests and library examples call it, to build the
+    inputs of the dense oracles; runs build their input kets with ket."""
     if not 0 <= i < d:
         raise ValueError(f"basis index {i} out of range for dimension {d}")
     v = np.zeros(d)
@@ -160,7 +163,8 @@ def basis_ket(d: int, i: int) -> DenseOperator:
 
 
 def projector(psi: DenseOperator) -> DenseOperator:
-    """|psi><psi| for a ket."""
+    """|psi><psi| for a ket.  Only tests call it, to build the inputs of the
+    dense oracles."""
     if psi.shape[1] != 1:
         raise ValueError("projector expects a column vector")
     return DenseOperator(psi.entries @ psi.entries.conj().T, psi.row_dims, psi.row_dims)
@@ -222,59 +226,21 @@ def partial_trace(x: DenseOperator, keep) -> DenseOperator:
     return DenseOperator(res.reshape(side, side), new_dims)
 
 
-def _validated_perm(perm) -> tuple[int, ...]:
-    p = tuple(int(t) for t in perm)
-    if sorted(p) != list(range(len(p))):
-        raise ValueError(f"{p} is not a permutation of 0..{len(p) - 1}")
-    return p
-
-
-def permutation_index_map(perm, d: int) -> np.ndarray:
-    """dest[x] = flat index of the basis vector that U_perm sends |x> to.
-
-    perm maps source slot j to target slot perm[j]: digit j of x becomes
-    digit perm[j] of dest[x].  Cached per (perm, d) and read-only.
-    """
-    return _permutation_index_map(_validated_perm(perm), d)
-
-
-@lru_cache(maxsize=128)
-def _permutation_index_map(p: tuple[int, ...], d: int) -> np.ndarray:
-    # transposing the grid of flat indices moves axis (digit) j to p[j]
-    dest = np.arange(d ** len(p)).reshape((d,) * len(p)).transpose(p).ravel()
-    dest.setflags(write=False)
-    return dest
-
-
 def permutation_operator(perm, d: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
     """Unitary permuting tensor factors: |i_0..i_{n-1}> -> slot perm[j] carries i_j.
 
-    Only tests call it, as the dense oracle that permute_factors and the
-    symmetrizer are checked against."""
-    p = _validated_perm(perm)
+    Only tests call it, as the dense oracle for whole permutations (U X U†)
+    that swap_residual and the symmetrizer are checked against."""
+    p = tuple(int(t) for t in perm)
+    if sorted(p) != list(range(len(p))):
+        raise ValueError(f"{p} is not a permutation of 0..{len(p) - 1}")
     n = len(p)
     _check_cap(d ** n, cap, "permutation operator")
-    dest = permutation_index_map(p, d)
+    # transposing the grid of flat indices moves axis (digit) j to p[j]
+    dest = np.arange(d ** n).reshape((d,) * n).transpose(p).ravel()
     mat = np.zeros((d ** n, d ** n))
     mat[dest, np.arange(d ** n)] = 1.0
     return DenseOperator(mat, (d,) * n)
-
-
-def permute_factors(x: DenseOperator, perm, d: int) -> DenseOperator:
-    """U_perm X U_perm† without materializing U_perm (index relabeling).
-
-    Only tests call it, as the oracle for invariance under a whole
-    permutation; runs check adjacent swaps with swap_residual."""
-    if not x.is_square:
-        raise ValueError("factor permutation requires a square operator")
-    dest = permutation_index_map(perm, d)
-    if dest.size != x.shape[0]:
-        raise ValueError(
-            f"permutation acts on dimension {dest.size}, operator has {x.shape[0]}"
-        )
-    out = np.empty_like(x.entries)
-    out[np.ix_(dest, dest)] = x.entries
-    return DenseOperator(out, x.row_dims, x.col_dims)
 
 
 def swap_residual(x: DenseOperator, t: int) -> float:
@@ -293,26 +259,28 @@ def swap_residual(x: DenseOperator, t: int) -> float:
     return float(np.max(np.abs(y.transpose(0, 2, 1, 3, 4, 6, 5, 7) - y)))
 
 
-def herm_eigvals(x: DenseOperator, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def herm_eigvals(x: DenseOperator) -> np.ndarray:
     """Eigenvalues of a Hermitian operator, descending.
 
-    Rejects inputs whose max-abs deviation from Hermiticity exceeds `tol`;
-    the symmetrized (X+X†)/2 is what gets diagonalized.
+    Rejects inputs whose max-abs deviation from Hermiticity exceeds
+    HERMITICITY_TOL; the symmetrized (X+X†)/2 is what gets diagonalized.
     """
     if x.shape[0] != x.shape[1]:
         raise ValueError("eigenvalues require a square matrix")
-    check_hermitian(x, tol)
+    check_hermitian(x)
     m = x.entries
     w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
     return w[::-1]
 
 
-def check_hermitian(x: DenseOperator, tol: float = HERMITICITY_TOL) -> None:
-    """Raise ValueError if x's max-abs deviation from Hermiticity exceeds `tol`."""
+def check_hermitian(x: DenseOperator) -> None:
+    """Raise ValueError if x's max-abs deviation from Hermiticity exceeds
+    HERMITICITY_TOL."""
     m = x.entries
     asym = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if asym > tol:
-        raise ValueError(f"matrix is not Hermitian within {tol} (residual {asym:.3e})")
+    if asym > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian within {HERMITICITY_TOL} "
+                         f"(residual {asym:.3e})")
 
 
 def validate_state(x: DenseOperator, name: str = "state") -> None:

@@ -10,21 +10,20 @@ import math
 
 import numpy as np
 
-from .channels import apply  # noqa: F401 (the benchmark's tracer test rebinds it)
 from .linalg import DenseOperator, check_hermitian, herm_eigvals
 
 BOUND_SLACK = 1e-9
 
 
-def trace_distance(rho: DenseOperator, sigma: DenseOperator,
-                   tol: float = 1e-9) -> float:
+def trace_distance(rho: DenseOperator, sigma: DenseOperator) -> float:
     """Trace norm of rho - sigma (so states are at most 2 apart).  Each must
-    be Hermitian within `tol`; only their difference is diagonalized."""
+    be Hermitian within HERMITICITY_TOL; only their difference is
+    diagonalized."""
     if rho.shape != sigma.shape:
         raise ValueError(f"shape mismatch: {rho.shape} vs {sigma.shape}")
-    check_hermitian(rho, tol)
-    check_hermitian(sigma, tol)
-    w = herm_eigvals(rho - sigma, tol=tol)
+    check_hermitian(rho)
+    check_hermitian(sigma)
+    w = herm_eigvals(rho - sigma)
     return float(np.sum(np.abs(w)))
 
 

@@ -93,17 +93,6 @@ class ResultRecord:
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ResultRecord":
-        names = {f.name for f in fields(cls)}
-        unknown = set(data) - names
-        if unknown:
-            raise ValueError(f"unknown record fields {sorted(unknown)}")
-        missing = names - set(data)
-        if missing:
-            raise ValueError(f"missing record fields {sorted(missing)}")
-        return cls(**data)
-
 
 RECORD_COLUMNS = tuple(f.name for f in fields(ResultRecord))
 
@@ -435,27 +424,14 @@ def records_to_json(records: Sequence[ResultRecord], timings: bool = False) -> s
     return json.dumps(out, indent=2) + "\n"
 
 
-def records_from_json(text: str) -> list[ResultRecord]:
-    """Only tests call it, to check that records_to_json round-trips."""
-    data = json.loads(text)
-    if not isinstance(data, list):
-        raise ValueError("expected a JSON array of records")
-    return [ResultRecord.from_dict(d) for d in data]
-
-
 def emit(records: Sequence[ResultRecord], fmt: str = "csv",
-         path: str | None = None, timings: bool = False) -> str:
-    """Render records; when `path` is given, also write them there."""
+         timings: bool = False) -> str:
+    """Render records as CSV or JSON text."""
     if fmt == "csv":
-        text = records_to_csv(records, timings=timings)
-    elif fmt == "json":
-        text = records_to_json(records, timings=timings)
-    else:
-        raise ValueError(f"unknown output format {fmt!r}; expected csv or json")
-    if path is not None and path != "-":
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+        return records_to_csv(records, timings=timings)
+    if fmt == "json":
+        return records_to_json(records, timings=timings)
+    raise ValueError(f"unknown output format {fmt!r}; expected csv or json")
 
 
 def all_satisfied(records: Sequence[ResultRecord]) -> bool:
@@ -467,16 +443,16 @@ def all_satisfied(records: Sequence[ResultRecord]) -> bool:
 
 
 def _basis_input(d: int) -> dict:
-    coeffs = [[0.0, 0.0]] * d
-    coeffs[0] = [1.0, 0.0]
-    return {"type": "pure", "coeffs": coeffs}
+    """The pure input |0> in C^d (no entries for d < 1, which the channel
+    spec refuses first)."""
+    return {"type": "pure", "coeffs": [[float(i == 0), 0.0] for i in range(d)]}
 
 
 def _basis_prep(d: int) -> list:
-    """The prep list of a fixed_prep spec that hands out |0><0|."""
-    mat = [[[0.0, 0.0] for _ in range(d)] for _ in range(d)]
-    mat[0][0] = [1.0, 0.0]
-    return [mat]
+    """The prep list of a fixed_prep spec that hands out |0><0|; 1 x 1 for
+    d < 1, so that the spec's own check on d reports the error."""
+    n = max(d, 1)
+    return [[[[float(i == j == 0), 0.0] for j in range(n)] for i in range(n)]]
 
 
 def default_suite(seed: int = 1) -> list[dict]:

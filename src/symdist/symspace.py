@@ -5,12 +5,13 @@ vectors m; _occupation_table lists them in basis order and _rank maps them
 back to it, both by array arithmetic.  The isometry has one nonzero per
 row, so index_map keeps it as the column (_rank of the digit counts) of
 each flat index plus a weight and applies it by gathers and grouped sums;
-sym_basis expands it into the dense matrix for the Choi oracle and tests.
-States inside the subspace can also be kept as sym_dim(d, n)-sided
-matrices in these coordinates: split_table holds the coefficients, exact
-ratios of integer binomials, that split |m>_n into k- and (n-k)-factor
-parts, and power_coords the coordinates of a product vector u^{tensor n}
-(Harrow, "The church of the symmetric subspace", arXiv:1308.6595).
+its expand of the identity is the dense matrix, where the Choi oracle
+needs one.  States inside the subspace can also be kept as
+sym_dim(d, n)-sided matrices in these coordinates: split_table holds the
+coefficients, exact ratios of integer binomials, that split |m>_n into k-
+and (n-k)-factor parts, and power_coords the coordinates of a product
+vector u^{tensor n} (Harrow, "The church of the symmetric subspace",
+arXiv:1308.6595).
 haar_kets draws the Haar-random kets that Monte Carlo weights by those
 coordinates, as rows taken in order from one numpy Generator.
 """
@@ -39,21 +40,6 @@ def sym_dim(d: int, n: int) -> int:
             f"sym_dim({d}, {n}) = {v} exceeds the 64-bit integer range"
         )
     return v
-
-
-@dataclass(frozen=True)
-class SymBasis:
-    """Occupation-number basis of the symmetric subspace of (C^d)^{tensor n}.
-
-    `isometry` is the d^n x sym_dim(d, n) matrix V whose columns are the
-    normalized symmetric basis vectors; V†V = 1 and VV† is the symmetrizer.
-    Column c corresponds to occupations[c].
-    """
-
-    d: int
-    n: int
-    occupations: tuple[tuple[int, ...], ...]
-    isometry: DenseOperator
 
 
 @lru_cache(maxsize=128)
@@ -90,7 +76,9 @@ def _rank(occ, d: int, n: int, out: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IndexMap:
-    """V = sym_basis(d, n).isometry without its zeros.
+    """The isometry V of Sym^n(C^d) into (C^d)^{tensor n}, without its zeros:
+    its columns are the normalized symmetric basis vectors, so V†V = 1 and
+    VV† is the symmetrizer.
 
     Row x of V holds one nonzero, `weight[x]` = 1/sqrt(mult), in column
     `col[x]`, the position of x's occupation in the basis order.  So V z is
@@ -145,20 +133,10 @@ def _index_map(d: int, n: int) -> IndexMap:
 
 
 def index_map(d: int, n: int, cap: int = DEFAULT_DIM_CAP) -> IndexMap:
-    """The isometry of sym_basis(d, n) as an index map, under the same cap."""
+    """The isometry V of Sym^n(C^d) as an index map; refuses d^n > cap."""
     sym_dim(d, n)  # validates d, n
     _check_cap(d ** n, cap, f"symmetric basis on {n} factors of dimension {d}")
     return _index_map(d, n)
-
-
-def sym_basis(d: int, n: int, cap: int = DEFAULT_DIM_CAP) -> SymBasis:
-    """The isometry as a dense d^n x s_n matrix: only the Choi-matrix oracle
-    (channels.universal_cloner) and tests use it; runs use index_map."""
-    v = index_map(d, n, cap)  # validates d, n and the cap
-    occs = tuple(map(tuple, _occupation_table(d, n).tolist()))
-    mat = np.zeros((d ** n, len(occs)))
-    mat[np.arange(d ** n), v.col] = v.weight
-    return SymBasis(d, n, occs, DenseOperator(mat, (d,) * n, (len(occs),)))
 
 
 def symmetrizer(d: int, n: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
@@ -170,7 +148,11 @@ def symmetrizer(d: int, n: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
 
 def embed_coords(x: np.ndarray, d: int, n: int,
                  cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
-    """V x V†: an operator given in occupation coordinates, on (C^d)^{tensor n}."""
+    """V x V†: an operator given in occupation coordinates, on (C^d)^{tensor n}.
+
+    No run path calls it: tests use it as the dense oracle for results in
+    occupation coordinates, as do symmetrizer and OccupationState's dense
+    marginal and reduction."""
     v = index_map(d, n, cap)
     return DenseOperator(v.expand(v.expand(x, 0), 1), (d,) * n)
 

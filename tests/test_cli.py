@@ -175,6 +175,47 @@ class TestRun:
         assert (f"error: --cap must be at least 1, got {cap}"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("flags", [["--d", "0"], ["--d", "-2"],
+                                       ["--kind", "fixed_prep", "--d", "0"]],
+                             ids=["cloner-0", "cloner-negative", "prep-0"])
+    def test_local_dimension_below_one_exits_one(self, flags, capsys):
+        # the flags' basis input and preparation have no |0> for d < 1
+        assert main(["run", *flags]) == 1
+        assert (f"error: scenario.channel: need d >= 1 and M >= 1, got d={flags[-1]}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flags,channel,message", [
+        (["--N", "0", "--M", "2"], None, "N: need 1 <= N <= M, got N=0, M=2"),
+        (["--kind", "noisy_cloner", "--p", "1.5"], None,
+         "p: depolarizing weight must be in [0, 1], got 1.5"),
+        ([], {"kind": "fixed_prep", "prep": [[1.2, -0.2]]},
+         "prep[0]: prepared state has negative eigenvalue -2.000e-01"),
+        ([], {"kind": "fixed_prep", "prep": [[0.9, 0.0]]},
+         "prep[0]: prepared state has trace (0.9+0j), expected 1"),
+        ([], {"kind": "fixed_prep", "prep": [[1.0, 0.0, 0.0]]},
+         "prep[0]: expected a 2 x 2 matrix, got shape (3, 3)"),
+        ([], {"kind": "measure_prepare", "prep": [[1.0, 0.0], [0.0, 1.0]],
+              "povm": [[1.0, 0.0], [0.0, 0.5]]},
+         "povm: POVM elements do not sum to the identity within 1e-9"),
+    ], ids=["N", "p", "prep-not-psd", "prep-trace", "prep-shape", "povm-sum"])
+    def test_channel_field_errors_name_the_field(self, flags, channel, message,
+                                                 tmp_path, capsys):
+        # a scenario file gives each matrix by its diagonal here
+        def diag(xs):
+            return [[[x if i == j else 0.0, 0.0] for j in range(len(xs))]
+                    for i, x in enumerate(xs)]
+
+        if channel is not None:
+            channel = {"d": 2, "M": 2, **channel}
+            for field in ("prep", "povm"):
+                if field in channel:
+                    channel[field] = [diag(xs) for xs in channel[field]]
+            src = tmp_path / "channel.json"
+            src.write_text(json.dumps({"channel": channel, "checks": ["lemma1"]}))
+            flags = [str(src)]
+        assert main(["run", *flags]) == 1
+        assert capsys.readouterr().err == f"error: scenario.channel: {message}\n"
+
     def test_cap_bounds_the_run(self, capsys):
         # the output of 3 qubit users has side s_3 = 4 in occupation coordinates
         assert main(["run", "--M", "3", "--cap", "3"]) == 1

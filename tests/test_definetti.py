@@ -8,12 +8,10 @@ from symdist import definetti
 from symdist.channels import (
     apply,
     embed_pure_input,
-    identity_channel,
     noisy_cloner,
     universal_cloner,
 )
 from symdist.definetti import (
-    induced_povm_element,
     mc_reduce_coords,
     purified_state,
     purify_perm_invariant,
@@ -27,7 +25,6 @@ from symdist.linalg import (
     ket,
     partial_trace,
     permutation_operator,
-    permute_factors,
     projector,
     tensor_power,
 )
@@ -161,29 +158,6 @@ class TestSymmetricReduction:
             symmetric_state(rho, cap=2 ** 9)
         state = symmetric_state(rho, cap=2 ** 10)
         assert abs(state.reduction(7, cap=2 ** 10).trace() - 1.0) <= 1e-9
-
-
-class TestInducedPovm:
-    def test_identity_channel_element(self):
-        psi = ket([0.6, 0.8])
-        e = induced_povm_element(identity_channel(2), psi)
-        assert np.max(np.abs(e.entries - 2 * projector(psi).entries)) <= 1e-12
-
-    def test_elements_are_positive(self):
-        ch = universal_cloner(2, 1, 3)
-        for u in haar_kets(np.random.default_rng(23), 10, 2):
-            e = induced_povm_element(ch, ket(u))
-            assert np.linalg.eigvalsh(e.entries)[0] >= -1e-9
-
-    def test_haar_average_resolves_identity(self):
-        ch = universal_cloner(2, 1, 2)
-        n = 4000
-        e = np.array([induced_povm_element(ch, ket(u)).entries
-                      for u in haar_kets(np.random.default_rng(29), n, 2)])
-        mean = e.mean(axis=0)
-        se = np.sqrt(np.maximum((np.abs(e) ** 2).mean(axis=0)
-                                - np.abs(mean) ** 2, 0) / n)
-        assert np.all(np.abs(mean - np.eye(2)) <= 5 * se + 1e-12)
 
 
 class TestPurification:
@@ -375,9 +349,9 @@ class TestRouteConsistency:
     def test_reduction_is_permutation_invariant(self):
         ch = universal_cloner(2, 1, 4)
         rho = apply(ch, embed_pure_input(ch, ket([0.6, 0.8])))
-        three = symmetric_state(rho).reduction(3)
-        swapped = permute_factors(three, [1, 0, 2], 2)
-        assert np.max(np.abs(swapped.entries - three.entries)) <= 1e-12
+        three = symmetric_state(rho).reduction(3).entries
+        u = permutation_operator([1, 0, 2], 2).entries
+        assert np.max(np.abs(u @ three @ u.conj().T - three)) <= 1e-12
 
     def test_routes_differ_but_both_bounded(self):
         # on symmetric support both routes apply; the purified one answers

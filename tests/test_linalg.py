@@ -13,9 +13,7 @@ from symdist.linalg import (
     identity,
     ket,
     partial_trace,
-    permutation_index_map,
     permutation_operator,
-    permute_factors,
     projector,
     swap_residual,
     tensor_power,
@@ -198,25 +196,6 @@ def test_partial_trace_composes(case):
     assert np.max(np.abs(two_step.entries - one_step.entries)) <= 1e-12
 
 
-@st.composite
-def _permuted_factors(draw):
-    d = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 5 if d == 2 else 4))
-    perm = draw(st.permutations(range(n)))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    return _rand_op(rng, (d,) * n), perm, d
-
-
-@settings(derandomize=True, max_examples=100, database=None, deadline=None)
-@given(case=_permuted_factors())
-def test_permute_factors_matches_permutation_operator(case):
-    x, perm, d = case
-    u = permutation_operator(perm, d).entries
-    got = permute_factors(x, perm, d)
-    assert got.row_dims == x.row_dims
-    assert np.max(np.abs(got.entries - u @ x.entries @ u.conj().T)) <= 1e-12
-
-
 class TestPermutations:
     def test_identity_perm(self):
         assert np.allclose(permutation_operator([0, 1], 2).entries, np.eye(4))
@@ -252,7 +231,7 @@ class TestPermutations:
         with pytest.raises(ValueError):
             permutation_operator([0, 0, 1], 2)
         with pytest.raises(ValueError):
-            permutation_index_map([0, 2], 2)
+            permutation_operator([0, 2], 2)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_index_map_matches_the_digit_loop(self, d):
@@ -261,13 +240,8 @@ class TestPermutations:
             for p in itertools.permutations(range(n)):
                 want = [sum((x // d ** (n - 1 - j)) % d * d ** (n - 1 - p[j])
                             for j in range(n)) for x in range(d ** n)]
-                assert permutation_index_map(p, d).tolist() == want
-
-    def test_index_map_cached_read_only(self):
-        dest = permutation_index_map([1, 0, 2], 2)
-        assert dest is permutation_index_map((1, 0, 2), 2)
-        assert not dest.flags.writeable
-        assert dest.tolist() == [0, 1, 4, 5, 2, 3, 6, 7]
+                u = permutation_operator(p, d).entries
+                assert u.argmax(axis=0).tolist() == want
 
     def test_swap_residual_matches_conjugation(self):
         rng = np.random.default_rng(9)
@@ -276,22 +250,14 @@ class TestPermutations:
         for t in range(2):
             perm = [0, 1, 2]
             perm[t], perm[t + 1] = perm[t + 1], perm[t]
-            want = np.max(np.abs(permute_factors(x, perm, 2).entries - x.entries))
-            assert swap_residual(x, t) == want
-            u = np.kron(permutation_operator(perm, 2).entries, np.eye(3))
+            u = permutation_operator(perm, 2).entries
+            moved = u @ x.entries @ u.conj().T
+            assert swap_residual(x, t) == np.max(np.abs(moved - x.entries))
+            u = np.kron(u, np.eye(3))
             want = np.max(np.abs(u @ tail.entries @ u.T - tail.entries))
             assert abs(swap_residual(tail, t) - want) <= 1e-12
         with pytest.raises(ValueError, match="cannot swap"):
             swap_residual(tail, 2)
-
-    def test_permute_factors_matches_conjugation(self):
-        rng = np.random.default_rng(8)
-        x = _rand_op(rng, (2, 2, 2))
-        perm = [2, 0, 1]
-        u = permutation_operator(perm, 2).entries
-        want = u @ x.entries @ u.conj().T
-        got = permute_factors(x, perm, 2).entries
-        assert np.allclose(got, want)
 
 
 class TestHermEigvals:

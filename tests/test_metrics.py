@@ -54,7 +54,6 @@ class TestTraceDistance:
         sigma = bad if which in ("sigma", "both") else good
         with pytest.raises(ValueError, match="not Hermitian within 1e-09"):
             trace_distance(rho, sigma)
-        assert trace_distance(rho, sigma, tol=1e-7) <= 2e-8
 
     def test_equals_the_eigenvalues_of_the_difference(self):
         rng = np.random.default_rng(19)

@@ -1,0 +1,71 @@
+"""Every public function of symdist that no command enters is a stated oracle.
+
+Under sys.setprofile the commands below run as a user runs them: `bounds`,
+`mc`, `suite`, and `run` on a spec-route lemma1 scenario, a theorem2
+scenario with mc_crosscheck, and a dense-route lemma1 scenario read from a
+file and written as JSON.  A public module-level function of the package
+that none of them enters is there only for tests, so its docstring must
+say that tests use it as an oracle.
+"""
+
+import contextlib
+import inspect
+import io
+import json
+import sys
+
+from symdist import channels, cli, definetti, linalg, metrics, scenario, symspace
+
+MODULES = (linalg, symspace, channels, definetti, metrics, scenario, cli)
+
+
+def _diag(*xs):
+    return [[[x if i == j else 0.0, 0.0] for j in range(len(xs))]
+            for i, x in enumerate(xs)]
+
+
+def _entered(tmp_path) -> set:
+    """The code objects that the commands enter."""
+    dense = tmp_path / "dense.json"
+    # the mixed preparation gets weight 0 from |0>, so the output has
+    # symmetric support, found on the dense route
+    dense.write_text(json.dumps({
+        "channel": {"kind": "measure_prepare", "d": 2, "M": 3,
+                    "prep": [_diag(1.0, 0.0), _diag(0.5, 0.5)],
+                    "povm": [_diag(1.0, 0.0), _diag(0.0, 1.0)]},
+        "checks": ["lemma1"]}))
+    commands = [
+        ["bounds", "--d", "2", "3", "--M", "4", "--k", "1", "2"],
+        ["mc", "--M", "1", "2", "--samples", "200"],
+        ["suite", "--seed", "42"],
+        ["run", "--M", "4", "--k", "1", "2"],
+        ["run", "--checks", "theorem2", "--samples", "200", "--seed", "3"],
+        ["run", str(dense), "--format", "json"],
+    ]
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            exits = [cli.main(argv) for argv in commands]
+        finally:
+            sys.setprofile(None)
+    assert exits == [0] * len(commands)
+    return codes
+
+
+def test_functions_off_the_run_path_are_stated_oracles(tmp_path):
+    entered = _entered(tmp_path)
+    assert scenario.run_scenario.__code__ in entered
+    unstated = [f"{mod.__name__}.{name}" for mod in MODULES
+                for name, fn in vars(mod).items()
+                if not name.startswith("_") and inspect.isfunction(fn)
+                and fn.__module__ == mod.__name__
+                and fn.__code__ not in entered
+                and not ("test" in (fn.__doc__ or "")
+                         and "oracle" in (fn.__doc__ or ""))]
+    assert unstated == []
