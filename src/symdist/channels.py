@@ -6,7 +6,7 @@ of the M output slots by construction: the optimal universal N -> M cloner
 preparation, the cloner followed by independent single-user depolarizing
 noise, and a measure-and-prepare channel.  A run builds the output straight
 from the spec: symmetric_output as an s_M x s_M matrix in occupation
-coordinates when it lies in the symmetric subspace for every input
+coordinates where the fields and the input put it in the symmetric subspace
 (cloner_coords uses Werner's form P_M (X tensor 1) P_M = P_M (X tensor
 P_{M-N}) P_M, PRA 58, 1827 (1998); prep_coords sums pure product states),
 dense_output on (C^d)^{tensor M} for every kind.
@@ -45,6 +45,10 @@ from .symspace import (
 
 # Output-support deviation below this counts as "inside the symmetric subspace".
 SUPPORT_TOL = 1e-8
+
+
+class SupportError(ValueError):
+    """An output leaves the symmetric subspace of its users."""
 
 
 @dataclass(frozen=True)
@@ -320,11 +324,6 @@ def _check_prep(m: np.ndarray, d: int) -> None:
     validate_state(DenseOperator(m, (d,)), name="prepared state")
 
 
-def _rank_one(m: np.ndarray, d: int) -> bool:
-    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    return d == 1 or w[-2] <= SUPPORT_TOL
-
-
 @dataclass(frozen=True)
 class SDIReport:
     """Outcome of validate_sdi.
@@ -349,8 +348,8 @@ def validate_sdi(ch: QuantumChannel) -> SDIReport:
     Adjacent transpositions generate the symmetric group, so the residual is
     maximized over conjugations by (t, t+1) swaps at the Choi level.  Also
     reports how far the output support sticks out of the symmetric subspace
-    for any input.  Only tests call it, as the oracle for
-    symmetric_by_construction and for the permutation invariance of the
+    for any input.  Only tests call it, as the oracle for the support that
+    symmetric_output decides and for the permutation invariance of the
     built channels.
     """
     if len(set(ch.out_factors)) > 1:
@@ -507,19 +506,10 @@ class SDIChannelSpec:
         )
 
     @property
-    def symmetric_by_construction(self) -> bool:
-        """Whether the output lies in the symmetric subspace of the M users
-        for every input: cloners without noise, and preparations whose every
-        state is pure (rank one within SUPPORT_TOL).
-
-        At M = 1 every output has symmetric support; a run finds that case
-        from the support residual of the output.
-        """
-        if self.kind == "universal_cloner":
-            return True
-        if self.kind == "noisy_cloner":
-            return self.p == 0.0
-        return all(_rank_one(np.asarray(m), self.d) for m in self.prep)
+    def input_dim(self) -> int:
+        """The dimension of the input ket or matrix: the POVM side for
+        measure_prepare, d for every other kind."""
+        return len(self.povm[0]) if self.kind == "measure_prepare" else self.d
 
     def _preps(self) -> list[DenseOperator]:
         return [DenseOperator(np.asarray(m), (self.d,)) for m in self.prep]
@@ -539,45 +529,56 @@ class SDIChannelSpec:
             return fixed_prep_channel(self._preps()[0], self.M, cap=cap)
         return measure_prepare(self._povm(), self._preps(), self.M, cap=cap)
 
-    def _weighted_preps(self, state: DenseOperator):
-        """The prepared states, each with its weight Tr[E_i rho_in] for the
-        input `state`; fixed_prep measures the one-outcome POVM {1}."""
-        preps = self._preps()
-        povm = (self._povm() if self.kind == "measure_prepare"
-                else [DenseOperator(np.eye(self.d), (self.d,))])
-        dim_in = povm[0].shape[0]
+    def _weights(self, state: DenseOperator) -> list[float]:
+        """The weight Tr[E_i rho_in] of each prepared state for the input
+        `state`; fixed_prep measures the one-outcome POVM {1}."""
+        n = self.input_dim
         if state.shape[1] == 1:
-            x = _plain_ket(state, dim_in)
+            x = _plain_ket(state, n)
             rho_in = np.outer(x, x.conj())
-        elif state.shape == (dim_in, dim_in):
+        elif state.shape == (n, n):
             rho_in = state.entries
         else:
-            raise ValueError(f"input has shape {state.shape}, "
-                             f"channel expects {(dim_in, dim_in)}")
-        weights = [float(np.real(np.vdot(e.entries, rho_in))) for e in povm]
-        return preps, weights
+            raise ValueError(f"input has shape {state.shape}, channel expects {(n, n)}")
+        povm = self.povm if self.kind == "measure_prepare" else [np.eye(n)]
+        return [float(np.real(np.vdot(np.asarray(e), rho_in))) for e in povm]
 
-    def _cloner_output(self, state: DenseOperator, cap: int) -> np.ndarray:
+    def _cloner_output(self, state: DenseOperator) -> np.ndarray:
         """The noiseless cloner output for N copies of the ket `state`, as
         an s_M x s_M matrix in occupation coordinates."""
-        check_occupation_route(self.d, self.M, (), n_in=self.N, cap=cap)
         x = _sym_power_ket(state, self.d, self.N)
         return cloner_coords(self.d, self.N, self.M, np.outer(x, x.conj()))
 
-    def symmetric_output(self, state: DenseOperator,
-                         cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-        """The output as an s_M x s_M matrix in occupation coordinates, for
-        a spec that is symmetric_by_construction.  `state` is the input: a
-        ket of dimension d for the cloners; a ket or a density matrix on the
-        input space for the preparation kinds."""
-        if not self.symmetric_by_construction:
-            raise ValueError(f"this {self.kind} leaves the symmetric subspace; "
-                             "use dense_output()")
-        if self.kind in ("universal_cloner", "noisy_cloner"):
-            return self._cloner_output(state, cap)
-        check_occupation_route(self.d, self.M, (), cap=cap)
-        preps, weights = self._weighted_preps(state)
-        kets = [np.linalg.eigh(s.entries)[1][:, -1] for s in preps]
+    def symmetric_output(self, state: DenseOperator, cap: int = DEFAULT_DIM_CAP,
+                         ks=()) -> np.ndarray:
+        """The output for the input `state` (a ket of side d for the cloners,
+        a ket or a density matrix of side input_dim for the preparations) as
+        an s_M x s_M matrix in occupation coordinates.  It lies in Sym^M at
+        M = 1 (Sym^1(C^d) is C^d in basis order), at d = 1, for cloners with
+        p = 0, and where each prepared state is rank one within SUPPORT_TOL
+        or weighted at most SUPPORT_TOL, entering as its top eigenvector.
+        Anything else raises SupportError naming the field that decided, and
+        then check_occupation_route an output too large for the k-user
+        results of `ks`, each before anything is allocated."""
+        if self.M == 1:
+            check_occupation_route(self.d, 1, ks, cap=cap)
+            return self.dense_output(state, cap).entries
+        if self.prep is None:
+            if self.p and self.d > 1:
+                raise SupportError(f"channel.p: {self.p} depolarizes the "
+                                   f"{self.M} users out of the symmetric subspace")
+            check_occupation_route(self.d, self.M, ks, n_in=self.N, cap=cap)
+            return self._cloner_output(state)
+        weights, kets = self._weights(state), []
+        for i, (s, w) in enumerate(zip(self._preps(), weights)):
+            vals, vecs = np.linalg.eigh(s.entries)
+            if self.d > 1 and vals[-2] > SUPPORT_TOL and w > SUPPORT_TOL:
+                raise SupportError(
+                    f"channel.prep[{i}]: mixed (second eigenvalue {vals[-2]:.3e}), "
+                    f"weight {w:.3e} from the input, so the output leaves the "
+                    "symmetric subspace")
+            kets.append(vecs[:, -1])
+        check_occupation_route(self.d, self.M, ks, cap=cap)
         return prep_coords(np.array(kets), weights, self.M)
 
     def dense_output(self, state: DenseOperator,
@@ -590,10 +591,10 @@ class SDIChannelSpec:
         check_dense_route(self.d, self.M, cap=cap)
         dims = (self.d,) * self.M
         if self.kind in ("fixed_prep", "measure_prepare"):
-            preps, weights = self._weighted_preps(state)
             return DenseOperator(sum(w * tensor_power(s, self.M, cap).entries
-                                     for s, w in zip(preps, weights)), dims)
-        coords = self._cloner_output(state, cap)
+                                     for s, w in zip(self._preps(), self._weights(state))),
+                                 dims)
+        coords = self._cloner_output(state)
         v = index_map(self.d, self.M, cap)
         rho = v.expand(v.expand(coords, 0), 1)
         if self.kind == "noisy_cloner":

@@ -46,7 +46,18 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
+def _at_least(*rules) -> None:
+    """Refuse a flag value below its floor; each rule is (flag, values,
+    floor, what the flag sets)."""
+    for flag, values, low, what in rules:
+        for value in values:
+            if value < low:
+                raise ValueError(f"{flag}: {what} must be >= {low}, got {value}")
+
+
 def _bounds_rows(args) -> list[dict]:
+    _at_least(("--d", args.d, 1, "local dimension"), ("--M", args.M, 1, "user count"),
+              ("--k", args.k, 0, "marginal size"))
     rows = []
     for d in args.d:
         for m_users in args.M:
@@ -125,6 +136,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    _at_least(("--d", [args.d], 1, "local dimension"), ("--M", args.M, 1, "moment order"),
+              ("--samples", [args.samples], 2, "sample count"),
+              ("--seed", [args.seed], 0, "seed"))
     records = [moment_check_record(args.d, n, args.samples, args.seed)
                for n in args.M]
     _write(emit(records, fmt=args.format, timings=args.timings), args.out)

@@ -13,14 +13,14 @@ pure state as its s_M-vector; each returns s_k x s_k matrices in the
 occupation coordinates of Sym^k, and none forms anything of side d^M or
 d^k.  The sampler weights each draw's power_coords, so its estimate is
 compared there too: the Haar moment P_k/s_k is 1/s_k times the identity.  An
-OccupationState holds either.  A dense state enters by one of two routes:
-symmetric_state(rho) for rho supported in the symmetric subspace (the
-lemma), and purified_state(rho) for any permutation-invariant rho (the
-theorem).  On the first, the k-user marginal and mixture lie in Sym^k and V
-is an isometry, so their distance is taken between the kernels' s_k x s_k
-outputs.  The second pairs each user with an ancilla in |Phi> = (sqrt(rho)
-tensor 1)|Omega>, symmetric in the d^2-dimensional pairs; the kernels run
-at d^2 on |Phi> as a ket, and one gather traces the ancillas out at d^k.
+OccupationState holds either.  An output in the symmetric subspace (the
+lemma) comes from SDIChannelSpec.symmetric_output; its k-user marginal and
+mixture lie in Sym^k, where V keeps the trace norm, so their distance is
+taken between the kernels' s_k x s_k outputs.  Any permutation-invariant
+dense rho (the theorem) enters by purified_state(rho), which pairs each user
+with an ancilla in |Phi> = (sqrt(rho) tensor 1)|Omega>, symmetric in the
+d^2-dimensional pairs; the kernels run at d^2 on |Phi> as a ket, and one
+gather traces the ancillas out at d^k.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import SUPPORT_TOL
+from .channels import SUPPORT_TOL, SupportError
 from .linalg import (
     DEFAULT_DIM_CAP,
     DenseOperator,
@@ -247,26 +247,20 @@ def _trace_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return pos, weight
 
 
-class SupportError(ValueError):
-    """rho leaves the symmetric subspace: `residual` = max |rho - P rho P|."""
-
-    def __init__(self, residual: float):
-        self.residual = residual
-        super().__init__(
-            f"rho_out leaves the symmetric subspace (residual {residual:.3e}); "
-            "the sampled mixture only reproduces symmetric-support marginals")
-
-
 def symmetric_state(rho: DenseOperator,
                     cap: int = DEFAULT_DIM_CAP) -> OccupationState:
-    """V† rho V, after checking that rho lies in the symmetric subspace."""
+    """V† rho V, after checking that rho lies in the symmetric subspace.  No
+    run path calls it: tests use it as the dense oracle for symmetric_output,
+    its coordinates and its support decision."""
     d, m = _uniform_square(rho, "rho_out")
     check_dense_route(d, m, cap=cap)
     v = index_map(d, m, cap)
     coords = v.compress(v.compress(rho.entries, 0), 1)
     resid = float(np.max(np.abs(rho.entries - v.expand(v.expand(coords, 0), 1))))
     if resid > SUPPORT_TOL:
-        raise SupportError(resid)
+        raise SupportError(
+            f"rho_out leaves the symmetric subspace (residual {resid:.3e}); "
+            "the sampled mixture only reproduces symmetric-support marginals")
     return OccupationState(coords, d, m)
 
 

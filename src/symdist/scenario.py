@@ -18,14 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import SDIChannelSpec, _json_complex, _json_real
+from .channels import SDIChannelSpec, SupportError, _json_complex, _json_real
 from .definetti import (
     OccupationState,
-    SupportError,
     check_mc_route,
     mc_reduce_coords,
     purified_state,
-    symmetric_state,
 )
 from .linalg import DEFAULT_DIM_CAP, DenseOperator, ket, validate_state
 from .metrics import (
@@ -37,7 +35,7 @@ from .metrics import (
     trace_distance,
     universal_clone_gap,
 )
-from .symspace import check_dense_route, check_occupation_route, sym_dim
+from .symspace import check_dense_route, sym_dim
 
 SCHEMA_VERSION = 1
 CHECKS = ("lemma1", "theorem2", "perr", "fidelity_gap", "mc_crosscheck")
@@ -160,7 +158,7 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
         spec = SDIChannelSpec.from_json(data.get("channel"))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{where}.channel: {exc}") from exc
-    parsed_input = _parse_input_state(data.get("input"), f"{where}.input", spec.d)
+    parsed_input = _parse_input_state(data.get("input"), f"{where}.input", spec.input_dim)
     if spec.kind in ("universal_cloner", "noisy_cloner"):
         _require(parsed_input["type"] != "diag", f"{where}.input.type",
                  f"{spec.kind} takes a pure input ket")
@@ -252,46 +250,40 @@ def load_scenarios(text: str, defaults: dict | None = None) -> list[ScenarioConf
 
 def _input_state(cfg: ScenarioConfig) -> tuple[DenseOperator, int | None]:
     """The input as a ket (a density matrix for diag inputs), and its seed."""
-    info = cfg.input_state
+    info, d = cfg.input_state, cfg.channel.input_dim
     if info["type"] == "pure":
         return ket(info["vec"]), None
     if info["type"] == "random_pure":
         # a Haar ket from its own stream; Monte Carlo draws from (seed, 1)
-        rng, d = np.random.default_rng((info["seed"], 0, 0)), cfg.channel.d
+        rng = np.random.default_rng((info["seed"], 0, 0))
         z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         return ket(z / np.linalg.norm(z)), info["seed"]
-    return DenseOperator(np.diag(info["probs"]), (cfg.channel.d,)), None
+    return DenseOperator(np.diag(info["probs"]), (d,)), None
 
 
 def _output(cfg: ScenarioConfig, phi: DenseOperator,
             cap: int) -> tuple[OccupationState, OccupationState | None]:
     """The output in occupation coordinates (of its pair purification, at
     d^2, under theorem2), and the symmetric state that mc_crosscheck samples,
-    or None.  Specs symmetric by construction skip the dense form on
-    (C^d)^{tensor M} unless theorem2 runs."""
-    spec = cfg.channel
-    mc = "mc_crosscheck" in cfg.checks
-    if spec.symmetric_by_construction and "theorem2" not in cfg.checks:
-        check_occupation_route(spec.d, spec.M, cfg.k_list, cap=cap)
-        coords = spec.symmetric_output(phi, cap=cap)
-        validate_state(DenseOperator(coords, (len(coords),)),
-                       name="channel output")
-        out = OccupationState(coords, spec.d, spec.M)
-        return out, out if mc else None
-    check_dense_route(spec.d, spec.M, cfg.k_list, "theorem2" in cfg.checks, cap)
-    rho = spec.dense_output(phi, cap)
-    out = purified_state(rho, cap) if "theorem2" in cfg.checks else None
-    if out is not None and not mc:
-        return out, None
-    try:
-        sym = symmetric_state(rho, cap)
-    except SupportError as exc:
-        resid = f"(support residual {exc.residual:.3e})"
-        raise SchemaError("scenario.checks: " + (
-            f"lemma1 requires a symmetric-support channel {resid}; use theorem2"
-            if "lemma1" in cfg.checks else "mc_crosscheck samples the symmetric "
-            f"subspace, so it requires a symmetric-support channel {resid}")) from exc
-    return sym if out is None else out, sym if mc else None
+    or None.  Two routes: lemma1 and every mc_crosscheck take the state from
+    symmetric_output, theorem2 purifies dense_output."""
+    spec, theorem2 = cfg.channel, "theorem2" in cfg.checks
+    sym = None
+    if not theorem2 or "mc_crosscheck" in cfg.checks:
+        try:
+            coords = spec.symmetric_output(phi, cap, (1,) if theorem2 else cfg.k_list)
+        except SupportError as exc:
+            raise SchemaError(f"scenario.{exc}; " + (
+                "lemma1 requires a symmetric-support output, use theorem2"
+                if "lemma1" in cfg.checks else "mc_crosscheck samples the "
+                "symmetric subspace, so it requires a symmetric-support output")
+            ) from exc
+        validate_state(DenseOperator(coords, (len(coords),)), name="channel output")
+        sym = OccupationState(coords, spec.d, spec.M)
+    if not theorem2:
+        return sym, sym if "mc_crosscheck" in cfg.checks else None
+    check_dense_route(spec.d, spec.M, cfg.k_list, True, cap)
+    return purified_state(spec.dense_output(phi, cap), cap), sym
 
 
 def _fidelity(phi: DenseOperator, rho: DenseOperator) -> float:

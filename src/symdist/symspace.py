@@ -274,21 +274,18 @@ def check_dense_route(d: int, m: int, ks=(), paired: bool = False,
     route at (d, M, ks) would not fit the byte budget of the cap; else return
     its estimated peak bytes: the d^M x d^M complex output rho (r bytes)
     built and compressed in 3.5 r, or pair-purified in 7 r plus eigh's
-    workspace (not numpy arrays); then, beside rho, each k's gathers (s_k
-    s_{M+k} entries of the state at q = d, or d^2 paired, s_k times as many
-    unpaired), its k-user stage (users_bytes paired, a few s_k x s_k arrays
-    unpaired), and the cached index maps (64 bytes an entry to build, 24
-    kept) and split tables; and 1 MiB for what does not grow with rho.
+    workspace (not numpy arrays); then, beside rho, the cached index map (64
+    bytes an entry to build, 24 kept) and, on the pair route, each k's
+    gathers (s_k s_{M+k} entries of the state at d^2), its k-user stage
+    (users_bytes) and split tables; and 1 MiB for what does not grow with
+    rho.  Only the pair route reduces the output, so only it takes ks.
     """
     if d > 1 and m > cap.bit_length():  # d^M > cap, too large to compute
         raise ResourceLimitError(f"{m}-user dense output would have side "
                                  f"{d}^{m}, exceeding the cap {cap}")
     rho, q = 16 * d ** (2 * m), d * d if paired else d
-    gathers = [_sym(q, k) * _sym(q, m + k) * (1 if paired else _sym(q, k))
-               for k in ks]
-    loop = rho + 24 * q ** m + 112 * sum(gathers) + max(
-        (users_bytes(d, k) if paired else 128 * _sym(d, k) ** 2 for k in ks),
-        default=0)
+    loop = (rho + 24 * q ** m + sum(112 * _sym(q, k) * _sym(q, m + k) for k in ks)
+            + max((users_bytes(d, k) for k in ks), default=0))
     nbytes = (2 ** 20 + 64 * d ** m + paired * _eigh_bytes(d ** m)
               + max(7 * rho if paired else 7 * rho // 2, loop))
     _check_bytes(nbytes, cap, f"dense route for {m} users")

@@ -229,26 +229,48 @@ class TestRun:
         assert rc == 1
         assert "depolarizing weight must be in [0, 1]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("input_state,message", [
-        ({"type": "pure", "coeffs": [[1.0, 0.0], [0.0, 0.0]]},
-         "ket dimension 2 does not match channel input 3"),
-        ({"type": "diag", "probs": [0.5, 0.5]},
-         "input has shape (2, 2), channel expects (3, 3)"),
-    ], ids=["ket", "matrix"])
-    def test_input_of_the_wrong_shape_exits_one(self, input_state, message,
-                                                tmp_path, capsys):
+    @staticmethod
+    def _qutrit_measurement(tmp_path, input_state, checks):
+        """A scenario file: a measure_prepare whose POVM acts on C^3 and
+        prepares qubits; outcome 1, the mixed state, never follows |0>."""
         def diag(*xs):
             return [[[x if i == j else 0.0, 0.0] for j in range(len(xs))]
                     for i, x in enumerate(xs)]
 
-        src = tmp_path / "shape.json"
+        src = tmp_path / "qutrit.json"
         src.write_text(json.dumps({
             "channel": {"kind": "measure_prepare", "d": 2, "M": 2,
                         "prep": [diag(1.0, 0.0), diag(0.5, 0.5)],
                         "povm": [diag(1.0, 0.5, 0.0), diag(0.0, 0.5, 1.0)]},
-            "input": input_state, "checks": ["theorem2"]}))
-        assert main(["run", str(src)]) == 1
-        assert message in capsys.readouterr().err
+            "input": input_state, "checks": checks}))
+        return str(src)
+
+    @pytest.mark.parametrize("input_state,message", [
+        ({"type": "pure", "coeffs": [[1.0, 0.0], [0.0, 0.0]]},
+         "scenario.input.coeffs: expected 3 [re, im] pairs"),
+        ({"type": "diag", "probs": [0.5, 0.5]},
+         "scenario.input.probs: expected 3 probabilities"),
+    ], ids=["ket", "matrix"])
+    def test_input_of_the_wrong_shape_exits_one(self, input_state, message,
+                                                tmp_path, capsys):
+        # the input lives on the POVM's side, C^3, not on the users' C^2
+        src = self._qutrit_measurement(tmp_path, input_state, ["theorem2"])
+        assert main(["run", src]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("input_state,checks", [
+        ({"type": "pure", "coeffs": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+         ["lemma1"]),
+        ({"type": "pure", "coeffs": [[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]]},
+         ["theorem2"]),
+        ({"type": "diag", "probs": [0.2, 0.3, 0.5]}, ["theorem2"]),
+        ({"type": "random_pure", "seed": 3}, ["theorem2"]),
+    ], ids=["pure-lemma1", "pure-theorem2", "diag-theorem2", "random-theorem2"])
+    def test_input_on_the_povm_side_runs(self, input_state, checks, tmp_path,
+                                         capsys):
+        src = self._qutrit_measurement(tmp_path, input_state, checks)
+        assert main(["run", src]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
 
     @pytest.mark.parametrize("channel", [
         {"kind": "noisy_cloner", "d": 2, "N": 1, "M": 3, "p": 0.1},
@@ -260,8 +282,12 @@ class TestRun:
         src = tmp_path / "lemma1.json"
         src.write_text(json.dumps({"channel": channel, "checks": ["lemma1"]}))
         assert main(["run", str(src)]) == 1
-        assert ("scenario.checks: lemma1 requires a symmetric-support channel "
-                "(support residual ") in capsys.readouterr().err
+        field = ("p: 0.1 depolarizes the 3 users" if channel["kind"] == "noisy_cloner"
+                 else "prep[0]: mixed (second eigenvalue 1.000e-01), weight 1.000e+00")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario.channel.{field} ")
+        assert err.endswith("; lemma1 requires a symmetric-support output, "
+                            "use theorem2\n")
 
     @pytest.mark.parametrize("channel,field", [
         ({"kind": "universal_cloner", "d": 2, "N": 1, "M": 3, "p": 0.3}, "p"),
@@ -293,9 +319,10 @@ class TestRun:
         rc = main(["run", "--kind", "noisy_cloner", "--M", "3",
                    "--checks", "theorem2,mc_crosscheck", "--samples", "100"])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: scenario.checks: mc_crosscheck ")
-        assert "(support residual 2.375e-02)" in err
+        assert capsys.readouterr().err == (
+            "error: scenario.channel.p: 0.1 depolarizes the 3 users out of the "
+            "symmetric subspace; mc_crosscheck samples the symmetric subspace, "
+            "so it requires a symmetric-support output\n")
 
     def test_violation_exits_two(self, monkeypatch, capsys):
         failing = ResultRecord(d=2, N=1, M=2, k=1, p=None, seed=None,
@@ -339,6 +366,23 @@ class TestMc:
                                 "Monte Carlo estimate of 6636 users")):
             assert main(["mc", *flags]) == 1
             assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["mc", "--d", "0"], "--d: local dimension must be >= 1, got 0"),
+    (["mc", "--M", "0"], "--M: moment order must be >= 1, got 0"),
+    (["mc", "--samples", "1"], "--samples: sample count must be >= 2, got 1"),
+    (["mc", "--seed", "-1"], "--seed: seed must be >= 0, got -1"),
+    (["bounds", "--d", "0", "--M", "2"],
+     "--d: local dimension must be >= 1, got 0"),
+    (["bounds", "--M", "2", "--k", "-1"],
+     "--k: marginal size must be >= 0, got -1"),
+    (["bounds", "--M", "0"], "--M: user count must be >= 1, got 0"),
+], ids=["mc-d", "mc-M", "mc-samples", "mc-seed", "bounds-d", "bounds-k",
+        "bounds-M"])
+def test_flag_errors_name_the_flag(argv, message, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSuiteCommand:

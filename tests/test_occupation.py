@@ -15,7 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdist import channels, definetti, linalg, scenario
-from symdist.channels import SDIChannelSpec, apply, embed_pure_input, validate_sdi
+from symdist.channels import (
+    SDIChannelSpec,
+    SupportError,
+    apply,
+    embed_pure_input,
+    validate_sdi,
+)
 from symdist.definetti import (
     OccupationState,
     check_mc_route,
@@ -404,7 +410,54 @@ def test_monte_carlo_estimates_match_dense(spec):
 
 @pytest.mark.parametrize("spec", COVERED + DENSE_ONLY, ids=_label)
 def test_route_decision_matches_validate_sdi(spec):
-    assert spec.symmetric_by_construction == validate_sdi(spec.build()).symmetric_support
+    # _input_ket weights every outcome, so the spec alone decides the support
+    try:
+        spec.symmetric_output(_input_ket(spec.d))
+    except SupportError:
+        refused = True
+    else:
+        refused = False
+    assert refused != validate_sdi(spec.build()).symmetric_support
+
+
+BASIS2 = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+# mixed preparations whose output still lies in Sym^M: one user, or an
+# outcome that the input never gives
+MIXED_IN_SYM = [
+    (SDIChannelSpec("fixed_prep", d=2, M=1, prep=(MIXED2,)), None),
+    (SDIChannelSpec("measure_prepare", d=2, M=3, prep=(PHI2, MIXED2), povm=BASIS2),
+     np.array([1.0, 0.0])),
+]
+# the grid of the support decision: specs and inputs (None: _input_ket(d))
+DECISIONS = [(spec, None) for spec in COVERED + DENSE_ONLY] + MIXED_IN_SYM + [
+    (SDIChannelSpec("noisy_cloner", d=2, M=1, N=1, p=0.1), None),
+    (SDIChannelSpec("noisy_cloner", d=1, M=3, N=1, p=0.1), None),
+    (MIXED_IN_SYM[1][0], np.array([0.0, 1.0])),
+]
+
+
+def _decision_label(case):
+    spec, coeffs = case
+    return _label(spec) + ("" if coeffs is None else f"-in{int(coeffs[1])}")
+
+
+@pytest.mark.parametrize("spec,coeffs", DECISIONS,
+                         ids=[_decision_label(case) for case in DECISIONS])
+def test_symmetric_output_decides_as_the_dense_oracle(spec, coeffs):
+    """symmetric_output runs exactly where V† rho V of the dense output
+    does, and both give the same coordinates there."""
+    phi = _input_ket(spec.d) if coeffs is None else ket(coeffs)
+    results = []
+    for route in (spec.symmetric_output,
+                  lambda x: symmetric_state(spec.dense_output(x)).coords):
+        try:
+            results.append(route(phi))
+        except SupportError:
+            results.append(None)
+    got, want = results
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert np.max(np.abs(got - want)) <= TOL
 
 
 @pytest.mark.parametrize("spec", COVERED[:4] + PURIFIED, ids=_label)
@@ -421,7 +474,12 @@ def test_support_residual_matches_dense_projection(spec):
 
 @pytest.mark.parametrize("spec", DENSE_ONLY, ids=_label)
 def test_symmetric_output_refuses_dense_only_specs(spec):
-    with pytest.raises(ValueError, match="dense_output"):
+    field = {"noisy_cloner": r"p: 0\.1 depolarizes the 3 users",
+             "fixed_prep": r"prep\[0\]: mixed \(second eigenvalue 1\.000e-01\), "
+                           r"weight 1\.000e\+00 from the input",
+             "measure_prepare": r"prep\[1\]: mixed \(second eigenvalue "
+                                r"1\.000e-01\), weight \d\.\d{3}e-01 from the input"}
+    with pytest.raises(SupportError, match=f"^channel\\.{field[spec.kind]}"):
         spec.symmetric_output(_input_ket(spec.d))
 
 
@@ -470,15 +528,6 @@ def test_dense_output_refuses_a_wrong_input_as_the_oracle_does(spec, state):
     assert str(built.value) == str(oracle.value)
 
 
-BASIS2 = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-# outputs that go through the dense route and still have symmetric support
-LEMMA1_DENSE = [
-    (SDIChannelSpec("fixed_prep", d=2, M=1, prep=(MIXED2,)), None),
-    (SDIChannelSpec("measure_prepare", d=2, M=3, prep=(PHI2, MIXED2), povm=BASIS2),
-     np.array([1.0, 0.0])),
-]
-
-
 def test_run_path_builds_no_choi_matrix(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the Choi oracle was called on the run path")
@@ -490,7 +539,7 @@ def test_run_path_builds_no_choi_matrix(monkeypatch):
         monkeypatch.setattr(channels, name, refuse)
     runs = [(spec, ["theorem2"], None) for spec in COVERED[:1] + PURIFIED]
     runs += [(spec, ["lemma1"], None) for spec in COVERED]
-    runs += [(spec, ["lemma1"], coeffs) for spec, coeffs in LEMMA1_DENSE]
+    runs += [(spec, ["lemma1"], coeffs) for spec, coeffs in MIXED_IN_SYM]
     for spec, checks, coeffs in runs:
         row, = run_scenario(_scenario(spec, checks, coeffs))
         assert row.satisfied_theorem2 or row.satisfied_lemma1
@@ -731,23 +780,37 @@ MIXED_PREP = [[[[0.5, 0], [0.1, 0]], [[0.1, 0], [0.5, 0]]]]
     *[(_noisy(3, m), [1], ["theorem2"]) for m in (3, 4, 5)],
     (_noisy(2, 6), [1, 2, 3, 4, 5], ["theorem2"]),
     (_noisy(2, 8), [1, 2, 3, 4, 5, 6], ["theorem2"]),
-    ({"kind": "fixed_prep", "d": 2, "M": 10, "prep": MIXED_PREP}, [1], ["lemma1"]),
     ({"kind": "universal_cloner", "d": 2, "N": 1, "M": 8}, [1],
      ["theorem2", "mc_crosscheck"]),
 ], ids=["2-6", "2-7", "2-8", "2-9", "3-3", "3-4", "3-5", "2-6-k1to5",
-        "2-8-k1to6", "mixed-prep-lemma1", "cloner-mc"])
+        "2-8-k1to6", "cloner-mc"])
 def test_dense_route_estimate_bounds_the_traced_peak(channel, ks, checks):
     # tracemalloc does not see LAPACK's workspace, so the bound it checks is
-    # the estimate less that analytic term; the mixed preparation runs the
-    # whole lemma1 route before it is refused for its support
+    # the estimate less that analytic term
     cfg = _dense_scenario(channel, ks, checks)
-    spec, paired = cfg.channel, "theorem2" in checks
-    traced = (check_dense_route(spec.d, spec.M, ks, paired)
-              - paired * _eigh_bytes(spec.d ** spec.M))
+    spec = cfg.channel
+    traced = (check_dense_route(spec.d, spec.M, ks, paired=True)
+              - _eigh_bytes(spec.d ** spec.M))
     phi, _ = _input_state(cfg)
-    raises = SchemaError if "lemma1" in checks else None
-    assert _traced_peak(lambda: _output(cfg, phi, DEFAULT_DIM_CAP), raises) <= traced
-    assert _traced_peak(lambda: run_scenario(cfg), raises) <= traced
+    assert _traced_peak(lambda: _output(cfg, phi, DEFAULT_DIM_CAP)) <= traced
+    assert _traced_peak(lambda: run_scenario(cfg)) <= traced
+
+
+@pytest.mark.parametrize("m_users", [3, 13, 10 ** 4])
+@pytest.mark.parametrize("channel", [
+    _noisy(2, 1), {"kind": "fixed_prep", "d": 2, "M": 1, "prep": MIXED_PREP},
+], ids=["noisy-cloner", "mixed-prep"])
+def test_lemma1_refusal_allocates_nothing(channel, m_users):
+    # the spec decides the support before any size is checked or allocated
+    cfg = _dense_scenario({**channel, "M": m_users}, checks=["lemma1"])
+    assert _traced_peak(lambda: run_scenario(cfg), SchemaError) < 2 ** 20
+
+
+def test_zero_weight_mixed_preparation_runs_lemma1_at_500_users():
+    spec = SDIChannelSpec("measure_prepare", d=2, M=500, prep=(PHI2, MIXED2),
+                          povm=BASIS2)
+    rows = run_scenario(_scenario(spec, ["lemma1"], np.array([1.0, 0.0]), (1, 2)))
+    assert all(row.satisfied_lemma1 for row in rows)
 
 
 @pytest.mark.parametrize("d,m_users", [(2, 13), (3, 8)])
@@ -787,10 +850,12 @@ def test_dense_route_counts_each_k_and_huge_m():
                  ["lemma1"], id="mixed-prep-checks1"),
 ])
 def test_dense_output_too_large_raises_before_allocating(channel, checks):
+    # lemma1 never takes the dense route: the spec refuses its support first
     cfg = _dense_scenario(channel, checks=checks)
-    peak = _traced_peak(lambda: run_scenario(cfg), ResourceLimitError)
-    assert peak < 2 ** 20
-    with pytest.raises(ResourceLimitError, match="dense route"):
+    raises, match = ((SchemaError, "lemma1 requires") if checks == ["lemma1"]
+                     else (ResourceLimitError, "dense route"))
+    assert _traced_peak(lambda: run_scenario(cfg), raises) < 2 ** 20
+    with pytest.raises(raises, match=match):
         run_scenario(cfg)
 
 

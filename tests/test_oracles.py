@@ -1,11 +1,13 @@
 """Every public function of symdist that no command enters is a stated oracle.
 
 Under sys.setprofile the commands below run as a user runs them: `bounds`,
-`mc`, `suite`, and `run` on a spec-route lemma1 scenario, a theorem2
-scenario with mc_crosscheck, and a dense-route lemma1 scenario read from a
-file and written as JSON.  A public module-level function of the package
-that none of them enters is there only for tests, so its docstring must
-say that tests use it as an oracle.
+`mc`, `suite`, and `run` on a cloner lemma1 scenario, a theorem2 scenario
+with mc_crosscheck, and a file, written as JSON, that runs a measurement
+whose mixed preparation gets zero weight under lemma1 (on the spec route)
+and gets weight under theorem2.  A public module-level function of the
+package that none of them enters is there only for tests, so its docstring
+must say that tests use it as an oracle.  No command enters
+definetti.symmetric_state: no run path compresses a dense output.
 """
 
 import contextlib
@@ -26,21 +28,23 @@ def _diag(*xs):
 
 def _entered(tmp_path) -> set:
     """The code objects that the commands enter."""
-    dense = tmp_path / "dense.json"
-    # the mixed preparation gets weight 0 from |0>, so the output has
-    # symmetric support, found on the dense route
-    dense.write_text(json.dumps({
-        "channel": {"kind": "measure_prepare", "d": 2, "M": 3,
-                    "prep": [_diag(1.0, 0.0), _diag(0.5, 0.5)],
-                    "povm": [_diag(1.0, 0.0), _diag(0.0, 1.0)]},
-        "checks": ["lemma1"]}))
+    measure = tmp_path / "measure.json"
+    # the mixed preparation gets weight 0 from |0>, so the lemma1 output
+    # lies in Sym^M, which the spec decides; theorem2 runs on |+>
+    channel = {"kind": "measure_prepare", "d": 2, "M": 3,
+               "prep": [_diag(1.0, 0.0), _diag(0.5, 0.5)],
+               "povm": [_diag(1.0, 0.0), _diag(0.0, 1.0)]}
+    plus = {"type": "pure", "coeffs": [[0.5 ** 0.5, 0.0], [0.5 ** 0.5, 0.0]]}
+    measure.write_text(json.dumps([
+        {"channel": channel, "checks": ["lemma1"]},
+        {"channel": channel, "input": plus, "checks": ["theorem2"]}]))
     commands = [
         ["bounds", "--d", "2", "3", "--M", "4", "--k", "1", "2"],
         ["mc", "--M", "1", "2", "--samples", "200"],
         ["suite", "--seed", "42"],
         ["run", "--M", "4", "--k", "1", "2"],
         ["run", "--checks", "theorem2", "--samples", "200", "--seed", "3"],
-        ["run", str(dense), "--format", "json"],
+        ["run", str(measure), "--format", "json"],
     ]
     codes = set()
 
@@ -61,6 +65,7 @@ def _entered(tmp_path) -> set:
 def test_functions_off_the_run_path_are_stated_oracles(tmp_path):
     entered = _entered(tmp_path)
     assert scenario.run_scenario.__code__ in entered
+    assert definetti.symmetric_state.__code__ not in entered
     unstated = [f"{mod.__name__}.{name}" for mod in MODULES
                 for name, fn in vars(mod).items()
                 if not name.startswith("_") and inspect.isfunction(fn)
