@@ -77,7 +77,8 @@ class QuantumChannel:
             raise ValueError("choi factor dims must be out_factors + (dim_in,)")
 
     def choi_tensor(self) -> np.ndarray:
-        """Choi entries reshaped to [out, in, out', in']."""
+        """Choi entries reshaped to [out, in, out', in'], the form that apply
+        contracts: part of the Choi test oracle."""
         return self.choi.entries.reshape(
             self.dim_out, self.dim_in, self.dim_out, self.dim_in
         )
@@ -224,12 +225,12 @@ def noisy_cloner(d: int, N: int, M: int, p: float,
     )
 
 
-def _validated_measurement(povm: list[DenseOperator],
-                           preps: list[DenseOperator]) -> int:
-    """Check a POVM and its prepared states; returns the input dimension."""
-    if len(povm) != len(preps):
+def _validated_measurement(povm: list[DenseOperator], n_preps: int) -> int:
+    """Check a POVM with one element for each of n_preps prepared states;
+    returns the input dimension."""
+    if len(povm) != n_preps:
         raise ValueError(
-            f"got {len(povm)} POVM elements but {len(preps)} prepared states"
+            f"got {len(povm)} POVM elements but {n_preps} prepared states"
         )
     if not povm:
         raise ValueError("POVM must have at least one element")
@@ -244,11 +245,6 @@ def _validated_measurement(povm: list[DenseOperator],
         total += e.entries
     if np.max(np.abs(total - np.eye(dim_in))) > 1e-9:
         raise ValueError("POVM elements do not sum to the identity within 1e-9")
-    d = preps[0].shape[0]
-    for idx, s in enumerate(preps):
-        validate_state(s, name=f"prepared state {idx}")
-        if s.shape != (d, d):
-            raise ValueError(f"prepared state {idx} has shape {s.shape}")
     return dim_in
 
 
@@ -259,8 +255,12 @@ def measure_prepare(povm: list[DenseOperator], preps: list[DenseOperator], M: in
     measure_prepare outputs."""
     if M < 1:
         raise ValueError(f"need M >= 1, got {M}")
-    dim_in = _validated_measurement(povm, preps)
+    dim_in = _validated_measurement(povm, len(preps))
     d = preps[0].shape[0]
+    for idx, s in enumerate(preps):
+        validate_state(s, name=f"prepared state {idx}")
+        if s.shape != (d, d):
+            raise ValueError(f"prepared state {idx} has shape {s.shape}")
     _check_cap(d ** M * dim_in, cap, "measure-prepare Choi matrix")
     choi = np.zeros((d ** M * dim_in, d ** M * dim_in), dtype=complex)
     for e, s in zip(povm, preps):
@@ -326,20 +326,15 @@ def _check_prep(m: np.ndarray, d: int) -> None:
 
 @dataclass(frozen=True)
 class SDIReport:
-    """Outcome of validate_sdi.
-
-    passed reflects permutation invariance only; symmetric_support reports
-    whether the output support lies in the symmetric subspace.
+    """Outcome of validate_sdi: permutation_invariant reports the channel's
+    invariance, symmetric_support whether the output support lies in the
+    symmetric subspace.
     """
 
     max_permutation_residual: float
     permutation_invariant: bool
     support_residual: float
     symmetric_support: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.permutation_invariant
 
 
 def validate_sdi(ch: QuantumChannel) -> SDIReport:
@@ -467,7 +462,7 @@ class SDIChannelSpec:
                 _check_prep(np.asarray(m), self.d)
             if self.povm is not None:
                 field = "povm"
-                _validated_measurement(self._povm(), self._preps())
+                _validated_measurement(self._povm(), len(self.prep))
         except ValueError as exc:
             raise ValueError(f"{field}: {exc}") from exc
 

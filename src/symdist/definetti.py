@@ -11,16 +11,19 @@ The kernels (marginal_coords, reduce_coords, mc_reduce_coords) take the state
 as an s_M x s_M matrix in occupation coordinates, and the first two also a
 pure state as its s_M-vector; each returns s_k x s_k matrices in the
 occupation coordinates of Sym^k, and none forms anything of side d^M or
-d^k.  The sampler weights each draw's power_coords, so its estimate is
-compared there too: the Haar moment P_k/s_k is 1/s_k times the identity.  An
-OccupationState holds either.  An output in the symmetric subspace (the
-lemma) comes from SDIChannelSpec.symmetric_output; its k-user marginal and
-mixture lie in Sym^k, where V keeps the trace norm, so their distance is
-taken between the kernels' s_k x s_k outputs.  Any permutation-invariant
-dense rho (the theorem) enters by purified_state(rho), which pairs each user
-with an ancilla in |Phi> = (sqrt(rho) tensor 1)|Omega>, symmetric in the
-d^2-dimensional pairs; the kernels run at d^2 on |Phi> as a ket, and one
-gather traces the ancillas out at d^k.
+d^k.  The exact ones, and the pair route's ancilla trace, are one
+contraction, sum_j c[a,j] c[a',j] X[idx[a,j], idx[a',j]], over tables of
+split coefficients (Harrow, arXiv:1308.6595).  The sampler weights each
+draw's power_coords, so its estimate is compared there too: the Haar moment
+P_k/s_k is 1/s_k times the identity.  An OccupationState holds either.  An
+output in the symmetric subspace (the lemma) comes from
+SDIChannelSpec.symmetric_output; its k-user marginal and mixture lie in
+Sym^k, where V keeps the trace norm, so their distance is taken between the
+kernels' s_k x s_k outputs.  Any permutation-invariant dense rho (the
+theorem) enters by purified_state(rho), which pairs each user with an
+ancilla in |Phi> = (sqrt(rho) tensor 1)|Omega>, symmetric in the
+d^2-dimensional pairs; the kernels run at d^2 on |Phi> as a ket, and the
+same contraction traces the ancillas out at d^k.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .linalg import (
 from .symspace import (
     _index_map,
     check_dense_route,
-    embed_coords,
     haar_kets,
     index_map,
     power_coords,
@@ -72,38 +74,33 @@ def _check_k(k: int, m: int) -> None:
         raise ValueError(f"need 1 <= k <= M={m}, got k={k}")
 
 
-def marginal_coords(rho: np.ndarray, d: int, m: int, k: int) -> np.ndarray:
-    """Tr_{M-k} of an s_M x s_M occupation-coordinate state, as s_k x s_k.
-
-    rho_k[a, a'] = sum_b c(a+b; a) c(a'+b; a') rho[a+b, a'+b].  A 1-D `rho`
-    is a ket x standing for |x><x|; then rho_k = W W† with
-    W[a, b] = c(a+b; a) x[a+b].
-    """
-    t = split_table(d, m, k)
-    if rho.ndim == 1:
-        w = t.whole_coef * rho[t.whole]
+def contract(x: np.ndarray, idx: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_j coef[a, j] coef[a', j] x[idx[a, j], idx[a', j]]: the one
+    contraction behind every k-user result.  A 1-D `x` is a ket standing for
+    |x><x|; then the sum is W W† with W[a, j] = coef[a, j] x[idx[a, j]]."""
+    if x.ndim == 1:
+        w = coef * x[idx]
         return w @ w.conj().T
-    gathered = rho[t.whole[:, None, :], t.whole[None, :, :]]
-    gathered *= t.whole_coef[:, None, :] * t.whole_coef[None, :, :]
+    gathered = x[idx[:, None, :], idx[None, :, :]]
+    gathered *= coef[:, None, :] * coef[None, :, :]
     return gathered.sum(axis=-1)
+
+
+def marginal_coords(rho: np.ndarray, d: int, m: int, k: int) -> np.ndarray:
+    """Tr_{M-k} of an s_M x s_M occupation-coordinate state (or ket), as
+    s_k x s_k: rho_k[a, a'] = sum_b c(a+b; a) c(a'+b; a') rho[a+b, a'+b]."""
+    t = split_table(d, m, k)
+    return contract(rho, t.whole, t.whole_coef)
 
 
 def reduce_coords(rho: np.ndarray, d: int, m: int, k: int) -> np.ndarray:
     """(s_M/s_{M+k}) Tr_M[(rho tensor 1^k) P_{M+k}] for an s_M x s_M
-    occupation-coordinate state, as s_k x s_k.
-
-    tilde[a, a'] = (s_M/s_{M+k}) sum_m c(m;a) c(m;a') rho[m-a', m-a].  A 1-D
-    `rho` is a ket x standing for |x><x|; then tilde = (s_M/s_{M+k}) B†B
-    with B[m, a] = c(m;a) x[m-a].
-    """
+    occupation-coordinate state (or ket), as s_k x s_k:
+    tilde[a, a'] = (s_M/s_{M+k}) sum_m c(m;a) c(m;a') rho[m-a', m-a], the
+    contraction over the rest layout, transposed."""
     t = split_table(d, m + k, k)
     ratio = sym_dim(d, m) / sym_dim(d, m + k)
-    if rho.ndim == 1:
-        b = t.rest_coef * rho[t.rest]
-        return ratio * (b.conj().T @ b)
-    gathered = rho[t.rest[:, None, :], t.rest[:, :, None]]
-    gathered *= t.rest_coef[:, :, None] * t.rest_coef[:, None, :]
-    return ratio * gathered.sum(axis=0)
+    return ratio * contract(rho, t.rest.T, t.rest_coef.T).T
 
 
 def check_mc_route(d: int, m: int, k: int) -> int:
@@ -170,8 +167,8 @@ class OccupationState:
 
     When `paired`, each factor is a (user, ancilla) pair and `coords` is
     the pure pair purification as an s-vector in Sym^M(C^{d^2}); the
-    kernels take it as a ket, and a gather through _trace_table traces the
-    ancillas out of their s_k x s_k outputs at side d^k.
+    kernels take it as a ket, and contract, through _trace_table, traces
+    the ancillas out of their s_k x s_k outputs at side d^k.
     """
 
     coords: np.ndarray
@@ -179,47 +176,27 @@ class OccupationState:
     m: int
     paired: bool = False
 
-    def marginal(self, k: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
-        """The k-user marginal Tr_{M-k} rho, on (C^d)^{tensor k}.  Runs take
-        users(k); tests use this dense form as the oracle that is compared
-        with partial_trace of the dense state."""
-        return self._result(marginal_coords, k, cap, dense=True)
-
-    def reduction(self, k: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
-        """The exact k-user classical mixture, on (C^d)^{tensor k}.  Runs
-        take users(k); tests use this dense form as the oracle that checks
-        the mixture's properties (partial traces, invariance, bounds) on
-        (C^d)^{tensor k}."""
-        return self._result(reduce_coords, k, cap, dense=True)
-
     def users(self, k: int, cap: int = DEFAULT_DIM_CAP) -> tuple[DenseOperator, ...]:
         """The k-user marginal and mixture, hermitized, in the frame their
         distance is taken in: (C^d)^{tensor k} paired, else occupation
         coordinates of Sym^k(C^d), where V keeps the trace norm (k = 1: C^d)."""
-        return (self._result(marginal_coords, k, cap, dense=False),
-                self.mixture(k, cap))
+        return self._result(marginal_coords, k, cap), self.mixture(k, cap)
 
     def mixture(self, k: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
         """The mixture of users(k) alone, in its frame: what the sampler's
         estimate is compared against."""
-        return self._result(reduce_coords, k, cap, dense=False)
+        return self._result(reduce_coords, k, cap)
 
-    def _result(self, kernel, k: int, cap: int, dense: bool) -> DenseOperator:
+    def _result(self, kernel, k: int, cap: int) -> DenseOperator:
         _check_k(k, self.m)
         d = self.d
-        if self.paired or dense:
-            # side and bytes before the gathers (unpaired: V X V† and 2 copies)
-            _check_cap(d ** k, cap, f"{k}-user result")
-            _check_bytes(users_bytes(d, k) if self.paired else 48 * d ** (2 * k),
-                         cap, f"{k}-user result")
         if not self.paired:
             x = kernel(self.coords, d, self.m, k)
-            return (embed_coords(x, d, k, cap) if dense
-                    else DenseOperator(x, (len(x),))).hermitize()
-        pos, weight = _trace_table(d, k)
-        x = kernel(self.coords, d * d, self.m, k).ravel()[pos]
-        x *= weight
-        x = x.sum(axis=-1)
+            return DenseOperator(x, (len(x),)).hermitize()
+        # side and bytes before the gathers
+        _check_cap(d ** k, cap, f"{k}-user result")
+        _check_bytes(users_bytes(d, k), cap, f"{k}-user result")
+        x = contract(kernel(self.coords, d * d, self.m, k), *_trace_table(d, k))
         x += x.conj().T
         x *= 0.5
         return DenseOperator(x, (d,) * k)
@@ -227,24 +204,22 @@ class OccupationState:
 
 @lru_cache(maxsize=32)
 def _trace_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tr_anc V X V† as one gather from an s_k x s_k coordinate matrix X.
+    """The index table and coefficients that make contract(X, idx, coef)
+    the ancilla trace Tr_anc V X V† of an s_k x s_k coordinate matrix X.
 
-    V is the isometry of Sym^k(C^{d^2}).  Entry [i, i', a] of `pos` is the
-    flat index in X of the columns that V gives rows (i, a) and (i', a),
-    for system strings i, i' and ancilla string a (the pair digits
-    interleave, system first); `weight` holds the product of their
-    weights, so the result is (weight * X.flat[pos]).sum(-1).
+    V is the isometry of Sym^k(C^{d^2}).  Row i and column a of both d^k x
+    d^k arrays stand for system string i and ancilla string a (the pair
+    digits interleave, system first): `idx` holds the column that V gives
+    row (i, a), and `coef` its weight.
     """
     q = d * d
     flat = np.arange(q ** k).reshape((d,) * (2 * k)).transpose(
         [*range(0, 2 * k, 2), *range(1, 2 * k, 2)]).reshape(d ** k, -1)
     v = _index_map(q, k)
-    col, w = v.col[flat], v.weight[flat]
-    pos = col[:, None, :] * sym_dim(q, k) + col[None, :, :]
-    weight = w[:, None, :] * w[None, :, :]
-    for a in (pos, weight):
+    idx, coef = v.col[flat], v.weight[flat]
+    for a in (idx, coef):
         a.setflags(write=False)
-    return pos, weight
+    return idx, coef
 
 
 def symmetric_state(rho: DenseOperator,

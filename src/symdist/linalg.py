@@ -96,9 +96,6 @@ class DenseOperator:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def dag(self) -> "DenseOperator":
-        return DenseOperator(self.entries.conj().T, self.col_dims, self.row_dims)
-
     def trace(self) -> complex:
         if self.shape[0] != self.shape[1]:
             raise ValueError("trace requires a square matrix")

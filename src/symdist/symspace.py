@@ -151,8 +151,8 @@ def embed_coords(x: np.ndarray, d: int, n: int,
     """V x V†: an operator given in occupation coordinates, on (C^d)^{tensor n}.
 
     No run path calls it: tests use it as the dense oracle for results in
-    occupation coordinates, as do symmetrizer and OccupationState's dense
-    marginal and reduction."""
+    occupation coordinates, such as OccupationState.users(k) and
+    symmetrizer."""
     v = index_map(d, n, cap)
     return DenseOperator(v.expand(v.expand(x, 0), 1), (d,) * n)
 
@@ -236,11 +236,12 @@ def _sym(d: int, n: int) -> int:
 
 def users_bytes(d: int, k: int) -> int:
     """Peak bytes of the pair route's k-user stage beside the kernel
-    gathers: the kernel's s_k x s_k output at d^2; the cached gather table
-    (16 bytes an entry) and the complex gathered values, d^3k entries each;
-    and six complex d^k x d^k matrices for the two results and their trace
+    gathers: the kernel's s_k x s_k output at d^2; the transient of the
+    ancilla trace, d^3k complex gathered values and their real coefficient
+    products; and, d^2k entries each, the cached trace table (16 bytes an
+    entry) and six complex matrices for the two results and their trace
     distance."""
-    return 16 * _sym(d * d, k) ** 2 + 32 * d ** (3 * k) + 96 * d ** (2 * k)
+    return 16 * _sym(d * d, k) ** 2 + 24 * d ** (3 * k) + 112 * d ** (2 * k)
 
 
 def check_occupation_route(d: int, m: int, ks, n_in: int | None = None,
@@ -277,8 +278,9 @@ def check_dense_route(d: int, m: int, ks=(), paired: bool = False,
     workspace (not numpy arrays); then, beside rho, the cached index map (64
     bytes an entry to build, 24 kept) and, on the pair route, each k's
     gathers (s_k s_{M+k} entries of the state at d^2), its k-user stage
-    (users_bytes) and split tables; and 1 MiB for what does not grow with
-    rho.  Only the pair route reduces the output, so only it takes ks.
+    (users_bytes: the ancilla trace, whose table holds d^2k entries) and
+    split tables; and 1 MiB for what does not grow with rho.  Only the pair
+    route reduces the output, so only it takes ks.
     """
     if d > 1 and m > cap.bit_length():  # d^M > cap, too large to compute
         raise ResourceLimitError(f"{m}-user dense output would have side "

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from symdist import (
+    DEFAULT_DIM_CAP,
     apply,
     basis_ket,
     embed_pure_input,
     universal_cloner,
     validate_sdi,
 )
+from symdist.symspace import embed_coords
 
 
 def random_state(rng, dim, dims=None):
@@ -17,6 +19,16 @@ def random_state(rng, dim, dims=None):
     rho = m @ m.conj().T
     rho /= np.trace(rho).real
     return DenseOperator(rho, dims if dims is not None else (dim,))
+
+
+def dense_users(state, k, cap=DEFAULT_DIM_CAP):
+    """The marginal and mixture of state.users(k) on (C^d)^{tensor k}, the
+    frame of partial_trace and the Choi apply: unpaired results embedded by
+    embed_coords, paired ones as they come."""
+    results = state.users(k, cap)
+    if state.paired:
+        return results
+    return tuple(embed_coords(x.entries, state.d, k, cap) for x in results)
 
 
 @pytest.fixture(scope="session")

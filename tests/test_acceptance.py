@@ -36,6 +36,8 @@ from symdist.metrics import (
 from symdist.scenario import run_scenario, scenario_from_dict
 from symdist.symspace import haar_kets, sym_dim, symmetrizer
 
+from conftest import dense_users
+
 SLACK = 1e-9
 
 
@@ -58,7 +60,7 @@ def test_criterion_1_ten_user_classicality(capsys):
     start = time.perf_counter()
     rho_out = _cloner_output(2, 1, 10)
     rho_1 = partial_trace(rho_out, [0])
-    tilde_1 = symmetric_state(rho_out).reduction(1)
+    tilde_1 = dense_users(symmetric_state(rho_out), 1)[1]
     delta = trace_distance(rho_1, tilde_1)
     p_err = 0.5 - delta / 4
     bound = lemma1_bound(2, 10, 1)
@@ -87,7 +89,7 @@ def test_criterion_2_lemma1_bound_sweep(capsys):
             for k in (1, 2, 3):
                 if k > m:
                     continue
-                tilde = symmetric_state(rho_out).reduction(k)
+                tilde = dense_users(symmetric_state(rho_out), k)[1]
                 dist = trace_distance(partial_trace(rho_out, range(k)), tilde)
                 count += 1
                 if not dist <= lemma1_bound(2, m, k) + SLACK:
@@ -99,7 +101,7 @@ def test_criterion_2_lemma1_bound_sweep(capsys):
         for k in (1, 2, 3):
             if k > m:
                 continue
-            tilde = symmetric_state(rho_out).reduction(k)
+            tilde = dense_users(symmetric_state(rho_out), k)[1]
             dist = trace_distance(partial_trace(rho_out, range(k)), tilde)
             count += 1
             if not dist <= lemma1_bound(2, m, k) + SLACK:
@@ -148,7 +150,7 @@ def test_criterion_3_theorem2_pipeline(capsys):
         for k in (1, 2):
             if 4 ** (m + k) > 4096:
                 continue
-            tilde = purified_state(rho_out).reduction(k)
+            tilde = dense_users(purified_state(rho_out), k)[1]
             dist = trace_distance(partial_trace(rho_out, range(k)), tilde)
             checked += 1
             if not dist <= general_bound(2, m, k) + SLACK:
@@ -175,7 +177,7 @@ def test_criterion_4_fidelity_chain(capsys):
         }))
         f_clon, f_tilde = row.F_clon, row.F_tilde
         rho_out = _cloner_output(d, n, m)
-        tilde_1 = symmetric_state(rho_out).reduction(1)
+        tilde_1 = dense_users(symmetric_state(rho_out), 1)[1]
         delta = trace_distance(partial_trace(rho_out, [0]), tilde_1)
         bound = lemma1_bound(d, m, 1)
         diff = f_clon - f_tilde

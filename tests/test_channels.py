@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from symdist import channels
 from symdist.channels import (
     QuantumChannel,
     SDIChannelSpec,
@@ -24,6 +25,7 @@ from symdist.linalg import (
     projector,
     swap_residual,
     tensor_power,
+    validate_state,
 )
 
 from conftest import random_state
@@ -143,7 +145,7 @@ class TestFixedPrep:
     def test_pure_prep_keeps_symmetric_subspace(self):
         rep = validate_sdi(fixed_prep_channel(_proj(0), 3))
         assert rep.symmetric_support
-        assert rep.passed
+        assert rep.permutation_invariant
 
     def test_not_a_state(self):
         with pytest.raises(ValueError):
@@ -197,7 +199,7 @@ class TestMeasurePrepare:
         want = q * np.diag([1, 0, 0, 0.0]) + (1 - q) * np.diag([0, 0, 0, 1.0])
         assert np.max(np.abs(out.entries - want)) <= 1e-12
         rep = validate_sdi(ch)
-        assert rep.passed and rep.symmetric_support
+        assert rep.permutation_invariant and rep.symmetric_support
 
     def test_incomplete_povm(self):
         with pytest.raises(ValueError, match="identity"):
@@ -212,6 +214,12 @@ class TestMeasurePrepare:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             measure_prepare([identity((2,))], [_proj(0), _proj(1)], 2)
+
+    def test_bad_prep(self):
+        bad = DenseOperator(np.diag([1.2, -0.2]), (2,))
+        with pytest.raises(ValueError,
+                           match="prepared state 1 has negative eigenvalue"):
+            measure_prepare([_proj(0), _proj(1)], [_proj(0), bad], 2)
 
 
 class TestEmbedPureInput:
@@ -245,7 +253,6 @@ class TestValidateSDI:
         ch = QuantumChannel(DenseOperator(choi, (2, 2, 2)), 2, 4, (2, 2))
         rep = validate_sdi(ch)
         assert not rep.permutation_invariant
-        assert not rep.passed
         assert rep.max_permutation_residual > 0.5
 
     def test_unequal_factors_rejected(self):
@@ -255,7 +262,7 @@ class TestValidateSDI:
             validate_sdi(ch)
 
     def test_cloner_passes(self, cloner10_report):
-        assert cloner10_report.passed
+        assert cloner10_report.permutation_invariant
         assert cloner10_report.max_permutation_residual <= 1e-12
 
 
@@ -280,7 +287,20 @@ class TestSDIChannelSpec:
         for got, want in zip(again.prep, preps):
             assert np.max(np.abs(got - want)) <= 1e-15
         ch = again.build()
-        assert validate_sdi(ch).passed
+        assert validate_sdi(ch).permutation_invariant
+
+    def test_each_prep_is_validated_once(self, monkeypatch):
+        names = []
+
+        def counted(x, name="state"):
+            names.append(name)
+            return validate_state(x, name)
+
+        monkeypatch.setattr(channels, "validate_state", counted)
+        SDIChannelSpec(kind="measure_prepare", d=2, M=2,
+                       prep=(np.diag([1.0, 0.0]), np.eye(2) / 2),
+                       povm=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        assert names == ["prepared state"] * 2
 
     def test_fixed_prep_build(self):
         spec = SDIChannelSpec(kind="fixed_prep", d=2, M=2,

@@ -37,6 +37,8 @@ from symdist.symspace import (
     symmetrizer,
 )
 
+from conftest import dense_users
+
 
 def dense_reduction(rho, k):
     """Brute-force (s_M/s_{M+k}) Tr_M[(rho x 1_k) P_{M+k}] on small systems."""
@@ -102,7 +104,7 @@ class TestWeight:
 
 class TestSymmetricReduction:
     def test_two_copies_single_user(self):
-        red = symmetric_state(ket00()).reduction(1)
+        red = dense_users(symmetric_state(ket00()), 1)[1]
         assert np.max(np.abs(red.entries - np.diag([0.75, 0.25]))) <= 1e-12
 
     @pytest.mark.parametrize("d,m,k", [(2, 2, 1), (2, 2, 2), (2, 3, 2),
@@ -110,20 +112,20 @@ class TestSymmetricReduction:
     def test_matches_dense_formula(self, d, m, k):
         ch = universal_cloner(d, 1, m)
         rho = apply(ch, embed_pure_input(ch, basis_ket(d, 0)))
-        got = symmetric_state(rho).reduction(k)
+        got = dense_users(symmetric_state(rho), k)[1]
         want = dense_reduction(rho, k)
         assert np.max(np.abs(got.entries - want.entries)) <= 1e-12
 
     def test_is_a_state(self):
         ch = universal_cloner(2, 1, 5)
         rho = apply(ch, embed_pure_input(ch, ket([0.6, 0.8])))
-        t = symmetric_state(rho).reduction(2)
+        t = dense_users(symmetric_state(rho), 2)[1]
         assert abs(t.trace() - 1.0) <= 1e-10
         assert np.linalg.eigvalsh(t.entries)[0] >= -1e-10
 
     def test_maximally_mixed_fixed_point(self):
         rho = (1 / sym_dim(2, 3)) * symmetrizer(2, 3)
-        red = symmetric_state(rho).reduction(2)
+        red = dense_users(symmetric_state(rho), 2)[1]
         want = symmetrizer(2, 2).entries / sym_dim(2, 2)
         assert np.max(np.abs(red.entries - want)) <= 1e-12
 
@@ -132,7 +134,7 @@ class TestSymmetricReduction:
         for m in range(2, 6):
             rho = tensor_power(projector(ket(u)), m)
             for k in (1, 2):
-                red = symmetric_state(rho).reduction(k)
+                red = dense_users(symmetric_state(rho), k)[1]
                 dist = trace_distance(partial_trace(rho, range(k)), red)
                 assert dist <= lemma1_bound(2, m, k) + 1e-9
 
@@ -146,9 +148,9 @@ class TestSymmetricReduction:
         state = symmetric_state(ket00())
         for k in (3, 0, -1):
             with pytest.raises(ValueError, match="1 <= k <= M=2"):
-                state.reduction(k)
+                state.mixture(k)
             with pytest.raises(ValueError, match="1 <= k <= M=2"):
-                state.marginal(k)
+                state.users(k)
 
     def test_byte_budget(self):
         # 8 qubits: 3.5 r of 1 MiB, and 1 MiB more, exceed the budget of
@@ -157,7 +159,7 @@ class TestSymmetricReduction:
         with pytest.raises(ResourceLimitError, match="dense route for 8 users"):
             symmetric_state(rho, cap=2 ** 9)
         state = symmetric_state(rho, cap=2 ** 10)
-        assert abs(state.reduction(7, cap=2 ** 10).trace() - 1.0) <= 1e-9
+        assert abs(dense_users(state, 7, cap=2 ** 10)[1].trace() - 1.0) <= 1e-9
 
 
 class TestPurification:
@@ -219,13 +221,13 @@ class TestGeneralReduction:
         # at M = k = 1 the purified mixture is (1 + |w><w|)/(D+1) on the
         # pair, whose ancilla trace is (2*1 + |u><u|)/(D+1) with D = d^2
         rho = projector(ket([0.6, 0.8]))
-        got = purified_state(rho).reduction(1).entries
+        got = dense_users(purified_state(rho), 1)[1].entries
         want = (2 * np.eye(2) + rho.entries) / 5
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_pure_power_within_bound(self):
         rho = tensor_power(projector(ket([0.6, 0.8])), 3)
-        t = purified_state(rho).reduction(1)
+        t = dense_users(purified_state(rho), 1)[1]
         assert abs(t.trace() - 1.0) <= 1e-9
         dist = trace_distance(partial_trace(rho, [0]), t)
         assert dist <= general_bound(2, 3, 1) + 1e-9
@@ -235,24 +237,25 @@ class TestGeneralReduction:
             ch = noisy_cloner(2, 1, m, 0.1)
             rho = apply(ch, embed_pure_input(ch, basis_ket(2, 0)))
             for k in (1, 2):
-                t = purified_state(rho).reduction(k)
+                t = dense_users(purified_state(rho), k)[1]
                 assert abs(t.trace() - 1.0) <= 1e-9
                 dist = trace_distance(partial_trace(rho, range(k)), t)
                 assert dist <= general_bound(2, m, k) + 1e-9
 
     def test_k_zero(self):
         with pytest.raises(ValueError, match="1 <= k <= M=2"):
-            purified_state(ket00()).reduction(0)
+            purified_state(ket00()).mixture(0)
 
     def test_refuses_a_large_k_before_gathering(self):
         # the result's side 2^6 fits the cap, but its gather (2^18 entries
-        # of table and gathered values, 8 MiB) exceeds the cap's 64 KiB
+        # of gathered values and coefficient products, 6 MiB) exceeds the
+        # cap's 64 KiB
         state = purified_state(DenseOperator(np.eye(2 ** 6) / 2 ** 6, (2,) * 6))
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError,
                                match=r"6-user result would need \d+ bytes"):
-                state.reduction(6, cap=2 ** 6)
+                state.mixture(6, cap=2 ** 6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -265,7 +268,7 @@ class TestGeneralReduction:
         with pytest.raises(ResourceLimitError, match="dense route for 8 users"):
             purified_state(rho, cap=2 ** 9)
         state = purified_state(rho, cap=2 ** 10)
-        assert abs(state.reduction(2, cap=2 ** 10).trace() - 1.0) <= 1e-9
+        assert abs(dense_users(state, 2, cap=2 ** 10)[1].trace() - 1.0) <= 1e-9
 
 
 class TestMonteCarlo:
@@ -341,15 +344,15 @@ class TestRouteConsistency:
         ch = universal_cloner(2, 1, 4)
         rho = apply(ch, embed_pure_input(ch, basis_ket(2, 0)))
         state = symmetric_state(rho)
-        two = state.reduction(2)
-        one = state.reduction(1)
+        two = dense_users(state, 2)[1]
+        one = dense_users(state, 1)[1]
         assert np.max(np.abs(partial_trace(two, [0]).entries
                              - one.entries)) <= 1e-9
 
     def test_reduction_is_permutation_invariant(self):
         ch = universal_cloner(2, 1, 4)
         rho = apply(ch, embed_pure_input(ch, ket([0.6, 0.8])))
-        three = symmetric_state(rho).reduction(3).entries
+        three = dense_users(symmetric_state(rho), 3)[1].entries
         u = permutation_operator([1, 0, 2], 2).entries
         assert np.max(np.abs(u @ three @ u.conj().T - three)) <= 1e-12
 
@@ -357,8 +360,8 @@ class TestRouteConsistency:
         # on symmetric support both routes apply; the purified one answers
         # with a flatter mixture, and each stays inside its own bound
         rho = projector(basis_ket(2, 0))
-        sym = symmetric_state(rho).reduction(1)
-        gen = purified_state(rho).reduction(1)
+        sym = dense_users(symmetric_state(rho), 1)[1]
+        gen = dense_users(purified_state(rho), 1)[1]
         assert np.max(np.abs(sym.entries - np.diag([2 / 3, 1 / 3]))) <= 1e-12
         assert np.max(np.abs(gen.entries - np.diag([3 / 5, 2 / 5]))) <= 1e-12
         assert trace_distance(rho, sym) <= lemma1_bound(2, 1, 1) + 1e-9

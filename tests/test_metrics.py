@@ -19,7 +19,7 @@ from symdist.metrics import (
 from symdist.scenario import run_scenario, scenario_from_dict
 from symdist.symspace import sym_dim
 
-from conftest import random_state
+from conftest import dense_users, random_state
 
 
 class TestTraceDistance:
@@ -174,7 +174,7 @@ def _channel_fidelities(ch, phi, state):
     rho_out = apply(ch, embed_pure_input(ch, phi))
     u = phi.entries[:, 0]
     rho_1 = partial_trace(rho_out, [0]).entries
-    tilde = state(rho_out).reduction(1).entries
+    tilde = dense_users(state(rho_out), 1)[1].entries
     return (float(np.real(np.vdot(u, rho_1 @ u))),
             float(np.real(np.vdot(u, tilde @ u))))
 

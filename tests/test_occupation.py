@@ -64,7 +64,7 @@ from symdist.symspace import (
     symmetrizer,
 )
 
-from conftest import random_state
+from conftest import dense_users, random_state
 
 TOL = 1e-12
 
@@ -187,10 +187,11 @@ def test_purified_route_matches_dense(spec):
     for k, row in zip(ks, run_scenario(cfg)):
         marginal = partial_trace(rho, range(k))
         tilde = _dense_purified_reduction(rho, spec.d, spec.M, k)
-        general = purified_state(rho).reduction(k)
+        general = dense_users(purified_state(rho), k)[1]
         assert np.max(np.abs(general.entries - tilde.entries)) <= TOL
-        assert np.max(np.abs(state.marginal(k).entries - marginal.entries)) <= TOL
-        assert np.max(np.abs(state.reduction(k).entries - tilde.entries)) <= TOL
+        rho_k, tilde_k = dense_users(state, k)
+        assert np.max(np.abs(rho_k.entries - marginal.entries)) <= TOL
+        assert np.max(np.abs(tilde_k.entries - tilde.entries)) <= TOL
         assert abs(row.actual_distance - trace_distance(marginal, tilde)) <= TOL
         assert row.satisfied_theorem2
 
@@ -230,27 +231,28 @@ def _occupation_states(draw):
 @settings(derandomize=True, max_examples=60, database=None, deadline=None)
 @given(state=_occupation_states())
 def test_users_step_matches_embedding_and_partial_trace(state):
-    """marginal and reduction against the kernel's output embedded at side
-    q^k (q = d^2 paired) with the ancillas traced out, where that side is at
-    most 2^10; every result, up to a gather of 2^20 entries (all but k > 6
-    paired qubits, 64 MiB and more), is a state."""
+    """users(k) against the kernel's output embedded at side q^k (q = d^2
+    paired) with the ancillas traced out, where that side is at most 2^10;
+    every result, up to a gather of 2^20 entries (all but k > 6 paired
+    qubits, 24 MiB and more), is a state in its frame."""
     d, q = state.d, state.d ** 2 if state.paired else state.d
     for k in range(1, state.m + 1):
         if d ** (3 * k if state.paired else 2 * k) > 2 ** 20:
             break
-        for kernel, users in ((marginal_coords, state.marginal),
-                              (reduce_coords, state.reduction)):
-            got = users(k).entries
+        results = zip((marginal_coords, reduce_coords), state.users(k),
+                      dense_users(state, k) if q ** k <= 2 ** 10 else (None,) * 2)
+        for kernel, frame, dense in results:
+            got = frame.entries
             assert np.array_equal(got, got.conj().T)
             assert np.linalg.eigvalsh(got)[0] >= -TOL
             assert abs(np.trace(got) - 1.0) <= TOL
-            if q ** k > 2 ** 10:
+            if dense is None:
                 continue
             want = embed_coords(kernel(state.coords, q, state.m, k), q, k)
             if state.paired:
                 want = partial_trace(DenseOperator(want.entries, (d,) * (2 * k)),
                                      range(0, 2 * k, 2))
-            assert np.max(np.abs(got - want.entries)) <= TOL
+            assert np.max(np.abs(dense.entries - want.entries)) <= TOL
 
 
 @st.composite
@@ -286,7 +288,9 @@ def test_run_path_embeds_no_k_user_result(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a k-user result was embedded on the run path")
 
-    monkeypatch.setattr(definetti, "embed_coords", refuse)
+    assert not hasattr(definetti, "embed_coords")
+    assert not any(hasattr(OccupationState, name)
+                   for name in ("marginal", "reduction"))
     monkeypatch.setattr(linalg, "partial_trace", refuse)
     for spec in COVERED[:3] + PURIFIED:
         checks = ["lemma1"] if spec in COVERED else ["theorem2"]
@@ -306,9 +310,9 @@ def test_monte_carlo_stays_in_occupation_coordinates(monkeypatch):
 
     for name in ("symmetrizer", "embed_coords"):
         monkeypatch.setattr(scenario, name, refuse, raising=False)
-    monkeypatch.setattr(definetti, "embed_coords", refuse)
-    monkeypatch.setattr(OccupationState, "marginal", refuse)
-    monkeypatch.setattr(OccupationState, "reduction", refuse)
+    assert not hasattr(definetti, "embed_coords")
+    assert not any(hasattr(OccupationState, name)
+                   for name in ("marginal", "reduction"))
     spec = SDIChannelSpec("universal_cloner", d=2, M=3, N=1)
     for check in ("lemma1", "theorem2"):
         cfg = scenario_from_dict({
@@ -374,6 +378,36 @@ def test_kernels_run_only_for_the_checks_that_read_them(monkeypatch):
     assert sorted(calls) == [(kernel, k) for kernel in ("marginal_coords",
                                                         "reduce_coords")
                              for k in (1, 2, 3)]
+
+
+def test_every_k_user_result_is_one_contraction(monkeypatch):
+    """marginal_coords, reduce_coords and the pair route's ancilla trace all
+    run through definetti.contract: two calls a k unpaired, four paired, of
+    which the ancilla traces read d^k x d^k tables."""
+    calls, contract = [], definetti.contract
+
+    def counted(x, idx, coef):
+        calls.append(idx.shape)
+        return contract(x, idx, coef)
+
+    rng = np.random.default_rng(5)
+    unpaired = OccupationState(random_state(rng, sym_dim(2, 4)).entries, 2, 4)
+    paired = purified_state(_choi_output(PURIFIED[0]))
+    with monkeypatch.context() as patch:
+        patch.setattr(definetti, "contract", counted)
+        unpaired.users(2)
+        assert len(calls) == 2
+        calls.clear()
+        paired.users(2)
+    d = paired.d
+    assert len(calls) == 4 and calls.count((d ** 2, d ** 2)) == 2
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (2, 3), (2, 6), (3, 1), (3, 2), (3, 4)])
+def test_trace_table_holds_d_to_the_2k_entries(d, k):
+    """The cached ancilla-trace table is two d^k x d^k arrays, not d^3k."""
+    idx, coef = definetti._trace_table(d, k)
+    assert idx.shape == coef.shape == (d ** k, d ** k)
 
 
 def test_purified_state_holds_a_ket():
@@ -824,13 +858,16 @@ def test_dense_route_refuses_before_allocating(d, m_users):
 
 
 def test_dense_route_counts_each_k_and_huge_m():
-    # the pair route gathers 32 bytes for each of the d^3k entries of a
-    # k-user result: every k fits at M = 8 qubits; at M = 9, k = 8 takes
-    # 512 MiB and k = 9 more than the budget, and at M = 5 qutrits k = 5
+    # the pair route's ancilla trace takes 24 bytes for each of the d^3k
+    # entries of a k-user result: every k fits at M = 9 qubits, k = 9 in
+    # 3 GiB; at M = 10, k = 10 takes more than the budget, and at M = 5
+    # qutrits the kernel gathers of k = 5 do
     check_dense_route(2, 8, [1, 8], paired=True)
     check_dense_route(2, 9, [1, 8], paired=True)
+    check_dense_route(2, 9, [9], paired=True)
+    check_dense_route(2, 10, [1, 9], paired=True)
     with pytest.raises(ResourceLimitError, match="bytes"):
-        check_dense_route(2, 9, [9], paired=True)
+        check_dense_route(2, 10, [10], paired=True)
     check_dense_route(3, 5, [4], paired=True)
     with pytest.raises(ResourceLimitError, match="bytes"):
         check_dense_route(3, 5, [5], paired=True)

@@ -5,8 +5,9 @@ Under sys.setprofile the commands below run as a user runs them: `bounds`,
 with mc_crosscheck, and a file, written as JSON, that runs a measurement
 whose mixed preparation gets zero weight under lemma1 (on the spec route)
 and gets weight under theorem2.  A public module-level function of the
-package that none of them enters is there only for tests, so its docstring
-must say that tests use it as an oracle.  No command enters
+package, or a public method or property of one of its public classes, that
+none of them enters is there only for tests, so its docstring must say that
+tests use it as an oracle.  No command enters
 definetti.symmetric_state: no run path compresses a dense output.
 """
 
@@ -62,15 +63,36 @@ def _entered(tmp_path) -> set:
     return codes
 
 
+def _function_of(member):
+    """The function behind a method, property, cached_property or classmethod."""
+    for attr in ("fget", "func", "__func__"):
+        if hasattr(member, attr):
+            return getattr(member, attr)
+    return member
+
+
+def _public_functions():
+    """(name, function) for each public module-level function of the
+    package, and each public method and property of its public classes."""
+    for mod in MODULES:
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{mod.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    fn = _function_of(member)
+                    if not attr.startswith("_") and inspect.isfunction(fn):
+                        yield f"{mod.__name__}.{name}.{attr}", fn
+
+
 def test_functions_off_the_run_path_are_stated_oracles(tmp_path):
     entered = _entered(tmp_path)
     assert scenario.run_scenario.__code__ in entered
     assert definetti.symmetric_state.__code__ not in entered
-    unstated = [f"{mod.__name__}.{name}" for mod in MODULES
-                for name, fn in vars(mod).items()
-                if not name.startswith("_") and inspect.isfunction(fn)
-                and fn.__module__ == mod.__name__
-                and fn.__code__ not in entered
+    unstated = [name for name, fn in _public_functions()
+                if fn.__code__ not in entered
                 and not ("test" in (fn.__doc__ or "")
                          and "oracle" in (fn.__doc__ or ""))]
     assert unstated == []
