@@ -4,12 +4,11 @@ SDIChannelSpec names one of four kinds, each invariant under permutations
 of the M output slots by construction: the optimal universal N -> M cloner
 (input given in symmetric-subspace coordinates), a constant-output
 preparation, the cloner followed by independent single-user depolarizing
-noise, and a measure-and-prepare channel.  A run builds the output straight
-from the spec: symmetric_output as an s_M x s_M matrix in occupation
-coordinates where the fields and the input put it in the symmetric subspace
-(cloner_coords uses Werner's form P_M (X tensor 1) P_M = P_M (X tensor
-P_{M-N}) P_M, PRA 58, 1827 (1998); prep_coords sums pure product states),
-dense_output on (C^d)^{tensor M} for every kind.
+noise, and a measure-and-prepare channel.  A run builds the output from
+the spec, sized first by symspace.plan: symmetric_output in occupation
+coordinates where symmetric_field puts it in Sym^M (cloner_coords by
+Werner's P_M (X tensor 1) P_M = P_M (X tensor P_{M-N}) P_M, PRA 58, 1827
+(1998); prep_coords sums product states), dense_output for every kind.
 
 The Choi form is the test oracle for both: QuantumChannel holds the Choi
 matrix on (output tensor input), output factors first, which the four
@@ -34,14 +33,7 @@ from .linalg import (
     tensor_power,
     validate_state,
 )
-from .symspace import (
-    check_dense_route,
-    check_occupation_route,
-    index_map,
-    power_coords,
-    split_table,
-    sym_dim,
-)
+from .symspace import index_map, plan, power_coords, split_table, sym_dim
 
 # Output-support deviation below this counts as "inside the symmetric subspace".
 SUPPORT_TOL = 1e-8
@@ -544,26 +536,8 @@ class SDIChannelSpec:
         x = _sym_power_ket(state, self.d, self.N)
         return cloner_coords(self.d, self.N, self.M, np.outer(x, x.conj()))
 
-    def symmetric_output(self, state: DenseOperator, cap: int = DEFAULT_DIM_CAP,
-                         ks=()) -> np.ndarray:
-        """The output for the input `state` (a ket of side d for the cloners,
-        a ket or a density matrix of side input_dim for the preparations) as
-        an s_M x s_M matrix in occupation coordinates.  It lies in Sym^M at
-        M = 1 (Sym^1(C^d) is C^d in basis order), at d = 1, for cloners with
-        p = 0, and where each prepared state is rank one within SUPPORT_TOL
-        or weighted at most SUPPORT_TOL, entering as its top eigenvector.
-        Anything else raises SupportError naming the field that decided, and
-        then check_occupation_route an output too large for the k-user
-        results of `ks`, each before anything is allocated."""
-        if self.M == 1:
-            check_occupation_route(self.d, 1, ks, cap=cap)
-            return self.dense_output(state, cap).entries
-        if self.prep is None:
-            if self.p and self.d > 1:
-                raise SupportError(f"channel.p: {self.p} depolarizes the "
-                                   f"{self.M} users out of the symmetric subspace")
-            check_occupation_route(self.d, self.M, ks, n_in=self.N, cap=cap)
-            return self._cloner_output(state)
+    def _pure_preps(self, state: DenseOperator) -> tuple[np.ndarray, list[float]]:
+        # each prepared state's top eigenvector and its weight for `state`
         weights, kets = self._weights(state), []
         for i, (s, w) in enumerate(zip(self._preps(), weights)):
             vals, vecs = np.linalg.eigh(s.entries)
@@ -573,17 +547,44 @@ class SDIChannelSpec:
                     f"weight {w:.3e} from the input, so the output leaves the "
                     "symmetric subspace")
             kets.append(vecs[:, -1])
-        check_occupation_route(self.d, self.M, ks, cap=cap)
-        return prep_coords(np.array(kets), weights, self.M)
+        return np.array(kets), weights
+
+    def symmetric_field(self, state: DenseOperator) -> str:
+        """The field that puts the output for the input `state` in Sym^M:
+        M = 1 (Sym^1(C^d) is C^d in basis order), d = 1, the preps where each
+        is rank one or weighted at most SUPPORT_TOL, or the cloner's kind or
+        p = 0.  Any other output raises SupportError naming its field."""
+        if self.M == 1 or self.d == 1:
+            return "channel.M" if self.M == 1 else "channel.d"
+        if self.prep is not None:
+            self._pure_preps(state)
+            return "channel.prep"
+        if self.p:
+            raise SupportError(f"channel.p: {self.p} depolarizes the "
+                               f"{self.M} users out of the symmetric subspace")
+        return "channel.kind" if self.p is None else "channel.p"
+
+    def symmetric_output(self, state: DenseOperator,
+                         cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+        """The output for the input `state` (a ket of side d for the cloners,
+        a ket or a density matrix of side input_dim for the preparations) as
+        an s_M x s_M matrix in occupation coordinates, where symmetric_field
+        puts it in Sym^M (a prep enters as its top eigenvector), once planned."""
+        self.symmetric_field(state)
+        plan(self.d, self.M, n_in=self.N, cap=cap)
+        if self.M == 1:
+            return self.dense_output(state, cap).entries
+        if self.prep is None:
+            return self._cloner_output(state)
+        return prep_coords(*self._pure_preps(state), self.M)
 
     def dense_output(self, state: DenseOperator,
                      cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
         """The output on (C^d)^{tensor M}, for every kind and the input of
         symmetric_output: the cloner output embedded, with each user
         depolarized in place, or the sum of w_i sigma_i^{tensor M}.
-        Refused, before anything is allocated, where check_dense_route
-        refuses to compress it."""
-        check_dense_route(self.d, self.M, cap=cap)
+        Refused, before anything is allocated, where its plan does not fit."""
+        plan(self.d, self.M, route="dense", purify=False, cap=cap)
         dims = (self.d,) * self.M
         if self.kind in ("fixed_prep", "measure_prepare"):
             return DenseOperator(sum(w * tensor_power(s, self.M, cap).entries

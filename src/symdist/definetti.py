@@ -1,29 +1,20 @@
 """Classical approximations to the marginals of symmetrically distributed states.
 
 A state rho on M identical factors that lives in (or is purified into) the
-symmetric subspace induces a probability density over pure states,
-w(psi) = s_M <psi^M| rho |psi^M>, and the mixture of psi^{tensor k} under
-that density approximates rho's k-user marginal.  The exact mixture has a
-closed form as a rescaled partial trace against the (M+k)-fold symmetrizer;
-Monte Carlo over Haar samples recovers the same object statistically.
+symmetric subspace induces a density over pure states,
+w(psi) = s_M <psi^M| rho |psi^M>, and the mixture of psi^{tensor k} under it
+approximates rho's k-user marginal: exactly, a rescaled partial trace
+against the (M+k)-fold symmetrizer, or by Monte Carlo over Haar samples.
 
-The kernels (marginal_coords, reduce_coords, mc_reduce_coords) take the state
-as an s_M x s_M matrix in occupation coordinates, and the first two also a
-pure state as its s_M-vector; each returns s_k x s_k matrices in the
-occupation coordinates of Sym^k, and none forms anything of side d^M or
-d^k.  The exact ones, and the pair route's ancilla trace, are one
-contraction, sum_j c[a,j] c[a',j] X[idx[a,j], idx[a',j]], over tables of
-split coefficients (Harrow, arXiv:1308.6595).  The sampler weights each
-draw's power_coords, so its estimate is compared there too: the Haar moment
-P_k/s_k is 1/s_k times the identity.  An OccupationState holds either.  An
-output in the symmetric subspace (the lemma) comes from
-SDIChannelSpec.symmetric_output; its k-user marginal and mixture lie in
-Sym^k, where V keeps the trace norm, so their distance is taken between the
-kernels' s_k x s_k outputs.  Any permutation-invariant dense rho (the
-theorem) enters by purified_state(rho), which pairs each user with an
-ancilla in |Phi> = (sqrt(rho) tensor 1)|Omega>, symmetric in the
-d^2-dimensional pairs; the kernels run at d^2 on |Phi> as a ket, and the
-same contraction traces the ancillas out at d^k.
+The kernels (marginal_coords, reduce_coords, mc_reduce_coords) take the
+state as an s_M x s_M matrix in occupation coordinates (the exact ones also
+a ket) and return s_k x s_k matrices in those of Sym^k, where V keeps the
+trace norm: the exact ones, and the ancilla trace, as one contraction over
+split coefficients (Harrow, arXiv:1308.6595).  An OccupationState holds a
+symmetric output (the lemma), or from purified_state the pair purification
+(sqrt(rho) tensor 1)|Omega> of a permutation-invariant rho (the theorem),
+symmetric in the d^2-dimensional pairs.  Each entry point is sized by
+symspace.plan.
 """
 
 from __future__ import annotations
@@ -34,28 +25,12 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import SUPPORT_TOL, SupportError
-from .linalg import (
-    DEFAULT_DIM_CAP,
-    DenseOperator,
-    _check_bytes,
-    _check_cap,
-    swap_residual,
-)
-from .symspace import (
-    _index_map,
-    check_dense_route,
-    haar_kets,
-    index_map,
-    power_coords,
-    split_table,
-    sym_dim,
-    users_bytes,
-)
+from .linalg import DEFAULT_DIM_CAP, DenseOperator, swap_residual
+from .symspace import (_half_log_multiplicities, _index_map, _occupation_table,
+                       haar_kets, index_map, plan, power_coords, split_table,
+                       sym_dim)
 
 PERM_INVARIANCE_TOL = 1e-8
-# Monte Carlo draws are weighted and accumulated in chunks that hold about
-# this many entries of their k- and M-user occupation coordinates.
-MC_CHUNK_ENTRIES = 2 ** 20
 
 
 def _uniform_square(rho: DenseOperator, name: str) -> tuple[int, int]:
@@ -67,11 +42,6 @@ def _uniform_square(rho: DenseOperator, name: str) -> tuple[int, int]:
     if len(set(dims)) > 1:
         raise ValueError(f"{name} factors must share one dimension, got {dims}")
     return dims[0], len(dims)
-
-
-def _check_k(k: int, m: int) -> None:
-    if not 1 <= k <= m:
-        raise ValueError(f"need 1 <= k <= M={m}, got k={k}")
 
 
 def contract(x: np.ndarray, idx: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -103,73 +73,65 @@ def reduce_coords(rho: np.ndarray, d: int, m: int, k: int) -> np.ndarray:
     return ratio * contract(rho, t.rest.T, t.rest_coef.T).T
 
 
-def check_mc_route(d: int, m: int, k: int) -> int:
-    """Raise ResourceLimitError, before anything is allocated, unless
-    mc_reduce_coords at (d, M, k) fits DEFAULT_DIM_CAP; else return its
-    draws per chunk.  Side s_k is checked against the cap; the bytes of the
-    state, five s_k x s_k arrays (the two sums, a chunk's two products and
-    a reference) and one chunk (64 bytes, four complex copies, for each
-    entry of a draw's k-user coordinates and of its d x s_M table of
-    logarithms in power_coords), against the byte budget that goes with it.
-    """
-    _check_k(k, m)
-    s_k, s_m = sym_dim(d, k), sym_dim(d, m)
-    _check_cap(s_k, DEFAULT_DIM_CAP, f"{k}-user Monte Carlo estimate")
-    per_draw = s_k + d * s_m
-    chunk = max(1, MC_CHUNK_ENTRIES // per_draw)
-    nbytes = 16 * (s_m * s_m + 5 * s_k * s_k) + 64 * chunk * per_draw
-    _check_bytes(nbytes, DEFAULT_DIM_CAP, f"Monte Carlo estimate of {k} users")
-    return chunk
-
-
 def mc_reduce_coords(rho: np.ndarray, d: int, m: int, k: int, samples: int,
                      seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo (estimate, stderr) of the k-user mixture of an s_M x s_M
     occupation-coordinate state: two s_k x s_k arrays, componentwise, in the
-    occupation coordinates of Sym^k(C^d) that OccupationState.users(k)
-    returns (C^d at k = 1).
+    coordinates of OccupationState.users(k); refused, before anything is
+    allocated, where its plan does not fit DEFAULT_DIM_CAP.
 
-    The draws are the first `samples` rows of haar_kets from one generator,
-    default_rng((seed, 1)), taken chunk by chunk in order, so draw j does
-    not depend on the chunk size.  Each is weighted by
-    w = s_M <psi^M|rho|psi^M> with <n|psi^M> = sqrt(mult(n)) prod_i psi_i^{n_i}
-    and contributes w c c†, where c = power_coords(psi, k).  Standard errors
-    combine the real and imaginary spreads in quadrature.  Same (seed,
-    samples) reproduces both arrays bit for bit.
+    The draws are the first `samples` rows of haar_kets from
+    default_rng((seed, 1)), taken a chunk at a time, so draw j does not
+    depend on the chunk.  Each, weighted by w = s_M <psi^M|rho|psi^M>,
+    contributes w c c† with c = power_coords(psi, k); standard errors combine
+    the real and imaginary spreads in quadrature, bit for bit on a rerun.
     """
+    return _mc_reduce(rho, d, m, k, samples, seed,
+                      plan(d, m, output=False, mc=k).chunk)
+
+
+def _mc_reduce(rho: np.ndarray, d: int, m: int, k: int, samples: int,
+               seed: int, chunk: int) -> tuple[np.ndarray, np.ndarray]:
+    """mc_reduce_coords, drawn `chunk` at a time as its plan says.  The
+    squares of draws sum as |2^h_n c_n|^2, where |c_n c_n'|^2 would underflow
+    (from order 540 at d = 2), h_n as large as keeps sums finite, since
+    |c_n|^2 <= mult(n) prod_i (n_i/k)^{n_i} and |w| <= s_M |rho|.  Powers
+    of two scale exactly: no digit moves where nothing underflows."""
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, "
                          f"got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    chunk = check_mc_route(d, m, k)
     rng = np.random.default_rng((seed, 1))
-    s_k = sym_dim(d, k)
+    s_k, s_m = sym_dim(d, k), sym_dim(d, m)
+    occ = _occupation_table(d, k)
+    log2_top = (2 * _half_log_multiplicities(d, k) + (
+        occ * np.log(np.maximum(occ, 1) / k)).sum(axis=1)) / np.log(2)
+    room = 510 - np.log2(samples) / 2 - np.log2(max(s_m * np.linalg.norm(rho), 1.0))
+    up = np.ldexp(1.0, np.floor((room - log2_top) / 2).astype(int))
     acc = np.zeros((s_k, s_k), dtype=complex)  # sum of the draws x
-    acc_sq = np.zeros((s_k, s_k))  # sum of |x|^2
+    acc_sq = np.zeros((s_k, s_k))  # sum of |x|^2 up_n^2 up_n'^2
     for lo in range(0, samples, chunk):
         u = haar_kets(rng, min(chunk, samples - lo), d)
         c = power_coords(u, m)
-        w = sym_dim(d, m) * np.einsum("bs,bs->b", c.conj(), c @ rho.T).real
+        w = s_m * np.einsum("bs,bs->b", c.conj(), c @ rho.T).real
         # x = w c_k c_k^dagger, summed over the chunk as matrix products
         c_k = c if k == m else power_coords(u, k)
         acc += (w[:, None] * c_k).T @ c_k.conj()
-        p = np.abs(c_k) ** 2
+        p = np.abs(c_k * up) ** 2
         acc_sq += (w[:, None] ** 2 * p).T @ p
     mean = acc / samples
-    var = np.maximum(acc_sq / samples - np.abs(mean) ** 2, 0.0)
-    return mean, np.sqrt(var / samples)
+    var = np.maximum(acc_sq / samples - (np.abs(mean) * up[:, None] * up) ** 2, 0.0)
+    return mean, np.sqrt(var / samples) / up[:, None] / up
 
 
 @dataclass(frozen=True)
 class OccupationState:
     """M users in occupation coordinates of Sym^M(C^d): an s x s matrix.
 
-    When `paired`, each factor is a (user, ancilla) pair and `coords` is
-    the pure pair purification as an s-vector in Sym^M(C^{d^2}); the
-    kernels take it as a ket, and contract, through _trace_table, traces
-    the ancillas out of their s_k x s_k outputs at side d^k.
-    """
+    When `paired`, each factor is a (user, ancilla) pair and `coords` the
+    pure pair purification as a ket in Sym^M(C^{d^2}); contract, through
+    _trace_table, traces the ancillas out of the kernels' outputs."""
 
     coords: np.ndarray
     d: int
@@ -177,25 +139,27 @@ class OccupationState:
     paired: bool = False
 
     def users(self, k: int, cap: int = DEFAULT_DIM_CAP) -> tuple[DenseOperator, ...]:
-        """The k-user marginal and mixture, hermitized, in the frame their
-        distance is taken in: (C^d)^{tensor k} paired, else occupation
+        """The k-user marginal and mixture, hermitized and planned, in the
+        frame of their distance: (C^d)^{tensor k} paired, else occupation
         coordinates of Sym^k(C^d), where V keeps the trace norm (k = 1: C^d)."""
-        return self._result(marginal_coords, k, cap), self.mixture(k, cap)
+        self._plan(k, cap)
+        return self._result(marginal_coords, k), self._result(reduce_coords, k)
 
     def mixture(self, k: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
         """The mixture of users(k) alone, in its frame: what the sampler's
         estimate is compared against."""
-        return self._result(reduce_coords, k, cap)
+        self._plan(k, cap)
+        return self._result(reduce_coords, k)
 
-    def _result(self, kernel, k: int, cap: int) -> DenseOperator:
-        _check_k(k, self.m)
+    def _plan(self, k: int, cap: int) -> None:
+        plan(self.d, self.m, (k,), route="dense" if self.paired else "symmetric",
+             output=False, cap=cap)
+
+    def _result(self, kernel, k: int) -> DenseOperator:
         d = self.d
         if not self.paired:
             x = kernel(self.coords, d, self.m, k)
             return DenseOperator(x, (len(x),)).hermitize()
-        # side and bytes before the gathers
-        _check_cap(d ** k, cap, f"{k}-user result")
-        _check_bytes(users_bytes(d, k), cap, f"{k}-user result")
         x = contract(kernel(self.coords, d * d, self.m, k), *_trace_table(d, k))
         x += x.conj().T
         x *= 0.5
@@ -228,7 +192,7 @@ def symmetric_state(rho: DenseOperator,
     run path calls it: tests use it as the dense oracle for symmetric_output,
     its coordinates and its support decision."""
     d, m = _uniform_square(rho, "rho_out")
-    check_dense_route(d, m, cap=cap)
+    plan(d, m, route="dense", purify=False, cap=cap)
     v = index_map(d, m, cap)
     coords = v.compress(v.compress(rho.entries, 0), 1)
     resid = float(np.max(np.abs(rho.entries - v.expand(v.expand(coords, 0), 1))))
@@ -276,7 +240,7 @@ def purified_state(rho: DenseOperator,
     Sym^M(C^{d^2}).  The support check bounds its weight outside that
     subspace, not an entry: sqrt(rho) lifts roundoff eigenvalues to ~1e-8."""
     d, m = _uniform_square(rho, "rho")
-    check_dense_route(d, m, paired=True, cap=cap)
+    plan(d, m, route="dense", cap=cap)
     phi = purify_perm_invariant(rho).entries[:, 0]
     v = _index_map(d * d, m)
     c = v.compress(phi)

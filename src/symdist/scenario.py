@@ -19,12 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .channels import SDIChannelSpec, SupportError, _json_complex, _json_real
-from .definetti import (
-    OccupationState,
-    check_mc_route,
-    mc_reduce_coords,
-    purified_state,
-)
+from .definetti import (OccupationState, _mc_reduce, mc_reduce_coords,
+                        purified_state)
 from .linalg import DEFAULT_DIM_CAP, DenseOperator, ket, validate_state
 from .metrics import (
     BOUND_SLACK,
@@ -35,7 +31,7 @@ from .metrics import (
     trace_distance,
     universal_clone_gap,
 )
-from .symspace import check_dense_route, sym_dim
+from .symspace import Plan, plan, sym_dim
 
 SCHEMA_VERSION = 1
 CHECKS = ("lemma1", "theorem2", "perr", "fidelity_gap", "mc_crosscheck")
@@ -261,6 +257,24 @@ def _input_state(cfg: ScenarioConfig) -> tuple[DenseOperator, int | None]:
     return DenseOperator(np.diag(info["probs"]), (d,)), None
 
 
+def _plan(cfg: ScenarioConfig, phi: DenseOperator, cap: int) -> Plan:
+    """The run's checked plan: theorem2 takes the dense route; lemma1 and
+    mc_crosscheck need the output in Sym^M, which a spec field decides."""
+    spec, theorem2 = cfg.channel, "theorem2" in cfg.checks
+    mc = 1 if "mc_crosscheck" in cfg.checks else None
+    try:
+        field = spec.symmetric_field(phi) if not theorem2 or mc else None
+    except SupportError as exc:
+        raise SchemaError(f"scenario.{exc}; " + (
+            "lemma1 requires a symmetric-support output, use theorem2"
+            if "lemma1" in cfg.checks else "mc_crosscheck samples the "
+            "symmetric subspace, so it requires a symmetric-support output")
+        ) from exc
+    return plan(spec.d, spec.M, cfg.k_list, route="dense" if theorem2 else "symmetric",
+                field="scenario.checks" if theorem2 else f"scenario.{field}", n_in=spec.N,
+                mc=mc, cap=cap)
+
+
 def _output(cfg: ScenarioConfig, phi: DenseOperator,
             cap: int) -> tuple[OccupationState, OccupationState | None]:
     """The output in occupation coordinates (of its pair purification, at
@@ -270,19 +284,11 @@ def _output(cfg: ScenarioConfig, phi: DenseOperator,
     spec, theorem2 = cfg.channel, "theorem2" in cfg.checks
     sym = None
     if not theorem2 or "mc_crosscheck" in cfg.checks:
-        try:
-            coords = spec.symmetric_output(phi, cap, (1,) if theorem2 else cfg.k_list)
-        except SupportError as exc:
-            raise SchemaError(f"scenario.{exc}; " + (
-                "lemma1 requires a symmetric-support output, use theorem2"
-                if "lemma1" in cfg.checks else "mc_crosscheck samples the "
-                "symmetric subspace, so it requires a symmetric-support output")
-            ) from exc
+        coords = spec.symmetric_output(phi, cap)
         validate_state(DenseOperator(coords, (len(coords),)), name="channel output")
         sym = OccupationState(coords, spec.d, spec.M)
     if not theorem2:
         return sym, sym if "mc_crosscheck" in cfg.checks else None
-    check_dense_route(spec.d, spec.M, cfg.k_list, True, cap)
     return purified_state(spec.dense_output(phi, cap), cap), sym
 
 
@@ -297,6 +303,7 @@ def run_scenario(cfg: ScenarioConfig,
     start = time.perf_counter()
     spec = cfg.channel
     phi, input_seed = _input_state(cfg)
+    _plan(cfg, phi, cap)
     out, sym = _output(cfg, phi, cap)
     bound = flag = None
     if "lemma1" in cfg.checks:
@@ -363,10 +370,10 @@ def moment_check_record(d: int, n: int, samples: int, seed: int) -> ResultRecord
     if n < 1:
         raise ValueError(f"moment order must be >= 1, got {n}")
     start = time.perf_counter()
-    check_mc_route(d, n, n)  # before the state below is allocated
+    chunk = plan(d, n, output=False, mc=n).chunk  # before the state exists
     s_n = sym_dim(d, n)
     moment = np.eye(s_n) / s_n
-    est, stderr = mc_reduce_coords(moment, d, n, n, samples, seed)
+    est, stderr = _mc_reduce(moment, d, n, n, samples, seed, chunk)
     sigma = _max_sigma(est, moment, stderr)
     return ResultRecord(
         d=d, N=None, M=n, k=n, p=None, seed=seed,

@@ -1,19 +1,15 @@
-"""Totally symmetric subspace machinery and Haar sampling.
+"""Totally symmetric subspace machinery, Haar sampling, and the size plan.
 
 The symmetric subspace of (C^d)^{tensor n} is spanned by occupation-number
 vectors m; _occupation_table lists them in basis order and _rank maps them
-back to it, both by array arithmetic.  The isometry has one nonzero per
-row, so index_map keeps it as the column (_rank of the digit counts) of
-each flat index plus a weight and applies it by gathers and grouped sums;
-its expand of the identity is the dense matrix, where the Choi oracle
-needs one.  States inside the subspace can also be kept as
-sym_dim(d, n)-sided matrices in these coordinates: split_table holds the
-coefficients, exact ratios of integer binomials, that split |m>_n into k-
-and (n-k)-factor parts, and power_coords the coordinates of a product
-vector u^{tensor n} (Harrow, "The church of the symmetric subspace",
-arXiv:1308.6595).
-haar_kets draws the Haar-random kets that Monte Carlo weights by those
-coordinates, as rows taken in order from one numpy Generator.
+back to it.  The isometry has one nonzero per row, so index_map keeps it as
+the column of each flat index plus a weight, applied by gathers and grouped
+sums.  States inside the subspace are kept as sym_dim(d, n)-sided matrices
+in these coordinates: split_table holds the exact coefficients that split
+|m>_n into k- and (n-k)-factor parts, power_coords the coordinates of
+u^{tensor n} (Harrow, arXiv:1308.6595), and haar_kets draws the kets that
+Monte Carlo weights by them.  plan holds every byte estimate: a run's
+stages, sized before anything is allocated, and the one guard on them.
 """
 
 from __future__ import annotations
@@ -157,18 +153,30 @@ def embed_coords(x: np.ndarray, d: int, n: int,
     return DenseOperator(v.expand(v.expand(x, 0), 1), (d,) * n)
 
 
-def _multinomial(occ) -> int:
-    out, total = 1, 0
-    for x in occ:
-        total += x
-        out *= math.comb(total, x)
-    return out
+def _pascal(n: int, k: int) -> np.ndarray:
+    # C(x, y) for x <= n, y <= k as Python integers in an object array,
+    # column y the partial sums of column y-1
+    binom = np.zeros((n + 1, k + 1), dtype=object)
+    binom[:, 0] = 1
+    for y in range(1, k + 1):
+        np.add.accumulate(binom[:-1, y - 1], out=binom[1:, y])
+    return binom
 
 
 @lru_cache(maxsize=128)
 def _half_log_multiplicities(d: int, n: int) -> np.ndarray:
-    return np.array([0.5 * math.log(_multinomial(occ))
-                     for occ in _occupation_table(d, n).tolist()])
+    # mult(m) = prod_i C(m_0 + ... + m_i, m_i) in exact integers, so each
+    # math.log is that of the integer; for d <= 2 only C(n, x) is needed,
+    # C(n, x - 1) (n - x + 1) / x, exact at every step
+    occ = _occupation_table(d, n)
+    if d <= 2:
+        x = np.arange(n + 1).astype(object)
+        x[0] = 1
+        step = np.frompyfunc(lambda c, x: c * (n + 1 - x) // x, 2, 1)
+        mult = step.accumulate(x, dtype=object)[occ[:, -1]]
+    else:
+        mult = np.multiply.reduce(_pascal(n, n)[occ.cumsum(axis=1), occ], axis=1)
+    return np.frompyfunc(lambda v: 0.5 * math.log(v), 1, 1)(mult).astype(float)
 
 
 def power_coords(u: np.ndarray, n: int) -> np.ndarray:
@@ -219,13 +227,8 @@ def split_table(d: int, n: int, k: int) -> SplitTable:
     a = _occupation_table(d, k)
     m = a[:, None, :] + _occupation_table(d, n - k)  # m = a + b, for b in Sym^{n-k}
     whole = _rank(m.transpose(2, 0, 1), d, n, np.zeros(m.shape[:2], np.int64))
-    # C(x, y) as Python integers, column y the partial sums of column y-1,
-    # so each c(m;a)^2 is an exact ratio, correctly rounded by true division
-    binom = np.zeros((n + 1, k + 1), dtype=object)
-    binom[:, 0] = 1
-    for y in range(1, k + 1):
-        np.add.accumulate(binom[:-1, y - 1], out=binom[1:, y])
-    hits = np.multiply.reduce(binom[m, a[:, None, :]], axis=-1)
+    # each c(m;a)^2 is an exact ratio, correctly rounded by true division
+    hits = np.multiply.reduce(_pascal(n, k)[m, a[:, None, :]], axis=-1)
     return SplitTable(whole, np.sqrt((hits / math.comb(n, k)).astype(float)))
 
 
@@ -234,64 +237,86 @@ def _sym(d: int, n: int) -> int:
     return math.comb(d + n - 1, n)
 
 
-def users_bytes(d: int, k: int) -> int:
-    """Peak bytes of the pair route's k-user stage beside the kernel
-    gathers: the kernel's s_k x s_k output at d^2; the transient of the
-    ancilla trace, d^3k complex gathered values and their real coefficient
-    products; and, d^2k entries each, the cached trace table (16 bytes an
-    entry) and six complex matrices for the two results and their trace
-    distance."""
-    return 16 * _sym(d * d, k) ** 2 + 24 * d ** (3 * k) + 112 * d ** (2 * k)
+# Monte Carlo draws are weighted and accumulated in chunks that hold about
+# this many entries of their k- and M-user occupation coordinates.
+MC_CHUNK_ENTRIES = 2 ** 20
 
 
-def check_occupation_route(d: int, m: int, ks, n_in: int | None = None,
-                           cap: int = DEFAULT_DIM_CAP) -> int:
-    """Raise ResourceLimitError, before anything is allocated, when the
-    occupation-coordinate route at (d, M, ks) would not fit the cap; else
-    return its estimated peak bytes: four s_M x s_M arrays to check the state
-    (s_M also against the side cap); the largest gather, s_k^2 s_{M-k} or
-    s_k^2 s_{M+k} entries for a k's marginal or reduction (this limits k), or
-    s_N^2 s_{M-N} for an N -> M cloner; 16 bytes an entry of each k's cached
-    split tables, and 4 KiB; eight s_k x s_k arrays; and 32 KiB."""
-    s_m = _sym(d, m)
-    _check_cap(s_m, cap, f"occupation-coordinate state of {m} users")
-    gathers = [_sym(d, k) ** 2 * max(_sym(d, m - k), _sym(d, m + k)) for k in ks]
-    if n_in is not None:
-        gathers.append(_sym(d, n_in) ** 2 * _sym(d, m - n_in))
-    tables = sum(_sym(d, k) * (_sym(d, m - k) + s_m + _sym(d, m + k)) for k in ks)
-    nbytes = (2 ** 15 + 2 ** 12 * len(ks) + 64 * s_m * s_m + 16 * tables
-              + 32 * max(gathers, default=0) + 128 * _sym(d, max(ks, default=0)) ** 2)
-    _check_bytes(nbytes, cap, f"occupation-coordinate route for {m} users")
-    return nbytes
+@dataclass(frozen=True)
+class Plan:
+    """A run's route, the field that decided it, its stages as (name,
+    estimated peak bytes), the Monte Carlo draws per chunk (0 without), which
+    fix the order of its sums, and the LAPACK bytes of the purification."""
+
+    route: str
+    field: str
+    stages: tuple
+    chunk: int = 0
+    untraced: int = 0
 
 
-def _eigh_bytes(side: int) -> int:
-    return 48 * side * side + 128 * side  # zheevd's copy and workspaces
-
-
-def check_dense_route(d: int, m: int, ks=(), paired: bool = False,
-                      cap: int = DEFAULT_DIM_CAP) -> int:
-    """Raise ResourceLimitError, before anything is allocated, when the dense
-    route at (d, M, ks) would not fit the byte budget of the cap; else return
-    its estimated peak bytes: the d^M x d^M complex output rho (r bytes)
-    built and compressed in 3.5 r, or pair-purified in 7 r plus eigh's
-    workspace (not numpy arrays); then, beside rho, the cached index map (64
-    bytes an entry to build, 24 kept) and, on the pair route, each k's
-    gathers (s_k s_{M+k} entries of the state at d^2), its k-user stage
-    (users_bytes: the ancilla trace, whose table holds d^2k entries) and
-    split tables; and 1 MiB for what does not grow with rho.  Only the pair
-    route reduces the output, so only it takes ks.
-    """
-    if d > 1 and m > cap.bit_length():  # d^M > cap, too large to compute
-        raise ResourceLimitError(f"{m}-user dense output would have side "
-                                 f"{d}^{m}, exceeding the cap {cap}")
-    rho, q = 16 * d ** (2 * m), d * d if paired else d
-    loop = (rho + 24 * q ** m + sum(112 * _sym(q, k) * _sym(q, m + k) for k in ks)
-            + max((users_bytes(d, k) for k in ks), default=0))
-    nbytes = (2 ** 20 + 64 * d ** m + paired * _eigh_bytes(d ** m)
-              + max(7 * rho if paired else 7 * rho // 2, loop))
-    _check_bytes(nbytes, cap, f"dense route for {m} users")
-    return nbytes
+def plan(d: int, m: int, ks=(), *, route: str = "symmetric", field: str = "",
+         output: bool = True, n_in: int | None = None, purify: bool = True,
+         mc: int | None = None, cap: int = DEFAULT_DIM_CAP) -> Plan:
+    """The Plan of M users at local dimension d: the output (an N -> M
+    cloner's for `n_in`), on the dense route its pair purification, the
+    k-user results of `ks`, and the Monte Carlo estimate of `mc` users.  The
+    guard of every run and library call: before anything is allocated,
+    ResourceLimitError where a side passes the cap or the largest stage
+    the byte budget that goes with it."""
+    for k in (*ks, mc or 1):
+        if not 1 <= k <= m:
+            raise ValueError(f"need 1 <= k <= M={m}, got k={k}")
+    stages, untraced, chunk = [], 0, 0
+    if route == "dense":
+        # r bytes of the complex d^M x d^M output beside its index map (64
+        # bytes an entry): 3.5 r to build it, 7 r and eigh's workspace to
+        # purify it; a k-user result holds r, the pair ket and every k's split
+        # tables, and adds its s_k x s_k kernel output at d^2 and the ancilla
+        # trace: 24 bytes each of d^3k gathered terms, 112 of d^2k (its table
+        # and six complex matrices for the two results and their distance).
+        if d > 1 and m > cap.bit_length():  # d^M > cap, too large to compute
+            raise ResourceLimitError(f"{m}-user dense output would have side "
+                                     f"{d}^{m}, exceeding the cap {cap}")
+        side, q = d ** m, d * d
+        r, held = 16 * side * side, 2 ** 20 + 64 * side
+        untraced = purify * (48 * side * side + 128 * side)  # zheevd's
+        kept = r + 24 * q ** m + sum(112 * _sym(q, k) * _sym(q, m + k) for k in ks)
+        stages += ([("dense output", held + 7 * r // 2)] * output
+                   + [("pair purification", held + 7 * r + untraced)] * purify)
+        for k in ks:
+            _check_cap(d ** k, cap, f"{k}-user result")
+            stages.append((f"{k}-user result", held + kept + 16 * _sym(q, k) ** 2
+                           + 24 * d ** (3 * k) + 112 * d ** (2 * k)))
+        # Monte Carlo samples the symmetric output, and compares its mixture
+        ks, output = ((mc,), True) if mc and output else ((), False)
+    if output or ks:
+        # each may hold the s_M x s_M state and three copies, every k's split
+        # tables (16 bytes an entry) and eight s_K x s_K arrays; the output
+        # adds an N -> M cloner's s_N^2 s_{M-N} scatter, a k-user result its
+        # gather, s_k^2 s_{M-k} or s_k^2 s_{M+k}: 32 bytes a term
+        s = _sym(d, m)
+        _check_cap(s, cap, f"occupation-coordinate state of {m} users")
+        tables = sum(_sym(d, k) * (_sym(d, m - k) + s + _sym(d, m + k)) for k in ks)
+        held = (2 ** 15 + 2 ** 12 * len(ks) + 64 * s * s + 16 * tables
+                + 128 * _sym(d, max(ks, default=0)) ** 2)
+        scatter = 32 * _sym(d, n_in) ** 2 * _sym(d, m - n_in) if n_in else 0
+        stages += [("symmetric output", held + scatter)] * output + [
+            (f"{k}-user result", held + 32 * _sym(d, k) ** 2
+             * max(_sym(d, m - k), _sym(d, m + k))) for k in ks]
+    if mc:
+        # the state, five complex s_k x s_k arrays (two sums, a chunk's two
+        # products, the estimate with its stderr), and 64 bytes an entry of a
+        # chunk's k-user coordinates and d x s_M logarithms in power_coords
+        s_k, s_m = _sym(d, mc), _sym(d, m)
+        _check_cap(s_k, cap, f"{mc}-user Monte Carlo estimate")
+        chunk = max(1, MC_CHUNK_ENTRIES // (s_k + d * s_m))
+        stages.append((f"Monte Carlo estimate of {mc} users", 16 * (
+            s_m * s_m + 5 * s_k * s_k) + 64 * chunk * (s_k + d * s_m)))
+    name, nbytes = max(stages, key=lambda stage: stage[1])
+    text = "dense" if route == "dense" else "occupation-coordinate"
+    _check_bytes(nbytes, cap, f"{text} route for {m} users: {name}")
+    return Plan(route, field, tuple(stages), chunk, untraced)
 
 
 def haar_kets(rng: np.random.Generator, n: int, d: int) -> np.ndarray:

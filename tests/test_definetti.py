@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from symdist import definetti
+from symdist import symspace
 from symdist.channels import (
     apply,
     embed_pure_input,
@@ -321,8 +321,8 @@ class TestMonteCarlo:
         est, stderr = mc(ket00(), 2, 3000, seed=5)
         # 7 draws of 3 + 2 * 3 entries a chunk, where the default takes all
         # 3000 in one
-        monkeypatch.setattr(definetti, "MC_CHUNK_ENTRIES", 64)
-        assert definetti.check_mc_route(2, 2, 2) == 7
+        monkeypatch.setattr(symspace, "MC_CHUNK_ENTRIES", 64)
+        assert symspace.plan(2, 2, output=False, mc=2).chunk == 7
         small, small_err = mc(ket00(), 2, 3000, seed=5)
         assert np.max(np.abs(small - est)) <= 1e-12
         assert np.max(np.abs(small_err - stderr)) <= 1e-12

@@ -24,7 +24,6 @@ from symdist.channels import (
 )
 from symdist.definetti import (
     OccupationState,
-    check_mc_route,
     marginal_coords,
     mc_reduce_coords,
     purified_state,
@@ -45,19 +44,19 @@ from symdist.linalg import (
 from symdist.metrics import trace_distance
 from symdist.scenario import (
     SchemaError,
+    _basis_prep,
     _input_state,
     _output,
+    _plan,
     moment_check_record,
     run_scenario,
     scenario_from_dict,
 )
 from symdist.symspace import (
-    _eigh_bytes,
     _index_map,
-    check_dense_route,
-    check_occupation_route,
     embed_coords,
     haar_kets,
+    plan,
     power_coords,
     split_table,
     sym_dim,
@@ -656,33 +655,16 @@ def test_too_large_raises_before_allocating(d, m_users):
     assert peak < 2 ** 20
 
 
-@pytest.mark.parametrize("m_users", [9, 10])
-def test_occupation_route_estimate_bounds_the_traced_peak(m_users):
-    # k = M: the largest k-user stage, which stays s_k x s_k
-    cfg = _cloner(2, m_users, [1, m_users])
-    estimate = check_occupation_route(2, m_users, [1, m_users], n_in=1)
-    assert _traced_peak(lambda: run_scenario(cfg)) <= estimate
-
-
-def test_estimate_bounds_the_traced_peak_of_every_k():
-    # every k of 64 qubits: the reduction's gather at k = M is the peak, and
-    # up to 64 split tables stay cached
-    ks = range(1, 65)
-    cfg = _cloner(2, 64, ks)
-    estimate = check_occupation_route(2, 64, ks, n_in=1)
-    assert _traced_peak(lambda: run_scenario(cfg)) <= estimate
-
-
 def test_large_k_refused_before_allocating():
     # k-user results stay s_k x s_k, so k = M = 13 qubits runs; the limit is
     # the reduction's gather of s_k^2 s_{M+k} entries, which at M = 1024
     # qubits first passes the byte budget at k = 313
     rows = run_scenario(_cloner(2, 13, [1, 13]))
     assert all(row.satisfied_lemma1 for row in rows)
-    check_occupation_route(2, 1024, [1, 312])
+    plan(2, 1024, [1, 312])
     with pytest.raises(ResourceLimitError,
                        match="occupation-coordinate route for 1024 users"):
-        check_occupation_route(2, 1024, [1, 313])
+        plan(2, 1024, [1, 313])
     for k in (313, 512):
         cfg = _cloner(2, 1024, [1, k])
         tracemalloc.start()
@@ -697,69 +679,80 @@ def test_large_k_refused_before_allocating():
 
 
 def test_guard_counts_gathers_in_bytes():
-    check_occupation_route(2, 1024, [1, 2, 3])
-    check_occupation_route(3, 64, [1, 2, 3])
+    plan(2, 1024, [1, 2, 3])
+    plan(3, 64, [1, 2, 3])
     # s_M = 12001 fits the side cap, but three copies of the state do not fit
     # the byte budget of one complex matrix at that cap
     with pytest.raises(ResourceLimitError, match="bytes"):
-        check_occupation_route(2, 12000, [1])
+        plan(2, 12000, [1])
     # a 50 -> 100 qutrit cloner scatters s_50^2 s_50 = 1326^3 terms
-    check_occupation_route(3, 100, [1])
+    plan(3, 100, [1])
     with pytest.raises(ResourceLimitError, match="bytes"):
-        check_occupation_route(3, 100, [1], n_in=50)
+        plan(3, 100, [1], n_in=50)
     # a 30-user result is 31 x 31; its reduction gathers 31^2 s_1030 entries
-    check_occupation_route(2, 1000, [30])
+    plan(2, 1000, [30])
     with pytest.raises(ResourceLimitError, match="bytes"):
-        check_occupation_route(2, 1000, [500])
+        plan(2, 1000, [500])
     with pytest.raises(ResourceLimitError):
-        check_occupation_route(2, 10 ** 30, [1])
+        plan(2, 10 ** 30, [1])
+
+
+def _mc_chunk(d, m, k):
+    return plan(d, m, output=False, mc=k).chunk
 
 
 def test_mc_guard_counts_bytes():
     # what the suite samples fits, up to the fourth moment
-    assert check_mc_route(2, 2, 1) > 1
+    assert _mc_chunk(2, 2, 1) > 1
     for n in (1, 2, 3, 4):
-        check_mc_route(2, n, n)
+        _mc_chunk(2, n, n)
     # 12 qubits: six complex 13^2 arrays, and chunks of 26886 draws of
     # 13 + 26 entries each
-    assert check_mc_route(2, 12, 12) == 2 ** 20 // (13 + 26) == 26886
+    assert _mc_chunk(2, 12, 12) == 2 ** 20 // (13 + 26) == 26886
     # 6635 qubits fit; at 6636, s_n = 6637 fits the side cap, but the six
     # arrays' 96 * 6637^2 bytes and a chunk of 52 draws of 19911 entries
     # exceed the budget of one complex matrix at that cap (16 * 2^28)
-    assert check_mc_route(2, 6635, 6635) == 2 ** 20 // 19908 == 52
+    assert _mc_chunk(2, 6635, 6635) == 2 ** 20 // 19908 == 52
     with pytest.raises(ResourceLimitError, match="bytes"):
-        check_mc_route(2, 6636, 6636)
+        _mc_chunk(2, 6636, 6636)
     with pytest.raises(ResourceLimitError, match="bytes"):
-        check_mc_route(3, 114, 114)
+        _mc_chunk(3, 114, 114)
     # one user of 20000 qubits: side 2, but the state alone is 16 * 20001^2
     with pytest.raises(ResourceLimitError, match="bytes"):
-        check_mc_route(2, 20000, 1)
+        _mc_chunk(2, 20000, 1)
     # s_180 = 16471 qutrit coordinates exceed the side cap 2^14
     with pytest.raises(ResourceLimitError, match="180-user Monte Carlo estimate"):
-        check_mc_route(3, 180, 180)
+        _mc_chunk(3, 180, 180)
     with pytest.raises(ValueError, match="1 <= k <= M=3"):
-        check_mc_route(2, 3, 4)
+        _mc_chunk(2, 3, 4)
 
 
-@pytest.mark.parametrize("d,m,k", [(2, 8, 8), (3, 20, 2)])
-def test_mc_guard_bounds_the_traced_peak(d, m, k, monkeypatch):
-    counted = []
+def test_moment_check_at_order_540_has_a_finite_sigma():
+    # |c_n c_n'|^2 of far-apart coordinates underflowed from order 540, so
+    # stderr read 0 where the estimate did not, and sigma inf
+    row = moment_check_record(2, 540, samples=1000, seed=1)
+    assert np.isfinite(row.actual_distance)
+    s_n = sym_dim(2, 540)
+    est, stderr = mc_reduce_coords(np.eye(s_n) / s_n, 2, 540, 540, 1000, seed=1)
+    assert np.all(stderr[est != 0] > 0)
 
-    def spy(nbytes, cap, what):
-        counted.append(nbytes)
-        return linalg._check_bytes(nbytes, cap, what)
 
-    monkeypatch.setattr(definetti, "_check_bytes", spy)
-    chunk = check_mc_route(d, m, k)
-    tracemalloc.start()
-    try:
-        s_m = sym_dim(d, m)
-        # two full chunks and one draw, from a state built under the trace
-        mc_reduce_coords(np.eye(s_m) / s_m, d, m, k, 2 * chunk + 1, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= counted[-1]
+@pytest.mark.parametrize("d,m,k", [(2, 12, 12), (3, 6, 3), (2, 100, 100)])
+def test_scaled_squares_move_no_digit_where_nothing_underflows(d, m, k):
+    # the unscaled E|x|^2 - |E x|^2 over the same draws, in one chunk
+    s_m, samples = sym_dim(d, m), 600
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((s_m, 2)) + 1j * rng.standard_normal((s_m, 2))
+    rho = a @ a.conj().T / np.sum(np.abs(a) ** 2)
+    u = haar_kets(np.random.default_rng((4, 1)), samples, d)
+    c, c_k = power_coords(u, m), power_coords(u, k)
+    w = s_m * np.einsum("bs,bs->b", c.conj(), c @ rho.T).real
+    mean = (w[:, None] * c_k).T @ c_k.conj() / samples
+    p = np.abs(c_k) ** 2
+    var = np.maximum((w[:, None] ** 2 * p).T @ p / samples - np.abs(mean) ** 2, 0.0)
+    est, stderr = mc_reduce_coords(rho, d, m, k, samples, seed=4)
+    assert np.array_equal(est, mean)
+    assert np.array_equal(stderr, np.sqrt(var / samples))
 
 
 def test_moment_check_raises_before_allocating():
@@ -809,25 +802,75 @@ def _traced_peak(run, raises=None):
 MIXED_PREP = [[[[0.5, 0], [0.1, 0]], [[0.1, 0], [0.5, 0]]]]
 
 
-@pytest.mark.parametrize("channel,ks,checks", [
-    *[(_noisy(2, m), [1], ["theorem2"]) for m in (6, 7, 8, 9)],
-    *[(_noisy(3, m), [1], ["theorem2"]) for m in (3, 4, 5)],
-    (_noisy(2, 6), [1, 2, 3, 4, 5], ["theorem2"]),
-    (_noisy(2, 8), [1, 2, 3, 4, 5, 6], ["theorem2"]),
-    ({"kind": "universal_cloner", "d": 2, "N": 1, "M": 8}, [1],
-     ["theorem2", "mc_crosscheck"]),
-], ids=["2-6", "2-7", "2-8", "2-9", "3-3", "3-4", "3-5", "2-6-k1to5",
-        "2-8-k1to6", "cloner-mc"])
-def test_dense_route_estimate_bounds_the_traced_peak(channel, ks, checks):
-    # tracemalloc does not see LAPACK's workspace, so the bound it checks is
-    # the estimate less that analytic term
-    cfg = _dense_scenario(channel, ks, checks)
-    spec = cfg.channel
-    traced = (check_dense_route(spec.d, spec.M, ks, paired=True)
-              - _eigh_bytes(spec.d ** spec.M))
+def _scenario_case(cfg):
+    """The run's plan, and the output stage and the whole run of cfg."""
     phi, _ = _input_state(cfg)
-    assert _traced_peak(lambda: _output(cfg, phi, DEFAULT_DIM_CAP)) <= traced
-    assert _traced_peak(lambda: run_scenario(cfg)) <= traced
+    return (_plan(cfg, phi, DEFAULT_DIM_CAP),
+            [lambda: _output(cfg, phi, DEFAULT_DIM_CAP), lambda: run_scenario(cfg)])
+
+
+def _mc_case(d, m, k):
+    """The sampler's plan, and two full chunks and one draw from a state
+    built under the trace."""
+    p = plan(d, m, output=False, mc=k)
+    s_m = sym_dim(d, m)
+    return p, [lambda: mc_reduce_coords(np.eye(s_m) / s_m, d, m, k,
+                                        2 * p.chunk + 1, seed=0)]
+
+
+@pytest.mark.parametrize("case", [
+    # k = M: the largest k-user stage, which stays s_k x s_k
+    *[lambda m=m: _scenario_case(_cloner(2, m, [1, m])) for m in (9, 10)],
+    # every k of 64 qubits: the reduction's gather at k = M is the peak, and
+    # up to 64 split tables stay cached
+    lambda: _scenario_case(_cloner(2, 64, range(1, 65))),
+    lambda: _mc_case(2, 8, 8),
+    lambda: _mc_case(3, 20, 2),
+    *[lambda m=m: _scenario_case(_dense_scenario(_noisy(2, m)))
+      for m in (6, 7, 8, 9)],
+    *[lambda m=m: _scenario_case(_dense_scenario(_noisy(3, m))) for m in (3, 4, 5)],
+    lambda: _scenario_case(_dense_scenario(_noisy(2, 6), [1, 2, 3, 4, 5])),
+    lambda: _scenario_case(_dense_scenario(_noisy(2, 8), [1, 2, 3, 4, 5, 6])),
+    lambda: _scenario_case(_dense_scenario(
+        {"kind": "universal_cloner", "d": 2, "N": 1, "M": 8}, [1],
+        ["theorem2", "mc_crosscheck"])),
+], ids=["symmetric-2-9", "symmetric-2-10", "symmetric-2-64-every-k",
+        "mc-2-8-8", "mc-3-20-2", "dense-2-6", "dense-2-7", "dense-2-8",
+        "dense-2-9", "dense-3-3", "dense-3-4", "dense-3-5", "dense-2-6-k1to5",
+        "dense-2-8-k1to6", "dense-cloner-mc"])
+def test_plan_bounds_the_traced_peak(case):
+    # tracemalloc does not see LAPACK's workspace, so the bound it checks
+    # leaves that term out of the pair purification stage
+    run_plan, runs = case()
+    bound = max(nbytes - run_plan.untraced * (name == "pair purification")
+                for name, nbytes in run_plan.stages)
+    for run in runs:
+        assert _traced_peak(run) <= bound
+
+
+CLONER5 = {"kind": "universal_cloner", "d": 2, "N": 1, "M": 5}
+SYMMETRIC_STAGES = ["symmetric output", "1-user result"]
+DENSE_STAGES = ["dense output", "pair purification", "1-user result"]
+
+
+@pytest.mark.parametrize("channel,checks,route,field,stages", [
+    (CLONER5, ["lemma1"], "symmetric", "scenario.channel.kind", SYMMETRIC_STAGES),
+    (_noisy(2, 5, 0.0), ["lemma1"], "symmetric", "scenario.channel.p",
+     SYMMETRIC_STAGES),
+    (_noisy(2, 1), ["lemma1"], "symmetric", "scenario.channel.M", SYMMETRIC_STAGES),
+    ({"kind": "fixed_prep", "d": 2, "M": 5, "prep": _basis_prep(2)}, ["lemma1"],
+     "symmetric", "scenario.channel.prep", SYMMETRIC_STAGES),
+    (_noisy(2, 5), ["theorem2"], "dense", "scenario.checks", DENSE_STAGES),
+    (CLONER5, ["theorem2", "mc_crosscheck"], "dense", "scenario.checks",
+     DENSE_STAGES + SYMMETRIC_STAGES + ["Monte Carlo estimate of 1 users"]),
+], ids=["cloner", "noiseless", "one-user", "prep", "theorem2", "theorem2-mc"])
+def test_plan_names_the_route_and_its_stages(channel, checks, route, field, stages):
+    cfg = _dense_scenario(channel, checks=checks)
+    run_plan = _plan(cfg, _input_state(cfg)[0], DEFAULT_DIM_CAP)
+    assert (run_plan.route, run_plan.field) == (route, field)
+    assert [name for name, _ in run_plan.stages] == stages
+    assert (run_plan.chunk > 0) == ("mc_crosscheck" in checks)
+    assert (run_plan.untraced > 0) == (route == "dense")
 
 
 @pytest.mark.parametrize("m_users", [3, 13, 10 ** 4])
@@ -850,10 +893,10 @@ def test_zero_weight_mixed_preparation_runs_lemma1_at_500_users():
 @pytest.mark.parametrize("d,m_users", [(2, 13), (3, 8)])
 def test_dense_route_refuses_before_allocating(d, m_users):
     # the first size refused: the one below fits the byte budget
-    check_dense_route(d, m_users - 1, [1], paired=True)
+    plan(d, m_users - 1, [1], route="dense")
     cfg = _dense_scenario(_noisy(d, m_users))
     with pytest.raises(ResourceLimitError, match=f"dense route for {m_users} users"):
-        check_dense_route(d, m_users, [1], paired=True)
+        plan(d, m_users, [1], route="dense")
     assert _traced_peak(lambda: run_scenario(cfg), ResourceLimitError) < 2 ** 20
 
 
@@ -862,17 +905,17 @@ def test_dense_route_counts_each_k_and_huge_m():
     # entries of a k-user result: every k fits at M = 9 qubits, k = 9 in
     # 3 GiB; at M = 10, k = 10 takes more than the budget, and at M = 5
     # qutrits the kernel gathers of k = 5 do
-    check_dense_route(2, 8, [1, 8], paired=True)
-    check_dense_route(2, 9, [1, 8], paired=True)
-    check_dense_route(2, 9, [9], paired=True)
-    check_dense_route(2, 10, [1, 9], paired=True)
+    plan(2, 8, [1, 8], route="dense")
+    plan(2, 9, [1, 8], route="dense")
+    plan(2, 9, [9], route="dense")
+    plan(2, 10, [1, 9], route="dense")
     with pytest.raises(ResourceLimitError, match="bytes"):
-        check_dense_route(2, 10, [10], paired=True)
-    check_dense_route(3, 5, [4], paired=True)
+        plan(2, 10, [10], route="dense")
+    plan(3, 5, [4], route="dense")
     with pytest.raises(ResourceLimitError, match="bytes"):
-        check_dense_route(3, 5, [5], paired=True)
+        plan(3, 5, [5], route="dense")
     with pytest.raises(ResourceLimitError, match="side 2\\^1000000000"):
-        check_dense_route(2, 10 ** 9)
+        plan(2, 10 ** 9, route="dense", purify=False)
 
 
 @pytest.mark.parametrize("channel,checks", [

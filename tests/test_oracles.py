@@ -8,13 +8,16 @@ and gets weight under theorem2.  A public module-level function of the
 package, or a public method or property of one of its public classes, that
 none of them enters is there only for tests, so its docstring must say that
 tests use it as an oracle.  No command enters
-definetti.symmetric_state: no run path compresses a dense output.
+definetti.symmetric_state: no run path compresses a dense output.  And one
+module, symspace, the owner of the plan, compares bytes with the budget.
 """
 
+import ast
 import contextlib
 import inspect
 import io
 import json
+import pathlib
 import sys
 
 from symdist import channels, cli, definetti, linalg, metrics, scenario, symspace
@@ -96,3 +99,15 @@ def test_functions_off_the_run_path_are_stated_oracles(tmp_path):
                 and not ("test" in (fn.__doc__ or "")
                          and "oracle" in (fn.__doc__ or ""))]
     assert unstated == []
+
+
+def test_one_module_checks_the_byte_budget():
+    # every byte estimate is a stage of symspace.plan, so only symspace
+    # compares bytes with the budget
+    callers = set()
+    for path in pathlib.Path(linalg.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "_check_bytes" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                callers.add(path.stem)
+    assert callers == {"symspace"}

@@ -3,6 +3,7 @@ replace: the recursive occupation generator, and the split-table loop that
 looked each m = a + b up in a {tuple: index} dict and took each coefficient
 as math.sqrt of an exact integer ratio."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -12,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdist.symspace import (
+    _half_log_multiplicities,
     _index_map,
     _occupation_table,
     _rank,
-    check_occupation_route,
+    plan,
     split_table,
     sym_dim,
 )
@@ -81,6 +83,18 @@ def test_rank_round_trip(d, n):
     assert np.array_equal(col, np.arange(len(occ)))
 
 
+@pytest.mark.parametrize("d,n", [(2, 1024), (3, 60), (4, 20), (1, 7), (3, 0)])
+def test_half_log_multiplicities_match_the_loop(d, n):
+    # mult(m) as the product of math.comb over the running totals, one
+    # occupation at a time; the table takes the log of the same integers
+    def mult(occ):
+        return math.prod(math.comb(t, x) for t, x in
+                         zip(itertools.accumulate(occ), occ))
+
+    want = np.array([0.5 * math.log(mult(m)) for m in _occupations(d, n)])
+    assert np.array_equal(_half_log_multiplicities(d, n), want)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_split_tables_match_the_loop(d):
     for n in range(13):
@@ -124,12 +138,12 @@ def test_cold_build_stays_under_the_route_estimate():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= check_occupation_route(3, 64, ks)
+    assert peak <= max(nbytes for _, nbytes in plan(3, 64, ks).stages)
 
 
 @pytest.mark.parametrize("d,n", [(2, 16), (4, 8), (9, 5)])
 def test_index_map_builds_in_64_bytes_an_entry(d, n):
-    # check_dense_route's figure; a d^n x d array of counts alone would
+    # the figure of the plan's dense stages; a d^n x d array of counts alone would
     # take 8d bytes an entry, 72 at d = 9
     _index_map.cache_clear()
     tracemalloc.start()
