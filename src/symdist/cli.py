@@ -1,14 +1,14 @@
 """Command-line access: bound tables, scenario runs, MC checks, bundled suite.
 
-Exit codes: 0 all satisfied flags true, 2 some check violated, 1 bad config
-or resource limits.  Output is CSV by default (plot-ready; no figure
-rendering here) or JSON with --format json, to stdout or --out.
+Exit codes: 0 all satisfied flags true, 2 some check violated, 1 bad config,
+a usage error or resource limits.  Output is CSV by default (plot-ready; no
+figure rendering here) or JSON with --format json, to stdout or --out; the
+tables are written by scenario.render_rows.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -22,6 +22,7 @@ from .scenario import (
     emit,
     load_scenarios,
     moment_check_record,
+    render_rows,
     run_scenario,
     run_suite,
     scenario_from_dict,
@@ -38,12 +39,6 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return format(float(value), ".12g")
 
 
 def _at_least(*rules) -> None:
@@ -78,14 +73,7 @@ def _bounds_rows(args) -> list[dict]:
 
 
 def _cmd_bounds(args) -> int:
-    rows = _bounds_rows(args)
-    if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        lines = [",".join(BOUNDS_COLUMNS)]
-        lines += [",".join(_fmt(r[c]) for c in BOUNDS_COLUMNS) for r in rows]
-        text = "\n".join(lines) + "\n"
-    _write(text, args.out)
+    _write(render_rows(_bounds_rows(args), BOUNDS_COLUMNS, args.format), args.out)
     return 0
 
 
@@ -156,8 +144,19 @@ def _add_io_flags(p: argparse.ArgumentParser, default_format: str | None = "csv"
     p.add_argument("--out", default=None, help="output path; - or omitted for stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a usage error exits 1, the code of malformed input: 2
+    means a violated check.  Subcommand parsers inherit the class."""
+
+    def error(self, message):
+        try:
+            super().error(message)
+        except SystemExit:
+            raise SystemExit(1) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symdist",
         description="Distances between many-user quantum channels and their "
                     "measure-and-prepare imitations.",

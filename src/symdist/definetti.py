@@ -14,7 +14,8 @@ split coefficients (Harrow, arXiv:1308.6595).  An OccupationState holds a
 symmetric output (the lemma), or from purified_state the pair purification
 (sqrt(rho) tensor 1)|Omega> of a permutation-invariant rho (the theorem),
 symmetric in the d^2-dimensional pairs.  Each entry point is sized by
-symspace.plan.
+symspace.plan under its `cap`.  mc_reduce_coords is the one Monte Carlo
+entry: scenario checks and moment checks both draw through it.
 """
 
 from __future__ import annotations
@@ -74,29 +75,25 @@ def reduce_coords(rho: np.ndarray, d: int, m: int, k: int) -> np.ndarray:
 
 
 def mc_reduce_coords(rho: np.ndarray, d: int, m: int, k: int, samples: int,
-                     seed: int) -> tuple[np.ndarray, np.ndarray]:
+                     seed: int, cap: int = DEFAULT_DIM_CAP
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo (estimate, stderr) of the k-user mixture of an s_M x s_M
     occupation-coordinate state: two s_k x s_k arrays, componentwise, in the
-    coordinates of OccupationState.users(k); refused, before anything is
-    allocated, where its plan does not fit DEFAULT_DIM_CAP.
+    coordinates of OccupationState.users(k).  The one Monte Carlo entry of
+    symdist: scenario checks and moment checks both draw here.  Its plan
+    under `cap` refuses it before anything is allocated, or sets the chunk.
 
     The draws are the first `samples` rows of haar_kets from
     default_rng((seed, 1)), taken a chunk at a time, so draw j does not
     depend on the chunk.  Each, weighted by w = s_M <psi^M|rho|psi^M>,
     contributes w c c† with c = power_coords(psi, k); standard errors combine
     the real and imaginary spreads in quadrature, bit for bit on a rerun.
+    The squares of draws sum as |2^h_n c_n|^2, where |c_n c_n'|^2 would
+    underflow (from order 540 at d = 2), h_n as large as keeps sums finite,
+    since |c_n|^2 <= mult(n) prod_i (n_i/k)^{n_i} and |w| <= s_M |rho|.
+    Powers of two scale exactly: no digit moves where nothing underflows.
     """
-    return _mc_reduce(rho, d, m, k, samples, seed,
-                      plan(d, m, output=False, mc=k).chunk)
-
-
-def _mc_reduce(rho: np.ndarray, d: int, m: int, k: int, samples: int,
-               seed: int, chunk: int) -> tuple[np.ndarray, np.ndarray]:
-    """mc_reduce_coords, drawn `chunk` at a time as its plan says.  The
-    squares of draws sum as |2^h_n c_n|^2, where |c_n c_n'|^2 would underflow
-    (from order 540 at d = 2), h_n as large as keeps sums finite, since
-    |c_n|^2 <= mult(n) prod_i (n_i/k)^{n_i} and |w| <= s_M |rho|.  Powers
-    of two scale exactly: no digit moves where nothing underflows."""
+    chunk = plan(d, m, output=False, mc=k, cap=cap).chunk
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, "
                          f"got {samples}")
@@ -157,13 +154,11 @@ class OccupationState:
 
     def _result(self, kernel, k: int) -> DenseOperator:
         d = self.d
-        if not self.paired:
+        if self.paired:
+            x = contract(kernel(self.coords, d * d, self.m, k), *_trace_table(d, k))
+        else:
             x = kernel(self.coords, d, self.m, k)
-            return DenseOperator(x, (len(x),)).hermitize()
-        x = contract(kernel(self.coords, d * d, self.m, k), *_trace_table(d, k))
-        x += x.conj().T
-        x *= 0.5
-        return DenseOperator(x, (d,) * k)
+        return DenseOperator(x, (d,) * k if self.paired else (len(x),)).hermitize()
 
 
 @lru_cache(maxsize=32)

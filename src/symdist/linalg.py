@@ -128,8 +128,9 @@ class DenseOperator:
         """(X + X†)/2, for scrubbing roundoff off analytically Hermitian results."""
         if self.shape[0] != self.shape[1]:
             raise ValueError("hermitize requires a square matrix")
-        return DenseOperator(0.5 * (self.entries + self.entries.conj().T),
-                             self.row_dims, self.col_dims)
+        x = self.entries + self.entries.conj().T
+        x *= 0.5
+        return DenseOperator(x, self.row_dims, self.col_dims)
 
 
 # -- constructors -----------------------------------------------------------

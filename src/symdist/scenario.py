@@ -2,9 +2,11 @@
 
 A scenario names a channel, an input state, the marginal sizes k to examine
 and the checks to run; running it yields one ResultRecord per k with the
-computed distances, bounds and satisfied flags.  Emission is CSV (fixed
-column order, floats at 12 significant digits) or JSON mirroring the field
-names; both are byte-stable across runs unless timings are requested.
+computed distances, bounds and satisfied flags.  This module owns the
+output format: render_rows, the one table writer, renders these records
+(through emit) and the bounds table of the CLI as CSV (fixed column order,
+floats at 12 significant digits) or JSON mirroring the column names; both
+are byte-stable across runs unless timings are requested.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import SDIChannelSpec, SupportError, _json_complex, _json_real
-from .definetti import (OccupationState, _mc_reduce, mc_reduce_coords,
-                        purified_state)
+from .definetti import OccupationState, mc_reduce_coords, purified_state
 from .linalg import DEFAULT_DIM_CAP, DenseOperator, ket, validate_state
 from .metrics import (
     BOUND_SLACK,
@@ -346,7 +347,7 @@ def run_scenario(cfg: ScenarioConfig,
             # theorem2 the exact columns hold the purified route's state.
             ref = tilde if "lemma1" in cfg.checks else sym.mixture(1, cap)
             est, stderr = mc_reduce_coords(sym.coords, spec.d, spec.M, 1,
-                                           cfg.mc["samples"], cfg.mc["seed"])
+                                           cfg.mc["samples"], cfg.mc["seed"], cap)
             sigma = _max_sigma(est, ref.entries, stderr)
             row.satisfied_mc = sigma <= MC_SIGMA_THRESHOLD + BOUND_SLACK
     elapsed_ms = (time.perf_counter() - start) * 1e3
@@ -370,10 +371,10 @@ def moment_check_record(d: int, n: int, samples: int, seed: int) -> ResultRecord
     if n < 1:
         raise ValueError(f"moment order must be >= 1, got {n}")
     start = time.perf_counter()
-    chunk = plan(d, n, output=False, mc=n).chunk  # before the state exists
+    plan(d, n, output=False, mc=n)  # before the state exists
     s_n = sym_dim(d, n)
     moment = np.eye(s_n) / s_n
-    est, stderr = _mc_reduce(moment, d, n, n, samples, seed, chunk)
+    est, stderr = mc_reduce_coords(moment, d, n, n, samples, seed)
     sigma = _max_sigma(est, moment, stderr)
     return ResultRecord(
         d=d, N=None, M=n, k=n, p=None, seed=seed,
@@ -387,9 +388,7 @@ def moment_check_record(d: int, n: int, samples: int, seed: int) -> ResultRecord
 # -- emission ----------------------------------------------------------------
 
 
-def _format_cell(value, timings: bool, name: str) -> str:
-    if name == "wall_time_ms" and not timings:
-        return ""
+def _format_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -399,38 +398,35 @@ def _format_cell(value, timings: bool, name: str) -> str:
     return format(float(value), ".12g")
 
 
-def records_to_csv(records: Sequence[ResultRecord], timings: bool = False) -> str:
-    if not records:
+def render_rows(rows: Sequence[dict], columns: Sequence[str],
+                fmt: str = "csv") -> str:
+    """The one table writer: rows (dicts keyed by `columns`) as CSV, a
+    header and one line a row, cells at 12 significant digits and None
+    empty, or as a JSON list of objects, floats exact and None null."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown output format {fmt!r}; expected csv or json")
+    if not rows:
         raise ValueError("no records to emit")
+    if fmt == "json":
+        return json.dumps([{c: row[c] for c in columns} for row in rows],
+                          indent=2) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RECORD_COLUMNS)
-    for rec in records:
-        row = rec.to_dict()
-        writer.writerow([_format_cell(row[c], timings, c) for c in RECORD_COLUMNS])
+    writer.writerow(columns)
+    writer.writerows([_format_cell(row[c]) for c in columns] for row in rows)
     return buf.getvalue()
-
-
-def records_to_json(records: Sequence[ResultRecord], timings: bool = False) -> str:
-    if not records:
-        raise ValueError("no records to emit")
-    out = []
-    for rec in records:
-        row = rec.to_dict()
-        if not timings:
-            row["wall_time_ms"] = None
-        out.append(row)
-    return json.dumps(out, indent=2) + "\n"
 
 
 def emit(records: Sequence[ResultRecord], fmt: str = "csv",
          timings: bool = False) -> str:
-    """Render records as CSV or JSON text."""
-    if fmt == "csv":
-        return records_to_csv(records, timings=timings)
-    if fmt == "json":
-        return records_to_json(records, timings=timings)
-    raise ValueError(f"unknown output format {fmt!r}; expected csv or json")
+    """Records as CSV or JSON text under RECORD_COLUMNS, through
+    render_rows; wall_time_ms stays empty unless `timings`, so that reruns
+    are byte-identical."""
+    rows = [rec.to_dict() for rec in records]
+    if not timings:
+        for row in rows:
+            row["wall_time_ms"] = None
+    return render_rows(rows, RECORD_COLUMNS, fmt)
 
 
 def all_satisfied(records: Sequence[ResultRecord]) -> bool:

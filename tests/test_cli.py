@@ -49,6 +49,40 @@ class TestBounds:
         assert len(lines) == 1 + 2 * 2 * 2
         assert lines[3] == expected_bounds_row(2, 8, 1)
 
+    def test_bounds_bytes(self, capsys):
+        # the table that render_rows writes for bounds, byte for byte
+        argv = ["bounds", "--d", "2", "--M", "4", "--k", "1", "2"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "d,M,k,bound_exact,bound_asymptotic,general_exact,"
+            "general_asymptotic,p_err_bound\n"
+            "2,4,1,0.422291236,0.5,0.976284215926,1.5,0.375\n"
+            "2,4,2,0.901613323034,1,1.8619100647,3,0.375\n")
+        assert main([*argv, "--format", "json"]) == 0
+        assert capsys.readouterr().out == """[
+  {
+    "d": 2,
+    "M": 4,
+    "k": 1,
+    "bound_exact": 0.4222912360003366,
+    "bound_asymptotic": 0.5,
+    "general_exact": 0.9762842159261824,
+    "general_asymptotic": 1.5,
+    "p_err_bound": 0.375
+  },
+  {
+    "d": 2,
+    "M": 4,
+    "k": 2,
+    "bound_exact": 0.9016133230340664,
+    "bound_asymptotic": 1.0,
+    "general_exact": 1.8619100647006048,
+    "general_asymptotic": 3.0,
+    "p_err_bound": 0.375
+  }
+]
+"""
+
     def test_json_format(self, capsys):
         rc = main(["bounds", "--M", "6", "--format", "json"])
         assert rc == 0
@@ -383,6 +417,22 @@ class TestMc:
 def test_flag_errors_name_the_flag(argv, message, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["run", "--d", "x"], "--d"),
+    (["run", "--bogus"], "--bogus"),
+    (["bounds", "--M", "4", "--format", "yaml"], "--format"),
+    (["mc", "--samples", "1.5"], "--samples"),
+    ([], "command"),
+], ids=["run-d", "run-bogus", "bounds-format", "mc-samples", "bare"])
+def test_usage_errors_exit_one(argv, flag, capsys):
+    # argparse's message, under exit code 1: 2 means a violated check
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and flag in err
 
 
 class TestSuiteCommand:

@@ -873,6 +873,22 @@ def test_plan_names_the_route_and_its_stages(channel, checks, route, field, stag
     assert (run_plan.untraced > 0) == (route == "dense")
 
 
+def test_every_stage_of_a_run_plans_under_its_cap(monkeypatch):
+    # the run's cap reaches every plan, the Monte Carlo stage's included
+    caps = []
+
+    def spy(*args, cap=DEFAULT_DIM_CAP, **kwargs):
+        caps.append(cap)
+        return plan(*args, cap=cap, **kwargs)
+
+    for module in (channels, definetti, scenario):
+        monkeypatch.setattr(module, "plan", spy)
+    cfg = _dense_scenario(CLONER5, ks=(1, 2), checks=["lemma1", "mc_crosscheck"])
+    assert run_scenario(cfg, cap=2 ** 15)[0].satisfied_mc
+    # the run, the output, users(1), users(2) and the Monte Carlo estimate
+    assert caps == [2 ** 15] * 5
+
+
 @pytest.mark.parametrize("m_users", [3, 13, 10 ** 4])
 @pytest.mark.parametrize("channel", [
     _noisy(2, 1), {"kind": "fixed_prep", "d": 2, "M": 1, "prep": MIXED_PREP},

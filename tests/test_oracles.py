@@ -8,8 +8,9 @@ and gets weight under theorem2.  A public module-level function of the
 package, or a public method or property of one of its public classes, that
 none of them enters is there only for tests, so its docstring must say that
 tests use it as an oracle.  No command enters
-definetti.symmetric_state: no run path compresses a dense output.  And one
-module, symspace, the owner of the plan, compares bytes with the budget.
+definetti.symmetric_state: no run path compresses a dense output.  One
+module, symspace, the owner of the plan, compares bytes with the budget, and
+one, scenario, the owner of the output format, writes CSV and JSON.
 """
 
 import ast
@@ -111,3 +112,18 @@ def test_one_module_checks_the_byte_budget():
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                 callers.add(path.stem)
     assert callers == {"symspace"}
+
+
+def test_one_module_writes_tables():
+    # render_rows in scenario is the one table writer: the bounds table and
+    # every record go through it, so only scenario calls csv.writer or
+    # json.dumps
+    callers = set()
+    for path in pathlib.Path(linalg.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = node.func if isinstance(node, ast.Call) else None
+            if isinstance(func, ast.Attribute) and (
+                    getattr(func.value, "id", None), func.attr) in (
+                    ("csv", "writer"), ("json", "dumps")):
+                callers.add(path.stem)
+    assert callers == {"scenario"}

@@ -20,8 +20,6 @@ from symdist.scenario import (
     emit,
     load_scenarios,
     moment_check_record,
-    records_to_csv,
-    records_to_json,
     run_scenario,
     run_suite,
     scenario_from_dict,
@@ -428,11 +426,11 @@ class TestEmission:
                             wall_time_ms=12.5)
 
     def test_csv_header(self):
-        text = records_to_csv([self._row()])
+        text = emit([self._row()])
         assert text.splitlines()[0] == ",".join(RECORD_COLUMNS)
 
     def test_csv_formatting(self):
-        line = records_to_csv([self._row()]).splitlines()[1]
+        line = emit([self._row()]).splitlines()[1]
         cells = line.split(",")
         cols = dict(zip(RECORD_COLUMNS, cells))
         assert cols["d"] == "2"
@@ -442,29 +440,29 @@ class TestEmission:
         assert cols["wall_time_ms"] == ""
 
     def test_csv_timings_flag(self):
-        line = records_to_csv([self._row()], timings=True).splitlines()[1]
+        line = emit([self._row()], timings=True).splitlines()[1]
         assert line.endswith("12.5")
 
     def test_false_flag_renders(self):
         row = self._row()
         row.satisfied_lemma1 = False
-        assert ",false," in records_to_csv([row]).splitlines()[1] + ","
+        assert ",false," in emit([row]).splitlines()[1] + ","
 
     def test_json_roundtrip(self):
         rows = [self._row(), moment_check_record(2, 1, 500, seed=2)]
-        back = json.loads(records_to_json(rows, timings=True))
+        back = json.loads(emit(rows, fmt="json", timings=True))
         assert back == [r.to_dict() for r in rows]
 
     def test_json_hides_timings_by_default(self):
-        data = json.loads(records_to_json([self._row()]))
+        data = json.loads(emit([self._row()], fmt="json"))
         assert data[0]["wall_time_ms"] is None
         assert data[0]["actual_distance"] == pytest.approx(1 / 6)
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError, match="no records"):
-            records_to_csv([])
+            emit([])
         with pytest.raises(ValueError, match="no records"):
-            records_to_json([])
+            emit([], fmt="json")
 
     def test_emit_writes_file(self, tmp_path, capsys):
         # the CLI writes what emit renders, to --out FILE or, for -, stdout
@@ -482,8 +480,8 @@ class TestEmission:
 
     def test_rerun_is_byte_identical(self):
         cfg = scenario_from_dict(cloner_scenario())
-        a = records_to_csv(run_scenario(cfg))
-        b = records_to_csv(run_scenario(cfg))
+        a = emit(run_scenario(cfg))
+        b = emit(run_scenario(cfg))
         assert a == b
 
 
