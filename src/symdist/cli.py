@@ -4,6 +4,9 @@ Exit codes: 0 all satisfied flags true, 2 some check violated, 1 bad config,
 a usage error or resource limits.  Output is CSV by default (plot-ready; no
 figure rendering here) or JSON with --format json, to stdout or --out; the
 tables are written by scenario.render_rows.
+
+The parser is built once, at import, so main(argv) may be called many times
+in one process; no command mutates the list defaults it shares.
 """
 
 from __future__ import annotations
@@ -155,7 +158,7 @@ class _Parser(argparse.ArgumentParser):
             raise SystemExit(1) from None
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="symdist",
         description="Distances between many-user quantum channels and their "
@@ -210,8 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()  # about 1 ms of argparse set-up, paid once
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if getattr(args, "cap", 1) < 1:  # run and suite
             raise ValueError(f"--cap must be at least 1, got {args.cap}")

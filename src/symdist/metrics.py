@@ -38,7 +38,9 @@ def lemma1_bound(d: int, M: int, k: int, asymptotic: bool = False) -> float:
 
     asymptotic=True returns 2(d-1)k/M instead, the large-M simplification.
     The dimensions stay exact Python integers, past the 64-bit range of
-    sym_dim, and their ratio is correctly rounded.
+    sym_dim.  The bound is evaluated as 4(s_M - s_{M-k})/s_M / (1 + sqrt(r)),
+    r = s_{M-k}/s_M, with the difference exact: 1 - sqrt(r) would cancel
+    catastrophically at large M (a relative error of 8e-8 at M = 5e9 qubits).
     """
     if not 0 <= k <= M:
         raise ValueError(f"need 0 <= k <= M={M}, got k={k}")
@@ -46,8 +48,8 @@ def lemma1_bound(d: int, M: int, k: int, asymptotic: bool = False) -> float:
         raise ValueError(f"local dimension must be >= 1, got {d}")
     if asymptotic:
         return 2.0 * (d - 1) * k / M
-    ratio = math.comb(d + M - k - 1, M - k) / math.comb(d + M - 1, M)
-    return 4.0 * (1.0 - ratio ** 0.5)
+    s_m, s_rest = math.comb(d + M - 1, M), math.comb(d + M - k - 1, M - k)
+    return 4.0 * ((s_m - s_rest) / s_m) / (1.0 + (s_rest / s_m) ** 0.5)
 
 
 def general_bound(d: int, M: int, k: int, asymptotic: bool = False) -> float:

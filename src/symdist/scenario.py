@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -398,18 +399,25 @@ def _format_cell(value) -> str:
     return format(float(value), ".12g")
 
 
+def _json_cell(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return _format_cell(value)
+    return value
+
+
 def render_rows(rows: Sequence[dict], columns: Sequence[str],
                 fmt: str = "csv") -> str:
     """The one table writer: rows (dicts keyed by `columns`) as CSV, a
     header and one line a row, cells at 12 significant digits and None
-    empty, or as a JSON list of objects, floats exact and None null."""
+    empty, or as a strict JSON list of objects, None null and floats exact,
+    a non-finite one as its CSV token in a string ("inf", "-inf", "nan")."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown output format {fmt!r}; expected csv or json")
     if not rows:
         raise ValueError("no records to emit")
     if fmt == "json":
-        return json.dumps([{c: row[c] for c in columns} for row in rows],
-                          indent=2) + "\n"
+        return json.dumps([{c: _json_cell(row[c]) for c in columns} for row in rows],
+                          indent=2, allow_nan=False) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import symdist
+from symdist import cli
 from symdist.cli import BOUNDS_COLUMNS, main
 from symdist.scenario import RECORD_COLUMNS, ResultRecord
 
@@ -64,9 +66,9 @@ class TestBounds:
     "d": 2,
     "M": 4,
     "k": 1,
-    "bound_exact": 0.4222912360003366,
+    "bound_exact": 0.4222912360003365,
     "bound_asymptotic": 0.5,
-    "general_exact": 0.9762842159261824,
+    "general_exact": 0.9762842159261822,
     "general_asymptotic": 1.5,
     "p_err_bound": 0.375
   },
@@ -74,7 +76,7 @@ class TestBounds:
     "d": 2,
     "M": 4,
     "k": 2,
-    "bound_exact": 0.9016133230340664,
+    "bound_exact": 0.9016133230340665,
     "bound_asymptotic": 1.0,
     "general_exact": 1.8619100647006048,
     "general_asymptotic": 3.0,
@@ -82,6 +84,13 @@ class TestBounds:
   }
 ]
 """
+
+    def test_exact_bound_at_large_m(self, capsys):
+        # 4(1 - sqrt(r)) read 4.00000033096e-10 here; the true value is
+        # 3.99999999940e-10 to 12 digits
+        assert main(["bounds", "--M", "5000000000", "--k", "1"]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row.startswith("2,5000000000,1,3.9999999994e-10,4e-10,")
 
     def test_json_format(self, capsys):
         rc = main(["bounds", "--M", "6", "--format", "json"])
@@ -385,6 +394,20 @@ class TestMc:
         assert main(["mc", *flags]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_json_is_strict_past_the_finite_orders(self, capsys):
+        # sigma reads inf at order 1050 (see README); JSON writes the CSV's
+        # token as a string, where json.dumps would write a bare Infinity
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        argv = ["mc", "--d", "2", "--M", "1050", "--samples", "300"]
+        assert main([*argv, "--format", "json"]) == 2
+        rows = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert rows[0]["actual_distance"] == "inf"
+        assert main(argv) == 2
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert dict(zip(RECORD_COLUMNS, row))["actual_distance"] == "inf"
+
     def test_high_orders_run(self, capsys):
         # side s_n = n + 1 at d = 2: orders 13 and 30 build nothing of 2^n
         assert main(["mc", "--M", "13", "30", "--samples", "1000"]) == 0
@@ -433,6 +456,50 @@ def test_usage_errors_exit_one(argv, flag, capsys):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "error: " in err and flag in err
+
+
+class TestSharedParser:
+    """main() parses with the one parser built at import."""
+
+    def _calls(self, capsys):
+        assert main(["bounds", "--M", "4"]) == 0
+        assert main(["run", "--k", "1", "2", "--M", "3"]) == 0
+        assert main(["mc", "--M", "1", "--samples", "50"]) == 0
+        with pytest.raises(SystemExit):
+            main(["run", "--bogus"])
+        capsys.readouterr()
+
+    def test_no_parser_is_built_per_call(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        self._calls(capsys)
+        assert built == []
+
+    def test_list_defaults_survive_calls(self, capsys):
+        self._calls(capsys)
+        parse = cli._PARSER.parse_args
+        assert parse(["run"]).k == [1]
+        assert parse(["bounds", "--M", "4"]).d == [2]
+        assert parse(["mc"]).M == [1, 2, 3, 4]
+
+    def test_default_run_is_byte_identical_across_calls(self, capsys):
+        assert main(["run"]) == 0
+        first = capsys.readouterr().out
+        self._calls(capsys)
+        assert main(["run"]) == 0
+        assert capsys.readouterr().out == first
+
+    def test_help_matches_a_fresh_parser(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == cli._build_parser().format_help()
 
 
 class TestSuiteCommand:

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -119,6 +120,22 @@ class TestClosedFormBounds:
         want = 4 * (1 - math.sqrt(math.comb(12, 9) / math.comb(13, 10)))
         assert abs(general_bound(2, 10, 1) - want) <= 1e-15
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_exact_bound_keeps_its_digits_at_large_m(self, d):
+        # 4(1 - sqrt(r)) cancels as r -> 1: against 60 digits it was off by
+        # 8e-8 (relative) at M = 5e9; the exact difference keeps 1e-15
+        tol = decimal.Decimal("1e-15")
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            for m in (10, 10 ** 4, 10 ** 5, 10 ** 6, 5 * 10 ** 9):
+                for k in (1, 2, 3):
+                    for dim, bound in ((d, lemma1_bound(d, m, k)),
+                                       (d * d, general_bound(d, m, k))):
+                        r = (decimal.Decimal(math.comb(dim + m - k - 1, m - k))
+                             / math.comb(dim + m - 1, m))
+                        want = 4 * (1 - r.sqrt())
+                        assert abs(decimal.Decimal(bound) - want) <= tol * want
+
     def test_general_asymptotic(self):
         assert general_bound(2, 10, 1, asymptotic=True) == pytest.approx(0.6)
 
@@ -157,8 +174,9 @@ def _bound_args(draw):
 @settings(derandomize=True, max_examples=300, database=None, deadline=None)
 @given(args=_bound_args())
 def test_bounds_are_monotone(args):
-    # exact integer dimensions, a correctly rounded ratio and sqrt keep
-    # each step monotone in floating point, so no slack is needed
+    # exact integer dimensions and their difference, correctly rounded
+    # ratios and sqrt keep each step monotone in floating point, so no
+    # slack is needed
     d, m, k = args
     for bound in (lemma1_bound, general_bound):
         for asymptotic in (False, True):

@@ -20,6 +20,7 @@ from symdist.scenario import (
     emit,
     load_scenarios,
     moment_check_record,
+    render_rows,
     run_scenario,
     run_suite,
     scenario_from_dict,
@@ -452,6 +453,18 @@ class TestEmission:
         rows = [self._row(), moment_check_record(2, 1, 500, seed=2)]
         back = json.loads(emit(rows, fmt="json", timings=True))
         assert back == [r.to_dict() for r in rows]
+
+    def test_non_finite_cells_are_strict_json(self):
+        # the CSV's tokens, as JSON strings: json.dumps's bare Infinity and
+        # NaN are not JSON
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        rows = [{"a": float("inf"), "b": float("-inf"), "c": float("nan"), "d": 1.5}]
+        text = render_rows(rows, ("a", "b", "c", "d"), "json")
+        assert json.loads(text, parse_constant=refuse) == [
+            {"a": "inf", "b": "-inf", "c": "nan", "d": 1.5}]
+        assert render_rows(rows, ("a", "b", "c", "d")) == "a,b,c,d\ninf,-inf,nan,1.5\n"
 
     def test_json_hides_timings_by_default(self):
         data = json.loads(emit([self._row()], fmt="json"))
