@@ -2,7 +2,7 @@
 
 Library layout:
 
-- linalg: dense operators with tensor-factor bookkeeping
+- linalg: dense operators for the dense route and the oracles, state checks
 - symspace: occupation coordinates of the symmetric subspace, Haar-random kets
 - channels: the many-user channel specs, their outputs, the Choi-form oracle
 - definetti: occupation-coordinate states and their classical approximations

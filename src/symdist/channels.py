@@ -157,7 +157,7 @@ def fixed_prep_channel(sigma: DenseOperator, M: int,
     Only tests call it, as the Choi oracle for the fixed_prep outputs."""
     if M < 1:
         raise ValueError(f"need M >= 1, got {M}")
-    validate_state(sigma, name="prepared state")
+    validate_state(sigma.entries, name="prepared state")
     d = sigma.shape[0]
     out = tensor_power(sigma, M, cap=cap)
     _check_cap(out.shape[0] * d, cap, "fixed-prep Choi matrix")
@@ -217,9 +217,9 @@ def noisy_cloner(d: int, N: int, M: int, p: float,
     )
 
 
-def _validated_measurement(povm: list[DenseOperator], n_preps: int) -> int:
-    """Check a POVM with one element for each of n_preps prepared states;
-    returns the input dimension."""
+def _validated_measurement(povm: list[np.ndarray], n_preps: int) -> int:
+    """Check a POVM, given as matrices, with one element for each of n_preps
+    prepared states; returns the input dimension."""
     if len(povm) != n_preps:
         raise ValueError(
             f"got {len(povm)} POVM elements but {n_preps} prepared states"
@@ -234,7 +234,7 @@ def _validated_measurement(povm: list[DenseOperator], n_preps: int) -> int:
         w = herm_eigvals(e)
         if w.size and w[-1] < -1e-9:
             raise ValueError(f"POVM element {idx} has negative eigenvalue {w[-1]:.3e}")
-        total += e.entries
+        total += e
     if np.max(np.abs(total - np.eye(dim_in))) > 1e-9:
         raise ValueError("POVM elements do not sum to the identity within 1e-9")
     return dim_in
@@ -247,10 +247,10 @@ def measure_prepare(povm: list[DenseOperator], preps: list[DenseOperator], M: in
     measure_prepare outputs."""
     if M < 1:
         raise ValueError(f"need M >= 1, got {M}")
-    dim_in = _validated_measurement(povm, len(preps))
+    dim_in = _validated_measurement([e.entries for e in povm], len(preps))
     d = preps[0].shape[0]
     for idx, s in enumerate(preps):
-        validate_state(s, name=f"prepared state {idx}")
+        validate_state(s.entries, name=f"prepared state {idx}")
         if s.shape != (d, d):
             raise ValueError(f"prepared state {idx} has shape {s.shape}")
     _check_cap(d ** M * dim_in, cap, "measure-prepare Choi matrix")
@@ -313,7 +313,7 @@ def _sym_power_ket(phi: DenseOperator, d: int, n_copies: int) -> np.ndarray:
 def _check_prep(m: np.ndarray, d: int) -> None:
     if m.shape != (d, d):
         raise ValueError(f"expected a {d} x {d} matrix, got shape {m.shape}")
-    validate_state(DenseOperator(m, (d,)), name="prepared state")
+    validate_state(m, name="prepared state")
 
 
 @dataclass(frozen=True)
@@ -449,12 +449,12 @@ class SDIChannelSpec:
             if self.p is not None:
                 field = "p"
                 _check_depolarizing_weight(self.p)
-            for i, m in enumerate(self.prep or ()):
+            for i, m in enumerate(self._matrices(self.prep or ())):
                 field = f"prep[{i}]"
-                _check_prep(np.asarray(m), self.d)
+                _check_prep(m, self.d)
             if self.povm is not None:
                 field = "povm"
-                _validated_measurement(self._povm(), len(self.prep))
+                _validated_measurement(self._matrices(self.povm), len(self.prep))
         except ValueError as exc:
             raise ValueError(f"{field}: {exc}") from exc
 
@@ -498,12 +498,13 @@ class SDIChannelSpec:
         measure_prepare, d for every other kind."""
         return len(self.povm[0]) if self.kind == "measure_prepare" else self.d
 
-    def _preps(self) -> list[DenseOperator]:
-        return [DenseOperator(np.asarray(m), (self.d,)) for m in self.prep]
+    @staticmethod
+    def _matrices(field: tuple) -> list[np.ndarray]:
+        """The stored matrices of `prep` or `povm` as complex arrays."""
+        return [np.asarray(m, dtype=complex) for m in field]
 
-    def _povm(self) -> list[DenseOperator]:
-        return [DenseOperator(e, (e.shape[0],)) for e in
-                (np.asarray(m) for m in self.povm)]
+    def _preps(self) -> list[DenseOperator]:
+        return [DenseOperator(m, (self.d,)) for m in self._matrices(self.prep)]
 
     def build(self, cap: int = DEFAULT_DIM_CAP) -> QuantumChannel:
         """The channel in Choi form.  Only tests call it, as the oracle for
@@ -514,7 +515,8 @@ class SDIChannelSpec:
             return noisy_cloner(self.d, self.N, self.M, self.p, cap=cap)
         if self.kind == "fixed_prep":
             return fixed_prep_channel(self._preps()[0], self.M, cap=cap)
-        return measure_prepare(self._povm(), self._preps(), self.M, cap=cap)
+        povm = [DenseOperator(e, (len(e),)) for e in self._matrices(self.povm)]
+        return measure_prepare(povm, self._preps(), self.M, cap=cap)
 
     def _weights(self, state: DenseOperator) -> list[float]:
         """The weight Tr[E_i rho_in] of each prepared state for the input
@@ -539,8 +541,8 @@ class SDIChannelSpec:
     def _pure_preps(self, state: DenseOperator) -> tuple[np.ndarray, list[float]]:
         # each prepared state's top eigenvector and its weight for `state`
         weights, kets = self._weights(state), []
-        for i, (s, w) in enumerate(zip(self._preps(), weights)):
-            vals, vecs = np.linalg.eigh(s.entries)
+        for i, (s, w) in enumerate(zip(self._matrices(self.prep), weights)):
+            vals, vecs = np.linalg.eigh(s)
             if self.d > 1 and vals[-2] > SUPPORT_TOL and w > SUPPORT_TOL:
                 raise SupportError(
                     f"channel.prep[{i}]: mixed (second eigenvalue {vals[-2]:.3e}), "

@@ -135,14 +135,15 @@ class OccupationState:
     m: int
     paired: bool = False
 
-    def users(self, k: int, cap: int = DEFAULT_DIM_CAP) -> tuple[DenseOperator, ...]:
-        """The k-user marginal and mixture, hermitized and planned, in the
-        frame of their distance: (C^d)^{tensor k} paired, else occupation
-        coordinates of Sym^k(C^d), where V keeps the trace norm (k = 1: C^d)."""
+    def users(self, k: int, cap: int = DEFAULT_DIM_CAP) -> tuple[np.ndarray, np.ndarray]:
+        """The k-user marginal and mixture, planned, as hermitized complex
+        matrices in the frame of their distance: d^k x d^k on
+        (C^d)^{tensor k} paired, else s_k x s_k in occupation coordinates of
+        Sym^k(C^d), where V keeps the trace norm (k = 1: C^d)."""
         self._plan(k, cap)
         return self._result(marginal_coords, k), self._result(reduce_coords, k)
 
-    def mixture(self, k: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
+    def mixture(self, k: int, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
         """The mixture of users(k) alone, in its frame: what the sampler's
         estimate is compared against."""
         self._plan(k, cap)
@@ -152,13 +153,17 @@ class OccupationState:
         plan(self.d, self.m, (k,), route="dense" if self.paired else "symmetric",
              output=False, cap=cap)
 
-    def _result(self, kernel, k: int) -> DenseOperator:
+    def _result(self, kernel, k: int) -> np.ndarray:
         d = self.d
         if self.paired:
-            x = contract(kernel(self.coords, d * d, self.m, k), *_trace_table(d, k))
+            e = contract(kernel(self.coords, d * d, self.m, k), *_trace_table(d, k))
         else:
-            x = kernel(self.coords, d, self.m, k)
-        return DenseOperator(x, (d,) * k if self.paired else (len(x),)).hermitize()
+            e = kernel(self.coords, d, self.m, k)
+        e = np.asarray(e, dtype=complex)
+        # (E + E†)/2 scrubs roundoff off the analytically Hermitian result
+        x = e + e.conj().T
+        x *= 0.5
+        return x
 
 
 @lru_cache(maxsize=32)

@@ -1,10 +1,15 @@
-"""Dense complex matrices with explicit tensor-factor bookkeeping.
+"""Dense complex matrices with explicit tensor-factor bookkeeping, and the
+checks that every state passes.
 
-Every operator carries the local dimensions of its row and column spaces, so
-partial traces and factor permutations never have to guess how a flat index
-factorizes.  Factor 0 is the most significant index: the flat row index of
-|i_0 i_1 ... i_{n-1}> is i_0 * d_1 * ... * d_{n-1} + ... + i_{n-1}, which is
-exactly numpy's C-order convention and the ordering np.kron produces.
+DenseOperator serves the dense route (the output on (C^d)^{tensor M} and its
+pair purification) and the test oracles.  Every operator carries the local
+dimensions of its row and column spaces, so partial traces and factor
+permutations never have to guess how a flat index factorizes.  Factor 0 is
+the most significant index: the flat row index of |i_0 i_1 ... i_{n-1}> is
+i_0 * d_1 * ... * d_{n-1} + ... + i_{n-1}, which is exactly numpy's C-order
+convention and the ordering np.kron produces.  The state checks
+(check_hermitian, herm_eigvals, validate_state) take plain square arrays:
+the symmetric route's matrices carry no factors.
 """
 
 from __future__ import annotations
@@ -97,40 +102,24 @@ class DenseOperator:
     # -- arithmetic ---------------------------------------------------------
 
     def trace(self) -> complex:
+        """Tr[X].  Only tests call it, as the oracle for the unit trace of
+        dense results."""
         if self.shape[0] != self.shape[1]:
             raise ValueError("trace requires a square matrix")
         return complex(np.trace(self.entries))
 
     def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
+        """X @ Y.  Only tests call it, as an oracle for dense products."""
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"cannot multiply shapes {self.shape} and {other.shape}")
         return DenseOperator(self.entries @ other.entries, self.row_dims, other.col_dims)
 
-    def __add__(self, other: "DenseOperator") -> "DenseOperator":
-        if self.shape != other.shape:
-            raise ValueError(f"cannot add shapes {self.shape} and {other.shape}")
-        return DenseOperator(self.entries + other.entries, self.row_dims, self.col_dims)
-
-    def __sub__(self, other: "DenseOperator") -> "DenseOperator":
-        if self.shape != other.shape:
-            raise ValueError(f"cannot subtract shapes {self.shape} and {other.shape}")
-        return DenseOperator(self.entries - other.entries, self.row_dims, self.col_dims)
-
     def __mul__(self, scalar) -> "DenseOperator":
+        """Scalar multiple.  Only tests call it, as an oracle for scaled
+        dense results."""
         return DenseOperator(self.entries * complex(scalar), self.row_dims, self.col_dims)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "DenseOperator":
-        return DenseOperator(-self.entries, self.row_dims, self.col_dims)
-
-    def hermitize(self) -> "DenseOperator":
-        """(X + X†)/2, for scrubbing roundoff off analytically Hermitian results."""
-        if self.shape[0] != self.shape[1]:
-            raise ValueError("hermitize requires a square matrix")
-        x = self.entries + self.entries.conj().T
-        x *= 0.5
-        return DenseOperator(x, self.row_dims, self.col_dims)
 
 
 # -- constructors -----------------------------------------------------------
@@ -257,39 +246,40 @@ def swap_residual(x: DenseOperator, t: int) -> float:
     return float(np.max(np.abs(y.transpose(0, 2, 1, 3, 4, 6, 5, 7) - y)))
 
 
-def herm_eigvals(x: DenseOperator) -> np.ndarray:
-    """Eigenvalues of a Hermitian operator, descending.
+def herm_eigvals(x: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a square Hermitian matrix, descending.
 
-    Rejects inputs whose max-abs deviation from Hermiticity exceeds
-    HERMITICITY_TOL; the symmetrized (X+X†)/2 is what gets diagonalized.
+    Rejects inputs that check_hermitian rejects; the symmetrized (X+X†)/2 is
+    what gets diagonalized.
     """
-    if x.shape[0] != x.shape[1]:
-        raise ValueError("eigenvalues require a square matrix")
     check_hermitian(x)
-    m = x.entries
-    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    w = np.linalg.eigvalsh(0.5 * (x + x.conj().T))
     return w[::-1]
 
 
-def check_hermitian(x: DenseOperator) -> None:
-    """Raise ValueError if x's max-abs deviation from Hermiticity exceeds
-    HERMITICITY_TOL."""
-    m = x.entries
-    asym = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+def check_hermitian(x: np.ndarray) -> None:
+    """Raise ValueError unless x is a square matrix with finite entries whose
+    max-abs deviation from Hermiticity is at most HERMITICITY_TOL."""
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("matrix has non-finite entries")
+    asym = float(np.max(np.abs(x - x.conj().T))) if x.size else 0.0
     if asym > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian within {HERMITICITY_TOL} "
                          f"(residual {asym:.3e})")
 
 
-def validate_state(x: DenseOperator, name: str = "state") -> None:
-    """Raise ValueError unless x is finite, Hermitian, PSD and of unit trace."""
-    if not x.is_square:
-        raise ValueError(f"{name} must be a square operator")
-    if not np.all(np.isfinite(x.entries)):
-        raise ValueError(f"{name} has non-finite entries")
-    w = herm_eigvals(x)  # also enforces Hermiticity
+def validate_state(x: np.ndarray, name: str = "state") -> None:
+    """Raise ValueError unless x passes check_hermitian (a finite, square,
+    Hermitian matrix) and is PSD and of unit trace; each message starts with
+    name."""
+    try:
+        w = herm_eigvals(x)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
     if w.size and w[-1] < -PSD_TOL:
         raise ValueError(f"{name} has negative eigenvalue {w[-1]:.3e}")
-    tr = x.trace()
+    tr = complex(np.trace(x))
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"{name} has trace {tr}, expected 1")

@@ -10,14 +10,15 @@ import math
 
 import numpy as np
 
-from .linalg import DenseOperator, check_hermitian, herm_eigvals
+from .linalg import check_hermitian, herm_eigvals
 
 BOUND_SLACK = 1e-9
 
 
-def trace_distance(rho: DenseOperator, sigma: DenseOperator) -> float:
-    """Trace norm of rho - sigma (so states are at most 2 apart).  Each must
-    be Hermitian within HERMITICITY_TOL; only their difference is
+def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Trace norm of rho - sigma (so states are at most 2 apart), for two
+    square matrices of one shape in one frame.  Each must be finite and
+    Hermitian within HERMITICITY_TOL; only their difference is
     diagonalized."""
     if rho.shape != sigma.shape:
         raise ValueError(f"shape mismatch: {rho.shape} vs {sigma.shape}")

@@ -287,16 +287,16 @@ def _output(cfg: ScenarioConfig, phi: DenseOperator,
     sym = None
     if not theorem2 or "mc_crosscheck" in cfg.checks:
         coords = spec.symmetric_output(phi, cap)
-        validate_state(DenseOperator(coords, (len(coords),)), name="channel output")
+        validate_state(coords, name="channel output")
         sym = OccupationState(coords, spec.d, spec.M)
     if not theorem2:
         return sym, sym if "mc_crosscheck" in cfg.checks else None
     return purified_state(spec.dense_output(phi, cap), cap), sym
 
 
-def _fidelity(phi: DenseOperator, rho: DenseOperator) -> float:
+def _fidelity(phi: DenseOperator, rho: np.ndarray) -> float:
     u = phi.entries[:, 0]
-    return float(np.real(np.vdot(u, rho.entries @ u)))
+    return float(np.real(np.vdot(u, rho @ u)))
 
 
 def run_scenario(cfg: ScenarioConfig,
@@ -349,7 +349,7 @@ def run_scenario(cfg: ScenarioConfig,
             ref = tilde if "lemma1" in cfg.checks else sym.mixture(1, cap)
             est, stderr = mc_reduce_coords(sym.coords, spec.d, spec.M, 1,
                                            cfg.mc["samples"], cfg.mc["seed"], cap)
-            sigma = _max_sigma(est, ref.entries, stderr)
+            sigma = _max_sigma(est, ref, stderr)
             row.satisfied_mc = sigma <= MC_SIGMA_THRESHOLD + BOUND_SLACK
     elapsed_ms = (time.perf_counter() - start) * 1e3
     for row in records:

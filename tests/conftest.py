@@ -3,6 +3,7 @@ import pytest
 
 from symdist import (
     DEFAULT_DIM_CAP,
+    DenseOperator,
     apply,
     basis_ket,
     embed_pure_input,
@@ -13,8 +14,6 @@ from symdist.symspace import embed_coords
 
 
 def random_state(rng, dim, dims=None):
-    from symdist import DenseOperator
-
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = m @ m.conj().T
     rho /= np.trace(rho).real
@@ -27,8 +26,8 @@ def dense_users(state, k, cap=DEFAULT_DIM_CAP):
     embed_coords, paired ones as they come."""
     results = state.users(k, cap)
     if state.paired:
-        return results
-    return tuple(embed_coords(x.entries, state.d, k, cap) for x in results)
+        return tuple(DenseOperator(x, (state.d,) * k) for x in results)
+    return tuple(embed_coords(x, state.d, k, cap) for x in results)
 
 
 @pytest.fixture(scope="session")

@@ -61,7 +61,7 @@ def test_criterion_1_ten_user_classicality(capsys):
     rho_out = _cloner_output(2, 1, 10)
     rho_1 = partial_trace(rho_out, [0])
     tilde_1 = dense_users(symmetric_state(rho_out), 1)[1]
-    delta = trace_distance(rho_1, tilde_1)
+    delta = trace_distance(rho_1.entries, tilde_1.entries)
     p_err = 0.5 - delta / 4
     bound = lemma1_bound(2, 10, 1)
     elapsed = time.perf_counter() - start
@@ -90,7 +90,8 @@ def test_criterion_2_lemma1_bound_sweep(capsys):
                 if k > m:
                     continue
                 tilde = dense_users(symmetric_state(rho_out), k)[1]
-                dist = trace_distance(partial_trace(rho_out, range(k)), tilde)
+                dist = trace_distance(partial_trace(rho_out, range(k)).entries,
+                                      tilde.entries)
                 count += 1
                 if not dist <= lemma1_bound(2, m, k) + SLACK:
                     failures.append(f"cloner N={n} M={m} k={k}: {dist:.6f}")
@@ -102,7 +103,8 @@ def test_criterion_2_lemma1_bound_sweep(capsys):
             if k > m:
                 continue
             tilde = dense_users(symmetric_state(rho_out), k)[1]
-            dist = trace_distance(partial_trace(rho_out, range(k)), tilde)
+            dist = trace_distance(partial_trace(rho_out, range(k)).entries,
+                                  tilde.entries)
             count += 1
             if not dist <= lemma1_bound(2, m, k) + SLACK:
                 failures.append(f"fixed_prep M={m} k={k}: {dist:.6f}")
@@ -151,7 +153,8 @@ def test_criterion_3_theorem2_pipeline(capsys):
             if 4 ** (m + k) > 4096:
                 continue
             tilde = dense_users(purified_state(rho_out), k)[1]
-            dist = trace_distance(partial_trace(rho_out, range(k)), tilde)
+            dist = trace_distance(partial_trace(rho_out, range(k)).entries,
+                                  tilde.entries)
             checked += 1
             if not dist <= general_bound(2, m, k) + SLACK:
                 failures.append(f"M={m} k={k}: {dist:.6f} > "
@@ -178,7 +181,7 @@ def test_criterion_4_fidelity_chain(capsys):
         f_clon, f_tilde = row.F_clon, row.F_tilde
         rho_out = _cloner_output(d, n, m)
         tilde_1 = dense_users(symmetric_state(rho_out), 1)[1]
-        delta = trace_distance(partial_trace(rho_out, [0]), tilde_1)
+        delta = trace_distance(partial_trace(rho_out, [0]).entries, tilde_1.entries)
         bound = lemma1_bound(d, m, 1)
         diff = f_clon - f_tilde
         tag = f"(N={n},M={m},d={d})"

@@ -48,8 +48,8 @@ def dense_reduction(rho, k):
     lifted = DenseOperator(np.kron(rho.entries, big.entries), (d,) * (m + k))
     pi = symmetrizer(d, m + k)
     prod = lifted @ pi
-    scale = sym_dim(d, m) / sym_dim(d, m + k)
-    return (scale * partial_trace(prod, range(m, m + k))).hermitize()
+    x = sym_dim(d, m) / sym_dim(d, m + k) * partial_trace(prod, range(m, m + k)).entries
+    return DenseOperator(0.5 * (x + x.conj().T), (d,) * k)
 
 
 def ket00():
@@ -135,7 +135,7 @@ class TestSymmetricReduction:
             rho = tensor_power(projector(ket(u)), m)
             for k in (1, 2):
                 red = dense_users(symmetric_state(rho), k)[1]
-                dist = trace_distance(partial_trace(rho, range(k)), red)
+                dist = trace_distance(partial_trace(rho, range(k)).entries, red.entries)
                 assert dist <= lemma1_bound(2, m, k) + 1e-9
 
     def test_rejects_non_symmetric_support(self):
@@ -229,7 +229,7 @@ class TestGeneralReduction:
         rho = tensor_power(projector(ket([0.6, 0.8])), 3)
         t = dense_users(purified_state(rho), 1)[1]
         assert abs(t.trace() - 1.0) <= 1e-9
-        dist = trace_distance(partial_trace(rho, [0]), t)
+        dist = trace_distance(partial_trace(rho, [0]).entries, t.entries)
         assert dist <= general_bound(2, 3, 1) + 1e-9
 
     def test_noisy_output_within_bound(self):
@@ -239,7 +239,7 @@ class TestGeneralReduction:
             for k in (1, 2):
                 t = dense_users(purified_state(rho), k)[1]
                 assert abs(t.trace() - 1.0) <= 1e-9
-                dist = trace_distance(partial_trace(rho, range(k)), t)
+                dist = trace_distance(partial_trace(rho, range(k)).entries, t.entries)
                 assert dist <= general_bound(2, m, k) + 1e-9
 
     def test_k_zero(self):
@@ -364,5 +364,5 @@ class TestRouteConsistency:
         gen = dense_users(purified_state(rho), 1)[1]
         assert np.max(np.abs(sym.entries - np.diag([2 / 3, 1 / 3]))) <= 1e-12
         assert np.max(np.abs(gen.entries - np.diag([3 / 5, 2 / 5]))) <= 1e-12
-        assert trace_distance(rho, sym) <= lemma1_bound(2, 1, 1) + 1e-9
-        assert trace_distance(rho, gen) <= general_bound(2, 1, 1) + 1e-9
+        assert trace_distance(rho.entries, sym.entries) <= lemma1_bound(2, 1, 1) + 1e-9
+        assert trace_distance(rho.entries, gen.entries) <= general_bound(2, 1, 1) + 1e-9

@@ -68,8 +68,8 @@ class TestDenseOperator:
 
     def test_scalar_and_add(self):
         op = identity((2,))
-        assert np.allclose((2 * op - op).entries, np.eye(2))
-        assert np.allclose((-op).entries, -np.eye(2))
+        assert np.allclose((2 * op).entries - op.entries, np.eye(2))
+        assert np.allclose((-1 * op).entries, -np.eye(2))
 
 
 class TestTensorProduct:
@@ -261,52 +261,65 @@ class TestPermutations:
 
 class TestHermEigvals:
     def test_known_diag(self):
-        x = DenseOperator(np.diag([3.0, 1.0, -2.0]), (3,))
+        x = np.diag([3.0, 1.0, -2.0])
         assert np.allclose(herm_eigvals(x), [3.0, 1.0, -2.0])
 
     def test_pauli_x(self):
-        x = DenseOperator(np.array([[0, 1], [1, 0]], dtype=float), (2,))
+        x = np.array([[0, 1], [1, 0]], dtype=float)
         assert np.allclose(herm_eigvals(x), [1.0, -1.0])
 
     def test_descending_and_sum_is_trace(self):
         rng = np.random.default_rng(9)
         x = _rand_herm(rng, (8,))
-        w = herm_eigvals(x)
+        w = herm_eigvals(x.entries)
         assert np.all(np.diff(w) <= 0)
         assert abs(w.sum() - x.trace().real) <= 1e-9 * 8
 
     def test_singular_value_residual_oracle(self):
         rng = np.random.default_rng(10)
         x = _rand_herm(rng, (8,))
-        for lam in herm_eigvals(x):
+        for lam in herm_eigvals(x.entries):
             smin = np.linalg.svd(x.entries - lam * np.eye(8), compute_uv=False)[-1]
             assert smin <= 1e-8 * max(1.0, np.abs(x.entries).max())
 
     def test_non_hermitian_raises(self):
-        x = DenseOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), (2,))
+        x = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="Hermitian"):
             herm_eigvals(x)
+
+    def test_not_a_finite_square_matrix_raises(self):
+        for x in (np.ones(2), np.ones((2, 3)), np.array(1.0)):
+            with pytest.raises(ValueError, match="expected a square matrix"):
+                herm_eigvals(x)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite entries"):
+                herm_eigvals(np.diag([bad, 0.5]))
 
 
 class TestValidateState:
     def test_good_state_passes(self):
-        validate_state(DenseOperator(np.diag([0.5, 0.5]), (2,)))
+        validate_state(np.diag([0.5, 0.5]))
 
     def test_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            validate_state(identity((2,)))
+            validate_state(identity((2,)).entries)
 
     def test_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="negative"):
-            validate_state(DenseOperator(np.diag([1.5, -0.5]), (2,)))
+            validate_state(np.diag([1.5, -0.5]))
 
     def test_non_hermitian(self):
         m = np.array([[0.5, 1.0], [0.0, 0.5]])
         with pytest.raises(ValueError):
-            validate_state(DenseOperator(m, (2,)))
+            validate_state(m)
+
+    def test_not_square(self):
+        for x in (np.full(2, 0.5), np.full((2, 3), 0.5), np.array(1.0)):
+            with pytest.raises(ValueError, match="state: expected a square matrix"):
+                validate_state(x)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite(self, bad):
         # NaN would slip past every comparison in the later checks
         with pytest.raises(ValueError, match="non-finite"):
-            validate_state(DenseOperator(np.diag([bad, 0.5]), (2,)))
+            validate_state(np.diag([bad, 0.5]))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from symdist.channels import apply, embed_pure_input, fixed_prep_channel, noisy_cloner
 from symdist.definetti import purified_state, symmetric_state
-from symdist.linalg import DenseOperator, basis_ket, ket, partial_trace, projector
+from symdist.linalg import basis_ket, ket, partial_trace, projector
 from symdist.metrics import (
     general_bound,
     helstrom_perr,
@@ -26,31 +26,46 @@ from conftest import dense_users, random_state
 class TestTraceDistance:
     def test_identical_states(self):
         rho = projector(ket([0.6, 0.8]))
-        assert trace_distance(rho, rho) == 0.0
+        assert trace_distance(rho.entries, rho.entries) == 0.0
 
     def test_orthogonal_pure_states(self):
-        d = trace_distance(projector(basis_ket(2, 0)), projector(basis_ket(2, 1)))
+        d = trace_distance(projector(basis_ket(2, 0)).entries,
+                           projector(basis_ket(2, 1)).entries)
         assert abs(d - 2.0) <= 1e-12
 
     def test_known_diagonal_pair(self):
-        a = DenseOperator(np.diag([1.0, 0.0]), (2,))
-        b = DenseOperator(np.diag([0.75, 0.25]), (2,))
+        a = np.diag([1.0, 0.0])
+        b = np.diag([0.75, 0.25])
         assert abs(trace_distance(a, b) - 0.5) <= 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
-            trace_distance(projector(basis_ket(2, 0)), projector(basis_ket(3, 0)))
+            trace_distance(projector(basis_ket(2, 0)).entries,
+                           projector(basis_ket(3, 0)).entries)
+        # a 1-D array, a non-square matrix, or one of each
+        half = np.full(2, 0.5)
+        for rho, sigma in ((half, half), (np.ones((2, 3)), np.ones((2, 3))),
+                           (np.eye(2) / 2, half)):
+            with pytest.raises(ValueError, match="shape"):
+                trace_distance(rho, sigma)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        good = np.eye(2) / 2
+        for rho, sigma in ((np.diag([bad, 0.5]), good), (good, np.diag([0.5, bad]))):
+            with pytest.raises(ValueError, match="non-finite entries"):
+                trace_distance(rho, sigma)
 
     def test_non_hermitian_rejected(self):
-        bad = DenseOperator(np.array([[0.0, 1.0], [0.0, 1.0]]), (2,))
+        bad = np.array([[0.0, 1.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            trace_distance(bad, DenseOperator(np.eye(2) / 2, (2,)))
+            trace_distance(bad, np.eye(2) / 2)
 
     @pytest.mark.parametrize("which", ["rho", "sigma", "both"])
     def test_each_argument_checked_for_hermiticity(self, which):
         # with both the same non-Hermitian matrix, the difference is 0
-        bad = DenseOperator(np.array([[0.5, 1e-8], [0.0, 0.5]]), (2,))
-        good = DenseOperator(np.eye(2) / 2, (2,))
+        bad = np.array([[0.5, 1e-8], [0.0, 0.5]])
+        good = np.eye(2) / 2
         rho = bad if which in ("rho", "both") else good
         sigma = bad if which in ("sigma", "both") else good
         with pytest.raises(ValueError, match="not Hermitian within 1e-09"):
@@ -62,15 +77,16 @@ class TestTraceDistance:
             a, b = random_state(rng, dim), random_state(rng, dim)
             diff = a.entries - b.entries
             w = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))[::-1]
-            assert trace_distance(a, b) == float(np.sum(np.abs(w)))
+            assert trace_distance(a.entries, b.entries) == float(np.sum(np.abs(w)))
 
     def test_data_processing(self):
         rng = np.random.default_rng(13)
         for _ in range(5):
             a = random_state(rng, 4, (2, 2))
             b = random_state(rng, 4, (2, 2))
-            full = trace_distance(a, b)
-            reduced = trace_distance(partial_trace(a, [0]), partial_trace(b, [0]))
+            full = trace_distance(a.entries, b.entries)
+            reduced = trace_distance(partial_trace(a, [0]).entries,
+                                     partial_trace(b, [0]).entries)
             assert reduced <= full + 1e-12
 
 
@@ -85,17 +101,18 @@ class TestHelstrom:
             pos = vecs[:, vals > 0]
             guess_a = pos @ pos.conj().T
             p_err = 0.5 * (1 - np.trace(guess_a @ (a.entries - b.entries)).real)
-            assert abs(helstrom_perr(trace_distance(a, b)) - p_err) <= 1e-12
+            dist = trace_distance(a.entries, b.entries)
+            assert abs(helstrom_perr(dist) - p_err) <= 1e-12
 
     def test_endpoints(self):
-        same = projector(basis_ket(2, 0))
-        other = projector(basis_ket(2, 1))
+        same = projector(basis_ket(2, 0)).entries
+        other = projector(basis_ket(2, 1)).entries
         assert abs(helstrom_perr(trace_distance(same, same)) - 0.5) <= 1e-12
         assert abs(helstrom_perr(trace_distance(same, other))) <= 1e-12
 
     def test_known_value(self):
-        a = DenseOperator(np.diag([1.0, 0.0]), (2,))
-        b = DenseOperator(np.diag([0.75, 0.25]), (2,))
+        a = np.diag([1.0, 0.0])
+        b = np.diag([0.75, 0.25])
         assert abs(helstrom_perr(trace_distance(a, b)) - 0.375) <= 1e-12
 
 

@@ -191,7 +191,8 @@ def test_purified_route_matches_dense(spec):
         rho_k, tilde_k = dense_users(state, k)
         assert np.max(np.abs(rho_k.entries - marginal.entries)) <= TOL
         assert np.max(np.abs(tilde_k.entries - tilde.entries)) <= TOL
-        assert abs(row.actual_distance - trace_distance(marginal, tilde)) <= TOL
+        dist = trace_distance(marginal.entries, tilde.entries)
+        assert abs(row.actual_distance - dist) <= TOL
         assert row.satisfied_theorem2
 
 
@@ -241,7 +242,7 @@ def test_users_step_matches_embedding_and_partial_trace(state):
         results = zip((marginal_coords, reduce_coords), state.users(k),
                       dense_users(state, k) if q ** k <= 2 ** 10 else (None,) * 2)
         for kernel, frame, dense in results:
-            got = frame.entries
+            got = frame
             assert np.array_equal(got, got.conj().T)
             assert np.linalg.eigvalsh(got)[0] >= -TOL
             assert abs(np.trace(got) - 1.0) <= TOL
@@ -339,8 +340,8 @@ def test_frame_distance_matches_the_embedded_route(d, m_users):
             rho_k, tilde = state.users(k)
             assert rho_k.shape == (sym_dim(d, k),) * 2
             want = trace_distance(
-                embed_coords(marginal_coords(state.coords, d, m_users, k), d, k),
-                embed_coords(reduce_coords(state.coords, d, m_users, k), d, k))
+                embed_coords(marginal_coords(state.coords, d, m_users, k), d, k).entries,
+                embed_coords(reduce_coords(state.coords, d, m_users, k), d, k).entries)
             assert abs(trace_distance(rho_k, tilde) - want) <= TOL
 
 
@@ -400,6 +401,37 @@ def test_every_k_user_result_is_one_contraction(monkeypatch):
         paired.users(2)
     d = paired.d
     assert len(calls) == 4 and calls.count((d ** 2, d ** 2)) == 2
+
+
+def test_users_are_plain_complex_arrays():
+    """users(k) hands over two hermitized complex arrays, with no wrapper:
+    s_k x s_k unpaired, d^k x d^k paired."""
+    rng = np.random.default_rng(5)
+    unpaired = OccupationState(random_state(rng, sym_dim(2, 4)).entries, 2, 4)
+    paired = purified_state(_choi_output(PURIFIED[0]))
+    for state, side in ((unpaired, sym_dim(2, 2)), (paired, paired.d ** 2)):
+        for x in state.users(2):
+            assert type(x) is np.ndarray and x.dtype == complex
+            assert x.shape == (side, side) and np.array_equal(x, x.conj().T)
+
+
+def test_lemma1_run_builds_one_dense_operator(monkeypatch):
+    """The symmetric route wraps nothing: a lemma1 run of the 1 -> 10 qubit
+    cloner, every k-user result and the Monte Carlo reference included,
+    builds one DenseOperator, its input ket."""
+    built, post_init = [], DenseOperator.__post_init__
+
+    def counted(op):
+        post_init(op)
+        built.append(op.shape)
+
+    monkeypatch.setattr(DenseOperator, "__post_init__", counted)
+    cfg = _dense_scenario({"kind": "universal_cloner", "d": 2, "N": 1, "M": 10},
+                          ks=(1, 2, 3), checks=["lemma1", "perr", "fidelity_gap",
+                                                "mc_crosscheck"])
+    rows = run_scenario(cfg)
+    assert all(row.satisfied_lemma1 for row in rows) and rows[0].satisfied_mc
+    assert built == [(2, 1)]
 
 
 @pytest.mark.parametrize("d,k", [(2, 1), (2, 3), (2, 6), (3, 1), (3, 2), (3, 4)])
@@ -615,7 +647,7 @@ def _mixed_specs(draw):
 def test_dense_output_is_a_permutation_invariant_state(case):
     spec, phi = case
     rho = spec.dense_output(phi)
-    validate_state(rho, name="dense output")
+    validate_state(rho.entries, name="dense output")
     for t in range(spec.M - 1):
         assert swap_residual(rho, t) <= 1e-12
 

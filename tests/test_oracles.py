@@ -32,7 +32,13 @@ def _diag(*xs):
 
 
 def _entered(tmp_path) -> set:
-    """The code objects that the commands enter."""
+    """The code objects that the commands enter.  The memo caches are
+    emptied first, as in a fresh process, so that the commands build every
+    table they use whatever tests ran before."""
+    for mod in MODULES:
+        for val in vars(mod).values():
+            if callable(getattr(val, "cache_clear", None)):
+                val.cache_clear()
     measure = tmp_path / "measure.json"
     # the mixed preparation gets weight 0 from |0>, so the lemma1 output
     # lies in Sym^M, which the spec decides; theorem2 runs on |+>
