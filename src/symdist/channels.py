@@ -226,6 +226,9 @@ def _validated_measurement(povm: list[np.ndarray], n_preps: int) -> int:
         )
     if not povm:
         raise ValueError("POVM must have at least one element")
+    if povm[0].ndim != 2 or povm[0].shape[0] != povm[0].shape[1]:
+        raise ValueError(f"POVM element 0 has shape {povm[0].shape}, "
+                         "expected a square matrix")
     dim_in = povm[0].shape[0]
     total = np.zeros((dim_in, dim_in), dtype=complex)
     for idx, e in enumerate(povm):

@@ -13,13 +13,16 @@ trace norm: the exact ones, and the ancilla trace, as one contraction over
 split coefficients (Harrow, arXiv:1308.6595).  An OccupationState holds a
 symmetric output (the lemma), or from purified_state the pair purification
 (sqrt(rho) tensor 1)|Omega> of a permutation-invariant rho (the theorem),
-symmetric in the d^2-dimensional pairs.  Each entry point is sized by
+symmetric in the d^2-dimensional pairs; its sweep runs the two exact
+kernels once, at the largest k of a run, and takes each smaller k as a
+one-user partial trace of the pair above it.  Each entry point is sized by
 symspace.plan under its `cap`.  mc_reduce_coords is the one Monte Carlo
 entry: scenario checks and moment checks both draw through it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -128,42 +131,63 @@ class OccupationState:
 
     When `paired`, each factor is a (user, ancilla) pair and `coords` the
     pure pair purification as a ket in Sym^M(C^{d^2}); contract, through
-    _trace_table, traces the ancillas out of the kernels' outputs."""
+    _trace_table, traces the ancillas out of the kernels' outputs.  sweep
+    runs the kernels at the largest k only, and drops one user at a time."""
 
     coords: np.ndarray
     d: int
     m: int
     paired: bool = False
 
+    def sweep(self, ks, cap: int = DEFAULT_DIM_CAP
+              ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """(k, marginal, mixture) for each k of ks, from the largest down,
+        planned once before the first, as hermitized complex matrices in the
+        frame of their distance: d^k x d^k on (C^d)^{tensor k} paired, else
+        s_k x s_k in occupation coordinates of Sym^k(C^d), where V keeps the
+        trace norm (k = 1: C^d).  Both families are consistent (rho_k =
+        Tr_1 rho_{k+1}, and the mixtures likewise), so the kernels run only
+        at K = max(ks), and each smaller k is the one-user partial trace of
+        the k + 1 pair.  The sweep holds only the pair of the current k."""
+        ks = set(ks)
+        plan(self.d, self.m, tuple(sorted(ks)), output=False, cap=cap,
+             route="dense" if self.paired else "symmetric")
+        top, d = max(ks), self.d
+        pair = [self._result(kernel, top) for kernel in (marginal_coords, reduce_coords)]
+        for k in range(top, min(ks) - 1, -1):
+            if k < top:
+                pair = [_hermitized(
+                    np.einsum("aibi->ab", x.reshape(d ** k, d, d ** k, d)) if self.paired
+                    else marginal_coords(x, d, k + 1, k)) for x in pair]
+            if k in ks:
+                yield k, *pair
+
     def users(self, k: int, cap: int = DEFAULT_DIM_CAP) -> tuple[np.ndarray, np.ndarray]:
-        """The k-user marginal and mixture, planned, as hermitized complex
-        matrices in the frame of their distance: d^k x d^k on
-        (C^d)^{tensor k} paired, else s_k x s_k in occupation coordinates of
-        Sym^k(C^d), where V keeps the trace norm (k = 1: C^d)."""
-        self._plan(k, cap)
-        return self._result(marginal_coords, k), self._result(reduce_coords, k)
+        """sweep at one k, whose kernels run at k itself.  No command calls
+        it, since a run sweeps its ks: tests use it as the oracle of the
+        direct kernels that each chained k of sweep is checked against."""
+        _, marginal, mixture = next(self.sweep((k,), cap))
+        return marginal, mixture
 
     def mixture(self, k: int, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
         """The mixture of users(k) alone, in its frame: what the sampler's
         estimate is compared against."""
-        self._plan(k, cap)
-        return self._result(reduce_coords, k)
-
-    def _plan(self, k: int, cap: int) -> None:
         plan(self.d, self.m, (k,), route="dense" if self.paired else "symmetric",
              output=False, cap=cap)
+        return self._result(reduce_coords, k)
 
     def _result(self, kernel, k: int) -> np.ndarray:
         d = self.d
         if self.paired:
-            e = contract(kernel(self.coords, d * d, self.m, k), *_trace_table(d, k))
-        else:
-            e = kernel(self.coords, d, self.m, k)
-        e = np.asarray(e, dtype=complex)
-        # (E + E†)/2 scrubs roundoff off the analytically Hermitian result
-        x = e + e.conj().T
-        x *= 0.5
-        return x
+            return _hermitized(contract(kernel(self.coords, d * d, self.m, k),
+                                        *_trace_table(d, k)))
+        return _hermitized(kernel(self.coords, d, self.m, k))
+
+
+def _hermitized(e: np.ndarray) -> np.ndarray:
+    """(E + E†)/2, which scrubs roundoff off an analytically Hermitian E."""
+    e = np.asarray(e, dtype=complex)
+    return 0.5 * (e + e.conj().T)
 
 
 @lru_cache(maxsize=32)

@@ -243,7 +243,7 @@ def swap_residual(x: DenseOperator, t: int) -> float:
         raise ValueError(f"cannot swap factors {t} and {t + 1} of {dims}")
     pre, d, post = math.prod(dims[:t]), dims[t], math.prod(dims[t + 2:])
     y = x.entries.reshape(pre, d, d, post, pre, d, d, post)
-    return float(np.max(np.abs(y.transpose(0, 2, 1, 3, 4, 6, 5, 7) - y)))
+    return float(np.abs(y.transpose(0, 2, 1, 3, 4, 6, 5, 7) - y).max())
 
 
 def herm_eigvals(x: np.ndarray) -> np.ndarray:
@@ -262,9 +262,9 @@ def check_hermitian(x: np.ndarray) -> None:
     max-abs deviation from Hermiticity is at most HERMITICITY_TOL."""
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("matrix has non-finite entries")
-    asym = float(np.max(np.abs(x - x.conj().T))) if x.size else 0.0
+    asym = float(np.abs(x - x.conj().T).max()) if x.size else 0.0
     if asym > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian within {HERMITICITY_TOL} "
                          f"(residual {asym:.3e})")

@@ -25,7 +25,7 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     check_hermitian(rho)
     check_hermitian(sigma)
     w = herm_eigvals(rho - sigma)
-    return float(np.sum(np.abs(w)))
+    return float(np.abs(w).sum())
 
 
 def helstrom_perr(distance: float) -> float:

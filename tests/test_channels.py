@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -333,6 +334,14 @@ class TestSDIChannelSpec:
     def test_refuses_fields_the_kind_does_not_read(self, fields, name):
         with pytest.raises(ValueError, match=f"{fields['kind']} does not take {name}$"):
             SDIChannelSpec(d=2, M=3, **fields)
+
+    @pytest.mark.parametrize("element", [np.array(1.0), np.array([1.0, 0.0]),
+                                         np.ones((2, 3))], ids=["0-d", "1-D", "2x3"])
+    def test_povm_element_that_is_not_a_square_matrix_names_povm(self, element):
+        with pytest.raises(ValueError, match=r"^povm: POVM element 0 has shape "
+                           rf"{re.escape(str(element.shape))}, expected a square matrix$"):
+            SDIChannelSpec("measure_prepare", d=2, M=2, prep=(np.eye(2) / 2,),
+                           povm=(element,))
 
     @pytest.mark.parametrize("spec", [
         SDIChannelSpec(kind="universal_cloner", d=2, M=3, N=1),

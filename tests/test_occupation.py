@@ -8,6 +8,7 @@ with the ancillas traced out afterwards.
 
 import contextlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -350,7 +351,7 @@ def test_kernels_run_only_for_the_checks_that_read_them(monkeypatch):
 
     def counted(kernel):
         def run(rho, d, m, k):
-            calls.append((kernel.__name__, k))
+            calls.append((kernel.__name__, m, k))
             return kernel(rho, d, m, k)
         return run
 
@@ -367,17 +368,17 @@ def test_kernels_run_only_for_the_checks_that_read_them(monkeypatch):
 
     # a bare mc_crosscheck reads only the reduction at k = 1
     rows = run_scenario(cloner(["mc_crosscheck"], [1, 2]))
-    assert calls == [("reduce_coords", 1)]
+    assert calls == [("reduce_coords", 4, 1)]
     assert rows[0].satisfied_mc and rows[1].actual_distance is None
-    # under lemma1 each kernel runs once per k, and the sampler's reference
-    # is the reduction the distance took
+    # under lemma1 each kernel runs once, on the 4 users at K = 3; k = 2 and
+    # k = 1 drop one user from each result above them, and the sampler's
+    # reference is the reduction the distance took
     calls.clear()
     rows = run_scenario(cloner(["lemma1", "perr", "fidelity_gap",
-                                "mc_crosscheck"], [1, 2, 3]))
+                                "mc_crosscheck"], [1, 3, 2]))
     assert all(row.satisfied_lemma1 for row in rows) and rows[0].satisfied_mc
-    assert sorted(calls) == [(kernel, k) for kernel in ("marginal_coords",
-                                                        "reduce_coords")
-                             for k in (1, 2, 3)]
+    assert calls == [("marginal_coords", 4, 3), ("reduce_coords", 4, 3),
+                     *[("marginal_coords", k + 1, k) for k in (2, 2, 1, 1)]]
 
 
 def test_every_k_user_result_is_one_contraction(monkeypatch):
@@ -401,6 +402,57 @@ def test_every_k_user_result_is_one_contraction(monkeypatch):
         paired.users(2)
     d = paired.d
     assert len(calls) == 4 and calls.count((d ** 2, d ** 2)) == 2
+
+
+def _rank3(d, m_users):
+    rng = np.random.default_rng(d * 100 + m_users)
+    s = sym_dim(d, m_users)
+    w = rng.standard_normal((s, 3)) + 1j * rng.standard_normal((s, 3))
+    rho = w @ w.conj().T
+    return OccupationState(rho / np.trace(rho).real, d, m_users)
+
+
+def _noisy_purification(d, m_users):
+    spec = SDIChannelSpec("noisy_cloner", d=d, M=m_users, N=1, p=0.1)
+    return purified_state(spec.dense_output(_input_ket(d)))
+
+
+@pytest.mark.parametrize("make,d,m_users", [
+    *[(_rank3, d, m) for d, m in ((2, 10), (3, 8), (4, 6))],
+    *[(_noisy_purification, d, m) for d, m in ((2, 5), (3, 3), (4, 2))],
+], ids=["rank3-2-10", "rank3-3-8", "rank3-4-6", "paired-2-5", "paired-3-3",
+        "paired-4-2"])
+def test_sweep_matches_the_direct_kernels_at_every_k(make, d, m_users):
+    """Each smaller k of a sweep is a chain of one-user partial traces down
+    from K = M; it agrees with users(k), which runs both kernels at k
+    itself, and a sweep over some ks yields those ks, largest first,
+    chained through the ones it skips."""
+    state = make(d, m_users)
+    every = {k: pair for k, *pair in state.sweep(range(1, m_users + 1))}
+    assert list(every) == list(range(m_users, 0, -1))
+    some = {k: pair for k, *pair in state.sweep({1, m_users})}
+    assert list(some) == sorted({1, m_users}, reverse=True)
+    for k, results in every.items():
+        for got, want in zip(results, state.users(k)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= TOL
+        if k in some:
+            assert all(np.array_equal(a, b) for a, b in zip(some[k], results))
+
+
+def test_a_run_holds_one_k_user_pair_at_a_time(monkeypatch):
+    """run_scenario takes each k's distance as the sweep passes it: when
+    the distance of a k is taken, the pairs of the ks above it are freed."""
+    taken = []
+
+    def spy(rho, sigma):
+        assert all(ref() is None for ref in taken)
+        taken.extend((weakref.ref(rho), weakref.ref(sigma)))
+        return trace_distance(rho, sigma)
+
+    monkeypatch.setattr(scenario, "trace_distance", spy)
+    rows = run_scenario(_cloner(2, 12, [1, 3, 6, 12]))
+    assert all(row.satisfied_lemma1 for row in rows) and len(taken) == 8
 
 
 def test_users_are_plain_complex_arrays():
@@ -917,8 +969,8 @@ def test_every_stage_of_a_run_plans_under_its_cap(monkeypatch):
         monkeypatch.setattr(module, "plan", spy)
     cfg = _dense_scenario(CLONER5, ks=(1, 2), checks=["lemma1", "mc_crosscheck"])
     assert run_scenario(cfg, cap=2 ** 15)[0].satisfied_mc
-    # the run, the output, users(1), users(2) and the Monte Carlo estimate
-    assert caps == [2 ** 15] * 5
+    # the run, the output, one sweep for k = 1, 2 and the Monte Carlo estimate
+    assert caps == [2 ** 15] * 4
 
 
 @pytest.mark.parametrize("m_users", [3, 13, 10 ** 4])
