@@ -1,47 +1,31 @@
 """Symmetric distribution of quantum information and its classical shadows.
 
-Library layout:
+Library layout (the run path; the dense oracles that tests compare it with
+live under tests/):
 
-- linalg: dense operators for the dense route and the oracles, state checks
-- symspace: occupation coordinates of the symmetric subspace, Haar-random kets
-- channels: the many-user channel specs, their outputs, the Choi-form oracle
+- linalg: dense operators for the dense route, state checks
+- symspace: occupation coordinates of the symmetric subspace, Haar-random
+  kets, the size plan
+- channels: the many-user channel specs and their outputs
 - definetti: occupation-coordinate states and their classical approximations
 - metrics: trace distance, error probabilities, closed-form bounds
 - scenario / cli: config-driven runs with CSV/JSON emission
 """
 
-from .channels import (
-    QuantumChannel,
-    SDIChannelSpec,
-    SDIReport,
-    apply,
-    embed_pure_input,
-    fixed_prep_channel,
-    measure_prepare,
-    noisy_cloner,
-    universal_cloner,
-    validate_sdi,
-)
+from .channels import SDIChannelSpec
 from .definetti import (
     OccupationState,
     mc_reduce_coords,
     purified_state,
     purify_perm_invariant,
-    symmetric_state,
 )
 from .linalg import (
     DEFAULT_DIM_CAP,
     DenseOperator,
     ResourceLimitError,
-    basis_ket,
     herm_eigvals,
-    identity,
     ket,
-    partial_trace,
-    permutation_operator,
-    projector,
     tensor_power,
-    tensor_product,
     validate_state,
 )
 from .metrics import (
@@ -61,6 +45,6 @@ from .scenario import (
     run_suite,
     scenario_from_dict,
 )
-from .symspace import haar_kets, sym_dim, symmetrizer
+from .symspace import haar_kets, sym_dim
 
 __version__ = "0.1.0"

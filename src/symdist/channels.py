@@ -10,11 +10,10 @@ coordinates where symmetric_field puts it in Sym^M (cloner_coords by
 Werner's P_M (X tensor 1) P_M = P_M (X tensor P_{M-N}) P_M, PRA 58, 1827
 (1998); prep_coords sums product states), dense_output for every kind.
 
-The Choi form is the test oracle for both: QuantumChannel holds the Choi
-matrix on (output tensor input), output factors first, which the four
-builders (and SDIChannelSpec.build) make for each kind; apply contracts it
-with an input, and validate_sdi checks a built channel's invariance and
-output support.  No run path calls any of them.
+The Choi form of each kind, its application to an input and the check of
+a built channel's invariance and support are the oracles that tests compare
+both outputs with; they live with the tests, and hold their Choi matrices
+in a QuantumChannel.
 """
 
 from __future__ import annotations
@@ -27,9 +26,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_DIM_CAP,
     DenseOperator,
-    _check_cap,
     herm_eigvals,
-    swap_residual,
     tensor_power,
     validate_state,
 )
@@ -45,12 +42,15 @@ class SupportError(ValueError):
 
 @dataclass(frozen=True)
 class QuantumChannel:
-    """CPTP map described by its Choi matrix on (out tensor in): the test
-    oracle that the outputs built from a spec are checked against.
+    """CPTP map described by its Choi matrix on (out tensor in), as the
+    test oracles build it; no run path makes one.
 
     choi factor dims are out_factors + (dim_in,).  For channels whose input
     is handed over in symmetric-subspace coordinates, in_isometry is the
     embedding V of that subspace into the underlying tensor-product space.
+    The class stays in the package because the benchmark's tracer counts
+    channels by patching QuantumChannel.__post_init__; it can leave with
+    the tests' oracles once the benchmark reads the run's own trace.
     """
 
     choi: DenseOperator
@@ -68,64 +68,11 @@ class QuantumChannel:
         if self.choi.row_dims != self.out_factors + (self.dim_in,):
             raise ValueError("choi factor dims must be out_factors + (dim_in,)")
 
-    def choi_tensor(self) -> np.ndarray:
-        """Choi entries reshaped to [out, in, out', in'], the form that apply
-        contracts: part of the Choi test oracle."""
-        return self.choi.entries.reshape(
-            self.dim_out, self.dim_in, self.dim_out, self.dim_in
-        )
-
-
-def apply(ch: QuantumChannel, rho: DenseOperator) -> DenseOperator:
-    """Channel output for input state rho (in the channel's input
-    coordinates): the test oracle for SDIChannelSpec's outputs."""
-    if rho.shape != (ch.dim_in, ch.dim_in):
-        raise ValueError(
-            f"input has shape {rho.shape}, channel expects {(ch.dim_in, ch.dim_in)}"
-        )
-    out = np.einsum("aibj,ij->ab", ch.choi_tensor(), rho.entries)
-    return DenseOperator(out, ch.out_factors)
-
-
 def _check_cloner_args(d: int, N: int, M: int) -> None:
     if d < 1:
         raise ValueError(f"local dimension must be >= 1, got {d}")
     if not 1 <= N <= M:
         raise ValueError(f"need 1 <= N <= M, got N={N}, M={M}")
-
-
-def universal_cloner(d: int, N: int, M: int,
-                     cap: int = DEFAULT_DIM_CAP) -> QuantumChannel:
-    """Optimal universal N -> M cloner for d-dimensional systems.
-
-    Input is a state on the symmetric subspace of N copies, in occupation
-    coordinates (dim sym_dim(d, N)); output is on M full factors.  The map is
-    X -> (s_N/s_M) P_M (V_N X V_N† tensor 1^{M-N}) P_M with P_M the
-    symmetrizer, realized through d^{M-N} Kraus operators.  Only tests
-    call it, as the Choi oracle for cloner_coords and dense_output.
-    """
-    _check_cloner_args(d, N, M)
-    s_in = sym_dim(d, N)
-    _check_cap(d ** M, cap, f"{M}-user cloner output")
-    _check_cap(d ** M * s_in, cap, f"{M}-user cloner Choi matrix")
-    v_n = DenseOperator(index_map(d, N, cap).expand(np.eye(s_in)),
-                        (d,) * N, (s_in,))
-    v_m = index_map(d, M, cap)
-    scale = math.sqrt(sym_dim(d, N) / sym_dim(d, M))
-    # columns indexed (i, m): i over sym coords of the input, m over the
-    # d^{M-N} extra slots; projecting through V_M keeps everything rank-bounded
-    embed = np.kron(v_n.entries, np.eye(d ** (M - N)))
-    t = scale * v_m.expand(v_m.compress(embed))
-    k_cols = t.reshape(d ** M * s_in, d ** (M - N))
-    choi = k_cols @ k_cols.conj().T
-    return QuantumChannel(
-        DenseOperator(choi, (d,) * M + (s_in,)),
-        dim_in=s_in,
-        dim_out=d ** M,
-        out_factors=(d,) * M,
-        kind="universal_cloner",
-        in_isometry=v_n,
-    )
 
 
 def cloner_coords(d: int, N: int, M: int, x: np.ndarray) -> np.ndarray:
@@ -151,26 +98,6 @@ def prep_coords(kets: np.ndarray, weights, M: int) -> np.ndarray:
     return (v.T * np.asarray(weights)) @ v.conj()
 
 
-def fixed_prep_channel(sigma: DenseOperator, M: int,
-                       cap: int = DEFAULT_DIM_CAP) -> QuantumChannel:
-    """Discard the input, hand every one of the M users a copy of sigma.
-    Only tests call it, as the Choi oracle for the fixed_prep outputs."""
-    if M < 1:
-        raise ValueError(f"need M >= 1, got {M}")
-    validate_state(sigma.entries, name="prepared state")
-    d = sigma.shape[0]
-    out = tensor_power(sigma, M, cap=cap)
-    _check_cap(out.shape[0] * d, cap, "fixed-prep Choi matrix")
-    choi = np.kron(out.entries, np.eye(d))
-    return QuantumChannel(
-        DenseOperator(choi, (d,) * M + (d,)),
-        dim_in=d,
-        dim_out=d ** M,
-        out_factors=(d,) * M,
-        kind="fixed_prep",
-    )
-
-
 def _check_depolarizing_weight(p: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing weight must be in [0, 1], got {p}")
@@ -190,31 +117,6 @@ def _depolarize_factor(mat: np.ndarray, dims: tuple[int, ...],
     x *= 1.0 - p
     for i in range(d):
         x[:, i, :, :, i, :] += traced
-
-
-def noisy_cloner(d: int, N: int, M: int, p: float,
-                 cap: int = DEFAULT_DIM_CAP) -> QuantumChannel:
-    """Universal cloner followed by independent depolarizing noise per user.
-
-    For p > 0 the output leaks out of the symmetric subspace while staying
-    permutation invariant, which is exactly the regime the general (pair-
-    purified) approximation machinery exists for.  Only tests call it, as
-    the Choi oracle for the noisy_cloner outputs.
-    """
-    _check_depolarizing_weight(p)
-    base = universal_cloner(d, N, M, cap=cap)
-    dims = base.out_factors + (base.dim_in,)
-    mat = base.choi.entries.copy()
-    for t in range(M):
-        _depolarize_factor(mat, dims, t, p)
-    return QuantumChannel(
-        DenseOperator(mat, dims),
-        dim_in=base.dim_in,
-        dim_out=base.dim_out,
-        out_factors=base.out_factors,
-        kind="noisy_cloner",
-        in_isometry=base.in_isometry,
-    )
 
 
 def _validated_measurement(povm: list[np.ndarray], n_preps: int) -> int:
@@ -241,47 +143,6 @@ def _validated_measurement(povm: list[np.ndarray], n_preps: int) -> int:
     if np.max(np.abs(total - np.eye(dim_in))) > 1e-9:
         raise ValueError("POVM elements do not sum to the identity within 1e-9")
     return dim_in
-
-
-def measure_prepare(povm: list[DenseOperator], preps: list[DenseOperator], M: int,
-                    cap: int = DEFAULT_DIM_CAP) -> QuantumChannel:
-    """Measure the input with a POVM, hand all M users copies keyed to the
-    outcome.  Only tests call it, as the Choi oracle for the
-    measure_prepare outputs."""
-    if M < 1:
-        raise ValueError(f"need M >= 1, got {M}")
-    dim_in = _validated_measurement([e.entries for e in povm], len(preps))
-    d = preps[0].shape[0]
-    for idx, s in enumerate(preps):
-        validate_state(s.entries, name=f"prepared state {idx}")
-        if s.shape != (d, d):
-            raise ValueError(f"prepared state {idx} has shape {s.shape}")
-    _check_cap(d ** M * dim_in, cap, "measure-prepare Choi matrix")
-    choi = np.zeros((d ** M * dim_in, d ** M * dim_in), dtype=complex)
-    for e, s in zip(povm, preps):
-        choi += np.kron(tensor_power(s, M, cap=cap).entries, e.entries.T)
-    return QuantumChannel(
-        DenseOperator(choi, (d,) * M + (dim_in,)),
-        dim_in=dim_in,
-        dim_out=d ** M,
-        out_factors=(d,) * M,
-        kind="measure_prepare",
-    )
-
-
-def embed_pure_input(ch: QuantumChannel, phi: DenseOperator) -> DenseOperator:
-    """Density matrix, in the channel's input coordinates, for N copies of phi.
-
-    Channels carrying in_isometry take phi^{tensor N} re-expressed in symmetric
-    coordinates; all others take phi directly (dim must match dim_in).  Only
-    tests call it, to feed pure inputs to the Choi oracle.
-    """
-    if ch.in_isometry is None:
-        x = _plain_ket(phi, ch.dim_in)
-    else:
-        x = _sym_power_ket(phi, ch.in_isometry.row_dims[0],
-                           len(ch.in_isometry.row_dims))
-    return DenseOperator(np.outer(x, x.conj()), (ch.dim_in,))
 
 
 def _unit_entries(phi: DenseOperator) -> np.ndarray:
@@ -319,57 +180,7 @@ def _check_prep(m: np.ndarray, d: int) -> None:
     validate_state(m, name="prepared state")
 
 
-@dataclass(frozen=True)
-class SDIReport:
-    """Outcome of validate_sdi: permutation_invariant reports the channel's
-    invariance, symmetric_support whether the output support lies in the
-    symmetric subspace.
-    """
-
-    max_permutation_residual: float
-    permutation_invariant: bool
-    support_residual: float
-    symmetric_support: bool
-
-
-def validate_sdi(ch: QuantumChannel) -> SDIReport:
-    """Check invariance under permutations of the output users, within 1e-9.
-
-    Adjacent transpositions generate the symmetric group, so the residual is
-    maximized over conjugations by (t, t+1) swaps at the Choi level.  Also
-    reports how far the output support sticks out of the symmetric subspace
-    for any input.  Only tests call it, as the oracle for the support that
-    symmetric_output decides and for the permutation invariance of the
-    built channels.
-    """
-    if len(set(ch.out_factors)) > 1:
-        raise ValueError(
-            f"output factors {ch.out_factors} are not identical; "
-            "user permutations are undefined"
-        )
-    d = ch.out_factors[0]
-    m_users = len(ch.out_factors)
-    resid = 0.0
-    for t in range(m_users - 1):
-        resid = max(resid, swap_residual(ch.choi, t))
-    v = index_map(d, m_users)
-    c4 = ch.choi.entries.reshape(ch.dim_out, ch.dim_in, ch.dim_out, ch.dim_in)
-    # P = V V† on both output indices
-    proj = v.expand(v.expand(v.compress(v.compress(c4, 0), 2), 0), 2)
-    support_residual = float(np.max(np.abs(c4 - proj)))
-    return SDIReport(
-        max_permutation_residual=resid,
-        permutation_invariant=resid <= 1e-9,
-        support_residual=support_residual,
-        symmetric_support=support_residual <= SUPPORT_TOL,
-    )
-
-
 # -- serialization -----------------------------------------------------------
-
-
-def _matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
 def _json_real(value, where: str) -> float:
@@ -461,19 +272,6 @@ class SDIChannelSpec:
         except ValueError as exc:
             raise ValueError(f"{field}: {exc}") from exc
 
-    def to_json(self) -> dict:
-        """The JSON object that from_json reads.  No run path calls it:
-        tests use it as the oracle for round trips through from_json."""
-        return {
-            "kind": self.kind,
-            "d": self.d,
-            "N": self.N,
-            "M": self.M,
-            "p": self.p,
-            "prep": None if self.prep is None else [_matrix_to_json(m) for m in self.prep],
-            "povm": None if self.povm is None else [_matrix_to_json(m) for m in self.povm],
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "SDIChannelSpec":
         if not isinstance(data, dict):
@@ -481,6 +279,9 @@ class SDIChannelSpec:
         kind = data.get("kind")
         prep = data.get("prep")
         povm = data.get("povm")
+        for name, field in (("prep", prep), ("povm", povm)):
+            if not (field is None or isinstance(field, list)):
+                raise ValueError(f"{name}: expected a list of matrices")
         return cls(
             kind=kind,
             d=_json_number(data, "d", int),
@@ -508,18 +309,6 @@ class SDIChannelSpec:
 
     def _preps(self) -> list[DenseOperator]:
         return [DenseOperator(m, (self.d,)) for m in self._matrices(self.prep)]
-
-    def build(self, cap: int = DEFAULT_DIM_CAP) -> QuantumChannel:
-        """The channel in Choi form.  Only tests call it, as the oracle for
-        symmetric_output and dense_output."""
-        if self.kind == "universal_cloner":
-            return universal_cloner(self.d, self.N, self.M, cap=cap)
-        if self.kind == "noisy_cloner":
-            return noisy_cloner(self.d, self.N, self.M, self.p, cap=cap)
-        if self.kind == "fixed_prep":
-            return fixed_prep_channel(self._preps()[0], self.M, cap=cap)
-        povm = [DenseOperator(e, (len(e),)) for e in self._matrices(self.povm)]
-        return measure_prepare(povm, self._preps(), self.M, cap=cap)
 
     def _weights(self, state: DenseOperator) -> list[float]:
         """The weight Tr[E_i rho_in] of each prepared state for the input

@@ -17,7 +17,9 @@ symmetric in the d^2-dimensional pairs; its sweep runs the two exact
 kernels once, at the largest k of a run, and takes each smaller k as a
 one-user partial trace of the pair above it.  Each entry point is sized by
 symspace.plan under its `cap`.  mc_reduce_coords is the one Monte Carlo
-entry: scenario checks and moment checks both draw through it.
+entry: scenario checks and moment checks both draw through it.  No run
+compresses a dense output to V† rho V; the tests' oracle for the spec
+route does.
 """
 
 from __future__ import annotations
@@ -28,11 +30,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import SUPPORT_TOL, SupportError
+from .channels import SUPPORT_TOL
 from .linalg import DEFAULT_DIM_CAP, DenseOperator, swap_residual
 from .symspace import (_half_log_multiplicities, _index_map, _occupation_table,
-                       haar_kets, index_map, plan, power_coords, split_table,
-                       sym_dim)
+                       haar_kets, plan, power_coords, split_table, sym_dim)
 
 PERM_INVARIANCE_TOL = 1e-8
 
@@ -82,9 +83,10 @@ def mc_reduce_coords(rho: np.ndarray, d: int, m: int, k: int, samples: int,
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo (estimate, stderr) of the k-user mixture of an s_M x s_M
     occupation-coordinate state: two s_k x s_k arrays, componentwise, in the
-    coordinates of OccupationState.users(k).  The one Monte Carlo entry of
-    symdist: scenario checks and moment checks both draw here.  Its plan
-    under `cap` refuses it before anything is allocated, or sets the chunk.
+    coordinates of OccupationState.sweep's k-user results.  The one Monte
+    Carlo entry of symdist: scenario checks and moment checks both draw
+    here.  Its plan under `cap` refuses it before anything is allocated, or
+    sets the chunk.  It refuses fewer than 2 samples or more than 2^63 - 1.
 
     The draws are the first `samples` rows of haar_kets from
     default_rng((seed, 1)), taken a chunk at a time, so draw j does not
@@ -100,6 +102,8 @@ def mc_reduce_coords(rho: np.ndarray, d: int, m: int, k: int, samples: int,
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, "
                          f"got {samples}")
+    if samples >= 2 ** 63:
+        raise ValueError(f"need at most 2^63 - 1 samples, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng((seed, 1))
@@ -162,15 +166,8 @@ class OccupationState:
             if k in ks:
                 yield k, *pair
 
-    def users(self, k: int, cap: int = DEFAULT_DIM_CAP) -> tuple[np.ndarray, np.ndarray]:
-        """sweep at one k, whose kernels run at k itself.  No command calls
-        it, since a run sweeps its ks: tests use it as the oracle of the
-        direct kernels that each chained k of sweep is checked against."""
-        _, marginal, mixture = next(self.sweep((k,), cap))
-        return marginal, mixture
-
     def mixture(self, k: int, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-        """The mixture of users(k) alone, in its frame: what the sampler's
+        """The mixture of sweep at k alone, in its frame: what the sampler's
         estimate is compared against."""
         plan(self.d, self.m, (k,), route="dense" if self.paired else "symmetric",
              output=False, cap=cap)
@@ -208,23 +205,6 @@ def _trace_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     for a in (idx, coef):
         a.setflags(write=False)
     return idx, coef
-
-
-def symmetric_state(rho: DenseOperator,
-                    cap: int = DEFAULT_DIM_CAP) -> OccupationState:
-    """V† rho V, after checking that rho lies in the symmetric subspace.  No
-    run path calls it: tests use it as the dense oracle for symmetric_output,
-    its coordinates and its support decision."""
-    d, m = _uniform_square(rho, "rho_out")
-    plan(d, m, route="dense", purify=False, cap=cap)
-    v = index_map(d, m, cap)
-    coords = v.compress(v.compress(rho.entries, 0), 1)
-    resid = float(np.max(np.abs(rho.entries - v.expand(v.expand(coords, 0), 1))))
-    if resid > SUPPORT_TOL:
-        raise SupportError(
-            f"rho_out leaves the symmetric subspace (residual {resid:.3e}); "
-            "the sampled mixture only reproduces symmetric-support marginals")
-    return OccupationState(coords, d, m)
 
 
 def purify_perm_invariant(rho: DenseOperator) -> DenseOperator:

@@ -1,15 +1,18 @@
 """Dense complex matrices with explicit tensor-factor bookkeeping, and the
 checks that every state passes.
 
-DenseOperator serves the dense route (the output on (C^d)^{tensor M} and its
-pair purification) and the test oracles.  Every operator carries the local
-dimensions of its row and column spaces, so partial traces and factor
-permutations never have to guess how a flat index factorizes.  Factor 0 is
-the most significant index: the flat row index of |i_0 i_1 ... i_{n-1}> is
-i_0 * d_1 * ... * d_{n-1} + ... + i_{n-1}, which is exactly numpy's C-order
-convention and the ordering np.kron produces.  The state checks
+DenseOperator serves the dense route only: the input ket, the output on
+(C^d)^{tensor M} (tensor_power builds a preparation's sigma^{tensor M}) and
+its pair purification, whose permutation invariance swap_residual checks.
+Every operator carries the local dimensions of its row and column spaces,
+so a factor swap never has to guess how a flat index factorizes.  Factor 0
+is the most significant index: the flat row index of |i_0 i_1 ... i_{n-1}>
+is i_0 * d_1 * ... * d_{n-1} + ... + i_{n-1}, which is exactly numpy's
+C-order convention and the ordering np.kron produces.  The state checks
 (check_hermitian, herm_eigvals, validate_state) take plain square arrays:
-the symmetric route's matrices carry no factors.
+the symmetric route's matrices carry no factors.  The dense oracles that
+tests compare with (partial traces, whole permutations, Choi matrices) live
+with the tests.
 """
 
 from __future__ import annotations
@@ -63,7 +66,8 @@ class DenseOperator:
     An empty tuple denotes a one-dimensional (scalar) space, so kets are
     stored as (dim, 1) matrices with col_dims=().  Entries are write-locked,
     a read-only view where they come complex and C-ordered (so callers hand
-    over arrays they no longer write to); all arithmetic returns new instances.
+    over arrays they no longer write to).  It has no arithmetic: callers
+    compute on `entries` with numpy.
     """
 
     entries: np.ndarray
@@ -99,37 +103,8 @@ class DenseOperator:
             raise ValueError("factor_dims is defined for square operators only")
         return self.row_dims
 
-    # -- arithmetic ---------------------------------------------------------
 
-    def trace(self) -> complex:
-        """Tr[X].  Only tests call it, as the oracle for the unit trace of
-        dense results."""
-        if self.shape[0] != self.shape[1]:
-            raise ValueError("trace requires a square matrix")
-        return complex(np.trace(self.entries))
-
-    def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        """X @ Y.  Only tests call it, as an oracle for dense products."""
-        if self.shape[1] != other.shape[0]:
-            raise ValueError(f"cannot multiply shapes {self.shape} and {other.shape}")
-        return DenseOperator(self.entries @ other.entries, self.row_dims, other.col_dims)
-
-    def __mul__(self, scalar) -> "DenseOperator":
-        """Scalar multiple.  Only tests call it, as an oracle for scaled
-        dense results."""
-        return DenseOperator(self.entries * complex(scalar), self.row_dims, self.col_dims)
-
-    __rmul__ = __mul__
-
-
-# -- constructors -----------------------------------------------------------
-
-
-def identity(dims) -> DenseOperator:
-    """The identity on `dims`.  Only tests call it, to build the inputs of
-    the dense oracles."""
-    dims = _as_dims(dims)
-    return DenseOperator(np.eye(math.prod(dims)), dims)
+# -- operations --------------------------------------------------------------
 
 
 def ket(coeffs, dims=None) -> DenseOperator:
@@ -139,95 +114,17 @@ def ket(coeffs, dims=None) -> DenseOperator:
     return DenseOperator(v, rd, ())
 
 
-def basis_ket(d: int, i: int) -> DenseOperator:
-    """|i> in C^d.  Only tests and library examples call it, to build the
-    inputs of the dense oracles; runs build their input kets with ket."""
-    if not 0 <= i < d:
-        raise ValueError(f"basis index {i} out of range for dimension {d}")
-    v = np.zeros(d)
-    v[i] = 1.0
-    return ket(v)
-
-
-def projector(psi: DenseOperator) -> DenseOperator:
-    """|psi><psi| for a ket.  Only tests call it, to build the inputs of the
-    dense oracles."""
-    if psi.shape[1] != 1:
-        raise ValueError("projector expects a column vector")
-    return DenseOperator(psi.entries @ psi.entries.conj().T, psi.row_dims, psi.row_dims)
-
-
-# -- core operations --------------------------------------------------------
-
-
-def tensor_product(a: DenseOperator, b: DenseOperator,
-                   cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    _check_cap(max(rows, cols), cap, "tensor product")
-    return DenseOperator(np.kron(a.entries, b.entries),
-                         a.row_dims + b.row_dims, a.col_dims + b.col_dims)
-
-
 def tensor_power(a: DenseOperator, n: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
+    """a^{tensor n}, entry for entry the chain of n np.kron products: each
+    step is a broadcast outer product on arrays, refused past the cap."""
     if n < 0:
         raise ValueError("tensor power requires n >= 0")
-    out = DenseOperator(np.array([[1.0]]), (), ())
+    x, out = a.entries, np.ones((1, 1), dtype=complex)
     for _ in range(n):
-        out = tensor_product(out, a, cap=cap)
-    return out
-
-
-def _validated_keep(keep, n: int) -> tuple[int, ...]:
-    keep = tuple(int(t) for t in keep)
-    if any(t < 0 or t >= n for t in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} factors")
-    if len(set(keep)) != len(keep):
-        raise ValueError(f"keep indices {keep} contain duplicates")
-    return tuple(sorted(keep))
-
-
-def partial_trace(x: DenseOperator, keep) -> DenseOperator:
-    """Trace out every factor not listed in `keep` (kept factors stay in order).
-
-    An empty `keep` returns the 1x1 operator holding Tr[x].  No run path
-    calls it: tests use it as the dense oracle for the marginals, and for
-    OccupationState's k-user step, which traces the pair ancillas out of
-    occupation coordinates with one gather.
-    """
-    if not x.is_square:
-        raise ValueError("partial trace requires matching row/column factors")
-    dims = x.row_dims
-    n = len(dims)
-    keep = _validated_keep(keep, n)
-    if n == 0:
-        return x
-    keepset = set(keep)
-    tensor = x.entries.reshape(dims + dims)
-    row_labels = list(range(n))
-    col_labels = [n + t if t in keepset else t for t in range(n)]
-    out_labels = [t for t in keep] + [n + t for t in keep]
-    res = np.einsum(tensor, row_labels + col_labels, out_labels)
-    new_dims = tuple(dims[t] for t in keep)
-    side = math.prod(new_dims)
-    return DenseOperator(res.reshape(side, side), new_dims)
-
-
-def permutation_operator(perm, d: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
-    """Unitary permuting tensor factors: |i_0..i_{n-1}> -> slot perm[j] carries i_j.
-
-    Only tests call it, as the dense oracle for whole permutations (U X U†)
-    that swap_residual and the symmetrizer are checked against."""
-    p = tuple(int(t) for t in perm)
-    if sorted(p) != list(range(len(p))):
-        raise ValueError(f"{p} is not a permutation of 0..{len(p) - 1}")
-    n = len(p)
-    _check_cap(d ** n, cap, "permutation operator")
-    # transposing the grid of flat indices moves axis (digit) j to p[j]
-    dest = np.arange(d ** n).reshape((d,) * n).transpose(p).ravel()
-    mat = np.zeros((d ** n, d ** n))
-    mat[dest, np.arange(d ** n)] = 1.0
-    return DenseOperator(mat, (d,) * n)
+        rows, cols = out.shape[0] * x.shape[0], out.shape[1] * x.shape[1]
+        _check_cap(max(rows, cols), cap, "tensor product")
+        out = (out[:, None, :, None] * x[None, :, None, :]).reshape(rows, cols)
+    return DenseOperator(out, a.row_dims * n, a.col_dims * n)
 
 
 def swap_residual(x: DenseOperator, t: int) -> float:

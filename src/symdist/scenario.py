@@ -194,8 +194,8 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
                  "mc_crosscheck requires an mc object")
         samples = mc.get("samples")
         seed = mc.get("seed")
-        _require(_is_int(samples) and samples >= 2, f"{where}.mc.samples",
-                 "expected an integer >= 2")
+        _require(_is_int(samples) and 2 <= samples < 2 ** 63, f"{where}.mc.samples",
+                 "expected an integer from 2 to 2^63 - 1")
         _require(_is_int(seed) and seed >= 0, f"{where}.mc.seed",
                  "expected a non-negative integer")
         mc = {"samples": samples, "seed": seed}
@@ -365,9 +365,13 @@ def run_scenario(cfg: ScenarioConfig,
 
 def _max_sigma(estimate: np.ndarray, reference: np.ndarray,
                stderr: np.ndarray) -> float:
+    """The largest deviation in standard errors.  Where the stderr is 0,
+    as when every draw is equal (at d = 1), a deviation within BOUND_SLACK
+    is roundoff and reads 0; a larger one reads inf."""
     dev = np.abs(estimate - reference)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sig = np.where(dev == 0.0, 0.0, dev / stderr)
+        sig = np.where(stderr == 0.0, np.where(dev <= BOUND_SLACK, 0.0, np.inf),
+                       dev / stderr)
     return float(np.max(sig))
 
 

@@ -10,6 +10,8 @@ in these coordinates: split_table holds the exact coefficients that split
 u^{tensor n} (Harrow, arXiv:1308.6595), and haar_kets draws the kets that
 Monte Carlo weights by them.  plan holds every byte estimate: a run's
 stages, sized before anything is allocated, and the one guard on them.
+No run embeds these coordinates back into (C^d)^{tensor n}: the dense
+symmetrizer and embedding that tests compare with live with the tests.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .linalg import (DEFAULT_DIM_CAP, DenseOperator, ResourceLimitError,
-                     _check_bytes, _check_cap)
+from .linalg import DEFAULT_DIM_CAP, ResourceLimitError, _check_bytes, _check_cap
 
 
 def sym_dim(d: int, n: int) -> int:
@@ -133,24 +134,6 @@ def index_map(d: int, n: int, cap: int = DEFAULT_DIM_CAP) -> IndexMap:
     sym_dim(d, n)  # validates d, n
     _check_cap(d ** n, cap, f"symmetric basis on {n} factors of dimension {d}")
     return _index_map(d, n)
-
-
-def symmetrizer(d: int, n: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
-    """Orthogonal projector onto the symmetric subspace of (C^d)^{tensor n}:
-    a dense oracle for tests; runs keep it as the identity on Sym^n."""
-    index_map(d, n, cap)  # the cap, before the s_n x s_n identity is built
-    return embed_coords(np.eye(sym_dim(d, n)), d, n, cap)
-
-
-def embed_coords(x: np.ndarray, d: int, n: int,
-                 cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
-    """V x V†: an operator given in occupation coordinates, on (C^d)^{tensor n}.
-
-    No run path calls it: tests use it as the dense oracle for results in
-    occupation coordinates, such as OccupationState.users(k) and
-    symmetrizer."""
-    v = index_map(d, n, cap)
-    return DenseOperator(v.expand(v.expand(x, 0), 1), (d,) * n)
 
 
 def _pascal(n: int, k: int) -> np.ndarray:

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from symdist import (
-    DEFAULT_DIM_CAP,
-    DenseOperator,
+from symdist import DEFAULT_DIM_CAP, DenseOperator
+
+from dense_oracles import (
     apply,
     basis_ket,
+    embed_coords,
     embed_pure_input,
     universal_cloner,
     validate_sdi,
 )
-from symdist.symspace import embed_coords
 
 
 def random_state(rng, dim, dims=None):
@@ -20,11 +20,19 @@ def random_state(rng, dim, dims=None):
     return DenseOperator(rho, dims if dims is not None else (dim,))
 
 
+def users(state, k, cap=DEFAULT_DIM_CAP):
+    """The k-user marginal and mixture of an OccupationState, from a sweep
+    at k alone, whose kernels run at k itself: the direct results that each
+    chained k of a longer sweep is checked against."""
+    _, marginal, mixture = next(state.sweep((k,), cap))
+    return marginal, mixture
+
+
 def dense_users(state, k, cap=DEFAULT_DIM_CAP):
-    """The marginal and mixture of state.users(k) on (C^d)^{tensor k}, the
-    frame of partial_trace and the Choi apply: unpaired results embedded by
-    embed_coords, paired ones as they come."""
-    results = state.users(k, cap)
+    """users(state, k) on (C^d)^{tensor k}, the frame of partial_trace and
+    the Choi apply: unpaired results embedded by embed_coords, paired ones
+    as they come."""
+    results = users(state, k, cap)
     if state.paired:
         return tuple(DenseOperator(x, (state.d,) * k) for x in results)
     return tuple(embed_coords(x, state.d, k, cap) for x in results)

@@ -11,22 +11,9 @@ import time
 
 import numpy as np
 
-from symdist.channels import apply, embed_pure_input, noisy_cloner, universal_cloner
 from symdist.cli import main as cli_main
-from symdist.definetti import (
-    mc_reduce_coords,
-    purified_state,
-    purify_perm_invariant,
-    symmetric_state,
-)
-from symdist.linalg import (
-    DenseOperator,
-    basis_ket,
-    partial_trace,
-    permutation_operator,
-    projector,
-    tensor_power,
-)
+from symdist.definetti import mc_reduce_coords, purified_state, purify_perm_invariant
+from symdist.linalg import DenseOperator, tensor_power
 from symdist.metrics import (
     general_bound,
     lemma1_bound,
@@ -34,9 +21,21 @@ from symdist.metrics import (
     universal_clone_gap,
 )
 from symdist.scenario import run_scenario, scenario_from_dict
-from symdist.symspace import haar_kets, sym_dim, symmetrizer
+from symdist.symspace import haar_kets, sym_dim
 
 from conftest import dense_users
+from dense_oracles import (
+    apply,
+    basis_ket,
+    embed_pure_input,
+    noisy_cloner,
+    partial_trace,
+    permutation_operator,
+    projector,
+    symmetric_state,
+    symmetrizer,
+    universal_cloner,
+)
 
 SLACK = 1e-9
 

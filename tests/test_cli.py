@@ -389,24 +389,52 @@ class TestMc:
         assert cells["satisfied_mc"] == "true"
 
     @pytest.mark.parametrize("flags", [["--samples", "0"], ["--M", "0"],
-                                       ["--samples", "1"], ["--seed", "-1"]])
+                                       ["--samples", "1"], ["--seed", "-1"],
+                                       ["--samples", str(2 ** 63)],
+                                       ["--samples", str(10 ** 30)]])
     def test_bad_moment_arguments_exit_one(self, flags, capsys):
         assert main(["mc", *flags]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_json_is_strict_past_the_finite_orders(self, capsys):
-        # sigma reads inf at order 1050 (see README); JSON writes the CSV's
-        # token as a string, where json.dumps would write a bare Infinity
+    def test_json_is_strict_past_the_finite_orders(self, monkeypatch, capsys):
+        # at order 1050 the entries whose stderr underflows to 0 deviate by
+        # roundoff alone, so sigma is finite, and the row fails on entries
+        # that 300 draws barely reach (see README); a sigma of inf is
+        # written as the CSV's token in a JSON string, where json.dumps
+        # would write a bare Infinity
         def refuse(token):
             raise ValueError(f"not JSON: {token}")
 
         argv = ["mc", "--d", "2", "--M", "1050", "--samples", "300"]
         assert main([*argv, "--format", "json"]) == 2
         rows = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert 5 < rows[0]["actual_distance"] < math.inf
+        infinite = ResultRecord(d=2, N=None, M=1050, k=1050, p=None, seed=1,
+                                actual_distance=math.inf, bound_exact=5.0,
+                                satisfied_mc=False)
+        monkeypatch.setattr(cli, "moment_check_record", lambda *args: infinite)
+        assert main([*argv, "--format", "json"]) == 2
+        rows = json.loads(capsys.readouterr().out, parse_constant=refuse)
         assert rows[0]["actual_distance"] == "inf"
         assert main(argv) == 2
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert dict(zip(RECORD_COLUMNS, row))["actual_distance"] == "inf"
+
+    def test_one_dimensional_moments_pass_at_every_seed(self, capsys):
+        # every draw at d = 1 is exactly 1, so every stderr is 0: the
+        # roundoff left in the mean reads 0 sigma, not inf
+        for seed in range(10):
+            argv = ["mc", "--d", "1", "--M", "1", "2", "3", "--samples", "10",
+                    "--seed", str(seed)]
+            assert main(argv) == 0
+            rows = capsys.readouterr().out.splitlines()[1:]
+            assert [dict(zip(RECORD_COLUMNS, row.split(",")))["satisfied_mc"]
+                    for row in rows] == ["true"] * 3
+        for seed in range(3):
+            argv = ["run", "--d", "1", "--M", "3", "--k", "1", "--samples", "10",
+                    "--seed", str(seed)]
+            assert main(argv) == 0
+            capsys.readouterr()
 
     def test_high_orders_run(self, capsys):
         # side s_n = n + 1 at d = 2: orders 13 and 30 build nothing of 2^n

@@ -5,39 +5,26 @@ import numpy as np
 import pytest
 
 from symdist import symspace
-from symdist.channels import (
+from symdist.definetti import mc_reduce_coords, purified_state, purify_perm_invariant
+from symdist.linalg import DenseOperator, ResourceLimitError, ket, tensor_power
+from symdist.metrics import general_bound, lemma1_bound, trace_distance
+from symdist.symspace import haar_kets, power_coords, sym_dim
+
+from conftest import dense_users, users
+from dense_oracles import (
     apply,
-    embed_pure_input,
-    noisy_cloner,
-    universal_cloner,
-)
-from symdist.definetti import (
-    mc_reduce_coords,
-    purified_state,
-    purify_perm_invariant,
-    symmetric_state,
-)
-from symdist.linalg import (
-    DenseOperator,
-    ResourceLimitError,
     basis_ket,
+    embed_coords,
+    embed_pure_input,
     identity,
-    ket,
+    noisy_cloner,
     partial_trace,
     permutation_operator,
     projector,
-    tensor_power,
-)
-from symdist.metrics import general_bound, lemma1_bound, trace_distance
-from symdist.symspace import (
-    embed_coords,
-    haar_kets,
-    power_coords,
-    sym_dim,
+    symmetric_state,
     symmetrizer,
+    universal_cloner,
 )
-
-from conftest import dense_users
 
 
 def dense_reduction(rho, k):
@@ -47,7 +34,7 @@ def dense_reduction(rho, k):
     big = tensor_power(identity((d,)), k)
     lifted = DenseOperator(np.kron(rho.entries, big.entries), (d,) * (m + k))
     pi = symmetrizer(d, m + k)
-    prod = lifted @ pi
+    prod = DenseOperator(lifted.entries @ pi.entries, (d,) * (m + k))
     x = sym_dim(d, m) / sym_dim(d, m + k) * partial_trace(prod, range(m, m + k)).entries
     return DenseOperator(0.5 * (x + x.conj().T), (d,) * k)
 
@@ -86,7 +73,8 @@ class TestWeight:
         assert weight(symmetric_state(ket00()), np.array([0, 1])) == 0.0
 
     def test_flat_on_maximally_mixed_symmetric(self):
-        state = symmetric_state((1 / sym_dim(2, 3)) * symmetrizer(2, 3))
+        flat = DenseOperator(symmetrizer(2, 3).entries / sym_dim(2, 3), (2, 2, 2))
+        state = symmetric_state(flat)
         u = haar_kets(np.random.default_rng(11), 5, 2)
         assert np.max(np.abs(weight(state, u) - 1.0)) <= 1e-12
 
@@ -120,11 +108,11 @@ class TestSymmetricReduction:
         ch = universal_cloner(2, 1, 5)
         rho = apply(ch, embed_pure_input(ch, ket([0.6, 0.8])))
         t = dense_users(symmetric_state(rho), 2)[1]
-        assert abs(t.trace() - 1.0) <= 1e-10
+        assert abs(np.trace(t.entries) - 1.0) <= 1e-10
         assert np.linalg.eigvalsh(t.entries)[0] >= -1e-10
 
     def test_maximally_mixed_fixed_point(self):
-        rho = (1 / sym_dim(2, 3)) * symmetrizer(2, 3)
+        rho = DenseOperator(symmetrizer(2, 3).entries / sym_dim(2, 3), (2, 2, 2))
         red = dense_users(symmetric_state(rho), 2)[1]
         want = symmetrizer(2, 2).entries / sym_dim(2, 2)
         assert np.max(np.abs(red.entries - want)) <= 1e-12
@@ -150,7 +138,7 @@ class TestSymmetricReduction:
             with pytest.raises(ValueError, match="1 <= k <= M=2"):
                 state.mixture(k)
             with pytest.raises(ValueError, match="1 <= k <= M=2"):
-                state.users(k)
+                users(state, k)
 
     def test_byte_budget(self):
         # 8 qubits: 3.5 r of 1 MiB, and 1 MiB more, exceed the budget of
@@ -159,7 +147,7 @@ class TestSymmetricReduction:
         with pytest.raises(ResourceLimitError, match="dense route for 8 users"):
             symmetric_state(rho, cap=2 ** 9)
         state = symmetric_state(rho, cap=2 ** 10)
-        assert abs(dense_users(state, 7, cap=2 ** 10)[1].trace() - 1.0) <= 1e-9
+        assert abs(np.trace(dense_users(state, 7, cap=2 ** 10)[1].entries) - 1.0) <= 1e-9
 
 
 class TestPurification:
@@ -228,7 +216,7 @@ class TestGeneralReduction:
     def test_pure_power_within_bound(self):
         rho = tensor_power(projector(ket([0.6, 0.8])), 3)
         t = dense_users(purified_state(rho), 1)[1]
-        assert abs(t.trace() - 1.0) <= 1e-9
+        assert abs(np.trace(t.entries) - 1.0) <= 1e-9
         dist = trace_distance(partial_trace(rho, [0]).entries, t.entries)
         assert dist <= general_bound(2, 3, 1) + 1e-9
 
@@ -238,7 +226,7 @@ class TestGeneralReduction:
             rho = apply(ch, embed_pure_input(ch, basis_ket(2, 0)))
             for k in (1, 2):
                 t = dense_users(purified_state(rho), k)[1]
-                assert abs(t.trace() - 1.0) <= 1e-9
+                assert abs(np.trace(t.entries) - 1.0) <= 1e-9
                 dist = trace_distance(partial_trace(rho, range(k)).entries, t.entries)
                 assert dist <= general_bound(2, m, k) + 1e-9
 
@@ -268,7 +256,7 @@ class TestGeneralReduction:
         with pytest.raises(ResourceLimitError, match="dense route for 8 users"):
             purified_state(rho, cap=2 ** 9)
         state = purified_state(rho, cap=2 ** 10)
-        assert abs(dense_users(state, 2, cap=2 ** 10)[1].trace() - 1.0) <= 1e-9
+        assert abs(np.trace(dense_users(state, 2, cap=2 ** 10)[1].entries) - 1.0) <= 1e-9
 
 
 class TestMonteCarlo:
@@ -330,6 +318,9 @@ class TestMonteCarlo:
     def test_argument_checks(self):
         for samples in (0, 1):
             with pytest.raises(ValueError, match="at least 2 samples"):
+                mc(ket00(), 1, samples, seed=1)
+        for samples in (2 ** 63, 10 ** 30):
+            with pytest.raises(ValueError, match=r"at most 2\^63 - 1 samples"):
                 mc(ket00(), 1, samples, seed=1)
         with pytest.raises(ValueError):
             mc(ket00(), 5, 100, seed=1)

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdist.channels import apply, embed_pure_input, fixed_prep_channel, noisy_cloner
-from symdist.definetti import purified_state, symmetric_state
-from symdist.linalg import basis_ket, ket, partial_trace, projector
+from symdist.definetti import purified_state
+from symdist.linalg import ket
 from symdist.metrics import (
     general_bound,
     helstrom_perr,
@@ -21,6 +20,16 @@ from symdist.scenario import run_scenario, scenario_from_dict
 from symdist.symspace import sym_dim
 
 from conftest import dense_users, random_state
+from dense_oracles import (
+    apply,
+    basis_ket,
+    embed_pure_input,
+    fixed_prep_channel,
+    noisy_cloner,
+    partial_trace,
+    projector,
+    symmetric_state,
+)
 
 
 class TestTraceDistance:

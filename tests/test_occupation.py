@@ -16,13 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdist import channels, definetti, linalg, scenario
-from symdist.channels import (
-    SDIChannelSpec,
-    SupportError,
-    apply,
-    embed_pure_input,
-    validate_sdi,
-)
+from symdist.channels import QuantumChannel, SDIChannelSpec, SupportError
 from symdist.definetti import (
     OccupationState,
     marginal_coords,
@@ -30,15 +24,12 @@ from symdist.definetti import (
     purified_state,
     purify_perm_invariant,
     reduce_coords,
-    symmetric_state,
 )
 from symdist.linalg import (
     DEFAULT_DIM_CAP,
     DenseOperator,
     ResourceLimitError,
     ket,
-    partial_trace,
-    projector,
     swap_residual,
     validate_state,
 )
@@ -55,16 +46,26 @@ from symdist.scenario import (
 )
 from symdist.symspace import (
     _index_map,
-    embed_coords,
     haar_kets,
     plan,
     power_coords,
     split_table,
     sym_dim,
-    symmetrizer,
 )
 
-from conftest import dense_users, random_state
+from conftest import dense_users, random_state, users
+from dense_oracles import (
+    apply,
+    build,
+    embed_coords,
+    embed_pure_input,
+    partial_trace,
+    projector,
+    symmetric_state,
+    symmetrizer,
+    to_json,
+    validate_sdi,
+)
 
 TOL = 1e-12
 
@@ -113,7 +114,7 @@ def _input_ket(d):
 
 
 def _dense_output(spec):
-    ch = spec.build()
+    ch = build(spec)
     phi = _input_ket(spec.d)
     return apply(ch, embed_pure_input(ch, phi)), spec.symmetric_output(phi)
 
@@ -126,7 +127,7 @@ def _dense_reduction(rho, d, m, k):
 
 
 def _choi_output(spec):
-    ch = spec.build()
+    ch = build(spec)
     return apply(ch, embed_pure_input(ch, _input_ket(spec.d)))
 
 
@@ -141,7 +142,7 @@ def _scenario(spec, checks, coeffs=None, ks=(1,)):
     phi = _input_ket(spec.d).entries[:, 0] if coeffs is None else coeffs
     return scenario_from_dict({
         "schema": 1,
-        "channel": spec.to_json(),
+        "channel": to_json(spec),
         "input": {"type": "pure", "coeffs": [[z.real, z.imag] for z in phi]},
         "k": list(ks),
         "checks": checks,
@@ -232,15 +233,15 @@ def _occupation_states(draw):
 @settings(derandomize=True, max_examples=60, database=None, deadline=None)
 @given(state=_occupation_states())
 def test_users_step_matches_embedding_and_partial_trace(state):
-    """users(k) against the kernel's output embedded at side q^k (q = d^2
-    paired) with the ancillas traced out, where that side is at most 2^10;
+    """users(state, k) against the kernel's output embedded at side q^k
+    (q = d^2 paired) with the ancillas traced out, where that side is at most 2^10;
     every result, up to a gather of 2^20 entries (all but k > 6 paired
     qubits, 24 MiB and more), is a state in its frame."""
     d, q = state.d, state.d ** 2 if state.paired else state.d
     for k in range(1, state.m + 1):
         if d ** (3 * k if state.paired else 2 * k) > 2 ** 20:
             break
-        results = zip((marginal_coords, reduce_coords), state.users(k),
+        results = zip((marginal_coords, reduce_coords), users(state, k),
                       dense_users(state, k) if q ** k <= 2 ** 10 else (None,) * 2)
         for kernel, frame, dense in results:
             got = frame
@@ -292,7 +293,7 @@ def test_run_path_embeds_no_k_user_result(monkeypatch):
     assert not hasattr(definetti, "embed_coords")
     assert not any(hasattr(OccupationState, name)
                    for name in ("marginal", "reduction"))
-    monkeypatch.setattr(linalg, "partial_trace", refuse)
+    assert not any(hasattr(mod, "partial_trace") for mod in (linalg, definetti))
     for spec in COVERED[:3] + PURIFIED:
         checks = ["lemma1"] if spec in COVERED else ["theorem2"]
         with monkeypatch.context() as patch:
@@ -318,7 +319,7 @@ def test_monte_carlo_stays_in_occupation_coordinates(monkeypatch):
     for check in ("lemma1", "theorem2"):
         cfg = scenario_from_dict({
             "schema": 1,
-            "channel": spec.to_json(),
+            "channel": to_json(spec),
             "input": {"type": "random_pure", "seed": 3},
             "k": [1],
             "checks": [check, "mc_crosscheck"],
@@ -338,7 +339,7 @@ def test_frame_distance_matches_the_embedded_route(d, m_users):
         state = OccupationState(random_state(rng, sym_dim(d, m_users)).entries,
                                 d, m_users)
         for k in range(1, m_users + 1):
-            rho_k, tilde = state.users(k)
+            rho_k, tilde = users(state, k)
             assert rho_k.shape == (sym_dim(d, k),) * 2
             want = trace_distance(
                 embed_coords(marginal_coords(state.coords, d, m_users, k), d, k).entries,
@@ -396,10 +397,10 @@ def test_every_k_user_result_is_one_contraction(monkeypatch):
     paired = purified_state(_choi_output(PURIFIED[0]))
     with monkeypatch.context() as patch:
         patch.setattr(definetti, "contract", counted)
-        unpaired.users(2)
+        users(unpaired, 2)
         assert len(calls) == 2
         calls.clear()
-        paired.users(2)
+        users(paired, 2)
     d = paired.d
     assert len(calls) == 4 and calls.count((d ** 2, d ** 2)) == 2
 
@@ -424,7 +425,7 @@ def _noisy_purification(d, m_users):
         "paired-4-2"])
 def test_sweep_matches_the_direct_kernels_at_every_k(make, d, m_users):
     """Each smaller k of a sweep is a chain of one-user partial traces down
-    from K = M; it agrees with users(k), which runs both kernels at k
+    from K = M; it agrees with users(state, k), which runs both kernels at k
     itself, and a sweep over some ks yields those ks, largest first,
     chained through the ones it skips."""
     state = make(d, m_users)
@@ -433,7 +434,7 @@ def test_sweep_matches_the_direct_kernels_at_every_k(make, d, m_users):
     some = {k: pair for k, *pair in state.sweep({1, m_users})}
     assert list(some) == sorted({1, m_users}, reverse=True)
     for k, results in every.items():
-        for got, want in zip(results, state.users(k)):
+        for got, want in zip(results, users(state, k)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= TOL
         if k in some:
@@ -456,13 +457,13 @@ def test_a_run_holds_one_k_user_pair_at_a_time(monkeypatch):
 
 
 def test_users_are_plain_complex_arrays():
-    """users(k) hands over two hermitized complex arrays, with no wrapper:
+    """A sweep hands over two hermitized complex arrays, with no wrapper:
     s_k x s_k unpaired, d^k x d^k paired."""
     rng = np.random.default_rng(5)
     unpaired = OccupationState(random_state(rng, sym_dim(2, 4)).entries, 2, 4)
     paired = purified_state(_choi_output(PURIFIED[0]))
     for state, side in ((unpaired, sym_dim(2, 2)), (paired, paired.d ** 2)):
-        for x in state.users(2):
+        for x in users(state, 2):
             assert type(x) is np.ndarray and x.dtype == complex
             assert x.shape == (side, side) and np.array_equal(x, x.conj().T)
 
@@ -534,7 +535,7 @@ def test_route_decision_matches_validate_sdi(spec):
         refused = True
     else:
         refused = False
-    assert refused != validate_sdi(spec.build()).symmetric_support
+    assert refused != validate_sdi(build(spec)).symmetric_support
 
 
 BASIS2 = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
@@ -580,7 +581,7 @@ def test_symmetric_output_decides_as_the_dense_oracle(spec, coeffs):
 @pytest.mark.parametrize("spec", COVERED[:4] + PURIFIED, ids=_label)
 def test_support_residual_matches_dense_projection(spec):
     """validate_sdi projects both output indices of the Choi matrix."""
-    ch = spec.build()
+    ch = build(spec)
     p = symmetrizer(spec.d, spec.M).entries
     c = ch.choi.entries.reshape(ch.dim_out, ch.dim_in, ch.dim_out, ch.dim_in)
     proj = np.tensordot(np.tensordot(p, c, axes=(1, 0)), p, axes=(2, 0))
@@ -614,7 +615,7 @@ def test_dense_output_of_a_density_matrix_matches_choi_oracle():
     spec = SDIChannelSpec("measure_prepare", d=2, M=3, prep=(PHI2, MIXED2),
                           povm=POVM2)
     rho_in = DenseOperator(np.diag([0.3, 0.7]), (2,))
-    want = apply(spec.build(), rho_in)
+    want = apply(build(spec), rho_in)
     assert np.max(np.abs(spec.dense_output(rho_in).entries - want.entries)) <= TOL
 
 
@@ -637,7 +638,7 @@ POVM3 = (np.diag([1.0, 0.5, 0.0]), np.diag([0.0, 0.5, 1.0]))
      DenseOperator(np.diag([0.5, 0.5]), (2,))),
 ], ids=["cloner-ket", "prep-ket", "measure-ket", "measure-matrix"])
 def test_dense_output_refuses_a_wrong_input_as_the_oracle_does(spec, state):
-    ch = spec.build()
+    ch = build(spec)
     with pytest.raises(ValueError) as oracle:
         apply(ch, embed_pure_input(ch, state) if state.shape[1] == 1 else state)
     with pytest.raises(ValueError) as built:
@@ -650,10 +651,9 @@ def test_run_path_builds_no_choi_matrix(monkeypatch):
         raise AssertionError("the Choi oracle was called on the run path")
 
     names = ("apply", "validate_sdi", "embed_pure_input")
-    assert not any(hasattr(scenario, name) for name in names)
-    monkeypatch.setattr(SDIChannelSpec, "build", refuse)
-    for name in names:
-        monkeypatch.setattr(channels, name, refuse)
+    assert not any(hasattr(mod, name) for mod in (scenario, channels) for name in names)
+    assert not hasattr(SDIChannelSpec, "build")
+    monkeypatch.setattr(QuantumChannel, "__post_init__", refuse)
     runs = [(spec, ["theorem2"], None) for spec in COVERED[:1] + PURIFIED]
     runs += [(spec, ["lemma1"], None) for spec in COVERED]
     runs += [(spec, ["lemma1"], coeffs) for spec, coeffs in MIXED_IN_SYM]

@@ -12,6 +12,7 @@ from symdist.linalg import ket
 from symdist.scenario import (
     MC_SIGMA_THRESHOLD,
     _input_state,
+    _max_sigma,
     RECORD_COLUMNS,
     ResultRecord,
     SchemaError,
@@ -25,7 +26,8 @@ from symdist.scenario import (
     run_suite,
     scenario_from_dict,
 )
-from symdist.symspace import symmetrizer
+
+from dense_oracles import symmetrizer
 
 MIXED_PREP = [[[0.9, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.1, 0.0]]]
 
@@ -151,6 +153,9 @@ class TestParsing:
         ({"input": {"type": "random_pure", "seed": True}}, r"input\.seed"),
         ({"checks": ["lemma1", "mc_crosscheck"],
           "mc": {"samples": 100, "seed": True}}, r"mc\.seed"),
+        ({"checks": ["lemma1", "mc_crosscheck"],
+          "mc": {"samples": 10 ** 30, "seed": 1}},
+         r"mc\.samples: expected an integer from 2 to 2\^63 - 1"),
         ({"schema": True}, r"scenario\.schema"),
         ({"channel": {"kind": "universal_cloner", "d": 2.7, "N": 1, "M": 2}},
          r"channel: d: expected an integer, got 2\.7"),
@@ -161,7 +166,7 @@ class TestParsing:
         ({"channel": {"kind": "noisy_cloner", "d": 2, "N": 1, "M": 2,
                       "p": True}, "checks": ["theorem2"]},
          r"channel: p: expected a number, got True"),
-    ], ids=["k", "input-seed", "mc-seed", "schema", "d-float", "M-string",
+    ], ids=["k", "input-seed", "mc-seed", "mc-samples-huge", "schema", "d-float", "M-string",
             "N-bool", "p-bool"])
     def test_integer_fields_refuse_bools_and_non_integers(self, over, field):
         with pytest.raises(SchemaError, match=field):
@@ -203,10 +208,15 @@ class TestParsing:
         ({"channel": {"kind": "noisy_cloner", "d": 2, "N": 1, "M": 2,
                       "p": float("nan")}, "checks": ["theorem2"]},
          r"channel: p: expected a finite number"),
+        ({"channel": {"kind": "fixed_prep", "d": 2, "M": 2, "prep": 5}},
+         r"channel: prep: expected a list of matrices$"),
+        ({"channel": {"kind": "measure_prepare", "d": 2, "M": 2,
+                      "prep": prep_zero() * 2, "povm": 3}},
+         r"channel: povm: expected a list of matrices$"),
     ], ids=["probs-null", "probs-list", "probs-string", "probs-bool",
             "probs-huge", "coeffs-bool", "coeffs-huge", "coeffs-short",
             "prep-bool", "prep-huge", "prep-nan", "povm-bool", "p-huge",
-            "p-nan"])
+            "p-nan", "prep-int", "povm-int"])
     def test_numbers_must_be_finite_reals(self, over, field):
         with pytest.raises(SchemaError, match=field):
             scenario_from_dict(prep_scenario(k=[1], **over))
@@ -401,6 +411,13 @@ class TestRunScenario:
 
 
 class TestMomentRecord:
+    def test_zero_stderr_reads_roundoff_as_zero_and_more_as_inf(self):
+        ref, zero = np.ones(2), np.zeros(2)
+        assert _max_sigma(ref + np.array([2e-16, 0.0]), ref, zero) == 0.0
+        assert _max_sigma(ref + np.array([1e-6, 0.0]), ref, zero) == math.inf
+        mixed = _max_sigma(np.array([1.5, 1 + 2e-16]), ref, np.array([0.25, 0.0]))
+        assert mixed == 2.0
+
     def test_record_shape(self):
         rec = moment_check_record(2, 2, samples=4000, seed=11)
         assert rec.d == 2 and rec.M == 2 and rec.k == 2 and rec.N is None
