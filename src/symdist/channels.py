@@ -6,9 +6,13 @@ of the M output slots by construction: the optimal universal N -> M cloner
 preparation, the cloner followed by independent single-user depolarizing
 noise, and a measure-and-prepare channel.  A run builds the output from
 the spec, sized first by symspace.plan: symmetric_output in occupation
-coordinates where symmetric_field puts it in Sym^M (cloner_coords by
-Werner's P_M (X tensor 1) P_M = P_M (X tensor P_{M-N}) P_M, PRA 58, 1827
-(1998); prep_coords sums product states), dense_output for every kind.
+coordinates where symmetric_field puts it in Sym^M (prep_coords sums
+product states), dense_output for every kind.  The cloners are U-covariant
+(Werner, PRA 58, 1827 (1998)): their output on U|0> is U^{tensor M}
+applied to that on |0>, so every distance and input fidelity is the same
+for every pure input.  The spec gives it in the input's frame, where the
+input is |0> (covariant): cloner_diagonal, by Werner's P_M (X tensor 1) P_M
+= P_M (X tensor P_{M-N}) P_M, a diagonal in occupation coordinates.
 
 The Choi form of each kind, its application to an input and the check of
 a built channel's invariance and support are the oracles that tests compare
@@ -75,20 +79,19 @@ def _check_cloner_args(d: int, N: int, M: int) -> None:
         raise ValueError(f"need 1 <= N <= M, got N={N}, M={M}")
 
 
-def cloner_coords(d: int, N: int, M: int, x: np.ndarray) -> np.ndarray:
-    """universal_cloner(d, N, M) applied to x (s_N x s_N, occupation
-    coordinates), as an s_M x s_M matrix in occupation coordinates.
+def cloner_diagonal(d: int, N: int, M: int) -> np.ndarray:
+    """universal_cloner(d, N, M) on N copies of |0>, in occupation
+    coordinates: the s_M diagonal of a diagonal matrix.
 
-    (s_N/s_M) sum_b B_b x B_b† over b in Sym^{M-N}, where B_b|n> =
-    c(n+b; n)|n+b> is P_M restricted to |n>|b>.
+    (s_N/s_M) sum_b B_b |n><n| B_b† over b in Sym^{M-N}, where n = (N, 0,
+    ..., 0) and B_b|n> = c(n+b; n)|n+b> is P_M restricted to |n>|b>: each b
+    lands on its own diagonal entry n + b.
     """
     _check_cloner_args(d, N, M)
     t = split_table(d, M, N)
-    s_m = sym_dim(d, M)
-    terms = t.whole_coef[:, None, :] * t.whole_coef[None, :, :] * x[:, :, None]
-    out = np.zeros((s_m, s_m), dtype=complex)
-    np.add.at(out, (t.whole[:, None, :], t.whole[None, :, :]), terms)
-    return (sym_dim(d, N) / s_m) * out
+    out = np.zeros(sym_dim(d, M))
+    out[t.whole[0]] = (sym_dim(d, N) / sym_dim(d, M)) * t.whole_coef[0] ** 2
+    return out
 
 
 def prep_coords(kets: np.ndarray, weights, M: int) -> np.ndarray:
@@ -145,33 +148,16 @@ def _validated_measurement(povm: list[np.ndarray], n_preps: int) -> int:
     return dim_in
 
 
-def _unit_entries(phi: DenseOperator) -> np.ndarray:
+def _plain_ket(phi: DenseOperator, dim: int, what: str = "channel input") -> np.ndarray:
+    """The entries of phi, checked to be a unit ket of side `dim`."""
     if phi.shape[1] != 1:
         raise ValueError("expected a ket")
     nrm = float(np.linalg.norm(phi.entries))
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"input ket has norm {nrm}, expected 1")
+    if phi.shape[0] != dim:
+        raise ValueError(f"ket dimension {phi.shape[0]} does not match {what} {dim}")
     return phi.entries[:, 0]
-
-
-def _plain_ket(phi: DenseOperator, dim_in: int) -> np.ndarray:
-    u = _unit_entries(phi)
-    if u.size != dim_in:
-        raise ValueError(
-            f"ket dimension {u.size} does not match channel input {dim_in}"
-        )
-    return u
-
-
-def _sym_power_ket(phi: DenseOperator, d: int, n_copies: int) -> np.ndarray:
-    """phi^{tensor n_copies} in occupation coordinates."""
-    u = _unit_entries(phi)
-    if u.size != d:
-        raise ValueError(
-            f"ket dimension {u.size} does not match single-copy dimension {d}"
-        )
-    x = power_coords(u, n_copies)
-    return x / np.linalg.norm(x)  # a unit vector already; scrub roundoff
 
 
 def _check_prep(m: np.ndarray, d: int) -> None:
@@ -324,12 +310,6 @@ class SDIChannelSpec:
         povm = self.povm if self.kind == "measure_prepare" else [np.eye(n)]
         return [float(np.real(np.vdot(np.asarray(e), rho_in))) for e in povm]
 
-    def _cloner_output(self, state: DenseOperator) -> np.ndarray:
-        """The noiseless cloner output for N copies of the ket `state`, as
-        an s_M x s_M matrix in occupation coordinates."""
-        x = _sym_power_ket(state, self.d, self.N)
-        return cloner_coords(self.d, self.N, self.M, np.outer(x, x.conj()))
-
     def _pure_preps(self, state: DenseOperator) -> tuple[np.ndarray, list[float]]:
         # each prepared state's top eigenvector and its weight for `state`
         weights, kets = self._weights(state), []
@@ -343,7 +323,13 @@ class SDIChannelSpec:
             kets.append(vecs[:, -1])
         return np.array(kets), weights
 
-    def symmetric_field(self, state: DenseOperator) -> str:
+    @property
+    def covariant(self) -> bool:
+        """Whether the output is given in the input's frame: for the two
+        U-covariant cloners, whose input ket a run neither draws nor builds."""
+        return self.kind in ("universal_cloner", "noisy_cloner")
+
+    def symmetric_field(self, state: DenseOperator | None) -> str:
         """The field that puts the output for the input `state` in Sym^M:
         M = 1 (Sym^1(C^d) is C^d in basis order), d = 1, the preps where each
         is rank one or weighted at most SUPPORT_TOL, or the cloner's kind or
@@ -358,35 +344,45 @@ class SDIChannelSpec:
                                f"{self.M} users out of the symmetric subspace")
         return "channel.kind" if self.p is None else "channel.p"
 
-    def symmetric_output(self, state: DenseOperator,
+    def symmetric_output(self, state: DenseOperator | None,
                          cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-        """The output for the input `state` (a ket of side d for the cloners,
-        a ket or a density matrix of side input_dim for the preparations) as
-        an s_M x s_M matrix in occupation coordinates, where symmetric_field
-        puts it in Sym^M (a prep enters as its top eigenvector), once planned."""
+        """The output for the input `state` in occupation coordinates where
+        symmetric_field puts it in Sym^M, once planned: a cloner's in the
+        input's frame, as its s_M diagonal (`state`, a ket of side d or None,
+        is only checked); a preparation's, for a ket or a density matrix of
+        side input_dim, as an s_M x s_M matrix (a prep enters as its top
+        eigenvector)."""
         self.symmetric_field(state)
         plan(self.d, self.M, n_in=self.N, cap=cap)
+        if self.covariant:
+            if state is not None:
+                _plain_ket(state, self.d, "single-copy dimension")
+            x = cloner_diagonal(self.d, self.N, self.M)
+            # p > 0 passes symmetric_field at M = 1 or d = 1: X -> (1-p) X + p/d
+            return (1.0 - self.p) * x + self.p / self.d if self.p else x
         if self.M == 1:
             return self.dense_output(state, cap).entries
-        if self.prep is None:
-            return self._cloner_output(state)
         return prep_coords(*self._pure_preps(state), self.M)
 
-    def dense_output(self, state: DenseOperator,
+    def dense_output(self, state: DenseOperator | None,
                      cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
         """The output on (C^d)^{tensor M}, for every kind and the input of
-        symmetric_output: the cloner output embedded, with each user
-        depolarized in place, or the sum of w_i sigma_i^{tensor M}.
-        Refused, before anything is allocated, where its plan does not fit."""
+        symmetric_output, in the input's frame for the cloners: their
+        diagonal embedded, with each user depolarized in place, or the sum
+        of w_i sigma_i^{tensor M}.  Refused, before anything is allocated,
+        where its plan does not fit."""
         plan(self.d, self.M, route="dense", purify=False, cap=cap)
         dims = (self.d,) * self.M
-        if self.kind in ("fixed_prep", "measure_prepare"):
+        if not self.covariant:
             return DenseOperator(sum(w * tensor_power(s, self.M, cap).entries
                                      for s, w in zip(self._preps(), self._weights(state))),
                                  dims)
-        coords = self._cloner_output(state)
+        if state is not None:
+            _plain_ket(state, self.d, "single-copy dimension")
         v = index_map(self.d, self.M, cap)
-        rho = v.expand(v.expand(coords, 0), 1)
+        # V diag(x) V†: x[c] w^2 on every pair of flat indices in column c
+        x = cloner_diagonal(self.d, self.N, self.M)[v.col] * v.weight
+        rho = np.equal.outer(v.col, v.col) * (x * v.weight).astype(complex)[:, None]
         if self.kind == "noisy_cloner":
             for t in range(self.M):
                 _depolarize_factor(rho, dims, t, self.p)

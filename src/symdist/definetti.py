@@ -7,19 +7,20 @@ approximates rho's k-user marginal: exactly, a rescaled partial trace
 against the (M+k)-fold symmetrizer, or by Monte Carlo over Haar samples.
 
 The kernels (marginal_coords, reduce_coords, mc_reduce_coords) take the
-state as an s_M x s_M matrix in occupation coordinates (the exact ones also
-a ket) and return s_k x s_k matrices in those of Sym^k, where V keeps the
-trace norm: the exact ones, and the ancilla trace, as one contraction over
-split coefficients (Harrow, arXiv:1308.6595).  An OccupationState holds a
-symmetric output (the lemma), or from purified_state the pair purification
-(sqrt(rho) tensor 1)|Omega> of a permutation-invariant rho (the theorem),
-symmetric in the d^2-dimensional pairs; its sweep runs the two exact
-kernels once, at the largest k of a run, and takes each smaller k as a
-one-user partial trace of the pair above it.  Each entry point is sized by
-symspace.plan under its `cap`.  mc_reduce_coords is the one Monte Carlo
-entry: scenario checks and moment checks both draw through it.  No run
-compresses a dense output to V† rho V; the tests' oracle for the spec
-route does.
+state as an s_M x s_M matrix in occupation coordinates, or its diagonal (a
+cloner's output in its input's frame; the exact ones also a ket), and
+return s_k x s_k matrices, or diagonals, in those of Sym^k, where V keeps
+the trace norm: the exact ones, and the ancilla trace, as one contraction
+over split coefficients (Harrow, arXiv:1308.6595).  An OccupationState
+holds a symmetric output (the lemma), or from purified_state the pair
+purification (sqrt(rho) tensor 1)|Omega> of a permutation-invariant rho
+(the theorem), symmetric in the d^2-dimensional pairs; its sweep runs the
+two exact kernels once, at the largest k of a run, and takes each smaller k
+as a one-user partial trace of the pair above it.  Each entry point is
+sized by symspace.plan under its `cap`, which charges a diagonal as its
+matrix.  mc_reduce_coords is the one Monte Carlo entry: scenario checks and
+moment checks both draw through it.  No run compresses a dense output to
+V† rho V; the tests' oracle for the spec route does.
 """
 
 from __future__ import annotations
@@ -49,48 +50,58 @@ def _uniform_square(rho: DenseOperator, name: str) -> tuple[int, int]:
     return dims[0], len(dims)
 
 
-def contract(x: np.ndarray, idx: np.ndarray, coef: np.ndarray) -> np.ndarray:
+def contract(x: np.ndarray, idx: np.ndarray, coef: np.ndarray,
+             ket: bool = False) -> np.ndarray:
     """sum_j coef[a, j] coef[a', j] x[idx[a, j], idx[a', j]]: the one
-    contraction behind every k-user result.  A 1-D `x` is a ket standing for
-    |x><x|; then the sum is W W† with W[a, j] = coef[a, j] x[idx[a, j]]."""
-    if x.ndim == 1:
+    contraction behind every k-user result.  For a diagonal (1-D) x, the
+    diagonal sum_j coef[a, j]^2 x[idx[a, j]]; for a `ket` x, standing for
+    |x><x|, W W† with W[a, j] = coef[a, j] x[idx[a, j]]."""
+    if x.ndim == 2:
+        gathered = x[idx[:, None, :], idx[None, :, :]]
+        gathered *= coef[:, None, :] * coef[None, :, :]
+        return gathered.sum(axis=-1)
+    if ket:
         w = coef * x[idx]
         return w @ w.conj().T
-    gathered = x[idx[:, None, :], idx[None, :, :]]
-    gathered *= coef[:, None, :] * coef[None, :, :]
-    return gathered.sum(axis=-1)
+    return (coef ** 2 * x[idx]).sum(-1)
 
 
-def marginal_coords(rho: np.ndarray, d: int, m: int, k: int) -> np.ndarray:
-    """Tr_{M-k} of an s_M x s_M occupation-coordinate state (or ket), as
-    s_k x s_k: rho_k[a, a'] = sum_b c(a+b; a) c(a'+b; a') rho[a+b, a'+b]."""
+def marginal_coords(rho: np.ndarray, d: int, m: int, k: int,
+                    ket: bool = False) -> np.ndarray:
+    """Tr_{M-k} of an s_M x s_M occupation-coordinate state (its diagonal,
+    or with `ket` a ket), as s_k x s_k (a diagonal):
+    rho_k[a, a'] = sum_b c(a+b; a) c(a'+b; a') rho[a+b, a'+b]."""
     t = split_table(d, m, k)
-    return contract(rho, t.whole, t.whole_coef)
+    return contract(rho, t.whole, t.whole_coef, ket)
 
 
-def reduce_coords(rho: np.ndarray, d: int, m: int, k: int) -> np.ndarray:
+def reduce_coords(rho: np.ndarray, d: int, m: int, k: int,
+                  ket: bool = False) -> np.ndarray:
     """(s_M/s_{M+k}) Tr_M[(rho tensor 1^k) P_{M+k}] for an s_M x s_M
-    occupation-coordinate state (or ket), as s_k x s_k:
+    occupation-coordinate state (its diagonal, or with `ket` a ket), as
+    s_k x s_k (a diagonal):
     tilde[a, a'] = (s_M/s_{M+k}) sum_m c(m;a) c(m;a') rho[m-a', m-a], the
     contraction over the rest layout, transposed."""
     t = split_table(d, m + k, k)
     ratio = sym_dim(d, m) / sym_dim(d, m + k)
-    return ratio * contract(rho, t.rest.T, t.rest_coef.T).T
+    return ratio * contract(rho, t.rest.T, t.rest_coef.T, ket).T
 
 
 def mc_reduce_coords(rho: np.ndarray, d: int, m: int, k: int, samples: int,
                      seed: int, cap: int = DEFAULT_DIM_CAP
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo (estimate, stderr) of the k-user mixture of an s_M x s_M
-    occupation-coordinate state: two s_k x s_k arrays, componentwise, in the
-    coordinates of OccupationState.sweep's k-user results.  The one Monte
-    Carlo entry of symdist: scenario checks and moment checks both draw
-    here.  Its plan under `cap` refuses it before anything is allocated, or
-    sets the chunk.  It refuses fewer than 2 samples or more than 2^63 - 1.
+    occupation-coordinate state, or its diagonal: two s_k x s_k arrays,
+    componentwise, in the coordinates of OccupationState.sweep's k-user
+    results.  The one Monte Carlo entry of symdist: scenario checks and
+    moment checks both draw here.  Its plan under `cap` refuses it before
+    anything is allocated, or sets the chunk.  It refuses fewer than 2
+    samples or more than 2^63 - 1.
 
     The draws are the first `samples` rows of haar_kets from
     default_rng((seed, 1)), taken a chunk at a time, so draw j does not
-    depend on the chunk.  Each, weighted by w = s_M <psi^M|rho|psi^M>,
+    depend on the chunk.  Each, weighted by w = s_M <psi^M|rho|psi^M> (for
+    a diagonal x, s_M sum_s |c_s|^2 x_s with c = power_coords(psi, M)),
     contributes w c c† with c = power_coords(psi, k); standard errors combine
     the real and imaginary spreads in quadrature, bit for bit on a rerun.
     The squares of draws sum as |2^h_n c_n|^2, where |c_n c_n'|^2 would
@@ -118,7 +129,8 @@ def mc_reduce_coords(rho: np.ndarray, d: int, m: int, k: int, samples: int,
     for lo in range(0, samples, chunk):
         u = haar_kets(rng, min(chunk, samples - lo), d)
         c = power_coords(u, m)
-        w = s_m * np.einsum("bs,bs->b", c.conj(), c @ rho.T).real
+        w = s_m * (np.einsum("bs,bs->b", c.conj(), c @ rho.T) if rho.ndim == 2
+                   else np.abs(c) ** 2 @ rho).real
         # x = w c_k c_k^dagger, summed over the chunk as matrix products
         c_k = c if k == m else power_coords(u, k)
         acc += (w[:, None] * c_k).T @ c_k.conj()
@@ -131,7 +143,8 @@ def mc_reduce_coords(rho: np.ndarray, d: int, m: int, k: int, samples: int,
 
 @dataclass(frozen=True)
 class OccupationState:
-    """M users in occupation coordinates of Sym^M(C^d): an s x s matrix.
+    """M users in occupation coordinates of Sym^M(C^d): an s x s matrix, or
+    its diagonal as a 1-D array (a cloner's output in its input's frame).
 
     When `paired`, each factor is a (user, ancilla) pair and `coords` the
     pure pair purification as a ket in Sym^M(C^{d^2}); contract, through
@@ -149,10 +162,11 @@ class OccupationState:
         planned once before the first, as hermitized complex matrices in the
         frame of their distance: d^k x d^k on (C^d)^{tensor k} paired, else
         s_k x s_k in occupation coordinates of Sym^k(C^d), where V keeps the
-        trace norm (k = 1: C^d).  Both families are consistent (rho_k =
-        Tr_1 rho_{k+1}, and the mixtures likewise), so the kernels run only
-        at K = max(ks), and each smaller k is the one-user partial trace of
-        the k + 1 pair.  The sweep holds only the pair of the current k."""
+        trace norm (k = 1: C^d), or their diagonals where coords is one.
+        Both families are consistent (rho_k = Tr_1 rho_{k+1}, and the
+        mixtures likewise), so the kernels run only at K = max(ks), and each
+        smaller k is the one-user partial trace of the k + 1 pair.  The
+        sweep holds only the pair of the current k."""
         ks = set(ks)
         plan(self.d, self.m, tuple(sorted(ks)), output=False, cap=cap,
              route="dense" if self.paired else "symmetric")
@@ -176,13 +190,13 @@ class OccupationState:
     def _result(self, kernel, k: int) -> np.ndarray:
         d = self.d
         if self.paired:
-            return _hermitized(contract(kernel(self.coords, d * d, self.m, k),
+            return _hermitized(contract(kernel(self.coords, d * d, self.m, k, ket=True),
                                         *_trace_table(d, k)))
         return _hermitized(kernel(self.coords, d, self.m, k))
 
 
 def _hermitized(e: np.ndarray) -> np.ndarray:
-    """(E + E†)/2, which scrubs roundoff off an analytically Hermitian E."""
+    """(E + E†)/2 (of a diagonal, its real part): scrubs roundoff off E."""
     e = np.asarray(e, dtype=complex)
     return 0.5 * (e + e.conj().T)
 

@@ -10,7 +10,8 @@ is the most significant index: the flat row index of |i_0 i_1 ... i_{n-1}>
 is i_0 * d_1 * ... * d_{n-1} + ... + i_{n-1}, which is exactly numpy's
 C-order convention and the ordering np.kron produces.  The state checks
 (check_hermitian, herm_eigvals, validate_state) take plain square arrays:
-the symmetric route's matrices carry no factors.  The dense oracles that
+the symmetric route's matrices carry no factors, and check_hermitian and
+validate_state also take a 1-D array as a diagonal.  The dense oracles that
 tests compare with (partial traces, whole permutations, Choi matrices) live
 with the tests.
 """
@@ -146,9 +147,11 @@ def swap_residual(x: DenseOperator, t: int) -> float:
 def herm_eigvals(x: np.ndarray) -> np.ndarray:
     """Eigenvalues of a square Hermitian matrix, descending.
 
-    Rejects inputs that check_hermitian rejects; the symmetrized (X+X†)/2 is
-    what gets diagonalized.
+    Rejects inputs that check_hermitian rejects, and diagonals; the
+    symmetrized (X+X†)/2 is what gets diagonalized.
     """
+    if x.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {x.shape}")
     check_hermitian(x)
     w = np.linalg.eigvalsh(0.5 * (x + x.conj().T))
     return w[::-1]
@@ -156,8 +159,9 @@ def herm_eigvals(x: np.ndarray) -> np.ndarray:
 
 def check_hermitian(x: np.ndarray) -> None:
     """Raise ValueError unless x is a square matrix with finite entries whose
-    max-abs deviation from Hermiticity is at most HERMITICITY_TOL."""
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+    max-abs deviation from Hermiticity is at most HERMITICITY_TOL.  A 1-D x
+    is the diagonal of one: x - x.conj().T is then 2i Im x."""
+    if x.ndim not in (1, 2) or x.shape[0] != x.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("matrix has non-finite entries")
@@ -169,14 +173,16 @@ def check_hermitian(x: np.ndarray) -> None:
 
 def validate_state(x: np.ndarray, name: str = "state") -> None:
     """Raise ValueError unless x passes check_hermitian (a finite, square,
-    Hermitian matrix) and is PSD and of unit trace; each message starts with
+    Hermitian matrix, or a real diagonal, whose eigenvalues are its entries)
+    and is PSD within PSD_TOL and of unit trace; each message starts with
     name."""
     try:
-        w = herm_eigvals(x)
+        check_hermitian(x)
+        w = x.real if x.ndim == 1 else herm_eigvals(x)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from exc
-    if w.size and w[-1] < -PSD_TOL:
-        raise ValueError(f"{name} has negative eigenvalue {w[-1]:.3e}")
-    tr = complex(np.trace(x))
+    if w.size and w.min() < -PSD_TOL:
+        raise ValueError(f"{name} has negative eigenvalue {w.min():.3e}")
+    tr = complex(x.sum() if x.ndim == 1 else np.trace(x))
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"{name} has trace {tr}, expected 1")

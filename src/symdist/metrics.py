@@ -17,13 +17,15 @@ BOUND_SLACK = 1e-9
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Trace norm of rho - sigma (so states are at most 2 apart), for two
-    square matrices of one shape in one frame.  Each must be finite and
-    Hermitian within HERMITICITY_TOL; only their difference is
-    diagonalized."""
+    square matrices of one shape in one frame, or two diagonals (sum_i
+    |a_i - b_i|).  Each must be finite and Hermitian within HERMITICITY_TOL
+    (a diagonal: real); only a difference of matrices is diagonalized."""
     if rho.shape != sigma.shape:
         raise ValueError(f"shape mismatch: {rho.shape} vs {sigma.shape}")
     check_hermitian(rho)
     check_hermitian(sigma)
+    if rho.ndim == 1:
+        return float(np.abs((rho - sigma).real).sum())
     w = herm_eigvals(rho - sigma)
     return float(np.abs(w).sum())
 

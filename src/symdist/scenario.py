@@ -2,11 +2,13 @@
 
 A scenario names a channel, an input state, the marginal sizes k to examine
 and the checks to run; running it yields one ResultRecord per k with the
-computed distances, bounds and satisfied flags.  This module owns the
-output format: render_rows, the one table writer, renders these records
-(through emit) and the bounds table of the CLI as CSV (fixed column order,
-floats at 12 significant digits) or JSON mirroring the column names; both
-are byte-stable across runs unless timings are requested.
+computed distances, bounds and satisfied flags.  A cloner runs in its
+input's frame (|0>), with diagonal lemma1 states and no ket drawn or built.
+This module owns the output format: render_rows, the one table writer,
+renders these records (through emit) and the bounds table of the CLI as
+CSV (fixed column order, floats at 12 significant digits) or JSON mirroring
+the column names; both are byte-stable across runs unless timings are
+requested.
 """
 
 from __future__ import annotations
@@ -246,9 +248,12 @@ def load_scenarios(text: str, defaults: dict | None = None) -> list[ScenarioConf
 # -- running -----------------------------------------------------------------
 
 
-def _input_state(cfg: ScenarioConfig) -> tuple[DenseOperator, int | None]:
-    """The input as a ket (a density matrix for diag inputs), and its seed."""
+def _input_state(cfg: ScenarioConfig) -> tuple[DenseOperator | None, int | None]:
+    """The input as a ket (a density matrix for diag inputs, None for a
+    cloner, whose output is taken in its input's frame), and its seed."""
     info, d = cfg.input_state, cfg.channel.input_dim
+    if cfg.channel.covariant:
+        return None, info.get("seed")
     if info["type"] == "pure":
         return ket(info["vec"]), None
     if info["type"] == "random_pure":
@@ -259,7 +264,7 @@ def _input_state(cfg: ScenarioConfig) -> tuple[DenseOperator, int | None]:
     return DenseOperator(np.diag(info["probs"]), (d,)), None
 
 
-def _plan(cfg: ScenarioConfig, phi: DenseOperator, cap: int) -> Plan:
+def _plan(cfg: ScenarioConfig, phi: DenseOperator | None, cap: int) -> Plan:
     """The run's checked plan: theorem2 takes the dense route; lemma1 and
     mc_crosscheck need the output in Sym^M, which a spec field decides."""
     spec, theorem2 = cfg.channel, "theorem2" in cfg.checks
@@ -277,7 +282,7 @@ def _plan(cfg: ScenarioConfig, phi: DenseOperator, cap: int) -> Plan:
                 mc=mc, cap=cap)
 
 
-def _output(cfg: ScenarioConfig, phi: DenseOperator,
+def _output(cfg: ScenarioConfig, phi: DenseOperator | None,
             cap: int) -> tuple[OccupationState, OccupationState | None]:
     """The output in occupation coordinates (of its pair purification, at
     d^2, under theorem2), and the symmetric state that mc_crosscheck samples,
@@ -292,11 +297,6 @@ def _output(cfg: ScenarioConfig, phi: DenseOperator,
     if not theorem2:
         return sym, sym if "mc_crosscheck" in cfg.checks else None
     return purified_state(spec.dense_output(phi, cap), cap), sym
-
-
-def _fidelity(phi: DenseOperator, rho: np.ndarray) -> float:
-    u = phi.entries[:, 0]
-    return float(np.real(np.vdot(u, rho @ u)))
 
 
 def run_scenario(cfg: ScenarioConfig,
@@ -338,9 +338,9 @@ def run_scenario(cfg: ScenarioConfig,
             row.satisfied_perr = row.p_err >= row.p_err_bound - BOUND_SLACK
         if "fidelity_gap" in cfg.checks:
             # lemma1 rides along (the parser insists), so rho_1 and tilde_1 are
-            # the single-user states on C^d, the frame of one user
-            row.F_clon = _fidelity(phi, rho_1)
-            row.F_tilde = _fidelity(phi, tilde_1)
+            # the single-user diagonals on C^d in the input's frame: F = <0|.|0>
+            row.F_clon = float(rho_1[0].real)
+            row.F_tilde = float(tilde_1[0].real)
             row.gap_formula = universal_clone_gap(spec.N, spec.M, spec.d)
             diff = row.F_clon - row.F_tilde
             row.satisfied_fidelity_gap = (
@@ -365,9 +365,12 @@ def run_scenario(cfg: ScenarioConfig,
 
 def _max_sigma(estimate: np.ndarray, reference: np.ndarray,
                stderr: np.ndarray) -> float:
-    """The largest deviation in standard errors.  Where the stderr is 0,
-    as when every draw is equal (at d = 1), a deviation within BOUND_SLACK
-    is roundoff and reads 0; a larger one reads inf."""
+    """The largest deviation in standard errors (from a diagonal reference's
+    matrix).  Where the stderr is 0, as when every draw is equal (at d = 1),
+    a deviation within BOUND_SLACK is roundoff and reads 0; a larger one
+    reads inf."""
+    if reference.ndim < estimate.ndim:
+        reference = np.diag(reference)
     dev = np.abs(estimate - reference)
     with np.errstate(divide="ignore", invalid="ignore"):
         sig = np.where(stderr == 0.0, np.where(dev <= BOUND_SLACK, 0.0, np.inf),

@@ -17,6 +17,7 @@ symmetrizer and embedding that tests compare with live with the tests.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
@@ -114,8 +115,16 @@ def _along(v: np.ndarray, axis: int, ndim: int) -> np.ndarray:
     return v.reshape(shape)
 
 
-@lru_cache(maxsize=128)
+# _index_map keeps its maps up to this many bytes in all, the least recently
+# used evicted first; a larger map is built for its call and not kept
+INDEX_MAP_CACHE_BYTES = 2 ** 24
+_INDEX_MAPS = OrderedDict()  # (d, n) -> (map, bytes), least recent first
+
+
 def _index_map(d: int, n: int) -> IndexMap:
+    if (d, n) in _INDEX_MAPS:
+        _INDEX_MAPS.move_to_end((d, n))
+        return _INDEX_MAPS[d, n][0]
     # entry i of the occupation of flat index x counts its digits equal to i:
     # the outer sum of n indicators of i (0 if n = 0), one entry at a time
     entries = (reduce(np.add.outer, [e] * n or [0 * e[:1]]).ravel()
@@ -126,7 +135,16 @@ def _index_map(d: int, n: int) -> IndexMap:
     scale = 1.0 / np.sqrt(mult)
     order = col.argsort(kind="stable")
     starts = np.add.accumulate(mult) - mult
-    return IndexMap(col, scale[col], scale, order, starts)
+    v = IndexMap(col, scale[col], scale, order, starts)
+    nbytes = sum(a.nbytes for a in vars(v).values())
+    if nbytes <= INDEX_MAP_CACHE_BYTES:
+        _INDEX_MAPS[d, n] = v, nbytes
+        while sum(b for _, b in _INDEX_MAPS.values()) > INDEX_MAP_CACHE_BYTES:
+            _INDEX_MAPS.popitem(last=False)
+    return v
+
+
+_index_map.cache_clear = _INDEX_MAPS.clear
 
 
 def index_map(d: int, n: int, cap: int = DEFAULT_DIM_CAP) -> IndexMap:

@@ -3,7 +3,8 @@
 Everything here works on (C^d)^{tensor M} with explicit matrices, the way
 the paper writes it: the Choi form of each channel kind (Werner's optimal
 universal cloner, PRA 58, 1827 (1998), a constant preparation, the noisy
-cloner, a measure-and-prepare channel), its application to an input, the
+cloner, a measure-and-prepare channel), its application to an input in the
+lab frame, the turn of a cloner's output into its input's frame, the
 partial trace, whole permutations of factors, the symmetrizer and the
 embedding of occupation coordinates.  No run path needs any of it, so none
 of it lives in the package: symdist keeps only what a run enters, and these
@@ -29,7 +30,6 @@ from symdist.channels import (
     _check_depolarizing_weight,
     _depolarize_factor,
     _plain_ket,
-    _sym_power_ket,
     _validated_measurement,
 )
 from symdist.definetti import OccupationState, _uniform_square
@@ -43,7 +43,7 @@ from symdist.linalg import (
     tensor_power,
     validate_state,
 )
-from symdist.symspace import index_map, plan, sym_dim
+from symdist.symspace import index_map, plan, power_coords, sym_dim
 
 # -- linear algebra -----------------------------------------------------------
 
@@ -142,10 +142,12 @@ def symmetrizer(d: int, n: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
 
 def embed_coords(x: np.ndarray, d: int, n: int,
                  cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
-    """V x V†: an operator given in occupation coordinates, on (C^d)^{tensor n}.
+    """V x V†: an operator given in occupation coordinates (a 1-D x: its
+    diagonal), on (C^d)^{tensor n}.
 
     The oracle for results in occupation coordinates, such as the k-user
     results of OccupationState.sweep, and for symmetrizer."""
+    x = np.diag(x) if x.ndim == 1 else x
     v = index_map(d, n, cap)
     return DenseOperator(v.expand(v.expand(x, 0), 1), (d,) * n)
 
@@ -189,7 +191,7 @@ def universal_cloner(d: int, N: int, M: int,
     coordinates (dim sym_dim(d, N)); output is on M full factors.  The map is
     X -> (s_N/s_M) P_M (V_N X V_N† tensor 1^{M-N}) P_M with P_M the
     symmetrizer, realized through d^{M-N} Kraus operators: the oracle for
-    cloner_coords and dense_output.
+    cloner_diagonal and dense_output.
     """
     _check_cloner_args(d, N, M)
     s_in = sym_dim(d, N)
@@ -285,6 +287,13 @@ def measure_prepare(povm: list[DenseOperator], preps: list[DenseOperator], M: in
     )
 
 
+def _sym_power_ket(phi: DenseOperator, d: int, n_copies: int) -> np.ndarray:
+    """phi^{tensor n_copies} in occupation coordinates."""
+    u = _plain_ket(phi, d, "single-copy dimension")
+    x = power_coords(u, n_copies)
+    return x / np.linalg.norm(x)  # a unit vector already; scrub roundoff
+
+
 def embed_pure_input(ch: QuantumChannel, phi: DenseOperator) -> DenseOperator:
     """Density matrix, in the channel's input coordinates, for N copies of phi.
 
@@ -297,6 +306,26 @@ def embed_pure_input(ch: QuantumChannel, phi: DenseOperator) -> DenseOperator:
         x = _sym_power_ket(phi, ch.in_isometry.row_dims[0],
                            len(ch.in_isometry.row_dims))
     return DenseOperator(np.outer(x, x.conj()), (ch.dim_in,))
+
+
+def frame_unitary(phi: DenseOperator) -> np.ndarray:
+    """A unitary U with U|0> = phi: a QR completion of phi, its first column
+    rephased onto phi."""
+    u = _plain_ket(phi, phi.shape[0])
+    q, r = np.linalg.qr(np.column_stack([u, np.eye(u.size)[:, 1:]]))
+    q[:, 0] *= r[0, 0]
+    return q
+
+
+def in_input_frame(rho: DenseOperator, phi: DenseOperator) -> DenseOperator:
+    """U^{†tensor M} rho U^{tensor M} for U = frame_unitary(phi): a cloner's
+    output on phi, seen in phi's frame, where symdist gives it.  The cloners
+    are U-covariant, so this is their output on |0>."""
+    u = frame_unitary(phi)
+    full = np.ones((1, 1))
+    for _ in rho.row_dims:
+        full = np.kron(full, u)
+    return DenseOperator(full.conj().T @ rho.entries @ full, rho.row_dims)
 
 
 @dataclass(frozen=True)

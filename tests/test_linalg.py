@@ -331,7 +331,8 @@ class TestValidateState:
             validate_state(m)
 
     def test_not_square(self):
-        for x in (np.full(2, 0.5), np.full((2, 3), 0.5), np.array(1.0)):
+        # a 1-D array is a diagonal (TestDiagonalStates); three axes are not
+        for x in (np.full((2, 2, 2), 0.125), np.full((2, 3), 0.5), np.array(1.0)):
             with pytest.raises(ValueError, match="state: expected a square matrix"):
                 validate_state(x)
 

@@ -51,10 +51,11 @@ class TestTraceDistance:
         with pytest.raises(ValueError, match="shape"):
             trace_distance(projector(basis_ket(2, 0)).entries,
                            projector(basis_ket(3, 0)).entries)
-        # a 1-D array, a non-square matrix, or one of each
+        # a non-square matrix, or a matrix and a diagonal (two diagonals are
+        # the diagonal form, test_diagonal_states.py)
         half = np.full(2, 0.5)
-        for rho, sigma in ((half, half), (np.ones((2, 3)), np.ones((2, 3))),
-                           (np.eye(2) / 2, half)):
+        for rho, sigma in ((np.ones((2, 3)), np.ones((2, 3))),
+                           (np.eye(2) / 2, half), (half, np.eye(2) / 2)):
             with pytest.raises(ValueError, match="shape"):
                 trace_distance(rho, sigma)
 

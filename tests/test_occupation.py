@@ -59,6 +59,7 @@ from dense_oracles import (
     build,
     embed_coords,
     embed_pure_input,
+    in_input_frame,
     partial_trace,
     projector,
     symmetric_state,
@@ -114,9 +115,9 @@ def _input_ket(d):
 
 
 def _dense_output(spec):
-    ch = build(spec)
-    phi = _input_ket(spec.d)
-    return apply(ch, embed_pure_input(ch, phi)), spec.symmetric_output(phi)
+    """The Choi oracle's output and symmetric_output, both at _input_ket(d),
+    and both in the input's frame for the cloners."""
+    return _choi_output(spec), spec.symmetric_output(_input_ket(spec.d))
 
 
 def _dense_reduction(rho, d, m, k):
@@ -127,8 +128,11 @@ def _dense_reduction(rho, d, m, k):
 
 
 def _choi_output(spec):
-    ch = build(spec)
-    return apply(ch, embed_pure_input(ch, _input_ket(spec.d)))
+    """apply on the Choi matrix at _input_ket(d); a cloner's output turned
+    into the input's frame, where symdist gives it."""
+    ch, phi = build(spec), _input_ket(spec.d)
+    rho = apply(ch, embed_pure_input(ch, phi))
+    return in_input_frame(rho, phi) if spec.covariant else rho
 
 
 def _dense_purified_reduction(rho, d, m, k):
@@ -201,16 +205,17 @@ def test_purified_route_matches_dense(spec):
 @pytest.mark.parametrize("d,m,k", [(9, 2, 1), (9, 2, 2), (4, 6, 1),
                                    (4, 4, 1), (4, 4, 2), (4, 4, 3)])
 def test_ket_kernels_match_matrix_kernels(d, m, k):
-    """A 1-D state is a ket c; the kernels on it equal those on |c><c|,
-    also where the dense oracle cannot reach, e.g. (d^2 = 9, M = 2, k = 2)."""
+    """A 1-D state with `ket` is a ket c; the kernels on it equal those on
+    |c><c|, also where the dense oracle cannot reach, e.g. (d^2 = 9, M = 2,
+    k = 2)."""
     rng = np.random.default_rng(11)
     s = sym_dim(d, m)
     c = rng.standard_normal(s) + 1j * rng.standard_normal(s)
     c /= np.linalg.norm(c)
     rho = np.outer(c, c.conj())
-    assert np.max(np.abs(marginal_coords(c, d, m, k)
+    assert np.max(np.abs(marginal_coords(c, d, m, k, ket=True)
                          - marginal_coords(rho, d, m, k))) <= TOL
-    assert np.max(np.abs(reduce_coords(c, d, m, k)
+    assert np.max(np.abs(reduce_coords(c, d, m, k, ket=True)
                          - reduce_coords(rho, d, m, k))) <= TOL
 
 
@@ -250,7 +255,8 @@ def test_users_step_matches_embedding_and_partial_trace(state):
             assert abs(np.trace(got) - 1.0) <= TOL
             if dense is None:
                 continue
-            want = embed_coords(kernel(state.coords, q, state.m, k), q, k)
+            want = embed_coords(kernel(state.coords, q, state.m, k, ket=state.paired),
+                                q, k)
             if state.paired:
                 want = partial_trace(DenseOperator(want.entries, (d,) * (2 * k)),
                                      range(0, 2 * k, 2))
@@ -277,7 +283,7 @@ def _reductions(draw):
 def test_reduction_is_a_state(case):
     """reduce_coords maps states, as matrices and as kets, to states."""
     rho, d, m_users, k = case
-    tilde = reduce_coords(rho, d, m_users, k)
+    tilde = reduce_coords(rho, d, m_users, k, ket=rho.ndim == 1)
     assert tilde.shape == (sym_dim(d, k),) * 2
     assert np.max(np.abs(tilde - tilde.conj().T)) <= TOL
     assert np.linalg.eigvalsh(tilde)[0] >= -TOL
@@ -388,9 +394,9 @@ def test_every_k_user_result_is_one_contraction(monkeypatch):
     which the ancilla traces read d^k x d^k tables."""
     calls, contract = [], definetti.contract
 
-    def counted(x, idx, coef):
+    def counted(x, idx, coef, ket=False):
         calls.append(idx.shape)
-        return contract(x, idx, coef)
+        return contract(x, idx, coef, ket)
 
     rng = np.random.default_rng(5)
     unpaired = OccupationState(random_state(rng, sym_dim(2, 4)).entries, 2, 4)
@@ -468,10 +474,11 @@ def test_users_are_plain_complex_arrays():
             assert x.shape == (side, side) and np.array_equal(x, x.conj().T)
 
 
-def test_lemma1_run_builds_one_dense_operator(monkeypatch):
+def test_lemma1_run_builds_no_dense_operator(monkeypatch):
     """The symmetric route wraps nothing: a lemma1 run of the 1 -> 10 qubit
     cloner, every k-user result and the Monte Carlo reference included,
-    builds one DenseOperator, its input ket."""
+    builds no DenseOperator, not even its input ket, which a cloner's run
+    neither draws nor builds."""
     built, post_init = [], DenseOperator.__post_init__
 
     def counted(op):
@@ -484,7 +491,7 @@ def test_lemma1_run_builds_one_dense_operator(monkeypatch):
                                                 "mc_crosscheck"])
     rows = run_scenario(cfg)
     assert all(row.satisfied_lemma1 for row in rows) and rows[0].satisfied_mc
-    assert built == [(2, 1)]
+    assert built == []
 
 
 @pytest.mark.parametrize("d,k", [(2, 1), (2, 3), (2, 6), (3, 1), (3, 2), (3, 4)])
@@ -512,6 +519,7 @@ def test_monte_carlo_weight_matches_dense(spec):
     want = s_m * np.einsum("bi,bi->b", full.conj(), full @ rho.entries.T).real
     c = power_coords(u, spec.M)
     for state in (coords, compressed):
+        state = np.diag(state) if state.ndim == 1 else state
         got = s_m * np.einsum("bs,bs->b", c.conj(), c @ state.T).real
         assert np.max(np.abs(got - want)) <= TOL
 
@@ -575,6 +583,9 @@ def test_symmetric_output_decides_as_the_dense_oracle(spec, coeffs):
     got, want = results
     assert (got is None) == (want is None)
     if got is not None:
+        # a cloner's output is its diagonal in the input's frame
+        assert got.ndim == 1 + (not spec.covariant)
+        got = np.diag(got) if got.ndim == 1 else got
         assert np.max(np.abs(got - want)) <= TOL
 
 
@@ -644,6 +655,23 @@ def test_dense_output_refuses_a_wrong_input_as_the_oracle_does(spec, state):
     with pytest.raises(ValueError) as built:
         spec.dense_output(state)
     assert str(built.value) == str(oracle.value)
+
+
+@pytest.mark.parametrize("m_users", [1, 3])
+@pytest.mark.parametrize("state,message", [
+    (_input_ket(3), "^ket dimension 3 does not match single-copy dimension 2$"),
+    (ket([0.6, 0.6]), "^input ket has norm 0.84"),
+    (DenseOperator(np.eye(2) / 2, (2,)), "^expected a ket$"),
+], ids=["dimension", "norm", "matrix"])
+def test_cloner_outputs_check_a_given_ket(m_users, state, message):
+    """A cloner's output is taken in its input's frame, so it is the same
+    for every unit ket, or none; a ket that is given is still checked."""
+    spec = SDIChannelSpec("noisy_cloner", d=2, M=m_users, N=1, p=0.0)
+    for output in (spec.symmetric_output, spec.dense_output):
+        with pytest.raises(ValueError, match=message):
+            output(state)
+    for output in (spec.symmetric_output, lambda x: spec.dense_output(x).entries):
+        assert np.array_equal(output(_input_ket(2)), output(None))
 
 
 def test_run_path_builds_no_choi_matrix(monkeypatch):

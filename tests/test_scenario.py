@@ -11,6 +11,7 @@ from symdist.cli import main
 from symdist.linalg import ket
 from symdist.scenario import (
     MC_SIGMA_THRESHOLD,
+    _basis_prep,
     _input_state,
     _max_sigma,
     RECORD_COLUMNS,
@@ -276,20 +277,37 @@ class TestRunScenario:
         assert rec.seed == 77
         assert rec.satisfied_lemma1 and rec.satisfied_fidelity_gap
 
+    def test_a_cloner_run_draws_no_input_ket(self, monkeypatch):
+        # a cloner runs in its input's frame, so nothing reads the ket
+        def refuse(*args, **kwargs):
+            raise AssertionError("an input ket was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        rec, = run_scenario(scenario_from_dict(cloner_scenario(
+            input={"type": "random_pure", "seed": 77})))
+        assert rec.seed == 77 and rec.satisfied_fidelity_gap
+        assert abs(rec.F_clon - 5 / 6) <= 1e-15
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_random_input_ket_is_pinned(self, d):
-        # the fidelity-chain rows and the benchmark's reference rows rest on
-        # this ket: stream (seed, 0, 0), d real normals then d imaginary,
-        # divided by the 1-D np.linalg.norm (a batched norm moves last bits)
+        # the rows of a preparation kind on a random input rest on this ket:
+        # stream (seed, 0, 0), d real normals then d imaginary, divided by
+        # the 1-D np.linalg.norm (a batched norm moves last bits).  A cloner
+        # runs in its input's frame: its ket is not drawn, its seed is kept
         for seed in (0, 1, 7, 77, 5004, 2 ** 40):
-            cfg = scenario_from_dict(cloner_scenario(
-                channel={"kind": "universal_cloner", "d": d, "N": 1, "M": 2},
-                input={"type": "random_pure", "seed": seed}))
+            random_input = {"type": "random_pure", "seed": seed}
+            cfg = scenario_from_dict(prep_scenario(
+                channel={"kind": "fixed_prep", "d": d, "M": 2,
+                         "prep": _basis_prep(d)}, input=random_input))
             rng = np.random.default_rng((seed, 0, 0))
             z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             phi, got_seed = _input_state(cfg)
             assert got_seed == seed
             assert np.array_equal(phi.entries[:, 0], z / np.linalg.norm(z))
+            cloner = scenario_from_dict(cloner_scenario(
+                channel={"kind": "universal_cloner", "d": d, "N": 1, "M": 2},
+                input=random_input))
+            assert _input_state(cloner) == (None, seed)
 
     def test_noisy_theorem2(self):
         data = {

@@ -1,7 +1,8 @@
 """The combinatorial tables of symspace against the per-entry loops they
 replace: the recursive occupation generator, and the split-table loop that
 looked each m = a + b up in a {tuple: index} dict and took each coefficient
-as math.sqrt of an exact integer ratio."""
+as math.sqrt of an exact integer ratio.  Also the memo of the index maps,
+which is bounded by the bytes it holds."""
 
 import itertools
 import math
@@ -12,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symdist import symspace
+from symdist.scenario import emit, run_scenario, scenario_from_dict
 from symdist.symspace import (
     _half_log_multiplicities,
     _index_map,
@@ -153,3 +156,65 @@ def test_index_map_builds_in_64_bytes_an_entry(d, n):
     finally:
         tracemalloc.stop()
     assert peak <= 64 * d ** n
+
+
+def _noisy_theorem2(m_users, ks):
+    return scenario_from_dict({
+        "schema": 1,
+        "channel": {"kind": "noisy_cloner", "d": 2, "N": 1, "M": m_users, "p": 0.1},
+        "input": {"type": "random_pure", "seed": 0},
+        "k": ks, "checks": ["theorem2"],
+    })
+
+
+def _map_bytes(v):
+    return sum(a.nbytes for a in vars(v).values())
+
+
+def test_index_map_cache_keeps_at_most_its_bytes_after_a_theorem2_run():
+    # the 10-qubit noisy cloner purifies into pairs at d^2 = 4, whose index
+    # map takes 24 MiB (96 MiB at 11 qubits); the memo keeps none of it
+    assert symspace.INDEX_MAP_CACHE_BYTES == 2 ** 24
+    _index_map.cache_clear()
+    split_table.cache_clear()
+    tracemalloc.start()
+    try:
+        row, = run_scenario(_noisy_theorem2(10, [1]))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert row.satisfied_theorem2
+    assert held <= 2 ** 24
+    kept = [v for v, _ in symspace._INDEX_MAPS.values()]
+    assert sum(map(_map_bytes, kept)) <= 2 ** 24
+    assert (4, 10) not in symspace._INDEX_MAPS
+
+
+def test_index_map_cache_evicts_the_least_recently_used(monkeypatch):
+    _index_map.cache_clear()
+    limit = _map_bytes(_index_map(2, 5)) + _map_bytes(_index_map(3, 3))
+    _index_map.cache_clear()
+    monkeypatch.setattr(symspace, "INDEX_MAP_CACHE_BYTES", limit)
+    first = _index_map(2, 5)
+    _index_map(3, 3)
+    assert _index_map(2, 5) is first  # a hit, now the most recently used
+    _index_map(2, 4)  # evicts (3, 3)
+    assert list(symspace._INDEX_MAPS) == [(2, 5), (2, 4)]
+    big = _index_map(2, 9)  # larger than the bound: built, not kept
+    assert _map_bytes(big) > limit
+    assert list(symspace._INDEX_MAPS) == [(2, 5), (2, 4)]
+    assert _index_map(2, 5) is first
+    _index_map.cache_clear()
+
+
+def test_a_second_small_theorem2_run_builds_no_table(monkeypatch):
+    # the warm memo a session of small scenarios keeps: no index map (nor
+    # split table) is ranked again
+    cfg = _noisy_theorem2(4, [1, 2])
+    first = emit(run_scenario(cfg))
+
+    def refuse(*args):
+        raise AssertionError("a table was built again")
+
+    monkeypatch.setattr(symspace, "_rank", refuse)
+    assert emit(run_scenario(cfg)) == first
