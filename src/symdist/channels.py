@@ -1,23 +1,17 @@
 """Channels that hand the same quantum payload to M users.
 
 SDIChannelSpec names one of four kinds, each invariant under permutations
-of the M output slots by construction: the optimal universal N -> M cloner
-(input given in symmetric-subspace coordinates), a constant-output
-preparation, the cloner followed by independent single-user depolarizing
-noise, and a measure-and-prepare channel.  A run builds the output from
-the spec, sized first by symspace.plan: symmetric_output in occupation
-coordinates where symmetric_field puts it in Sym^M (prep_coords sums
-product states), dense_output for every kind.  The cloners are U-covariant
-(Werner, PRA 58, 1827 (1998)): their output on U|0> is U^{tensor M}
-applied to that on |0>, so every distance and input fidelity is the same
-for every pure input.  The spec gives it in the input's frame, where the
-input is |0> (covariant): cloner_diagonal, by Werner's P_M (X tensor 1) P_M
-= P_M (X tensor P_{M-N}) P_M, a diagonal in occupation coordinates.
-
-The Choi form of each kind, its application to an input and the check of
-a built channel's invariance and support are the oracles that tests compare
-both outputs with; they live with the tests, and hold their Choi matrices
-in a QuantumChannel.
+of the M output slots by construction: the optimal universal N -> M cloner,
+a constant-output preparation, the cloner followed by single-user
+depolarizing noise, and a measure-and-prepare channel.  A run builds the
+output from the spec, sized first by symspace.plan: dense_output for every
+kind, and symmetric_output in occupation coordinates where symmetric_field
+puts it in Sym^M.  There a preparation's output is its weighted kets
+sqrt(w_j) power_coords(phi_j, M), and a cloner's its diagonal in the
+input's frame: the cloners are U-covariant (Werner, PRA 58, 1827 (1998)),
+so every distance and input fidelity is the one on |0>, where Werner's
+P_M (X tensor 1) P_M = P_M (X tensor P_{M-N}) P_M gives cloner_diagonal.
+The Choi oracles that tests compare both outputs with live with the tests.
 """
 
 from __future__ import annotations
@@ -29,6 +23,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_DIM_CAP,
+    PSD_TOL,
     DenseOperator,
     herm_eigvals,
     tensor_power,
@@ -46,15 +41,10 @@ class SupportError(ValueError):
 
 @dataclass(frozen=True)
 class QuantumChannel:
-    """CPTP map described by its Choi matrix on (out tensor in), as the
-    test oracles build it; no run path makes one.
-
-    choi factor dims are out_factors + (dim_in,).  For channels whose input
-    is handed over in symmetric-subspace coordinates, in_isometry is the
-    embedding V of that subspace into the underlying tensor-product space.
-    The class stays in the package because the benchmark's tracer counts
-    channels by patching QuantumChannel.__post_init__; it can leave with
-    the tests' oracles once the benchmark reads the run's own trace.
+    """CPTP map described by its Choi matrix on (out tensor in), factor dims
+    out_factors + (dim_in,), as the tests' oracles build it (in_isometry:
+    the embedding of a symmetric-subspace input).  No run makes one; the
+    benchmark's tracer counts channels through its __post_init__.
     """
 
     choi: DenseOperator
@@ -92,13 +82,6 @@ def cloner_diagonal(d: int, N: int, M: int) -> np.ndarray:
     out = np.zeros(sym_dim(d, M))
     out[t.whole[0]] = (sym_dim(d, N) / sym_dim(d, M)) * t.whole_coef[0] ** 2
     return out
-
-
-def prep_coords(kets: np.ndarray, weights, M: int) -> np.ndarray:
-    """sum_j weights[j] (phi_j phi_j†)^{tensor M} for the rows phi_j of
-    `kets`, as an s_M x s_M matrix in occupation coordinates."""
-    v = power_coords(kets, M)
-    return (v.T * np.asarray(weights)) @ v.conj()
 
 
 def _check_depolarizing_weight(p: float) -> None:
@@ -298,7 +281,8 @@ class SDIChannelSpec:
 
     def _weights(self, state: DenseOperator) -> list[float]:
         """The weight Tr[E_i rho_in] of each prepared state for the input
-        `state`; fixed_prep measures the one-outcome POVM {1}."""
+        `state`; fixed_prep measures the one-outcome POVM {1}.  A weight in
+        [-PSD_TOL, 0), which POVM eigenvalues down to -PSD_TOL allow, is 0."""
         n = self.input_dim
         if state.shape[1] == 1:
             x = _plain_ket(state, n)
@@ -308,20 +292,38 @@ class SDIChannelSpec:
         else:
             raise ValueError(f"input has shape {state.shape}, channel expects {(n, n)}")
         povm = self.povm if self.kind == "measure_prepare" else [np.eye(n)]
-        return [float(np.real(np.vdot(np.asarray(e), rho_in))) for e in povm]
+        weights = [float(np.real(np.vdot(np.asarray(e), rho_in))) for e in povm]
+        for i, w in enumerate(weights):
+            if w < -PSD_TOL:
+                raise ValueError(f"prep[{i}] has weight {w:.3e} from the input")
+        return [max(w, 0.0) for w in weights]
 
-    def _pure_preps(self, state: DenseOperator) -> tuple[np.ndarray, list[float]]:
-        # each prepared state's top eigenvector and its weight for `state`
-        weights, kets = self._weights(state), []
-        for i, (s, w) in enumerate(zip(self._matrices(self.prep), weights)):
+    def _pure_preps(self, state: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
+        """The kets (rows) that the preps enter as, and their weights for
+        `state`: at M = 1 each eigenpair (lam, v) of prep i, weighted w_i lam,
+        past it prep i's top eigenvector, weighted w_i, where its second
+        eigenvalue or w_i is at most SUPPORT_TOL (else SupportError)."""
+        kets, weights = [], []
+        for i, (s, w) in enumerate(zip(self._matrices(self.prep), self._weights(state))):
             vals, vecs = np.linalg.eigh(s)
+            if self.M == 1:
+                kets += list(vecs.T)
+                weights += [w * max(lam, 0.0) for lam in vals]
+                continue
             if self.d > 1 and vals[-2] > SUPPORT_TOL and w > SUPPORT_TOL:
                 raise SupportError(
                     f"channel.prep[{i}]: mixed (second eigenvalue {vals[-2]:.3e}), "
                     f"weight {w:.3e} from the input, so the output leaves the "
                     "symmetric subspace")
             kets.append(vecs[:, -1])
-        return np.array(kets), weights
+            weights.append(w)
+        return np.array(kets), np.array(weights)
+
+    @property
+    def rows(self) -> int | None:
+        """The kets of symmetric_output, one a prep (at M = 1 one an
+        eigenvector); None for a cloner, whose output is a diagonal."""
+        return None if self.covariant else len(self.prep) * (self.d if self.M == 1 else 1)
 
     @property
     def covariant(self) -> bool:
@@ -350,19 +352,19 @@ class SDIChannelSpec:
         symmetric_field puts it in Sym^M, once planned: a cloner's in the
         input's frame, as its s_M diagonal (`state`, a ket of side d or None,
         is only checked); a preparation's, for a ket or a density matrix of
-        side input_dim, as an s_M x s_M matrix (a prep enters as its top
-        eigenvector)."""
+        side input_dim, as the (rows, s_M) kets sqrt(w_j) v_j of
+        sum_j w_j v_j v_j†, v_j = power_coords(phi_j, M) for the phi_j of
+        _pure_preps: no s_M x s_M matrix is built."""
         self.symmetric_field(state)
-        plan(self.d, self.M, n_in=self.N, cap=cap)
+        plan(self.d, self.M, n_in=self.N, rows=self.rows, cap=cap)
         if self.covariant:
             if state is not None:
                 _plain_ket(state, self.d, "single-copy dimension")
             x = cloner_diagonal(self.d, self.N, self.M)
             # p > 0 passes symmetric_field at M = 1 or d = 1: X -> (1-p) X + p/d
             return (1.0 - self.p) * x + self.p / self.d if self.p else x
-        if self.M == 1:
-            return self.dense_output(state, cap).entries
-        return prep_coords(*self._pure_preps(state), self.M)
+        kets, weights = self._pure_preps(state)
+        return np.sqrt(weights)[:, None] * power_coords(kets, self.M)
 
     def dense_output(self, state: DenseOperator | None,
                      cap: int = DEFAULT_DIM_CAP) -> DenseOperator:

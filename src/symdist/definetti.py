@@ -6,21 +6,17 @@ w(psi) = s_M <psi^M| rho |psi^M>, and the mixture of psi^{tensor k} under it
 approximates rho's k-user marginal: exactly, a rescaled partial trace
 against the (M+k)-fold symmetrizer, or by Monte Carlo over Haar samples.
 
-The kernels (marginal_coords, reduce_coords, mc_reduce_coords) take the
-state as an s_M x s_M matrix in occupation coordinates, or its diagonal (a
-cloner's output in its input's frame; the exact ones also a ket), and
-return s_k x s_k matrices, or diagonals, in those of Sym^k, where V keeps
-the trace norm: the exact ones, and the ancilla trace, as one contraction
-over split coefficients (Harrow, arXiv:1308.6595).  An OccupationState
-holds a symmetric output (the lemma), or from purified_state the pair
-purification (sqrt(rho) tensor 1)|Omega> of a permutation-invariant rho
-(the theorem), symmetric in the d^2-dimensional pairs; its sweep runs the
-two exact kernels once, at the largest k of a run, and takes each smaller k
-as a one-user partial trace of the pair above it.  Each entry point is
-sized by symspace.plan under its `cap`, which charges a diagonal as its
-matrix.  mc_reduce_coords is the one Monte Carlo entry: scenario checks and
-moment checks both draw through it.  No run compresses a dense output to
-V† rho V; the tests' oracle for the spec route does.
+An OccupationState holds the state in occupation coordinates as a
+diagonal (a cloner's output in its input's frame) or as the rows of a
+stack of kets (a preparation's output, or, from purified_state, the pair
+purification (sqrt(rho) tensor 1)|Omega> of a permutation-invariant rho,
+one ket symmetric in the d^2-dimensional pairs); no s_M x s_M matrix.  The
+exact kernels, and the ancilla trace, are one contraction over split
+coefficients (Harrow, arXiv:1308.6595), with s_k x s_k results, or
+diagonals, in Sym^k, where V keeps the trace norm; the sweep runs them once,
+at the largest k, and drops one user at a time.  mc_reduce_coords is the
+one Monte Carlo entry.  Each entry point is sized by symspace.plan under
+its `cap`.
 """
 
 from __future__ import annotations
@@ -54,22 +50,24 @@ def contract(x: np.ndarray, idx: np.ndarray, coef: np.ndarray,
              ket: bool = False) -> np.ndarray:
     """sum_j coef[a, j] coef[a', j] x[idx[a, j], idx[a', j]]: the one
     contraction behind every k-user result.  For a diagonal (1-D) x, the
-    diagonal sum_j coef[a, j]^2 x[idx[a, j]]; for a `ket` x, standing for
-    |x><x|, W W† with W[a, j] = coef[a, j] x[idx[a, j]]."""
+    diagonal sum_j coef[a, j]^2 x[idx[a, j]]; with `ket`, x holds rows x_i of
+    sum_i x_i x_i†, and the result is W W† = sum_i W_i W_i† for the gathers
+    W_i[a, j] = coef[a, j] x_i[idx[a, j]], one row at a time.  A matrix x is
+    the drops'."""
+    if ket:
+        gathers = (coef * row[idx] for row in x)
+        return sum(w @ w.conj().T for w in gathers)
     if x.ndim == 2:
         gathered = x[idx[:, None, :], idx[None, :, :]]
         gathered *= coef[:, None, :] * coef[None, :, :]
         return gathered.sum(axis=-1)
-    if ket:
-        w = coef * x[idx]
-        return w @ w.conj().T
     return (coef ** 2 * x[idx]).sum(-1)
 
 
 def marginal_coords(rho: np.ndarray, d: int, m: int, k: int,
                     ket: bool = False) -> np.ndarray:
-    """Tr_{M-k} of an s_M x s_M occupation-coordinate state (its diagonal,
-    or with `ket` a ket), as s_k x s_k (a diagonal):
+    """Tr_{M-k} of an occupation-coordinate state, an s_M x s_M matrix (its
+    diagonal, or with `ket` its rows of kets), as s_k x s_k (a diagonal):
     rho_k[a, a'] = sum_b c(a+b; a) c(a'+b; a') rho[a+b, a'+b]."""
     t = split_table(d, m, k)
     return contract(rho, t.whole, t.whole_coef, ket)
@@ -77,9 +75,9 @@ def marginal_coords(rho: np.ndarray, d: int, m: int, k: int,
 
 def reduce_coords(rho: np.ndarray, d: int, m: int, k: int,
                   ket: bool = False) -> np.ndarray:
-    """(s_M/s_{M+k}) Tr_M[(rho tensor 1^k) P_{M+k}] for an s_M x s_M
-    occupation-coordinate state (its diagonal, or with `ket` a ket), as
-    s_k x s_k (a diagonal):
+    """(s_M/s_{M+k}) Tr_M[(rho tensor 1^k) P_{M+k}] for an occupation-
+    coordinate state, an s_M x s_M matrix (its diagonal, or with `ket` its
+    rows of kets), as s_k x s_k (a diagonal):
     tilde[a, a'] = (s_M/s_{M+k}) sum_m c(m;a) c(m;a') rho[m-a', m-a], the
     contraction over the rest layout, transposed."""
     t = split_table(d, m + k, k)
@@ -87,29 +85,31 @@ def reduce_coords(rho: np.ndarray, d: int, m: int, k: int,
     return ratio * contract(rho, t.rest.T, t.rest_coef.T, ket).T
 
 
-def mc_reduce_coords(rho: np.ndarray, d: int, m: int, k: int, samples: int,
+def mc_reduce_coords(x: np.ndarray, d: int, m: int, k: int, samples: int,
                      seed: int, cap: int = DEFAULT_DIM_CAP
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo (estimate, stderr) of the k-user mixture of an s_M x s_M
-    occupation-coordinate state, or its diagonal: two s_k x s_k arrays,
-    componentwise, in the coordinates of OccupationState.sweep's k-user
-    results.  The one Monte Carlo entry of symdist: scenario checks and
-    moment checks both draw here.  Its plan under `cap` refuses it before
-    anything is allocated, or sets the chunk.  It refuses fewer than 2
-    samples or more than 2^63 - 1.
+    """Monte Carlo (estimate, stderr) of the k-user mixture of a state held
+    as OccupationState holds it, a diagonal (1-D x) or rows x_j of kets
+    (2-D): two s_k x s_k arrays, componentwise, in the frame of the sweep's
+    k-user results.  The one Monte Carlo entry: scenario checks and moment
+    checks draw here.  Its plan under `cap` refuses it before anything is
+    allocated, or sets the chunk; fewer than 2 samples, or more than
+    2^63 - 1, are refused.
 
     The draws are the first `samples` rows of haar_kets from
     default_rng((seed, 1)), taken a chunk at a time, so draw j does not
-    depend on the chunk.  Each, weighted by w = s_M <psi^M|rho|psi^M> (for
-    a diagonal x, s_M sum_s |c_s|^2 x_s with c = power_coords(psi, M)),
+    depend on the chunk.  Each, weighted by w = s_M <psi^M|rho|psi^M> (with
+    c = power_coords(psi, M): s_M sum_s |c_s|^2 x_s, or s_M sum_j |x_j† c|^2),
     contributes w c c† with c = power_coords(psi, k); standard errors combine
     the real and imaginary spreads in quadrature, bit for bit on a rerun.
     The squares of draws sum as |2^h_n c_n|^2, where |c_n c_n'|^2 would
     underflow (from order 540 at d = 2), h_n as large as keeps sums finite,
-    since |c_n|^2 <= mult(n) prod_i (n_i/k)^{n_i} and |w| <= s_M |rho|.
-    Powers of two scale exactly: no digit moves where nothing underflows.
+    since |c_n|^2 <= mult(n) prod_i (n_i/k)^{n_i} and |w| <= s_M |x|^2 (|x|
+    for a diagonal).  Powers of two scale exactly: no digit moves where
+    nothing underflows.
     """
-    chunk = plan(d, m, output=False, mc=k, cap=cap).chunk
+    rows = x.shape[0] if x.ndim == 2 else None
+    chunk = plan(d, m, output=False, mc=k, rows=rows, cap=cap).chunk
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, "
                          f"got {samples}")
@@ -122,16 +122,17 @@ def mc_reduce_coords(rho: np.ndarray, d: int, m: int, k: int, samples: int,
     occ = _occupation_table(d, k)
     log2_top = (2 * _half_log_multiplicities(d, k) + (
         occ * np.log(np.maximum(occ, 1) / k)).sum(axis=1)) / np.log(2)
-    room = 510 - np.log2(samples) / 2 - np.log2(max(s_m * np.linalg.norm(rho), 1.0))
+    norm = np.linalg.norm(x) ** (2 if rows else 1)
+    room = 510 - np.log2(samples) / 2 - np.log2(max(s_m * norm, 1.0))
     up = np.ldexp(1.0, np.floor((room - log2_top) / 2).astype(int))
     acc = np.zeros((s_k, s_k), dtype=complex)  # sum of the draws x
     acc_sq = np.zeros((s_k, s_k))  # sum of |x|^2 up_n^2 up_n'^2
     for lo in range(0, samples, chunk):
         u = haar_kets(rng, min(chunk, samples - lo), d)
         c = power_coords(u, m)
-        w = s_m * (np.einsum("bs,bs->b", c.conj(), c @ rho.T) if rho.ndim == 2
-                   else np.abs(c) ** 2 @ rho).real
-        # x = w c_k c_k^dagger, summed over the chunk as matrix products
+        w = s_m * ((np.abs(c @ x.conj().T) ** 2).sum(axis=1) if rows
+                   else (np.abs(c) ** 2 @ x).real)
+        # each draw adds w c_k c_k^dagger, summed over the chunk as matrix products
         c_k = c if k == m else power_coords(u, k)
         acc += (w[:, None] * c_k).T @ c_k.conj()
         p = np.abs(c_k * up) ** 2
@@ -143,11 +144,13 @@ def mc_reduce_coords(rho: np.ndarray, d: int, m: int, k: int, samples: int,
 
 @dataclass(frozen=True)
 class OccupationState:
-    """M users in occupation coordinates of Sym^M(C^d): an s x s matrix, or
-    its diagonal as a 1-D array (a cloner's output in its input's frame).
+    """M users in occupation coordinates of Sym^M(C^d), held as a diagonal
+    (1-D, a cloner's output in its input's frame) or as the (r, s) rows
+    x_j of a stack of kets, standing for sum_j x_j x_j† (a preparation's
+    output); no state is held as its s x s matrix.
 
     When `paired`, each factor is a (user, ancilla) pair and `coords` the
-    pure pair purification as a ket in Sym^M(C^{d^2}); contract, through
+    pure pair purification, one row in Sym^M(C^{d^2}); contract, through
     _trace_table, traces the ancillas out of the kernels' outputs.  sweep
     runs the kernels at the largest k only, and drops one user at a time."""
 
@@ -168,8 +171,7 @@ class OccupationState:
         smaller k is the one-user partial trace of the k + 1 pair.  The
         sweep holds only the pair of the current k."""
         ks = set(ks)
-        plan(self.d, self.m, tuple(sorted(ks)), output=False, cap=cap,
-             route="dense" if self.paired else "symmetric")
+        self._plan(sorted(ks), cap)
         top, d = max(ks), self.d
         pair = [self._result(kernel, top) for kernel in (marginal_coords, reduce_coords)]
         for k in range(top, min(ks) - 1, -1):
@@ -183,16 +185,17 @@ class OccupationState:
     def mixture(self, k: int, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
         """The mixture of sweep at k alone, in its frame: what the sampler's
         estimate is compared against."""
-        plan(self.d, self.m, (k,), route="dense" if self.paired else "symmetric",
-             output=False, cap=cap)
+        self._plan((k,), cap)
         return self._result(reduce_coords, k)
 
+    def _plan(self, ks, cap: int) -> None:
+        plan(self.d, self.m, tuple(ks), route="dense" if self.paired else "symmetric",
+             output=False, rows=len(self.coords) if self.coords.ndim == 2 else None, cap=cap)
+
     def _result(self, kernel, k: int) -> np.ndarray:
-        d = self.d
-        if self.paired:
-            return _hermitized(contract(kernel(self.coords, d * d, self.m, k, ket=True),
-                                        *_trace_table(d, k)))
-        return _hermitized(kernel(self.coords, d, self.m, k))
+        d, ket = self.d, self.coords.ndim == 2
+        x = kernel(self.coords, d * d if self.paired else d, self.m, k, ket=ket)
+        return _hermitized(contract(x, *_trace_table(d, k)) if self.paired else x)
 
 
 def _hermitized(e: np.ndarray) -> np.ndarray:
@@ -268,4 +271,4 @@ def purified_state(rho: DenseOperator,
             f"pair purification has weight {resid:.3e} outside the symmetric "
             "subspace of the pairs"
         )
-    return OccupationState(c, d, m, paired=True)
+    return OccupationState(c[None, :], d, m, paired=True)

@@ -4,16 +4,10 @@ checks that every state passes.
 DenseOperator serves the dense route only: the input ket, the output on
 (C^d)^{tensor M} (tensor_power builds a preparation's sigma^{tensor M}) and
 its pair purification, whose permutation invariance swap_residual checks.
-Every operator carries the local dimensions of its row and column spaces,
-so a factor swap never has to guess how a flat index factorizes.  Factor 0
-is the most significant index: the flat row index of |i_0 i_1 ... i_{n-1}>
-is i_0 * d_1 * ... * d_{n-1} + ... + i_{n-1}, which is exactly numpy's
-C-order convention and the ordering np.kron produces.  The state checks
-(check_hermitian, herm_eigvals, validate_state) take plain square arrays:
-the symmetric route's matrices carry no factors, and check_hermitian and
-validate_state also take a 1-D array as a diagonal.  The dense oracles that
-tests compare with (partial traces, whole permutations, Choi matrices) live
-with the tests.
+Factor 0 is the most significant index, numpy's C order and the order
+np.kron produces.  The state checks (check_hermitian, herm_eigvals,
+validate_state) take plain arrays: square matrices, diagonals (1-D), and
+for validate_state the rows of a stack of kets.
 """
 
 from __future__ import annotations
@@ -171,18 +165,23 @@ def check_hermitian(x: np.ndarray) -> None:
                          f"(residual {asym:.3e})")
 
 
-def validate_state(x: np.ndarray, name: str = "state") -> None:
-    """Raise ValueError unless x passes check_hermitian (a finite, square,
-    Hermitian matrix, or a real diagonal, whose eigenvalues are its entries)
-    and is PSD within PSD_TOL and of unit trace; each message starts with
-    name."""
+def validate_state(x: np.ndarray, name: str = "state", ket: bool = False) -> None:
+    """Raise ValueError, its message starting with name, unless x passes
+    check_hermitian (a finite, square, Hermitian matrix, or a real diagonal)
+    and is PSD within PSD_TOL and of unit trace.  With `ket`, x holds rows
+    x_j of sum_j x_j x_j†, PSD by construction: finite, of trace
+    sum_j |x_j|^2 one, and no eigenvalue is taken."""
     try:
-        check_hermitian(x)
-        w = x.real if x.ndim == 1 else herm_eigvals(x)
+        if not ket:
+            check_hermitian(x)
+        elif not np.isfinite(x).all():
+            raise ValueError("matrix has non-finite entries")
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from exc
-    if w.size and w.min() < -PSD_TOL:
-        raise ValueError(f"{name} has negative eigenvalue {w.min():.3e}")
-    tr = complex(x.sum() if x.ndim == 1 else np.trace(x))
+    if not ket:
+        w = x.real if x.ndim == 1 else herm_eigvals(x)
+        if w.size and w.min() < -PSD_TOL:
+            raise ValueError(f"{name} has negative eigenvalue {w.min():.3e}")
+    tr = complex(np.vdot(x, x) if ket else x.sum() if x.ndim == 1 else np.trace(x))
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"{name} has trace {tr}, expected 1")

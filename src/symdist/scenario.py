@@ -279,7 +279,7 @@ def _plan(cfg: ScenarioConfig, phi: DenseOperator | None, cap: int) -> Plan:
         ) from exc
     return plan(spec.d, spec.M, cfg.k_list, route="dense" if theorem2 else "symmetric",
                 field="scenario.checks" if theorem2 else f"scenario.{field}", n_in=spec.N,
-                mc=mc, cap=cap)
+                rows=spec.rows, mc=mc, cap=cap)
 
 
 def _output(cfg: ScenarioConfig, phi: DenseOperator | None,
@@ -292,7 +292,7 @@ def _output(cfg: ScenarioConfig, phi: DenseOperator | None,
     sym = None
     if not theorem2 or "mc_crosscheck" in cfg.checks:
         coords = spec.symmetric_output(phi, cap)
-        validate_state(coords, name="channel output")
+        validate_state(coords, name="channel output", ket=coords.ndim == 2)
         sym = OccupationState(coords, spec.d, spec.M)
     if not theorem2:
         return sym, sym if "mc_crosscheck" in cfg.checks else None
@@ -381,13 +381,14 @@ def _max_sigma(estimate: np.ndarray, reference: np.ndarray,
 def moment_check_record(d: int, n: int, samples: int, seed: int) -> ResultRecord:
     """Haar-moment identity as a record: the sampled n-copy mixture of the
     maximally mixed symmetric state must reproduce the symmetrizer / s_n,
-    which in occupation coordinates is the identity / s_n."""
+    which in occupation coordinates is the identity / s_n, held as its
+    diagonal."""
     if n < 1:
         raise ValueError(f"moment order must be >= 1, got {n}")
     start = time.perf_counter()
     plan(d, n, output=False, mc=n)  # before the state exists
     s_n = sym_dim(d, n)
-    moment = np.eye(s_n) / s_n
+    moment = np.full(s_n, 1 / s_n)
     est, stderr = mc_reduce_coords(moment, d, n, n, samples, seed)
     sigma = _max_sigma(est, moment, stderr)
     return ResultRecord(
@@ -477,68 +478,34 @@ def default_suite(seed: int = 1) -> list[dict]:
     Everything is seeded off the single argument, so repeat runs are
     byte-identical.
     """
-    qubit = _basis_input(2)
-    suite: list[dict] = [{
-        "schema": 1,
-        "label": "ten-user cloner",
-        "channel": {"kind": "universal_cloner", "d": 2, "N": 1, "M": 10},
-        "input": qubit,
-        "k": [1, 2, 3],
-        "checks": ["lemma1", "perr", "fidelity_gap"],
-    }]
-    for n_in in (1, 2):
-        for m_users in range(max(n_in, 2), 9):
-            suite.append({
-                "schema": 1,
-                "label": f"cloner sweep N={n_in} M={m_users}",
-                "channel": {"kind": "universal_cloner", "d": 2,
-                            "N": n_in, "M": m_users},
-                "input": qubit,
-                "k": [k for k in (1, 2, 3) if k <= m_users],
-                "checks": ["lemma1"],
-            })
-    for m_users in (2, 4, 6, 8):
-        suite.append({
-            "schema": 1,
-            "label": f"fixed prep M={m_users}",
-            "channel": {"kind": "fixed_prep", "d": 2, "M": m_users,
-                        "prep": _basis_prep(2)},
-            "input": qubit,
-            "k": [1, 2],
-            "checks": ["lemma1", "perr"],
-        })
-    for m_users in (2, 3, 4):
-        suite.append({
-            "schema": 1,
-            "label": f"noisy cloner M={m_users}",
-            "channel": {"kind": "noisy_cloner", "d": 2, "N": 1,
-                        "M": m_users, "p": 0.1},
-            "input": qubit,
-            "k": [1, 2],
-            "checks": ["theorem2"],
-        })
-    for i, (n_in, m_users, d) in enumerate(
-            [(1, 2, 2), (1, 3, 2), (2, 3, 2), (2, 4, 2), (1, 2, 3)]):
-        suite.append({
-            "schema": 1,
-            "label": f"fidelity chain N={n_in} M={m_users} d={d}",
-            "channel": {"kind": "universal_cloner", "d": d,
-                        "N": n_in, "M": m_users},
-            "input": {"type": "random_pure", "seed": seed * 1000 + i},
-            "k": [1],
-            "checks": ["lemma1", "perr", "fidelity_gap"],
-        })
-    suite.append({
-        "schema": 1,
-        "label": "mc crosscheck",
-        "channel": {"kind": "fixed_prep", "d": 2, "M": 2,
-                    "prep": _basis_prep(2)},
-        "input": qubit,
-        "k": [1],
-        "checks": ["lemma1", "mc_crosscheck"],
-        "mc": {"samples": 100000, "seed": seed},
-    })
-    return suite
+    def entry(label, channel, ks, checks, state=None, **extra):
+        return {"schema": 1, "label": label, "channel": channel,
+                "input": state or _basis_input(2), "k": ks, "checks": checks, **extra}
+
+    def cloner(n_in, m_users, d=2):
+        return {"kind": "universal_cloner", "d": d, "N": n_in, "M": m_users}
+
+    def prep(m_users):
+        return {"kind": "fixed_prep", "d": 2, "M": m_users, "prep": _basis_prep(2)}
+
+    chain = ["lemma1", "perr", "fidelity_gap"]
+    return [
+        entry("ten-user cloner", cloner(1, 10), [1, 2, 3], chain),
+        *[entry(f"cloner sweep N={n_in} M={m_users}", cloner(n_in, m_users),
+                [k for k in (1, 2, 3) if k <= m_users], ["lemma1"])
+          for n_in in (1, 2) for m_users in range(max(n_in, 2), 9)],
+        *[entry(f"fixed prep M={m_users}", prep(m_users), [1, 2], ["lemma1", "perr"])
+          for m_users in (2, 4, 6, 8)],
+        *[entry(f"noisy cloner M={m_users}", {"kind": "noisy_cloner", "d": 2, "N": 1,
+                                               "M": m_users, "p": 0.1}, [1, 2], ["theorem2"])
+          for m_users in (2, 3, 4)],
+        *[entry(f"fidelity chain N={n_in} M={m_users} d={d}", cloner(n_in, m_users, d), [1],
+                chain, {"type": "random_pure", "seed": seed * 1000 + i})
+          for i, (n_in, m_users, d) in enumerate(
+              [(1, 2, 2), (1, 3, 2), (2, 3, 2), (2, 4, 2), (1, 2, 3)])],
+        entry("mc crosscheck", prep(2), [1], ["lemma1", "mc_crosscheck"],
+              mc={"samples": 100000, "seed": seed}),
+    ]
 
 
 def run_suite(seed: int = 1, cap: int = DEFAULT_DIM_CAP) -> list[ResultRecord]:

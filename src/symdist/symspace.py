@@ -4,14 +4,14 @@ The symmetric subspace of (C^d)^{tensor n} is spanned by occupation-number
 vectors m; _occupation_table lists them in basis order and _rank maps them
 back to it.  The isometry has one nonzero per row, so index_map keeps it as
 the column of each flat index plus a weight, applied by gathers and grouped
-sums.  States inside the subspace are kept as sym_dim(d, n)-sided matrices
-in these coordinates: split_table holds the exact coefficients that split
+sums.  States inside the subspace are held in these coordinates, as
+diagonals or kets: split_table holds the exact coefficients that split
 |m>_n into k- and (n-k)-factor parts, power_coords the coordinates of
 u^{tensor n} (Harrow, arXiv:1308.6595), and haar_kets draws the kets that
 Monte Carlo weights by them.  plan holds every byte estimate: a run's
-stages, sized before anything is allocated, and the one guard on them.
-No run embeds these coordinates back into (C^d)^{tensor n}: the dense
-symmetrizer and embedding that tests compare with live with the tests.
+stages, each state charged as it is held, sized before anything is
+allocated, and the one guard on them.  No run embeds these coordinates
+back into (C^d)^{tensor n}; the tests' oracles do.
 """
 
 from __future__ import annotations
@@ -238,6 +238,18 @@ def _sym(d: int, n: int) -> int:
     return math.comb(d + n - 1, n)
 
 
+def _table_bytes(d: int, n: int, k: int) -> int:
+    # split_table(d, n, k) as it is built, 128 bytes an entry (16 kept), and
+    # _pascal(n, k): Python integers of at most n bits
+    return 128 * _sym(d, k) * _sym(d, n - k) + (n + 1) * (k + 1) * (48 + n // 10)
+
+
+def _coords_bytes(d: int, n: int) -> int:
+    # power_coords' tables at n as they are built: the occupations, their
+    # logarithms and the multinomials, from n + 1 binomials (d <= 2) or _pascal(n, n)
+    return (24 * d + 64) * _sym(d, n) + (n + 1) ** (1 + (d > 2)) * (48 + n // 10)
+
+
 # Monte Carlo draws are weighted and accumulated in chunks that hold about
 # this many entries of their k- and M-user occupation coordinates.
 MC_CHUNK_ENTRIES = 2 ** 20
@@ -257,32 +269,38 @@ class Plan:
 
 
 def plan(d: int, m: int, ks=(), *, route: str = "symmetric", field: str = "",
-         output: bool = True, n_in: int | None = None, purify: bool = True,
-         mc: int | None = None, cap: int = DEFAULT_DIM_CAP) -> Plan:
+         output: bool = True, n_in: int | None = None, rows: int | None = None,
+         purify: bool = True, mc: int | None = None,
+         cap: int = DEFAULT_DIM_CAP) -> Plan:
     """The Plan of M users at local dimension d: the output (an N -> M
     cloner's for `n_in`), on the dense route its pair purification, the
-    k-user results of `ks`, and the Monte Carlo estimate of `mc` users.  The
+    k-user results of `ks`, from one sweep at K = max(ks), and the Monte
+    Carlo estimate of `mc` users.  The symmetric state is charged as it is
+    held: `rows` kets of s_M coordinates, or with None an s_M diagonal.  The
     guard of every run and library call: before anything is allocated,
     ResourceLimitError where a side passes the cap or the largest stage
     the byte budget that goes with it."""
     for k in (*ks, mc or 1):
         if not 1 <= k <= m:
             raise ValueError(f"need 1 <= k <= M={m}, got k={k}")
-    stages, untraced, chunk = [], 0, 0
+    stages, untraced, chunk, top = [], 0, 0, max(ks, default=0)
+    s = _sym(d, m)
+    state = 8 * s if rows is None else 16 * rows * s
     if route == "dense":
         # r bytes of the complex d^M x d^M output beside its index map (64
         # bytes an entry): 3.5 r to build it, 7 r and eigh's workspace to
-        # purify it; a k-user result holds r, the pair ket and every k's split
-        # tables, and adds its s_k x s_k kernel output at d^2 and the ancilla
-        # trace: 24 bytes each of d^3k gathered terms, 112 of d^2k (its table
-        # and six complex matrices for the two results and their distance).
+        # purify it; a k-user result holds r, the pair ket and the split
+        # tables at K, and adds its s_k x s_k kernel output at d^2 and the
+        # ancilla trace: 24 bytes each of d^3k gathered terms, 112 of d^2k
+        # (its table and six complex matrices for the two results and their
+        # distance).
         if d > 1 and m > cap.bit_length():  # d^M > cap, too large to compute
             raise ResourceLimitError(f"{m}-user dense output would have side "
                                      f"{d}^{m}, exceeding the cap {cap}")
         side, q = d ** m, d * d
         r, held = 16 * side * side, 2 ** 20 + 64 * side
         untraced = purify * (48 * side * side + 128 * side)  # zheevd's
-        kept = r + 24 * q ** m + sum(112 * _sym(q, k) * _sym(q, m + k) for k in ks)
+        kept = r + 24 * q ** m + 112 * _sym(q, top) * _sym(q, m + top)
         stages += ([("dense output", held + 7 * r // 2)] * output
                    + [("pair purification", held + 7 * r + untraced)] * purify)
         for k in ks:
@@ -290,30 +308,39 @@ def plan(d: int, m: int, ks=(), *, route: str = "symmetric", field: str = "",
             stages.append((f"{k}-user result", held + kept + 16 * _sym(q, k) ** 2
                            + 24 * d ** (3 * k) + 112 * d ** (2 * k)))
         # Monte Carlo samples the symmetric output, and compares its mixture
-        ks, output = ((mc,), True) if mc and output else ((), False)
+        ks, top, output = ((mc,), mc, True) if mc and output else ((), 0, False)
     if output or ks:
-        # each may hold the s_M x s_M state and three copies, every k's split
-        # tables (16 bytes an entry) and eight s_K x s_K arrays; the output
-        # adds an N -> M cloner's s_N^2 s_{M-N} scatter, a k-user result its
-        # gather, s_k^2 s_{M-k} or s_k^2 s_{M+k}: 32 bytes a term
-        s = _sym(d, m)
+        # the state and three working copies; the output adds a cloner's
+        # table and s_N^2 s_{M-N} scatter, or power_coords on each ket (16 d
+        # + 64 bytes an entry) and its tables.  A sweep keeps the split tables
+        # at K, the drops' small ones and eight k-user results (the pair
+        # beside the next, and the distance's copies); at K it builds its
+        # tables, then gathers s_K s_{M+-K} terms (of one ket at a time), and
+        # each smaller k drops a user from the pair above it, s_k d terms a
+        # result entry: 32 bytes a term
         _check_cap(s, cap, f"occupation-coordinate state of {m} users")
-        tables = sum(_sym(d, k) * (_sym(d, m - k) + s + _sym(d, m + k)) for k in ks)
-        held = (2 ** 15 + 2 ** 12 * len(ks) + 64 * s * s + 16 * tables
-                + 128 * _sym(d, max(ks, default=0)) ** 2)
-        scatter = 32 * _sym(d, n_in) ** 2 * _sym(d, m - n_in) if n_in else 0
-        stages += [("symmetric output", held + scatter)] * output + [
-            (f"{k}-user result", held + 32 * _sym(d, k) ** 2
-             * max(_sym(d, m - k), _sym(d, m + k))) for k in ks]
+        held, sq = 2 ** 15 + 4 * state, 1 if rows is None else 2  # s_k^sq entries
+        made = (32 * _sym(d, n_in) ** 2 * _sym(d, m - n_in) + _table_bytes(d, m, n_in)
+                if n_in else (16 * d + 64) * (rows or 1) * s + _coords_bytes(d, m))
+        s_top, low, high = _sym(d, top), _sym(d, m - top), _sym(d, m + top)
+        kept = held + 16 * s_top * (low + s + high + d * top) + 128 * s_top ** sq
+        at_top = max(_table_bytes(d, m, top), _table_bytes(d, m + top, top),
+                     32 * s_top * max(low, high))
+        stages += [("symmetric output", held + made)] * output + [
+            (f"{k}-user result", kept + (at_top if k == top else 32 * d * _sym(d, k) ** sq))
+            for k in ks]
     if mc:
-        # the state, five complex s_k x s_k arrays (two sums, a chunk's two
-        # products, the estimate with its stderr), and 64 bytes an entry of a
-        # chunk's k-user coordinates and d x s_M logarithms in power_coords
-        s_k, s_m = _sym(d, mc), _sym(d, m)
+        # the state and its conjugate, five complex s_k x s_k arrays (two
+        # sums, a chunk's two products, the estimate with its stderr),
+        # power_coords' tables at M and k, and 64 bytes an entry of a chunk's
+        # k-user coordinates, d x s_M logarithms and overlaps with the kets
+        s_k = _sym(d, mc)
         _check_cap(s_k, cap, f"{mc}-user Monte Carlo estimate")
-        chunk = max(1, MC_CHUNK_ENTRIES // (s_k + d * s_m))
-        stages.append((f"Monte Carlo estimate of {mc} users", 16 * (
-            s_m * s_m + 5 * s_k * s_k) + 64 * chunk * (s_k + d * s_m)))
+        _check_cap(s, cap, f"occupation-coordinate state of {m} users")
+        chunk = max(1, MC_CHUNK_ENTRIES // (s_k + d * s))
+        stages.append((f"Monte Carlo estimate of {mc} users", 2 * state + 80 * s_k * s_k
+                       + _coords_bytes(d, m) + _coords_bytes(d, mc)
+                       + 64 * chunk * (s_k + d * s + (rows or 0))))
     name, nbytes = max(stages, key=lambda stage: stage[1])
     text = "dense" if route == "dense" else "occupation-coordinate"
     _check_bytes(nbytes, cap, f"{text} route for {m} users: {name}")

@@ -152,10 +152,34 @@ def embed_coords(x: np.ndarray, d: int, n: int,
     return DenseOperator(v.expand(v.expand(x, 0), 1), (d,) * n)
 
 
+def coords_matrix(x: np.ndarray) -> np.ndarray:
+    """The s x s matrix that a state's occupation coordinates stand for, as
+    OccupationState holds them: np.diag of a diagonal (1-D x), or
+    sum_j x_j x_j† of the rows x_j of a stack of kets (2-D x)."""
+    return np.diag(x) if x.ndim == 1 else x.T @ x.conj()
+
+
+def kets_of(rho: np.ndarray) -> np.ndarray:
+    """Rows sqrt(lam_i) u_i, one for each eigenpair of the s x s PSD matrix
+    rho (eigenvalues below 0 count as 0): the stack of kets that stands for
+    rho, so that coords_matrix(kets_of(rho)) is rho within roundoff."""
+    vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    return (vecs * np.sqrt(np.maximum(vals, 0.0))).T
+
+
+def prep_coords(kets: np.ndarray, weights, M: int) -> np.ndarray:
+    """sum_j weights[j] (phi_j phi_j†)^{tensor M} for the rows phi_j of
+    `kets`, as an s_M x s_M matrix in occupation coordinates: the oracle
+    for the preparations' stack of kets, coords_matrix of which it is."""
+    v = power_coords(kets, M)
+    return (v.T * np.asarray(weights)) @ v.conj()
+
+
 def symmetric_state(rho: DenseOperator,
                     cap: int = DEFAULT_DIM_CAP) -> OccupationState:
-    """V† rho V, after checking that rho lies in the symmetric subspace: the
-    oracle for symmetric_output, its coordinates and its support decision."""
+    """V† rho V, after checking that rho lies in the symmetric subspace, held
+    as its kets_of: the oracle for symmetric_output, its coordinates and its
+    support decision."""
     d, m = _uniform_square(rho, "rho_out")
     plan(d, m, route="dense", purify=False, cap=cap)
     v = index_map(d, m, cap)
@@ -165,7 +189,7 @@ def symmetric_state(rho: DenseOperator,
         raise SupportError(
             f"rho_out leaves the symmetric subspace (residual {resid:.3e}); "
             "the sampled mixture only reproduces symmetric-support marginals")
-    return OccupationState(coords, d, m)
+    return OccupationState(kets_of(coords), d, m)
 
 
 # -- channels in Choi form ----------------------------------------------------

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -444,11 +445,12 @@ class TestMc:
     def test_oversized_moment_exits_one(self, capsys):
         # refused by the guard before the sampler allocates anything: at
         # d = 3, s_180 = 16471 exceeds the side cap 2^14; at d = 2,
-        # s_6636 = 6637 fits it, but six such arrays exceed the bytes
+        # s_7258 = 7259 fits it, but five such complex arrays exceed the
+        # bytes
         for flags, message in ((["--d", "3", "--M", "180"],
                                 "180-user Monte Carlo estimate"),
-                               (["--M", "6636"],
-                                "Monte Carlo estimate of 6636 users")):
+                               (["--M", "7258"],
+                                "Monte Carlo estimate of 7258 users")):
             assert main(["mc", *flags]) == 1
             assert message in capsys.readouterr().err
 
@@ -544,6 +546,13 @@ class TestSuiteCommand:
         monkeypatch.setattr("symdist.cli.run_suite",
                             lambda seed, cap: [passing])
         assert main(["suite"]) == 0
+
+    def test_seed_42_csv_is_pinned(self, capsys):
+        # every exact column at 12 digits and every Monte Carlo flag of the
+        # bundled suite, as printed since the suite took its current form
+        assert main(["suite", "--seed", "42"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.md5(out).hexdigest() == "8c1445ff15ee8462c00096658c646f68"
 
 
 class TestModuleEntry:

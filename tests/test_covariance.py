@@ -65,7 +65,8 @@ def _lab_frame(spec, ch, phi, ks):
     d, m = spec.d, spec.M
     if spec.kind == "universal_cloner":
         coords = symmetric_state(rho).coords
-        mixtures = {k: embed_coords(reduce_coords(coords, d, m, k), d, k) for k in ks}
+        mixtures = {k: embed_coords(reduce_coords(coords, d, m, k, ket=True), d, k)
+                    for k in ks}
     else:
         pairs = purified_state(rho)
         mixtures = {k: dense_users(pairs, k)[1] for k in ks}

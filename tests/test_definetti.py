@@ -45,11 +45,11 @@ def ket00():
 
 
 def weight(state, u):
-    """Density s_M <c|coords|c> of each ket in u (shape (..., d)), with
-    c = power_coords(u, M)."""
+    """Density s_M <c|rho|c> of each ket in u (shape (..., d)), with
+    c = power_coords(u, M), for the state's rows x_j of rho = sum_j x_j x_j†:
+    s_M sum_j |x_j† c|^2."""
     c = power_coords(u, state.m)
-    overlap = np.einsum("...s,...s->...", c.conj(), c @ state.coords.T)
-    return sym_dim(state.d, state.m) * overlap.real
+    return sym_dim(state.d, state.m) * (np.abs(c @ state.coords.conj().T) ** 2).sum(-1)
 
 
 def mc(rho, k, samples, seed):

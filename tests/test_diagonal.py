@@ -5,7 +5,8 @@ coordinates, and is held as that diagonal: a 1-D array x standing for
 np.diag(x).  Each kernel, the sweep's one-user drops, the Monte Carlo
 weights, the state check and the distance take it; each must agree with
 what the matrix kernels and checks give on np.diag(x), refusals and their
-messages included.
+messages included, and the sweep and the Monte Carlo weights with what
+they give on the kets sqrt(x_s) e_s that stand for it.
 """
 
 import numpy as np
@@ -39,6 +40,12 @@ def _diagonal(d, m, seed=0):
     return x / x.sum()
 
 
+def _kets(x):
+    """The rows sqrt(x_s) e_s, the stack of kets that stands for np.diag(x)
+    as OccupationState holds a preparation's output."""
+    return np.diag(np.sqrt(x))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_kernels_on_a_diagonal_match_the_matrix_kernels(d):
     """The marginal and the mixture of a diagonal are diagonals, equal to
@@ -63,7 +70,7 @@ def test_sweep_of_a_diagonal_matches_the_matrix_sweep(d):
         top = max(k for dd, mm, k in CASES if (dd, mm) == (d, m))
         x = _diagonal(d, m, seed=1)
         diag = OccupationState(x, d, m).sweep(range(1, top + 1))
-        full = OccupationState(np.diag(x), d, m).sweep(range(1, top + 1))
+        full = OccupationState(_kets(x), d, m).sweep(range(1, top + 1))
         for (k, *got), (k_full, *want) in zip(diag, full, strict=True):
             assert k == k_full
             for a, b in zip(got, want):
@@ -73,10 +80,11 @@ def test_sweep_of_a_diagonal_matches_the_matrix_sweep(d):
 
 @pytest.mark.parametrize("d,m,k", [(2, 6, 1), (2, 12, 3), (3, 5, 2), (4, 3, 3)])
 def test_monte_carlo_on_a_diagonal_matches_its_matrix(d, m, k):
-    # a draw's weight s_M sum_s |c_s|^2 x_s, against s_M <c|diag(x)|c>
+    # a draw's weight s_M sum_s |c_s|^2 x_s, against s_M <c|diag(x)|c> from
+    # the kets sqrt(x_s) e_s of diag(x)
     x = _diagonal(d, m, seed=2)
     est, stderr = mc_reduce_coords(x, d, m, k, 500, seed=3)
-    want, want_err = mc_reduce_coords(np.diag(x), d, m, k, 500, seed=3)
+    want, want_err = mc_reduce_coords(_kets(x), d, m, k, 500, seed=3)
     assert np.max(np.abs(est - want)) <= TOL
     assert np.max(np.abs(stderr - want_err)) <= TOL
     reference = reduce_coords(x, d, m, k)

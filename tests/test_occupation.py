@@ -57,10 +57,13 @@ from conftest import dense_users, random_state, users
 from dense_oracles import (
     apply,
     build,
+    coords_matrix,
     embed_coords,
     embed_pure_input,
     in_input_frame,
+    kets_of,
     partial_trace,
+    prep_coords,
     projector,
     symmetric_state,
     symmetrizer,
@@ -160,10 +163,11 @@ def _purified_ks(spec):
 @pytest.mark.parametrize("spec", COVERED, ids=_label)
 def test_output_and_marginals_match_dense(spec):
     rho, coords = _dense_output(spec)
-    assert np.max(np.abs(embed_coords(coords, spec.d, spec.M).entries
+    assert np.max(np.abs(embed_coords(coords_matrix(coords), spec.d, spec.M).entries
                          - rho.entries)) <= TOL
     for k in range(1, min(3, spec.M) + 1):
-        got = embed_coords(marginal_coords(coords, spec.d, spec.M, k), spec.d, k)
+        got = embed_coords(marginal_coords(coords, spec.d, spec.M, k, ket=coords.ndim == 2),
+                           spec.d, k)
         want = partial_trace(rho, range(k))
         assert np.max(np.abs(got.entries - want.entries)) <= TOL
 
@@ -174,7 +178,8 @@ def test_reduction_matches_dense(spec):
     for k in range(1, 4):
         if spec.d ** (spec.M + k) > 2 ** 11:
             break
-        got = embed_coords(reduce_coords(coords, spec.d, spec.M, k), spec.d, k)
+        got = embed_coords(reduce_coords(coords, spec.d, spec.M, k, ket=coords.ndim == 2),
+                           spec.d, k)
         want = _dense_reduction(rho, spec.d, spec.M, k)
         assert np.max(np.abs(got.entries - want)) <= TOL
 
@@ -205,34 +210,36 @@ def test_purified_route_matches_dense(spec):
 @pytest.mark.parametrize("d,m,k", [(9, 2, 1), (9, 2, 2), (4, 6, 1),
                                    (4, 4, 1), (4, 4, 2), (4, 4, 3)])
 def test_ket_kernels_match_matrix_kernels(d, m, k):
-    """A 1-D state with `ket` is a ket c; the kernels on it equal those on
-    |c><c|, also where the dense oracle cannot reach, e.g. (d^2 = 9, M = 2,
-    k = 2)."""
+    """Rows c_j with `ket` stand for sum_j c_j c_j†; the kernels on them
+    equal those on that matrix, also where the dense oracle cannot reach,
+    e.g. (d^2 = 9, M = 2, k = 2).  One row is the pair route's ket."""
     rng = np.random.default_rng(11)
     s = sym_dim(d, m)
-    c = rng.standard_normal(s) + 1j * rng.standard_normal(s)
-    c /= np.linalg.norm(c)
-    rho = np.outer(c, c.conj())
-    assert np.max(np.abs(marginal_coords(c, d, m, k, ket=True)
-                         - marginal_coords(rho, d, m, k))) <= TOL
-    assert np.max(np.abs(reduce_coords(c, d, m, k, ket=True)
-                         - reduce_coords(rho, d, m, k))) <= TOL
+    for r in (1, 3):
+        c = rng.standard_normal((r, s)) + 1j * rng.standard_normal((r, s))
+        c /= np.linalg.norm(c)
+        rho = coords_matrix(c)
+        assert np.max(np.abs(marginal_coords(c, d, m, k, ket=True)
+                             - marginal_coords(rho, d, m, k))) <= TOL
+        assert np.max(np.abs(reduce_coords(c, d, m, k, ket=True)
+                             - reduce_coords(rho, d, m, k))) <= TOL
 
 
 @st.composite
 def _occupation_states(draw):
-    """A random s_M x s_M state at d, or a random ket of Sym^M(C^{d^2})
-    standing for a pair purification."""
+    """A random full-rank state of Sym^M(C^d) as the rows of its kets_of,
+    or a random ket of Sym^M(C^{d^2}), one row, standing for a pair
+    purification."""
     d = draw(st.sampled_from([2, 3]))
     m_users = draw(st.integers(1, 8 if d == 2 else 4))
     paired = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if not paired:
-        return OccupationState(random_state(rng, sym_dim(d, m_users)).entries,
+        return OccupationState(kets_of(random_state(rng, sym_dim(d, m_users)).entries),
                                d, m_users)
     c = rng.standard_normal(sym_dim(d * d, m_users)) * (1 + 0j)
     c += 1j * rng.standard_normal(c.size)
-    return OccupationState(c / np.linalg.norm(c), d, m_users, paired=True)
+    return OccupationState((c / np.linalg.norm(c))[None, :], d, m_users, paired=True)
 
 
 @settings(derandomize=True, max_examples=60, database=None, deadline=None)
@@ -255,8 +262,7 @@ def test_users_step_matches_embedding_and_partial_trace(state):
             assert abs(np.trace(got) - 1.0) <= TOL
             if dense is None:
                 continue
-            want = embed_coords(kernel(state.coords, q, state.m, k, ket=state.paired),
-                                q, k)
+            want = embed_coords(kernel(state.coords, q, state.m, k, ket=True), q, k)
             if state.paired:
                 want = partial_trace(DenseOperator(want.entries, (d,) * (2 * k)),
                                      range(0, 2 * k, 2))
@@ -265,25 +271,27 @@ def test_users_step_matches_embedding_and_partial_trace(state):
 
 @st.composite
 def _reductions(draw):
-    """A random unit-trace PSD s_M x s_M state, or a random unit ket of
-    Sym^M(C^d) as an s_M-vector, with d, M and 1 <= k <= M."""
+    """A random unit-trace PSD s_M x s_M state, or the rows of one to three
+    random kets of Sym^M(C^d) of unit trace (ket True), with d, M and
+    1 <= k <= M."""
     d = draw(st.sampled_from([2, 3, 4]))
     m_users = draw(st.integers(1, {2: 8, 3: 5, 4: 3}[d]))
     k = draw(st.integers(1, m_users))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     s = sym_dim(d, m_users)
     if draw(st.booleans()):
-        return random_state(rng, s).entries, d, m_users, k
-    c = rng.standard_normal(s) + 1j * rng.standard_normal(s)
-    return c / np.linalg.norm(c), d, m_users, k
+        return random_state(rng, s).entries, False, d, m_users, k
+    r = draw(st.integers(1, 3))
+    c = rng.standard_normal((r, s)) + 1j * rng.standard_normal((r, s))
+    return c / np.linalg.norm(c), True, d, m_users, k
 
 
 @settings(derandomize=True, max_examples=60, database=None, deadline=None)
 @given(case=_reductions())
 def test_reduction_is_a_state(case):
     """reduce_coords maps states, as matrices and as kets, to states."""
-    rho, d, m_users, k = case
-    tilde = reduce_coords(rho, d, m_users, k, ket=rho.ndim == 1)
+    rho, ket_rows, d, m_users, k = case
+    tilde = reduce_coords(rho, d, m_users, k, ket=ket_rows)
     assert tilde.shape == (sym_dim(d, k),) * 2
     assert np.max(np.abs(tilde - tilde.conj().T)) <= TOL
     assert np.linalg.eigvalsh(tilde)[0] >= -TOL
@@ -342,14 +350,16 @@ def test_frame_distance_matches_the_embedded_route(d, m_users):
     isometry V preserves the trace norm."""
     rng = np.random.default_rng(17 * d + m_users)
     for _ in range(3):
-        state = OccupationState(random_state(rng, sym_dim(d, m_users)).entries,
+        state = OccupationState(kets_of(random_state(rng, sym_dim(d, m_users)).entries),
                                 d, m_users)
         for k in range(1, m_users + 1):
             rho_k, tilde = users(state, k)
             assert rho_k.shape == (sym_dim(d, k),) * 2
             want = trace_distance(
-                embed_coords(marginal_coords(state.coords, d, m_users, k), d, k).entries,
-                embed_coords(reduce_coords(state.coords, d, m_users, k), d, k).entries)
+                embed_coords(marginal_coords(state.coords, d, m_users, k, ket=True),
+                             d, k).entries,
+                embed_coords(reduce_coords(state.coords, d, m_users, k, ket=True),
+                             d, k).entries)
             assert abs(trace_distance(rho_k, tilde) - want) <= TOL
 
 
@@ -357,9 +367,9 @@ def test_kernels_run_only_for_the_checks_that_read_them(monkeypatch):
     calls = []
 
     def counted(kernel):
-        def run(rho, d, m, k):
+        def run(rho, d, m, k, ket=False):
             calls.append((kernel.__name__, m, k))
-            return kernel(rho, d, m, k)
+            return kernel(rho, d, m, k, ket)
         return run
 
     for kernel in (marginal_coords, reduce_coords):
@@ -399,7 +409,7 @@ def test_every_k_user_result_is_one_contraction(monkeypatch):
         return contract(x, idx, coef, ket)
 
     rng = np.random.default_rng(5)
-    unpaired = OccupationState(random_state(rng, sym_dim(2, 4)).entries, 2, 4)
+    unpaired = OccupationState(kets_of(random_state(rng, sym_dim(2, 4)).entries), 2, 4)
     paired = purified_state(_choi_output(PURIFIED[0]))
     with monkeypatch.context() as patch:
         patch.setattr(definetti, "contract", counted)
@@ -414,9 +424,8 @@ def test_every_k_user_result_is_one_contraction(monkeypatch):
 def _rank3(d, m_users):
     rng = np.random.default_rng(d * 100 + m_users)
     s = sym_dim(d, m_users)
-    w = rng.standard_normal((s, 3)) + 1j * rng.standard_normal((s, 3))
-    rho = w @ w.conj().T
-    return OccupationState(rho / np.trace(rho).real, d, m_users)
+    w = rng.standard_normal((3, s)) + 1j * rng.standard_normal((3, s))
+    return OccupationState(w / np.linalg.norm(w), d, m_users)
 
 
 def _noisy_purification(d, m_users):
@@ -466,7 +475,7 @@ def test_users_are_plain_complex_arrays():
     """A sweep hands over two hermitized complex arrays, with no wrapper:
     s_k x s_k unpaired, d^k x d^k paired."""
     rng = np.random.default_rng(5)
-    unpaired = OccupationState(random_state(rng, sym_dim(2, 4)).entries, 2, 4)
+    unpaired = OccupationState(kets_of(random_state(rng, sym_dim(2, 4)).entries), 2, 4)
     paired = purified_state(_choi_output(PURIFIED[0]))
     for state, side in ((unpaired, sym_dim(2, 2)), (paired, paired.d ** 2)):
         for x in users(state, 2):
@@ -504,7 +513,7 @@ def test_trace_table_holds_d_to_the_2k_entries(d, k):
 def test_purified_state_holds_a_ket():
     rho = _choi_output(PURIFIED[-1])
     state = purified_state(rho)
-    assert state.paired and state.coords.shape == (sym_dim(9, 2),)
+    assert state.paired and state.coords.shape == (1, sym_dim(9, 2))
 
 
 @pytest.mark.parametrize("spec", COVERED, ids=_label)
@@ -519,7 +528,7 @@ def test_monte_carlo_weight_matches_dense(spec):
     want = s_m * np.einsum("bi,bi->b", full.conj(), full @ rho.entries.T).real
     c = power_coords(u, spec.M)
     for state in (coords, compressed):
-        state = np.diag(state) if state.ndim == 1 else state
+        state = coords_matrix(state)
         got = s_m * np.einsum("bs,bs->b", c.conj(), c @ state.T).real
         assert np.max(np.abs(got - want)) <= TOL
 
@@ -583,10 +592,10 @@ def test_symmetric_output_decides_as_the_dense_oracle(spec, coeffs):
     got, want = results
     assert (got is None) == (want is None)
     if got is not None:
-        # a cloner's output is its diagonal in the input's frame
+        # a cloner's output is its diagonal in the input's frame, a
+        # preparation's its kets
         assert got.ndim == 1 + (not spec.covariant)
-        got = np.diag(got) if got.ndim == 1 else got
-        assert np.max(np.abs(got - want)) <= TOL
+        assert np.max(np.abs(coords_matrix(got) - coords_matrix(want))) <= TOL
 
 
 @pytest.mark.parametrize("spec", COVERED[:4] + PURIFIED, ids=_label)
@@ -741,6 +750,109 @@ def test_power_coords_matches_isometry():
                           np.array([1.0, 0.0, 0.0, 0.0]))
 
 
+# -- the preparations' kets --------------------------------------------------
+
+
+def _random_pure(rng, d):
+    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return _pure(z)
+
+
+def _random_povm(rng, n, r):
+    """r random POVM elements on C^n: S^{-1/2} A_i S^{-1/2} for random PSD
+    A_i with S = sum_i A_i."""
+    a = [_density(rng, n) for _ in range(r)]
+    vals, vecs = np.linalg.eigh(sum(a))
+    root = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    return tuple(root @ x @ root for x in a)
+
+
+def _prep_cases():
+    """(label, spec, input) for the ket route: one to four pure
+    preparations, measure_prepare on a density matrix, mixed preparations
+    at M = 1, and d = 1."""
+    rng = np.random.default_rng(26)
+    cases = []
+    for d, m_users in ((2, 6), (3, 4)):
+        for m in (m_users, 1):
+            cases.append((f"fixed-d{d}-M{m}", SDIChannelSpec(
+                "fixed_prep", d=d, M=m, prep=(_random_pure(rng, d),)), _input_ket(d)))
+            for r in (2, 3, 4):
+                spec = SDIChannelSpec("measure_prepare", d=d, M=m,
+                                      prep=tuple(_random_pure(rng, d) for _ in range(r)),
+                                      povm=_random_povm(rng, 3, r))
+                cases.append((f"measure{r}-d{d}-M{m}", spec, _input_ket(3)))
+                cases.append((f"measure{r}-d{d}-M{m}-mixed-input", spec,
+                              DenseOperator(_density(rng, 3), (3,))))
+        cases.append((f"mixed-preps-d{d}-M1", SDIChannelSpec(
+            "measure_prepare", d=d, M=1, prep=(_density(rng, d), _random_pure(rng, d),
+                                               _density(rng, d)),
+            povm=_random_povm(rng, 2, 3)), DenseOperator(_density(rng, 2), (2,))))
+    one = np.ones((1, 1))
+    for m in (1, 5):
+        cases.append((f"fixed-d1-M{m}", SDIChannelSpec("fixed_prep", d=1, M=m, prep=(one,)),
+                      ket([1.0])))
+        cases.append((f"measure2-d1-M{m}", SDIChannelSpec(
+            "measure_prepare", d=1, M=m, prep=(one, one), povm=POVM2), _input_ket(2)))
+    return cases
+
+
+PREP_CASES = _prep_cases()
+# the matrix kernels gather s_k^2 s_{M+k} terms; larger (d, M, k) are left out
+MAX_MATRIX_GATHER = 2 ** 20
+
+
+@pytest.mark.parametrize("spec,state", [case[1:] for case in PREP_CASES],
+                         ids=[case[0] for case in PREP_CASES])
+def test_ket_route_matches_the_matrix_kernels_on_prep_coords(spec, state):
+    """A preparation's output is its kets sqrt(w_j) v_j: they stand for the
+    s_M x s_M matrix of prep_coords (at M = 1, the d x d dense output), and
+    the ket kernels on them give the matrix kernels on it, at every k whose
+    matrix gather fits, within 1e-13."""
+    rows = spec.symmetric_output(state)
+    assert rows.shape == (spec.rows, sym_dim(spec.d, spec.M))
+    validate_state(rows, "channel output", ket=True)
+    matrix = prep_coords(*spec._pure_preps(state), spec.M)
+    assert np.max(np.abs(coords_matrix(rows) - matrix)) <= 1e-13
+    if spec.M == 1:
+        assert np.max(np.abs(matrix - spec.dense_output(state).entries)) <= 1e-13
+    for k in range(1, spec.M + 1):
+        if sym_dim(spec.d, k) ** 2 * sym_dim(spec.d, spec.M + k) > MAX_MATRIX_GATHER:
+            break
+        for kernel in (marginal_coords, reduce_coords):
+            got = kernel(rows, spec.d, spec.M, k, ket=True)
+            assert np.max(np.abs(got - kernel(matrix, spec.d, spec.M, k))) <= 1e-13
+
+
+def test_a_negative_weight_counts_as_zero():
+    """A POVM element may have eigenvalues down to -PSD_TOL, so an outcome
+    may get a weight just below 0; its ket enters with weight 0 (its square
+    root would not be finite), a weight below -PSD_TOL is refused, and the
+    distance moves by less than 1e-9 from the s_M x s_M matrix's, which
+    kept the weight -5e-10."""
+    spec = SDIChannelSpec("measure_prepare", d=2, M=4, prep=BASIS2,
+                          povm=(np.diag([1.0, -5e-10]), np.diag([0.0, 1.0 + 5e-10])))
+    rows = spec.symmetric_output(ket([0.0, 1.0]))
+    assert np.isfinite(rows).all() and not rows[0].any()
+    row, _ = run_scenario(_scenario(spec, ["lemma1"], np.array([0.0, 1.0]), (1, 2)))
+    assert np.isfinite(row.actual_distance)
+    assert abs(row.actual_distance - 0.3333333336666667) <= 1e-9
+    deeper = SDIChannelSpec("measure_prepare", d=2, M=4, prep=spec.prep,
+                            povm=(np.diag([1.0, -1e-9]), np.diag([0.0, 1.0 + 1e-9])))
+    with pytest.raises(ValueError, match=r"^prep\[0\] has weight -1\.000e-09 from the input"):
+        deeper.symmetric_output(ket([0.0, 1.0 + 5e-10]))
+
+
+def test_fixed_prep_holds_no_s_m_matrix():
+    """fixed_prep of |+> under lemma1 at 2048 qubits holds its one ket of
+    s_M = 2049 coordinates: the run peaks below one complex 2049 x 2049
+    matrix, which it never builds."""
+    spec = SDIChannelSpec("fixed_prep", d=2, M=2048, prep=(_pure([1.0, 1.0]),))
+    cfg = _scenario(spec, ["lemma1"], np.array([1.0, 0.0]), (1, 2, 3))
+    assert _traced_peak(lambda: run_scenario(cfg)) < 16 * 2049 ** 2
+    assert all(row.satisfied_lemma1 for row in run_scenario(cfg))
+
+
 # -- resource guard ----------------------------------------------------------
 
 
@@ -767,22 +879,55 @@ def test_too_large_raises_before_allocating(d, m_users):
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("d,last", [(2, 16383), (3, 179)])
+def test_cloner_reach_is_the_side_cap(d, last):
+    """A cloner's output is charged as its s_M diagonal, so lemma1 at
+    k = 1..3 runs up to the side cap on s_M, and is refused past it before
+    anything is allocated."""
+    rows = run_scenario(_cloner(d, last, [1, 2, 3]))
+    assert all(row.satisfied_lemma1 for row in rows)
+    assert abs(rows[0].actual_distance - 2 * (d - 1) / ((d + 1) * last)) <= TOL
+    cfg = _cloner(d, last + 1, [1, 2, 3])
+    assert _traced_peak(lambda: run_scenario(cfg), ResourceLimitError) < 2 ** 20
+    with pytest.raises(ResourceLimitError,
+                       match=f"occupation-coordinate state of {last + 1} users"):
+        run_scenario(cfg)
+
+
+def test_one_user_reach_in_d():
+    """One user of a cloner is an s_1 = d diagonal, whose reduction gathers
+    d s_2 terms: refused from d = 563.  A preparation at M = 1 holds d
+    kets, gathered one at a time over s_1 s_2 terms: refused from d = 561."""
+    plan(562, 1, [1], n_in=1)
+    with pytest.raises(ResourceLimitError, match="1-user result would need"):
+        plan(563, 1, [1], n_in=1)
+    spec = SDIChannelSpec("fixed_prep", d=128, M=1, prep=(np.eye(128) / 128,))
+    assert spec.rows == 128
+    plan(128, 1, [1], rows=spec.rows)
+    plan(560, 1, [1], rows=560)
+    with pytest.raises(ResourceLimitError, match="1-user result would need"):
+        plan(561, 1, [1], rows=561)
+
+
 def test_large_k_refused_before_allocating():
-    # k-user results stay s_k x s_k, so k = M = 13 qubits runs; the limit is
-    # the reduction's gather of s_k^2 s_{M+k} entries, which at M = 1024
-    # qubits first passes the byte budget at k = 313
+    # k-user results stay s_k x s_k (diagonals for a cloner), so k = M = 13
+    # qubits runs; a diagonal's gathers are s_k s_{M+k} terms, so every k
+    # of 1024 qubits fits; at M = 4096 the split table at K, with its
+    # Python-integer binomials, first passes the byte budget at k = 1144
     rows = run_scenario(_cloner(2, 13, [1, 13]))
     assert all(row.satisfied_lemma1 for row in rows)
-    plan(2, 1024, [1, 312])
+    plan(2, 1024, [1, 1024], n_in=1)
+    plan(2, 1024, [1, 1024], rows=1)
+    plan(2, 4096, [1, 1143], n_in=1)
     with pytest.raises(ResourceLimitError,
-                       match="occupation-coordinate route for 1024 users"):
-        plan(2, 1024, [1, 313])
-    for k in (313, 512):
-        cfg = _cloner(2, 1024, [1, k])
+                       match="occupation-coordinate route for 4096 users: 1144-user"):
+        plan(2, 4096, [1, 1144], n_in=1)
+    for k in (1144, 2048):
+        cfg = _cloner(2, 4096, [1, k])
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError,
-                               match="occupation-coordinate route for 1024 users"):
+                               match="occupation-coordinate route for 4096 users"):
                 run_scenario(cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -793,18 +938,23 @@ def test_large_k_refused_before_allocating():
 def test_guard_counts_gathers_in_bytes():
     plan(2, 1024, [1, 2, 3])
     plan(3, 64, [1, 2, 3])
-    # s_M = 12001 fits the side cap, but three copies of the state do not fit
-    # the byte budget of one complex matrix at that cap
-    with pytest.raises(ResourceLimitError, match="bytes"):
-        plan(2, 12000, [1])
+    # s_M = 12001 reals, or one ket of s_M, fit; the side cap refuses
+    # s_M = 16385
+    plan(2, 12000, [1])
+    plan(2, 12000, [1], rows=1)
+    plan(2, 16383, [1], rows=4)
+    with pytest.raises(ResourceLimitError, match="occupation-coordinate state of 16384 users"):
+        plan(2, 16384, [1])
     # a 50 -> 100 qutrit cloner scatters s_50^2 s_50 = 1326^3 terms
     plan(3, 100, [1])
     with pytest.raises(ResourceLimitError, match="bytes"):
         plan(3, 100, [1], n_in=50)
-    # a 30-user result is 31 x 31; its reduction gathers 31^2 s_1030 entries
+    # a 500-user result is 501 x 501; its reduction gathers 501 s_1500
+    # terms of a ket
     plan(2, 1000, [30])
+    plan(2, 1000, [500], rows=1)
     with pytest.raises(ResourceLimitError, match="bytes"):
-        plan(2, 1000, [500])
+        plan(2, 4096, [1144], rows=1)
     with pytest.raises(ResourceLimitError):
         plan(2, 10 ** 30, [1])
 
@@ -821,17 +971,20 @@ def test_mc_guard_counts_bytes():
     # 12 qubits: six complex 13^2 arrays, and chunks of 26886 draws of
     # 13 + 26 entries each
     assert _mc_chunk(2, 12, 12) == 2 ** 20 // (13 + 26) == 26886
-    # 6635 qubits fit; at 6636, s_n = 6637 fits the side cap, but the six
-    # arrays' 96 * 6637^2 bytes and a chunk of 52 draws of 19911 entries
-    # exceed the budget of one complex matrix at that cap (16 * 2^28)
-    assert _mc_chunk(2, 6635, 6635) == 2 ** 20 // 19908 == 52
+    # 7257 qubits fit; at 7258, s_n = 7259 fits the side cap, but five
+    # complex s_n x s_n arrays, 80 * 7259^2 bytes, and a chunk of 48 draws of
+    # 21777 entries exceed the budget of one complex matrix at that cap
+    # (16 * 2^28); the diagonal state is 8 s_n bytes
+    assert _mc_chunk(2, 7257, 7257) == 2 ** 20 // 21774 == 48
     with pytest.raises(ResourceLimitError, match="bytes"):
-        _mc_chunk(2, 6636, 6636)
+        _mc_chunk(2, 7258, 7258)
+    _mc_chunk(3, 119, 119)
     with pytest.raises(ResourceLimitError, match="bytes"):
-        _mc_chunk(3, 114, 114)
-    # one user of 20000 qubits: side 2, but the state alone is 16 * 20001^2
-    with pytest.raises(ResourceLimitError, match="bytes"):
-        _mc_chunk(2, 20000, 1)
+        _mc_chunk(3, 120, 120)
+    # one user of 16383 qubits fits; the side cap refuses s_M = 16385
+    _mc_chunk(2, 16383, 1)
+    with pytest.raises(ResourceLimitError, match="occupation-coordinate state of 16384 users"):
+        _mc_chunk(2, 16384, 1)
     # s_180 = 16471 qutrit coordinates exceed the side cap 2^14
     with pytest.raises(ResourceLimitError, match="180-user Monte Carlo estimate"):
         _mc_chunk(3, 180, 180)
@@ -845,7 +998,7 @@ def test_moment_check_at_order_540_has_a_finite_sigma():
     row = moment_check_record(2, 540, samples=1000, seed=1)
     assert np.isfinite(row.actual_distance)
     s_n = sym_dim(2, 540)
-    est, stderr = mc_reduce_coords(np.eye(s_n) / s_n, 2, 540, 540, 1000, seed=1)
+    est, stderr = mc_reduce_coords(np.full(s_n, 1 / s_n), 2, 540, 540, 1000, seed=1)
     assert np.all(stderr[est != 0] > 0)
 
 
@@ -855,27 +1008,27 @@ def test_scaled_squares_move_no_digit_where_nothing_underflows(d, m, k):
     s_m, samples = sym_dim(d, m), 600
     rng = np.random.default_rng(3)
     a = rng.standard_normal((s_m, 2)) + 1j * rng.standard_normal((s_m, 2))
-    rho = a @ a.conj().T / np.sum(np.abs(a) ** 2)
+    rows = a.T / np.sqrt(np.sum(np.abs(a) ** 2))  # the kets of a a† / Tr
     u = haar_kets(np.random.default_rng((4, 1)), samples, d)
     c, c_k = power_coords(u, m), power_coords(u, k)
-    w = s_m * np.einsum("bs,bs->b", c.conj(), c @ rho.T).real
+    w = s_m * (np.abs(c @ rows.conj().T) ** 2).sum(axis=1)
     mean = (w[:, None] * c_k).T @ c_k.conj() / samples
     p = np.abs(c_k) ** 2
     var = np.maximum((w[:, None] ** 2 * p).T @ p / samples - np.abs(mean) ** 2, 0.0)
-    est, stderr = mc_reduce_coords(rho, d, m, k, samples, seed=4)
+    est, stderr = mc_reduce_coords(rows, d, m, k, samples, seed=4)
     assert np.array_equal(est, mean)
     assert np.array_equal(stderr, np.sqrt(var / samples))
 
 
 def test_moment_check_raises_before_allocating():
     # refused by the side cap (s_180 = 16471 at d = 3) and by the bytes
-    # (s_6636 = 6637 at d = 2), each before the s_n x s_n state exists
+    # (s_7258 = 7259 at d = 2), each before the s_n diagonal exists
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="180-user Monte Carlo"):
             moment_check_record(3, 180, samples=10, seed=0)
-        with pytest.raises(ResourceLimitError, match="of 6636 users"):
-            moment_check_record(2, 6636, samples=10, seed=0)
+        with pytest.raises(ResourceLimitError, match="of 7258 users"):
+            moment_check_record(2, 7258, samples=10, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -912,6 +1065,18 @@ def _traced_peak(run, raises=None):
 
 
 MIXED_PREP = [[[[0.5, 0], [0.1, 0]], [[0.1, 0], [0.5, 0]]]]
+PLUS = [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]
+
+
+def _measure4(d, m_users):
+    """A measure_prepare channel of four pure preparations, each outcome
+    weighted 1/4 for every input."""
+    def basis(i):
+        return [[[float(a == b == i % d), 0.0] for b in range(d)] for a in range(d)]
+    flat = [[[0.25 * (a == b), 0.0] for b in range(d)] for a in range(d)]
+    return {"kind": "measure_prepare", "d": d, "M": m_users,
+            "prep": [basis(0), basis(1), PLUS if d == 2 else basis(2), basis(0)],
+            "povm": [flat] * 4}
 
 
 def _scenario_case(cfg):
@@ -923,10 +1088,10 @@ def _scenario_case(cfg):
 
 def _mc_case(d, m, k):
     """The sampler's plan, and two full chunks and one draw from a state
-    built under the trace."""
-    p = plan(d, m, output=False, mc=k)
+    built under the trace: the maximally mixed one, as s_M kets."""
     s_m = sym_dim(d, m)
-    return p, [lambda: mc_reduce_coords(np.eye(s_m) / s_m, d, m, k,
+    p = plan(d, m, output=False, mc=k, rows=s_m)
+    return p, [lambda: mc_reduce_coords(np.eye(s_m) / np.sqrt(s_m), d, m, k,
                                         2 * p.chunk + 1, seed=0)]
 
 
@@ -938,6 +1103,13 @@ def _mc_case(d, m, k):
     lambda: _scenario_case(_cloner(2, 64, range(1, 65))),
     lambda: _mc_case(2, 8, 8),
     lambda: _mc_case(3, 20, 2),
+    # the ket route: one ket of 2048 qubits, and four of 400 qubits and of
+    # 60 qutrits, the last with its Monte Carlo estimate
+    lambda: _scenario_case(_dense_scenario(
+        {"kind": "fixed_prep", "d": 2, "M": 2048, "prep": [PLUS]}, [1, 2, 3], ["lemma1"])),
+    *[lambda d=d, m=m, checks=checks: _scenario_case(_dense_scenario(
+        _measure4(d, m), [1, 2, 3], checks))
+      for d, m, checks in ((2, 400, ["lemma1"]), (3, 60, ["lemma1", "mc_crosscheck"]))],
     *[lambda m=m: _scenario_case(_dense_scenario(_noisy(2, m)))
       for m in (6, 7, 8, 9)],
     *[lambda m=m: _scenario_case(_dense_scenario(_noisy(3, m))) for m in (3, 4, 5)],
@@ -947,7 +1119,8 @@ def _mc_case(d, m, k):
         {"kind": "universal_cloner", "d": 2, "N": 1, "M": 8}, [1],
         ["theorem2", "mc_crosscheck"])),
 ], ids=["symmetric-2-9", "symmetric-2-10", "symmetric-2-64-every-k",
-        "mc-2-8-8", "mc-3-20-2", "dense-2-6", "dense-2-7", "dense-2-8",
+        "mc-2-8-8", "mc-3-20-2", "prep-2-2048", "measure4-2-400", "measure4-3-60-mc",
+        "dense-2-6", "dense-2-7", "dense-2-8",
         "dense-2-9", "dense-3-3", "dense-3-4", "dense-3-5", "dense-2-6-k1to5",
         "dense-2-8-k1to6", "dense-cloner-mc"])
 def test_plan_bounds_the_traced_peak(case):
