@@ -10,8 +10,9 @@ puts it in Sym^M.  There a preparation's output is its weighted kets
 sqrt(w_j) power_coords(phi_j, M), and a cloner's its diagonal in the
 input's frame: the cloners are U-covariant (Werner, PRA 58, 1827 (1998)),
 so every distance and input fidelity is the one on |0>, where Werner's
-P_M (X tensor 1) P_M = P_M (X tensor P_{M-N}) P_M gives cloner_diagonal.
-The Choi oracles that tests compare both outputs with live with the tests.
+P_M (X tensor 1) P_M = P_M (X tensor P_{M-N}) P_M gives cloner_diagonal:
+real, as dense_output is wherever the preps are (a JSON matrix with no
+imaginary part is held as float64).  The tests hold the Choi oracles.
 """
 
 from __future__ import annotations
@@ -178,7 +179,8 @@ def _matrix_from_json(rows, where: str) -> np.ndarray:
             isinstance(row, list) and row and len(row) == len(rows[0])
             for row in rows)):
         raise ValueError(f"{where}: expected a matrix of [re, im] pairs")
-    return np.array([[_json_complex(z, where) for z in row] for row in rows])
+    m = np.array([[_json_complex(z, where) for z in row] for row in rows])
+    return m if m.imag.any() else m.real.copy()
 
 
 def _json_number(data: dict, key: str, kind: type, optional: bool = False):
@@ -273,8 +275,13 @@ class SDIChannelSpec:
 
     @staticmethod
     def _matrices(field: tuple) -> list[np.ndarray]:
-        """The stored matrices of `prep` or `povm` as complex arrays."""
-        return [np.asarray(m, dtype=complex) for m in field]
+        """The stored matrices of `prep` or `povm` as arrays."""
+        return [np.asarray(m) for m in field]
+
+    @property
+    def itemsize(self) -> int:
+        """Bytes an entry of dense_output: 16 where a prep is complex, else 8."""
+        return np.result_type(float, *self._matrices(self.prep or ())).itemsize
 
     def _preps(self) -> list[DenseOperator]:
         return [DenseOperator(m, (self.d,)) for m in self._matrices(self.prep)]
@@ -299,10 +306,10 @@ class SDIChannelSpec:
         return [max(w, 0.0) for w in weights]
 
     def _pure_preps(self, state: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
-        """The kets (rows) that the preps enter as, and their weights for
-        `state`: at M = 1 each eigenpair (lam, v) of prep i, weighted w_i lam,
-        past it prep i's top eigenvector, weighted w_i, where its second
-        eigenvalue or w_i is at most SUPPORT_TOL (else SupportError)."""
+        """The kets (rows) of positive weight that the preps enter as, and
+        their weights for `state`: at M = 1 each eigenpair (lam, v) of prep i,
+        weighted w_i lam, past it prep i's top eigenvector, weighted w_i,
+        where its second eigenvalue or w_i is at most SUPPORT_TOL."""
         kets, weights = [], []
         for i, (s, w) in enumerate(zip(self._matrices(self.prep), self._weights(state))):
             vals, vecs = np.linalg.eigh(s)
@@ -317,11 +324,12 @@ class SDIChannelSpec:
                     "symmetric subspace")
             kets.append(vecs[:, -1])
             weights.append(w)
-        return np.array(kets), np.array(weights)
+        kept = np.array(weights) > 0  # a zero row adds only zeros
+        return np.array(kets)[kept], np.array(weights)[kept]
 
     @property
     def rows(self) -> int | None:
-        """The kets of symmetric_output, one a prep (at M = 1 one an
+        """The most kets symmetric_output holds, one a prep (at M = 1 one an
         eigenvector); None for a cloner, whose output is a diagonal."""
         return None if self.covariant else len(self.prep) * (self.d if self.M == 1 else 1)
 
@@ -371,9 +379,9 @@ class SDIChannelSpec:
         """The output on (C^d)^{tensor M}, for every kind and the input of
         symmetric_output, in the input's frame for the cloners: their
         diagonal embedded, with each user depolarized in place, or the sum
-        of w_i sigma_i^{tensor M}.  Refused, before anything is allocated,
-        where its plan does not fit."""
-        plan(self.d, self.M, route="dense", purify=False, cap=cap)
+        of w_i sigma_i^{tensor M}; float64 unless a prep is complex.
+        Refused, before anything is allocated, where its plan does not fit."""
+        plan(self.d, self.M, route="dense", purify=False, itemsize=self.itemsize, cap=cap)
         dims = (self.d,) * self.M
         if not self.covariant:
             return DenseOperator(sum(w * tensor_power(s, self.M, cap).entries
@@ -384,7 +392,7 @@ class SDIChannelSpec:
         v = index_map(self.d, self.M, cap)
         # V diag(x) V†: x[c] w^2 on every pair of flat indices in column c
         x = cloner_diagonal(self.d, self.N, self.M)[v.col] * v.weight
-        rho = np.equal.outer(v.col, v.col) * (x * v.weight).astype(complex)[:, None]
+        rho = np.equal.outer(v.col, v.col) * (x * v.weight)[:, None]
         if self.kind == "noisy_cloner":
             for t in range(self.M):
                 _depolarize_factor(rho, dims, t, self.p)

@@ -10,13 +10,13 @@ An OccupationState holds the state in occupation coordinates as a
 diagonal (a cloner's output in its input's frame) or as the rows of a
 stack of kets (a preparation's output, or, from purified_state, the pair
 purification (sqrt(rho) tensor 1)|Omega> of a permutation-invariant rho,
-one ket symmetric in the d^2-dimensional pairs); no s_M x s_M matrix.  The
-exact kernels, and the ancilla trace, are one contraction over split
-coefficients (Harrow, arXiv:1308.6595), with s_k x s_k results, or
-diagonals, in Sym^k, where V keeps the trace norm; the sweep runs them once,
-at the largest k, and drops one user at a time.  mc_reduce_coords is the
-one Monte Carlo entry.  Each entry point is sized by symspace.plan under
-its `cap`.
+one ket symmetric in the d^2-dimensional pairs, real where rho is); no
+s_M x s_M matrix.  The exact kernels, and the ancilla trace, are one
+contraction over split coefficients (Harrow, arXiv:1308.6595), with s_k x
+s_k results, or diagonals, in Sym^k and the state's dtype; the sweep runs
+them once, at the largest k, and drops one user at a time.
+mc_reduce_coords is the one Monte Carlo entry.  Each entry point is sized
+by symspace.plan under its `cap`.
 """
 
 from __future__ import annotations
@@ -162,10 +162,10 @@ class OccupationState:
     def sweep(self, ks, cap: int = DEFAULT_DIM_CAP
               ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """(k, marginal, mixture) for each k of ks, from the largest down,
-        planned once before the first, as hermitized complex matrices in the
-        frame of their distance: d^k x d^k on (C^d)^{tensor k} paired, else
-        s_k x s_k in occupation coordinates of Sym^k(C^d), where V keeps the
-        trace norm (k = 1: C^d), or their diagonals where coords is one.
+        planned once before the first, as hermitized matrices in coords'
+        dtype and the frame of their distance: d^k x d^k on (C^d)^{tensor k}
+        paired, else s_k x s_k in occupation coordinates of Sym^k(C^d) (V
+        keeps the trace norm; k = 1: C^d), or diagonals where coords is one.
         Both families are consistent (rho_k = Tr_1 rho_{k+1}, and the
         mixtures likewise), so the kernels run only at K = max(ks), and each
         smaller k is the one-user partial trace of the k + 1 pair.  The
@@ -190,7 +190,8 @@ class OccupationState:
 
     def _plan(self, ks, cap: int) -> None:
         plan(self.d, self.m, tuple(ks), route="dense" if self.paired else "symmetric",
-             output=False, rows=len(self.coords) if self.coords.ndim == 2 else None, cap=cap)
+             output=False, rows=len(self.coords) if self.coords.ndim == 2 else None,
+             itemsize=self.coords.itemsize, cap=cap)
 
     def _result(self, kernel, k: int) -> np.ndarray:
         d, ket = self.d, self.coords.ndim == 2
@@ -200,7 +201,6 @@ class OccupationState:
 
 def _hermitized(e: np.ndarray) -> np.ndarray:
     """(E + E†)/2 (of a diagonal, its real part): scrubs roundoff off E."""
-    e = np.asarray(e, dtype=complex)
     return 0.5 * (e + e.conj().T)
 
 
@@ -258,10 +258,10 @@ def purify_perm_invariant(rho: DenseOperator) -> DenseOperator:
 def purified_state(rho: DenseOperator,
                    cap: int = DEFAULT_DIM_CAP) -> OccupationState:
     """The pair purification of rho in occupation coordinates of
-    Sym^M(C^{d^2}).  The support check bounds its weight outside that
-    subspace, not an entry: sqrt(rho) lifts roundoff eigenvalues to ~1e-8."""
+    Sym^M(C^{d^2}), real where rho is.  The support check bounds its weight
+    outside that subspace, not an entry: sqrt lifts roundoff to ~1e-8."""
     d, m = _uniform_square(rho, "rho")
-    plan(d, m, route="dense", cap=cap)
+    plan(d, m, route="dense", itemsize=rho.entries.itemsize, cap=cap)
     phi = purify_perm_invariant(rho).entries[:, 0]
     v = _index_map(d * d, m)
     c = v.compress(phi)

@@ -1,5 +1,5 @@
-"""Dense complex matrices with explicit tensor-factor bookkeeping, and the
-checks that every state passes.
+"""Dense matrices, float64 or complex128 as their input is real or not,
+with explicit tensor-factor bookkeeping, and the checks every state passes.
 
 DenseOperator serves the dense route only: the input ket, the output on
 (C^d)^{tensor M} (tensor_power builds a preparation's sigma^{tensor M}) and
@@ -55,14 +55,14 @@ def _as_dims(dims) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class DenseOperator:
-    """A complex matrix plus the factor dimensions of its row/column spaces.
+    """A matrix plus the factor dimensions of its row/column spaces.
 
     `row_dims`/`col_dims` are tuples whose products equal the matrix shape.
     An empty tuple denotes a one-dimensional (scalar) space, so kets are
-    stored as (dim, 1) matrices with col_dims=().  Entries are write-locked,
-    a read-only view where they come complex and C-ordered (so callers hand
-    over arrays they no longer write to).  It has no arithmetic: callers
-    compute on `entries` with numpy.
+    stored as (dim, 1) matrices with col_dims=().  Entries are complex128
+    where they come complex, else float64, write-locked, and a read-only
+    view where they come so and C-ordered (so callers hand over arrays they
+    no longer write to).  It has no arithmetic: callers compute on `entries`.
     """
 
     entries: np.ndarray
@@ -70,7 +70,8 @@ class DenseOperator:
     col_dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex, order="C").view()
+        m = np.asarray(self.entries)
+        m = np.asarray(m, dtype=complex if m.dtype.kind == "c" else float, order="C").view()
         if m.ndim != 2:
             raise ValueError(f"entries must be a matrix, got ndim={m.ndim}")
         rd = _as_dims(self.row_dims)
@@ -110,11 +111,11 @@ def ket(coeffs, dims=None) -> DenseOperator:
 
 
 def tensor_power(a: DenseOperator, n: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
-    """a^{tensor n}, entry for entry the chain of n np.kron products: each
-    step is a broadcast outer product on arrays, refused past the cap."""
+    """a^{tensor n} in a's dtype, entry for entry the chain of n np.kron
+    products: each step a broadcast outer product, refused past the cap."""
     if n < 0:
         raise ValueError("tensor power requires n >= 0")
-    x, out = a.entries, np.ones((1, 1), dtype=complex)
+    x, out = a.entries, np.ones((1, 1), dtype=a.entries.dtype)
     for _ in range(n):
         rows, cols = out.shape[0] * x.shape[0], out.shape[1] * x.shape[1]
         _check_cap(max(rows, cols), cap, "tensor product")

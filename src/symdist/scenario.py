@@ -279,7 +279,7 @@ def _plan(cfg: ScenarioConfig, phi: DenseOperator | None, cap: int) -> Plan:
         ) from exc
     return plan(spec.d, spec.M, cfg.k_list, route="dense" if theorem2 else "symmetric",
                 field="scenario.checks" if theorem2 else f"scenario.{field}", n_in=spec.N,
-                rows=spec.rows, mc=mc, cap=cap)
+                rows=spec.rows, mc=mc, itemsize=spec.itemsize, cap=cap)
 
 
 def _output(cfg: ScenarioConfig, phi: DenseOperator | None,

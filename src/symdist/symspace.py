@@ -270,16 +270,17 @@ class Plan:
 
 def plan(d: int, m: int, ks=(), *, route: str = "symmetric", field: str = "",
          output: bool = True, n_in: int | None = None, rows: int | None = None,
-         purify: bool = True, mc: int | None = None,
+         purify: bool = True, mc: int | None = None, itemsize: int = 16,
          cap: int = DEFAULT_DIM_CAP) -> Plan:
     """The Plan of M users at local dimension d: the output (an N -> M
-    cloner's for `n_in`), on the dense route its pair purification, the
-    k-user results of `ks`, from one sweep at K = max(ks), and the Monte
-    Carlo estimate of `mc` users.  The symmetric state is charged as it is
-    held: `rows` kets of s_M coordinates, or with None an s_M diagonal.  The
-    guard of every run and library call: before anything is allocated,
-    ResourceLimitError where a side passes the cap or the largest stage
-    the byte budget that goes with it."""
+    cloner's for `n_in`; `itemsize` bytes an entry on the dense route, 8
+    real or 16 complex) and its pair purification there, the k-user results
+    of `ks`, from one sweep at K = max(ks), and the Monte Carlo estimate of
+    `mc` users.  The symmetric state is charged as it is held: `rows` kets
+    of s_M coordinates, or with None an s_M diagonal.  The guard of every
+    run and library call: before anything is allocated, ResourceLimitError
+    where a side passes the cap or the largest stage the byte budget that
+    goes with it."""
     for k in (*ks, mc or 1):
         if not 1 <= k <= m:
             raise ValueError(f"need 1 <= k <= M={m}, got k={k}")
@@ -287,19 +288,19 @@ def plan(d: int, m: int, ks=(), *, route: str = "symmetric", field: str = "",
     s = _sym(d, m)
     state = 8 * s if rows is None else 16 * rows * s
     if route == "dense":
-        # r bytes of the complex d^M x d^M output beside its index map (64
-        # bytes an entry): 3.5 r to build it, 7 r and eigh's workspace to
-        # purify it; a k-user result holds r, the pair ket and the split
-        # tables at K, and adds its s_k x s_k kernel output at d^2 and the
-        # ancilla trace: 24 bytes each of d^3k gathered terms, 112 of d^2k
-        # (its table and six complex matrices for the two results and their
-        # distance).
+        # r bytes of the d^M x d^M output beside its index map (64 bytes an
+        # entry): 3.5 r to build it, 7 r and eigh's workspace (a copy and
+        # dsyevd's or zheevd's 2 n^2 entries, 3 r) to purify it; a k-user
+        # result holds r, the pair ket and the split tables at K, and adds
+        # its s_k x s_k kernel output at d^2 and the ancilla trace, charged
+        # complex: 24 bytes each of d^3k gathered terms, 112 of d^2k (its
+        # table and six matrices for the two results and their distance).
         if d > 1 and m > cap.bit_length():  # d^M > cap, too large to compute
             raise ResourceLimitError(f"{m}-user dense output would have side "
                                      f"{d}^{m}, exceeding the cap {cap}")
         side, q = d ** m, d * d
-        r, held = 16 * side * side, 2 ** 20 + 64 * side
-        untraced = purify * (48 * side * side + 128 * side)  # zheevd's
+        r, held = itemsize * side * side, 2 ** 20 + 64 * side
+        untraced = purify * (3 * r + 128 * side)
         kept = r + 24 * q ** m + 112 * _sym(q, top) * _sym(q, m + top)
         stages += ([("dense output", held + 7 * r // 2)] * output
                    + [("pair purification", held + 7 * r + untraced)] * purify)

@@ -250,8 +250,8 @@ class TestGeneralReduction:
         assert peak < 2 ** 18
 
     def test_byte_budget(self):
-        # 8 qubits: the purification's 7 r of 1 MiB and eigh's 3 r exceed
-        # the budget of cap 2^9 (4 MiB) and fit that of 2^10
+        # 8 qubits of a real rho: the purification's 7 r of 512 KiB and
+        # eigh's 3 r exceed the budget of cap 2^9 (4 MiB) and fit that of 2^10
         rho = DenseOperator(np.eye(2 ** 8) / 2 ** 8, (2,) * 8)
         with pytest.raises(ResourceLimitError, match="dense route for 8 users"):
             purified_state(rho, cap=2 ** 9)

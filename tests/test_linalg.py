@@ -47,15 +47,28 @@ class TestDenseOperator:
             op.entries[0, 0] = 5.0
 
     def test_complex_entries_are_wrapped_not_copied(self):
-        m = np.eye(2, dtype=complex)
-        op = DenseOperator(m, (2,))
-        assert np.shares_memory(op.entries, m)
-        assert not op.entries.flags.writeable
-        assert m.flags.writeable  # the caller's array is left as it was
-        for other in (np.eye(2), np.asfortranarray(m[:, ::-1])):
+        # float64 and complex128 entries are both kept as they come
+        for m in (np.eye(2, dtype=complex), np.eye(2)):
+            op = DenseOperator(m, (2,))
+            assert np.shares_memory(op.entries, m) and op.entries.dtype == m.dtype
+            assert not op.entries.flags.writeable
+            assert m.flags.writeable  # the caller's array is left as it was
+        for other, dtype in ((np.asfortranarray(np.eye(2, dtype=complex)[:, ::-1]), complex),
+                             (np.eye(2, dtype=int), float),
+                             (np.eye(2, dtype=np.complex64), complex)):
             copied = DenseOperator(other, (2,)).entries
             assert not np.shares_memory(copied, other)
-            assert copied.flags.c_contiguous and copied.dtype == complex
+            assert copied.flags.c_contiguous and copied.dtype == dtype
+
+    def test_dtype_follows_the_input(self):
+        # real entries stay float64 through tensor_power; complex stay complex
+        real = DenseOperator(np.diag([0.25, 0.75]), (2,))
+        assert tensor_power(real, 3).entries.dtype == float
+        assert DenseOperator([[1, 0], [0, 0]], (2,)).entries.dtype == float
+        assert DenseOperator([[1, 0j], [0, 0]], (2,)).entries.dtype == complex
+        power = tensor_power(DenseOperator(real.entries.astype(complex), (2,)), 3)
+        assert power.entries.dtype == complex
+        assert np.array_equal(power.entries, tensor_power(real, 3).entries)
 
     def test_factor_dims_requires_square(self):
         v = ket([1.0, 0.0])

@@ -7,6 +7,7 @@ with the ancillas traced out afterwards.
 """
 
 import contextlib
+import time
 import tracemalloc
 import weakref
 
@@ -810,9 +811,11 @@ def test_ket_route_matches_the_matrix_kernels_on_prep_coords(spec, state):
     the ket kernels on them give the matrix kernels on it, at every k whose
     matrix gather fits, within 1e-13."""
     rows = spec.symmetric_output(state)
-    assert rows.shape == (spec.rows, sym_dim(spec.d, spec.M))
+    kets, weights = spec._pure_preps(state)
+    assert rows.shape == (len(kets), sym_dim(spec.d, spec.M))
+    assert len(kets) <= spec.rows and weights.min() > 0  # no zero rows
     validate_state(rows, "channel output", ket=True)
-    matrix = prep_coords(*spec._pure_preps(state), spec.M)
+    matrix = prep_coords(kets, weights, spec.M)
     assert np.max(np.abs(coords_matrix(rows) - matrix)) <= 1e-13
     if spec.M == 1:
         assert np.max(np.abs(matrix - spec.dense_output(state).entries)) <= 1e-13
@@ -826,14 +829,14 @@ def test_ket_route_matches_the_matrix_kernels_on_prep_coords(spec, state):
 
 def test_a_negative_weight_counts_as_zero():
     """A POVM element may have eigenvalues down to -PSD_TOL, so an outcome
-    may get a weight just below 0; its ket enters with weight 0 (its square
-    root would not be finite), a weight below -PSD_TOL is refused, and the
-    distance moves by less than 1e-9 from the s_M x s_M matrix's, which
-    kept the weight -5e-10."""
+    may get a weight just below 0; it counts as 0 and its ket is dropped
+    (its square root would not be finite), a weight below -PSD_TOL is
+    refused, and the distance moves by less than 1e-9 from the s_M x s_M
+    matrix's, which kept the weight -5e-10."""
     spec = SDIChannelSpec("measure_prepare", d=2, M=4, prep=BASIS2,
                           povm=(np.diag([1.0, -5e-10]), np.diag([0.0, 1.0 + 5e-10])))
     rows = spec.symmetric_output(ket([0.0, 1.0]))
-    assert np.isfinite(rows).all() and not rows[0].any()
+    assert np.isfinite(rows).all() and rows.shape == (1, sym_dim(2, 4))
     row, _ = run_scenario(_scenario(spec, ["lemma1"], np.array([0.0, 1.0]), (1, 2)))
     assert np.isfinite(row.actual_distance)
     assert abs(row.actual_distance - 0.3333333336666667) <= 1e-9
@@ -907,6 +910,24 @@ def test_one_user_reach_in_d():
     plan(560, 1, [1], rows=560)
     with pytest.raises(ResourceLimitError, match="1-user result would need"):
         plan(561, 1, [1], rows=561)
+
+
+def test_a_pure_preparation_holds_one_row_at_one_user():
+    """fixed_prep of a pure state at M = 1 holds its one ket of weight 1,
+    not d eigenvectors of which d - 1 weigh 0: at d = 100 its k = 1 run
+    took 1.7 s of CPU while it gathered all 100 (0.15 s with one)."""
+    d = 100
+    basis = [[[float(i == j == 0), 0.0] for j in range(d)] for i in range(d)]
+    cfg = _dense_scenario({"kind": "fixed_prep", "d": d, "M": 1, "prep": [basis]},
+                          checks=["lemma1"])
+    phi, _ = _input_state(cfg)
+    assert cfg.channel.rows == d  # the plan's bound
+    assert cfg.channel.symmetric_output(phi).shape == (1, d)
+    start = time.process_time()
+    row, = run_scenario(cfg)
+    assert time.process_time() - start < 0.6
+    # rho_1 = |0><0| against (rho_1 + 1)/(d + 1)
+    assert abs(row.actual_distance - 2 * (d - 1) / (d + 1)) <= TOL
 
 
 def test_large_k_refused_before_allocating():
@@ -1110,8 +1131,9 @@ def _mc_case(d, m, k):
     *[lambda d=d, m=m, checks=checks: _scenario_case(_dense_scenario(
         _measure4(d, m), [1, 2, 3], checks))
       for d, m, checks in ((2, 400, ["lemma1"]), (3, 60, ["lemma1", "mc_crosscheck"]))],
+    # real outputs, 8 bytes an entry, up to 10 qubits
     *[lambda m=m: _scenario_case(_dense_scenario(_noisy(2, m)))
-      for m in (6, 7, 8, 9)],
+      for m in (6, 7, 8, 9, 10)],
     *[lambda m=m: _scenario_case(_dense_scenario(_noisy(3, m))) for m in (3, 4, 5)],
     lambda: _scenario_case(_dense_scenario(_noisy(2, 6), [1, 2, 3, 4, 5])),
     lambda: _scenario_case(_dense_scenario(_noisy(2, 8), [1, 2, 3, 4, 5, 6])),
@@ -1121,7 +1143,7 @@ def _mc_case(d, m, k):
 ], ids=["symmetric-2-9", "symmetric-2-10", "symmetric-2-64-every-k",
         "mc-2-8-8", "mc-3-20-2", "prep-2-2048", "measure4-2-400", "measure4-3-60-mc",
         "dense-2-6", "dense-2-7", "dense-2-8",
-        "dense-2-9", "dense-3-3", "dense-3-4", "dense-3-5", "dense-2-6-k1to5",
+        "dense-2-9", "dense-2-10", "dense-3-3", "dense-3-4", "dense-3-5", "dense-2-6-k1to5",
         "dense-2-8-k1to6", "dense-cloner-mc"])
 def test_plan_bounds_the_traced_peak(case):
     # tracemalloc does not see LAPACK's workspace, so the bound it checks
@@ -1191,13 +1213,25 @@ def test_zero_weight_mixed_preparation_runs_lemma1_at_500_users():
     assert all(row.satisfied_lemma1 for row in rows)
 
 
-@pytest.mark.parametrize("d,m_users", [(2, 13), (3, 8)])
-def test_dense_route_refuses_before_allocating(d, m_users):
-    # the first size refused: the one below fits the byte budget
-    plan(d, m_users - 1, [1], route="dense")
-    cfg = _dense_scenario(_noisy(d, m_users))
+# a mixed qutrit preparation with an imaginary part: its dense output is complex
+COMPLEX_PREP3 = [[[0.5, 0], [0, 0.25], [0, 0]], [[0, -0.25], [0.5, 0], [0, 0]],
+                 [[0, 0], [0, 0], [0, 0]]]
+
+
+@pytest.mark.parametrize("channel,d,m_users,itemsize", [
+    pytest.param(_noisy(2, 13), 2, 13, 8, id="2-13"),
+    pytest.param({"kind": "fixed_prep", "d": 3, "M": 8, "prep": [COMPLEX_PREP3]},
+                 3, 8, 16, id="3-8"),
+    pytest.param(_noisy(3, 9), 3, 9, 8, id="3-9-real"),
+])
+def test_dense_route_refuses_before_allocating(channel, d, m_users, itemsize):
+    # the first size refused: the one below fits the byte budget.  At 8
+    # bytes an entry a real output fits at 8 qutrits, a complex one does not
+    plan(d, m_users - 1, [1], route="dense", itemsize=itemsize)
+    cfg = _dense_scenario(channel)
+    assert cfg.channel.itemsize == itemsize
     with pytest.raises(ResourceLimitError, match=f"dense route for {m_users} users"):
-        plan(d, m_users, [1], route="dense")
+        plan(d, m_users, [1], route="dense", itemsize=itemsize)
     assert _traced_peak(lambda: run_scenario(cfg), ResourceLimitError) < 2 ** 20
 
 
@@ -1215,6 +1249,12 @@ def test_dense_route_counts_each_k_and_huge_m():
     plan(3, 5, [4], route="dense")
     with pytest.raises(ResourceLimitError, match="bytes"):
         plan(3, 5, [5], route="dense")
+    # at 8 bytes an entry, 8 qutrits fit up to k = 3; at 16 (above) they
+    # do not, and no other (d, M, k) of side up to 2^16 moves
+    assert plan(3, 8, [1, 3], route="dense", itemsize=8).stages[1] == (
+        "pair purification", 2 ** 20 + 64 * 3 ** 8 + 10 * 8 * 3 ** 16 + 128 * 3 ** 8)
+    with pytest.raises(ResourceLimitError, match="4-user result would need"):
+        plan(3, 8, [4], route="dense", itemsize=8)
     with pytest.raises(ResourceLimitError, match="side 2\\^1000000000"):
         plan(2, 10 ** 9, route="dense", purify=False)
 
@@ -1222,7 +1262,8 @@ def test_dense_route_counts_each_k_and_huge_m():
 @pytest.mark.parametrize("channel,checks", [
     pytest.param(_noisy(2, 14), ["theorem2"], id="qubit-cloner-checks0"),
     pytest.param(_noisy(2, 14), ["lemma1"], id="qubit-cloner-checks1"),
-    pytest.param(_noisy(3, 8), ["theorem2"], id="qutrit-cloner-checks0"),
+    # a real output fits at 8 qutrits (2.4 GB and 90 s of CPU), not at 9
+    pytest.param(_noisy(3, 9), ["theorem2"], id="qutrit-cloner-checks0"),
     # 3.5 r of 690 MB fit the 4 GiB budget at M = 8
     pytest.param(_noisy(3, 9), ["lemma1"], id="qutrit-cloner-checks1"),
     pytest.param({"kind": "fixed_prep", "d": 2, "M": 14, "prep": MIXED_PREP},
