@@ -13,18 +13,12 @@ live under tests/):
 """
 
 from .channels import SDIChannelSpec
-from .definetti import (
-    OccupationState,
-    mc_reduce_coords,
-    purified_state,
-    purify_perm_invariant,
-)
+from .definetti import OccupationState, mc_reduce_coords, purified_state
 from .linalg import (
     DEFAULT_DIM_CAP,
     DenseOperator,
     ResourceLimitError,
     herm_eigvals,
-    ket,
     tensor_power,
     validate_state,
 )

@@ -4,15 +4,17 @@ SDIChannelSpec names one of four kinds, each invariant under permutations
 of the M output slots by construction: the optimal universal N -> M cloner,
 a constant-output preparation, the cloner followed by single-user
 depolarizing noise, and a measure-and-prepare channel.  A run builds the
-output from the spec, sized first by symspace.plan: dense_output for every
-kind, and symmetric_output in occupation coordinates where symmetric_field
-puts it in Sym^M.  There a preparation's output is its weighted kets
-sqrt(w_j) power_coords(phi_j, M), and a cloner's its diagonal in the
-input's frame: the cloners are U-covariant (Werner, PRA 58, 1827 (1998)),
-so every distance and input fidelity is the one on |0>, where Werner's
-P_M (X tensor 1) P_M = P_M (X tensor P_{M-N}) P_M gives cloner_diagonal:
-real, as dense_output is wherever the preps are (a JSON matrix with no
-imaginary part is held as float64).  The tests hold the Choi oracles.
+output from the spec and its input, a plain array (a unit ket, a density
+matrix, or None for a cloner), sized first by symspace.plan: dense_output
+for every kind, and symmetric_output in occupation coordinates where
+symmetric_field puts it in Sym^M.  There a preparation's output is its
+weighted kets sqrt(w_j) power_coords(phi_j, M), and a cloner's its
+diagonal in the input's frame: the cloners are U-covariant (Werner, PRA 58,
+1827 (1998)), so every distance and input fidelity is the one on |0>,
+where cloner_diagonal is Werner's closed form: real, as dense_output is
+wherever the preps are (a JSON matrix with no imaginary part is held as
+float64).  Only dense_output builds a DenseOperator.  The tests hold the
+Choi oracles.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .linalg import (
     tensor_power,
     validate_state,
 )
-from .symspace import index_map, plan, power_coords, split_table, sym_dim
+from .symspace import index_map, plan, power_coords
 
 # Output-support deviation below this counts as "inside the symmetric subspace".
 SUPPORT_TOL = 1e-8
@@ -63,6 +65,7 @@ class QuantumChannel:
         if self.choi.row_dims != self.out_factors + (self.dim_in,):
             raise ValueError("choi factor dims must be out_factors + (dim_in,)")
 
+
 def _check_cloner_args(d: int, N: int, M: int) -> None:
     if d < 1:
         raise ValueError(f"local dimension must be >= 1, got {d}")
@@ -72,17 +75,19 @@ def _check_cloner_args(d: int, N: int, M: int) -> None:
 
 def cloner_diagonal(d: int, N: int, M: int) -> np.ndarray:
     """universal_cloner(d, N, M) on N copies of |0>, in occupation
-    coordinates: the s_M diagonal of a diagonal matrix.
+    coordinates: the s_M diagonal of a diagonal matrix, in Werner's closed
+    form x(n) = (s_N/s_M) C(n_0, N)/C(M, N), which depends on n_0 alone.
 
-    (s_N/s_M) sum_b B_b |n><n| B_b† over b in Sym^{M-N}, where n = (N, 0,
-    ..., 0) and B_b|n> = c(n+b; n)|n+b> is P_M restricted to |n>|b>: each b
-    lands on its own diagonal entry n + b.
+    In basis order n_0 runs M, M-1, ..., 0, in blocks of the
+    C(M - n_0 + d - 2, d - 2) occupations of the other d - 1 entries (at
+    d = 1, the one block n_0 = M).  Each of the M + 1 values is one
+    correctly rounded division of Python integers.
     """
     _check_cloner_args(d, N, M)
-    t = split_table(d, M, N)
-    out = np.zeros(sym_dim(d, M))
-    out[t.whole[0]] = (sym_dim(d, N) / sym_dim(d, M)) * t.whole_coef[0] ** 2
-    return out
+    n0 = range(M, -1, -1) if d > 1 else [M]
+    scale = math.comb(M, N) * math.comb(d + M - 1, M)
+    ratios = [math.comb(d + N - 1, N) * math.comb(n, N) / scale for n in n0]
+    return np.repeat(ratios, [math.comb(M - n + d - 2, d - 2) for n in n0] if d > 1 else 1)
 
 
 def _check_depolarizing_weight(p: float) -> None:
@@ -132,16 +137,17 @@ def _validated_measurement(povm: list[np.ndarray], n_preps: int) -> int:
     return dim_in
 
 
-def _plain_ket(phi: DenseOperator, dim: int, what: str = "channel input") -> np.ndarray:
-    """The entries of phi, checked to be a unit ket of side `dim`."""
-    if phi.shape[1] != 1:
+def _plain_ket(phi, dim: int, what: str = "channel input") -> np.ndarray:
+    """phi as an array, checked to be a unit ket (1-D) of side `dim`."""
+    phi = np.asarray(phi)
+    if phi.ndim != 1:
         raise ValueError("expected a ket")
-    nrm = float(np.linalg.norm(phi.entries))
+    nrm = float(np.linalg.norm(phi))
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"input ket has norm {nrm}, expected 1")
     if phi.shape[0] != dim:
         raise ValueError(f"ket dimension {phi.shape[0]} does not match {what} {dim}")
-    return phi.entries[:, 0]
+    return phi
 
 
 def _check_prep(m: np.ndarray, d: int) -> None:
@@ -286,16 +292,17 @@ class SDIChannelSpec:
     def _preps(self) -> list[DenseOperator]:
         return [DenseOperator(m, (self.d,)) for m in self._matrices(self.prep)]
 
-    def _weights(self, state: DenseOperator) -> list[float]:
+    def _weights(self, state: np.ndarray) -> list[float]:
         """The weight Tr[E_i rho_in] of each prepared state for the input
-        `state`; fixed_prep measures the one-outcome POVM {1}.  A weight in
-        [-PSD_TOL, 0), which POVM eigenvalues down to -PSD_TOL allow, is 0."""
-        n = self.input_dim
-        if state.shape[1] == 1:
+        `state`, a unit ket or a density matrix; fixed_prep measures the
+        one-outcome POVM {1}.  A weight in [-PSD_TOL, 0), which POVM
+        eigenvalues down to -PSD_TOL allow, is 0."""
+        n, state = self.input_dim, np.asarray(state)
+        if state.ndim == 1:
             x = _plain_ket(state, n)
             rho_in = np.outer(x, x.conj())
         elif state.shape == (n, n):
-            rho_in = state.entries
+            rho_in = state
         else:
             raise ValueError(f"input has shape {state.shape}, channel expects {(n, n)}")
         povm = self.povm if self.kind == "measure_prepare" else [np.eye(n)]
@@ -305,7 +312,7 @@ class SDIChannelSpec:
                 raise ValueError(f"prep[{i}] has weight {w:.3e} from the input")
         return [max(w, 0.0) for w in weights]
 
-    def _pure_preps(self, state: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
+    def _pure_preps(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The kets (rows) of positive weight that the preps enter as, and
         their weights for `state`: at M = 1 each eigenpair (lam, v) of prep i,
         weighted w_i lam, past it prep i's top eigenvector, weighted w_i,
@@ -339,7 +346,7 @@ class SDIChannelSpec:
         U-covariant cloners, whose input ket a run neither draws nor builds."""
         return self.kind in ("universal_cloner", "noisy_cloner")
 
-    def symmetric_field(self, state: DenseOperator | None) -> str:
+    def symmetric_field(self, state: np.ndarray | None) -> str:
         """The field that puts the output for the input `state` in Sym^M:
         M = 1 (Sym^1(C^d) is C^d in basis order), d = 1, the preps where each
         is rank one or weighted at most SUPPORT_TOL, or the cloner's kind or
@@ -354,17 +361,17 @@ class SDIChannelSpec:
                                f"{self.M} users out of the symmetric subspace")
         return "channel.kind" if self.p is None else "channel.p"
 
-    def symmetric_output(self, state: DenseOperator | None,
+    def symmetric_output(self, state: np.ndarray | None,
                          cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
         """The output for the input `state` in occupation coordinates where
         symmetric_field puts it in Sym^M, once planned: a cloner's in the
-        input's frame, as its s_M diagonal (`state`, a ket of side d or None,
-        is only checked); a preparation's, for a ket or a density matrix of
-        side input_dim, as the (rows, s_M) kets sqrt(w_j) v_j of
-        sum_j w_j v_j v_j†, v_j = power_coords(phi_j, M) for the phi_j of
-        _pure_preps: no s_M x s_M matrix is built."""
+        input's frame, as its s_M diagonal (`state`, a 1-D ket of side d or
+        None, is only checked); a preparation's, for a 1-D ket or a 2-D
+        density matrix of side input_dim, as the (rows, s_M) kets
+        sqrt(w_j) v_j of sum_j w_j v_j v_j†, v_j = power_coords(phi_j, M)
+        for the phi_j of _pure_preps: no s_M x s_M matrix is built."""
         self.symmetric_field(state)
-        plan(self.d, self.M, n_in=self.N, rows=self.rows, cap=cap)
+        plan(self.d, self.M, rows=self.rows, cap=cap)
         if self.covariant:
             if state is not None:
                 _plain_ket(state, self.d, "single-copy dimension")
@@ -374,7 +381,7 @@ class SDIChannelSpec:
         kets, weights = self._pure_preps(state)
         return np.sqrt(weights)[:, None] * power_coords(kets, self.M)
 
-    def dense_output(self, state: DenseOperator | None,
+    def dense_output(self, state: np.ndarray | None,
                      cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
         """The output on (C^d)^{tensor M}, for every kind and the input of
         symmetric_output, in the input's frame for the cloners: their

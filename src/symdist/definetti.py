@@ -150,9 +150,11 @@ class OccupationState:
     output); no state is held as its s x s matrix.
 
     When `paired`, each factor is a (user, ancilla) pair and `coords` the
-    pure pair purification, one row in Sym^M(C^{d^2}); contract, through
-    _trace_table, traces the ancillas out of the kernels' outputs.  sweep
-    runs the kernels at the largest k only, and drops one user at a time."""
+    pure pair purification from purified_state, one row in Sym^M(C^{d^2});
+    contract, through _trace_table, traces the ancillas out of the kernels'
+    outputs.  sweep, the one way to the k-user results, runs the kernels at
+    the largest k only and drops one user at a time; at one k it runs them
+    there, as for the Monte Carlo reference, next(sweep([1]))[2]."""
 
     coords: np.ndarray
     d: int
@@ -181,12 +183,6 @@ class OccupationState:
                     else marginal_coords(x, d, k + 1, k)) for x in pair]
             if k in ks:
                 yield k, *pair
-
-    def mixture(self, k: int, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-        """The mixture of sweep at k alone, in its frame: what the sampler's
-        estimate is compared against."""
-        self._plan((k,), cap)
-        return self._result(reduce_coords, k)
 
     def _plan(self, ks, cap: int) -> None:
         plan(self.d, self.m, tuple(ks), route="dense" if self.paired else "symmetric",
@@ -224,16 +220,19 @@ def _trace_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, coef
 
 
-def purify_perm_invariant(rho: DenseOperator) -> DenseOperator:
-    """Purify with one ancilla per factor, keeping permutation symmetry.
+def purified_state(rho: DenseOperator,
+                   cap: int = DEFAULT_DIM_CAP) -> OccupationState:
+    """The pair purification |Phi> = (sqrt(rho) tensor 1)|Omega> of rho in
+    occupation coordinates of Sym^M(C^{d^2}), real where rho is.
 
-    |Phi> = (sqrt(rho) tensor 1)|Omega>, returned as a ket on M factors of
-    dimension d^2: factor j is the pair (system j, ancilla j), with the
-    system as the more significant digit.  Permuting the pairs jointly
-    leaves |Phi> invariant whenever rho is permutation invariant, so |Phi>
-    lies in the symmetric subspace of the pair factors.
-    """
+    Each factor j of |Phi> is the pair (system j, ancilla j), the system
+    the more significant digit.  Permuting the pairs jointly leaves |Phi>
+    invariant whenever rho is permutation invariant, which the adjacent
+    swaps check first, so |Phi> lies in the symmetric subspace of the
+    pairs.  The support check bounds its weight outside that subspace, not
+    an entry: sqrt lifts roundoff to ~1e-8."""
     d, m = _uniform_square(rho, "rho")
+    plan(d, m, route="dense", itemsize=rho.entries.itemsize, cap=cap)
     for t in range(m - 1):
         resid = swap_residual(rho, t)
         if resid > PERM_INVARIANCE_TOL:
@@ -241,28 +240,18 @@ def purify_perm_invariant(rho: DenseOperator) -> DenseOperator:
                 f"rho is not permutation invariant within {PERM_INVARIANCE_TOL} "
                 f"(swap {t},{t + 1} residual {resid:.3e})"
             )
-    mat = 0.5 * (rho.entries + rho.entries.conj().T)
-    vals, vecs = np.linalg.eigh(mat)
+    # one name for the eigenvectors, sqrt(rho) and the pair ket, so that
+    # each is freed as the next is made
+    vals, phi = np.linalg.eigh(0.5 * (rho.entries + rho.entries.conj().T))
     if vals[0] < -1e-9:
         raise ValueError(f"rho has negative eigenvalue {vals[0]:.3e}")
-    sq = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
-    tensor = sq.reshape((d,) * (2 * m))
+    phi = (phi * np.sqrt(np.maximum(vals, 0.0))) @ phi.conj().T
     order = [ax for j in range(m) for ax in (j, m + j)]
-    phi = tensor.transpose(order).reshape(-1, 1)
+    phi = phi.reshape((d,) * (2 * m)).transpose(order).reshape(-1)
     nrm = float(np.linalg.norm(phi))
     if abs(nrm - 1.0) > 1e-6:
         raise ValueError(f"purification norm {nrm} deviates from 1; trace(rho) != 1?")
-    return DenseOperator(phi / nrm, (d * d,) * m, ())
-
-
-def purified_state(rho: DenseOperator,
-                   cap: int = DEFAULT_DIM_CAP) -> OccupationState:
-    """The pair purification of rho in occupation coordinates of
-    Sym^M(C^{d^2}), real where rho is.  The support check bounds its weight
-    outside that subspace, not an entry: sqrt lifts roundoff to ~1e-8."""
-    d, m = _uniform_square(rho, "rho")
-    plan(d, m, route="dense", itemsize=rho.entries.itemsize, cap=cap)
-    phi = purify_perm_invariant(rho).entries[:, 0]
+    phi /= nrm
     v = _index_map(d * d, m)
     c = v.compress(phi)
     resid = float(np.linalg.norm(phi - v.expand(c)) ** 2)

@@ -1,13 +1,14 @@
 """Dense matrices, float64 or complex128 as their input is real or not,
 with explicit tensor-factor bookkeeping, and the checks every state passes.
 
-DenseOperator serves the dense route only: the input ket, the output on
-(C^d)^{tensor M} (tensor_power builds a preparation's sigma^{tensor M}) and
-its pair purification, whose permutation invariance swap_residual checks.
-Factor 0 is the most significant index, numpy's C order and the order
-np.kron produces.  The state checks (check_hermitian, herm_eigvals,
-validate_state) take plain arrays: square matrices, diagonals (1-D), and
-for validate_state the rows of a stack of kets.
+DenseOperator serves the dense route only: the output on (C^d)^{tensor M}
+(tensor_power builds a preparation's sigma^{tensor M}), whose permutation
+invariance swap_residual checks before it is purified.  Inputs and every
+state of the symmetric route are plain arrays.  Factor 0 is the most
+significant index, numpy's C order and the order np.kron produces.  The
+state checks (check_hermitian, herm_eigvals, validate_state) take plain
+arrays: square matrices, diagonals (1-D), and for validate_state the rows
+of a stack of kets.
 """
 
 from __future__ import annotations
@@ -101,13 +102,6 @@ class DenseOperator:
 
 
 # -- operations --------------------------------------------------------------
-
-
-def ket(coeffs, dims=None) -> DenseOperator:
-    """Column vector as a (dim, 1) operator with trivial column space."""
-    v = np.array(coeffs, dtype=complex).reshape(-1, 1)
-    rd = (v.shape[0],) if dims is None else _as_dims(dims)
-    return DenseOperator(v, rd, ())
 
 
 def tensor_power(a: DenseOperator, n: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:

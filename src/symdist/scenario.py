@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import SDIChannelSpec, SupportError, _json_complex, _json_real
 from .definetti import OccupationState, mc_reduce_coords, purified_state
-from .linalg import DEFAULT_DIM_CAP, DenseOperator, ket, validate_state
+from .linalg import DEFAULT_DIM_CAP, validate_state
 from .metrics import (
     BOUND_SLACK,
     general_bound,
@@ -248,23 +248,23 @@ def load_scenarios(text: str, defaults: dict | None = None) -> list[ScenarioConf
 # -- running -----------------------------------------------------------------
 
 
-def _input_state(cfg: ScenarioConfig) -> tuple[DenseOperator | None, int | None]:
-    """The input as a ket (a density matrix for diag inputs, None for a
+def _input_state(cfg: ScenarioConfig) -> tuple[np.ndarray | None, int | None]:
+    """The input as a 1-D ket (a density matrix for diag inputs, None for a
     cloner, whose output is taken in its input's frame), and its seed."""
     info, d = cfg.input_state, cfg.channel.input_dim
     if cfg.channel.covariant:
         return None, info.get("seed")
     if info["type"] == "pure":
-        return ket(info["vec"]), None
+        return info["vec"], None
     if info["type"] == "random_pure":
         # a Haar ket from its own stream; Monte Carlo draws from (seed, 1)
         rng = np.random.default_rng((info["seed"], 0, 0))
         z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        return ket(z / np.linalg.norm(z)), info["seed"]
-    return DenseOperator(np.diag(info["probs"]), (d,)), None
+        return z / np.linalg.norm(z), info["seed"]
+    return np.diag(info["probs"]), None
 
 
-def _plan(cfg: ScenarioConfig, phi: DenseOperator | None, cap: int) -> Plan:
+def _plan(cfg: ScenarioConfig, phi: np.ndarray | None, cap: int) -> Plan:
     """The run's checked plan: theorem2 takes the dense route; lemma1 and
     mc_crosscheck need the output in Sym^M, which a spec field decides."""
     spec, theorem2 = cfg.channel, "theorem2" in cfg.checks
@@ -278,11 +278,11 @@ def _plan(cfg: ScenarioConfig, phi: DenseOperator | None, cap: int) -> Plan:
             "symmetric subspace, so it requires a symmetric-support output")
         ) from exc
     return plan(spec.d, spec.M, cfg.k_list, route="dense" if theorem2 else "symmetric",
-                field="scenario.checks" if theorem2 else f"scenario.{field}", n_in=spec.N,
+                field="scenario.checks" if theorem2 else f"scenario.{field}",
                 rows=spec.rows, mc=mc, itemsize=spec.itemsize, cap=cap)
 
 
-def _output(cfg: ScenarioConfig, phi: DenseOperator | None,
+def _output(cfg: ScenarioConfig, phi: np.ndarray | None,
             cap: int) -> tuple[OccupationState, OccupationState | None]:
     """The output in occupation coordinates (of its pair purification, at
     d^2, under theorem2), and the symmetric state that mc_crosscheck samples,
@@ -352,7 +352,7 @@ def run_scenario(cfg: ScenarioConfig,
             # The sampler estimates the symmetric-route reduction, the only
             # reference its stderr applies to: tilde_1 under lemma1, while under
             # theorem2 the exact columns hold the purified route's state.
-            ref = tilde_1 if "lemma1" in cfg.checks else sym.mixture(1, cap)
+            ref = tilde_1 if "lemma1" in cfg.checks else next(sym.sweep([1], cap))[2]
             est, stderr = mc_reduce_coords(sym.coords, spec.d, spec.M, 1,
                                            cfg.mc["samples"], cfg.mc["seed"], cap)
             sigma = _max_sigma(est, ref, stderr)

@@ -97,22 +97,13 @@ class IndexMap:
         for a in vars(self).values():
             a.setflags(write=False)
 
-    def compress(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
-        """V† applied along `axis` of x (length d^n there, s_n after)."""
-        sums = np.add.reduceat(np.take(x, self.order, axis=axis), self.starts,
-                               axis=axis)
-        return sums * _along(self.scale, axis, sums.ndim)
+    def compress(self, x: np.ndarray) -> np.ndarray:
+        """V† applied along axis 0 of x (length d^n there, s_n after)."""
+        return (np.add.reduceat(x[self.order], self.starts).T * self.scale).T
 
-    def expand(self, z: np.ndarray, axis: int = 0) -> np.ndarray:
-        """V applied along `axis` of z (length s_n there, d^n after)."""
-        out = np.take(z, self.col, axis=axis)
-        return out * _along(self.weight, axis, out.ndim)
-
-
-def _along(v: np.ndarray, axis: int, ndim: int) -> np.ndarray:
-    shape = [1] * ndim
-    shape[axis] = -1
-    return v.reshape(shape)
+    def expand(self, z: np.ndarray) -> np.ndarray:
+        """V applied along axis 0 of z (length s_n there, d^n after)."""
+        return (z[self.col].T * self.weight).T
 
 
 # _index_map keeps its maps up to this many bytes in all, the least recently
@@ -269,18 +260,18 @@ class Plan:
 
 
 def plan(d: int, m: int, ks=(), *, route: str = "symmetric", field: str = "",
-         output: bool = True, n_in: int | None = None, rows: int | None = None,
-         purify: bool = True, mc: int | None = None, itemsize: int = 16,
+         output: bool = True, rows: int | None = None, purify: bool = True,
+         mc: int | None = None, itemsize: int = 16,
          cap: int = DEFAULT_DIM_CAP) -> Plan:
-    """The Plan of M users at local dimension d: the output (an N -> M
-    cloner's for `n_in`; `itemsize` bytes an entry on the dense route, 8
-    real or 16 complex) and its pair purification there, the k-user results
-    of `ks`, from one sweep at K = max(ks), and the Monte Carlo estimate of
-    `mc` users.  The symmetric state is charged as it is held: `rows` kets
-    of s_M coordinates, or with None an s_M diagonal.  The guard of every
-    run and library call: before anything is allocated, ResourceLimitError
-    where a side passes the cap or the largest stage the byte budget that
-    goes with it."""
+    """The Plan of M users at local dimension d: the output (`itemsize`
+    bytes an entry on the dense route, 8 real or 16 complex) and its pair
+    purification there, the k-user results of `ks`, from one sweep at
+    K = max(ks), and the Monte Carlo estimate of `mc` users.  The symmetric
+    state, the output included, is charged as it is held: `rows` kets of
+    s_M coordinates, or with None an s_M diagonal (a cloner's, from M + 1
+    closed-form values).  The guard of every run and library call: before
+    anything is allocated, ResourceLimitError where a side passes the cap
+    or the largest stage the byte budget that goes with it."""
     for k in (*ks, mc or 1):
         if not 1 <= k <= m:
             raise ValueError(f"need 1 <= k <= M={m}, got k={k}")
@@ -311,18 +302,18 @@ def plan(d: int, m: int, ks=(), *, route: str = "symmetric", field: str = "",
         # Monte Carlo samples the symmetric output, and compares its mixture
         ks, top, output = ((mc,), mc, True) if mc and output else ((), 0, False)
     if output or ks:
-        # the state and three working copies; the output adds a cloner's
-        # table and s_N^2 s_{M-N} scatter, or power_coords on each ket (16 d
-        # + 64 bytes an entry) and its tables.  A sweep keeps the split tables
-        # at K, the drops' small ones and eight k-user results (the pair
-        # beside the next, and the distance's copies); at K it builds its
-        # tables, then gathers s_K s_{M+-K} terms (of one ket at a time), and
-        # each smaller k drops a user from the pair above it, s_k d terms a
-        # result entry: 32 bytes a term
+        # the state and three working copies; the output adds a diagonal's
+        # M + 1 values and block sizes as Python objects, or power_coords on
+        # each ket (16 d + 64 bytes an entry) and its tables.  A sweep keeps
+        # the split tables at K, the drops' small ones and eight k-user
+        # results (the pair beside the next, and the distance's copies); at K
+        # it builds its tables, then gathers s_K s_{M+-K} terms (of one ket at
+        # a time), and each smaller k drops a user from the pair above it,
+        # s_k d terms a result entry: 32 bytes a term
         _check_cap(s, cap, f"occupation-coordinate state of {m} users")
         held, sq = 2 ** 15 + 4 * state, 1 if rows is None else 2  # s_k^sq entries
-        made = (32 * _sym(d, n_in) ** 2 * _sym(d, m - n_in) + _table_bytes(d, m, n_in)
-                if n_in else (16 * d + 64) * (rows or 1) * s + _coords_bytes(d, m))
+        made = (96 * (m + 1) if rows is None
+                else (16 * d + 64) * rows * s + _coords_bytes(d, m))
         s_top, low, high = _sym(d, top), _sym(d, m - top), _sym(d, m + top)
         kept = held + 16 * s_top * (low + s + high + d * top) + 128 * s_top ** sq
         at_top = max(_table_bytes(d, m, top), _table_bytes(d, m + top, top),

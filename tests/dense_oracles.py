@@ -6,9 +6,12 @@ universal cloner, PRA 58, 1827 (1998), a constant preparation, the noisy
 cloner, a measure-and-prepare channel), its application to an input in the
 lab frame, the turn of a cloner's output into its input's frame, the
 partial trace, whole permutations of factors, the symmetrizer and the
-embedding of occupation coordinates.  No run path needs any of it, so none
-of it lives in the package: symdist keeps only what a run enters, and these
-functions are what its results are compared with.
+embedding of occupation coordinates, the dense pair purification, and the
+split-table form of a cloner's diagonal.  No run path needs any of it, so
+none of it lives in the package: symdist keeps only what a run enters, and
+these functions are what its results are compared with.  The oracles take
+their kets as (dim, 1) DenseOperators, built by `ket`; symdist's channels
+take plain 1-D arrays.
 
 A Choi matrix lives on (output tensor input), output factors first, in a
 symdist.channels.QuantumChannel.
@@ -38,14 +41,34 @@ from symdist.linalg import (
     DenseOperator,
     _as_dims,
     _check_cap,
-    ket,
     swap_residual,
     tensor_power,
     validate_state,
 )
-from symdist.symspace import index_map, plan, power_coords, sym_dim
+from symdist.symspace import index_map, plan, power_coords, split_table, sym_dim
 
 # -- linear algebra -----------------------------------------------------------
+
+
+def ket(coeffs, dims=None) -> DenseOperator:
+    """Column vector as a (dim, 1) operator with trivial column space: the
+    oracles' own input kets."""
+    v = np.array(coeffs, dtype=complex).reshape(-1, 1)
+    rd = (v.shape[0],) if dims is None else _as_dims(dims)
+    return DenseOperator(v, rd, ())
+
+
+def _ket_entries(phi: DenseOperator, dim: int, what: str = "channel input") -> np.ndarray:
+    """The entries of the (dim, 1) operator phi, checked to be a unit ket of
+    side `dim` as the channels check theirs."""
+    if phi.shape[1] != 1:
+        raise ValueError("expected a ket")
+    return _plain_ket(phi.entries[:, 0], dim, what)
+
+
+def _on_axis(f, x: np.ndarray, axis: int) -> np.ndarray:
+    """f, which acts along axis 0, applied along `axis` of x."""
+    return np.moveaxis(f(np.moveaxis(x, axis, 0)), 0, axis)
 
 
 def identity(dims) -> DenseOperator:
@@ -149,7 +172,7 @@ def embed_coords(x: np.ndarray, d: int, n: int,
     results of OccupationState.sweep, and for symmetrizer."""
     x = np.diag(x) if x.ndim == 1 else x
     v = index_map(d, n, cap)
-    return DenseOperator(v.expand(v.expand(x, 0), 1), (d,) * n)
+    return DenseOperator(_on_axis(v.expand, v.expand(x), 1), (d,) * n)
 
 
 def coords_matrix(x: np.ndarray) -> np.ndarray:
@@ -183,13 +206,26 @@ def symmetric_state(rho: DenseOperator,
     d, m = _uniform_square(rho, "rho_out")
     plan(d, m, route="dense", purify=False, cap=cap)
     v = index_map(d, m, cap)
-    coords = v.compress(v.compress(rho.entries, 0), 1)
-    resid = float(np.max(np.abs(rho.entries - v.expand(v.expand(coords, 0), 1))))
+    coords = _on_axis(v.compress, v.compress(rho.entries), 1)
+    resid = float(np.max(np.abs(rho.entries - _on_axis(v.expand, v.expand(coords), 1))))
     if resid > SUPPORT_TOL:
         raise SupportError(
             f"rho_out leaves the symmetric subspace (residual {resid:.3e}); "
             "the sampled mixture only reproduces symmetric-support marginals")
     return OccupationState(kets_of(coords), d, m)
+
+
+def purify_perm_invariant(rho: DenseOperator) -> DenseOperator:
+    """|Phi> = (sqrt(rho) tensor 1)|Omega> as a ket on M factors of dimension
+    d^2, factor j the pair (system j, ancilla j), the system the more
+    significant digit: the dense pair ket, the oracle for purified_state,
+    whose coordinates V expands to it.  rho is taken as given, unchecked."""
+    d, m = _uniform_square(rho, "rho")
+    vals, vecs = np.linalg.eigh(0.5 * (rho.entries + rho.entries.conj().T))
+    sq = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
+    order = [ax for j in range(m) for ax in (j, m + j)]
+    phi = sq.reshape((d,) * (2 * m)).transpose(order).reshape(-1, 1)
+    return DenseOperator(phi / np.linalg.norm(phi), (d * d,) * m, ())
 
 
 # -- channels in Choi form ----------------------------------------------------
@@ -239,6 +275,18 @@ def universal_cloner(d: int, N: int, M: int,
         kind="universal_cloner",
         in_isometry=v_n,
     )
+
+
+def split_cloner_diagonal(d: int, N: int, M: int) -> np.ndarray:
+    """cloner_diagonal as the split table gives it: (s_N/s_M) sum_b
+    B_b |n><n| B_b† over b in Sym^{M-N}, where n = (N, 0, ..., 0) and
+    B_b|n> = c(n+b; n)|n+b> is P_M restricted to |n>|b>, so each b lands on
+    its own diagonal entry n + b.  The oracle for Werner's closed form."""
+    _check_cloner_args(d, N, M)
+    t = split_table(d, M, N)
+    out = np.zeros(sym_dim(d, M))
+    out[t.whole[0]] = (sym_dim(d, N) / sym_dim(d, M)) * t.whole_coef[0] ** 2
+    return out
 
 
 def fixed_prep_channel(sigma: DenseOperator, M: int,
@@ -313,7 +361,7 @@ def measure_prepare(povm: list[DenseOperator], preps: list[DenseOperator], M: in
 
 def _sym_power_ket(phi: DenseOperator, d: int, n_copies: int) -> np.ndarray:
     """phi^{tensor n_copies} in occupation coordinates."""
-    u = _plain_ket(phi, d, "single-copy dimension")
+    u = _ket_entries(phi, d, "single-copy dimension")
     x = power_coords(u, n_copies)
     return x / np.linalg.norm(x)  # a unit vector already; scrub roundoff
 
@@ -325,7 +373,7 @@ def embed_pure_input(ch: QuantumChannel, phi: DenseOperator) -> DenseOperator:
     coordinates; all others take phi directly (dim must match dim_in).
     """
     if ch.in_isometry is None:
-        x = _plain_ket(phi, ch.dim_in)
+        x = _ket_entries(phi, ch.dim_in)
     else:
         x = _sym_power_ket(phi, ch.in_isometry.row_dims[0],
                            len(ch.in_isometry.row_dims))
@@ -335,7 +383,7 @@ def embed_pure_input(ch: QuantumChannel, phi: DenseOperator) -> DenseOperator:
 def frame_unitary(phi: DenseOperator) -> np.ndarray:
     """A unitary U with U|0> = phi: a QR completion of phi, its first column
     rephased onto phi."""
-    u = _plain_ket(phi, phi.shape[0])
+    u = _ket_entries(phi, phi.shape[0])
     q, r = np.linalg.qr(np.column_stack([u, np.eye(u.size)[:, 1:]]))
     q[:, 0] *= r[0, 0]
     return q
@@ -387,7 +435,8 @@ def validate_sdi(ch: QuantumChannel) -> SDIReport:
     v = index_map(d, m_users)
     c4 = ch.choi.entries.reshape(ch.dim_out, ch.dim_in, ch.dim_out, ch.dim_in)
     # P = V V† on both output indices
-    proj = v.expand(v.expand(v.compress(v.compress(c4, 0), 2), 0), 2)
+    compressed = _on_axis(v.compress, v.compress(c4), 2)
+    proj = _on_axis(v.expand, v.expand(compressed), 2)
     support_residual = float(np.max(np.abs(c4 - proj)))
     return SDIReport(
         max_permutation_residual=resid,

@@ -12,8 +12,8 @@ import time
 import numpy as np
 
 from symdist.cli import main as cli_main
-from symdist.definetti import mc_reduce_coords, purified_state, purify_perm_invariant
-from symdist.linalg import DenseOperator, tensor_power
+from symdist.definetti import mc_reduce_coords, purified_state
+from symdist.linalg import tensor_power
 from symdist.metrics import (
     general_bound,
     lemma1_bound,
@@ -21,13 +21,14 @@ from symdist.metrics import (
     universal_clone_gap,
 )
 from symdist.scenario import run_scenario, scenario_from_dict
-from symdist.symspace import haar_kets, sym_dim
+from symdist.symspace import haar_kets, index_map, sym_dim
 
 from conftest import dense_users
 from dense_oracles import (
     apply,
     basis_ket,
     embed_pure_input,
+    ket,
     noisy_cloner,
     partial_trace,
     permutation_operator,
@@ -134,13 +135,13 @@ def test_criterion_3_theorem2_pipeline(capsys):
     for m in (2, 3, 4):
         ch = noisy_cloner(2, 1, m, 0.1)
         rho_out = apply(ch, embed_pure_input(ch, basis_ket(2, 0)))
-        pur = purify_perm_invariant(rho_out)
-        full = projector(DenseOperator(pur.entries, (2,) * (2 * m), ()))
+        state = purified_state(rho_out)
+        phi = index_map(4, m).expand(state.coords[0])  # the pair ket
+        full = projector(ket(phi, (2,) * (2 * m)))
         back = partial_trace(full, range(0, 2 * m, 2))
         roundtrip = float(np.max(np.abs(back.entries - rho_out.entries)))
         if not roundtrip <= 1e-9:
             failures.append(f"M={m} roundtrip {roundtrip:.2e}")
-        phi = pur.entries
         for t in range(m - 1):
             perm = list(range(m))
             perm[t], perm[t + 1] = perm[t + 1], perm[t]
@@ -151,7 +152,7 @@ def test_criterion_3_theorem2_pipeline(capsys):
         for k in (1, 2):
             if 4 ** (m + k) > 4096:
                 continue
-            tilde = dense_users(purified_state(rho_out), k)[1]
+            tilde = dense_users(state, k)[1]
             dist = trace_distance(partial_trace(rho_out, range(k)).entries,
                                   tilde.entries)
             checked += 1

@@ -8,7 +8,6 @@ from symdist import channels
 from symdist.channels import QuantumChannel, SDIChannelSpec
 from symdist.linalg import (
     DenseOperator,
-    ket,
     swap_residual,
     tensor_power,
     validate_state,
@@ -21,6 +20,7 @@ from dense_oracles import (
     embed_pure_input,
     fixed_prep_channel,
     identity,
+    ket,
     measure_prepare,
     noisy_cloner,
     partial_trace,

@@ -15,7 +15,6 @@ import pytest
 
 from symdist.channels import SDIChannelSpec
 from symdist.definetti import purified_state, reduce_coords
-from symdist.linalg import ket
 from symdist.metrics import helstrom_perr, trace_distance
 from symdist.scenario import run_scenario, scenario_from_dict
 from symdist.symspace import sym_dim
@@ -26,6 +25,7 @@ from dense_oracles import (
     build,
     embed_coords,
     embed_pure_input,
+    ket,
     partial_trace,
     symmetric_state,
     to_json,

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from symdist import symspace
-from symdist.definetti import mc_reduce_coords, purified_state, purify_perm_invariant
-from symdist.linalg import DenseOperator, ResourceLimitError, ket, tensor_power
+from symdist.definetti import mc_reduce_coords, purified_state
+from symdist.linalg import DenseOperator, ResourceLimitError, tensor_power
 from symdist.metrics import general_bound, lemma1_bound, trace_distance
-from symdist.symspace import haar_kets, power_coords, sym_dim
+from symdist.symspace import haar_kets, index_map, power_coords, sym_dim
 
 from conftest import dense_users, users
 from dense_oracles import (
@@ -17,10 +17,12 @@ from dense_oracles import (
     embed_coords,
     embed_pure_input,
     identity,
+    ket,
     noisy_cloner,
     partial_trace,
     permutation_operator,
     projector,
+    purify_perm_invariant,
     symmetric_state,
     symmetrizer,
     universal_cloner,
@@ -58,9 +60,16 @@ def mc(rho, k, samples, seed):
     return mc_reduce_coords(state.coords, state.d, state.m, k, samples, seed)
 
 
+def pair_ket(rho):
+    """purified_state(rho) on M factors of dimension d^2: its coordinates
+    expanded by V, the pair ket that the run holds in Sym^M(C^{d^2})."""
+    state = purified_state(rho)
+    return index_map(state.d ** 2, state.m).expand(state.coords[0])
+
+
 def pair_marginal(phi, d, m):
-    """Trace the ancilla halves back out of a pair purification."""
-    full = projector(DenseOperator(phi.entries, (d,) * (2 * m), ()))
+    """Trace the ancilla halves back out of a pair ket, a 1-D array."""
+    full = projector(ket(phi, (d,) * (2 * m)))
     return partial_trace(full, range(0, 2 * m, 2))
 
 
@@ -136,8 +145,6 @@ class TestSymmetricReduction:
         state = symmetric_state(ket00())
         for k in (3, 0, -1):
             with pytest.raises(ValueError, match="1 <= k <= M=2"):
-                state.mixture(k)
-            with pytest.raises(ValueError, match="1 <= k <= M=2"):
                 users(state, k)
 
     def test_byte_budget(self):
@@ -153,12 +160,12 @@ class TestSymmetricReduction:
 class TestPurification:
     def test_maximally_mixed_two_qubits(self):
         rho = DenseOperator(np.eye(4) / 4, (2, 2))
-        phi = purify_perm_invariant(rho)
-        assert phi.row_dims == (4, 4) and phi.col_dims == ()
-        v = phi.entries[:, 0]
         want = np.zeros(16)
         want[[0, 3, 12, 15]] = 0.5  # |ii> on each pair
-        assert np.max(np.abs(v - want)) <= 1e-12
+        assert np.max(np.abs(pair_ket(rho) - want)) <= 1e-12
+        phi = purify_perm_invariant(rho)
+        assert phi.row_dims == (4, 4) and phi.col_dims == ()
+        assert np.max(np.abs(phi.entries[:, 0] - want)) <= 1e-12
 
     def _twirled(self, rng, d, m):
         x = rng.standard_normal((d ** m, d ** m)) \
@@ -176,12 +183,12 @@ class TestPurification:
         rng = np.random.default_rng(31)
         for m in (2, 3):
             rho = self._twirled(rng, 2, m)
-            back = pair_marginal(purify_perm_invariant(rho), 2, m)
+            back = pair_marginal(pair_ket(rho), 2, m)
             assert np.max(np.abs(back.entries - rho.entries)) <= 1e-9
 
     def test_pair_swap_invariance(self):
         rho = self._twirled(np.random.default_rng(37), 2, 3)
-        v = purify_perm_invariant(rho).entries
+        v = pair_ket(rho)
         for t in range(2):
             perm = list(range(3))
             perm[t], perm[t + 1] = perm[t + 1], perm[t]
@@ -191,17 +198,27 @@ class TestPurification:
     def test_rejects_asymmetric(self):
         rho = DenseOperator(np.diag([0.5, 0.5, 0.0, 0.0]), (2, 2))
         with pytest.raises(ValueError, match="not permutation invariant"):
-            purify_perm_invariant(rho)
+            purified_state(rho)
 
     def test_rejects_negative(self):
         rho = DenseOperator(np.diag([1.2, 0.0, 0.0, -0.2]), (2, 2))
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            purify_perm_invariant(rho)
+            purified_state(rho)
 
     def test_rejects_wrong_trace(self):
         rho = DenseOperator(np.eye(4) / 2, (2, 2))
         with pytest.raises(ValueError, match="norm"):
-            purify_perm_invariant(rho)
+            purified_state(rho)
+
+    def test_coordinates_expand_to_the_dense_pair_ket(self):
+        # purified_state takes the purification and compresses it in one
+        # call; V brings its coordinates back to the dense oracle's ket
+        rng = np.random.default_rng(41)
+        noisy = noisy_cloner(2, 1, 3, 0.1)
+        for rho in (self._twirled(rng, 2, 2), self._twirled(rng, 3, 2),
+                    apply(noisy, embed_pure_input(noisy, basis_ket(2, 0)))):
+            want = purify_perm_invariant(rho).entries[:, 0]
+            assert np.max(np.abs(pair_ket(rho) - want)) <= 1e-12
 
 
 class TestGeneralReduction:
@@ -232,7 +249,7 @@ class TestGeneralReduction:
 
     def test_k_zero(self):
         with pytest.raises(ValueError, match="1 <= k <= M=2"):
-            purified_state(ket00()).mixture(0)
+            next(purified_state(ket00()).sweep([0]))
 
     def test_refuses_a_large_k_before_gathering(self):
         # the result's side 2^6 fits the cap, but its gather (2^18 entries
@@ -243,7 +260,7 @@ class TestGeneralReduction:
         try:
             with pytest.raises(ResourceLimitError,
                                match=r"6-user result would need \d+ bytes"):
-                state.mixture(6, cap=2 ** 6)
+                next(state.sweep([6], cap=2 ** 6))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

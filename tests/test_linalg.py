@@ -9,7 +9,6 @@ from symdist.linalg import (
     DenseOperator,
     ResourceLimitError,
     herm_eigvals,
-    ket,
     swap_residual,
     tensor_power,
     validate_state,
@@ -18,6 +17,7 @@ from symdist.linalg import (
 from dense_oracles import (
     basis_ket,
     identity,
+    ket,
     partial_trace,
     permutation_operator,
     projector,

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdist.definetti import purified_state
-from symdist.linalg import ket
 from symdist.metrics import (
     general_bound,
     helstrom_perr,
@@ -25,6 +24,7 @@ from dense_oracles import (
     basis_ket,
     embed_pure_input,
     fixed_prep_channel,
+    ket,
     noisy_cloner,
     partial_trace,
     projector,

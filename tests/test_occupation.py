@@ -23,14 +23,12 @@ from symdist.definetti import (
     marginal_coords,
     mc_reduce_coords,
     purified_state,
-    purify_perm_invariant,
     reduce_coords,
 )
 from symdist.linalg import (
     DEFAULT_DIM_CAP,
     DenseOperator,
     ResourceLimitError,
-    ket,
     swap_residual,
     validate_state,
 )
@@ -62,10 +60,12 @@ from dense_oracles import (
     embed_coords,
     embed_pure_input,
     in_input_frame,
+    ket,
     kets_of,
     partial_trace,
     prep_coords,
     projector,
+    purify_perm_invariant,
     symmetric_state,
     symmetrizer,
     to_json,
@@ -113,9 +113,10 @@ def _label(spec):
 
 
 def _input_ket(d):
+    """A unit ket of side d, a plain 1-D array as the channels take it."""
     rng = np.random.default_rng(5)
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return ket(v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
 
 
 def _dense_output(spec):
@@ -134,7 +135,7 @@ def _dense_reduction(rho, d, m, k):
 def _choi_output(spec):
     """apply on the Choi matrix at _input_ket(d); a cloner's output turned
     into the input's frame, where symdist gives it."""
-    ch, phi = build(spec), _input_ket(spec.d)
+    ch, phi = build(spec), ket(_input_ket(spec.d))
     rho = apply(ch, embed_pure_input(ch, phi))
     return in_input_frame(rho, phi) if spec.covariant else rho
 
@@ -147,7 +148,7 @@ def _dense_purified_reduction(rho, d, m, k):
 
 def _scenario(spec, checks, coeffs=None, ks=(1,)):
     """A scenario on `spec` with the input _input_ket(d), or the ket `coeffs`."""
-    phi = _input_ket(spec.d).entries[:, 0] if coeffs is None else coeffs
+    phi = _input_ket(spec.d) if coeffs is None else coeffs
     return scenario_from_dict({
         "schema": 1,
         "channel": to_json(spec),
@@ -384,9 +385,10 @@ def test_kernels_run_only_for_the_checks_that_read_them(monkeypatch):
             "k": ks, "checks": checks, "mc": {"samples": 200, "seed": 3},
         })
 
-    # a bare mc_crosscheck reads only the reduction at k = 1
+    # a bare mc_crosscheck reads the reduction at k = 1 from a sweep at
+    # k = 1 alone, whose one-user marginal it leaves unread
     rows = run_scenario(cloner(["mc_crosscheck"], [1, 2]))
-    assert calls == [("reduce_coords", 4, 1)]
+    assert calls == [("marginal_coords", 4, 1), ("reduce_coords", 4, 1)]
     assert rows[0].satisfied_mc and rows[1].actual_distance is None
     # under lemma1 each kernel runs once, on the 4 users at K = 3; k = 2 and
     # k = 1 drop one user from each result above them, and the sampler's
@@ -504,6 +506,46 @@ def test_lemma1_run_builds_no_dense_operator(monkeypatch):
     assert built == []
 
 
+MIXED_PREP = [[[[0.5, 0], [0.1, 0]], [[0.1, 0], [0.5, 0]]]]
+PLUS = [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]
+PURE_PREP = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+DIAG_POVM = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+             [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
+LEMMA1_RUNS = {
+    "cloner-random": ({"kind": "universal_cloner", "d": 3, "N": 2, "M": 6}, None),
+    "noisy-p0": ({"kind": "noisy_cloner", "d": 2, "N": 1, "M": 5, "p": 0.0}, None),
+    "noisy-M1": ({"kind": "noisy_cloner", "d": 3, "N": 1, "M": 1, "p": 0.2}, None),
+    "prep-pure-input": ({"kind": "fixed_prep", "d": 2, "M": 6, "prep": [PLUS]},
+                        {"type": "pure", "coeffs": [[0.6, 0.0], [0.0, 0.8]]}),
+    "prep-random": ({"kind": "fixed_prep", "d": 2, "M": 6, "prep": [PURE_PREP]}, None),
+    "measure-diag-input": ({"kind": "measure_prepare", "d": 2, "M": 4,
+                            "prep": [PURE_PREP, PLUS], "povm": DIAG_POVM},
+                           {"type": "diag", "probs": [0.25, 0.75]}),
+    "measure-mixed-M1": ({"kind": "measure_prepare", "d": 2, "M": 1,
+                          "prep": [MIXED_PREP[0], PLUS], "povm": DIAG_POVM}, None),
+}
+
+
+@pytest.mark.parametrize("name", LEMMA1_RUNS)
+def test_no_lemma1_run_of_any_kind_builds_a_dense_operator(monkeypatch, name):
+    """Inputs are plain arrays, and the symmetric route holds diagonals and
+    kets: no lemma1 run builds a DenseOperator, whatever the channel kind
+    and the input type, with its Monte Carlo check or without."""
+    built, post_init = [], DenseOperator.__post_init__
+
+    def counted(op):
+        post_init(op)
+        built.append(op.shape)
+
+    monkeypatch.setattr(DenseOperator, "__post_init__", counted)
+    channel, state = LEMMA1_RUNS[name]
+    for checks in (["lemma1"], ["lemma1", "mc_crosscheck"]):
+        rows = run_scenario(_dense_scenario(channel, ks=(1,), checks=checks,
+                                            input_state=state))
+        assert rows[0].satisfied_lemma1 and rows[0].satisfied_mc is not False
+    assert built == []
+
+
 @pytest.mark.parametrize("d,k", [(2, 1), (2, 3), (2, 6), (3, 1), (3, 2), (3, 4)])
 def test_trace_table_holds_d_to_the_2k_entries(d, k):
     """The cached ancilla-trace table is two d^k x d^k arrays, not d^3k."""
@@ -582,7 +624,7 @@ def _decision_label(case):
 def test_symmetric_output_decides_as_the_dense_oracle(spec, coeffs):
     """symmetric_output runs exactly where V† rho V of the dense output
     does, and both give the same coordinates there."""
-    phi = _input_ket(spec.d) if coeffs is None else ket(coeffs)
+    phi = _input_ket(spec.d) if coeffs is None else coeffs
     results = []
     for route in (spec.symmetric_output,
                   lambda x: symmetric_state(spec.dense_output(x)).coords):
@@ -635,8 +677,8 @@ def test_dense_output_matches_choi_oracle(spec):
 def test_dense_output_of_a_density_matrix_matches_choi_oracle():
     spec = SDIChannelSpec("measure_prepare", d=2, M=3, prep=(PHI2, MIXED2),
                           povm=POVM2)
-    rho_in = DenseOperator(np.diag([0.3, 0.7]), (2,))
-    want = apply(build(spec), rho_in)
+    rho_in = np.diag([0.3, 0.7])
+    want = apply(build(spec), DenseOperator(rho_in, (2,)))
     assert np.max(np.abs(spec.dense_output(rho_in).entries - want.entries)) <= TOL
 
 
@@ -656,12 +698,13 @@ POVM3 = (np.diag([1.0, 0.5, 0.0]), np.diag([0.0, 0.5, 1.0]))
     (SDIChannelSpec("measure_prepare", d=2, M=2, prep=(PHI2, MIXED2), povm=POVM3),
      _input_ket(2)),
     (SDIChannelSpec("measure_prepare", d=2, M=2, prep=(PHI2, MIXED2), povm=POVM3),
-     DenseOperator(np.diag([0.5, 0.5]), (2,))),
+     np.diag([0.5, 0.5])),
 ], ids=["cloner-ket", "prep-ket", "measure-ket", "measure-matrix"])
 def test_dense_output_refuses_a_wrong_input_as_the_oracle_does(spec, state):
     ch = build(spec)
     with pytest.raises(ValueError) as oracle:
-        apply(ch, embed_pure_input(ch, state) if state.shape[1] == 1 else state)
+        apply(ch, embed_pure_input(ch, ket(state)) if state.ndim == 1
+              else DenseOperator(state, state.shape[:1]))
     with pytest.raises(ValueError) as built:
         spec.dense_output(state)
     assert str(built.value) == str(oracle.value)
@@ -670,8 +713,8 @@ def test_dense_output_refuses_a_wrong_input_as_the_oracle_does(spec, state):
 @pytest.mark.parametrize("m_users", [1, 3])
 @pytest.mark.parametrize("state,message", [
     (_input_ket(3), "^ket dimension 3 does not match single-copy dimension 2$"),
-    (ket([0.6, 0.6]), "^input ket has norm 0.84"),
-    (DenseOperator(np.eye(2) / 2, (2,)), "^expected a ket$"),
+    (np.array([0.6, 0.6]), "^input ket has norm 0.84"),
+    (np.eye(2) / 2, "^expected a ket$"),
 ], ids=["dimension", "norm", "matrix"])
 def test_cloner_outputs_check_a_given_ket(m_users, state, message):
     """A cloner's output is taken in its input's frame, so it is the same
@@ -729,7 +772,7 @@ def _mixed_specs(draw):
                               prep=(_density(rng, d), _density(rng, d)),
                               povm=_two_outcome_povm(rng, d, weights))
     phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return spec, ket(phi / np.linalg.norm(phi))
+    return spec, phi / np.linalg.norm(phi)
 
 
 @settings(derandomize=True, max_examples=150, database=None, deadline=None)
@@ -743,7 +786,7 @@ def test_dense_output_is_a_permutation_invariant_state(case):
 
 
 def test_power_coords_matches_isometry():
-    u = _input_ket(3).entries[:, 0]
+    u = _input_ket(3)
     full = np.kron(np.kron(u, u), u)
     want = _index_map(3, 3).compress(full)
     assert np.max(np.abs(power_coords(u, 3) - want)) <= TOL
@@ -784,15 +827,15 @@ def _prep_cases():
                                       povm=_random_povm(rng, 3, r))
                 cases.append((f"measure{r}-d{d}-M{m}", spec, _input_ket(3)))
                 cases.append((f"measure{r}-d{d}-M{m}-mixed-input", spec,
-                              DenseOperator(_density(rng, 3), (3,))))
+                              _density(rng, 3)))
         cases.append((f"mixed-preps-d{d}-M1", SDIChannelSpec(
             "measure_prepare", d=d, M=1, prep=(_density(rng, d), _random_pure(rng, d),
                                                _density(rng, d)),
-            povm=_random_povm(rng, 2, 3)), DenseOperator(_density(rng, 2), (2,))))
+            povm=_random_povm(rng, 2, 3)), _density(rng, 2)))
     one = np.ones((1, 1))
     for m in (1, 5):
         cases.append((f"fixed-d1-M{m}", SDIChannelSpec("fixed_prep", d=1, M=m, prep=(one,)),
-                      ket([1.0])))
+                      np.array([1.0])))
         cases.append((f"measure2-d1-M{m}", SDIChannelSpec(
             "measure_prepare", d=1, M=m, prep=(one, one), povm=POVM2), _input_ket(2)))
     return cases
@@ -835,7 +878,7 @@ def test_a_negative_weight_counts_as_zero():
     matrix's, which kept the weight -5e-10."""
     spec = SDIChannelSpec("measure_prepare", d=2, M=4, prep=BASIS2,
                           povm=(np.diag([1.0, -5e-10]), np.diag([0.0, 1.0 + 5e-10])))
-    rows = spec.symmetric_output(ket([0.0, 1.0]))
+    rows = spec.symmetric_output(np.array([0.0, 1.0]))
     assert np.isfinite(rows).all() and rows.shape == (1, sym_dim(2, 4))
     row, _ = run_scenario(_scenario(spec, ["lemma1"], np.array([0.0, 1.0]), (1, 2)))
     assert np.isfinite(row.actual_distance)
@@ -843,7 +886,7 @@ def test_a_negative_weight_counts_as_zero():
     deeper = SDIChannelSpec("measure_prepare", d=2, M=4, prep=spec.prep,
                             povm=(np.diag([1.0, -1e-9]), np.diag([0.0, 1.0 + 1e-9])))
     with pytest.raises(ValueError, match=r"^prep\[0\] has weight -1\.000e-09 from the input"):
-        deeper.symmetric_output(ket([0.0, 1.0 + 5e-10]))
+        deeper.symmetric_output(np.array([0.0, 1.0 + 5e-10]))
 
 
 def test_fixed_prep_holds_no_s_m_matrix():
@@ -897,13 +940,35 @@ def test_cloner_reach_is_the_side_cap(d, last):
         run_scenario(cfg)
 
 
+@pytest.mark.parametrize("d,n_in,m_users,ks", [
+    (3, 50, 100, [1]), (2, 600, 1200, [1, 2, 3]), (2, 1000, 2000, [1]), (4, 20, 40, [1]),
+    (2, 638, 957, [1]), (3, 36, 58, [1])])
+def test_cloners_the_scatter_charge_refused_now_run(d, n_in, m_users, ks):
+    """The plan charged an N -> M cloner's output as the split table's
+    s_N^2 s_{M-N} scatter, which refused these, 638 -> 957 qubits and
+    36 -> 58 qutrits the first of each d.  The closed form holds M + 1
+    values: each runs under its plan's largest stage, traced from empty
+    caches, and D_1 is the law 2N(d - 1)/(M(N + d)) within 1e-11."""
+    cfg = scenario_from_dict({
+        "schema": 1,
+        "channel": {"kind": "universal_cloner", "d": d, "N": n_in, "M": m_users},
+        "input": {"type": "random_pure", "seed": 0},
+        "k": ks, "checks": ["lemma1"]})
+    stages = _plan(cfg, None, DEFAULT_DIM_CAP).stages
+    rows = []
+    assert _traced_peak(lambda: rows.extend(run_scenario(cfg))) <= max(b for _, b in stages)
+    assert all(row.satisfied_lemma1 for row in rows)
+    want = 2 * n_in * (d - 1) / (m_users * (n_in + d))
+    assert abs(rows[0].actual_distance - want) <= 1e-11 * want
+
+
 def test_one_user_reach_in_d():
     """One user of a cloner is an s_1 = d diagonal, whose reduction gathers
     d s_2 terms: refused from d = 563.  A preparation at M = 1 holds d
     kets, gathered one at a time over s_1 s_2 terms: refused from d = 561."""
-    plan(562, 1, [1], n_in=1)
+    plan(562, 1, [1])
     with pytest.raises(ResourceLimitError, match="1-user result would need"):
-        plan(563, 1, [1], n_in=1)
+        plan(563, 1, [1])
     spec = SDIChannelSpec("fixed_prep", d=128, M=1, prep=(np.eye(128) / 128,))
     assert spec.rows == 128
     plan(128, 1, [1], rows=spec.rows)
@@ -937,12 +1002,12 @@ def test_large_k_refused_before_allocating():
     # Python-integer binomials, first passes the byte budget at k = 1144
     rows = run_scenario(_cloner(2, 13, [1, 13]))
     assert all(row.satisfied_lemma1 for row in rows)
-    plan(2, 1024, [1, 1024], n_in=1)
+    plan(2, 1024, [1, 1024])
     plan(2, 1024, [1, 1024], rows=1)
-    plan(2, 4096, [1, 1143], n_in=1)
+    plan(2, 4096, [1, 1143])
     with pytest.raises(ResourceLimitError,
                        match="occupation-coordinate route for 4096 users: 1144-user"):
-        plan(2, 4096, [1, 1144], n_in=1)
+        plan(2, 4096, [1, 1144])
     for k in (1144, 2048):
         cfg = _cloner(2, 4096, [1, k])
         tracemalloc.start()
@@ -966,10 +1031,7 @@ def test_guard_counts_gathers_in_bytes():
     plan(2, 16383, [1], rows=4)
     with pytest.raises(ResourceLimitError, match="occupation-coordinate state of 16384 users"):
         plan(2, 16384, [1])
-    # a 50 -> 100 qutrit cloner scatters s_50^2 s_50 = 1326^3 terms
     plan(3, 100, [1])
-    with pytest.raises(ResourceLimitError, match="bytes"):
-        plan(3, 100, [1], n_in=50)
     # a 500-user result is 501 x 501; its reduction gathers 501 s_1500
     # terms of a ket
     plan(2, 1000, [30])
@@ -1083,10 +1145,6 @@ def _traced_peak(run, raises=None):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-MIXED_PREP = [[[[0.5, 0], [0.1, 0]], [[0.1, 0], [0.5, 0]]]]
-PLUS = [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]
 
 
 def _measure4(d, m_users):

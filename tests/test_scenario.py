@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from symdist.channels import SUPPORT_TOL
 from symdist.cli import main
-from symdist.linalg import ket
 from symdist.scenario import (
     MC_SIGMA_THRESHOLD,
     _basis_prep,
@@ -303,7 +302,7 @@ class TestRunScenario:
             z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             phi, got_seed = _input_state(cfg)
             assert got_seed == seed
-            assert np.array_equal(phi.entries[:, 0], z / np.linalg.norm(z))
+            assert np.array_equal(phi, z / np.linalg.norm(z))
             cloner = scenario_from_dict(cloner_scenario(
                 channel={"kind": "universal_cloner", "d": d, "N": 1, "M": 2},
                 input=random_input))
@@ -354,7 +353,7 @@ class TestRunScenario:
                  "subspace")
         assert str(err.value) == (f"scenario.{field}; lemma1 requires a "
                                   "symmetric-support output, use theorem2")
-        rho = cfg.channel.dense_output(ket([1.0, 0.0])).entries
+        rho = cfg.channel.dense_output(np.array([1.0, 0.0])).entries
         proj = symmetrizer(2, 3).entries
         assert np.max(np.abs(rho - proj @ rho @ proj)) > SUPPORT_TOL
 

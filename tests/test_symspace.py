@@ -87,7 +87,8 @@ class TestSymBasis:
         assert np.max(np.abs(vmap.expand(z) - v @ z)) <= 1e-12
         assert np.max(np.abs(embed_coords(z, d, n).entries
                              - v @ z @ v.conj().T)) <= 1e-12
-        assert np.max(np.abs(vmap.compress(x.T, axis=1) - x.T @ v)) <= 1e-12
+        along_1 = np.moveaxis(vmap.compress(np.moveaxis(x.T, 1, 0)), 0, 1)
+        assert np.max(np.abs(along_1 - x.T @ v)) <= 1e-12
         assert not vmap.col.flags.writeable
 
     def test_n_zero(self):
