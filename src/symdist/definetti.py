@@ -220,17 +220,36 @@ def _trace_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, coef
 
 
-def purified_state(rho: DenseOperator,
-                   cap: int = DEFAULT_DIM_CAP) -> OccupationState:
+def _sqrt_by_blocks(a: np.ndarray, squares) -> np.ndarray:
+    """sqrt(a), written over a, of a Hermitian PSD `a` that is zero outside
+    its diagonal blocks, the indices `squares`: one eigh a block."""
+    for square in squares:
+        vals, vecs = np.linalg.eigh(a[square])
+        if vals[0] < -1e-9:
+            raise ValueError(f"rho has negative eigenvalue {vals[0]:.3e}")
+        a[square] = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
+    return a
+
+
+def purified_state(rho: DenseOperator, cap: int = DEFAULT_DIM_CAP,
+                   occupation_blocks: bool = False) -> OccupationState:
     """The pair purification |Phi> = (sqrt(rho) tensor 1)|Omega> of rho in
-    occupation coordinates of Sym^M(C^{d^2}), real where rho is.
+    occupation coordinates of Sym^M(C^{d^2}), real where rho is, its
+    coordinates read-only.
 
     Each factor j of |Phi> is the pair (system j, ancilla j), the system
     the more significant digit.  Permuting the pairs jointly leaves |Phi>
     invariant whenever rho is permutation invariant, which the adjacent
     swaps check first, so |Phi> lies in the symmetric subspace of the
     pairs.  The support check bounds its weight outside that subspace, not
-    an entry: sqrt lifts roundoff to ~1e-8."""
+    an entry: sqrt lifts roundoff to ~1e-8.
+
+    _sqrt_by_blocks takes sqrt(rho) over (rho + rho†)/2, one block at a
+    time.  Without `occupation_blocks` the block is all of rho.  With it,
+    the caller vouches that rho commutes with every diagonal unitary, as a
+    covariant cloner's output on |0> does, so rho is block diagonal by
+    occupation: one block for each column of index_map(d, M), and its
+    entries outside the blocks are kept as the zeros they are."""
     d, m = _uniform_square(rho, "rho")
     plan(d, m, route="dense", itemsize=rho.entries.itemsize, cap=cap)
     for t in range(m - 1):
@@ -240,12 +259,13 @@ def purified_state(rho: DenseOperator,
                 f"rho is not permutation invariant within {PERM_INVARIANCE_TOL} "
                 f"(swap {t},{t + 1} residual {resid:.3e})"
             )
-    # one name for the eigenvectors, sqrt(rho) and the pair ket, so that
-    # each is freed as the next is made
-    vals, phi = np.linalg.eigh(0.5 * (rho.entries + rho.entries.conj().T))
-    if vals[0] < -1e-9:
-        raise ValueError(f"rho has negative eigenvalue {vals[0]:.3e}")
-    phi = (phi * np.sqrt(np.maximum(vals, 0.0))) @ phi.conj().T
+    squares = [np.s_[:, :]]
+    if occupation_blocks:
+        v = _index_map(d, m)
+        squares = [np.ix_(b, b) for b in np.split(v.order, v.starts[1:])]
+    # one name for sqrt(rho) and the pair ket, so that each is freed as
+    # the next is made
+    phi = _sqrt_by_blocks(0.5 * (rho.entries + rho.entries.conj().T), squares)
     order = [ax for j in range(m) for ax in (j, m + j)]
     phi = phi.reshape((d,) * (2 * m)).transpose(order).reshape(-1)
     nrm = float(np.linalg.norm(phi))
@@ -260,4 +280,6 @@ def purified_state(rho: DenseOperator,
             f"pair purification has weight {resid:.3e} outside the symmetric "
             "subspace of the pairs"
         )
-    return OccupationState(c[None, :], d, m, paired=True)
+    c = c[None, :]
+    c.setflags(write=False)
+    return OccupationState(c, d, m, paired=True)

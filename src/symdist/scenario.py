@@ -19,6 +19,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -282,12 +283,22 @@ def _plan(cfg: ScenarioConfig, phi: np.ndarray | None, cap: int) -> Plan:
                 rows=spec.rows, mc=mc, itemsize=spec.itemsize, cap=cap)
 
 
+@lru_cache(maxsize=64)
+def _covariant_purified(spec: SDIChannelSpec, cap: int) -> OccupationState:
+    """The pair purification of a covariant spec's dense output on |0>,
+    which reads no input: one per spec, that is per (kind, d, N, M, p), and
+    cap, by one eigh per occupation block.  A refusal or failure caches
+    nothing."""
+    return purified_state(spec.dense_output(None, cap), cap, occupation_blocks=True)
+
+
 def _output(cfg: ScenarioConfig, phi: np.ndarray | None,
             cap: int) -> tuple[OccupationState, OccupationState | None]:
     """The output in occupation coordinates (of its pair purification, at
     d^2, under theorem2), and the symmetric state that mc_crosscheck samples,
     or None.  Two routes: lemma1 and every mc_crosscheck take the state from
-    symmetric_output, theorem2 purifies dense_output."""
+    symmetric_output, theorem2 purifies dense_output, a covariant spec's
+    once per channel, through _covariant_purified, after the run's plan."""
     spec, theorem2 = cfg.channel, "theorem2" in cfg.checks
     sym = None
     if not theorem2 or "mc_crosscheck" in cfg.checks:
@@ -296,6 +307,8 @@ def _output(cfg: ScenarioConfig, phi: np.ndarray | None,
         sym = OccupationState(coords, spec.d, spec.M)
     if not theorem2:
         return sym, sym if "mc_crosscheck" in cfg.checks else None
+    if spec.covariant:
+        return _covariant_purified(spec, cap), sym
     return purified_state(spec.dense_output(phi, cap), cap), sym
 
 

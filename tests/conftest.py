@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from symdist import DEFAULT_DIM_CAP, DenseOperator
+from symdist.scenario import _covariant_purified
 
 from dense_oracles import (
     apply,
@@ -11,6 +12,14 @@ from dense_oracles import (
     universal_cloner,
     validate_sdi,
 )
+
+
+@pytest.fixture(autouse=True)
+def empty_purification_memo():
+    """Every test starts with no covariant purification memoized, so that
+    a test that spies on or measures one sees it made; no other memo is
+    emptied."""
+    _covariant_purified.cache_clear()
 
 
 def random_state(rng, dim, dims=None):

@@ -1,0 +1,214 @@
+"""Theorem2 on a covariant cloner: purified once per channel, in blocks.
+
+Both cloners are U-covariant, so their dense output on |0> depends on the
+spec alone, and it commutes with every diagonal unitary: it is block
+diagonal by occupation, one block for each column of index_map(d, M).
+scenario._covariant_purified memoizes the pair purification per spec, and
+purified_state takes its square root one block at a time.  The whole-eigh
+route it replaces is the oracle: purified_state without blocks, and one
+eigh of the whole output.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from symdist import scenario
+from symdist.channels import SDIChannelSpec
+from symdist.definetti import _sqrt_by_blocks, purified_state
+from symdist.linalg import DEFAULT_DIM_CAP, ResourceLimitError
+from symdist.scenario import _covariant_purified, run_scenario, scenario_from_dict
+from symdist.symspace import index_map
+
+KINDS = ("universal_cloner", "noisy_cloner")
+P = 0.1
+
+
+def _channel(kind, d, n_in, m_users, p=P):
+    channel = {"kind": kind, "d": d, "N": n_in, "M": m_users}
+    return {**channel, "p": p} if kind == "noisy_cloner" else channel
+
+
+def _theorem2(channel, seed=3, ks=None):
+    ks = ks or range(1, min(channel["M"], 3) + 1)
+    return scenario_from_dict({"schema": 1, "channel": channel,
+                               "input": {"type": "random_pure", "seed": seed},
+                               "k": list(ks), "checks": ["theorem2"]})
+
+
+def _values(rows):
+    """Each row without its seed and wall time, the two fields that a run on
+    another input may change."""
+    return [{c: v for c, v in row.to_dict().items() if c not in ("seed", "wall_time_ms")}
+            for row in rows]
+
+
+def _spy(monkeypatch):
+    """The calls that dense_output and numpy's eigh see, by name."""
+    calls = []
+    dense_output, eigh = SDIChannelSpec.dense_output, np.linalg.eigh
+
+    def spied_output(spec, *args, **kwargs):
+        calls.append("dense_output")
+        return dense_output(spec, *args, **kwargs)
+
+    def spied_eigh(*args, **kwargs):
+        calls.append("eigh")
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(SDIChannelSpec, "dense_output", spied_output)
+    monkeypatch.setattr(np.linalg, "eigh", spied_eigh)
+    return calls
+
+
+def _whole_route(spec, cap):
+    """Theorem2's purification before the memo: one eigh of the whole output."""
+    return purified_state(spec.dense_output(None, cap), cap)
+
+
+def _squares(d, m_users):
+    """The occupation blocks of (C^d)^{tensor M}, as purified_state takes
+    them: one index square for each column of index_map(d, M)."""
+    v = index_map(d, m_users)
+    return [np.ix_(b, b) for b in np.split(v.order, v.starts[1:])]
+
+
+# -- the memo -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_second_run_on_another_input_purifies_nothing(monkeypatch, kind):
+    channel = _channel(kind, 2, 1, 5)
+    first = run_scenario(_theorem2(channel, seed=3))
+    calls = _spy(monkeypatch)
+    second = run_scenario(_theorem2(channel, seed=4))
+    assert calls == []
+    assert [row.seed for row in second] == [4] * len(second)
+    assert _values(second) == _values(first)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("kind", "universal_cloner"), ("d", 3), ("N", 2), ("M", 4), ("p", 0.3)])
+def test_specs_that_differ_in_one_field_share_no_entry(monkeypatch, field, value):
+    # the base, a noisy qubit cloner at p = 0, and the universal cloner have
+    # the same output: the memo still keeps one entry each
+    base = _channel("noisy_cloner", 2, 1, 3, p=0.0)
+    other = {**base, field: value}
+    if value == "universal_cloner":
+        del other["p"]
+    run_scenario(_theorem2(base))
+    calls = _spy(monkeypatch)
+    got = run_scenario(_theorem2(other))
+    assert calls.count("dense_output") == 1
+    assert _covariant_purified.cache_info().currsize == 2
+    monkeypatch.undo()
+    _covariant_purified.cache_clear()
+    assert _values(got) == _values(run_scenario(_theorem2(other)))
+
+
+def test_a_refused_or_failing_run_caches_nothing(monkeypatch):
+    cfg = _theorem2(_channel("noisy_cloner", 2, 1, 5))
+    with pytest.raises(ResourceLimitError):
+        run_scenario(cfg, cap=2 ** 4)
+    assert _covariant_purified.cache_info().currsize == 0
+
+    def broken_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigh did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", broken_eigh)
+    with pytest.raises(np.linalg.LinAlgError):
+        run_scenario(cfg)
+    assert _covariant_purified.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert all(row.satisfied_theorem2 for row in run_scenario(cfg))
+    assert _covariant_purified.cache_info().currsize == 1
+
+
+def test_the_cached_coordinates_are_read_only():
+    cfg = _theorem2(_channel("noisy_cloner", 2, 1, 4))
+    run_scenario(cfg)
+    state = _covariant_purified(cfg.channel, DEFAULT_DIM_CAP)
+    assert _covariant_purified.cache_info().hits == 1
+    assert not state.coords.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        state.coords[0, 0] = 0.0
+
+
+def test_emptying_every_symdist_memo_makes_the_next_run_purify(monkeypatch):
+    # as perfbench's worker and test_oracles empty them, by cache_clear
+    cfg = _theorem2(_channel("universal_cloner", 2, 1, 4))
+    first = run_scenario(cfg)
+    for name, mod in list(sys.modules.items()):
+        if name == "symdist" or name.startswith("symdist."):
+            for val in vars(mod).values():
+                if callable(getattr(val, "cache_clear", None)):
+                    val.cache_clear()
+    calls = _spy(monkeypatch)
+    assert _values(run_scenario(cfg)) == _values(first)
+    assert calls.count("dense_output") == 1 and calls.count("eigh") == 5
+
+
+# -- the blocks ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("d,m_users", [(2, 2), (2, 6), (2, 9), (3, 2), (3, 4), (3, 5),
+                                       (4, 2), (4, 3), (4, 4)])
+def test_the_output_is_zero_outside_the_occupation_blocks(kind, d, m_users):
+    v = index_map(d, m_users)
+    outside = v.col[:, None] != v.col[None, :]
+    for n_in in sorted({1, min(2, m_users), m_users}):
+        spec = SDIChannelSpec.from_json(_channel(kind, d, n_in, m_users))
+        rho = spec.dense_output(None).entries
+        assert np.all(rho[outside] == 0.0)
+        assert np.abs(rho[~outside]).max() > 0.0
+
+
+COVARIANT = [(kind, d, n_in, m_users) for kind in KINDS for d in (2, 3, 4)
+             for m_users in range(1, 11) if d ** m_users <= 2 ** 10
+             for n_in in range(1, m_users + 1)]
+
+
+@pytest.mark.parametrize("kind,d,n_in,m_users", COVARIANT)
+def test_the_block_root_matches_one_whole_eigh(kind, d, n_in, m_users):
+    """The root by blocks squares to the output within 1e-13, and it matches
+    the root by one whole eigh where that is determined.  A noisy output
+    has no zero eigenvalue: within 1e-13, plus the whole eigh's backward
+    error, about 1e-16, over 2 sqrt(lambda_min) (1.1e-12 is met at
+    (2, 8, 10), where lambda_min is 1e-12).  The universal cloner's output
+    has zero eigenvalues, which both eighs return as roundoff of about
+    1e-17 and both roots lift to about 1e-8 (8.4e-9 is met): within 1e-13
+    on the output's range (its eigenvalues above 1e-12, the rest at least
+    1e-6), and 1e-7 off it."""
+    spec = SDIChannelSpec.from_json(_channel(kind, d, n_in, m_users))
+    rho = spec.dense_output(None).entries
+    got = _sqrt_by_blocks(rho.copy(), _squares(d, m_users))
+    assert np.abs(got @ got - rho).max() <= 1e-13
+    vals, vecs = np.linalg.eigh(rho)
+    diff = got - (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
+    if kind == "noisy_cloner":
+        assert np.abs(diff).max() <= 1e-13 + 1e-16 / np.sqrt(vals[0])
+        return
+    kept = vals > 1e-12
+    assert vals[kept].min() > 1e-6
+    on_range = vecs[:, kept].T @ diff @ vecs[:, kept]
+    assert np.abs(on_range).max() <= 1e-13
+    assert np.abs(diff).max() <= 1e-7
+
+
+THEOREM2 = [(kind, d, n_in, m_users) for kind in KINDS
+            for d, top in ((2, 8), (3, 5)) for m_users in range(1, top + 1)
+            for n_in in (1, 2) if n_in <= m_users]
+
+
+@pytest.mark.parametrize("kind,d,n_in,m_users", THEOREM2)
+def test_theorem2_rows_match_the_whole_eigh_route(monkeypatch, kind, d, n_in, m_users):
+    cfg = _theorem2(_channel(kind, d, n_in, m_users))
+    calls = _spy(monkeypatch)
+    blocks = run_scenario(cfg)
+    assert calls.count("eigh") == len(_squares(d, m_users))
+    monkeypatch.setattr(scenario, "_covariant_purified", _whole_route)
+    for got, want in zip(blocks, run_scenario(cfg), strict=True):
+        assert got.satisfied_theorem2 and want.satisfied_theorem2
+        assert abs(got.actual_distance - want.actual_distance) <= 1e-12

@@ -36,6 +36,7 @@ from symdist.metrics import trace_distance
 from symdist.scenario import (
     SchemaError,
     _basis_prep,
+    _covariant_purified,
     _input_state,
     _output,
     _plan,
@@ -1135,9 +1136,11 @@ def _noisy(d, m_users, p=0.1):
 
 
 def _traced_peak(run, raises=None):
-    """Peak bytes that tracemalloc sees while `run` works from empty caches."""
+    """Peak bytes that tracemalloc sees while `run` works from empty caches,
+    the covariant purification's memo among them."""
     _index_map.cache_clear()
     split_table.cache_clear()
+    _covariant_purified.cache_clear()
     tracemalloc.start()
     try:
         with pytest.raises(raises) if raises else contextlib.nullcontext():
@@ -1366,18 +1369,25 @@ def test_one_to_m_cloner_single_user_distance(d, m_users):
     (2, 7, 0.14025974025974142),
     (2, 8, 0.12500000000000022),
     (2, 9, 0.11282051282049926),
+    (2, 10, 0.10285714285714348),
+    (2, 11, 0.09454545454543972),
     (3, 4, 0.36346153846154017),
     (3, 5, 0.3085714285714424),
 ])
 def test_theorem2_pins_past_the_old_side_cap(d, m_users, want):
     """k = 1 theorem2 distance of the noisy 1 -> M cloner at p = 0.1, pinned
     to what the same kernels gave before the byte budget, with the side cap
-    that stopped them at M = 6 qubits and M = 3 qutrits lifted to 2^24."""
+    that stopped them at M = 6 qubits and M = 3 qutrits lifted to 2^24; at
+    M = 10 and 11 qubits, to what one eigh of the whole output gave before
+    the square root was taken by occupation blocks.  At M = 11 the bound
+    is 0.4543789582883267."""
     basis = [[1.0, 0.0]] + [[0.0, 0.0]] * (d - 1)
     cfg = _dense_scenario(_noisy(d, m_users),
                           input_state={"type": "pure", "coeffs": basis})
     row, = run_scenario(cfg)
     assert row.satisfied_theorem2
+    if m_users == 11:
+        assert abs(row.bound_exact - 0.4543789582883267) <= TOL
     assert abs(row.actual_distance - want) <= TOL
 
 

@@ -13,7 +13,8 @@ import pytest
 
 from symdist.channels import SDIChannelSpec
 from symdist.linalg import DenseOperator
-from symdist.scenario import run_scenario, scenario_from_dict
+from symdist.scenario import _covariant_purified, run_scenario, scenario_from_dict
+from symdist.symspace import sym_dim
 
 TOL = 1e-13
 REAL_PREP = [[[0.7, 0], [0.2, 0]], [[0.2, 0], [0.3, 0]]]
@@ -64,8 +65,10 @@ def test_eigensolvers_see_the_output_dtype(monkeypatch, channel, dtype):
     cfg = _theorem2(channel, (1, 2))
     assert cfg.channel.itemsize == np.dtype(dtype).itemsize
     seen = _spied_run(monkeypatch, cfg)
-    # one eigh for the purification, one eigvalsh for each distance
-    assert [name for name, _ in seen] == ["eigh", "eigvalsh", "eigvalsh"]
+    # one eigh for the purification (a cloner's: one per occupation block),
+    # one eigvalsh for each distance
+    blocks = sym_dim(cfg.channel.d, cfg.channel.M) if cfg.channel.covariant else 1
+    assert [name for name, _ in seen] == ["eigh"] * blocks + ["eigvalsh", "eigvalsh"]
     assert {t for _, t in seen} == {np.dtype(dtype)}
 
 
@@ -90,13 +93,20 @@ def test_real_rows_match_the_complex_run(monkeypatch, kind, d, m_users):
     cfg = _theorem2(_channel(kind, d, m_users), range(1, min(m_users, 3) + 1))
     real = run_scenario(cfg)
     dense_output = SDIChannelSpec.dense_output
+    cast = []
 
     def as_complex(spec, *args, **kwargs):
         out = dense_output(spec, *args, **kwargs)
         assert out.entries.dtype == float
+        cast.append(spec)
         return DenseOperator(out.entries.astype(complex), out.row_dims)
 
     monkeypatch.setattr(SDIChannelSpec, "dense_output", as_complex)
-    for got, want in zip(real, run_scenario(cfg), strict=True):
+    # a cloner's purification is memoized by the first run: empty the memo,
+    # so that the second run purifies the complex output
+    _covariant_purified.cache_clear()
+    complex_rows = run_scenario(cfg)
+    assert cast == [cfg.channel]
+    for got, want in zip(real, complex_rows, strict=True):
         assert abs(got.actual_distance - want.actual_distance) <= TOL
         assert got.satisfied_theorem2 and want.satisfied_theorem2
