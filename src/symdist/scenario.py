@@ -283,22 +283,13 @@ def _plan(cfg: ScenarioConfig, phi: np.ndarray | None, cap: int) -> Plan:
                 rows=spec.rows, mc=mc, itemsize=spec.itemsize, cap=cap)
 
 
-@lru_cache(maxsize=64)
-def _covariant_purified(spec: SDIChannelSpec, cap: int) -> OccupationState:
-    """The pair purification of a covariant spec's dense output on |0>,
-    which reads no input: one per spec, that is per (kind, d, N, M, p), and
-    cap, by one eigh per occupation block.  A refusal or failure caches
-    nothing."""
-    return purified_state(spec.dense_output(None, cap), cap, occupation_blocks=True)
-
-
-def _output(cfg: ScenarioConfig, phi: np.ndarray | None,
-            cap: int) -> tuple[OccupationState, OccupationState | None]:
-    """The output in occupation coordinates (of its pair purification, at
-    d^2, under theorem2), and the symmetric state that mc_crosscheck samples,
-    or None.  Two routes: lemma1 and every mc_crosscheck take the state from
-    symmetric_output, theorem2 purifies dense_output, a covariant spec's
-    once per channel, through _covariant_purified, after the run's plan."""
+def _output(cfg: ScenarioConfig, phi: np.ndarray | None, cap: int,
+            purify: bool = True) -> tuple[OccupationState | None, OccupationState | None]:
+    """The state whose sweep gives the run's distances (its pair
+    purification, at d^2, under theorem2; None where not `purify`), and the
+    symmetric state that mc_crosscheck samples, or None.  Two routes:
+    lemma1 and every mc_crosscheck take the state from symmetric_output,
+    theorem2 purifies dense_output, a covariant spec's by occupation blocks."""
     spec, theorem2 = cfg.channel, "theorem2" in cfg.checks
     sym = None
     if not theorem2 or "mc_crosscheck" in cfg.checks:
@@ -307,32 +298,57 @@ def _output(cfg: ScenarioConfig, phi: np.ndarray | None,
         sym = OccupationState(coords, spec.d, spec.M)
     if not theorem2:
         return sym, sym if "mc_crosscheck" in cfg.checks else None
-    if spec.covariant:
-        return _covariant_purified(spec, cap), sym
-    return purified_state(spec.dense_output(phi, cap), cap), sym
+    if not purify:
+        return None, sym
+    return purified_state(spec.dense_output(phi, cap), cap,
+                          occupation_blocks=spec.covariant), sym
+
+
+def _distances(state: OccupationState, ks, cap: int) -> tuple[dict[int, float], tuple]:
+    """Each k's distance, taken as the sweep passes k so that one pair is
+    held, and the pair at k = 1 (None, None without it)."""
+    distance, first = {}, (None, None)
+    for k, rho_k, tilde in state.sweep(ks, cap):
+        distance[k] = trace_distance(rho_k, tilde)
+        if k == 1:
+            first = rho_k, tilde
+    return distance, first
+
+
+@lru_cache(maxsize=64)
+def _covariant_distances(spec: SDIChannelSpec, top: int, cap: int) -> tuple[float, ...]:
+    """Theorem2's distances at k = 1..top of a covariant spec, whose output
+    reads no input: one entry per (kind, d, N, M, p), top = max(ks) and cap.
+    Each is the one a run at ks takes, bit for bit, from the same sweep down
+    from top; the plan's dense stages grow with k, so going on to k = 1
+    refuses nothing.  A refusal or failure caches nothing."""
+    state = purified_state(spec.dense_output(None, cap), cap, occupation_blocks=True)
+    distance, _ = _distances(state, range(1, top + 1), cap)
+    return tuple(distance[k] for k in range(1, top + 1))
 
 
 def run_scenario(cfg: ScenarioConfig,
                  cap: int = DEFAULT_DIM_CAP) -> list[ResultRecord]:
-    """Execute a scenario; one record per k, in k_list order."""
+    """Execute a scenario; one record per k, in k_list order.  The distances
+    come from one sweep of _output's state, a covariant spec's theorem2 ones
+    from _covariant_distances: theorem2 rows read nothing else of it."""
     start = time.perf_counter()
     spec = cfg.channel
     phi, input_seed = _input_state(cfg)
     _plan(cfg, phi, cap)
-    out, sym = _output(cfg, phi, cap)
     bound = flag = None
     if "lemma1" in cfg.checks:
         bound, flag = lemma1_bound, "satisfied_lemma1"
     elif "theorem2" in cfg.checks:
         bound, flag = general_bound, "satisfied_theorem2"
     seed = cfg.mc["seed"] if cfg.mc else input_seed
-    distance, rho_1, tilde_1 = {}, None, None
-    if bound is not None:
-        # each distance is taken as the sweep passes its k, so one pair is held
-        for k, rho_k, tilde in out.sweep(cfg.k_list, cap):
-            distance[k] = trace_distance(rho_k, tilde)
-            if k == 1:
-                rho_1, tilde_1 = rho_k, tilde
+    covariant = "theorem2" in cfg.checks and spec.covariant
+    out, sym = _output(cfg, phi, cap, purify=not covariant)
+    distance, (rho_1, tilde_1) = {}, (None, None)
+    if covariant:
+        distance = dict(enumerate(_covariant_distances(spec, max(cfg.k_list), cap), 1))
+    elif bound is not None:
+        distance, (rho_1, tilde_1) = _distances(out, cfg.k_list, cap)
     records = []
     for k in cfg.k_list:
         row = ResultRecord(d=spec.d, N=spec.N, M=spec.M, k=k, p=spec.p, seed=seed)

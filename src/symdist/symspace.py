@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
@@ -56,19 +56,41 @@ def _occupation_table(d: int, n: int) -> np.ndarray:
     return occ
 
 
-def _rank(occ, d: int, n: int, out: np.ndarray) -> np.ndarray:
-    """Add to `out` the basis-order column of occupations of total n, given as
-    their entry arrays (entry d-1 unread).  Those agreeing on entries < i, with
-    more at entry i, come first: C(t + r - 1, r) of them for t left after entry
-    i and r = d-1-i entries after it, which row r of `ahead` holds."""
+def _ahead(d: int, n: int) -> np.ndarray:
+    # row r, entry t: C(t + r - 1, r), the occupations of total t over r
+    # entries (row 0 all ones), each row the partial sums of the one before
     ahead = np.zeros((d, n + 1), dtype=np.int64)
     ahead[0] = 1
     for r in range(1, d):
         np.add.accumulate(ahead[r - 1, 1:], out=ahead[r, 1:])
+    return ahead
+
+
+def _rank(occ, d: int, n: int, out: np.ndarray) -> np.ndarray:
+    """Add to `out` the basis-order column of occupations of total n, given as
+    their entry arrays (entry d-1 unread).  Those agreeing on entries < i, with
+    more at entry i, come first: C(t + r - 1, r) of them for t left after entry
+    i and r = d-1-i entries after it, which row r of _ahead holds."""
     left = n
-    for row, entry in zip(ahead[:0:-1], occ):  # rows r = d-1, ..., 1
+    for row, entry in zip(_ahead(d, n)[:0:-1], occ):  # rows r = d-1, ..., 1
         left = left - entry
         out += row[left]
+    return out
+
+
+def _raised(d: int, n: int) -> np.ndarray:
+    """Row i, column c: the column in Sym^n of occupation c of Sym^{n-1} plus
+    e_i.  Row 0 is c (_rank's sum, at the same lefts); row i + 1 is row i
+    with the left t after entry i one larger, which adds row r - 1 of _ahead
+    at t + 1 to _rank's sum, for r = d-1-i."""
+    occ = _occupation_table(d, n - 1)
+    ahead = _ahead(d, n)
+    out = np.empty((d, len(occ)), dtype=np.int64)
+    out[0] = np.arange(len(occ))
+    left = np.full(len(occ), n - 1)
+    for i in range(d - 1):
+        left -= occ[:, i]
+        np.add(out[i], ahead[d - 2 - i, left + 1], out=out[i + 1])
     return out
 
 
@@ -106,36 +128,52 @@ class IndexMap:
         return (z[self.col].T * self.weight).T
 
 
-# _index_map keeps its maps up to this many bytes in all, the least recently
-# used evicted first; a larger map is built for its call and not kept
+def _memo_in_bytes(memo: OrderedDict, limit: str, nbytes):
+    """Memoize a function in `memo` by its arguments, keeping at most the
+    module constant `limit` in bytes (its values' `nbytes`), the least
+    recently used out first; a larger value is built for its call and not
+    kept.  The function gains the cache_clear of lru_cache."""
+    def wrap(build):
+        @wraps(build)
+        def cached(*key):
+            if key in memo:
+                memo.move_to_end(key)
+                return memo[key][0]
+            value = build(*key)
+            size = nbytes(value)
+            if size <= globals()[limit]:
+                memo[key] = value, size
+                while sum(b for _, b in memo.values()) > globals()[limit]:
+                    memo.popitem(last=False)
+            return value
+        cached.cache_clear = memo.clear
+        return cached
+    return wrap
+
+
+# _index_map and split_table each keep up to this many bytes of results
 INDEX_MAP_CACHE_BYTES = 2 ** 24
+SPLIT_TABLE_CACHE_BYTES = 2 ** 24
 _INDEX_MAPS = OrderedDict()  # (d, n) -> (map, bytes), least recent first
+_SPLIT_TABLES = OrderedDict()  # (d, n, k) -> (table, bytes), likewise
 
 
+@_memo_in_bytes(_INDEX_MAPS, "INDEX_MAP_CACHE_BYTES",
+                lambda v: sum(a.nbytes for a in vars(v).values()))
 def _index_map(d: int, n: int) -> IndexMap:
-    if (d, n) in _INDEX_MAPS:
-        _INDEX_MAPS.move_to_end((d, n))
-        return _INDEX_MAPS[d, n][0]
-    # entry i of the occupation of flat index x counts its digits equal to i:
-    # the outer sum of n indicators of i (0 if n = 0), one entry at a time
-    entries = (reduce(np.add.outer, [e] * n or [0 * e[:1]]).ravel()
-               for e in np.eye(d, dtype=np.int64))
-    col = _rank(entries, d, n, np.zeros(d ** n, dtype=np.int64))
+    # the occupation of flat index (x_0, rest) is that of rest plus e_{x_0},
+    # so col over j + 1 factors is _raised(d, j + 1)[x_0, col over j]
+    col = np.zeros(1, dtype=np.int64)
+    for j in range(1, n + 1):
+        col = _raised(d, j).take(col, axis=1).ravel()
     # column sizes are the multinomial multiplicities n!/(prod n_i!)
     mult = np.bincount(col, minlength=sym_dim(d, n))
     scale = 1.0 / np.sqrt(mult)
-    order = col.argsort(kind="stable")
+    # the same stable order from the narrowest keys: numpy sorts keys of 16
+    # bits or fewer by radix
+    order = col.astype(np.min_scalar_type(len(mult) - 1)).argsort(kind="stable")
     starts = np.add.accumulate(mult) - mult
-    v = IndexMap(col, scale[col], scale, order, starts)
-    nbytes = sum(a.nbytes for a in vars(v).values())
-    if nbytes <= INDEX_MAP_CACHE_BYTES:
-        _INDEX_MAPS[d, n] = v, nbytes
-        while sum(b for _, b in _INDEX_MAPS.values()) > INDEX_MAP_CACHE_BYTES:
-            _INDEX_MAPS.popitem(last=False)
-    return v
-
-
-_index_map.cache_clear = _INDEX_MAPS.clear
+    return IndexMap(col, scale[col], scale, order, starts)
 
 
 def index_map(d: int, n: int, cap: int = DEFAULT_DIM_CAP) -> IndexMap:
@@ -212,7 +250,10 @@ class SplitTable:
         return out
 
 
-@lru_cache(maxsize=64)
+# both layouts, the rest one as it will be once read: s_n x s_k entries of
+# an index and a coefficient
+@_memo_in_bytes(_SPLIT_TABLES, "SPLIT_TABLE_CACHE_BYTES", lambda t: (
+    t.whole.nbytes + t.whole_coef.nbytes + 16 * int(t.whole[-1, -1] + 1) * len(t.whole)))
 def split_table(d: int, n: int, k: int) -> SplitTable:
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n={n}, got k={k}")

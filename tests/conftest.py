@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from symdist import DEFAULT_DIM_CAP, DenseOperator
-from symdist.scenario import _covariant_purified
+from symdist.scenario import _covariant_distances
 
 from dense_oracles import (
     apply,
@@ -15,11 +15,11 @@ from dense_oracles import (
 
 
 @pytest.fixture(autouse=True)
-def empty_purification_memo():
-    """Every test starts with no covariant purification memoized, so that
-    a test that spies on or measures one sees it made; no other memo is
-    emptied."""
-    _covariant_purified.cache_clear()
+def empty_distance_memo():
+    """Every test starts with no covariant theorem2 distances memoized, so
+    that a test that spies on or measures a covariant purification sees it
+    made; no other memo is emptied."""
+    _covariant_distances.cache_clear()
 
 
 def random_state(rng, dim, dims=None):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -45,7 +46,8 @@ from symdist.linalg import (
     tensor_power,
     validate_state,
 )
-from symdist.symspace import index_map, plan, power_coords, split_table, sym_dim
+from symdist.symspace import (IndexMap, _rank, index_map, plan, power_coords, split_table,
+                              sym_dim)
 
 # -- linear algebra -----------------------------------------------------------
 
@@ -161,6 +163,21 @@ def symmetrizer(d: int, n: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
     runs keep it as the identity on Sym^n."""
     index_map(d, n, cap)  # the cap, before the s_n x s_n identity is built
     return embed_coords(np.eye(sym_dim(d, n)), d, n, cap)
+
+
+def index_map_by_outer_sums(d: int, n: int) -> IndexMap:
+    """The index map as symspace built it before it went factor by factor:
+    entry i of the occupation of flat index x counts its digits equal to i,
+    the outer sum of n indicators of i (0 if n = 0), ranked at once, which
+    costs O(d d^n)."""
+    entries = (reduce(np.add.outer, [e] * n or [0 * e[:1]]).ravel()
+               for e in np.eye(d, dtype=np.int64))
+    col = _rank(entries, d, n, np.zeros(d ** n, dtype=np.int64))
+    mult = np.bincount(col, minlength=sym_dim(d, n))
+    scale = 1.0 / np.sqrt(mult)
+    order = col.argsort(kind="stable")
+    starts = np.add.accumulate(mult) - mult
+    return IndexMap(col, scale[col], scale, order, starts)
 
 
 def embed_coords(x: np.ndarray, d: int, n: int,

@@ -1,12 +1,12 @@
-"""Theorem2 on a covariant cloner: purified once per channel, in blocks.
+"""Theorem2 on a covariant cloner: swept once per channel, in blocks.
 
 Both cloners are U-covariant, so their dense output on |0> depends on the
 spec alone, and it commutes with every diagonal unitary: it is block
 diagonal by occupation, one block for each column of index_map(d, M).
-scenario._covariant_purified memoizes the pair purification per spec, and
-purified_state takes its square root one block at a time.  The whole-eigh
-route it replaces is the oracle: purified_state without blocks, and one
-eigh of the whole output.
+scenario._covariant_distances memoizes the run's theorem2 distances per
+spec and K = max(ks), and purified_state takes its square root one block
+at a time.  The whole-eigh route it replaces is the oracle: purified_state
+without blocks, and one eigh of the whole output.
 """
 
 import sys
@@ -14,11 +14,11 @@ import sys
 import numpy as np
 import pytest
 
-from symdist import scenario
+from symdist import scenario, symspace
 from symdist.channels import SDIChannelSpec
-from symdist.definetti import _sqrt_by_blocks, purified_state
+from symdist.definetti import OccupationState, _sqrt_by_blocks, purified_state
 from symdist.linalg import DEFAULT_DIM_CAP, ResourceLimitError
-from symdist.scenario import _covariant_purified, run_scenario, scenario_from_dict
+from symdist.scenario import _covariant_distances, run_scenario, scenario_from_dict
 from symdist.symspace import index_map
 
 KINDS = ("universal_cloner", "noisy_cloner")
@@ -45,26 +45,30 @@ def _values(rows):
 
 
 def _spy(monkeypatch):
-    """The calls that dense_output and numpy's eigh see, by name."""
+    """The calls that dense_output, the sweep and numpy's eigh and eigvalsh
+    see, by name."""
     calls = []
-    dense_output, eigh = SDIChannelSpec.dense_output, np.linalg.eigh
 
-    def spied_output(spec, *args, **kwargs):
-        calls.append("dense_output")
-        return dense_output(spec, *args, **kwargs)
+    def spied(owner, name):
+        inner = getattr(owner, name)
 
-    def spied_eigh(*args, **kwargs):
-        calls.append("eigh")
-        return eigh(*args, **kwargs)
+        def call(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, call)
 
-    monkeypatch.setattr(SDIChannelSpec, "dense_output", spied_output)
-    monkeypatch.setattr(np.linalg, "eigh", spied_eigh)
+    spied(SDIChannelSpec, "dense_output")
+    spied(OccupationState, "sweep")
+    spied(np.linalg, "eigh")
+    spied(np.linalg, "eigvalsh")
     return calls
 
 
-def _whole_route(spec, cap):
-    """Theorem2's purification before the memo: one eigh of the whole output."""
-    return purified_state(spec.dense_output(None, cap), cap)
+def _whole_route(spec, top, cap):
+    """Theorem2's distances before the memo: one eigh of the whole output."""
+    state = purified_state(spec.dense_output(None, cap), cap)
+    distance, _ = scenario._distances(state, range(1, top + 1), cap)
+    return tuple(distance[k] for k in range(1, top + 1))
 
 
 def _squares(d, m_users):
@@ -88,51 +92,79 @@ def test_a_second_run_on_another_input_purifies_nothing(monkeypatch, kind):
     assert _values(second) == _values(first)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("d,m_users,top", [(2, 5, 3), (2, 6, 6), (3, 3, 2)])
+def test_every_ks_of_one_maximum_shares_one_entry(monkeypatch, kind, d, m_users, top):
+    # each run is bit-identical to the same run from an empty memo
+    channel = _channel(kind, d, 1, m_users)
+    cold = []
+    for ks in ([top], [1, top], range(1, top + 1)):
+        _covariant_distances.cache_clear()
+        cold.append((ks, run_scenario(_theorem2(channel, ks=ks))))
+    _covariant_distances.cache_clear()
+    for ks, want in cold:
+        assert _values(run_scenario(_theorem2(channel, ks=ks))) == _values(want)
+    info = _covariant_distances.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+    calls = _spy(monkeypatch)
+    run_scenario(_theorem2(channel, seed=5, ks=[top, 1]))
+    assert calls == []
+
+
 @pytest.mark.parametrize("field,value", [
-    ("kind", "universal_cloner"), ("d", 3), ("N", 2), ("M", 4), ("p", 0.3)])
+    ("kind", "universal_cloner"), ("d", 3), ("N", 2), ("M", 4), ("p", 0.3),
+    ("K", 2)])
 def test_specs_that_differ_in_one_field_share_no_entry(monkeypatch, field, value):
     # the base, a noisy qubit cloner at p = 0, and the universal cloner have
-    # the same output: the memo still keeps one entry each
+    # the same output: the memo still keeps one entry each.  K is max(ks)
     base = _channel("noisy_cloner", 2, 1, 3, p=0.0)
     other = {**base, field: value}
     if value == "universal_cloner":
         del other["p"]
+    ks = range(1, 3) if field == "K" else None
+    other.pop("K", None)
     run_scenario(_theorem2(base))
     calls = _spy(monkeypatch)
-    got = run_scenario(_theorem2(other))
-    assert calls.count("dense_output") == 1
-    assert _covariant_purified.cache_info().currsize == 2
+    got = run_scenario(_theorem2(other, ks=ks))
+    assert calls.count("dense_output") == 1 and calls.count("sweep") == 1
+    assert _covariant_distances.cache_info().currsize == 2
     monkeypatch.undo()
-    _covariant_purified.cache_clear()
-    assert _values(got) == _values(run_scenario(_theorem2(other)))
+    _covariant_distances.cache_clear()
+    assert _values(got) == _values(run_scenario(_theorem2(other, ks=ks)))
 
 
 def test_a_refused_or_failing_run_caches_nothing(monkeypatch):
     cfg = _theorem2(_channel("noisy_cloner", 2, 1, 5))
     with pytest.raises(ResourceLimitError):
         run_scenario(cfg, cap=2 ** 4)
-    assert _covariant_purified.cache_info().currsize == 0
+    assert _covariant_distances.cache_info().currsize == 0
+    for fails in ("eigh", "eigvalsh"):  # the square root's, or a distance's
+        def broken(*args, fails=fails, **kwargs):
+            raise np.linalg.LinAlgError(f"{fails} did not converge")
 
-    def broken_eigh(*args, **kwargs):
-        raise np.linalg.LinAlgError("eigh did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigh", broken_eigh)
-    with pytest.raises(np.linalg.LinAlgError):
-        run_scenario(cfg)
-    assert _covariant_purified.cache_info().currsize == 0
-    monkeypatch.undo()
+        monkeypatch.setattr(np.linalg, fails, broken)
+        with pytest.raises(np.linalg.LinAlgError, match=fails):
+            run_scenario(cfg)
+        assert _covariant_distances.cache_info().currsize == 0
+        monkeypatch.undo()
     assert all(row.satisfied_theorem2 for row in run_scenario(cfg))
-    assert _covariant_purified.cache_info().currsize == 1
+    assert _covariant_distances.cache_info().currsize == 1
 
 
 def test_the_cached_coordinates_are_read_only():
+    # the purification's coordinates, and the memo's distances, a tuple
     cfg = _theorem2(_channel("noisy_cloner", 2, 1, 4))
-    run_scenario(cfg)
-    state = _covariant_purified(cfg.channel, DEFAULT_DIM_CAP)
-    assert _covariant_purified.cache_info().hits == 1
+    rows = run_scenario(cfg)
+    state = scenario._output(cfg, None, DEFAULT_DIM_CAP)[0]
     assert not state.coords.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         state.coords[0, 0] = 0.0
+    cached = _covariant_distances(cfg.channel, 3, DEFAULT_DIM_CAP)
+    assert _covariant_distances.cache_info().hits == 1
+    assert type(cached) is tuple and all(type(x) is float for x in cached)
+    assert cached == tuple(row.actual_distance for row in rows)
+    with pytest.raises(TypeError):
+        cached[0] = 0.0
 
 
 def test_emptying_every_symdist_memo_makes_the_next_run_purify(monkeypatch):
@@ -144,9 +176,12 @@ def test_emptying_every_symdist_memo_makes_the_next_run_purify(monkeypatch):
             for val in vars(mod).values():
                 if callable(getattr(val, "cache_clear", None)):
                     val.cache_clear()
+    assert not symspace._INDEX_MAPS and not symspace._SPLIT_TABLES
+    assert _covariant_distances.cache_info().currsize == 0
     calls = _spy(monkeypatch)
     assert _values(run_scenario(cfg)) == _values(first)
     assert calls.count("dense_output") == 1 and calls.count("eigh") == 5
+    assert calls.count("sweep") == 1 and calls.count("eigvalsh") == 3
 
 
 # -- the blocks ---------------------------------------------------------------
@@ -208,7 +243,7 @@ def test_theorem2_rows_match_the_whole_eigh_route(monkeypatch, kind, d, n_in, m_
     calls = _spy(monkeypatch)
     blocks = run_scenario(cfg)
     assert calls.count("eigh") == len(_squares(d, m_users))
-    monkeypatch.setattr(scenario, "_covariant_purified", _whole_route)
+    monkeypatch.setattr(scenario, "_covariant_distances", _whole_route)
     for got, want in zip(blocks, run_scenario(cfg), strict=True):
         assert got.satisfied_theorem2 and want.satisfied_theorem2
         assert abs(got.actual_distance - want.actual_distance) <= 1e-12

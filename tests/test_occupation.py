@@ -36,7 +36,7 @@ from symdist.metrics import trace_distance
 from symdist.scenario import (
     SchemaError,
     _basis_prep,
-    _covariant_purified,
+    _covariant_distances,
     _input_state,
     _output,
     _plan,
@@ -1137,10 +1137,10 @@ def _noisy(d, m_users, p=0.1):
 
 def _traced_peak(run, raises=None):
     """Peak bytes that tracemalloc sees while `run` works from empty caches,
-    the covariant purification's memo among them."""
+    the covariant distances' memo among them."""
     _index_map.cache_clear()
     split_table.cache_clear()
-    _covariant_purified.cache_clear()
+    _covariant_distances.cache_clear()
     tracemalloc.start()
     try:
         with pytest.raises(raises) if raises else contextlib.nullcontext():

@@ -89,7 +89,8 @@ def _public_functions():
             if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
                 continue
             if inspect.isfunction(obj):
-                yield f"{mod.__name__}.{name}", obj
+                # a memoized function's own body, not its memo's wrapper
+                yield f"{mod.__name__}.{name}", inspect.unwrap(obj)
             elif inspect.isclass(obj):
                 for attr, member in vars(obj).items():
                     fn = _function_of(member)

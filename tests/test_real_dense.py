@@ -13,7 +13,7 @@ import pytest
 
 from symdist.channels import SDIChannelSpec
 from symdist.linalg import DenseOperator
-from symdist.scenario import _covariant_purified, run_scenario, scenario_from_dict
+from symdist.scenario import _covariant_distances, run_scenario, scenario_from_dict
 from symdist.symspace import sym_dim
 
 TOL = 1e-13
@@ -102,9 +102,9 @@ def test_real_rows_match_the_complex_run(monkeypatch, kind, d, m_users):
         return DenseOperator(out.entries.astype(complex), out.row_dims)
 
     monkeypatch.setattr(SDIChannelSpec, "dense_output", as_complex)
-    # a cloner's purification is memoized by the first run: empty the memo,
+    # a cloner's distances are memoized by the first run: empty the memo,
     # so that the second run purifies the complex output
-    _covariant_purified.cache_clear()
+    _covariant_distances.cache_clear()
     complex_rows = run_scenario(cfg)
     assert cast == [cfg.channel]
     for got, want in zip(real, complex_rows, strict=True):

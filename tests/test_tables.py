@@ -1,8 +1,9 @@
 """The combinatorial tables of symspace against the per-entry loops they
-replace: the recursive occupation generator, and the split-table loop that
+replace: the recursive occupation generator, the split-table loop that
 looked each m = a + b up in a {tuple: index} dict and took each coefficient
-as math.sqrt of an exact integer ratio.  Also the memo of the index maps,
-which is bounded by the bytes it holds."""
+as math.sqrt of an exact integer ratio, and the index map built from d
+outer sums at once.  Also the memos of the index maps and split tables,
+each bounded by the bytes it holds."""
 
 import itertools
 import math
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdist import symspace
+from symdist.definetti import OccupationState
 from symdist.scenario import emit, run_scenario, scenario_from_dict
 from symdist.symspace import (
     _half_log_multiplicities,
@@ -24,6 +26,8 @@ from symdist.symspace import (
     split_table,
     sym_dim,
 )
+
+from dense_oracles import index_map_by_outer_sums
 
 SPLIT_FIELDS = ("whole", "whole_coef", "rest", "rest_coef")
 # sizes past the float64 and int64 ranges of binom(n, k) and sym_dim
@@ -144,11 +148,25 @@ def test_cold_build_stays_under_the_route_estimate():
     assert peak <= max(nbytes for _, nbytes in plan(3, 64, ks).stages)
 
 
-@pytest.mark.parametrize("d,n", [(2, 16), (4, 8), (9, 5)])
+@pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (4, 6), (4, 11), (9, 6), (16, 4),
+                                 (2, 14), (1, 3), (3, 0), (1, 0), (5, 1), (32, 2)])
+def test_index_map_matches_the_outer_sum_builder(d, n):
+    _index_map.cache_clear()
+    got, want = _index_map(d, n), index_map_by_outer_sums(d, n)
+    for field in ("col", "weight", "scale", "order", "starts"):
+        have, expected = getattr(got, field), getattr(want, field)
+        assert have.dtype == expected.dtype, field
+        assert np.array_equal(have, expected), field
+    _index_map.cache_clear()
+
+
+@pytest.mark.parametrize("d,n", [(2, 16), (4, 8), (9, 5), (1024, 2)])
 def test_index_map_builds_in_64_bytes_an_entry(d, n):
     # the figure of the plan's dense stages; a d^n x d array of counts alone would
-    # take 8d bytes an entry, 72 at d = 9
+    # take 8d bytes an entry, 72 at d = 9.  At d = 1024 the occupation table
+    # of one factor is built too, from an empty memo: d^2 entries of 8 bytes
     _index_map.cache_clear()
+    _occupation_table.cache_clear()
     tracemalloc.start()
     try:
         _index_map(d, n)
@@ -218,3 +236,46 @@ def test_a_second_small_theorem2_run_builds_no_table(monkeypatch):
 
     monkeypatch.setattr(symspace, "_rank", refuse)
     assert emit(run_scenario(cfg)) == first
+
+
+def _split_bytes(t):
+    return sum(a.nbytes for a in (t.whole, t.whole_coef, t.rest, t.rest_coef))
+
+
+def test_split_table_bytes_count_both_layouts():
+    split_table.cache_clear()
+    t = split_table(3, 12, 2)
+    (held, counted), = symspace._SPLIT_TABLES.values()
+    assert held is t and counted == _split_bytes(t)  # rest is built on reading
+    split_table.cache_clear()
+
+
+def test_split_table_cache_evicts_the_least_recently_used(monkeypatch):
+    split_table.cache_clear()
+    limit = _split_bytes(split_table(2, 9, 3)) + _split_bytes(split_table(3, 6, 2))
+    split_table.cache_clear()
+    monkeypatch.setattr(symspace, "SPLIT_TABLE_CACHE_BYTES", limit)
+    first = split_table(2, 9, 3)
+    split_table(3, 6, 2)
+    assert split_table(2, 9, 3) is first  # a hit, now the most recently used
+    split_table(2, 8, 3)  # evicts (3, 6, 2)
+    assert list(symspace._SPLIT_TABLES) == [(2, 9, 3), (2, 8, 3)]
+    big = split_table(3, 30, 3)  # larger than the bound: built, not kept
+    assert _split_bytes(big) > limit
+    assert list(symspace._SPLIT_TABLES) == [(2, 9, 3), (2, 8, 3)]
+    with pytest.raises(ValueError, match="need 0 <= k <= n"):
+        split_table(2, 3, 4)
+    assert list(symspace._SPLIT_TABLES) == [(2, 9, 3), (2, 8, 3)]
+    split_table.cache_clear()
+
+
+def test_split_table_cache_keeps_at_most_its_bytes_after_a_long_sweep():
+    # lemma1 on the 1 -> 1024 qubit cloner at k = 1..64: its two tables at
+    # K = 64 and 63 drops' small ones
+    assert symspace.SPLIT_TABLE_CACHE_BYTES == 2 ** 24
+    split_table.cache_clear()
+    state = OccupationState(np.full(1025, 1 / 1025), 2, 1024)
+    assert len(list(state.sweep(range(1, 65)))) == 64
+    assert sum(b for _, b in symspace._SPLIT_TABLES.values()) <= 2 ** 24
+    assert (2, 1024, 64) in symspace._SPLIT_TABLES
+    split_table.cache_clear()
