@@ -31,8 +31,8 @@ from .scenario import (
     scenario_from_dict,
 )
 
-CAP_HELP = ("largest matrix side, and a byte budget of 16*cap^2 for the arrays "
-            "of a run (4 GiB at the default %(default)s)")
+CAP_HELP = ("a byte budget of 16*cap^2 for the arrays of a run, one complex "
+            "matrix of side cap (4 GiB at the default %(default)s)")
 BOUNDS_COLUMNS = ("d", "M", "k", "bound_exact", "bound_asymptotic",
                   "general_exact", "general_asymptotic", "p_err_bound")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Hard ceiling on any stored matrix side, see ResourceLimitError.
+# Sets the byte budget of every run, see _check_bytes.
 DEFAULT_DIM_CAP = 2 ** 14
 
 HERMITICITY_TOL = 1e-9
@@ -27,7 +27,7 @@ TRACE_TOL = 1e-9
 
 
 class ResourceLimitError(RuntimeError):
-    """A requested object would exceed the dimension cap or its byte budget."""
+    """A run would exceed the byte budget, or a dense array the cap on its side."""
 
 
 def _check_cap(dim: int, cap: int, what: str) -> None:
@@ -38,7 +38,7 @@ def _check_cap(dim: int, cap: int, what: str) -> None:
 
 
 def _check_bytes(nbytes: int, cap: int, what: str) -> None:
-    """Byte budget that goes with a side cap: one complex matrix of side cap."""
+    """The byte budget of every run: one complex matrix of side cap."""
     budget = 16 * cap * cap
     if nbytes > budget:
         raise ResourceLimitError(

@@ -283,13 +283,14 @@ def _plan(cfg: ScenarioConfig, phi: np.ndarray | None, cap: int) -> Plan:
                 rows=spec.rows, mc=mc, itemsize=spec.itemsize, cap=cap)
 
 
-def _output(cfg: ScenarioConfig, phi: np.ndarray | None, cap: int,
-            purify: bool = True) -> tuple[OccupationState | None, OccupationState | None]:
+def _output(cfg: ScenarioConfig, phi: np.ndarray | None,
+            cap: int) -> tuple[OccupationState | None, OccupationState | None]:
     """The state whose sweep gives the run's distances (its pair
-    purification, at d^2, under theorem2; None where not `purify`), and the
-    symmetric state that mc_crosscheck samples, or None.  Two routes:
-    lemma1 and every mc_crosscheck take the state from symmetric_output,
-    theorem2 purifies dense_output, a covariant spec's by occupation blocks."""
+    purification, at d^2, under theorem2; None for a covariant spec, whose
+    distances _covariant_distances keeps), and the symmetric state that
+    mc_crosscheck samples, or None.  Two routes: lemma1 and every
+    mc_crosscheck take the state from symmetric_output, theorem2 purifies
+    dense_output."""
     spec, theorem2 = cfg.channel, "theorem2" in cfg.checks
     sym = None
     if not theorem2 or "mc_crosscheck" in cfg.checks:
@@ -298,10 +299,9 @@ def _output(cfg: ScenarioConfig, phi: np.ndarray | None, cap: int,
         sym = OccupationState(coords, spec.d, spec.M)
     if not theorem2:
         return sym, sym if "mc_crosscheck" in cfg.checks else None
-    if not purify:
+    if spec.covariant:
         return None, sym
-    return purified_state(spec.dense_output(phi, cap), cap,
-                          occupation_blocks=spec.covariant), sym
+    return purified_state(spec.dense_output(phi, cap), cap), sym
 
 
 def _distances(state: OccupationState, ks, cap: int) -> tuple[dict[int, float], tuple]:
@@ -342,10 +342,9 @@ def run_scenario(cfg: ScenarioConfig,
     elif "theorem2" in cfg.checks:
         bound, flag = general_bound, "satisfied_theorem2"
     seed = cfg.mc["seed"] if cfg.mc else input_seed
-    covariant = "theorem2" in cfg.checks and spec.covariant
-    out, sym = _output(cfg, phi, cap, purify=not covariant)
+    out, sym = _output(cfg, phi, cap)
     distance, (rho_1, tilde_1) = {}, (None, None)
-    if covariant:
+    if "theorem2" in cfg.checks and spec.covariant:
         distance = dict(enumerate(_covariant_distances(spec, max(cfg.k_list), cap), 1))
     elif bound is not None:
         distance, (rho_1, tilde_1) = _distances(out, cfg.k_list, cap)

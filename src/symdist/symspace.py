@@ -311,8 +311,8 @@ def plan(d: int, m: int, ks=(), *, route: str = "symmetric", field: str = "",
     state, the output included, is charged as it is held: `rows` kets of
     s_M coordinates, or with None an s_M diagonal (a cloner's, from M + 1
     closed-form values).  The guard of every run and library call: before
-    anything is allocated, ResourceLimitError where a side passes the cap
-    or the largest stage the byte budget that goes with it."""
+    anything is allocated, ResourceLimitError where the largest stage passes
+    the byte budget of 16 cap^2."""
     for k in (*ks, mc or 1):
         if not 1 <= k <= m:
             raise ValueError(f"need 1 <= k <= M={m}, got k={k}")
@@ -327,9 +327,10 @@ def plan(d: int, m: int, ks=(), *, route: str = "symmetric", field: str = "",
         # its s_k x s_k kernel output at d^2 and the ancilla trace, charged
         # complex: 24 bytes each of d^3k gathered terms, 112 of d^2k (its
         # table and six matrices for the two results and their distance).
-        if d > 1 and m > cap.bit_length():  # d^M > cap, too large to compute
-            raise ResourceLimitError(f"{m}-user dense output would have side "
-                                     f"{d}^{m}, exceeding the cap {cap}")
+        if d > 1 and m > cap.bit_length():  # d^M > cap: r passes the budget
+            raise ResourceLimitError(  # before its bytes are too many to compute
+                f"dense route for {m} users: dense output would need {itemsize}*{d}^{2 * m}"
+                f" bytes, exceeding the budget of {16 * cap * cap} bytes")
         side, q = d ** m, d * d
         r, held = itemsize * side * side, 2 ** 20 + 64 * side
         untraced = purify * (3 * r + 128 * side)
@@ -337,7 +338,6 @@ def plan(d: int, m: int, ks=(), *, route: str = "symmetric", field: str = "",
         stages += ([("dense output", held + 7 * r // 2)] * output
                    + [("pair purification", held + 7 * r + untraced)] * purify)
         for k in ks:
-            _check_cap(d ** k, cap, f"{k}-user result")
             stages.append((f"{k}-user result", held + kept + 16 * _sym(q, k) ** 2
                            + 24 * d ** (3 * k) + 112 * d ** (2 * k)))
         # Monte Carlo samples the symmetric output, and compares its mixture
@@ -351,7 +351,6 @@ def plan(d: int, m: int, ks=(), *, route: str = "symmetric", field: str = "",
         # it builds its tables, then gathers s_K s_{M+-K} terms (of one ket at
         # a time), and each smaller k drops a user from the pair above it,
         # s_k d terms a result entry: 32 bytes a term
-        _check_cap(s, cap, f"occupation-coordinate state of {m} users")
         held, sq = 2 ** 15 + 4 * state, 1 if rows is None else 2  # s_k^sq entries
         made = (96 * (m + 1) if rows is None
                 else (16 * d + 64) * rows * s + _coords_bytes(d, m))
@@ -368,8 +367,6 @@ def plan(d: int, m: int, ks=(), *, route: str = "symmetric", field: str = "",
         # power_coords' tables at M and k, and 64 bytes an entry of a chunk's
         # k-user coordinates, d x s_M logarithms and overlaps with the kets
         s_k = _sym(d, mc)
-        _check_cap(s_k, cap, f"{mc}-user Monte Carlo estimate")
-        _check_cap(s, cap, f"occupation-coordinate state of {m} users")
         chunk = max(1, MC_CHUNK_ENTRIES // (s_k + d * s))
         stages.append((f"Monte Carlo estimate of {mc} users", 2 * state + 80 * s_k * s_k
                        + _coords_bytes(d, m) + _coords_bytes(d, mc)

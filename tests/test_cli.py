@@ -261,9 +261,9 @@ class TestRun:
         assert capsys.readouterr().err == f"error: scenario.channel: {message}\n"
 
     def test_cap_bounds_the_run(self, capsys):
-        # the output of 3 qubit users has side s_3 = 4 in occupation coordinates
+        # the budget at cap 3 is one complex 3 x 3 matrix, 144 bytes
         assert main(["run", "--M", "3", "--cap", "3"]) == 1
-        assert "exceeding the cap 3" in capsys.readouterr().err
+        assert "exceeding the budget of 144 bytes" in capsys.readouterr().err
         assert main(["run", "--M", "3", "--cap", "64"]) == 0
 
     @pytest.mark.parametrize("p", ["1.5", "-0.1"])
@@ -443,12 +443,11 @@ class TestMc:
         assert len(capsys.readouterr().out.splitlines()) == 3
 
     def test_oversized_moment_exits_one(self, capsys):
-        # refused by the guard before the sampler allocates anything: at
-        # d = 3, s_180 = 16471 exceeds the side cap 2^14; at d = 2,
-        # s_7258 = 7259 fits it, but five such complex arrays exceed the
-        # bytes
+        # refused by the byte budget before the sampler allocates anything:
+        # five complex s_n x s_n arrays, s_180 = 16471 at d = 3 and
+        # s_7258 = 7259 at d = 2, exceed it
         for flags, message in ((["--d", "3", "--M", "180"],
-                                "180-user Monte Carlo estimate"),
+                                "Monte Carlo estimate of 180 users would need"),
                                (["--M", "7258"],
                                 "Monte Carlo estimate of 7258 users")):
             assert main(["mc", *flags]) == 1

@@ -155,7 +155,7 @@ def test_the_cached_coordinates_are_read_only():
     # the purification's coordinates, and the memo's distances, a tuple
     cfg = _theorem2(_channel("noisy_cloner", 2, 1, 4))
     rows = run_scenario(cfg)
-    state = scenario._output(cfg, None, DEFAULT_DIM_CAP)[0]
+    state = purified_state(cfg.channel.dense_output(None), occupation_blocks=True)
     assert not state.coords.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         state.coords[0, 0] = 0.0

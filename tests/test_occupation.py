@@ -195,7 +195,10 @@ def test_purified_route_matches_dense(spec):
     ks = _purified_ks(spec)
     cfg = _scenario(spec, ["theorem2"], ks=ks)
     rho = _choi_output(spec)
-    state, _ = _output(cfg, _input_state(cfg)[0], DEFAULT_DIM_CAP)
+    # a covariant spec's run keeps only its distances, so its purification
+    # by occupation blocks is built here
+    state = (purified_state(spec.dense_output(None), occupation_blocks=True)
+             if spec.covariant else _output(cfg, _input_state(cfg)[0], DEFAULT_DIM_CAP)[0])
     assert state.paired
     for k, row in zip(ks, run_scenario(cfg)):
         marginal = partial_trace(rho, range(k))
@@ -913,12 +916,15 @@ def _cloner(d, m_users, ks):
     })
 
 
-@pytest.mark.parametrize("d,m_users", [(2, 20000), (3, 200)])
+@pytest.mark.parametrize("d,m_users", [(2, 145349), (3, 3914)])
 def test_too_large_raises_before_allocating(d, m_users):
+    # the first sizes the byte budget refuses at k = 1
+    plan(d, m_users - 1, [1])
     cfg = _cloner(d, m_users, [1])
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError, match="occupation-coordinate state"):
+        with pytest.raises(ResourceLimitError, match=f"route for {m_users} users: 1-user "
+                                                     "result would need [0-9]+ bytes"):
             run_scenario(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -926,30 +932,35 @@ def test_too_large_raises_before_allocating(d, m_users):
     assert peak < 2 ** 20
 
 
-@pytest.mark.parametrize("d,last", [(2, 16383), (3, 179)])
-def test_cloner_reach_is_the_side_cap(d, last):
-    """A cloner's output is charged as its s_M diagonal, so lemma1 at
-    k = 1..3 runs up to the side cap on s_M, and is refused past it before
-    anything is allocated."""
-    rows = run_scenario(_cloner(d, last, [1, 2, 3]))
+@pytest.mark.parametrize("d,ran,first", [(2, 102466, 102467), (3, 400, 2188)])
+def test_cloner_reach_is_the_byte_budget(d, ran, first):
+    """A cloner's output is charged as its s_M diagonal, and no side caps
+    it: lemma1 at k = 1..3 runs until its 3-user stage passes the byte
+    budget, and is refused there before anything is allocated.  The qubit
+    edge runs; the qutrit one, 2187 users, is planned at nearly 4 GiB, so
+    400 qutrits run in its place."""
+    rows = run_scenario(_cloner(d, ran, [1, 2, 3]))
     assert all(row.satisfied_lemma1 for row in rows)
-    assert abs(rows[0].actual_distance - 2 * (d - 1) / ((d + 1) * last)) <= TOL
-    cfg = _cloner(d, last + 1, [1, 2, 3])
+    assert abs(rows[0].actual_distance - 2 * (d - 1) / ((d + 1) * ran)) <= TOL
+    plan(d, first - 1, [1, 2, 3])
+    cfg = _cloner(d, first, [1, 2, 3])
     assert _traced_peak(lambda: run_scenario(cfg), ResourceLimitError) < 2 ** 20
-    with pytest.raises(ResourceLimitError,
-                       match=f"occupation-coordinate state of {last + 1} users"):
+    with pytest.raises(ResourceLimitError, match=f"occupation-coordinate route for "
+                                                 f"{first} users: 3-user result would need"):
         run_scenario(cfg)
 
 
-@pytest.mark.parametrize("d,n_in,m_users,ks", [
-    (3, 50, 100, [1]), (2, 600, 1200, [1, 2, 3]), (2, 1000, 2000, [1]), (4, 20, 40, [1]),
-    (2, 638, 957, [1]), (3, 36, 58, [1])])
-def test_cloners_the_scatter_charge_refused_now_run(d, n_in, m_users, ks):
+@pytest.mark.parametrize("d,n_in,m_users,ks,rel_tol", [
+    (3, 50, 100, [1], 1e-11), (2, 600, 1200, [1, 2, 3], 1e-11), (2, 1000, 2000, [1], 1e-11),
+    (4, 20, 40, [1], 1e-11), (2, 638, 957, [1], 1e-11), (3, 36, 58, [1], 1e-11),
+    (2, 1, 50000, [1], 1e-8), (3, 1, 400, [1], 1e-8)])
+def test_cloners_the_scatter_charge_refused_now_run(d, n_in, m_users, ks, rel_tol):
     """The plan charged an N -> M cloner's output as the split table's
     s_N^2 s_{M-N} scatter, which refused these, 638 -> 957 qubits and
-    36 -> 58 qutrits the first of each d.  The closed form holds M + 1
-    values: each runs under its plan's largest stage, traced from empty
-    caches, and D_1 is the law 2N(d - 1)/(M(N + d)) within 1e-11."""
+    36 -> 58 qutrits the first of each d; the side cap on s_M refused the
+    last two.  The closed form holds M + 1 values: each runs under its
+    plan's largest stage, traced from empty caches, and D_1 is the law
+    2N(d - 1)/(M(N + d)) within `rel_tol`, the large-M law test's."""
     cfg = scenario_from_dict({
         "schema": 1,
         "channel": {"kind": "universal_cloner", "d": d, "N": n_in, "M": m_users},
@@ -960,7 +971,7 @@ def test_cloners_the_scatter_charge_refused_now_run(d, n_in, m_users, ks):
     assert _traced_peak(lambda: rows.extend(run_scenario(cfg))) <= max(b for _, b in stages)
     assert all(row.satisfied_lemma1 for row in rows)
     want = 2 * n_in * (d - 1) / (m_users * (n_in + d))
-    assert abs(rows[0].actual_distance - want) <= 1e-11 * want
+    assert abs(rows[0].actual_distance - want) <= rel_tol * want
 
 
 def test_one_user_reach_in_d():
@@ -1025,13 +1036,16 @@ def test_large_k_refused_before_allocating():
 def test_guard_counts_gathers_in_bytes():
     plan(2, 1024, [1, 2, 3])
     plan(3, 64, [1, 2, 3])
-    # s_M = 12001 reals, or one ket of s_M, fit; the side cap refuses
-    # s_M = 16385
+    # s_M reals, or kets of s_M, fit until the 1-user result's gathers,
+    # 32 bytes each of s_1 s_{M+1} terms, pass the budget; no side bounds s_M
     plan(2, 12000, [1])
-    plan(2, 12000, [1], rows=1)
-    plan(2, 16383, [1], rows=4)
-    with pytest.raises(ResourceLimitError, match="occupation-coordinate state of 16384 users"):
-        plan(2, 16384, [1])
+    plan(2, 145348, [1])
+    plan(2, 145268, [1], rows=1)
+    plan(2, 144793, [1], rows=4)
+    for rows, m_users in ((None, 145349), (1, 145269), (4, 144794)):
+        with pytest.raises(ResourceLimitError, match=f"route for {m_users} users: "
+                                                     "1-user result would need"):
+            plan(2, m_users, [1], rows=rows)
     plan(3, 100, [1])
     # a 500-user result is 501 x 501; its reduction gathers 501 s_1500
     # terms of a ket
@@ -1065,12 +1079,15 @@ def test_mc_guard_counts_bytes():
     _mc_chunk(3, 119, 119)
     with pytest.raises(ResourceLimitError, match="bytes"):
         _mc_chunk(3, 120, 120)
-    # one user of 16383 qubits fits; the side cap refuses s_M = 16385
-    _mc_chunk(2, 16383, 1)
-    with pytest.raises(ResourceLimitError, match="occupation-coordinate state of 16384 users"):
-        _mc_chunk(2, 16384, 1)
-    # s_180 = 16471 qutrit coordinates exceed the side cap 2^14
-    with pytest.raises(ResourceLimitError, match="180-user Monte Carlo estimate"):
+    # one user of 205097 qubits fits; at 205098 power_coords' tables at M,
+    # M + 1 binomials of up to M bits, pass the budget
+    _mc_chunk(2, 205097, 1)
+    with pytest.raises(ResourceLimitError,
+                       match="route for 205098 users: Monte Carlo estimate of 1 users would need"):
+        _mc_chunk(2, 205098, 1)
+    # s_180 = 16471 qutrit coordinates: five s_n x s_n arrays of 4.3 GB each
+    with pytest.raises(ResourceLimitError,
+                       match="Monte Carlo estimate of 180 users would need [0-9]+ bytes"):
         _mc_chunk(3, 180, 180)
     with pytest.raises(ValueError, match="1 <= k <= M=3"):
         _mc_chunk(2, 3, 4)
@@ -1105,11 +1122,12 @@ def test_scaled_squares_move_no_digit_where_nothing_underflows(d, m, k):
 
 
 def test_moment_check_raises_before_allocating():
-    # refused by the side cap (s_180 = 16471 at d = 3) and by the bytes
-    # (s_7258 = 7259 at d = 2), each before the s_n diagonal exists
+    # refused by the bytes (s_180 = 16471 at d = 3, s_7258 = 7259 at
+    # d = 2), each before the s_n diagonal exists
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError, match="180-user Monte Carlo"):
+        with pytest.raises(ResourceLimitError,
+                           match="Monte Carlo estimate of 180 users would need"):
             moment_check_record(3, 180, samples=10, seed=0)
         with pytest.raises(ResourceLimitError, match="of 7258 users"):
             moment_check_record(2, 7258, samples=10, seed=0)
@@ -1316,7 +1334,8 @@ def test_dense_route_counts_each_k_and_huge_m():
         "pair purification", 2 ** 20 + 64 * 3 ** 8 + 10 * 8 * 3 ** 16 + 128 * 3 ** 8)
     with pytest.raises(ResourceLimitError, match="4-user result would need"):
         plan(3, 8, [4], route="dense", itemsize=8)
-    with pytest.raises(ResourceLimitError, match="side 2\\^1000000000"):
+    with pytest.raises(ResourceLimitError,
+                       match="dense output would need 16\\*2\\^2000000000 bytes"):
         plan(2, 10 ** 9, route="dense", purify=False)
 
 

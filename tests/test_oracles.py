@@ -133,6 +133,17 @@ def test_one_module_checks_the_byte_budget():
     assert callers == {"symspace"}
 
 
+def test_the_plan_checks_no_side():
+    # one comparison decides every run, the largest stage against the byte
+    # budget: plan refuses no side with _check_cap
+    source = pathlib.Path(symspace.__file__).read_text()
+    fn, = [node for node in ast.walk(ast.parse(source))
+           if isinstance(node, ast.FunctionDef) and node.name == "plan"]
+    calls = [node.func.id for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert "_check_bytes" in calls and "_check_cap" not in calls
+
+
 def test_one_module_writes_tables():
     # render_rows in scenario is the one table writer: the bounds table and
     # every record go through it, so only scenario calls csv.writer or
