@@ -10,7 +10,8 @@ An OccupationState holds the state in occupation coordinates as a
 diagonal (a cloner's output in its input's frame) or as the rows of a
 stack of kets (a preparation's output, or, from purified_state, the pair
 purification (sqrt(rho) tensor 1)|Omega> of a permutation-invariant rho,
-one ket symmetric in the d^2-dimensional pairs, real where rho is); no
+one ket symmetric in the d^2-dimensional pairs, real where rho is, its
+root taken by occupation blocks wherever rho's exact zeros allow); no
 s_M x s_M matrix.  The exact kernels, and the ancilla trace, are one
 contraction over split coefficients (Harrow, arXiv:1308.6595), with s_k x
 s_k results, or diagonals, in Sym^k and the state's dtype; the sweep runs
@@ -231,8 +232,7 @@ def _sqrt_by_blocks(a: np.ndarray, squares) -> np.ndarray:
     return a
 
 
-def purified_state(rho: DenseOperator, cap: int = DEFAULT_DIM_CAP,
-                   occupation_blocks: bool = False) -> OccupationState:
+def purified_state(rho: DenseOperator, cap: int = DEFAULT_DIM_CAP) -> OccupationState:
     """The pair purification |Phi> = (sqrt(rho) tensor 1)|Omega> of rho in
     occupation coordinates of Sym^M(C^{d^2}), real where rho is, its
     coordinates read-only.
@@ -245,11 +245,9 @@ def purified_state(rho: DenseOperator, cap: int = DEFAULT_DIM_CAP,
     an entry: sqrt lifts roundoff to ~1e-8.
 
     _sqrt_by_blocks takes sqrt(rho) over (rho + rho†)/2, one block at a
-    time.  Without `occupation_blocks` the block is all of rho.  With it,
-    the caller vouches that rho commutes with every diagonal unitary, as a
-    covariant cloner's output on |0> does, so rho is block diagonal by
-    occupation: one block for each column of index_map(d, M), and its
-    entries outside the blocks are kept as the zeros they are."""
+    time: one for each column of index_map(d, M) where that is exactly zero
+    outside these occupation blocks, as an output that commutes with the
+    diagonal unitaries is (zeros kept as they are), else all of rho."""
     d, m = _uniform_square(rho, "rho")
     plan(d, m, route="dense", itemsize=rho.entries.itemsize, cap=cap)
     for t in range(m - 1):
@@ -259,13 +257,16 @@ def purified_state(rho: DenseOperator, cap: int = DEFAULT_DIM_CAP,
                 f"rho is not permutation invariant within {PERM_INVARIANCE_TOL} "
                 f"(swap {t},{t + 1} residual {resid:.3e})"
             )
-    squares = [np.s_[:, :]]
-    if occupation_blocks:
-        v = _index_map(d, m)
-        squares = [np.ix_(b, b) for b in np.split(v.order, v.starts[1:])]
-    # one name for sqrt(rho) and the pair ket, so that each is freed as
-    # the next is made
-    phi = _sqrt_by_blocks(0.5 * (rho.entries + rho.entries.conj().T), squares)
+    # one name for (rho + rho†)/2, its square root and the pair ket, so
+    # that each is freed as the next is made
+    phi = 0.5 * (rho.entries + rho.entries.conj().T)
+    v, nonzero = _index_map(d, m), np.count_nonzero(phi)
+    # more nonzeros than the blocks' sum(side^2) entries put one outside them
+    squares = ([np.ix_(b, b) for b in np.split(v.order, v.starts[1:])]
+               if nonzero <= (np.bincount(v.col) ** 2).sum() else [])
+    if sum(np.count_nonzero(phi[square]) for square in squares) < nonzero:
+        squares = [np.s_[:, :]]
+    phi = _sqrt_by_blocks(phi, squares)
     order = [ax for j in range(m) for ax in (j, m + j)]
     phi = phi.reshape((d,) * (2 * m)).transpose(order).reshape(-1)
     nrm = float(np.linalg.norm(phi))

@@ -284,24 +284,14 @@ def _plan(cfg: ScenarioConfig, phi: np.ndarray | None, cap: int) -> Plan:
 
 
 def _output(cfg: ScenarioConfig, phi: np.ndarray | None,
-            cap: int) -> tuple[OccupationState | None, OccupationState | None]:
-    """The state whose sweep gives the run's distances (its pair
-    purification, at d^2, under theorem2; None for a covariant spec, whose
-    distances _covariant_distances keeps), and the symmetric state that
-    mc_crosscheck samples, or None.  Two routes: lemma1 and every
-    mc_crosscheck take the state from symmetric_output, theorem2 purifies
-    dense_output."""
-    spec, theorem2 = cfg.channel, "theorem2" in cfg.checks
-    sym = None
-    if not theorem2 or "mc_crosscheck" in cfg.checks:
-        coords = spec.symmetric_output(phi, cap)
-        validate_state(coords, name="channel output", ket=coords.ndim == 2)
-        sym = OccupationState(coords, spec.d, spec.M)
-    if not theorem2:
-        return sym, sym if "mc_crosscheck" in cfg.checks else None
-    if spec.covariant:
-        return None, sym
-    return purified_state(spec.dense_output(phi, cap), cap), sym
+            cap: int) -> OccupationState | None:
+    """The symmetric state, from symmetric_output, that lemma1 sweeps and
+    mc_crosscheck samples; None under theorem2 alone."""
+    if "theorem2" in cfg.checks and "mc_crosscheck" not in cfg.checks:
+        return None
+    coords = cfg.channel.symmetric_output(phi, cap)
+    validate_state(coords, name="channel output", ket=coords.ndim == 2)
+    return OccupationState(coords, cfg.channel.d, cfg.channel.M)
 
 
 def _distances(state: OccupationState, ks, cap: int) -> tuple[dict[int, float], tuple]:
@@ -315,39 +305,45 @@ def _distances(state: OccupationState, ks, cap: int) -> tuple[dict[int, float], 
     return distance, first
 
 
+def _theorem2_distances(spec: SDIChannelSpec, phi: np.ndarray | None, ks,
+                        cap: int) -> dict[int, float]:
+    """Theorem2's distance at each k of ks, for every kind: one sweep of the
+    pair purification of dense_output."""
+    return _distances(purified_state(spec.dense_output(phi, cap), cap), ks, cap)[0]
+
+
 @lru_cache(maxsize=64)
 def _covariant_distances(spec: SDIChannelSpec, top: int, cap: int) -> tuple[float, ...]:
-    """Theorem2's distances at k = 1..top of a covariant spec, whose output
+    """_theorem2_distances at k = 1..top of a covariant spec, whose output
     reads no input: one entry per (kind, d, N, M, p), top = max(ks) and cap.
     Each is the one a run at ks takes, bit for bit, from the same sweep down
     from top; the plan's dense stages grow with k, so going on to k = 1
     refuses nothing.  A refusal or failure caches nothing."""
-    state = purified_state(spec.dense_output(None, cap), cap, occupation_blocks=True)
-    distance, _ = _distances(state, range(1, top + 1), cap)
+    distance = _theorem2_distances(spec, None, range(1, top + 1), cap)
     return tuple(distance[k] for k in range(1, top + 1))
 
 
 def run_scenario(cfg: ScenarioConfig,
                  cap: int = DEFAULT_DIM_CAP) -> list[ResultRecord]:
-    """Execute a scenario; one record per k, in k_list order.  The distances
-    come from one sweep of _output's state, a covariant spec's theorem2 ones
-    from _covariant_distances: theorem2 rows read nothing else of it."""
+    """Execute a scenario; one record per k, in k_list order.  Two routes:
+    lemma1's distances come from one sweep of _output's symmetric state,
+    theorem2's from _theorem2_distances (through _covariant_distances'
+    memo for a covariant spec); mc_crosscheck samples the symmetric state."""
     start = time.perf_counter()
     spec = cfg.channel
     phi, input_seed = _input_state(cfg)
     _plan(cfg, phi, cap)
+    seed = cfg.mc["seed"] if cfg.mc else input_seed
+    sym = _output(cfg, phi, cap)
     bound = flag = None
+    distance, (rho_1, tilde_1) = {}, (None, None)
     if "lemma1" in cfg.checks:
         bound, flag = lemma1_bound, "satisfied_lemma1"
+        distance, (rho_1, tilde_1) = _distances(sym, cfg.k_list, cap)
     elif "theorem2" in cfg.checks:
         bound, flag = general_bound, "satisfied_theorem2"
-    seed = cfg.mc["seed"] if cfg.mc else input_seed
-    out, sym = _output(cfg, phi, cap)
-    distance, (rho_1, tilde_1) = {}, (None, None)
-    if "theorem2" in cfg.checks and spec.covariant:
-        distance = dict(enumerate(_covariant_distances(spec, max(cfg.k_list), cap), 1))
-    elif bound is not None:
-        distance, (rho_1, tilde_1) = _distances(out, cfg.k_list, cap)
+        distance = (dict(enumerate(_covariant_distances(spec, max(cfg.k_list), cap), 1))
+                    if spec.covariant else _theorem2_distances(spec, phi, cfg.k_list, cap))
     records = []
     for k in cfg.k_list:
         row = ResultRecord(d=spec.d, N=spec.N, M=spec.M, k=k, p=spec.p, seed=seed)
@@ -376,7 +372,7 @@ def run_scenario(cfg: ScenarioConfig,
                 and diff <= row.actual_distance + BOUND_SLACK
                 and row.actual_distance <= row.bound_exact + BOUND_SLACK
             )
-        if sym is not None:
+        if "mc_crosscheck" in cfg.checks:
             # The sampler estimates the symmetric-route reduction, the only
             # reference its stderr applies to: tilde_1 under lemma1, while under
             # theorem2 the exact columns hold the purified route's state.

@@ -313,6 +313,8 @@ def plan(d: int, m: int, ks=(), *, route: str = "symmetric", field: str = "",
     closed-form values).  The guard of every run and library call: before
     anything is allocated, ResourceLimitError where the largest stage passes
     the byte budget of 16 cap^2."""
+    if not (ks or output or mc):
+        raise ValueError("empty k list: no k-user result, output or Monte Carlo to plan")
     for k in (*ks, mc or 1):
         if not 1 <= k <= m:
             raise ValueError(f"need 1 <= k <= M={m}, got k={k}")

@@ -1,12 +1,15 @@
-"""Theorem2 on a covariant cloner: swept once per channel, in blocks.
+"""Theorem2 by occupation blocks, and a covariant cloner swept once per channel.
 
-Both cloners are U-covariant, so their dense output on |0> depends on the
-spec alone, and it commutes with every diagonal unitary: it is block
-diagonal by occupation, one block for each column of index_map(d, M).
-scenario._covariant_distances memoizes the run's theorem2 distances per
-spec and K = max(ks), and purified_state takes its square root one block
-at a time.  The whole-eigh route it replaces is the oracle: purified_state
-without blocks, and one eigh of the whole output.
+purified_state roots the dense output one occupation block at a time, one
+block for each column of index_map(d, M), wherever (rho + rho†)/2 is exactly
+zero outside those blocks, and by one whole eigh otherwise.  Both cloners
+are U-covariant, so their dense output on |0> depends on the spec alone and
+commutes with every diagonal unitary: it is block diagonal by occupation,
+and so is any preparation made only of diagonal states.
+scenario._covariant_distances memoizes a cloner's theorem2 distances per
+spec and K = max(ks).  The oracle is the whole-eigh route: the dense pair
+ket of purify_perm_invariant, one eigh of the whole output, compressed to
+pair coordinates.
 """
 
 import sys
@@ -17,9 +20,12 @@ import pytest
 from symdist import scenario, symspace
 from symdist.channels import SDIChannelSpec
 from symdist.definetti import OccupationState, _sqrt_by_blocks, purified_state
-from symdist.linalg import DEFAULT_DIM_CAP, ResourceLimitError
-from symdist.scenario import _covariant_distances, run_scenario, scenario_from_dict
+from symdist.linalg import DEFAULT_DIM_CAP, DenseOperator, ResourceLimitError
+from symdist.scenario import (_covariant_distances, _input_state, run_scenario,
+                              scenario_from_dict)
 from symdist.symspace import index_map
+
+from dense_oracles import purify_perm_invariant
 
 KINDS = ("universal_cloner", "noisy_cloner")
 P = 0.1
@@ -64,11 +70,26 @@ def _spy(monkeypatch):
     return calls
 
 
-def _whole_route(spec, top, cap):
-    """Theorem2's distances before the memo: one eigh of the whole output."""
-    state = purified_state(spec.dense_output(None, cap), cap)
-    distance, _ = scenario._distances(state, range(1, top + 1), cap)
-    return tuple(distance[k] for k in range(1, top + 1))
+def _whole_route(spec, phi, ks, cap=DEFAULT_DIM_CAP):
+    """Theorem2's distance at each k of ks by one eigh of the whole output:
+    purify_perm_invariant's dense pair ket, compressed to pair coordinates."""
+    pairs = purify_perm_invariant(spec.dense_output(phi, cap)).entries[:, 0]
+    coords = index_map(spec.d ** 2, spec.M, cap=pairs.size).compress(pairs)
+    state = OccupationState(coords[None, :], spec.d, spec.M, paired=True)
+    distance, _ = scenario._distances(state, ks, cap)
+    return distance
+
+
+def _assert_rows_match_the_whole_route(monkeypatch, cfg, rows):
+    """Each row's distance within 1e-12 of _whole_route's, which takes
+    exactly one eigh."""
+    monkeypatch.undo()
+    calls = _spy(monkeypatch)
+    want = _whole_route(cfg.channel, _input_state(cfg)[0], cfg.k_list)
+    assert calls.count("eigh") == 1
+    for row in rows:
+        assert row.satisfied_theorem2
+        assert abs(row.actual_distance - want[row.k]) <= 1e-12
 
 
 def _squares(d, m_users):
@@ -155,7 +176,7 @@ def test_the_cached_coordinates_are_read_only():
     # the purification's coordinates, and the memo's distances, a tuple
     cfg = _theorem2(_channel("noisy_cloner", 2, 1, 4))
     rows = run_scenario(cfg)
-    state = purified_state(cfg.channel.dense_output(None), occupation_blocks=True)
+    state = purified_state(cfg.channel.dense_output(None))
     assert not state.coords.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         state.coords[0, 0] = 0.0
@@ -243,7 +264,73 @@ def test_theorem2_rows_match_the_whole_eigh_route(monkeypatch, kind, d, n_in, m_
     calls = _spy(monkeypatch)
     blocks = run_scenario(cfg)
     assert calls.count("eigh") == len(_squares(d, m_users))
-    monkeypatch.setattr(scenario, "_covariant_distances", _whole_route)
-    for got, want in zip(blocks, run_scenario(cfg), strict=True):
-        assert got.satisfied_theorem2 and want.satisfied_theorem2
-        assert abs(got.actual_distance - want.actual_distance) <= 1e-12
+    _assert_rows_match_the_whole_route(monkeypatch, cfg, blocks)
+
+
+# -- every kind ---------------------------------------------------------------
+
+
+def _matrix(rows):
+    return [[[float(np.real(x)), float(np.imag(x))] for x in row] for row in rows]
+
+
+def _mixed_diag(d, i=0):
+    """diag(0.7 at i, 0.3/(d - 1) elsewhere)."""
+    return np.diag([0.7 if j == i else 0.3 / (d - 1) for j in range(d)])
+
+
+def _preparation(kind, d, m_users, preps):
+    """A fixed_prep of preps[0], or a measure_prepare that measures the
+    basis and prepares preps[i] on outcome i."""
+    if kind == "fixed_prep":
+        return {"kind": kind, "d": d, "M": m_users, "prep": [_matrix(preps[0])]}
+    povm = [_matrix(np.diag(np.eye(d)[i])) for i in range(d)]
+    return {"kind": kind, "d": d, "M": m_users, "povm": povm,
+            "prep": [_matrix(sigma) for sigma in preps]}
+
+
+DIAGONAL = [(kind, d, m_users) for kind in ("fixed_prep", "measure_prepare")
+            for d, top in ((2, 8), (3, 5)) for m_users in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("kind,d,m_users", DIAGONAL)
+def test_a_preparation_of_diagonal_states_takes_the_blocks(monkeypatch, kind, d, m_users):
+    preps = [_mixed_diag(d, i) for i in range(d)]
+    cfg = _theorem2(_preparation(kind, d, m_users, preps), ks=range(1, min(m_users, 2) + 1))
+    calls = _spy(monkeypatch)
+    rows = run_scenario(cfg)
+    assert calls.count("eigh") == len(_squares(d, m_users))
+    _assert_rows_match_the_whole_route(monkeypatch, cfg, rows)
+
+
+PLUS = np.full((2, 2), 0.5)
+OFF_BLOCKS = [
+    ("fixed_prep", [PLUS]),
+    ("measure_prepare", [np.diag([0.9, 0.1]), np.array([[0.3, 0.2], [0.2, 0.7]])]),
+    ("measure_prepare", [_mixed_diag(2), 0.9 * _mixed_diag(2, 1) + 0.1 * PLUS]),
+]
+
+
+@pytest.mark.parametrize("kind,preps", OFF_BLOCKS, ids=["plus", "mixed-preps", "one-plus"])
+@pytest.mark.parametrize("m_users", [2, 4, 6])
+def test_an_entry_off_the_blocks_takes_one_whole_eigh(monkeypatch, kind, preps, m_users):
+    cfg = _theorem2(_preparation(kind, 2, m_users, preps), ks=[1, 2])
+    calls = _spy(monkeypatch)
+    rows = run_scenario(cfg)
+    assert calls.count("eigh") == 1
+    _assert_rows_match_the_whole_route(monkeypatch, cfg, rows)
+
+
+def test_a_single_entry_off_the_blocks_takes_one_whole_eigh(monkeypatch):
+    # the maximally mixed state of 3 qubits with one symmetric pair of
+    # entries of 1e-300 between |000> and |111>, which every permutation fixes
+    m_users = 3
+    rho = np.eye(2 ** m_users) / 2 ** m_users
+    rho[0, -1] = rho[-1, 0] = 1e-300
+    calls = _spy(monkeypatch)
+    purified_state(DenseOperator(rho, (2,) * m_users))
+    assert calls.count("eigh") == 1
+    rho[0, -1] = rho[-1, 0] = 0.0
+    calls.clear()
+    purified_state(DenseOperator(rho, (2,) * m_users))
+    assert calls.count("eigh") == len(_squares(2, m_users))

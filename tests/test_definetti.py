@@ -251,6 +251,19 @@ class TestGeneralReduction:
         with pytest.raises(ValueError, match="1 <= k <= M=2"):
             next(purified_state(ket00()).sweep([0]))
 
+    def test_an_empty_k_list(self):
+        # refused by name, on both routes, before anything is gathered
+        for state in (purified_state(ket00()), symmetric_state(ket00())):
+            with pytest.raises(ValueError, match="empty k list"):
+                next(state.sweep([]))
+
+    def test_a_plan_of_nothing(self):
+        # no k, no output and no Monte Carlo: nothing to plan
+        for route in ("symmetric", "dense"):
+            with pytest.raises(ValueError, match="empty k list"):
+                symspace.plan(2, 3, route=route, output=False)
+        assert symspace.plan(2, 3, output=False, mc=1).chunk > 0
+
     def test_refuses_a_large_k_before_gathering(self):
         # the result's side 2^6 fits the cap, but its gather (2^18 entries
         # of gathered values and coefficient products, 6 MiB) exceeds the

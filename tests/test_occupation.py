@@ -195,10 +195,9 @@ def test_purified_route_matches_dense(spec):
     ks = _purified_ks(spec)
     cfg = _scenario(spec, ["theorem2"], ks=ks)
     rho = _choi_output(spec)
-    # a covariant spec's run keeps only its distances, so its purification
-    # by occupation blocks is built here
-    state = (purified_state(spec.dense_output(None), occupation_blocks=True)
-             if spec.covariant else _output(cfg, _input_state(cfg)[0], DEFAULT_DIM_CAP)[0])
+    # a theorem2 run keeps only its distances, so its purification is built
+    # here as the run builds it
+    state = purified_state(spec.dense_output(_input_state(cfg)[0]))
     assert state.paired
     for k, row in zip(ks, run_scenario(cfg)):
         marginal = partial_trace(rho, range(k))

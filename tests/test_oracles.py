@@ -9,7 +9,8 @@ package, and every public method or property of one of its public classes,
 must be entered by one of them: code that only tests need lives under
 tests/, in dense_oracles, and the package exports none of it.  One module,
 symspace, the owner of the plan, compares bytes with the budget, and one,
-scenario, the owner of the output format, writes CSV and JSON.
+scenario, the owner of the output format, writes CSV and JSON; one
+function of scenario takes theorem2's route.
 """
 
 import ast
@@ -142,6 +143,27 @@ def test_the_plan_checks_no_side():
     calls = [node.func.id for node in ast.walk(fn)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
     assert "_check_bytes" in calls and "_check_cap" not in calls
+
+
+def test_one_function_takes_theorem2s_route():
+    # purified_state reads its occupation blocks from rho, so it takes no
+    # knob, and scenario purifies dense_output in one function for every kind
+    tree = ast.parse(pathlib.Path(definetti.__file__).read_text())
+    fn, = [node for node in ast.walk(tree)
+           if isinstance(node, ast.FunctionDef) and node.name == "purified_state"]
+    params = [a.arg for a in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs)]
+    assert params == ["rho", "cap"]
+    callers = {"purified_state": set(), "dense_output": set()}
+    tree = ast.parse(pathlib.Path(scenario.__file__).read_text())
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in callers:
+                        callers[name].add(fn.name)
+    assert callers == {"purified_state": {"_theorem2_distances"},
+                       "dense_output": {"_theorem2_distances"}}
 
 
 def test_one_module_writes_tables():
