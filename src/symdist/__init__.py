@@ -19,7 +19,6 @@ from .linalg import (
     DenseOperator,
     ResourceLimitError,
     herm_eigvals,
-    tensor_power,
     validate_state,
 )
 from .metrics import (

@@ -3,35 +3,30 @@
 SDIChannelSpec names one of four kinds, each invariant under permutations
 of the M output slots by construction: the optimal universal N -> M cloner,
 a constant-output preparation, the cloner followed by single-user
-depolarizing noise, and a measure-and-prepare channel.  A run builds the
-output from the spec and its input, a plain array (a unit ket, a density
-matrix, or None for a cloner), sized first by symspace.plan: dense_output
-for every kind, and symmetric_output in occupation coordinates where
+depolarizing noise, and a measure-and-prepare channel.  A preparation's
+matrices are held as one stack per field, checked at once.  A run builds
+the output from the spec and its input, a plain array (a unit ket, a
+density matrix, or None for a cloner), sized first by symspace.plan:
+dense_output for every kind (a preparation's in one chain of products over
+its stack), and symmetric_output in occupation coordinates where
 symmetric_field puts it in Sym^M.  There a preparation's output is its
 weighted kets sqrt(w_j) power_coords(phi_j, M), and a cloner's its
 diagonal in the input's frame: the cloners are U-covariant (Werner, PRA 58,
 1827 (1998)), so every distance and input fidelity is the one on |0>,
 where cloner_diagonal is Werner's closed form: real, as dense_output is
-wherever the preps are (a JSON matrix with no imaginary part is held as
-float64).  Only dense_output builds a DenseOperator.  The tests hold the
-Choi oracles.
+wherever the preps are.  Only dense_output builds a DenseOperator.  The
+tests hold the Choi oracles.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_DIM_CAP,
-    PSD_TOL,
-    DenseOperator,
-    herm_eigvals,
-    tensor_power,
-    validate_state,
-)
+from .linalg import DEFAULT_DIM_CAP, HERMITICITY_TOL, PSD_TOL, TRACE_TOL, DenseOperator
 from .symspace import index_map, plan, power_coords
 
 # Output-support deviation below this counts as "inside the symmetric subspace".
@@ -111,30 +106,58 @@ def _depolarize_factor(mat: np.ndarray, dims: tuple[int, ...],
         x[:, i, :, :, i, :] += traced
 
 
-def _validated_measurement(povm: list[np.ndarray], n_preps: int) -> int:
-    """Check a POVM, given as matrices, with one element for each of n_preps
-    prepared states; returns the input dimension."""
-    if len(povm) != n_preps:
-        raise ValueError(
-            f"got {len(povm)} POVM elements but {n_preps} prepared states"
-        )
-    if not povm:
-        raise ValueError("POVM must have at least one element")
-    if povm[0].ndim != 2 or povm[0].shape[0] != povm[0].shape[1]:
-        raise ValueError(f"POVM element 0 has shape {povm[0].shape}, "
-                         "expected a square matrix")
-    dim_in = povm[0].shape[0]
-    total = np.zeros((dim_in, dim_in), dtype=complex)
-    for idx, e in enumerate(povm):
-        if e.shape != (dim_in, dim_in):
-            raise ValueError(f"POVM element {idx} has shape {e.shape}")
-        w = herm_eigvals(e)
-        if w.size and w[-1] < -1e-9:
-            raise ValueError(f"POVM element {idx} has negative eigenvalue {w[-1]:.3e}")
-        total += e
-    if np.max(np.abs(total - np.eye(dim_in))) > 1e-9:
-        raise ValueError("POVM elements do not sum to the identity within 1e-9")
-    return dim_in
+def _stacked(matrices, shape: tuple, bad_shape) -> np.ndarray:
+    """The `matrices` as one read-only (r, *shape) array, complex128 where an
+    entry is complex, else float64; bad_shape(i, s) refuses matrix i of shape s."""
+    for i, other in enumerate(map(np.shape, matrices)):
+        if other != shape:
+            raise ValueError(bad_shape(i, other))
+    s = np.asarray(matrices)
+    s = np.asarray(s, complex if s.dtype.kind == "c" else float).reshape(len(matrices), *shape)
+    s.setflags(write=False)
+    return s
+
+
+def _check_stack(s: np.ndarray, matrix: str, state: str, unit_trace: bool) -> None:
+    """Check the stack s at once, in validate_state's order and words: finite,
+    Hermitian within HERMITICITY_TOL, PSD within PSD_TOL (one eigvalsh) and,
+    with unit_trace, of trace 1.  The first matrix i that fails is named by
+    `matrix` or `state`, formatted with i."""
+    finite = np.isfinite(s).all(axis=(1, 2))
+    if not finite.all():  # the matrices before the first non-finite one fail first
+        i = int(finite.argmin())
+        _check_stack(s[:i], matrix, state, unit_trace)
+        raise ValueError(f"{matrix.format(i)}: matrix has non-finite entries")
+    st = s.conj().transpose(0, 2, 1)
+    asym = np.abs(s - st).max(axis=(1, 2))
+    least = np.linalg.eigvalsh(0.5 * (s + st))[:, 0]
+    tr = s.trace(axis1=1, axis2=2)
+    faults = (asym > HERMITICITY_TOL, least < -PSD_TOL, unit_trace & (abs(tr - 1.0) > TRACE_TOL))
+    bad = faults[0] | faults[1] | faults[2]
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError((f"{matrix.format(i)}: matrix is not Hermitian within "
+                          f"{HERMITICITY_TOL} (residual {asym[i]:.3e})",
+                          f"{state.format(i)} has negative eigenvalue {least[i]:.3e}",
+                          f"{state.format(i)} has trace {complex(tr[i])}, expected 1",
+                          )[next(j for j, f in enumerate(faults) if f[i])])
+
+
+def _validated_povm(matrices, n_preps: int) -> np.ndarray:
+    """The POVM as one stack: one element for each of n_preps prepared
+    states, PSD, and summing to the identity."""
+    if len(matrices) != n_preps:
+        raise ValueError(f"povm: got {len(matrices)} POVM elements but {n_preps} prepared states")
+    if not len(matrices):
+        raise ValueError("povm: POVM must have at least one element")
+    shape = np.shape(matrices[0])
+    if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
+        raise ValueError(f"povm: POVM element 0 has shape {shape}, expected a square matrix")
+    s = _stacked(matrices, shape, lambda i, other: f"povm: POVM element {i} has shape {other}")
+    _check_stack(s, "povm", "povm: POVM element {}", False)
+    if abs(s.sum(0) - np.eye(shape[0])).max() > 1e-9:
+        raise ValueError("povm: POVM elements do not sum to the identity within 1e-9")
+    return s
 
 
 def _plain_ket(phi, dim: int, what: str = "channel input") -> np.ndarray:
@@ -150,18 +173,14 @@ def _plain_ket(phi, dim: int, what: str = "channel input") -> np.ndarray:
     return phi
 
 
-def _check_prep(m: np.ndarray, d: int) -> None:
-    if m.shape != (d, d):
-        raise ValueError(f"expected a {d} x {d} matrix, got shape {m.shape}")
-    validate_state(m, name="prepared state")
-
-
 # -- serialization -----------------------------------------------------------
 
 
 def _json_real(value, where: str) -> float:
     """The rule for every number of a scenario: an int or a float, not a
     JSON true/false, and finite as a float."""
+    if type(value) is float and math.isfinite(value):  # most numbers, first
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{where}: expected a number, got {value!r}")
     try:
@@ -180,13 +199,23 @@ def _json_complex(pair, where: str) -> complex:
     return complex(_json_real(pair[0], where), _json_real(pair[1], where))
 
 
-def _matrix_from_json(rows, where: str) -> np.ndarray:
-    if not (isinstance(rows, list) and rows and all(
-            isinstance(row, list) and row and len(row) == len(rows[0])
-            for row in rows)):
-        raise ValueError(f"{where}: expected a matrix of [re, im] pairs")
-    m = np.array([[_json_complex(z, where) for z in row] for row in rows])
-    return m if m.imag.any() else m.real.copy()
+def _json_matrices(matrices: list, name: str) -> list[np.ndarray]:
+    """The matrices of a JSON list, each of [re, im] pairs under the rule of
+    _json_complex (a violation names its matrix, name[i]), read in one pass:
+    complex where some imaginary part in the list is nonzero, else float64."""
+    shapes, zs = [], []
+    for i, rows in enumerate(matrices):
+        if not (isinstance(rows, list) and rows and all(
+                isinstance(row, list) and row and len(row) == len(rows[0])
+                for row in rows)):
+            raise ValueError(f"{name}[{i}]: expected a matrix of [re, im] pairs")
+        where = f"{name}[{i}]"
+        shapes.append((len(rows), len(rows[0])))
+        zs += [_json_complex(z, where) for row in rows for z in row]
+    x = np.array(zs, dtype=complex)
+    x = x if x.imag.any() else x.real.copy()
+    ends = itertools.accumulate(a * b for a, b in shapes)
+    return [x[end - a * b:end].reshape(a, b) for end, (a, b) in zip(ends, shapes)]
 
 
 def _json_number(data: dict, key: str, kind: type, optional: bool = False):
@@ -205,15 +234,20 @@ def _json_number(data: dict, key: str, kind: type, optional: bool = False):
 class SDIChannelSpec:
     """Declarative description of one of the channel kinds, JSON
     round-trippable.  Construction checks every field, and an error in a
-    field's value names the field."""
+    field's value names the field.  `prep` and `povm`, given as any
+    sequence of matrices, are held as one read-only (r, n, n) array each,
+    complex128 where some entry is complex, else float64; two specs are
+    equal where their matrix fields agree in shape, dtype and entries."""
 
     kind: str
     d: int
     M: int
     N: int | None = None
     p: float | None = None
-    prep: tuple | None = None   # matrices: (sigma,) for fixed_prep, outcome states for measure_prepare
-    povm: tuple | None = None
+    # (sigma,) for fixed_prep, outcome states for measure_prepare; __eq__
+    # compares the matrix fields, and the hash leaves them out
+    prep: np.ndarray | None = field(default=None, compare=False)
+    povm: np.ndarray | None = field(default=None, compare=False)
 
     # the optional fields that each kind reads; None counts as absent
     FIELDS = {"universal_cloner": ("N",), "fixed_prep": ("prep",),
@@ -232,67 +266,59 @@ class SDIChannelSpec:
                                  f"{'does not take' if given else 'requires'} {name}")
         if self.kind == "fixed_prep" and len(self.prep) != 1:
             raise ValueError("fixed_prep requires exactly one prep matrix")
-        field = None
+        name = "N"
         try:
             if self.N is not None:
-                field = "N"
                 _check_cloner_args(self.d, self.N, self.M)
             if self.p is not None:
-                field = "p"
+                name = "p"
                 _check_depolarizing_weight(self.p)
-            for i, m in enumerate(self._matrices(self.prep or ())):
-                field = f"prep[{i}]"
-                _check_prep(m, self.d)
-            if self.povm is not None:
-                field = "povm"
-                _validated_measurement(self._matrices(self.povm), len(self.prep))
         except ValueError as exc:
-            raise ValueError(f"{field}: {exc}") from exc
+            raise ValueError(f"{name}: {exc}") from exc
+        if self.prep is not None:
+            prep = _stacked(self.prep, (self.d, self.d), lambda i, other: (
+                f"prep[{i}]: expected a {self.d} x {self.d} matrix, got shape {other}"))
+            _check_stack(prep, "prep[{}]: prepared state", "prep[{}]: prepared state", True)
+            object.__setattr__(self, "prep", prep)
+        if self.povm is not None:
+            object.__setattr__(self, "povm", _validated_povm(self.povm, len(self.prep)))
+
+    def __eq__(self, other):
+        # kind comes first: where it agrees, each matrix field is None or a stack on both sides
+        return isinstance(other, SDIChannelSpec) and all(
+            a.dtype == b.dtype and np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(vars(self).values(), vars(other).values()))
 
     @classmethod
     def from_json(cls, data: dict) -> "SDIChannelSpec":
         if not isinstance(data, dict):
             raise ValueError("channel spec must be a JSON object")
-        kind = data.get("kind")
-        prep = data.get("prep")
-        povm = data.get("povm")
-        for name, field in (("prep", prep), ("povm", povm)):
-            if not (field is None or isinstance(field, list)):
+        prep, povm = data.get("prep"), data.get("povm")
+        for name, matrices in (("prep", prep), ("povm", povm)):
+            if not (matrices is None or isinstance(matrices, list)):
                 raise ValueError(f"{name}: expected a list of matrices")
         return cls(
-            kind=kind,
+            kind=data.get("kind"),
             d=_json_number(data, "d", int),
             M=_json_number(data, "M", int),
             N=_json_number(data, "N", int, optional=True),
             p=_json_number(data, "p", float, optional=True),
-            prep=None if prep is None else tuple(
-                _matrix_from_json(m, f"prep[{i}]") for i, m in enumerate(prep)
-            ),
-            povm=None if povm is None else tuple(
-                _matrix_from_json(m, f"povm[{i}]") for i, m in enumerate(povm)
-            ),
+            prep=None if prep is None else _json_matrices(prep, "prep"),
+            povm=None if povm is None else _json_matrices(povm, "povm"),
         )
 
     @property
     def input_dim(self) -> int:
         """The dimension of the input ket or matrix: the POVM side for
         measure_prepare, d for every other kind."""
-        return len(self.povm[0]) if self.kind == "measure_prepare" else self.d
-
-    @staticmethod
-    def _matrices(field: tuple) -> list[np.ndarray]:
-        """The stored matrices of `prep` or `povm` as arrays."""
-        return [np.asarray(m) for m in field]
+        return self.povm.shape[1] if self.kind == "measure_prepare" else self.d
 
     @property
     def itemsize(self) -> int:
-        """Bytes an entry of dense_output: 16 where a prep is complex, else 8."""
-        return np.result_type(float, *self._matrices(self.prep or ())).itemsize
+        """Bytes an entry of dense_output: 16 where the preps are complex, else 8."""
+        return 8 if self.prep is None else self.prep.itemsize
 
-    def _preps(self) -> list[DenseOperator]:
-        return [DenseOperator(m, (self.d,)) for m in self._matrices(self.prep)]
-
-    def _weights(self, state: np.ndarray) -> list[float]:
+    def _weights(self, state: np.ndarray) -> np.ndarray:
         """The weight Tr[E_i rho_in] of each prepared state for the input
         `state`, a unit ket or a density matrix; fixed_prep measures the
         one-outcome POVM {1}.  A weight in [-PSD_TOL, 0), which POVM
@@ -306,33 +332,41 @@ class SDIChannelSpec:
         else:
             raise ValueError(f"input has shape {state.shape}, channel expects {(n, n)}")
         povm = self.povm if self.kind == "measure_prepare" else [np.eye(n)]
-        weights = [float(np.real(np.vdot(np.asarray(e), rho_in))) for e in povm]
+        # an element with no imaginary part in float64, as it was on its own
+        weights = [float(np.real(np.vdot(e.real.copy() if e.dtype == complex
+                                         and not e.imag.any() else e, rho_in)))
+                   for e in povm]
         for i, w in enumerate(weights):
             if w < -PSD_TOL:
                 raise ValueError(f"prep[{i}] has weight {w:.3e} from the input")
-        return [max(w, 0.0) for w in weights]
+        return np.maximum(weights, 0.0)
 
     def _pure_preps(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The kets (rows) of positive weight that the preps enter as, and
-        their weights for `state`: at M = 1 each eigenpair (lam, v) of prep i,
-        weighted w_i lam, past it prep i's top eigenvector, weighted w_i,
-        where its second eigenvalue or w_i is at most SUPPORT_TOL."""
-        kets, weights = [], []
-        for i, (s, w) in enumerate(zip(self._matrices(self.prep), self._weights(state))):
-            vals, vecs = np.linalg.eigh(s)
-            if self.M == 1:
-                kets += list(vecs.T)
-                weights += [w * max(lam, 0.0) for lam in vals]
-                continue
-            if self.d > 1 and vals[-2] > SUPPORT_TOL and w > SUPPORT_TOL:
+        their weights for `state`, from one eigh of the stack: at M = 1 each
+        eigenpair (lam, v) of prep i, weighted w_i lam, past it prep i's top
+        eigenvector, weighted w_i, where its second eigenvalue or w_i is at
+        most SUPPORT_TOL."""
+        vals, vecs = np.linalg.eigh(self.prep)
+        if self.prep.dtype == complex:  # a prep with no imaginary part in float64, as alone
+            real = ~self.prep.imag.any(axis=(1, 2))
+            vals[real], vecs[real] = np.linalg.eigh(self.prep[real].real)
+        w = self._weights(state)
+        if self.M == 1:
+            kets = vecs.transpose(0, 2, 1).reshape(-1, self.d)
+            w = (w[:, None] * np.maximum(vals, 0.0)).ravel()
+        else:
+            mixed = np.flatnonzero((vals[:, -2] > SUPPORT_TOL) & (w > SUPPORT_TOL)
+                                   ) if self.d > 1 else ()
+            if len(mixed):
+                i = mixed[0]
                 raise SupportError(
-                    f"channel.prep[{i}]: mixed (second eigenvalue {vals[-2]:.3e}), "
-                    f"weight {w:.3e} from the input, so the output leaves the "
+                    f"channel.prep[{i}]: mixed (second eigenvalue {vals[i, -2]:.3e}), "
+                    f"weight {w[i]:.3e} from the input, so the output leaves the "
                     "symmetric subspace")
-            kets.append(vecs[:, -1])
-            weights.append(w)
-        kept = np.array(weights) > 0  # a zero row adds only zeros
-        return np.array(kets)[kept], np.array(weights)[kept]
+            kets = vecs[:, :, -1]
+        kept = w > 0  # a zero row adds only zeros
+        return kets[kept], w[kept]
 
     @property
     def rows(self) -> int | None:
@@ -388,12 +422,19 @@ class SDIChannelSpec:
         diagonal embedded, with each user depolarized in place, or the sum
         of w_i sigma_i^{tensor M}; float64 unless a prep is complex.
         Refused, before anything is allocated, where its plan does not fit."""
-        plan(self.d, self.M, route="dense", purify=False, itemsize=self.itemsize, cap=cap)
+        r = 0 if self.covariant else len(self.prep)
+        plan(self.d, self.M, route="dense", purify=False, preps=r, itemsize=self.itemsize,
+             cap=cap)
         dims = (self.d,) * self.M
         if not self.covariant:
-            return DenseOperator(sum(w * tensor_power(s, self.M, cap).entries
-                                     for s, w in zip(self._preps(), self._weights(state))),
-                                 dims)
+            # each step of the kron chain is one broadcast product over the
+            # stack; weighted in place and summed from 0 in order, as sum() does
+            out = np.ones((r, 1, 1), self.prep.dtype)
+            for _ in range(self.M):
+                out = (out[:, :, None, :, None] * self.prep[:, None, :, None, :]).reshape(
+                    r, out.shape[1] * self.d, -1)
+            out *= self._weights(state)[:, None, None]
+            return DenseOperator(out.sum(0, initial=0.0), dims)
         if state is not None:
             _plain_ket(state, self.d, "single-copy dimension")
         v = index_map(self.d, self.M, cap)

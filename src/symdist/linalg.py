@@ -2,15 +2,15 @@
 with explicit tensor-factor bookkeeping, and the checks every state passes.
 
 DenseOperator serves the dense route only: the output on (C^d)^{tensor M}
-(tensor_power builds a preparation's sigma^{tensor M}), whose permutation
-invariance swap_residual checks before it is purified.  Inputs and every
-state of the symmetric route are plain arrays.  Factor 0 is the most
-significant index, numpy's C order and the order np.kron produces.  The
-state checks (check_hermitian, herm_eigvals, validate_state) take plain
-arrays: square matrices, diagonals (1-D), and for validate_state the rows
-of a stack of kets.
+(a preparation's built in one chain of products over its stacked
+matrices), whose permutation invariance swap_residual checks before it is
+purified.  Inputs and every state of the symmetric route are plain arrays.
+Factor 0 is the most significant index, numpy's C order and the order
+np.kron produces.  The state checks (check_hermitian, herm_eigvals,
+validate_state) take plain arrays: square matrices, diagonals (1-D), and
+for validate_state the rows of a stack of kets; a channel checks its
+stacked matrices at once, under the same tolerances.
 """
-
 from __future__ import annotations
 
 import math
@@ -102,19 +102,6 @@ class DenseOperator:
 
 
 # -- operations --------------------------------------------------------------
-
-
-def tensor_power(a: DenseOperator, n: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
-    """a^{tensor n} in a's dtype, entry for entry the chain of n np.kron
-    products: each step a broadcast outer product, refused past the cap."""
-    if n < 0:
-        raise ValueError("tensor power requires n >= 0")
-    x, out = a.entries, np.ones((1, 1), dtype=a.entries.dtype)
-    for _ in range(n):
-        rows, cols = out.shape[0] * x.shape[0], out.shape[1] * x.shape[1]
-        _check_cap(max(rows, cols), cap, "tensor product")
-        out = (out[:, None, :, None] * x[None, :, None, :]).reshape(rows, cols)
-    return DenseOperator(out, a.row_dims * n, a.col_dims * n)
 
 
 def swap_residual(x: DenseOperator, t: int) -> float:

@@ -13,8 +13,6 @@ requested.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import time
@@ -280,7 +278,8 @@ def _plan(cfg: ScenarioConfig, phi: np.ndarray | None, cap: int) -> Plan:
         ) from exc
     return plan(spec.d, spec.M, cfg.k_list, route="dense" if theorem2 else "symmetric",
                 field="scenario.checks" if theorem2 else f"scenario.{field}",
-                rows=spec.rows, mc=mc, itemsize=spec.itemsize, cap=cap)
+                rows=spec.rows, preps=0 if spec.covariant else len(spec.prep), mc=mc,
+                itemsize=spec.itemsize, cap=cap)
 
 
 def _output(cfg: ScenarioConfig, phi: np.ndarray | None,
@@ -430,6 +429,8 @@ def moment_check_record(d: int, n: int, samples: int, seed: int) -> ResultRecord
 def _format_cell(value) -> str:
     if value is None:
         return ""
+    if type(value) is float:  # most cells, first
+        return format(value, ".12g")
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -448,7 +449,9 @@ def render_rows(rows: Sequence[dict], columns: Sequence[str],
     """The one table writer: rows (dicts keyed by `columns`) as CSV, a
     header and one line a row, cells at 12 significant digits and None
     empty, or as a strict JSON list of objects, None null and floats exact,
-    a non-finite one as its CSV token in a string ("inf", "-inf", "nan")."""
+    a non-finite one as its CSV token in a string ("inf", "-inf", "nan").
+    The CSV is joined in one pass, each cell formatted once: no column name
+    or cell needs quoting, so it is the bytes a csv.writer would give."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown output format {fmt!r}; expected csv or json")
     if not rows:
@@ -456,11 +459,9 @@ def render_rows(rows: Sequence[dict], columns: Sequence[str],
     if fmt == "json":
         return json.dumps([{c: _json_cell(row[c]) for c in columns} for row in rows],
                           indent=2, allow_nan=False) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([_format_cell(row[c]) for c in columns] for row in rows)
-    return buf.getvalue()
+    lines = [",".join(columns)]
+    lines += [",".join(map(_format_cell, map(row.__getitem__, columns))) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def emit(records: Sequence[ResultRecord], fmt: str = "csv",

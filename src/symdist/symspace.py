@@ -301,18 +301,19 @@ class Plan:
 
 
 def plan(d: int, m: int, ks=(), *, route: str = "symmetric", field: str = "",
-         output: bool = True, rows: int | None = None, purify: bool = True,
-         mc: int | None = None, itemsize: int = 16,
+         output: bool = True, rows: int | None = None, preps: int = 0,
+         purify: bool = True, mc: int | None = None, itemsize: int = 16,
          cap: int = DEFAULT_DIM_CAP) -> Plan:
     """The Plan of M users at local dimension d: the output (`itemsize`
-    bytes an entry on the dense route, 8 real or 16 complex) and its pair
-    purification there, the k-user results of `ks`, from one sweep at
-    K = max(ks), and the Monte Carlo estimate of `mc` users.  The symmetric
-    state, the output included, is charged as it is held: `rows` kets of
-    s_M coordinates, or with None an s_M diagonal (a cloner's, from M + 1
-    closed-form values).  The guard of every run and library call: before
-    anything is allocated, ResourceLimitError where the largest stage passes
-    the byte budget of 16 cap^2."""
+    bytes an entry on the dense route, 8 real or 16 complex, from `preps`
+    stacked matrices, 0 for a cloner) and its pair purification there, the
+    k-user results of `ks`, from one sweep at K = max(ks), and the Monte
+    Carlo estimate of `mc` users.  The symmetric state, the output
+    included, is charged as it is held: `rows` kets of s_M coordinates, or
+    with None an s_M diagonal (a cloner's, from M + 1 closed-form values).
+    The guard of every run and library call: before anything is allocated,
+    ResourceLimitError where the largest stage passes the byte budget of
+    16 cap^2."""
     if not (ks or output or mc):
         raise ValueError("empty k list: no k-user result, output or Monte Carlo to plan")
     for k in (*ks, mc or 1):
@@ -323,7 +324,8 @@ def plan(d: int, m: int, ks=(), *, route: str = "symmetric", field: str = "",
     state = 8 * s if rows is None else 16 * rows * s
     if route == "dense":
         # r bytes of the d^M x d^M output beside its index map (64 bytes an
-        # entry): 3.5 r to build it, 7 r and eigh's workspace (a copy and
+        # entry): 3.5 r to build a cloner's, a preparation's M-th powers beside
+        # their (M-1)-th, then their sum; 7 r and eigh's workspace (a copy and
         # dsyevd's or zheevd's 2 n^2 entries, 3 r) to purify it; a k-user
         # result holds r, the pair ket and the split tables at K, and adds
         # its s_k x s_k kernel output at d^2 and the ancilla trace, charged
@@ -337,7 +339,8 @@ def plan(d: int, m: int, ks=(), *, route: str = "symmetric", field: str = "",
         r, held = itemsize * side * side, 2 ** 20 + 64 * side
         untraced = purify * (3 * r + 128 * side)
         kept = r + 24 * q ** m + 112 * _sym(q, top) * _sym(q, m + top)
-        stages += ([("dense output", held + 7 * r // 2)] * output
+        built = preps * r + max(r, preps * r // q) if preps else 7 * r // 2
+        stages += ([("dense output", held + built)] * output
                    + [("pair purification", held + 7 * r + untraced)] * purify)
         for k in ks:
             stages.append((f"{k}-user result", held + kept + 16 * _sym(q, k) ** 2

@@ -6,8 +6,9 @@ universal cloner, PRA 58, 1827 (1998), a constant preparation, the noisy
 cloner, a measure-and-prepare channel), its application to an input in the
 lab frame, the turn of a cloner's output into its input's frame, the
 partial trace, whole permutations of factors, the symmetrizer and the
-embedding of occupation coordinates, the dense pair purification, and the
-split-table form of a cloner's diagonal.  No run path needs any of it, so
+embedding of occupation coordinates, the dense pair purification, the
+split-table form of a cloner's diagonal, and the tensor power, the kron
+chain of one matrix that a preparation's output stacks.  No run path needs any of it, so
 none of it lives in the package: symdist keeps only what a run enters, and
 these functions are what its results are compared with.  The oracles take
 their kets as (dim, 1) DenseOperators, built by `ket`; symdist's channels
@@ -34,7 +35,7 @@ from symdist.channels import (
     _check_depolarizing_weight,
     _depolarize_factor,
     _plain_ket,
-    _validated_measurement,
+    _validated_povm,
 )
 from symdist.definetti import OccupationState, _uniform_square
 from symdist.linalg import (
@@ -43,7 +44,6 @@ from symdist.linalg import (
     _as_dims,
     _check_cap,
     swap_residual,
-    tensor_power,
     validate_state,
 )
 from symdist.symspace import (IndexMap, _rank, index_map, plan, power_coords, split_table,
@@ -58,6 +58,20 @@ def ket(coeffs, dims=None) -> DenseOperator:
     v = np.array(coeffs, dtype=complex).reshape(-1, 1)
     rd = (v.shape[0],) if dims is None else _as_dims(dims)
     return DenseOperator(v, rd, ())
+
+
+def tensor_power(a: DenseOperator, n: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
+    """a^{tensor n} in a's dtype, entry for entry the chain of n np.kron
+    products: each step a broadcast outer product, refused past the cap.
+    The oracle for a preparation's dense output, one matrix at a time."""
+    if n < 0:
+        raise ValueError("tensor power requires n >= 0")
+    x, out = a.entries, np.ones((1, 1), dtype=a.entries.dtype)
+    for _ in range(n):
+        rows, cols = out.shape[0] * x.shape[0], out.shape[1] * x.shape[1]
+        _check_cap(max(rows, cols), cap, "tensor product")
+        out = (out[:, None, :, None] * x[None, :, None, :]).reshape(rows, cols)
+    return DenseOperator(out, a.row_dims * n, a.col_dims * n)
 
 
 def _ket_entries(phi: DenseOperator, dim: int, what: str = "channel input") -> np.ndarray:
@@ -357,7 +371,7 @@ def measure_prepare(povm: list[DenseOperator], preps: list[DenseOperator], M: in
     outcome: the oracle for the measure_prepare outputs."""
     if M < 1:
         raise ValueError(f"need M >= 1, got {M}")
-    dim_in = _validated_measurement([e.entries for e in povm], len(preps))
+    dim_in = _validated_povm([e.entries for e in povm], len(preps)).shape[1]
     d = preps[0].shape[0]
     for idx, s in enumerate(preps):
         validate_state(s.entries, name=f"prepared state {idx}")
@@ -473,10 +487,11 @@ def build(spec: SDIChannelSpec, cap: int = DEFAULT_DIM_CAP) -> QuantumChannel:
         return universal_cloner(spec.d, spec.N, spec.M, cap=cap)
     if spec.kind == "noisy_cloner":
         return noisy_cloner(spec.d, spec.N, spec.M, spec.p, cap=cap)
+    preps = [DenseOperator(s, (spec.d,)) for s in spec.prep]
     if spec.kind == "fixed_prep":
-        return fixed_prep_channel(spec._preps()[0], spec.M, cap=cap)
-    povm = [DenseOperator(e, (len(e),)) for e in spec._matrices(spec.povm)]
-    return measure_prepare(povm, spec._preps(), spec.M, cap=cap)
+        return fixed_prep_channel(preps[0], spec.M, cap=cap)
+    povm = [DenseOperator(e, (len(e),)) for e in spec.povm]
+    return measure_prepare(povm, preps, spec.M, cap=cap)
 
 
 def _matrix_to_json(m: np.ndarray) -> list:

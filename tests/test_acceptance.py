@@ -13,7 +13,6 @@ import numpy as np
 
 from symdist.cli import main as cli_main
 from symdist.definetti import mc_reduce_coords, purified_state
-from symdist.linalg import tensor_power
 from symdist.metrics import (
     general_bound,
     lemma1_bound,
@@ -35,6 +34,7 @@ from dense_oracles import (
     projector,
     symmetric_state,
     symmetrizer,
+    tensor_power,
     universal_cloner,
 )
 

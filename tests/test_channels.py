@@ -1,17 +1,17 @@
+import functools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from symdist import channels
 from symdist.channels import QuantumChannel, SDIChannelSpec
 from symdist.linalg import (
     DenseOperator,
     swap_residual,
-    tensor_power,
-    validate_state,
 )
+from symdist.symspace import plan
 
 from dense_oracles import (
     apply,
@@ -26,6 +26,7 @@ from dense_oracles import (
     partial_trace,
     permutation_operator,
     projector,
+    tensor_power,
     to_json,
     universal_cloner,
     validate_sdi,
@@ -292,18 +293,22 @@ class TestSDIChannelSpec:
         ch = build(again)
         assert validate_sdi(ch).permutation_invariant
 
-    def test_each_prep_is_validated_once(self, monkeypatch):
-        names = []
+    def test_each_field_is_validated_in_one_eigvalsh(self, monkeypatch):
+        # the PSD check takes one eigvalsh over each stacked field
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
 
-        def counted(x, name="state"):
-            names.append(name)
-            return validate_state(x, name)
+        def counted(x):
+            shapes.append(x.shape)
+            return eigvalsh(x)
 
-        monkeypatch.setattr(channels, "validate_state", counted)
-        SDIChannelSpec(kind="measure_prepare", d=2, M=2,
-                       prep=(np.diag([1.0, 0.0]), np.eye(2) / 2),
-                       povm=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
-        assert names == ["prepared state"] * 2
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        spec = SDIChannelSpec(kind="measure_prepare", d=2, M=2,
+                              prep=(np.diag([1.0, 0.0]), np.eye(2) / 2, np.eye(2) / 2),
+                              povm=(np.diag([1.0, 0.0]), np.diag([0.0, 0.5]),
+                                    np.diag([0.0, 0.5])))
+        assert shapes == [(3, 2, 2), (3, 2, 2)]
+        assert spec.prep.shape == spec.povm.shape == (3, 2, 2)
 
     def test_fixed_prep_build(self):
         spec = SDIChannelSpec(kind="fixed_prep", d=2, M=2,
@@ -360,6 +365,110 @@ class TestSDIChannelSpec:
         data = {"kind": "fixed_prep", "d": 2, "M": 2, "prep": [[[1.0, 0.0]]]}
         with pytest.raises(ValueError, match="prep"):
             SDIChannelSpec.from_json(data)
+
+
+# the measurement channel of the benchmark's theorem2 workload, as JSON
+BENCH_CHANNEL = {
+    "kind": "measure_prepare", "d": 2, "M": 3,
+    "povm": [[[[0.8, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.3, 0.0]]],
+             [[[0.2, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.7, 0.0]]]],
+    "prep": [[[[0.9, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.1, 0.0]]],
+             [[[0.3, 0.0], [0.2, 0.0]], [[0.2, 0.0], [0.7, 0.0]]]]}
+
+
+def _stacked_spec(rng, d, m_users, complex_preps):
+    """A measure_prepare spec on C^2 whose preps are random full-rank states
+    on C^d, complex where complex_preps says so, with an equal-weight POVM."""
+    preps = []
+    for cplx in complex_preps:
+        a = rng.standard_normal((d, d)) + (1j * rng.standard_normal((d, d)) if cplx else 0)
+        preps.append(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    r = len(preps)
+    return SDIChannelSpec("measure_prepare", d=d, M=m_users, prep=tuple(preps),
+                          povm=tuple(np.eye(2) / r for _ in preps)), preps
+
+
+def _kron_chain_sum(weights, preps, m_users):
+    """sum_i w_i sigma_i^{tensor M}, each power the chain of np.kron products
+    in the prep's own dtype, summed by sum(): the oracle for dense_output."""
+    return sum(w * functools.reduce(np.kron, [s] * m_users, np.ones((1, 1)))
+               for w, s in zip(weights, preps))
+
+
+class TestStackedPreps:
+    @pytest.mark.parametrize("d,m_users", [(2, m) for m in range(1, 9)]
+                             + [(3, m) for m in range(1, 6)])
+    @pytest.mark.parametrize("complex_preps", [
+        (False,), (True,), (False, True), (True, False, False)],
+        ids=["real", "complex", "real-beside-complex", "complex-beside-real"])
+    def test_dense_output_is_the_kron_chain_bit_for_bit(self, d, m_users, complex_preps):
+        rng = np.random.default_rng(10 * d + m_users)
+        spec, preps = _stacked_spec(rng, d, m_users, complex_preps)
+        phi = np.array([0.6, 0.8j])
+        want = _kron_chain_sum(spec._weights(phi), preps, m_users)
+        got = spec.dense_output(phi).entries
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        # fixed_prep: the one-outcome POVM, weight 1
+        fixed = SDIChannelSpec("fixed_prep", d=d, M=m_users, prep=(preps[0],))
+        want = _kron_chain_sum([1.0], preps[:1], m_users)
+        assert fixed.dense_output(np.eye(d)[0]).entries.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d,m_users,complex_preps", [
+        (2, 8, (True, False) * 6), (2, 8, (False,) * 9), (3, 5, (True,) * 10)],
+        ids=["d2-12-complex", "d2-9-real", "d3-10-complex"])
+    def test_more_than_d2_preps_stay_within_the_plan(self, d, m_users, complex_preps):
+        # the chain holds every prep's M-th power beside its (M-1)-th, then
+        # the sum beside them: bit for bit the kron chain, inside the dense
+        # output stage that the plan charges
+        rng = np.random.default_rng(d + len(complex_preps))
+        spec, preps = _stacked_spec(rng, d, m_users, complex_preps)
+        phi = np.array([0.6, 0.8])
+        (_, charge), = plan(d, m_users, route="dense", purify=False, preps=len(preps),
+                            itemsize=spec.itemsize).stages
+        tracemalloc.start()
+        try:
+            got = spec.dense_output(phi).entries
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == _kron_chain_sum(spec._weights(phi), preps,
+                                                m_users).tobytes()
+        assert len(preps) * got.nbytes < peak <= charge
+
+    def test_fields_are_read_only_stacks(self):
+        spec = SDIChannelSpec("measure_prepare", d=2, M=2,
+                              prep=(np.diag([1.0, 0.0]), [[0.5, 0.5j], [-0.5j, 0.5]]),
+                              povm=[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        assert (spec.prep.shape, spec.prep.dtype) == ((2, 2, 2), complex)
+        assert (spec.povm.shape, spec.povm.dtype) == ((2, 2, 2), float)
+        assert not (spec.prep.flags.writeable or spec.povm.flags.writeable)
+        assert spec.itemsize == 16 and spec.input_dim == 2
+
+    def test_equal_specs_compare_equal(self):
+        # two parses of the same JSON: == once raised "truth value of an
+        # array ... is ambiguous"
+        a, b = (SDIChannelSpec.from_json(json.loads(json.dumps(BENCH_CHANNEL)))
+                for _ in range(2))
+        assert a == b and not a != b
+        other = json.loads(json.dumps(BENCH_CHANNEL))
+        other["prep"][1][0][0][0] = 0.4
+        other["prep"][1][1][1][0] = 0.6
+        assert a != SDIChannelSpec.from_json(other)
+        # equal entries of another dtype, another field or another M differ
+        real = SDIChannelSpec("fixed_prep", d=2, M=2, prep=(np.eye(2) / 2,))
+        assert real == SDIChannelSpec("fixed_prep", d=2, M=2, prep=[np.eye(2) / 2])
+        assert real != SDIChannelSpec("fixed_prep", d=2, M=2,
+                                      prep=(np.eye(2, dtype=complex) / 2,))
+        assert real != SDIChannelSpec("fixed_prep", d=2, M=3, prep=(np.eye(2) / 2,))
+        assert a != SDIChannelSpec("measure_prepare", d=2, M=3, prep=a.prep,
+                                   povm=a.povm[::-1])
+        assert a != real and a != "measure_prepare"
+
+    def test_covariant_specs_stay_hashable(self):
+        specs = [SDIChannelSpec("noisy_cloner", d=2, M=3, N=1, p=0.1) for _ in range(2)]
+        assert specs[0] == specs[1] and hash(specs[0]) == hash(specs[1])
+        assert len({*specs, SDIChannelSpec("universal_cloner", d=2, M=3, N=1)}) == 2
 
 
 class TestChannelOutputsAreStates:

@@ -1,5 +1,7 @@
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import symdist
-from symdist import cli
+from symdist import cli, scenario
 from symdist.cli import BOUNDS_COLUMNS, main
 from symdist.scenario import RECORD_COLUMNS, ResultRecord
 
@@ -485,6 +487,110 @@ def test_usage_errors_exit_one(argv, flag, capsys):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "error: " in err and flag in err
+
+
+def _matrix(*rows):
+    return [[[complex(z).real, complex(z).imag] for z in row] for row in rows]
+
+
+P0, P1 = _matrix([1, 0], [0, 0]), _matrix([0, 0], [0, 1])
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"prep": [P0, _matrix([1, 0, 0], [0, 0, 0], [0, 0, 0])]},
+     "prep[1]: expected a 2 x 2 matrix, got shape (3, 3)"),
+    ({"povm": [P0, _matrix([0, 0, 0], [0, 1, 0], [0, 0, 0])]},
+     "povm: POVM element 1 has shape (3, 3)"),
+    ({"povm": [[[[1, 0], [0, 0]]], P1]},
+     "povm: POVM element 0 has shape (1, 2), expected a square matrix"),
+    ({"prep": [P0, _matrix([0.5, 0.1], [0, 0.5])]},
+     "prep[1]: prepared state: matrix is not Hermitian within 1e-09 (residual 1.000e-01)"),
+    ({"prep": [P0, _matrix([0.5, 0.1j], [0.1j, 0.5])]},
+     "prep[1]: prepared state: matrix is not Hermitian within 1e-09 (residual 2.000e-01)"),
+    ({"povm": [_matrix([1, 0.2], [0, 0]), _matrix([0, -0.2], [0, 1])]},
+     "povm: matrix is not Hermitian within 1e-09 (residual 2.000e-01)"),
+    ({"prep": [P0, _matrix([1.2, 0], [0, -0.2])]},
+     "prep[1]: prepared state has negative eigenvalue -2.000e-01"),
+    ({"povm": [_matrix([1.2, 0], [0, 0]), _matrix([-0.2, 0], [0, 1])]},
+     "povm: POVM element 1 has negative eigenvalue -2.000e-01"),
+    ({"prep": [P0, _matrix([0.5, 0], [0, 0.4])]},
+     "prep[1]: prepared state has trace (0.9+0j), expected 1"),
+    ({"prep": [_matrix([0.5, 0.1j], [-0.1j, 0.6]), P1]},
+     "prep[0]: prepared state has trace (1.1+0j), expected 1"),
+    ({"povm": [P0, _matrix([0, 0], [0, 0.9])]},
+     "povm: POVM elements do not sum to the identity within 1e-9"),
+    ({"povm": [P0, _matrix([0, 0], [0, 0.5]), _matrix([0, 0], [0, 0.5])]},
+     "povm: got 3 POVM elements but 2 prepared states"),
+    ({"prep": [], "povm": []}, "povm: POVM must have at least one element"),
+    ({"prep": [P0, [[[0, 0], [0, 0]], [[0, 0], [10 ** 400, 0]]]]},
+     "prep[1]: expected a finite number"),
+], ids=["prep-shapes", "povm-shapes", "povm-not-square", "prep-not-hermitian",
+        "prep-not-hermitian-complex", "povm-not-hermitian", "prep-negative",
+        "povm-negative", "prep-trace", "prep-trace-complex", "povm-sum", "count",
+        "count-empty", "prep-huge"])
+def test_malformed_matrix_fields_exit_one(fields, message, tmp_path, capsys):
+    # each message as it was when every matrix was checked on its own
+    channel = {"kind": "measure_prepare", "d": 2, "M": 2, "prep": [P0, P1],
+               "povm": [P0, P1], **fields}
+    src = tmp_path / "channel.json"
+    src.write_text(json.dumps({"channel": channel, "checks": ["theorem2"]}))
+    assert main(["run", str(src)]) == 1
+    assert capsys.readouterr().err == f"error: scenario.channel: {message}\n"
+
+
+def _csv_writer_table(rows, columns):
+    """rows as csv.writer writes them, each cell formatted by the rule of
+    _format_cell: the oracle for the CSV that render_rows joins itself."""
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, int):
+            return str(value)
+        return format(float(value), ".12g")
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([cell(row[c]) for c in columns] for row in rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "--seed", "42"],
+    ["bounds", "--d", "2", "3", "--M", "1", "4", "10", "--k", "0", "1", "2"],
+    ["run", "--M", "4", "--k", "1", "2"],
+    ["run", "--kind", "noisy_cloner", "--p", "0.2", "--M", "3", "--k", "1", "2",
+     "--timings"],
+    ["mc", "--mode", "moments", "--d", "1", "--M", "3", "--samples", "50"],
+], ids=["suite", "bounds", "run", "run-timings", "mc-moments"])
+def test_csv_is_the_bytes_of_a_csv_writer(argv, monkeypatch, capsys):
+    tables = []
+    render_rows = scenario.render_rows
+
+    def spy(rows, columns, fmt="csv"):
+        text = render_rows(rows, columns, fmt)
+        tables.append((rows, columns, text))
+        return text
+
+    monkeypatch.setattr(scenario, "render_rows", spy)
+    monkeypatch.setattr(cli, "render_rows", spy)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "".join(text for *_, text in tables)
+    for rows, columns, text in tables:
+        assert text == _csv_writer_table(rows, columns)
+
+
+def test_non_finite_cells_are_the_bytes_of_a_csv_writer():
+    columns = ("a", "b", "c", "d", "e", "f", "g")
+    rows = [{"a": math.inf, "b": -math.inf, "c": math.nan, "d": None, "e": True,
+             "f": 3, "g": 1e-300},
+            {"a": 0.1, "b": -0.0, "c": 2 ** 70, "d": False, "e": None, "f": 1e22,
+             "g": 123456789012345.0}]
+    assert scenario.render_rows(rows, columns) == _csv_writer_table(rows, columns)
+    assert scenario.render_rows(rows, columns).splitlines()[1] == (
+        "inf,-inf,nan,,true,3,1e-300")
 
 
 class TestSharedParser:

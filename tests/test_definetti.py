@@ -6,7 +6,7 @@ import pytest
 
 from symdist import symspace
 from symdist.definetti import mc_reduce_coords, purified_state
-from symdist.linalg import DenseOperator, ResourceLimitError, tensor_power
+from symdist.linalg import DenseOperator, ResourceLimitError
 from symdist.metrics import general_bound, lemma1_bound, trace_distance
 from symdist.symspace import haar_kets, index_map, power_coords, sym_dim
 
@@ -25,6 +25,7 @@ from dense_oracles import (
     purify_perm_invariant,
     symmetric_state,
     symmetrizer,
+    tensor_power,
     universal_cloner,
 )
 

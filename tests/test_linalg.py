@@ -10,7 +10,6 @@ from symdist.linalg import (
     ResourceLimitError,
     herm_eigvals,
     swap_residual,
-    tensor_power,
     validate_state,
 )
 
@@ -21,6 +20,7 @@ from dense_oracles import (
     partial_trace,
     permutation_operator,
     projector,
+    tensor_power,
     tensor_product,
 )
 

@@ -109,13 +109,14 @@ def test_every_public_function_is_on_the_run_path(tmp_path):
 
 # the names symdist exported for the dense oracles: all but QuantumChannel,
 # which stays in symdist.channels unexported, now live in dense_oracles, as
-# do ket (the oracles' input kets; channels take plain arrays) and the dense
-# pair ket purify_perm_invariant (purified_state purifies in one call)
+# do ket (the oracles' input kets; channels take plain arrays), the dense
+# pair ket purify_perm_invariant (purified_state purifies in one call) and
+# tensor_power (dense_output takes every prep's power in one chain)
 MOVED = ("QuantumChannel", "SDIReport", "apply", "basis_ket", "embed_pure_input",
          "fixed_prep_channel", "identity", "ket", "measure_prepare", "noisy_cloner",
          "partial_trace", "permutation_operator", "projector", "purify_perm_invariant",
-         "symmetric_state", "symmetrizer", "tensor_product", "universal_cloner",
-         "validate_sdi")
+         "symmetric_state", "symmetrizer", "tensor_power", "tensor_product",
+         "universal_cloner", "validate_sdi")
 
 
 def test_the_package_exports_no_oracle():
