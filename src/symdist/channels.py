@@ -8,14 +8,15 @@ matrices are held as one stack per field, checked at once.  A run builds
 the output from the spec and its input, a plain array (a unit ket, a
 density matrix, or None for a cloner), sized first by symspace.plan:
 dense_output for every kind (a preparation's in one chain of products over
-its stack), and symmetric_output in occupation coordinates where
-symmetric_field puts it in Sym^M.  There a preparation's output is its
-weighted kets sqrt(w_j) power_coords(phi_j, M), and a cloner's its
-diagonal in the input's frame: the cloners are U-covariant (Werner, PRA 58,
-1827 (1998)), so every distance and input fidelity is the one on |0>,
-where cloner_diagonal is Werner's closed form: real, as dense_output is
-wherever the preps are.  Only dense_output builds a DenseOperator.  The
-tests hold the Choi oracles.
+its stack, a cloner's through the index map that its plan admits), and
+symmetric_output in occupation coordinates, the one check that the output
+lies in Sym^M, which the field named by symmetric_field decides.  There a
+preparation's output is its weighted kets sqrt(w_j) power_coords(phi_j, M),
+and a cloner's its diagonal in the input's frame: the cloners are
+U-covariant (Werner, PRA 58, 1827 (1998)), so every distance and input
+fidelity is the one on |0>, where cloner_diagonal is Werner's closed form:
+real, as dense_output is wherever the preps are.  Only dense_output builds
+a DenseOperator.  The tests hold the Choi oracles.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DEFAULT_DIM_CAP, HERMITICITY_TOL, PSD_TOL, TRACE_TOL, DenseOperator
-from .symspace import index_map, plan, power_coords
+from .symspace import _index_map, plan, power_coords
 
 # Output-support deviation below this counts as "inside the symmetric subspace".
 SUPPORT_TOL = 1e-8
@@ -173,6 +174,14 @@ def _plain_ket(phi, dim: int, what: str = "channel input") -> np.ndarray:
     return phi
 
 
+def _same_fields(x, y) -> bool:
+    """Whether x and y are of one dataclass and agree field by field, an
+    array in shape, dtype and entries."""
+    return type(x) is type(y) and all(
+        a.dtype == b.dtype and np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+        for a, b in zip(vars(x).values(), vars(y).values()))
+
+
 # -- serialization -----------------------------------------------------------
 
 
@@ -283,11 +292,8 @@ class SDIChannelSpec:
         if self.povm is not None:
             object.__setattr__(self, "povm", _validated_povm(self.povm, len(self.prep)))
 
-    def __eq__(self, other):
-        # kind comes first: where it agrees, each matrix field is None or a stack on both sides
-        return isinstance(other, SDIChannelSpec) and all(
-            a.dtype == b.dtype and np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-            for a, b in zip(vars(self).values(), vars(other).values()))
+    # kind comes first: where it agrees, each matrix field is None or a stack on both sides
+    __eq__ = _same_fields
 
     @classmethod
     def from_json(cls, data: dict) -> "SDIChannelSpec":
@@ -332,10 +338,7 @@ class SDIChannelSpec:
         else:
             raise ValueError(f"input has shape {state.shape}, channel expects {(n, n)}")
         povm = self.povm if self.kind == "measure_prepare" else [np.eye(n)]
-        # an element with no imaginary part in float64, as it was on its own
-        weights = [float(np.real(np.vdot(e.real.copy() if e.dtype == complex
-                                         and not e.imag.any() else e, rho_in)))
-                   for e in povm]
+        weights = [float(np.real(np.vdot(e, rho_in))) for e in povm]
         for i, w in enumerate(weights):
             if w < -PSD_TOL:
                 raise ValueError(f"prep[{i}] has weight {w:.3e} from the input")
@@ -348,9 +351,6 @@ class SDIChannelSpec:
         eigenvector, weighted w_i, where its second eigenvalue or w_i is at
         most SUPPORT_TOL."""
         vals, vecs = np.linalg.eigh(self.prep)
-        if self.prep.dtype == complex:  # a prep with no imaginary part in float64, as alone
-            real = ~self.prep.imag.any(axis=(1, 2))
-            vals[real], vecs[real] = np.linalg.eigh(self.prep[real].real)
         w = self._weights(state)
         if self.M == 1:
             kets = vecs.transpose(0, 2, 1).reshape(-1, self.d)
@@ -380,40 +380,39 @@ class SDIChannelSpec:
         U-covariant cloners, whose input ket a run neither draws nor builds."""
         return self.kind in ("universal_cloner", "noisy_cloner")
 
-    def symmetric_field(self, state: np.ndarray | None) -> str:
-        """The field that puts the output for the input `state` in Sym^M:
-        M = 1 (Sym^1(C^d) is C^d in basis order), d = 1, the preps where each
-        is rank one or weighted at most SUPPORT_TOL, or the cloner's kind or
-        p = 0.  Any other output raises SupportError naming its field."""
+    @property
+    def symmetric_field(self) -> str:
+        """The field that decides whether symmetric_output lies in Sym^M:
+        M = 1 (Sym^1(C^d) is C^d in basis order), d = 1, the preps (if each
+        is rank one or weighted at most SUPPORT_TOL), the kind, or p (if 0)."""
         if self.M == 1 or self.d == 1:
             return "channel.M" if self.M == 1 else "channel.d"
         if self.prep is not None:
-            self._pure_preps(state)
             return "channel.prep"
-        if self.p:
-            raise SupportError(f"channel.p: {self.p} depolarizes the "
-                               f"{self.M} users out of the symmetric subspace")
         return "channel.kind" if self.p is None else "channel.p"
 
     def symmetric_output(self, state: np.ndarray | None,
                          cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-        """The output for the input `state` in occupation coordinates where
-        symmetric_field puts it in Sym^M, once planned: a cloner's in the
-        input's frame, as its s_M diagonal (`state`, a 1-D ket of side d or
-        None, is only checked); a preparation's, for a 1-D ket or a 2-D
-        density matrix of side input_dim, as the (rows, s_M) kets
-        sqrt(w_j) v_j of sum_j w_j v_j v_j†, v_j = power_coords(phi_j, M)
-        for the phi_j of _pure_preps: no s_M x s_M matrix is built."""
-        self.symmetric_field(state)
-        plan(self.d, self.M, rows=self.rows, cap=cap)
-        if self.covariant:
-            if state is not None:
-                _plain_ket(state, self.d, "single-copy dimension")
-            x = cloner_diagonal(self.d, self.N, self.M)
-            # p > 0 passes symmetric_field at M = 1 or d = 1: X -> (1-p) X + p/d
-            return (1.0 - self.p) * x + self.p / self.d if self.p else x
-        kets, weights = self._pure_preps(state)
-        return np.sqrt(weights)[:, None] * power_coords(kets, self.M)
+        """The output for the input `state` in occupation coordinates, once
+        planned: a cloner's s_M diagonal in the input's frame (`state`, a
+        1-D ket of side d or None, is only checked), or a preparation's
+        (rows, s_M) kets sqrt(w_j) power_coords(phi_j, M) for the phi_j, w_j
+        of _pure_preps on a ket or density matrix of side input_dim, with no
+        s_M x s_M matrix built.  The one check of Sym^M: an output outside
+        it raises SupportError, naming symmetric_field, before its plan."""
+        if not self.covariant:
+            kets, weights = self._pure_preps(state)
+            plan(self.d, self.M, rows=self.rows, cap=cap)
+            return np.sqrt(weights)[:, None] * power_coords(kets, self.M)
+        if self.p and self.symmetric_field == "channel.p":
+            raise SupportError(f"channel.p: {self.p} depolarizes the "
+                               f"{self.M} users out of the symmetric subspace")
+        plan(self.d, self.M, cap=cap)
+        if state is not None:
+            _plain_ket(state, self.d, "single-copy dimension")
+        x = cloner_diagonal(self.d, self.N, self.M)
+        # at M = 1 or d = 1, p > 0 stays in Sym^M: X -> (1-p) X + p/d
+        return (1.0 - self.p) * x + self.p / self.d if self.p else x
 
     def dense_output(self, state: np.ndarray | None,
                      cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
@@ -437,7 +436,7 @@ class SDIChannelSpec:
             return DenseOperator(out.sum(0, initial=0.0), dims)
         if state is not None:
             _plain_ket(state, self.d, "single-copy dimension")
-        v = index_map(self.d, self.M, cap)
+        v = _index_map(self.d, self.M)  # d^M <= cap: the plan refuses larger outputs
         # V diag(x) V†: x[c] w^2 on every pair of flat indices in column c
         x = cloner_diagonal(self.d, self.N, self.M)[v.col] * v.weight
         rho = np.equal.outer(v.col, v.col) * (x * v.weight)[:, None]

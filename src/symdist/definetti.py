@@ -245,7 +245,7 @@ def purified_state(rho: DenseOperator, cap: int = DEFAULT_DIM_CAP) -> Occupation
     an entry: sqrt lifts roundoff to ~1e-8.
 
     _sqrt_by_blocks takes sqrt(rho) over (rho + rho†)/2, one block at a
-    time: one for each column of index_map(d, M) where that is exactly zero
+    time: one for each column of _index_map(d, M) where that is exactly zero
     outside these occupation blocks, as an output that commutes with the
     diagonal unitaries is (zeros kept as they are), else all of rho."""
     d, m = _uniform_square(rho, "rho")

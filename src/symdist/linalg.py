@@ -27,14 +27,7 @@ TRACE_TOL = 1e-9
 
 
 class ResourceLimitError(RuntimeError):
-    """A run would exceed the byte budget, or a dense array the cap on its side."""
-
-
-def _check_cap(dim: int, cap: int, what: str) -> None:
-    if dim > cap:
-        raise ResourceLimitError(
-            f"{what} would have dimension {dim}, exceeding the cap {cap}"
-        )
+    """A run would exceed the byte budget."""
 
 
 def _check_bytes(nbytes: int, cap: int, what: str) -> None:

@@ -57,11 +57,9 @@ def lemma1_bound(d: int, M: int, k: int, asymptotic: bool = False) -> float:
 
 def general_bound(d: int, M: int, k: int, asymptotic: bool = False) -> float:
     """Same bound through the pair purification: local dimension becomes d^2."""
-    if asymptotic:
-        if not 0 <= k <= M:
-            raise ValueError(f"need 0 <= k <= M={M}, got k={k}")
-        return 2.0 * (d * d - 1) * k / M
-    return lemma1_bound(d * d, M, k)
+    if d < 1:
+        raise ValueError(f"local dimension must be >= 1, got {d}")
+    return lemma1_bound(d * d, M, k, asymptotic)
 
 
 def perr_lower_bound(d: int, M: int) -> float:

@@ -1,14 +1,14 @@
 """Scenario configs, the run pipeline, and delimited output.
 
-A scenario names a channel, an input state, the marginal sizes k to examine
-and the checks to run; running it yields one ResultRecord per k with the
-computed distances, bounds and satisfied flags.  A cloner runs in its
-input's frame (|0>), with diagonal lemma1 states and no ket drawn or built.
-This module owns the output format: render_rows, the one table writer,
-renders these records (through emit) and the bounds table of the CLI as
-CSV (fixed column order, floats at 12 significant digits) or JSON mirroring
-the column names; both are byte-stable across runs unless timings are
-requested.
+A scenario names a channel, an input state (settled when it is parsed, as
+the array a run reads), the marginal sizes k to examine and the checks to
+run; running it yields one ResultRecord per k with the computed distances,
+bounds and satisfied flags.  A cloner runs in its input's frame (|0>), with
+diagonal lemma1 states and no ket drawn or built.  This module owns the
+output format: render_rows, the one table writer, renders these records
+(through emit) and the bounds table of the CLI as CSV (fixed column order,
+floats at 12 significant digits) or JSON mirroring the column names; both
+are byte-stable across runs unless timings are requested.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import SDIChannelSpec, SupportError, _json_complex, _json_real
+from .channels import SDIChannelSpec, SupportError, _json_complex, _json_real, _same_fields
 from .definetti import OccupationState, mc_reduce_coords, purified_state
 from .linalg import DEFAULT_DIM_CAP, validate_state
 from .metrics import (
@@ -47,13 +47,18 @@ class SchemaError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A parsed scenario: phi and input_seed are from _parse_input_state."""
+
     channel: SDIChannelSpec
-    input_state: dict
+    phi: np.ndarray | None
+    input_seed: int | None
     k_list: tuple[int, ...]
     checks: tuple[str, ...]
     mc: dict | None = None
     output: dict | None = None  # {"format": csv|json, "path": str}
     label: str | None = None
+
+    __eq__ = _same_fields  # channel first: where it agrees, phi is None on both or neither
 
 
 @dataclass
@@ -115,9 +120,12 @@ def _numbers(rule, values: list, path: str) -> list:
         raise SchemaError(str(exc)) from None
 
 
-def _parse_input_state(data, path: str, d: int) -> dict:
+def _parse_input_state(data, path: str, spec: SDIChannelSpec) -> tuple:
+    """The array that a run of `spec` reads (a unit ket, a diag input's
+    density matrix, or None for a cloner, whose ket is never drawn), and
+    a random_pure input's seed (else None)."""
     _require(isinstance(data, dict), path, "expected an object")
-    kind = data.get("type")
+    kind, d = data.get("type"), spec.input_dim
     _require(kind in ("pure", "diag", "random_pure"), f"{path}.type",
              f"expected pure, diag or random_pure, got {kind!r}")
     if kind == "pure":
@@ -129,7 +137,7 @@ def _parse_input_state(data, path: str, d: int) -> dict:
             nrm = float(np.linalg.norm(vec))
         _require(abs(nrm - 1.0) <= 1e-9, f"{path}.coeffs",
                  "ket must be normalized within 1e-9")
-        return {"type": "pure", "vec": vec}
+        return None if spec.covariant else vec, None
     if kind == "diag":
         probs = data.get("probs")
         _require(isinstance(probs, list) and len(probs) == d, f"{path}.probs",
@@ -141,11 +149,17 @@ def _parse_input_state(data, path: str, d: int) -> dict:
             total = float(arr.sum())
         _require(abs(total - 1.0) <= 1e-9, f"{path}.probs",
                  "probabilities must sum to 1 within 1e-9")
-        return {"type": "diag", "probs": arr}
+        _require(not spec.covariant, f"{path}.type", f"{spec.kind} takes a pure input ket")
+        return np.diag(arr), None
     seed = data.get("seed")
     _require(_is_int(seed) and seed >= 0, f"{path}.seed",
              "expected a non-negative integer seed")
-    return {"type": "random_pure", "seed": seed}
+    if spec.covariant:
+        return None, seed
+    # a Haar ket from its own stream; Monte Carlo draws from (seed, 1)
+    rng = np.random.default_rng((seed, 0, 0))
+    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return z / np.linalg.norm(z), seed
 
 
 def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
@@ -157,10 +171,7 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
         spec = SDIChannelSpec.from_json(data.get("channel"))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{where}.channel: {exc}") from exc
-    parsed_input = _parse_input_state(data.get("input"), f"{where}.input", spec.input_dim)
-    if spec.kind in ("universal_cloner", "noisy_cloner"):
-        _require(parsed_input["type"] != "diag", f"{where}.input.type",
-                 f"{spec.kind} takes a pure input ket")
+    phi, input_seed = _parse_input_state(data.get("input"), f"{where}.input", spec)
     k_raw = data.get("k")
     _require(isinstance(k_raw, list) and k_raw, f"{where}.k",
              "expected a non-empty list of integers")
@@ -217,7 +228,8 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
         _require(isinstance(label, str), f"{where}.label", "expected a string")
     return ScenarioConfig(
         channel=spec,
-        input_state=parsed_input,
+        phi=phi,
+        input_seed=input_seed,
         k_list=tuple(k_list),
         checks=checks,
         mc=mc,
@@ -247,48 +259,29 @@ def load_scenarios(text: str, defaults: dict | None = None) -> list[ScenarioConf
 # -- running -----------------------------------------------------------------
 
 
-def _input_state(cfg: ScenarioConfig) -> tuple[np.ndarray | None, int | None]:
-    """The input as a 1-D ket (a density matrix for diag inputs, None for a
-    cloner, whose output is taken in its input's frame), and its seed."""
-    info, d = cfg.input_state, cfg.channel.input_dim
-    if cfg.channel.covariant:
-        return None, info.get("seed")
-    if info["type"] == "pure":
-        return info["vec"], None
-    if info["type"] == "random_pure":
-        # a Haar ket from its own stream; Monte Carlo draws from (seed, 1)
-        rng = np.random.default_rng((info["seed"], 0, 0))
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        return z / np.linalg.norm(z), info["seed"]
-    return np.diag(info["probs"]), None
-
-
-def _plan(cfg: ScenarioConfig, phi: np.ndarray | None, cap: int) -> Plan:
+def _plan(cfg: ScenarioConfig, cap: int) -> Plan:
     """The run's checked plan: theorem2 takes the dense route; lemma1 and
-    mc_crosscheck need the output in Sym^M, which a spec field decides."""
+    mc_crosscheck need Sym^M, which the field named by symmetric_field decides."""
     spec, theorem2 = cfg.channel, "theorem2" in cfg.checks
-    mc = 1 if "mc_crosscheck" in cfg.checks else None
+    return plan(spec.d, spec.M, cfg.k_list, route="dense" if theorem2 else "symmetric",
+                field="scenario." + ("checks" if theorem2 else spec.symmetric_field),
+                rows=spec.rows, preps=0 if spec.covariant else len(spec.prep),
+                mc=1 if "mc_crosscheck" in cfg.checks else None, itemsize=spec.itemsize, cap=cap)
+
+
+def _output(cfg: ScenarioConfig, cap: int) -> OccupationState | None:
+    """The symmetric state, from symmetric_output, that lemma1 sweeps and
+    mc_crosscheck samples (None under theorem2 alone); outside Sym^M a SchemaError."""
+    if "theorem2" in cfg.checks and "mc_crosscheck" not in cfg.checks:
+        return None
     try:
-        field = spec.symmetric_field(phi) if not theorem2 or mc else None
+        coords = cfg.channel.symmetric_output(cfg.phi, cap)
     except SupportError as exc:
         raise SchemaError(f"scenario.{exc}; " + (
             "lemma1 requires a symmetric-support output, use theorem2"
             if "lemma1" in cfg.checks else "mc_crosscheck samples the "
             "symmetric subspace, so it requires a symmetric-support output")
         ) from exc
-    return plan(spec.d, spec.M, cfg.k_list, route="dense" if theorem2 else "symmetric",
-                field="scenario.checks" if theorem2 else f"scenario.{field}",
-                rows=spec.rows, preps=0 if spec.covariant else len(spec.prep), mc=mc,
-                itemsize=spec.itemsize, cap=cap)
-
-
-def _output(cfg: ScenarioConfig, phi: np.ndarray | None,
-            cap: int) -> OccupationState | None:
-    """The symmetric state, from symmetric_output, that lemma1 sweeps and
-    mc_crosscheck samples; None under theorem2 alone."""
-    if "theorem2" in cfg.checks and "mc_crosscheck" not in cfg.checks:
-        return None
-    coords = cfg.channel.symmetric_output(phi, cap)
     validate_state(coords, name="channel output", ket=coords.ndim == 2)
     return OccupationState(coords, cfg.channel.d, cfg.channel.M)
 
@@ -330,10 +323,9 @@ def run_scenario(cfg: ScenarioConfig,
     memo for a covariant spec); mc_crosscheck samples the symmetric state."""
     start = time.perf_counter()
     spec = cfg.channel
-    phi, input_seed = _input_state(cfg)
-    _plan(cfg, phi, cap)
-    seed = cfg.mc["seed"] if cfg.mc else input_seed
-    sym = _output(cfg, phi, cap)
+    _plan(cfg, cap)
+    seed = cfg.mc["seed"] if cfg.mc else cfg.input_seed
+    sym = _output(cfg, cap)
     bound = flag = None
     distance, (rho_1, tilde_1) = {}, (None, None)
     if "lemma1" in cfg.checks:
@@ -342,7 +334,7 @@ def run_scenario(cfg: ScenarioConfig,
     elif "theorem2" in cfg.checks:
         bound, flag = general_bound, "satisfied_theorem2"
         distance = (dict(enumerate(_covariant_distances(spec, max(cfg.k_list), cap), 1))
-                    if spec.covariant else _theorem2_distances(spec, phi, cfg.k_list, cap))
+                    if spec.covariant else _theorem2_distances(spec, cfg.phi, cfg.k_list, cap))
     records = []
     for k in cfg.k_list:
         row = ResultRecord(d=spec.d, N=spec.N, M=spec.M, k=k, p=spec.p, seed=seed)

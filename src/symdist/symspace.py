@@ -2,7 +2,7 @@
 
 The symmetric subspace of (C^d)^{tensor n} is spanned by occupation-number
 vectors m; _occupation_table lists them in basis order and _rank maps them
-back to it.  The isometry has one nonzero per row, so index_map keeps it as
+back to it.  The isometry has one nonzero per row, so _index_map keeps it as
 the column of each flat index plus a weight, applied by gathers and grouped
 sums.  States inside the subspace are held in these coordinates, as
 diagonals or kets: split_table holds the exact coefficients that split
@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
-from .linalg import DEFAULT_DIM_CAP, ResourceLimitError, _check_bytes, _check_cap
+from .linalg import DEFAULT_DIM_CAP, ResourceLimitError, _check_bytes
 
 
 def sym_dim(d: int, n: int) -> int:
@@ -174,13 +174,6 @@ def _index_map(d: int, n: int) -> IndexMap:
     order = col.astype(np.min_scalar_type(len(mult) - 1)).argsort(kind="stable")
     starts = np.add.accumulate(mult) - mult
     return IndexMap(col, scale[col], scale, order, starts)
-
-
-def index_map(d: int, n: int, cap: int = DEFAULT_DIM_CAP) -> IndexMap:
-    """The isometry V of Sym^n(C^d) as an index map; refuses d^n > cap."""
-    sym_dim(d, n)  # validates d, n
-    _check_cap(d ** n, cap, f"symmetric basis on {n} factors of dimension {d}")
-    return _index_map(d, n)
 
 
 def _pascal(n: int, k: int) -> np.ndarray:

@@ -5,10 +5,11 @@ the paper writes it: the Choi form of each channel kind (Werner's optimal
 universal cloner, PRA 58, 1827 (1998), a constant preparation, the noisy
 cloner, a measure-and-prepare channel), its application to an input in the
 lab frame, the turn of a cloner's output into its input's frame, the
-partial trace, whole permutations of factors, the symmetrizer and the
-embedding of occupation coordinates, the dense pair purification, the
-split-table form of a cloner's diagonal, and the tensor power, the kron
-chain of one matrix that a preparation's output stacks.  No run path needs any of it, so
+partial trace, whole permutations of factors, the symmetrizer, the index
+map under a cap on its side and the embedding of occupation coordinates,
+the dense pair purification, the split-table form of a cloner's diagonal,
+and the tensor power, the kron chain of one matrix that a preparation's
+output stacks.  No run path needs any of it, so
 none of it lives in the package: symdist keeps only what a run enters, and
 these functions are what its results are compared with.  The oracles take
 their kets as (dim, 1) DenseOperators, built by `ket`; symdist's channels
@@ -41,15 +42,24 @@ from symdist.definetti import OccupationState, _uniform_square
 from symdist.linalg import (
     DEFAULT_DIM_CAP,
     DenseOperator,
+    ResourceLimitError,
     _as_dims,
-    _check_cap,
     swap_residual,
     validate_state,
 )
-from symdist.symspace import (IndexMap, _rank, index_map, plan, power_coords, split_table,
+from symdist.symspace import (IndexMap, _index_map, _rank, plan, power_coords, split_table,
                               sym_dim)
 
 # -- linear algebra -----------------------------------------------------------
+
+
+def _check_cap(dim: int, cap: int, what: str) -> None:
+    """The side guard of the oracles that build d^n-side matrices, which
+    no plan sizes."""
+    if dim > cap:
+        raise ResourceLimitError(
+            f"{what} would have dimension {dim}, exceeding the cap {cap}"
+        )
 
 
 def ket(coeffs, dims=None) -> DenseOperator:
@@ -170,6 +180,13 @@ def permutation_operator(perm, d: int, cap: int = DEFAULT_DIM_CAP) -> DenseOpera
 
 
 # -- the symmetric subspace ---------------------------------------------------
+
+
+def index_map(d: int, n: int, cap: int = DEFAULT_DIM_CAP) -> IndexMap:
+    """The isometry V of Sym^n(C^d) as an index map; refuses d^n > cap."""
+    sym_dim(d, n)  # validates d, n
+    _check_cap(d ** n, cap, f"symmetric basis on {n} factors of dimension {d}")
+    return _index_map(d, n)
 
 
 def symmetrizer(d: int, n: int, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:

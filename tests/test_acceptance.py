@@ -20,13 +20,14 @@ from symdist.metrics import (
     universal_clone_gap,
 )
 from symdist.scenario import run_scenario, scenario_from_dict
-from symdist.symspace import haar_kets, index_map, sym_dim
+from symdist.symspace import haar_kets, sym_dim
 
 from conftest import dense_users
 from dense_oracles import (
     apply,
     basis_ket,
     embed_pure_input,
+    index_map,
     ket,
     noisy_cloner,
     partial_trace,

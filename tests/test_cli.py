@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,14 @@ import symdist
 from symdist import cli, scenario
 from symdist.cli import BOUNDS_COLUMNS, main
 from symdist.scenario import RECORD_COLUMNS, ResultRecord
+
+
+NOISY3 = {"kind": "noisy_cloner", "d": 2, "N": 1, "M": 3, "p": 0.1}
+
+
+def _qubit(a, b):
+    """diag(a, b) as a JSON matrix of [re, im] pairs."""
+    return [[[a, 0.0], [0.0, 0.0]], [[0.0, 0.0], [b, 0.0]]]
 
 
 def fmt(x):
@@ -369,6 +378,35 @@ class TestRun:
             "error: scenario.channel.p: 0.1 depolarizes the 3 users out of the "
             "symmetric subspace; mc_crosscheck samples the symmetric subspace, "
             "so it requires a symmetric-support output\n")
+
+    @pytest.mark.parametrize("channel,checks,message", [
+        (NOISY3, ["lemma1"], "scenario.channel.p: 0.1 depolarizes the 3 users out of "
+         "the symmetric subspace; lemma1 requires a symmetric-support output, use theorem2"),
+        (NOISY3, ["theorem2", "mc_crosscheck"], "scenario.channel.p: 0.1 depolarizes "
+         "the 3 users out of the symmetric subspace; mc_crosscheck samples the symmetric "
+         "subspace, so it requires a symmetric-support output"),
+        ({"kind": "measure_prepare", "d": 2, "M": 3, "prep": [_qubit(1, 0), _qubit(0.5, 0.5)],
+          "povm": [_qubit(0.5, 0.5), _qubit(0.5, 0.5)]}, ["lemma1"],
+         "scenario.channel.prep[1]: mixed (second eigenvalue 5.000e-01), weight "
+         "5.000e-01 from the input, so the output leaves the symmetric subspace; lemma1 "
+         "requires a symmetric-support output, use theorem2"),
+    ], ids=["noisy-lemma1", "noisy-theorem2-mc", "weighted-mixed-prep"])
+    def test_refusal_outside_sym_m_allocates_nothing(self, channel, checks, message,
+                                                     tmp_path, capsys):
+        # the plan sizes the run first; the one Sym^M check refuses the
+        # output before any of it is built
+        src = tmp_path / "refused.json"
+        src.write_text(json.dumps({"schema": 1, "channel": channel, "checks": checks,
+                                   "input": {"type": "random_pure", "seed": 0}, "k": [1],
+                                   "mc": {"samples": 200, "seed": 0}}))
+        tracemalloc.start()
+        try:
+            assert main(["run", str(src)]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert peak < 2 ** 20
 
     def test_violation_exits_two(self, monkeypatch, capsys):
         failing = ResultRecord(d=2, N=1, M=2, k=1, p=None, seed=None,

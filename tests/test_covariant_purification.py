@@ -21,11 +21,9 @@ from symdist import scenario, symspace
 from symdist.channels import SDIChannelSpec
 from symdist.definetti import OccupationState, _sqrt_by_blocks, purified_state
 from symdist.linalg import DEFAULT_DIM_CAP, DenseOperator, ResourceLimitError
-from symdist.scenario import (_covariant_distances, _input_state, run_scenario,
-                              scenario_from_dict)
-from symdist.symspace import index_map
+from symdist.scenario import _covariant_distances, run_scenario, scenario_from_dict
 
-from dense_oracles import purify_perm_invariant
+from dense_oracles import index_map, purify_perm_invariant
 
 KINDS = ("universal_cloner", "noisy_cloner")
 P = 0.1
@@ -85,7 +83,7 @@ def _assert_rows_match_the_whole_route(monkeypatch, cfg, rows):
     exactly one eigh."""
     monkeypatch.undo()
     calls = _spy(monkeypatch)
-    want = _whole_route(cfg.channel, _input_state(cfg)[0], cfg.k_list)
+    want = _whole_route(cfg.channel, cfg.phi, cfg.k_list)
     assert calls.count("eigh") == 1
     for row in rows:
         assert row.satisfied_theorem2

@@ -8,7 +8,7 @@ from symdist import symspace
 from symdist.definetti import mc_reduce_coords, purified_state
 from symdist.linalg import DenseOperator, ResourceLimitError
 from symdist.metrics import general_bound, lemma1_bound, trace_distance
-from symdist.symspace import haar_kets, index_map, power_coords, sym_dim
+from symdist.symspace import haar_kets, power_coords, sym_dim
 
 from conftest import dense_users, users
 from dense_oracles import (
@@ -17,6 +17,7 @@ from dense_oracles import (
     embed_coords,
     embed_pure_input,
     identity,
+    index_map,
     ket,
     noisy_cloner,
     partial_trace,

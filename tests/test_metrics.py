@@ -166,6 +166,12 @@ class TestClosedFormBounds:
     def test_general_asymptotic(self):
         assert general_bound(2, 10, 1, asymptotic=True) == pytest.approx(0.6)
 
+    @pytest.mark.parametrize("d,asymptotic", [(-1, False), (0, True), (-3, True)])
+    def test_general_refuses_d_below_one(self, d, asymptotic):
+        # d * d >= 1 passed lemma1's check: these returned 0.0, -0.5 and 4.0
+        with pytest.raises(ValueError, match=f"^local dimension must be >= 1, got {d}$"):
+            general_bound(d, 4, 1, asymptotic=asymptotic)
+
     def test_exact_below_asymptotic_when_m_dominates(self):
         # the linearization overshoots once M is well past k*d
         for d in (2, 3):

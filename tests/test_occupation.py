@@ -37,7 +37,6 @@ from symdist.scenario import (
     SchemaError,
     _basis_prep,
     _covariant_distances,
-    _input_state,
     _output,
     _plan,
     moment_check_record,
@@ -197,7 +196,7 @@ def test_purified_route_matches_dense(spec):
     rho = _choi_output(spec)
     # a theorem2 run keeps only its distances, so its purification is built
     # here as the run builds it
-    state = purified_state(spec.dense_output(_input_state(cfg)[0]))
+    state = purified_state(spec.dense_output(cfg.phi))
     assert state.paired
     for k, row in zip(ks, run_scenario(cfg)):
         marginal = partial_trace(rho, range(k))
@@ -685,6 +684,29 @@ def test_dense_output_of_a_density_matrix_matches_choi_oracle():
     assert np.max(np.abs(spec.dense_output(rho_in).entries - want.entries)) <= TOL
 
 
+def test_a_cloner_dense_output_reaches_its_index_map_only_within_the_cap(monkeypatch):
+    """dense_output takes a cloner's index map with no side check of its
+    own: over d <= 5, M <= 30 and six caps, its plan refuses every output
+    of side d^M > cap first (it admits 182 cases, d^M/cap at most 0.712)."""
+    class Reached(Exception):
+        pass
+
+    def spy(d, n):
+        reached.append((d, n, d ** n / cap))
+        raise Reached
+
+    monkeypatch.setattr(channels, "_index_map", spy)
+    reached = []
+    for cap in (3, 7, 64, 2 ** 10, 2 ** 14, 2 ** 16):
+        for d in range(1, 6):
+            for m_users in range(1, 31):
+                with pytest.raises((Reached, ResourceLimitError)):
+                    SDIChannelSpec("universal_cloner", d=d, M=m_users, N=1).dense_output(
+                        None, cap)
+    assert max(ratio for _, _, ratio in reached) <= 1.0
+    assert {d for d, _, _ in reached} == {1, 2, 3, 4, 5}
+
+
 @pytest.mark.parametrize("p", [1.5, -0.1])
 def test_dense_output_refuses_a_depolarizing_weight_as_before(p):
     # the spec refuses it when constructed, naming the field
@@ -965,7 +987,7 @@ def test_cloners_the_scatter_charge_refused_now_run(d, n_in, m_users, ks, rel_to
         "channel": {"kind": "universal_cloner", "d": d, "N": n_in, "M": m_users},
         "input": {"type": "random_pure", "seed": 0},
         "k": ks, "checks": ["lemma1"]})
-    stages = _plan(cfg, None, DEFAULT_DIM_CAP).stages
+    stages = _plan(cfg, DEFAULT_DIM_CAP).stages
     rows = []
     assert _traced_peak(lambda: rows.extend(run_scenario(cfg))) <= max(b for _, b in stages)
     assert all(row.satisfied_lemma1 for row in rows)
@@ -996,9 +1018,8 @@ def test_a_pure_preparation_holds_one_row_at_one_user():
     basis = [[[float(i == j == 0), 0.0] for j in range(d)] for i in range(d)]
     cfg = _dense_scenario({"kind": "fixed_prep", "d": d, "M": 1, "prep": [basis]},
                           checks=["lemma1"])
-    phi, _ = _input_state(cfg)
     assert cfg.channel.rows == d  # the plan's bound
-    assert cfg.channel.symmetric_output(phi).shape == (1, d)
+    assert cfg.channel.symmetric_output(cfg.phi).shape == (1, d)
     start = time.process_time()
     row, = run_scenario(cfg)
     assert time.process_time() - start < 0.6
@@ -1180,9 +1201,8 @@ def _measure4(d, m_users):
 
 def _scenario_case(cfg):
     """The run's plan, and the output stage and the whole run of cfg."""
-    phi, _ = _input_state(cfg)
-    return (_plan(cfg, phi, DEFAULT_DIM_CAP),
-            [lambda: _output(cfg, phi, DEFAULT_DIM_CAP), lambda: run_scenario(cfg)])
+    return (_plan(cfg, DEFAULT_DIM_CAP),
+            [lambda: _output(cfg, DEFAULT_DIM_CAP), lambda: run_scenario(cfg)])
 
 
 def _mc_case(d, m, k):
@@ -1251,7 +1271,7 @@ DENSE_STAGES = ["dense output", "pair purification", "1-user result"]
 ], ids=["cloner", "noiseless", "one-user", "prep", "theorem2", "theorem2-mc"])
 def test_plan_names_the_route_and_its_stages(channel, checks, route, field, stages):
     cfg = _dense_scenario(channel, checks=checks)
-    run_plan = _plan(cfg, _input_state(cfg)[0], DEFAULT_DIM_CAP)
+    run_plan = _plan(cfg, DEFAULT_DIM_CAP)
     assert (run_plan.route, run_plan.field) == (route, field)
     assert [name for name, _ in run_plan.stages] == stages
     assert (run_plan.chunk > 0) == ("mc_crosscheck" in checks)
@@ -1279,9 +1299,71 @@ def test_every_stage_of_a_run_plans_under_its_cap(monkeypatch):
     _noisy(2, 1), {"kind": "fixed_prep", "d": 2, "M": 1, "prep": MIXED_PREP},
 ], ids=["noisy-cloner", "mixed-prep"])
 def test_lemma1_refusal_allocates_nothing(channel, m_users):
-    # the spec decides the support before any size is checked or allocated
+    # the plan only sizes the run, and symmetric_output checks the support
+    # before it builds anything
     cfg = _dense_scenario({**channel, "M": m_users}, checks=["lemma1"])
     assert _traced_peak(lambda: run_scenario(cfg), SchemaError) < 2 ** 20
+
+
+@pytest.mark.parametrize("channel", [_noisy(2, 3), {"kind": "fixed_prep", "d": 2, "M": 3,
+                                                    "prep": MIXED_PREP}])
+def test_the_budget_refuses_before_the_support(channel):
+    # outside Sym^M and over the byte budget: the plan comes first
+    cfg = _dense_scenario(channel, checks=["lemma1"])
+    with pytest.raises(ResourceLimitError, match="^occupation-coordinate route"):
+        run_scenario(cfg, cap=2)
+    with pytest.raises(SchemaError, match="symmetric subspace"):
+        run_scenario(cfg)
+
+
+@pytest.mark.parametrize("channel", [
+    {"kind": "fixed_prep", "d": 2, "M": 1, "prep": MIXED_PREP},
+    {"kind": "fixed_prep", "d": 2, "M": 4, "prep": [PLUS]},
+    _measure4(2, 1), _measure4(3, 4),
+], ids=["fixed-prep-1", "fixed-prep-4", "measure-1", "measure-4"])
+def test_a_lemma1_run_of_a_preparation_takes_one_eigh(monkeypatch, channel):
+    # the output's one Sym^M check is the eigh of its stack that it is built
+    # from; the plan and a second check each took one more
+    cfg = _dense_scenario(channel, ks=(1,), checks=["lemma1"])
+    shapes, eigh = [], np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    row, = run_scenario(cfg)
+    assert row.satisfied_lemma1
+    assert shapes == [cfg.channel.prep.shape]
+
+
+# real matrices inside a complex field: they are solved and weighed in
+# complex128 with the rest of their stack
+ZERO2, ONE2 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+TILT = np.array([[0.25, -0.125j], [0.125j, 0.25]])
+MIXED_FIELDS = [
+    (SDIChannelSpec("measure_prepare", d=2, M=4, prep=(PHI2, ZERO2), povm=POVM2),
+     ["lemma1"]),
+    (SDIChannelSpec("measure_prepare", d=2, M=1, prep=(PSI2 / 2 + MIXED2 / 2, MIXED2),
+                    povm=POVM2), ["lemma1"]),
+    (SDIChannelSpec("measure_prepare", d=2, M=3, prep=(ZERO2, PHI2, ONE2),
+                    povm=(TILT, TILT.conj(), np.eye(2) / 2 + 0j)), ["lemma1"]),
+    (SDIChannelSpec("measure_prepare", d=2, M=3, prep=(PSI2 / 2 + MIXED2 / 2, MIXED2, ZERO2),
+                    povm=(TILT, TILT.conj(), np.eye(2) / 2 + 0j)), ["theorem2"]),
+]
+
+
+@pytest.mark.parametrize("spec,checks", MIXED_FIELDS,
+                         ids=["prep", "prep-1", "povm", "both-theorem2"])
+def test_mixed_real_and_complex_fields_match_the_dense_oracle(spec, checks):
+    cfg = _scenario(spec, checks, ks=range(1, min(spec.M, 3) + 1))
+    assert cfg.channel.prep.dtype == complex
+    rho = _choi_output(spec)
+    for k, row in zip(cfg.k_list, run_scenario(cfg), strict=True):
+        tilde = (_dense_reduction(rho, spec.d, spec.M, k) if checks == ["lemma1"]
+                 else _dense_purified_reduction(rho, spec.d, spec.M, k).entries)
+        want = trace_distance(partial_trace(rho, range(k)).entries, tilde)
+        assert abs(row.actual_distance - want) <= 1e-12
 
 
 def test_zero_weight_mixed_preparation_runs_lemma1_at_500_users():

@@ -121,6 +121,34 @@ MOVED = ("QuantumChannel", "SDIReport", "apply", "basis_ket", "embed_pure_input"
 
 def test_the_package_exports_no_oracle():
     assert [name for name in MOVED if hasattr(symdist, name)] == []
+    # the side-capped index map and its guard serve only the oracles
+    assert not hasattr(symspace, "index_map") and not hasattr(linalg, "_check_cap")
+
+
+def _functions_naming(name):
+    """(module, function) of each function of the package that raises
+    `name`, and of each that catches it."""
+    raised, caught = set(), set()
+    for mod in MODULES:
+        for fn in ast.walk(ast.parse(pathlib.Path(mod.__file__).read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            where = (mod.__name__.rpartition(".")[2], fn.name)
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Raise) and name in ast.unparse(node.exc or node):
+                    raised.add(where)
+                if isinstance(node, ast.ExceptHandler) and name in ast.unparse(node.type):
+                    caught.add(where)
+    return raised, caught
+
+
+def test_one_function_checks_sym_m_and_one_refuses_it():
+    # symmetric_output is the one check that an output lies in Sym^M (a
+    # preparation's through _pure_preps), and the run turns its refusal
+    # into a config error in one place
+    raised, caught = _functions_naming("SupportError")
+    assert raised == {("channels", "symmetric_output"), ("channels", "_pure_preps")}
+    assert caught == {("scenario", "_output")}
 
 
 def test_one_module_checks_the_byte_budget():

@@ -11,7 +11,6 @@ from symdist.cli import main
 from symdist.scenario import (
     MC_SIGMA_THRESHOLD,
     _basis_prep,
-    _input_state,
     _max_sigma,
     RECORD_COLUMNS,
     ResultRecord,
@@ -300,13 +299,41 @@ class TestRunScenario:
                          "prep": _basis_prep(d)}, input=random_input))
             rng = np.random.default_rng((seed, 0, 0))
             z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            phi, got_seed = _input_state(cfg)
-            assert got_seed == seed
-            assert np.array_equal(phi, z / np.linalg.norm(z))
+            assert cfg.input_seed == seed
+            assert np.array_equal(cfg.phi, z / np.linalg.norm(z))
             cloner = scenario_from_dict(cloner_scenario(
                 channel={"kind": "universal_cloner", "d": d, "N": 1, "M": 2},
                 input=random_input))
-            assert _input_state(cloner) == (None, seed)
+            assert (cloner.phi, cloner.input_seed) == (None, seed)
+
+    @pytest.mark.parametrize("state", [
+        qubit_zero(),
+        {"type": "diag", "probs": [0.25, 0.75]},
+        {"type": "random_pure", "seed": 5},
+    ], ids=["pure", "diag", "random_pure"])
+    def test_two_parses_of_one_scenario_are_equal(self, state):
+        # phi compares by shape, dtype and entries; == on a dict holding an
+        # array raised "the truth value of an array ... is ambiguous"
+        first, second = (scenario_from_dict(prep_scenario(input=state)) for _ in "ab")
+        assert first == second and not first != second
+        if state["type"] == "random_pure":
+            other = {**state, "seed": 6}
+        else:
+            key = "coeffs" if state["type"] == "pure" else "probs"
+            other = {**state, key: state[key][::-1]}  # one entry differs
+        assert scenario_from_dict(prep_scenario(input=other)) != first
+        # |0> against diag(1, 0): a ket and a density matrix
+        as_diag = scenario_from_dict(prep_scenario(input={"type": "diag", "probs": [1, 0]}))
+        assert as_diag != scenario_from_dict(prep_scenario())
+
+    def test_cloner_parses_compare_by_seed(self):
+        # a cloner holds no ket, so only a random input's seed tells two apart
+        def parse(state):
+            return scenario_from_dict(cloner_scenario(input=state))
+        assert parse(qubit_zero()) == parse({"type": "pure", "coeffs": [[0.0, 0.0], [1.0, 0.0]]})
+        seeded = parse({"type": "random_pure", "seed": 5})
+        assert seeded == parse({"type": "random_pure", "seed": 5}) != parse(qubit_zero())
+        assert seeded != parse({"type": "random_pure", "seed": 6})
 
     def test_noisy_theorem2(self):
         data = {

@@ -6,9 +6,9 @@ import pytest
 
 from symdist.definetti import mc_reduce_coords
 from symdist.linalg import ResourceLimitError
-from symdist.symspace import _occupation_table, haar_kets, index_map, sym_dim
+from symdist.symspace import _occupation_table, haar_kets, sym_dim
 
-from dense_oracles import embed_coords, permutation_operator, symmetrizer
+from dense_oracles import embed_coords, index_map, permutation_operator, symmetrizer
 
 
 def _isometry(d, n):
