@@ -18,7 +18,6 @@ from .linalg import (
     DEFAULT_DIM_CAP,
     DenseOperator,
     ResourceLimitError,
-    herm_eigvals,
     validate_state,
 )
 from .metrics import (

@@ -4,19 +4,19 @@ SDIChannelSpec names one of four kinds, each invariant under permutations
 of the M output slots by construction: the optimal universal N -> M cloner,
 a constant-output preparation, the cloner followed by single-user
 depolarizing noise, and a measure-and-prepare channel.  A preparation's
-matrices are held as one stack per field, checked at once.  A run builds
-the output from the spec and its input, a plain array (a unit ket, a
-density matrix, or None for a cloner), sized first by symspace.plan:
-dense_output for every kind (a preparation's in one chain of products over
-its stack, a cloner's through the index map that its plan admits), and
-symmetric_output in occupation coordinates, the one check that the output
-lies in Sym^M, which the field named by symmetric_field decides.  There a
-preparation's output is its weighted kets sqrt(w_j) power_coords(phi_j, M),
-and a cloner's its diagonal in the input's frame: the cloners are
-U-covariant (Werner, PRA 58, 1827 (1998)), so every distance and input
-fidelity is the one on |0>, where cloner_diagonal is Werner's closed form:
-real, as dense_output is wherever the preps are.  Only dense_output builds
-a DenseOperator.  The tests hold the Choi oracles.
+matrices are held as one stack per field, checked at once by
+linalg.check_states.  A run builds the output from the spec and its input,
+a plain array (a unit ket, a density matrix, or None for a cloner), sized
+first by symspace.plan: dense_output for every kind (a preparation's in one
+chain of products over its stack, a cloner's through the index map that its
+plan admits), and symmetric_output in occupation coordinates, the one check
+that the output lies in Sym^M, which the field named by symmetric_field
+decides.  There a preparation's output is its weighted kets sqrt(w_j)
+power_coords(phi_j, M), and a cloner's its diagonal in the input's frame:
+the cloners are U-covariant (Werner, PRA 58, 1827 (1998)), so every
+distance and input fidelity is the one on |0>, where cloner_diagonal is
+Werner's closed form: real, as dense_output is wherever the preps are.
+Only dense_output builds a DenseOperator.  The tests hold the Choi oracles.
 """
 
 from __future__ import annotations
@@ -27,11 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_DIM_CAP, HERMITICITY_TOL, PSD_TOL, TRACE_TOL, DenseOperator
+from .linalg import DEFAULT_DIM_CAP, PSD_TOL, SUPPORT_TOL, DenseOperator, check_states
 from .symspace import _index_map, plan, power_coords
-
-# Output-support deviation below this counts as "inside the symmetric subspace".
-SUPPORT_TOL = 1e-8
 
 
 class SupportError(ValueError):
@@ -86,11 +83,6 @@ def cloner_diagonal(d: int, N: int, M: int) -> np.ndarray:
     return np.repeat(ratios, [math.comb(M - n + d - 2, d - 2) for n in n0] if d > 1 else 1)
 
 
-def _check_depolarizing_weight(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing weight must be in [0, 1], got {p}")
-
-
 def _depolarize_factor(mat: np.ndarray, dims: tuple[int, ...],
                        t: int, p: float) -> None:
     """Apply X -> (1-p) X + p (1/d) tensor Tr_t[X] to factor t of a
@@ -119,31 +111,6 @@ def _stacked(matrices, shape: tuple, bad_shape) -> np.ndarray:
     return s
 
 
-def _check_stack(s: np.ndarray, matrix: str, state: str, unit_trace: bool) -> None:
-    """Check the stack s at once, in validate_state's order and words: finite,
-    Hermitian within HERMITICITY_TOL, PSD within PSD_TOL (one eigvalsh) and,
-    with unit_trace, of trace 1.  The first matrix i that fails is named by
-    `matrix` or `state`, formatted with i."""
-    finite = np.isfinite(s).all(axis=(1, 2))
-    if not finite.all():  # the matrices before the first non-finite one fail first
-        i = int(finite.argmin())
-        _check_stack(s[:i], matrix, state, unit_trace)
-        raise ValueError(f"{matrix.format(i)}: matrix has non-finite entries")
-    st = s.conj().transpose(0, 2, 1)
-    asym = np.abs(s - st).max(axis=(1, 2))
-    least = np.linalg.eigvalsh(0.5 * (s + st))[:, 0]
-    tr = s.trace(axis1=1, axis2=2)
-    faults = (asym > HERMITICITY_TOL, least < -PSD_TOL, unit_trace & (abs(tr - 1.0) > TRACE_TOL))
-    bad = faults[0] | faults[1] | faults[2]
-    if bad.any():
-        i = int(bad.argmax())
-        raise ValueError((f"{matrix.format(i)}: matrix is not Hermitian within "
-                          f"{HERMITICITY_TOL} (residual {asym[i]:.3e})",
-                          f"{state.format(i)} has negative eigenvalue {least[i]:.3e}",
-                          f"{state.format(i)} has trace {complex(tr[i])}, expected 1",
-                          )[next(j for j, f in enumerate(faults) if f[i])])
-
-
 def _validated_povm(matrices, n_preps: int) -> np.ndarray:
     """The POVM as one stack: one element for each of n_preps prepared
     states, PSD, and summing to the identity."""
@@ -155,7 +122,7 @@ def _validated_povm(matrices, n_preps: int) -> np.ndarray:
     if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
         raise ValueError(f"povm: POVM element 0 has shape {shape}, expected a square matrix")
     s = _stacked(matrices, shape, lambda i, other: f"povm: POVM element {i} has shape {other}")
-    _check_stack(s, "povm", "povm: POVM element {}", False)
+    check_states(s, "povm", "povm: POVM element {}", False)
     if abs(s.sum(0) - np.eye(shape[0])).max() > 1e-9:
         raise ValueError("povm: POVM elements do not sum to the identity within 1e-9")
     return s
@@ -241,8 +208,8 @@ def _json_number(data: dict, key: str, kind: type, optional: bool = False):
 
 @dataclass(frozen=True)
 class SDIChannelSpec:
-    """Declarative description of one of the channel kinds, JSON
-    round-trippable.  Construction checks every field, and an error in a
+    """Declarative description of one of the channel kinds, read from JSON
+    by from_json.  Construction checks every field, and an error in a
     field's value names the field.  `prep` and `povm`, given as any
     sequence of matrices, are held as one read-only (r, n, n) array each,
     complex128 where some entry is complex, else float64; two specs are
@@ -275,19 +242,14 @@ class SDIChannelSpec:
                                  f"{'does not take' if given else 'requires'} {name}")
         if self.kind == "fixed_prep" and len(self.prep) != 1:
             raise ValueError("fixed_prep requires exactly one prep matrix")
-        name = "N"
-        try:
-            if self.N is not None:
-                _check_cloner_args(self.d, self.N, self.M)
-            if self.p is not None:
-                name = "p"
-                _check_depolarizing_weight(self.p)
-        except ValueError as exc:
-            raise ValueError(f"{name}: {exc}") from exc
+        if self.N is not None and not 1 <= self.N <= self.M:
+            raise ValueError(f"N: need 1 <= N <= M, got N={self.N}, M={self.M}")
+        if self.p is not None and not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"p: depolarizing weight must be in [0, 1], got {self.p}")
         if self.prep is not None:
             prep = _stacked(self.prep, (self.d, self.d), lambda i, other: (
                 f"prep[{i}]: expected a {self.d} x {self.d} matrix, got shape {other}"))
-            _check_stack(prep, "prep[{}]: prepared state", "prep[{}]: prepared state", True)
+            check_states(prep, "prep[{}]: prepared state", "prep[{}]: prepared state", True)
             object.__setattr__(self, "prep", prep)
         if self.povm is not None:
             object.__setattr__(self, "povm", _validated_povm(self.povm, len(self.prep)))

@@ -17,7 +17,7 @@ contraction over split coefficients (Harrow, arXiv:1308.6595), with s_k x
 s_k results, or diagonals, in Sym^k and the state's dtype; the sweep runs
 them once, at the largest k, and drops one user at a time.
 mc_reduce_coords is the one Monte Carlo entry.  Each entry point is sized
-by symspace.plan under its `cap`.
+by symspace.plan under its `cap`, and its tolerances are linalg's.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import SUPPORT_TOL
-from .linalg import DEFAULT_DIM_CAP, DenseOperator, swap_residual
+from .linalg import DEFAULT_DIM_CAP, PSD_TOL, SUPPORT_TOL, DenseOperator, swap_residual
 from .symspace import (_half_log_multiplicities, _index_map, _occupation_table,
                        haar_kets, plan, power_coords, split_table, sym_dim)
 
@@ -226,7 +225,7 @@ def _sqrt_by_blocks(a: np.ndarray, squares) -> np.ndarray:
     its diagonal blocks, the indices `squares`: one eigh a block."""
     for square in squares:
         vals, vecs = np.linalg.eigh(a[square])
-        if vals[0] < -1e-9:
+        if vals[0] < -PSD_TOL:
             raise ValueError(f"rho has negative eigenvalue {vals[0]:.3e}")
         a[square] = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
     return a

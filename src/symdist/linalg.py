@@ -1,15 +1,15 @@
 """Dense matrices, float64 or complex128 as their input is real or not,
-with explicit tensor-factor bookkeeping, and the checks every state passes.
+with explicit tensor-factor bookkeeping, and the one rule every state passes.
 
 DenseOperator serves the dense route only: the output on (C^d)^{tensor M}
 (a preparation's built in one chain of products over its stacked
 matrices), whose permutation invariance swap_residual checks before it is
 purified.  Inputs and every state of the symmetric route are plain arrays.
 Factor 0 is the most significant index, numpy's C order and the order
-np.kron produces.  The state checks (check_hermitian, herm_eigvals,
-validate_state) take plain arrays: square matrices, diagonals (1-D), and
-for validate_state the rows of a stack of kets; a channel checks its
-stacked matrices at once, under the same tolerances.
+np.kron produces.  The rule, under the tolerances below, is finite,
+Hermitian, PSD and of unit trace: check_states checks it on a stack of
+matrices (a channel's fields, validate_state's matrix), validate_state on
+diagonals and kets too, and check_hermitian, run by trace_distance, in part.
 """
 from __future__ import annotations
 
@@ -24,6 +24,8 @@ DEFAULT_DIM_CAP = 2 ** 14
 HERMITICITY_TOL = 1e-9
 PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
+# Output-support deviation below this counts as "inside the symmetric subspace".
+SUPPORT_TOL = 1e-8
 
 
 class ResourceLimitError(RuntimeError):
@@ -113,19 +115,6 @@ def swap_residual(x: DenseOperator, t: int) -> float:
     return float(np.abs(y.transpose(0, 2, 1, 3, 4, 6, 5, 7) - y).max())
 
 
-def herm_eigvals(x: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a square Hermitian matrix, descending.
-
-    Rejects inputs that check_hermitian rejects, and diagonals; the
-    symmetrized (X+X†)/2 is what gets diagonalized.
-    """
-    if x.ndim != 2:
-        raise ValueError(f"expected a square matrix, got shape {x.shape}")
-    check_hermitian(x)
-    w = np.linalg.eigvalsh(0.5 * (x + x.conj().T))
-    return w[::-1]
-
-
 def check_hermitian(x: np.ndarray) -> None:
     """Raise ValueError unless x is a square matrix with finite entries whose
     max-abs deviation from Hermiticity is at most HERMITICITY_TOL.  A 1-D x
@@ -140,12 +129,40 @@ def check_hermitian(x: np.ndarray) -> None:
                          f"(residual {asym:.3e})")
 
 
+def check_states(s: np.ndarray, matrix: str, state: str, unit_trace: bool) -> None:
+    """Check the stack s of square matrices at once: finite, Hermitian within
+    HERMITICITY_TOL, PSD within PSD_TOL (one eigvalsh) and, with unit_trace,
+    of trace 1.  The first matrix i that fails is named by `matrix` or
+    `state`, formatted with i."""
+    finite = np.isfinite(s).all(axis=(1, 2))
+    if not finite.all():  # the matrices before the first non-finite one fail first
+        i = int(finite.argmin())
+        check_states(s[:i], matrix, state, unit_trace)
+        raise ValueError(f"{matrix.format(i)}: matrix has non-finite entries")
+    st = s.conj().transpose(0, 2, 1)
+    asym = np.abs(s - st).max(axis=(1, 2))
+    least = np.linalg.eigvalsh(0.5 * (s + st))[:, 0]
+    tr = s.trace(axis1=1, axis2=2)
+    faults = (asym > HERMITICITY_TOL, least < -PSD_TOL, unit_trace & (abs(tr - 1.0) > TRACE_TOL))
+    bad = faults[0] | faults[1] | faults[2]
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError((f"{matrix.format(i)}: matrix is not Hermitian within "
+                          f"{HERMITICITY_TOL} (residual {asym[i]:.3e})",
+                          f"{state.format(i)} has negative eigenvalue {least[i]:.3e}",
+                          f"{state.format(i)} has trace {complex(tr[i])}, expected 1",
+                          )[next(j for j, f in enumerate(faults) if f[i])])
+
+
 def validate_state(x: np.ndarray, name: str = "state", ket: bool = False) -> None:
-    """Raise ValueError, its message starting with name, unless x passes
-    check_hermitian (a finite, square, Hermitian matrix, or a real diagonal)
-    and is PSD within PSD_TOL and of unit trace.  With `ket`, x holds rows
-    x_j of sum_j x_j x_j†, PSD by construction: finite, of trace
-    sum_j |x_j|^2 one, and no eigenvalue is taken."""
+    """Raise ValueError, its message starting with name, unless x is a state:
+    a nonempty square matrix that passes check_states, or a real diagonal
+    (1-D) that passes check_hermitian, PSD within PSD_TOL and of unit trace.
+    With `ket`, x holds rows x_j of sum_j x_j x_j†, PSD by construction:
+    finite, of trace sum_j |x_j|^2 one, and no eigenvalue is taken."""
+    if not ket and x.ndim == 2 and x.shape[0] == x.shape[1] > 0:
+        name = name.replace("{", "{{").replace("}", "}}")
+        return check_states(x[None], name, name, True)
     try:
         if not ket:
             check_hermitian(x)
@@ -153,10 +170,8 @@ def validate_state(x: np.ndarray, name: str = "state", ket: bool = False) -> Non
             raise ValueError("matrix has non-finite entries")
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from exc
-    if not ket:
-        w = x.real if x.ndim == 1 else herm_eigvals(x)
-        if w.size and w.min() < -PSD_TOL:
-            raise ValueError(f"{name} has negative eigenvalue {w.min():.3e}")
-    tr = complex(np.vdot(x, x) if ket else x.sum() if x.ndim == 1 else np.trace(x))
+    if not ket and x.size and x.real.min() < -PSD_TOL:
+        raise ValueError(f"{name} has negative eigenvalue {x.real.min():.3e}")
+    tr = complex(np.vdot(x, x) if ket else x.sum())  # a diagonal, or 0 x 0
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"{name} has trace {tr}, expected 1")

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .linalg import check_hermitian, herm_eigvals
+from .linalg import check_hermitian
 
 BOUND_SLACK = 1e-9
 
@@ -18,16 +18,19 @@ BOUND_SLACK = 1e-9
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Trace norm of rho - sigma (so states are at most 2 apart), for two
     square matrices of one shape in one frame, or two diagonals (sum_i
-    |a_i - b_i|).  Each must be finite and Hermitian within HERMITICITY_TOL
-    (a diagonal: real); only a difference of matrices is diagonalized."""
+    |a_i - b_i|).  Each, and a difference of matrices, must be finite and
+    Hermitian within HERMITICITY_TOL (a diagonal: real); only that
+    difference is diagonalized, by one eigvalsh of (X+X†)/2."""
     if rho.shape != sigma.shape:
         raise ValueError(f"shape mismatch: {rho.shape} vs {sigma.shape}")
     check_hermitian(rho)
     check_hermitian(sigma)
     if rho.ndim == 1:
         return float(np.abs((rho - sigma).real).sum())
-    w = herm_eigvals(rho - sigma)
-    return float(np.abs(w).sum())
+    x = rho - sigma
+    check_hermitian(x)
+    w = np.linalg.eigvalsh(0.5 * (x + x.conj().T))
+    return float(np.abs(w[::-1]).sum())  # descending: the recorded distances' order
 
 
 def helstrom_perr(distance: float) -> float:

@@ -10,8 +10,9 @@ diagonals or kets: split_table holds the exact coefficients that split
 u^{tensor n} (Harrow, arXiv:1308.6595), and haar_kets draws the kets that
 Monte Carlo weights by them.  plan holds every byte estimate: a run's
 stages, each state charged as it is held, sized before anything is
-allocated, and the one guard on them.  No run embeds these coordinates
-back into (C^d)^{tensor n}; the tests' oracles do.
+allocated, and the one guard on them.  Only purified_state (to bound the
+pair ket's weight outside Sym^M) and the tests' oracles embed these
+coordinates back into (C^d)^{tensor n}.
 """
 
 from __future__ import annotations

@@ -28,12 +28,10 @@ from functools import reduce
 import numpy as np
 
 from symdist.channels import (
-    SUPPORT_TOL,
     QuantumChannel,
     SDIChannelSpec,
     SupportError,
     _check_cloner_args,
-    _check_depolarizing_weight,
     _depolarize_factor,
     _plain_ket,
     _validated_povm,
@@ -42,6 +40,7 @@ from symdist.definetti import OccupationState, _uniform_square
 from symdist.linalg import (
     DEFAULT_DIM_CAP,
     DenseOperator,
+    SUPPORT_TOL,
     ResourceLimitError,
     _as_dims,
     swap_residual,
@@ -366,7 +365,8 @@ def noisy_cloner(d: int, N: int, M: int, p: float,
     purified) approximation machinery exists for.  The oracle for the
     noisy_cloner outputs.
     """
-    _check_depolarizing_weight(p)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"depolarizing weight must be in [0, 1], got {p}")
     base = universal_cloner(d, N, M, cap=cap)
     dims = base.out_factors + (base.dim_in,)
     mat = base.choi.entries.copy()

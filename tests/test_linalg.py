@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from symdist.linalg import (
     DenseOperator,
     ResourceLimitError,
-    herm_eigvals,
     swap_residual,
     validate_state,
 )
@@ -289,46 +288,30 @@ class TestPermutations:
             swap_residual(tail, 2)
 
 
-class TestHermEigvals:
-    def test_known_diag(self):
-        x = np.diag([3.0, 1.0, -2.0])
-        assert np.allclose(herm_eigvals(x), [3.0, 1.0, -2.0])
-
-    def test_pauli_x(self):
-        x = np.array([[0, 1], [1, 0]], dtype=float)
-        assert np.allclose(herm_eigvals(x), [1.0, -1.0])
-
-    def test_descending_and_sum_is_trace(self):
-        rng = np.random.default_rng(9)
-        x = _rand_herm(rng, (8,))
-        w = herm_eigvals(x.entries)
-        assert np.all(np.diff(w) <= 0)
-        assert abs(w.sum() - np.trace(x.entries).real) <= 1e-9 * 8
-
-    def test_singular_value_residual_oracle(self):
-        rng = np.random.default_rng(10)
-        x = _rand_herm(rng, (8,))
-        for lam in herm_eigvals(x.entries):
-            smin = np.linalg.svd(x.entries - lam * np.eye(8), compute_uv=False)[-1]
-            assert smin <= 1e-8 * max(1.0, np.abs(x.entries).max())
-
-    def test_non_hermitian_raises(self):
-        x = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="Hermitian"):
-            herm_eigvals(x)
-
-    def test_not_a_finite_square_matrix_raises(self):
-        for x in (np.ones(2), np.ones((2, 3)), np.array(1.0)):
-            with pytest.raises(ValueError, match="expected a square matrix"):
-                herm_eigvals(x)
-        for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="non-finite entries"):
-                herm_eigvals(np.diag([bad, 0.5]))
-
-
 class TestValidateState:
     def test_good_state_passes(self):
         validate_state(np.diag([0.5, 0.5]))
+
+    @pytest.mark.parametrize("x, message", [
+        (np.full((2, 3), 0.5), "state: expected a square matrix, got shape (2, 3)"),
+        (np.full((2, 2, 2), 0.125), "state: expected a square matrix, got shape (2, 2, 2)"),
+        (np.diag([np.nan, 0.5]), "state: matrix has non-finite entries"),
+        (np.array([[0.5, 1.0], [0.0, 0.5]]),
+         "state: matrix is not Hermitian within 1e-09 (residual 1.000e+00)"),
+        (np.diag([1.5, -0.5]), "state has negative eigenvalue -5.000e-01"),
+        (np.eye(2), "state has trace (2+0j), expected 1"),
+        (np.zeros((0, 0)), "state has trace 0j, expected 1"),
+    ])
+    def test_messages(self, x, message):
+        with pytest.raises(ValueError) as info:
+            validate_state(x)
+        assert str(info.value) == message
+
+    def test_a_name_with_braces_is_kept(self):
+        # check_states formats its names with the matrix index
+        with pytest.raises(ValueError) as info:
+            validate_state(np.eye(2), name="rho[{0}]")
+        assert str(info.value) == "rho[{0}] has trace (2+0j), expected 1"
 
     def test_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):

@@ -51,10 +51,11 @@ class TestTraceDistance:
         with pytest.raises(ValueError, match="shape"):
             trace_distance(projector(basis_ket(2, 0)).entries,
                            projector(basis_ket(3, 0)).entries)
-        # a non-square matrix, or a matrix and a diagonal (two diagonals are
-        # the diagonal form, test_diagonal_states.py)
+        # a non-square matrix, a scalar, three axes, or a matrix and a
+        # diagonal (two diagonals are the diagonal form, test_diagonal_states.py)
         half = np.full(2, 0.5)
-        for rho, sigma in ((np.ones((2, 3)), np.ones((2, 3))),
+        for rho, sigma in ((np.ones((2, 3)), np.ones((2, 3))), (np.array(1.0),) * 2,
+                           (np.ones((2, 2, 2)),) * 2,
                            (np.eye(2) / 2, half), (half, np.eye(2) / 2)):
             with pytest.raises(ValueError, match="shape"):
                 trace_distance(rho, sigma)
@@ -70,6 +71,12 @@ class TestTraceDistance:
         bad = np.array([[0.0, 1.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             trace_distance(bad, np.eye(2) / 2)
+
+    def test_the_difference_is_checked_for_hermiticity(self):
+        # each within the tolerance, their difference beyond it
+        skew = np.array([[0.5, 0.6e-9], [0.0, 0.5]])
+        with pytest.raises(ValueError, match=r"not Hermitian within 1e-09 \(residual 1.200e-09\)"):
+            trace_distance(skew, skew.T)
 
     @pytest.mark.parametrize("which", ["rho", "sigma", "both"])
     def test_each_argument_checked_for_hermiticity(self, which):

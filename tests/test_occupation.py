@@ -707,7 +707,7 @@ def test_a_cloner_dense_output_reaches_its_index_map_only_within_the_cap(monkeyp
     assert {d for d, _, _ in reached} == {1, 2, 3, 4, 5}
 
 
-@pytest.mark.parametrize("p", [1.5, -0.1])
+@pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
 def test_dense_output_refuses_a_depolarizing_weight_as_before(p):
     # the spec refuses it when constructed, naming the field
     with pytest.raises(ValueError, match=r"^p: depolarizing weight must be in \[0, 1\]"):

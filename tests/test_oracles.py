@@ -10,7 +10,8 @@ must be entered by one of them: code that only tests need lives under
 tests/, in dense_oracles, and the package exports none of it.  One module,
 symspace, the owner of the plan, compares bytes with the budget, and one,
 scenario, the owner of the output format, writes CSV and JSON; one
-function of scenario takes theorem2's route.
+function of scenario takes theorem2's route; and one of linalg checks a
+stack of states, the only function but trace_distance to call eigvalsh.
 """
 
 import ast
@@ -161,6 +162,25 @@ def test_one_module_checks_the_byte_budget():
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                 callers.add(path.stem)
     assert callers == {"symspace"}
+
+
+def test_one_function_checks_a_stack_of_states():
+    # check_states holds the rule for every matrix (a channel's fields and
+    # validate_state's matrix), and trace_distance diagonalizes a
+    # difference: no other function calls eigvalsh, and only linalg words
+    # a Hermiticity refusal
+    callers, wording = set(), set()
+    for path in pathlib.Path(linalg.__file__).parent.glob("*.py"):
+        source = path.read_text()
+        if "is not Hermitian within" in source:
+            wording.add(path.stem)
+        for fn in ast.walk(ast.parse(source)):
+            if isinstance(fn, ast.FunctionDef):
+                callers.update((path.stem, fn.name) for node in ast.walk(fn)
+                               if isinstance(node, ast.Call)
+                               and getattr(node.func, "attr", None) == "eigvalsh")
+    assert callers == {("linalg", "check_states"), ("metrics", "trace_distance")}
+    assert wording == {"linalg"}
 
 
 def test_the_plan_checks_no_side():

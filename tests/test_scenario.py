@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdist.channels import SUPPORT_TOL
 from symdist.cli import main
+from symdist.linalg import SUPPORT_TOL
 from symdist.scenario import (
     MC_SIGMA_THRESHOLD,
     _basis_prep,
