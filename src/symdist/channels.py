@@ -17,11 +17,11 @@ the cloners are U-covariant (Werner, PRA 58, 1827 (1998)), so every
 distance and input fidelity is the one on |0>, where cloner_diagonal is
 Werner's closed form: real, as dense_output is wherever the preps are.
 Only dense_output builds a DenseOperator.  The tests hold the Choi oracles.
+The spec checks its own fields; scenario reads them from JSON.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -149,71 +149,14 @@ def _same_fields(x, y) -> bool:
         for a, b in zip(vars(x).values(), vars(y).values()))
 
 
-# -- serialization -----------------------------------------------------------
-
-
-def _json_real(value, where: str) -> float:
-    """The rule for every number of a scenario: an int or a float, not a
-    JSON true/false, and finite as a float."""
-    if type(value) is float and math.isfinite(value):  # most numbers, first
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where}: expected a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:  # an int beyond the float range
-        x = math.inf
-    if not math.isfinite(x):
-        raise ValueError(f"{where}: expected a finite number")
-    return x
-
-
-def _json_complex(pair, where: str) -> complex:
-    """An [re, im] pair, both under the rule of _json_real."""
-    if not (isinstance(pair, list) and len(pair) == 2):
-        raise ValueError(f"{where}: expected an [re, im] pair")
-    return complex(_json_real(pair[0], where), _json_real(pair[1], where))
-
-
-def _json_matrices(matrices: list, name: str) -> list[np.ndarray]:
-    """The matrices of a JSON list, each of [re, im] pairs under the rule of
-    _json_complex (a violation names its matrix, name[i]), read in one pass:
-    complex where some imaginary part in the list is nonzero, else float64."""
-    shapes, zs = [], []
-    for i, rows in enumerate(matrices):
-        if not (isinstance(rows, list) and rows and all(
-                isinstance(row, list) and row and len(row) == len(rows[0])
-                for row in rows)):
-            raise ValueError(f"{name}[{i}]: expected a matrix of [re, im] pairs")
-        where = f"{name}[{i}]"
-        shapes.append((len(rows), len(rows[0])))
-        zs += [_json_complex(z, where) for row in rows for z in row]
-    x = np.array(zs, dtype=complex)
-    x = x if x.imag.any() else x.real.copy()
-    ends = itertools.accumulate(a * b for a, b in shapes)
-    return [x[end - a * b:end].reshape(a, b) for end, (a, b) in zip(ends, shapes)]
-
-
-def _json_number(data: dict, key: str, kind: type, optional: bool = False):
-    """data[key] as an int (kind int) or a real under _json_real (kind float)."""
-    value = data.get(key)
-    if value is None and optional:
-        return None
-    if kind is float:
-        return _json_real(value, key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key}: expected an integer, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class SDIChannelSpec:
     """Declarative description of one of the channel kinds, read from JSON
-    by from_json.  Construction checks every field, and an error in a
-    field's value names the field.  `prep` and `povm`, given as any
-    sequence of matrices, are held as one read-only (r, n, n) array each,
-    complex128 where some entry is complex, else float64; two specs are
-    equal where their matrix fields agree in shape, dtype and entries."""
+    by scenario.  Construction checks every field, d, M and N first for
+    integers (int or numpy, not bool); an error names its field.  `prep`
+    and `povm`, any sequence of matrices, are held as one read-only
+    (r, n, n) array each, complex128 where some entry is complex, else
+    float64, and == compares them by shape, dtype and entries."""
 
     kind: str
     d: int
@@ -231,6 +174,11 @@ class SDIChannelSpec:
     KINDS = tuple(FIELDS)
 
     def __post_init__(self):
+        for name, value in zip("dMN", (self.d, self.M, self.N)):
+            if type(value) is not int and (value is not None or name != "N"):
+                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                    raise ValueError(f"{name}: expected an integer, got {value!r}")
+                object.__setattr__(self, name, int(value))
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}; expected one of {self.KINDS}")
         if self.d < 1 or self.M < 1:
@@ -256,24 +204,6 @@ class SDIChannelSpec:
 
     # kind comes first: where it agrees, each matrix field is None or a stack on both sides
     __eq__ = _same_fields
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SDIChannelSpec":
-        if not isinstance(data, dict):
-            raise ValueError("channel spec must be a JSON object")
-        prep, povm = data.get("prep"), data.get("povm")
-        for name, matrices in (("prep", prep), ("povm", povm)):
-            if not (matrices is None or isinstance(matrices, list)):
-                raise ValueError(f"{name}: expected a list of matrices")
-        return cls(
-            kind=data.get("kind"),
-            d=_json_number(data, "d", int),
-            M=_json_number(data, "M", int),
-            N=_json_number(data, "N", int, optional=True),
-            p=_json_number(data, "p", float, optional=True),
-            prep=None if prep is None else _json_matrices(prep, "prep"),
-            povm=None if povm is None else _json_matrices(povm, "povm"),
-        )
 
     @property
     def input_dim(self) -> int:

@@ -19,6 +19,7 @@ from .channels import SDIChannelSpec
 from .linalg import DEFAULT_DIM_CAP, ResourceLimitError
 from .metrics import general_bound, lemma1_bound, perr_lower_bound
 from .scenario import (
+    SCHEMA_VERSION,
     _basis_input,
     _basis_prep,
     all_satisfied,
@@ -99,7 +100,7 @@ def _scenario_from_flags(args) -> dict:
         input_state = _basis_input(args.d)
     checks = args.checks.split(",") if args.checks else _default_checks(args.kind)
     data: dict = {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "channel": channel,
         "input": input_state,
         "k": args.k,

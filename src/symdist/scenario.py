@@ -4,15 +4,19 @@ A scenario names a channel, an input state (settled when it is parsed, as
 the array a run reads), the marginal sizes k to examine and the checks to
 run; running it yields one ResultRecord per k with the computed distances,
 bounds and satisfied flags.  A cloner runs in its input's frame (|0>), with
-diagonal lemma1 states and no ket drawn or built.  This module owns the
-output format: render_rows, the one table writer, renders these records
-(through emit) and the bounds table of the CLI as CSV (fixed column order,
-floats at 12 significant digits) or JSON mirroring the column names; both
-are byte-stable across runs unless timings are requested.
+diagonal lemma1 states and no ket drawn or built.  This module alone reads
+the scenario format, channel objects too, under one integer rule (_is_int)
+and one number rule (_real); SDIChannelSpec checks what a channel holds,
+and each refusal is a SchemaError naming its field.  It owns the output
+format: render_rows, the one table writer, renders these records (through
+emit) and the bounds table of the CLI as CSV (fixed column order, floats at
+12 significant digits) or JSON mirroring the column names; both are
+byte-stable across runs unless timings are requested.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -22,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import SDIChannelSpec, SupportError, _json_complex, _json_real, _same_fields
+from .channels import SDIChannelSpec, SupportError, _same_fields
 from .definetti import OccupationState, mc_reduce_coords, purified_state
 from .linalg import DEFAULT_DIM_CAP, validate_state
 from .metrics import (
@@ -112,12 +116,61 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _numbers(rule, values: list, path: str) -> list:
-    """Each entry under a number rule of channels; a violation names it."""
+def _real(value, where: str) -> float:
+    """The rule for every number of a scenario: an int or a float, not a
+    JSON true/false, and finite as a float."""
+    if type(value) is float and math.isfinite(value):  # most numbers, first
+        return value
+    if not (_is_int(value) or isinstance(value, float)):
+        raise SchemaError(f"{where}: expected a number, got {value!r}")
     try:
-        return [rule(x, f"{path}[{i}]") for i, x in enumerate(values)]
+        x = float(value)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    _require(math.isfinite(x), where, "expected a finite number")
+    return x
+
+
+def _complex(pair, where: str) -> complex:
+    """An [re, im] pair, both under the rule of _real."""
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise SchemaError(f"{where}: expected an [re, im] pair")
+    return complex(_real(pair[0], where), _real(pair[1], where))
+
+
+def _matrices(matrices: list, where: str) -> list[np.ndarray]:
+    """Each matrix of [re, im] pairs under _complex (a refusal names it,
+    where[i]), in one pass: complex where some imaginary part is nonzero."""
+    shapes, zs = [], []
+    for i, rows in enumerate(matrices):
+        at = f"{where}[{i}]"
+        _require(isinstance(rows, list) and rows and all(
+            isinstance(row, list) and row and len(row) == len(rows[0]) for row in rows),
+            at, "expected a matrix of [re, im] pairs")
+        shapes.append((len(rows), len(rows[0])))
+        zs += [_complex(z, at) for row in rows for z in row]
+    x = np.array(zs, dtype=complex)
+    x = x if x.imag.any() else x.real.copy()
+    ends = itertools.accumulate(a * b for a, b in shapes)
+    return [x[end - a * b:end].reshape(a, b) for end, (a, b) in zip(ends, shapes)]
+
+
+def _channel(data, where: str) -> SDIChannelSpec:
+    """The channel object as a spec: its numbers read here, every field
+    checked by SDIChannelSpec, a refusal named after `where`."""
+    _require(isinstance(data, dict), where, "channel spec must be a JSON object")
+    p, prep, povm = data.get("p"), data.get("prep"), data.get("povm")
+    for name, matrices in (("prep", prep), ("povm", povm)):
+        _require(matrices is None or isinstance(matrices, list), f"{where}: {name}",
+                 "expected a list of matrices")
+    p = None if p is None else _real(p, f"{where}: p")
+    prep = None if prep is None else _matrices(prep, f"{where}: prep")
+    povm = None if povm is None else _matrices(povm, f"{where}: povm")
+    try:
+        return SDIChannelSpec(data.get("kind"), data.get("d"), data.get("M"),
+                              data.get("N"), p, prep, povm)
     except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def _parse_input_state(data, path: str, spec: SDIChannelSpec) -> tuple:
@@ -132,7 +185,7 @@ def _parse_input_state(data, path: str, spec: SDIChannelSpec) -> tuple:
         coeffs = data.get("coeffs")
         _require(isinstance(coeffs, list) and len(coeffs) == d, f"{path}.coeffs",
                  f"expected {d} [re, im] pairs")
-        vec = np.array(_numbers(_json_complex, coeffs, f"{path}.coeffs"))
+        vec = np.array([_complex(z, f"{path}.coeffs[{i}]") for i, z in enumerate(coeffs)])
         with np.errstate(over="ignore"):  # a norm beyond the float range fails below
             nrm = float(np.linalg.norm(vec))
         _require(abs(nrm - 1.0) <= 1e-9, f"{path}.coeffs",
@@ -142,7 +195,7 @@ def _parse_input_state(data, path: str, spec: SDIChannelSpec) -> tuple:
         probs = data.get("probs")
         _require(isinstance(probs, list) and len(probs) == d, f"{path}.probs",
                  f"expected {d} probabilities")
-        arr = np.array(_numbers(_json_real, probs, f"{path}.probs"))
+        arr = np.array([_real(x, f"{path}.probs[{i}]") for i, x in enumerate(probs)])
         _require(bool(np.all(arr >= -1e-12)), f"{path}.probs",
                  "probabilities must be non-negative")
         with np.errstate(over="ignore"):
@@ -167,10 +220,7 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
     schema = data.get("schema")
     _require(_is_int(schema) and schema == SCHEMA_VERSION, f"{where}.schema",
              f"expected {SCHEMA_VERSION}")
-    try:
-        spec = SDIChannelSpec.from_json(data.get("channel"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}.channel: {exc}") from exc
+    spec = _channel(data.get("channel"), f"{where}.channel")
     phi, input_seed = _parse_input_state(data.get("input"), f"{where}.input", spec)
     k_raw = data.get("k")
     _require(isinstance(k_raw, list) and k_raw, f"{where}.k",
@@ -239,8 +289,8 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
 
 
 def load_scenarios(text: str, defaults: dict | None = None) -> list[ScenarioConfig]:
-    """Parse a scenario file: one scenario object or a list of them.  The
-    fields of each object override those of `defaults`."""
+    """Parse a scenario file: one scenario object or a non-empty list of
+    them.  The fields of each object override those of `defaults`."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -249,6 +299,7 @@ def load_scenarios(text: str, defaults: dict | None = None) -> list[ScenarioConf
         raise SchemaError("scenario file is nested too deeply to parse") from exc
     listed = isinstance(data, list)
     entries = data if listed else [data]
+    _require(entries, "scenario file", "expected a scenario object or a non-empty list of them")
     for i, entry in enumerate(entries):
         _require(isinstance(entry, dict), f"scenario[{i}]", "expected an object")
     return [scenario_from_dict({**(defaults or {}), **entry},
@@ -496,7 +547,7 @@ def default_suite(seed: int = 1) -> list[dict]:
     byte-identical.
     """
     def entry(label, channel, ks, checks, state=None, **extra):
-        return {"schema": 1, "label": label, "channel": channel,
+        return {"schema": SCHEMA_VERSION, "label": label, "channel": channel,
                 "input": state or _basis_input(2), "k": ks, "checks": checks, **extra}
 
     def cloner(n_in, m_users, d=2):

@@ -516,8 +516,8 @@ def _matrix_to_json(m: np.ndarray) -> list:
 
 
 def to_json(spec: SDIChannelSpec) -> dict:
-    """The JSON object that SDIChannelSpec.from_json reads: the oracle for
-    round trips through from_json."""
+    """The channel object that the scenario reader (scenario._channel)
+    turns into a spec: the oracle for round trips through it."""
     return {
         "kind": spec.kind,
         "d": spec.d,

@@ -11,6 +11,7 @@ from symdist.linalg import (
     DenseOperator,
     swap_residual,
 )
+from symdist.scenario import SchemaError, _channel
 from symdist.symspace import plan
 
 from dense_oracles import (
@@ -273,7 +274,7 @@ class TestValidateSDI:
 class TestSDIChannelSpec:
     def test_roundtrip_noisy(self):
         spec = SDIChannelSpec(kind="noisy_cloner", d=2, M=3, N=1, p=0.1)
-        again = SDIChannelSpec.from_json(to_json(spec))
+        again = _channel(to_json(spec), "channel")
         assert again == spec
         ch = build(again)
         assert ch.kind == "noisy_cloner"
@@ -287,7 +288,7 @@ class TestSDIChannelSpec:
         spec = SDIChannelSpec(kind="measure_prepare", d=2, M=2,
                               prep=preps, povm=povm)
         data = to_json(spec)
-        again = SDIChannelSpec.from_json(data)
+        again = _channel(data, "channel")
         for got, want in zip(again.prep, preps):
             assert np.max(np.abs(got - want)) <= 1e-15
         ch = build(again)
@@ -357,14 +358,40 @@ class TestSDIChannelSpec:
     def test_absent_fields_round_trip_as_none(self, spec):
         data = to_json(spec)
         assert data["p"] is None and data["povm"] is None
-        again = SDIChannelSpec.from_json(json.loads(json.dumps(data)))
+        again = _channel(json.loads(json.dumps(data)), "channel")
         assert (again.kind, again.N, again.p, again.povm) == (
             spec.kind, spec.N, spec.p, spec.povm)
 
-    def test_from_json_bad_matrix(self):
+    def test_reader_refuses_a_bad_matrix(self):
         data = {"kind": "fixed_prep", "d": 2, "M": 2, "prep": [[[1.0, 0.0]]]}
-        with pytest.raises(ValueError, match="prep"):
-            SDIChannelSpec.from_json(data)
+        with pytest.raises(SchemaError,
+                           match=r"^channel: prep\[0\]: expected an \[re, im\] pair$"):
+            _channel(data, "channel")
+
+    @pytest.mark.parametrize("fields,message", [
+        (dict(d=2.0, M=3, N=1), "d: expected an integer, got 2.0"),
+        (dict(d=2, M=3.0, N=1), "M: expected an integer, got 3.0"),
+        (dict(d=2, M=3, N=True), "N: expected an integer, got True"),
+        (dict(d=True, M=3, N=1), "d: expected an integer, got True"),
+        (dict(d=2, M=np.float64(3.0), N=1), "M: expected an integer, got np.float64(3.0)"),
+        (dict(d=2, M="3", N=1), "M: expected an integer, got '3'"),
+        # the integer rule comes before every other check, the kind's too
+        (dict(kind="cloner", d=2, M=None, N=1), "M: expected an integer, got None"),
+    ], ids=["d-float", "M-float", "N-bool", "d-bool", "M-numpy-float", "M-string", "M-none"])
+    def test_d_m_n_must_be_integers(self, fields, message):
+        # a float d or M once failed inside cloner_diagonal with a TypeError,
+        # and N=True ran as N = 1
+        fields = {"kind": "universal_cloner", **fields}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SDIChannelSpec(**fields).symmetric_output(None)
+
+    def test_numpy_integers_are_accepted_as_ints(self):
+        spec = SDIChannelSpec("universal_cloner", d=np.int64(2), M=np.int32(3),
+                              N=np.uint8(1))
+        plain = SDIChannelSpec("universal_cloner", d=2, M=3, N=1)
+        assert spec == plain
+        assert [type(x) for x in (spec.d, spec.M, spec.N)] == [int] * 3
+        assert spec.symmetric_output(None).tobytes() == plain.symmetric_output(None).tobytes()
 
 
 # the measurement channel of the benchmark's theorem2 workload, as JSON
@@ -448,13 +475,13 @@ class TestStackedPreps:
     def test_equal_specs_compare_equal(self):
         # two parses of the same JSON: == once raised "truth value of an
         # array ... is ambiguous"
-        a, b = (SDIChannelSpec.from_json(json.loads(json.dumps(BENCH_CHANNEL)))
+        a, b = (_channel(json.loads(json.dumps(BENCH_CHANNEL)), "channel")
                 for _ in range(2))
         assert a == b and not a != b
         other = json.loads(json.dumps(BENCH_CHANNEL))
         other["prep"][1][0][0][0] = 0.4
         other["prep"][1][1][1][0] = 0.6
-        assert a != SDIChannelSpec.from_json(other)
+        assert a != _channel(other, "channel")
         # equal entries of another dtype, another field or another M differ
         real = SDIChannelSpec("fixed_prep", d=2, M=2, prep=(np.eye(2) / 2,))
         assert real == SDIChannelSpec("fixed_prep", d=2, M=2, prep=[np.eye(2) / 2])

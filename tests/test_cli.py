@@ -215,6 +215,14 @@ class TestRun:
         assert main(["run", str(src)]) == 1
         assert "error: scenario file is not valid JSON: " in capsys.readouterr().err
 
+    def test_empty_list_names_the_scenario_file(self, tmp_path, capsys):
+        # it once ended in "error: no records to emit", which names no input
+        src = tmp_path / "empty.json"
+        src.write_text("[]")
+        assert main(["run", str(src)]) == 1
+        assert capsys.readouterr().err == (
+            "error: scenario file: expected a scenario object or a non-empty list of them\n")
+
     def test_deeply_nested_file_exits_one(self, tmp_path, capsys):
         # json.loads raises RecursionError here, not JSONDecodeError
         src = tmp_path / "nested.json"

@@ -213,7 +213,7 @@ def test_the_output_is_zero_outside_the_occupation_blocks(kind, d, m_users):
     v = index_map(d, m_users)
     outside = v.col[:, None] != v.col[None, :]
     for n_in in sorted({1, min(2, m_users), m_users}):
-        spec = SDIChannelSpec.from_json(_channel(kind, d, n_in, m_users))
+        spec = scenario._channel(_channel(kind, d, n_in, m_users), "channel")
         rho = spec.dense_output(None).entries
         assert np.all(rho[outside] == 0.0)
         assert np.abs(rho[~outside]).max() > 0.0
@@ -235,7 +235,7 @@ def test_the_block_root_matches_one_whole_eigh(kind, d, n_in, m_users):
     1e-17 and both roots lift to about 1e-8 (8.4e-9 is met): within 1e-13
     on the output's range (its eigenvalues above 1e-12, the rest at least
     1e-6), and 1e-7 off it."""
-    spec = SDIChannelSpec.from_json(_channel(kind, d, n_in, m_users))
+    spec = scenario._channel(_channel(kind, d, n_in, m_users), "channel")
     rho = spec.dense_output(None).entries
     got = _sqrt_by_blocks(rho.copy(), _squares(d, m_users))
     assert np.abs(got @ got - rho).max() <= 1e-13

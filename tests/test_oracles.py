@@ -228,3 +228,24 @@ def test_one_module_writes_tables():
                     ("csv", "writer"), ("json", "dumps")):
                 callers.add(path.stem)
     assert callers == {"scenario"}
+
+
+def test_one_module_reads_the_scenario_format():
+    # scenario reads every field of a scenario file, the channel object's
+    # numbers and matrices too, and SDIChannelSpec checks what they hold:
+    # only scenario raises SchemaError or parses JSON, and no other module
+    # defines a JSON reader (channels once held from_json and _json_* rules)
+    raised, _ = _functions_naming("SchemaError")
+    readers, parsers = set(), set()
+    for path in pathlib.Path(linalg.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and path.stem != "scenario" and (
+                    node.name == "from_json" or node.name.startswith("_json")):
+                readers.add((path.stem, node.name))
+            if isinstance(node, ast.Attribute) and (
+                    getattr(node.value, "id", None), node.attr) == ("json", "loads"):
+                parsers.add(path.stem)
+    assert {mod for mod, _ in raised} == {"scenario"}
+    assert parsers == {"scenario"}
+    assert readers == set()
+    assert not hasattr(channels.SDIChannelSpec, "from_json")

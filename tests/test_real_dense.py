@@ -13,6 +13,7 @@ import pytest
 
 from symdist.channels import SDIChannelSpec
 from symdist.linalg import DenseOperator
+from symdist import scenario
 from symdist.scenario import _covariant_distances, run_scenario, scenario_from_dict
 from symdist.symspace import sym_dim
 
@@ -73,11 +74,12 @@ def test_eigensolvers_see_the_output_dtype(monkeypatch, channel, dtype):
 
 
 def test_a_json_field_is_real_where_its_imaginary_parts_are_zero():
-    spec = SDIChannelSpec.from_json(_channel("measure_prepare", 2, 3))
+    spec = scenario._channel(_channel("measure_prepare", 2, 3), "channel")
     assert spec.prep.dtype == spec.povm.dtype == float
     assert spec.dense_output(np.array([0.6, 0.8j])).entries.dtype == float
     # one complex entry makes its whole stacked field complex
-    spec = SDIChannelSpec.from_json(_channel("measure_prepare", 2, 3, COMPLEX_PREP))
+    spec = scenario._channel(_channel("measure_prepare", 2, 3, COMPLEX_PREP),
+                             "channel")
     assert (spec.prep.dtype, spec.povm.dtype) == (complex, float)
     assert spec.dense_output(np.array([0.6, 0.8j])).entries.dtype == complex
 
